@@ -10,6 +10,4 @@ verification experiments.
 
 __version__ = "0.1.0"
 
-from ._kernels import BACKEND, HAVE_NUMBA
-
-__all__ = ["BACKEND", "HAVE_NUMBA", "__version__"]
+__all__ = ["__version__"]

@@ -1,36 +1,17 @@
 """Hot numeric kernels: Gaussian heat sums and radial-profile convolutions.
 
-Two interchangeable backends compute the same sums:
-
-* a numba ``@njit(parallel=True)`` path with an early radius cutoff, used
-  when numba is importable, and
-* a pure-numpy chunked path, used when numba is missing or when the
-  environment variable ``FRACMEAS_NO_NUMBA`` is set to a non-empty value.
-
-The backend only changes floating-point summation order (differences are
-at rounding level); all logic lives above these kernels.  ``benchmarks/
-bench_kernels.py`` times both paths on a representative workload.
+Both are dense numpy sums over every (point, mass) pair, evaluated in row
+blocks of the pairwise squared-distance table (``pairwise_sq_dists``).
 """
 
 from __future__ import annotations
 
-import math
-import os
-
 import numpy as np
 
-_DISABLED = bool(os.environ.get("FRACMEAS_NO_NUMBA"))
-
-try:
-    if _DISABLED:
-        raise ImportError("numba disabled by FRACMEAS_NO_NUMBA")
-    from numba import njit, prange
-
-    HAVE_NUMBA = True
-except ImportError:
-    HAVE_NUMBA = False
-
-BACKEND = "numba" if HAVE_NUMBA else "numpy"
+# perfbench records both in every result and refuses to compare results
+# whose values differ; numpy is the only backend.
+BACKEND = "numpy"
+HAVE_NUMBA = False
 
 # Profile kinds understood by the radial convolution kernel.
 KIND_GAUSS = 0
@@ -40,27 +21,20 @@ KIND_TABLE = 2
 _EMPTY = np.zeros(2, dtype=np.float64)
 
 
-# ---------------------------------------------------------------------------
-# pure-numpy implementations
-# ---------------------------------------------------------------------------
+def pairwise_sq_dists(x, y, rows: int):
+    """Yield ``(start, stop, d2)`` with ``d2[i, j] = |x[start + i] - y[j]|^2``.
 
-def _heat_values_numpy(x, y, w, t, pref, r2max):
-    n = x.shape[0]
-    nt = t.shape[0]
-    out = np.zeros((n, nt))
-    if y.shape[0] == 0 or n == 0:
-        return out
-    inv4t = 1.0 / (4.0 * t)
-    chunk = max(1, int(4_000_000 // max(1, y.shape[0])))
-    for s in range(0, n, chunk):
-        e = min(n, s + chunk)
+    ``x`` (n, d) is taken ``rows`` rows at a time, so a block's difference
+    tensor holds ``rows * len(y) * d`` floats; the values do not depend on
+    ``rows``.
+    """
+    for s in range(0, len(x), rows):
+        e = min(len(x), s + rows)
         diff = x[s:e, None, :] - y[None, :, :]
         d2 = np.einsum("ijk,ijk->ij", diff, diff)
-        for j in range(nt):
-            # exp underflow (~e^-745) acts as the tail cutoff here
-            out[s:e, j] = np.exp(-d2 * inv4t[j]) @ w
-    out *= pref[None, :]
-    return out
+        # free the difference tensor before the caller works on the block
+        del diff
+        yield s, e, d2
 
 
 def _bump_profile(z2, amp):
@@ -70,119 +44,12 @@ def _bump_profile(z2, amp):
     return v
 
 
-def _radial_conv_numpy(x, y, w, s, kind, amp, ascale, table, dr, rsup):
-    n = x.shape[0]
-    ns = s.shape[0]
-    out = np.zeros((n, ns))
-    if y.shape[0] == 0 or n == 0:
-        return out
-    sd = s ** (-x.shape[1])
-    chunk = max(1, int(4_000_000 // max(1, y.shape[0])))
-    for lo in range(0, n, chunk):
-        hi = min(n, lo + chunk)
-        diff = x[lo:hi, None, :] - y[None, :, :]
-        r = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
-        for j in range(ns):
-            z = r / s[j]
-            if kind == KIND_GAUSS:
-                vals = amp * np.exp(-0.25 * z * z)
-                vals[z >= rsup] = 0.0
-            elif kind == KIND_BUMP:
-                vals = _bump_profile((z * ascale) ** 2, amp)
-            else:
-                idx = z / dr
-                k = np.minimum(idx.astype(np.int64), table.shape[0] - 2)
-                frac = idx - k
-                vals = table[k] + frac * (table[k + 1] - table[k])
-                vals[z >= rsup] = 0.0
-            out[lo:hi, j] = (vals @ w) * sd[j]
-    return out
-
-
-# ---------------------------------------------------------------------------
-# numba implementations
-# ---------------------------------------------------------------------------
-
-if HAVE_NUMBA:
-
-    @njit(parallel=True, cache=False)
-    def _heat_values_numba(x, y, w, t, pref, r2max):
-        n = x.shape[0]
-        dim = x.shape[1]
-        m = y.shape[0]
-        nt = t.shape[0]
-        out = np.zeros((n, nt))
-        for i in prange(n):
-            acc = np.zeros(nt)
-            for q in range(m):
-                r2 = 0.0
-                for a in range(dim):
-                    dd = x[i, a] - y[q, a]
-                    r2 += dd * dd
-                j0 = np.searchsorted(r2max, r2)
-                for j in range(j0, nt):
-                    acc[j] += w[q] * math.exp(-r2 / (4.0 * t[j]))
-            for j in range(nt):
-                out[i, j] = acc[j] * pref[j]
-        return out
-
-    @njit(parallel=True, cache=False)
-    def _radial_conv_numba(x, y, w, s, kind, amp, ascale, table, dr, rsup):
-        n = x.shape[0]
-        dim = x.shape[1]
-        m = y.shape[0]
-        ns = s.shape[0]
-        ntab = table.shape[0]
-        out = np.zeros((n, ns))
-        for i in prange(n):
-            acc = np.zeros(ns)
-            for q in range(m):
-                r2 = 0.0
-                for a in range(dim):
-                    dd = x[i, a] - y[q, a]
-                    r2 += dd * dd
-                r = math.sqrt(r2)
-                # profile vanishes for |x-y|/s >= rsup; s is ascending
-                j0 = np.searchsorted(s, r / rsup)
-                for j in range(j0, ns):
-                    z = r / s[j]
-                    if z >= rsup:
-                        continue
-                    if kind == 0:
-                        v = amp * math.exp(-0.25 * z * z)
-                    elif kind == 1:
-                        z2 = (z * ascale) ** 2
-                        if z2 >= 1.0:
-                            continue
-                        v = amp * math.exp(-1.0 / (1.0 - z2))
-                    else:
-                        idx = z / dr
-                        k = int(idx)
-                        if k > ntab - 2:
-                            continue
-                        frac = idx - k
-                        v = table[k] + frac * (table[k + 1] - table[k])
-                    acc[j] += w[q] * v
-            for j in range(ns):
-                out[i, j] = acc[j] * s[j] ** (-dim)
-        return out
-
-else:
-    _heat_values_numba = None
-    _radial_conv_numba = None
-
-
-# ---------------------------------------------------------------------------
-# dispatchers
-# ---------------------------------------------------------------------------
-
-def heat_values(x, y, w, t, tail_eps=1e-12):
+def heat_values(x, y, w, t):
     """Gaussian heat sums ``out[i,j] = (4 pi t_j)^{-d/2} sum_m w_m G(x_i - y_m; t_j)``.
 
     ``x``: (n, d) evaluation points; ``y``: (m, d) mass locations; ``w``: (m,)
-    weights; ``t``: (nt,) strictly positive times, ascending.  The numba path
-    skips pairs beyond the truncation radius ``R(t) = 8 sqrt(t ln(1/tail_eps))``
-    (absolute error at most ``tail_eps**16 * |mu|`` per value).
+    weights; ``t``: (nt,) strictly positive times.  The sum runs over every
+    pair; exp underflow (below about e^-745) is the only tail cutoff.
     """
     x = np.ascontiguousarray(np.atleast_2d(np.asarray(x, dtype=np.float64)))
     y = np.ascontiguousarray(np.atleast_2d(np.asarray(y, dtype=np.float64)))
@@ -190,12 +57,16 @@ def heat_values(x, y, w, t, tail_eps=1e-12):
     t = np.ascontiguousarray(np.asarray(t, dtype=np.float64))
     if np.any(t <= 0):
         raise ValueError("heat times must be positive")
-    d = x.shape[1]
-    pref = (4.0 * np.pi * t) ** (-d / 2.0)
-    r2max = 64.0 * t * math.log(1.0 / tail_eps)
-    if HAVE_NUMBA:
-        return _heat_values_numba(x, y, w, t, pref, r2max)
-    return _heat_values_numpy(x, y, w, t, pref, r2max)
+    out = np.zeros((x.shape[0], t.shape[0]))
+    if y.shape[0] == 0 or x.shape[0] == 0:
+        return out
+    pref = (4.0 * np.pi * t) ** (-x.shape[1] / 2.0)
+    inv4t = 1.0 / (4.0 * t)
+    for s, e, d2 in pairwise_sq_dists(x, y, max(1, 4_000_000 // y.shape[0])):
+        for j in range(t.shape[0]):
+            out[s:e, j] = np.exp(-d2 * inv4t[j]) @ w
+    out *= pref[None, :]
+    return out
 
 
 def radial_conv_values(x, y, w, s, kind, amp=1.0, arg_scale=1.0,
@@ -214,24 +85,27 @@ def radial_conv_values(x, y, w, s, kind, amp=1.0, arg_scale=1.0,
     s = np.ascontiguousarray(np.asarray(s, dtype=np.float64))
     if np.any(s <= 0):
         raise ValueError("dilation scales must be positive")
-    tab = _EMPTY if table is None else np.ascontiguousarray(table, dtype=np.float64)
-    if HAVE_NUMBA:
-        return _radial_conv_numba(x, y, w, s, kind, float(amp), float(arg_scale),
-                                  tab, float(table_dr), float(support_radius))
-    return _radial_conv_numpy(x, y, w, s, kind, float(amp), float(arg_scale),
-                              tab, float(table_dr), float(support_radius))
-
-
-def warmup():
-    """Trigger jit compilation on tiny inputs (no-op on the numpy path)."""
-    x = np.zeros((2, 1))
-    y = np.array([[0.0], [0.4]])
-    w = np.array([1.0, -0.5])
-    heat_values(x, y, w, np.array([0.1, 1.0]))
-    radial_conv_values(x, y, w, np.array([0.5, 2.0]), KIND_GAUSS,
-                       amp=1.0, support_radius=12.0)
-    radial_conv_values(x, y, w, np.array([0.5, 2.0]), KIND_BUMP,
-                       amp=1.0, arg_scale=1.0, support_radius=1.0)
-    radial_conv_values(x, y, w, np.array([0.5, 2.0]), KIND_TABLE,
-                       table=np.array([1.0, 0.5, 0.0]), table_dr=0.5,
-                       support_radius=1.0)
+    table = _EMPTY if table is None else np.ascontiguousarray(table, dtype=np.float64)
+    amp, arg_scale = float(amp), float(arg_scale)
+    dr, rsup = float(table_dr), float(support_radius)
+    out = np.zeros((x.shape[0], s.shape[0]))
+    if y.shape[0] == 0 or x.shape[0] == 0:
+        return out
+    sd = s ** (-x.shape[1])
+    for lo, hi, d2 in pairwise_sq_dists(x, y, max(1, 4_000_000 // y.shape[0])):
+        r = np.sqrt(d2)
+        for j in range(s.shape[0]):
+            z = r / s[j]
+            if kind == KIND_GAUSS:
+                vals = amp * np.exp(-0.25 * z * z)
+                vals[z >= rsup] = 0.0
+            elif kind == KIND_BUMP:
+                vals = _bump_profile((z * arg_scale) ** 2, amp)
+            else:
+                idx = z / dr
+                k = np.minimum(idx.astype(np.int64), table.shape[0] - 2)
+                frac = idx - k
+                vals = table[k] + frac * (table[k + 1] - table[k])
+                vals[z >= rsup] = 0.0
+            out[lo:hi, j] = (vals @ w) * sd[j]
+    return out

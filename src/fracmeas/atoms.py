@@ -21,9 +21,10 @@ import numpy as np
 
 from . import _kernels
 from .heat import TGrid, heat_sup_field
+from .maximal import _smoothstep
 from .measures import (Cube, GridMeasure, LOG2_OVER_LOG3, cantor_frostman,
                        curve_measure, default_radius_grid, frostman_constant,
-                       measure_sum, new_grid_measure, unit_cube)
+                       lattice_points, measure_sum, new_grid_measure, unit_cube)
 
 
 @dataclass(frozen=True)
@@ -139,10 +140,8 @@ def certification_points(cand: AtomCandidate, n_coarse: int = 129,
         coarse = big.corner[None, :] + np.linspace(0, big.side, n_side)[:, None]
     else:
         n_side = max(9, int(round(n_coarse ** (1.0 / d))))
-        axes = [np.linspace(big.corner[a], big.corner[a] + big.side, n_side)
-                for a in range(d)]
-        grids = np.meshgrid(*axes, indexing="ij")
-        coarse = np.stack([g.ravel() for g in grids], axis=1)
+        coarse = lattice_points([np.linspace(big.corner[a], big.corner[a] + big.side, n_side)
+                                 for a in range(d)])
     parts.append(coarse)
     center = cand.cube.center
     if d == 1:
@@ -288,9 +287,7 @@ def make_linf_atom(d: int = 1, resolution: int = 8):
     cube (first axis), -1 on the upper half; a d-atom after no rescaling."""
     h = 2.0 ** (-resolution)
     n = 2 ** resolution
-    axes = [np.arange(n, dtype=np.int64)] * d
-    grids = np.meshgrid(*axes, indexing="ij")
-    idx = np.stack([g.ravel() for g in grids], axis=1)
+    idx = lattice_points([np.arange(n, dtype=np.int64)] * d)
     sign = np.where(idx[:, 0] < n // 2, 1.0, -1.0)
     w = sign * h ** d
     mu = new_grid_measure(d, h, np.full(d, 0.5 * h), idx, w, name="linf_atom")
@@ -384,11 +381,6 @@ class AtomicDecomposition:
         return float(sum(abs(lam) for lam, _, _ in self.entries))
 
 
-def _smoothstep(u):
-    u = np.clip(u, 0.0, 1.0)
-    return u ** 3 * (6.0 * u ** 2 - 15.0 * u + 10.0)
-
-
 def mollified_indicator_family(d: int, center, extent: float, count: int = 16):
     """Deterministic mollified plateaus at ~3 scales covering the region.
 
@@ -411,8 +403,7 @@ def mollified_indicator_family(d: int, center, extent: float, count: int = 16):
         else:
             m = max(2, int(math.ceil(math.sqrt(n_side))))
             g = np.linspace(-extent, extent, m)
-            grids = np.meshgrid(*([g] * d), indexing="ij")
-            offs = np.stack([v.ravel() for v in grids], axis=1)[:n_side]
+            offs = lattice_points([g] * d)[:n_side]
         for o in offs:
             tests.append(plateau(center + o, r))
         if len(tests) >= count:

@@ -5,8 +5,7 @@ invariant is named on stderr), 2 usage or config errors.  Every run writes a
 JSON summary embedding the tool version, the resolved config and its hash,
 and all logged constants; data goes to CSV.  Reruns with one seed produce
 byte-identical CSVs.  Only the output directory may come from the
-environment (``FRACMEAS_OUT``); the kernel-backend switch
-``FRACMEAS_NO_NUMBA`` affects speed, not results.
+environment (``FRACMEAS_OUT``).
 """
 
 from __future__ import annotations

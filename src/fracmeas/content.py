@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import gamma as _gamma
 
-from .measures import Cube, DyadicLattice, unit_lattice
+from .measures import Cube, DyadicLattice, lattice_points, unit_lattice
 
 
 def ball_volume_constant(beta: float) -> float:
@@ -77,9 +77,6 @@ class CubeUnion:
 
     def corners(self) -> np.ndarray:
         return self.lattice.corner[None, :] + self.indices * self.sides()[:, None]
-
-    def volume(self) -> float:
-        return float(np.sum(self.sides() ** self.lattice.d))
 
     def covers_cube(self, level: int, index) -> bool:
         index = np.asarray(index, dtype=np.int64)
@@ -221,9 +218,7 @@ def rasterize_balls(F: BallFamily, lattice: DyadicLattice, level: int) -> CubeUn
     for c, r in zip(F.centers, F.radii):
         lo = np.floor((c - r - lattice.corner) / side).astype(np.int64)
         hi = np.floor((c + r - lattice.corner) / side).astype(np.int64)
-        axes = [np.arange(lo[a], hi[a] + 1) for a in range(F.d)]
-        grid = np.meshgrid(*axes, indexing="ij")
-        idx = np.stack([g.ravel() for g in grid], axis=1)
+        idx = lattice_points([np.arange(lo[a], hi[a] + 1) for a in range(F.d)])
         corners = lattice.corner[None, :] + idx * side
         keep = _cube_ball_dist(corners, side, c) <= r
         cells.append(idx[keep])
@@ -348,9 +343,7 @@ def regularized_cover(F: BallFamily, beta: float, lattice: DyadicLattice | None 
         side_new = lat.side(k_new)
         lo = np.floor((x - 2 * r - lat.corner) / side_new).astype(np.int64)
         hi = np.floor((x + 2 * r - lat.corner) / side_new).astype(np.int64)
-        axes = [np.arange(lo[a], hi[a] + 1) for a in range(d)]
-        grid = np.meshgrid(*axes, indexing="ij")
-        cand = np.stack([g.ravel() for g in grid], axis=1)
+        cand = lattice_points([np.arange(lo[a], hi[a] + 1) for a in range(d)])
         cc = lat.corner[None, :] + cand * side_new
         keep = _cube_ball_dist(cc, side_new, x) <= 2 * r
         new_cubes = cand[keep]

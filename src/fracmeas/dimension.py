@@ -26,7 +26,7 @@ from .atoms import AtomicDecomposition
 from .content import CubeUnion, choquet_integral, dyadic_content
 from .heat import TGrid
 from .maximal import grand_maximal, standard_family, truncated_dyadic_maximal
-from .measures import Cube, DyadicLattice, GridMeasure, measure_sum
+from .measures import Cube, DyadicLattice, GridMeasure, lattice_points, measure_sum
 
 
 def _occupied_cubes(mu: GridMeasure, lattice: DyadicLattice,
@@ -208,9 +208,7 @@ def choquet_maximal_test(mu: GridMeasure, lattice: DyadicLattice, beta: float,
     side = lattice.side(k_trunc)
     n0 = np.floor((domain.corner - lattice.corner) / side).astype(np.int64)
     counts = [int(round(domain.side / side))] * d
-    axes = [n0[a] + np.arange(counts[a]) for a in range(d)]
-    grids = np.meshgrid(*axes, indexing="ij")
-    cells = np.stack([g.ravel() for g in grids], axis=1)
+    cells = lattice_points([n0[a] + np.arange(counts[a]) for a in range(d)])
     centers = lattice.corner[None, :] + (cells + 0.5) * side
     fld = truncated_dyadic_maximal(mu, lattice, d - beta, truncation,
                                    centers, k_min, k_trunc)
@@ -261,9 +259,7 @@ def atom_sum_dimension_check(dec: AtomicDecomposition, sample_level: int = 6,
     lattice = DyadicLattice(corner=center - 0.5 * size, l0=size, d=d)
     domain = Cube(corner=lattice.corner.copy(), side=size)
     side = lattice.side(sample_level)
-    axes = [np.arange(2 ** sample_level)] * d
-    grids = np.meshgrid(*axes, indexing="ij")
-    cells = np.stack([g.ravel() for g in grids], axis=1)
+    cells = lattice_points([np.arange(2 ** sample_level)] * d)
     centers = lattice.corner[None, :] + (cells + 0.5) * side
     fam = standard_family(d)
     tg = TGrid.for_measure(mu, nodes_per_decade=nodes_per_decade,

@@ -1,9 +1,8 @@
 """Heat semigroup acting on grid measures, and suprema of weighted extensions.
 
 The extension at time t is the Gaussian convolution
-``(4 pi t)^{-d/2} sum_m w_m exp(-|x - y_m|^2 / 4t)``; the kernel module
-truncates the sum at radius ``R(t) = 8 sqrt(t ln(1/eps_tail))`` with
-``eps_tail = 1e-12``, an absolute error below ``eps_tail * |mu|``.
+``(4 pi t)^{-d/2} sum_m w_m exp(-|x - y_m|^2 / 4t)``, summed over every
+mass; exp underflow is the only tail cutoff.
 """
 
 from __future__ import annotations
@@ -14,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .measures import GridMeasure
+from .measures import GridMeasure, lattice_points
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -94,8 +93,9 @@ def _golden_refine(mu, pts, gamma, t_lo, t_hi, iters=14):
     y = mu.points()
     w = mu.weights
     d = mu.d
-    diff = pts[:, None, :] - y[None, :, :]
-    d2 = np.einsum("ijk,ijk->ij", diff, diff)
+    d2 = np.empty((len(pts), len(y)))
+    for s, e, block in _kernels.pairwise_sq_dists(pts, y, max(1, 4_000_000 // len(y))):
+        d2[s:e] = block
 
     def g(logt):
         t = np.exp(logt)
@@ -163,9 +163,7 @@ def mass_quadrature_grid(mu: GridMeasure, t: float, pad_sigmas: float = 10.0,
     hq = 1.25 * math.sqrt(t if resolve is None else min(t, resolve))
     lo = lo - pad_sigmas * st
     hi = hi + pad_sigmas * st
-    axes = [np.arange(lo[a], hi[a] + hq, hq) for a in range(mu.d)]
-    grids = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack([g.ravel() for g in grids], axis=1)
+    pts = lattice_points([np.arange(lo[a], hi[a] + hq, hq) for a in range(mu.d)])
     return pts, hq
 
 def mass_conservation_residual(mu: GridMeasure, t: float) -> float:

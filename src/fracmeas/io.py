@@ -32,6 +32,8 @@ def write_csv(path, header, rows):
 
 
 def _json_default(obj):
+    if isinstance(obj, np.bool_):
+        return bool(obj)
     if isinstance(obj, (np.floating,)):
         return float(obj)
     if isinstance(obj, (np.integer,)):
@@ -119,14 +121,6 @@ def save_maximal_field(field, path):
     rows = [list(p) + [v, prof, s]
             for p, v, prof, s in zip(field.points, field.values,
                                      field.att_profile, field.att_scale)]
-    write_csv(path, header, rows)
-
-
-def save_sampled_field(field, path):
-    d = field.d
-    header = [f"x{a}" for a in range(d)] + ["value"]
-    pts = field.points()
-    rows = [list(p) + [v] for p, v in zip(pts, field.values.ravel())]
     write_csv(path, header, rows)
 
 

@@ -16,13 +16,13 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
+from scipy.fft import irfftn, next_fast_len, rfftn
 from scipy.interpolate import CubicSpline
-from scipy.signal import fftconvolve
 from scipy.special import j0 as _j0
 
 from . import _kernels
 from .heat import TGrid
-from .measures import DyadicLattice, GridMeasure
+from .measures import DyadicLattice, GridMeasure, SampledField
 
 
 # ---------------------------------------------------------------------------
@@ -383,25 +383,6 @@ def truncated_dyadic_maximal(mu: GridMeasure, lattice: DyadicLattice, gamma: flo
 # smoothed frequency projectors
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ProjField:
-    """Output of a projector: values on a regular grid."""
-
-    origin: np.ndarray
-    spacing: float
-    values: np.ndarray
-    k: int
-
-    def points(self):
-        axes = [self.origin[a] + self.spacing * np.arange(self.values.shape[a])
-                for a in range(self.values.ndim)]
-        grids = np.meshgrid(*axes, indexing="ij")
-        return np.stack([g.ravel() for g in grids], axis=1)
-
-    def grid_sum(self) -> float:
-        return float(np.sum(self.values)) * self.spacing ** self.values.ndim
-
-
 def _dense_from_measure(mu: GridMeasure):
     lo = mu.indices.min(axis=0)
     hi = mu.indices.max(axis=0)
@@ -424,37 +405,51 @@ def _projector_kernel(profile: Profile, k: int, h: float, d: int):
     return 4.0 ** k * profile.kernel_values(r)
 
 
+def _full_convolution(a, b):
+    """Full linear convolution of two real d-arrays via zero-padded real FFTs.
+
+    Axes where either input has length 1 are not transformed: broadcasting
+    convolves them exactly.
+    """
+    shape = [m + n - 1 for m, n in zip(a.shape, b.shape)]
+    axes = [i for i in range(a.ndim) if a.shape[i] != 1 and b.shape[i] != 1]
+    if not axes:
+        return a * b
+    fshape = [next_fast_len(shape[i], real=True) for i in axes]
+    spec = rfftn(a, fshape, axes=axes) * rfftn(b, fshape, axes=axes)
+    return irfftn(spec, fshape, axes=axes)[tuple(slice(n) for n in shape)]
+
+
 def _lowpass_raw(f, k: int, profile: Profile):
     """Convolution with the dilated low-pass profile; 'full' output grid."""
     if isinstance(f, GridMeasure):
         origin, dense, scale = *_dense_from_measure(f), 1.0
-        h, d = f.h, f.d
+        h = f.h
     else:
-        origin, dense, scale = f.origin, f.values, f.spacing ** f.values.ndim
-        h, d = f.spacing, f.values.ndim
+        origin, dense, scale = f.origin, f.values, f.cell_volume
+        h = f.spacing
     if 2.0 ** k > 1.0 / (2.0 * h) * (1 + 1e-12):
         raise ValueError(f"projector level {k} above the grid Nyquist 1/(2h)")
-    ker = _projector_kernel(profile, k, h, d)
-    vals = fftconvolve(dense, ker, mode="full") * scale
-    n = (len(ker) - 1) // 2 if d == 1 else (ker.shape[0] - 1) // 2
-    return ProjField(origin=origin - n * h, spacing=h, values=vals, k=k)
+    ker = _projector_kernel(profile, k, h, f.d)
+    vals = _full_convolution(dense, ker) * scale
+    n = (ker.shape[0] - 1) // 2
+    return SampledField(origin=origin - n * h, spacing=h, values=vals, k=k)
 
 
-def lp_lowpass(f, k: int, family: TestFamily | None = None) -> ProjField:
+def lp_lowpass(f, k: int, family: TestFamily | None = None) -> SampledField:
     """Smoothed low-pass projector P_{<=k}: convolution with Xi_k."""
-    d = f.d if isinstance(f, GridMeasure) else f.values.ndim
-    fam = family or standard_family(d, normalize=False)
+    fam = family or standard_family(f.d, normalize=False)
     return _lowpass_raw(f, k, fam["xi_low"])
 
 
-def lp_band(f, k: int, family: TestFamily | None = None) -> ProjField:
+def lp_band(f, k: int, family: TestFamily | None = None) -> SampledField:
     """Band projector P_k = P_{<=k} - P_{<=k-1} (exact telescoping by design)."""
     low_k = lp_lowpass(f, k, family)
     low_km1 = lp_lowpass(f, k - 1, family)
     return _field_sub(low_k, low_km1)
 
 
-def _field_sub(a: ProjField, b: ProjField) -> ProjField:
+def _field_sub(a: SampledField, b: SampledField) -> SampledField:
     """a - b on the union grid (grids share spacing and alignment)."""
     if not math.isclose(a.spacing, b.spacing, rel_tol=1e-12):
         raise ValueError("mismatched grids")
@@ -469,12 +464,12 @@ def _field_sub(a: ProjField, b: ProjField) -> ProjField:
     sl_b = tuple(slice(o - l, o - l + s) for o, l, s in zip(off, lo, b_shape))
     out[sl_a] += a.values
     out[sl_b] -= b.values
-    return ProjField(origin=a.origin + lo * h, spacing=h, values=out, k=a.k)
+    return SampledField(origin=a.origin + lo * h, spacing=h, values=out, k=a.k)
 
 
-def lp_apply_tilde(g: ProjField, family: TestFamily | None = None) -> ProjField:
+def lp_apply_tilde(g: SampledField, family: TestFamily | None = None) -> SampledField:
     """Apply the widened band profile at the field's own level k."""
-    fam = family or standard_family(g.values.ndim, normalize=False)
+    fam = family or standard_family(g.d, normalize=False)
     return _lowpass_raw(g, g.k, fam["xi_band"])
 
 

@@ -13,7 +13,69 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._kernels import pairwise_sq_dists
+
 LOG2_OVER_LOG3 = math.log(2.0) / math.log(3.0)
+
+
+# ---------------------------------------------------------------------------
+# regular grids
+# ---------------------------------------------------------------------------
+
+def lattice_points(axes) -> np.ndarray:
+    """All points of the product grid of ``axes``, first axis slowest.
+
+    Returns an (prod(len(a)), len(axes)) array with the axes' dtype.
+    """
+    grids = np.meshgrid(*axes, indexing="ij")
+    return np.stack([g.ravel() for g in grids], axis=1)
+
+
+@dataclass(frozen=True)
+class SampledField:
+    """Values of a function on a regular grid: ``values[i]`` sits at
+    ``origin + i * spacing``.  ``k`` is the frequency level of a projector
+    output and None for other fields."""
+
+    origin: np.ndarray
+    spacing: float
+    values: np.ndarray
+    k: int | None = None
+
+    @property
+    def d(self) -> int:
+        return self.values.ndim
+
+    @property
+    def cell_volume(self) -> float:
+        return self.spacing ** self.d
+
+    def points(self) -> np.ndarray:
+        return lattice_points([self.origin[a] + self.spacing * np.arange(n)
+                               for a, n in enumerate(self.values.shape)])
+
+    def grid_sum(self) -> float:
+        return float(np.sum(self.values)) * self.cell_volume
+
+    def interpolate(self, pts) -> np.ndarray:
+        """Multilinear interpolation; points must lie inside the grid hull."""
+        pts = np.atleast_2d(np.asarray(pts, dtype=np.float64))
+        rel = (pts - self.origin[None, :]) / self.spacing
+        shape = np.array(self.values.shape)
+        if np.any(rel < -1e-9) or np.any(rel > shape[None, :] - 1 + 1e-9):
+            raise ValueError("interpolation points fall outside the field grid")
+        rel = np.clip(rel, 0.0, shape[None, :] - 1 - 1e-12)
+        base = np.floor(rel).astype(np.int64)
+        base = np.minimum(base, shape[None, :] - 2)
+        frac = rel - base
+        out = np.zeros(len(pts))
+        d = self.d
+        for corner in range(2 ** d):
+            bits = np.array([(corner >> a) & 1 for a in range(d)])
+            weight = np.prod(np.where(bits[None, :] == 1, frac, 1.0 - frac), axis=1)
+            idx = tuple((base + bits[None, :]).T)
+            out += weight * self.values[idx]
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -114,18 +176,6 @@ def new_grid_measure(d, h, origin, indices, weights, name="") -> GridMeasure:
         indices, weights = uniq[keep], merged[keep]
     return GridMeasure(d=int(d), h=float(h), origin=origin,
                        indices=indices, weights=weights, name=name)
-
-
-def measure_from_dict(d, h, origin, weight_map, name="") -> GridMeasure:
-    """Convenience constructor from ``{index tuple: weight}``."""
-    idx = np.array([k if isinstance(k, tuple) else (k,) for k in weight_map],
-                   dtype=np.int64).reshape(-1, d)
-    w = np.array(list(weight_map.values()), dtype=np.float64)
-    return new_grid_measure(d, h, origin, idx, w, name=name)
-
-
-def total_variation(mu: GridMeasure) -> float:
-    return mu.total_variation()
 
 
 def measure_sum(measures, name="") -> GridMeasure:
@@ -338,12 +388,8 @@ def _probe_centers(mu: GridMeasure) -> np.ndarray:
     pts = mu.points()
     if len(pts) <= 1:
         return pts
-    chunk = max(1, int(2_000_000 // len(pts)))
     mids = np.empty_like(pts)
-    for s in range(0, len(pts), chunk):
-        e = min(len(pts), s + chunk)
-        diff = pts[s:e, None, :] - pts[None, :, :]
-        d2 = np.einsum("ijk,ijk->ij", diff, diff)
+    for s, e, d2 in pairwise_sq_dists(pts, pts, max(1, 2_000_000 // len(pts))):
         for i in range(e - s):
             d2[i, s + i] = np.inf
         nearest = np.argmin(d2, axis=1)
@@ -370,11 +416,8 @@ def frostman_constant(mu: GridMeasure, beta: float, radii) -> FrostmanCertificat
     absw = np.abs(mu.weights)
     centers = _probe_centers(mu)
     best = (0.0, centers[0], r_lo)
-    chunk = max(1, int(2_000_000 // len(pts)))
-    for s in range(0, len(centers), chunk):
-        e = min(len(centers), s + chunk)
-        diff = centers[s:e, None, :] - pts[None, :, :]
-        dist = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
+    for s, e, d2 in pairwise_sq_dists(centers, pts, max(1, 2_000_000 // len(pts))):
+        dist = np.sqrt(d2)
         order = np.argsort(dist, axis=1)
         dsort = np.take_along_axis(dist, order, axis=1)
         csum = np.cumsum(np.take_along_axis(np.tile(absw, (e - s, 1)), order, axis=1), axis=1)
@@ -476,9 +519,7 @@ def lebesgue_sample(d: int, h: float, cube: Cube | None = None, name="lebesgue")
     n = int(round(cube.side / h))
     if n < 1:
         raise ValueError("spacing coarser than the cube")
-    axes = [np.arange(n, dtype=np.int64)] * d
-    grids = np.meshgrid(*axes, indexing="ij")
-    idx = np.stack([g.ravel() for g in grids], axis=1)
+    idx = lattice_points([np.arange(n, dtype=np.int64)] * d)
     w = np.full(len(idx), h ** d)
     # cell centers: origin at corner + h/2
     return new_grid_measure(d, h, cube.corner + 0.5 * h, idx, w, name=name)

@@ -18,7 +18,7 @@ from scipy.special import gamma as _gamma, gammainc, gammaincc
 
 from . import _kernels
 from .heat import TGrid
-from .measures import GridMeasure
+from .measures import GridMeasure, SampledField, lattice_points
 
 
 @dataclass(frozen=True)
@@ -38,49 +38,6 @@ class RieszConfig:
         return math.pi ** (d / 2.0) * 2.0 ** a * _gamma(a / 2.0) / _gamma((d - a) / 2.0)
 
 
-@dataclass(frozen=True)
-class SampledField:
-    """Values of a function on a regular grid with recorded cell volume."""
-
-    origin: np.ndarray
-    spacing: float
-    values: np.ndarray
-
-    @property
-    def d(self) -> int:
-        return self.values.ndim
-
-    @property
-    def cell_volume(self) -> float:
-        return self.spacing ** self.d
-
-    def points(self) -> np.ndarray:
-        axes = [self.origin[a] + self.spacing * np.arange(self.values.shape[a])
-                for a in range(self.d)]
-        grids = np.meshgrid(*axes, indexing="ij")
-        return np.stack([g.ravel() for g in grids], axis=1)
-
-    def interpolate(self, pts) -> np.ndarray:
-        """Multilinear interpolation; points must lie inside the grid hull."""
-        pts = np.atleast_2d(np.asarray(pts, dtype=np.float64))
-        rel = (pts - self.origin[None, :]) / self.spacing
-        shape = np.array(self.values.shape)
-        if np.any(rel < -1e-9) or np.any(rel > shape[None, :] - 1 + 1e-9):
-            raise ValueError("interpolation points fall outside the field grid")
-        rel = np.clip(rel, 0.0, shape[None, :] - 1 - 1e-12)
-        base = np.floor(rel).astype(np.int64)
-        base = np.minimum(base, shape[None, :] - 2)
-        frac = rel - base
-        out = np.zeros(len(pts))
-        d = self.d
-        for corner in range(2 ** d):
-            bits = np.array([(corner >> a) & 1 for a in range(d)])
-            weight = np.prod(np.where(bits[None, :] == 1, frac, 1.0 - frac), axis=1)
-            idx = tuple((base + bits[None, :]).T)
-            out += weight * self.values[idx]
-        return out
-
-
 def riesz_kernel(cfg: RieszConfig, mu: GridMeasure, points) -> np.ndarray:
     """Direct kernel sum ``(1/gamma(alpha)) sum w_m |x - y_m|^{alpha-d}``.
 
@@ -91,14 +48,10 @@ def riesz_kernel(cfg: RieszConfig, mu: GridMeasure, points) -> np.ndarray:
         return np.zeros(len(pts))
     y = mu.points()
     out = np.zeros(len(pts))
-    chunk = max(1, int(4_000_000 // max(1, len(y))))
     expo = cfg.alpha - cfg.d
     with np.errstate(divide="ignore"):
-        for s in range(0, len(pts), chunk):
-            e = min(len(pts), s + chunk)
-            diff = pts[s:e, None, :] - y[None, :, :]
-            r = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
-            kern = r ** expo
+        for s, e, d2 in _kernels.pairwise_sq_dists(pts, y, max(1, 4_000_000 // len(y))):
+            kern = np.sqrt(d2) ** expo
             hot = np.any(np.isinf(kern), axis=1)
             vals = np.where(np.isinf(kern), 0.0, kern) @ mu.weights
             vals[hot] = np.inf
@@ -110,9 +63,8 @@ def riesz_field(cfg: RieszConfig, mu: GridMeasure, origin, spacing: float,
                 shape) -> SampledField:
     origin = np.asarray(origin, dtype=np.float64)
     shape = tuple(int(v) for v in np.atleast_1d(shape))
-    axes = [origin[a] + spacing * np.arange(shape[a]) for a in range(len(shape))]
-    grids = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack([g.ravel() for g in grids], axis=1)
+    pts = lattice_points([origin[a] + spacing * np.arange(shape[a])
+                          for a in range(len(shape))])
     vals = riesz_kernel(cfg, mu, pts).reshape(shape)
     return SampledField(origin=origin, spacing=float(spacing), values=vals)
 
@@ -148,12 +100,9 @@ def riesz_heat(cfg: RieszConfig, mu: GridMeasure, points,
         return RieszHeatResult(values=np.zeros(len(pts)), quad_error_est=0.0,
                                flagged=False, t_window=(0.0, 0.0))
     y = mu.points()
-    chunkdists = []
-    for s in range(0, len(pts), 4096):
-        e = min(len(pts), s + 4096)
-        diff = pts[s:e, None, :] - y[None, :, :]
-        chunkdists.append(np.sqrt(np.einsum("ijk,ijk->ij", diff, diff)))
-    dists = np.vstack(chunkdists)
+    dists = np.empty((len(pts), len(y)))
+    for s, e, d2 in _kernels.pairwise_sq_dists(pts, y, 4096):
+        dists[s:e] = np.sqrt(d2)
     positive = dists[dists > 0]
     if tgrid is None:
         r_lo = float(np.min(positive)) if len(positive) else mu.h
@@ -246,10 +195,8 @@ def _adaptive_heat_grid(mu: GridMeasure, t: float):
     spacing = max(mu.h / 2.0, st / 4.0)
     pad = 8.0 * st
     lo, hi = mu.bbox()
-    axes = [np.arange(lo[a] - pad, hi[a] + pad + spacing, spacing)
-            for a in range(mu.d)]
-    grids = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack([g.ravel() for g in grids], axis=1)
+    pts = lattice_points([np.arange(lo[a] - pad, hi[a] + pad + spacing, spacing)
+                          for a in range(mu.d)])
     tree = cKDTree(mu.points())
     dist, _ = tree.query(pts, k=1)
     return pts[dist <= pad], spacing

@@ -1,14 +1,12 @@
 import numpy as np
 import pytest
 
-from fracmeas import _kernels
 from fracmeas.maximal import standard_family
 
 
 @pytest.fixture(scope="session")
 def warm():
-    """Compile jit kernels and build profile tables once, outside timings."""
-    _kernels.warmup()
+    """Build the profile tables once, outside timings."""
     standard_family(1)
     standard_family(1, normalize=False)
     standard_family(2)

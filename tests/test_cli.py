@@ -139,3 +139,10 @@ def test_measure_roundtrip(tmp_path):
     assert back.d == 2 and back.h == 0.25 and back.name == "demo"
     assert np.allclose(back.points(), mu.points())
     assert np.allclose(np.sort(back.weights), np.sort(mu.weights))
+
+
+def test_report_serializes_numpy_bool(tmp_path):
+    path = os.path.join(str(tmp_path), "report.json")
+    io.write_report(path, {"depth": 6}, {"dim_pass": np.bool_(True)})
+    with open(path) as fh:
+        assert json.load(fh)["results"]["dim_pass"] is True

@@ -9,7 +9,7 @@ from fracmeas.maximal import (anti_local_maximal, band_symbol, decay_fit,
                               dyadic_maximal, grand_maximal, lowpass_symbol,
                               lp_apply_tilde, lp_band, lp_lowpass,
                               standard_family, truncated_dyadic_maximal)
-from fracmeas.measures import (cantor_frostman, dirac, lebesgue_sample,
+from fracmeas.measures import (SampledField, cantor_frostman, dirac, lebesgue_sample,
                                new_grid_measure, unit_lattice)
 
 BETA0 = math.log(2) / math.log(3)
@@ -248,8 +248,8 @@ def test_telescoping_exact(warm):
     K = 3
     for k in range(1, K + 1):
         band = lp_band(mu, k)
-        neg = maximal.ProjField(origin=acc.origin, spacing=acc.spacing,
-                                values=-acc.values, k=acc.k)
+        neg = SampledField(origin=acc.origin, spacing=acc.spacing,
+                           values=-acc.values, k=acc.k)
         acc = maximal._field_sub(band, neg)
     low_K = lp_lowpass(mu, K)
     off = np.rint((low_K.origin - acc.origin) / acc.spacing).astype(int)

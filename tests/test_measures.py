@@ -7,7 +7,7 @@ from fracmeas import measures
 from fracmeas.measures import (GridMeasure, cantor_frostman, curve_measure,
                                default_radius_grid, dirac, frostman_constant,
                                lebesgue_sample, measure_of_cube, measure_sum,
-                               new_grid_measure, total_variation, unit_lattice)
+                               new_grid_measure, unit_lattice)
 
 BETA0 = math.log(2) / math.log(3)
 
@@ -48,7 +48,7 @@ def test_new_grid_measure_basic():
 
     signed = new_grid_measure(2, 0.5, [0.0, 0.0], [[0, 0], [1, 1]], [1.0, -1.0])
     assert signed.total_mass() == 0.0
-    assert total_variation(signed) == 2.0
+    assert signed.total_variation() == 2.0
 
 
 def test_new_grid_measure_rejections():

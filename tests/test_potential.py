@@ -6,8 +6,8 @@ import pytest
 from fracmeas import potential
 from fracmeas.atoms import AtomCandidate, make_frostman_atom
 from fracmeas.maximal import decay_fit
-from fracmeas.measures import Cube, cantor_frostman, dirac, new_grid_measure
-from fracmeas.potential import (RieszConfig, SampledField, heat_besov_functional,
+from fracmeas.measures import Cube, SampledField, cantor_frostman, dirac, new_grid_measure
+from fracmeas.potential import (RieszConfig, heat_besov_functional,
                                 lorentz_norm, riesz_field, riesz_heat,
                                 riesz_kernel, trace_integral)
 from scipy.special import gamma as _gamma
