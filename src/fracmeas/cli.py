@@ -498,6 +498,8 @@ def main(argv=None) -> int:
         raise
     except ValueError as exc:
         _fail(f"invalid configuration: {exc}")
+    except (RuntimeError, AssertionError) as exc:
+        _fail(f"invariant violated: {exc}", code=1)
     return 0
 
 

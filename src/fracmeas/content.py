@@ -1,12 +1,20 @@
 """Hausdorff content (dyadic exact, spherical upper bound), covering
 regularization, and Choquet integration.
 
+A set of dyadic cubes is a pair of int64 arrays, ``levels`` (m,) and
+``indices`` (m, d); the level-j ancestor of a level-k cube is
+``indices >> (k - j)``.  Reduction, cover extraction and cover edits are
+row operations on these arrays (sort, unique, row matching) with no
+per-cube Python objects.
+
 The dyadic content of a finite cube union is computed exactly by a bottom-up
 sweep on the cube tree: ``cost(Q) = min(l(Q)^beta, sum of child costs)``.
 The sweep ascends past the coarsest input level until no coarser cube could
 pay (a single cube at the next level would already cost more than the
 current total), which makes the result the true infimum over all dyadic
-covers, not just covers by sub-cubes of the inputs.
+covers, not just covers by sub-cubes of the inputs.  The optimal cover is
+read off top-down, level by level: a node is in it when it chose itself and
+its parent chose its children.
 """
 
 from __future__ import annotations
@@ -17,7 +25,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import gamma as _gamma
 
-from .measures import Cube, DyadicLattice, lattice_points, unit_lattice
+from .measures import (Cube, DyadicLattice, _match_rows, _unique_rows, lattice_points,
+                       unit_lattice)
 
 
 def ball_volume_constant(beta: float) -> float:
@@ -43,30 +52,21 @@ class CubeUnion:
 
     @classmethod
     def build(cls, lattice: DyadicLattice, levels, indices) -> "CubeUnion":
+        """Reduce the input cubes: sort them stably by level, then drop every
+        repeat of an earlier cube and every cube inside a coarser input cube.
+        """
         levels = np.asarray(levels, dtype=np.int64).reshape(-1)
         indices = np.asarray(indices, dtype=np.int64).reshape(len(levels), lattice.d)
-        if len(levels) == 0:
-            return cls(lattice=lattice, levels=levels, indices=indices)
         order = np.argsort(levels, kind="stable")
         levels, indices = levels[order], indices[order]
-        present = {}
-        keep_lv, keep_ix = [], []
-        for lv, ix in zip(levels, indices):
-            contained = False
-            for lv2 in sorted(present):
-                if lv2 > lv:
-                    break
-                anc = tuple(np.floor_divide(ix, 2 ** (lv - lv2)))
-                if anc in present[lv2]:
-                    contained = True
-                    break
-            if not contained:
-                present.setdefault(int(lv), set()).add(tuple(int(v) for v in ix))
-                keep_lv.append(lv)
-                keep_ix.append(ix)
-        return cls(lattice=lattice,
-                   levels=np.array(keep_lv, dtype=np.int64),
-                   indices=np.array(keep_ix, dtype=np.int64).reshape(-1, lattice.d))
+        _, first, _ = _unique_rows(np.column_stack([levels, indices]))
+        keep = np.zeros(len(levels), dtype=bool)
+        keep[first] = True
+        for lv in np.unique(levels)[:-1]:
+            finer = levels > lv
+            anc = indices[finer] >> (levels[finer] - lv)[:, None]
+            keep[finer] &= _match_rows(indices[levels == lv], anc) < 0
+        return cls(lattice=lattice, levels=levels[keep], indices=indices[keep])
 
     @property
     def n_cubes(self) -> int:
@@ -79,15 +79,9 @@ class CubeUnion:
         return self.lattice.corner[None, :] + self.indices * self.sides()[:, None]
 
     def covers_cube(self, level: int, index) -> bool:
-        index = np.asarray(index, dtype=np.int64)
-        for lv in np.unique(self.levels):
-            if lv > level:
-                continue
-            anc = tuple(np.floor_divide(index, 2 ** (level - lv)))
-            rows = self.indices[self.levels == lv]
-            if any(tuple(r) == anc for r in rows):
-                return True
-        return False
+        coarser = self.levels <= level
+        anc = np.asarray(index, dtype=np.int64) >> (level - self.levels[coarser])[:, None]
+        return bool(np.any(np.all(self.indices[coarser] == anc, axis=1)))
 
 
 # ---------------------------------------------------------------------------
@@ -95,39 +89,37 @@ class CubeUnion:
 # ---------------------------------------------------------------------------
 
 def _content_sweep(E: CubeUnion, beta: float):
-    """Bottom-up cost sweep; returns (total, per-level node/cost/choice maps)."""
+    """Bottom-up cost sweep; returns the total and, finest level first, the
+    (level, nodes, costs, chose-itself) arrays of every level swept."""
     lat = E.lattice
     if E.n_cubes == 0:
-        return 0.0, {}
+        return 0.0, []
     levels = E.levels
-    by_level = {int(lv): E.indices[levels == lv] for lv in np.unique(levels)}
     k = int(levels.max())
     side = lat.l0 * 2.0 ** (-k)
-    nodes = by_level.get(k, np.zeros((0, lat.d), dtype=np.int64))
+    nodes = E.indices[levels == k]
     costs = np.full(len(nodes), side ** beta)
     choice_self = np.ones(len(nodes), dtype=bool)
-    record = {k: (nodes, costs, choice_self)}
+    record = [(k, nodes, costs, choice_self)]
     k_top = int(levels.min())
     while True:
         total = float(np.sum(costs))
         parent_side = lat.l0 * 2.0 ** (-(k - 1))
         if k <= k_top and (len(nodes) <= 1 or parent_side ** beta >= total):
             break
-        parents = np.floor_divide(nodes, 2)
-        uniq, inv = np.unique(parents, axis=0, return_inverse=True)
+        uniq, _, inv = _unique_rows(nodes >> 1)
         sums = np.zeros(len(uniq))
-        np.add.at(sums, inv.reshape(-1), costs)
+        np.add.at(sums, inv, costs)
         k -= 1
         own = parent_side ** beta
-        inputs_here = by_level.get(k)
-        if inputs_here is not None and len(inputs_here):
-            # input cubes at this level are disjoint from finer inputs (reduced)
-            uniq = np.vstack([uniq, inputs_here])
-            sums = np.concatenate([sums, np.full(len(inputs_here), np.inf)])
+        # input cubes at this level are disjoint from finer inputs (reduced)
+        inputs_here = E.indices[levels == k]
+        uniq = np.vstack([uniq, inputs_here])
+        sums = np.concatenate([sums, np.full(len(inputs_here), np.inf)])
         choice_self = own <= sums
         costs = np.where(choice_self, own, sums)
         nodes = uniq
-        record[k] = (nodes, costs, choice_self)
+        record.append((k, nodes, costs, choice_self))
     return float(np.sum(costs)), record
 
 
@@ -143,30 +135,23 @@ def dyadic_content_cover(E: CubeUnion, beta: float):
     """Exact content together with an optimal cover (as a CubeUnion)."""
     if not (0 < beta <= E.lattice.d):
         raise ValueError("beta must lie in (0, d]")
+    lat = E.lattice
     total, record = _content_sweep(E, beta)
-    if not record:
-        return 0.0, CubeUnion.build(E.lattice, [], np.zeros((0, E.lattice.d)))
-    top = min(record)
-    out_lv, out_ix = [], []
-    nodes, costs, ch = record[top]
-    stack = [(top, tuple(int(v) for v in n)) for n in nodes]
-    maps = {lv: {tuple(int(v) for v in n): bool(c)
-                 for n, c in zip(r[0], r[2])} for lv, r in record.items()}
-    while stack:
-        lv, n = stack.pop()
-        if maps[lv][n]:
-            out_lv.append(lv)
-            out_ix.append(n)
-            continue
-        child_map = maps.get(lv + 1, {})
-        base = tuple(2 * v for v in n)
-        d = E.lattice.d
-        for m in range(2 ** d):
-            kid = tuple(base[a] + ((m >> a) & 1) for a in range(d))
-            if kid in child_map:
-                stack.append((lv + 1, kid))
-    return total, CubeUnion.build(E.lattice, out_lv,
-                                  np.array(out_ix, dtype=np.int64).reshape(-1, E.lattice.d))
+    levels = np.zeros(0, dtype=np.int64)
+    indices = np.zeros((0, lat.d), dtype=np.int64)
+    expanded = None
+    for k, nodes, _, choice_self in reversed(record):
+        # a node is in the cover when it chose itself and its parent was
+        # expanded; every node of the top level is reached
+        if expanded is None:
+            reached = np.ones(len(nodes), dtype=bool)
+        else:
+            reached = _match_rows(expanded, nodes >> 1) >= 0
+        pick = reached & choice_self
+        levels = np.concatenate([levels, np.full(np.count_nonzero(pick), k)])
+        indices = np.vstack([indices, nodes[pick]])
+        expanded = nodes[reached & ~choice_self]
+    return total, CubeUnion(lattice=lat, levels=levels, indices=indices)
 
 
 # ---------------------------------------------------------------------------
@@ -224,7 +209,7 @@ def rasterize_balls(F: BallFamily, lattice: DyadicLattice, level: int) -> CubeUn
         cells.append(idx[keep])
     if not cells:
         return CubeUnion.build(lattice, [], np.zeros((0, lattice.d)))
-    idx = np.unique(np.vstack(cells), axis=0)
+    idx, _, _ = _unique_rows(np.vstack(cells))
     return CubeUnion.build(lattice, np.full(len(idx), level), idx)
 
 
@@ -303,19 +288,12 @@ def regularized_cover(F: BallFamily, beta: float, lattice: DyadicLattice | None 
     raster_content, cover0 = dyadic_content_cover(raster, beta)
     if initial_cover is not None:
         cover0 = initial_cover
-    cover = {(int(lv), tuple(int(v) for v in ix))
-             for lv, ix in zip(cover0.levels, cover0.indices)}
-
-    def cover_arrays():
-        items = sorted(cover)
-        lv = np.array([it[0] for it in items], dtype=np.int64)
-        ix = np.array([it[1] for it in items], dtype=np.int64).reshape(-1, d)
-        return items, lv, ix
-
+    # the cover as distinct rows (level, index...) in lexicographic order
+    rows, _, _ = _unique_rows(np.column_stack([cover0.levels, cover0.indices]))
     swaps = 0
     budget = budget_factor * F.n_balls
     while True:
-        items, lv, ix = cover_arrays()
+        lv, ix = rows[:, 0], rows[:, 1:]
         sides = lat.l0 * 2.0 ** (-lv.astype(np.float64))
         corners = lat.corner[None, :] + ix * sides[:, None]
         violated = []
@@ -350,15 +328,10 @@ def regularized_cover(F: BallFamily, beta: float, lattice: DyadicLattice | None 
         if len(new_cubes) > 2 ** d:
             raise AssertionError("replacement produced more than 2^d cubes")
         dist = _cube_ball_dist(corners, sides, x)
-        for j in np.nonzero(dist <= r)[0]:
-            cover.discard(items[j])
-        for row in new_cubes:
-            cover.add((k_new, tuple(int(v) for v in row)))
+        added = np.column_stack([np.full(len(new_cubes), k_new), new_cubes])
+        rows, _, _ = _unique_rows(np.vstack([rows[dist > r], added]))
         swaps += 1
 
-    items, lv, ix = cover_arrays()
-    sides = lat.l0 * 2.0 ** (-lv.astype(np.float64))
-    corners = lat.corner[None, :] + ix * sides[:, None]
     witness = np.zeros(F.n_balls, dtype=np.int64)
     ratio = np.zeros(F.n_balls)
     for bi in range(F.n_balls):

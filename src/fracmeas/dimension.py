@@ -13,6 +13,13 @@ selection, and beta passes when the capture density
 1.5) there; a bounded density is the mass-capture form of a Frostman bound,
 while an inflated one exhibits a low-dimensional mass concentration.  Full
 curves are always part of the report.
+
+The greedy capture holds its candidates as int64 arrays (level, index
+rows, masses, costs), sorted once per call by decreasing density, then
+level, then index.  An ancestor table over the candidates (every ancestor
+of an occupied cube is occupied) lets each selection rule out its
+ancestors and descendants at once, so the scan steps from one selected
+cube to the next.
 """
 
 from __future__ import annotations
@@ -26,7 +33,8 @@ from .atoms import AtomicDecomposition
 from .content import CubeUnion, choquet_integral, dyadic_content
 from .heat import TGrid
 from .maximal import grand_maximal, standard_family, truncated_dyadic_maximal
-from .measures import Cube, DyadicLattice, GridMeasure, lattice_points, measure_sum
+from .measures import (Cube, DyadicLattice, GridMeasure, _cube_sums, _match_rows,
+                       lattice_points, measure_sum)
 
 
 def _occupied_cubes(mu: GridMeasure, lattice: DyadicLattice,
@@ -34,14 +42,8 @@ def _occupied_cubes(mu: GridMeasure, lattice: DyadicLattice,
     """Per level: unique occupied cube indices with |mu| masses."""
     pts = mu.points()
     absw = np.abs(mu.weights)
-    out = {}
-    for k in range(min_level, max_level + 1):
-        idx = lattice.index_of(pts, k)
-        uniq, inv = np.unique(idx, axis=0, return_inverse=True)
-        sums = np.zeros(len(uniq))
-        np.add.at(sums, inv.reshape(-1), absw)
-        out[k] = (uniq, sums)
-    return out
+    return {k: _cube_sums(lattice.index_of(pts, k), absw)
+            for k in range(min_level, max_level + 1)}
 
 
 def greedy_mass_capture(mu: GridMeasure, lattice: DyadicLattice, beta: float,
@@ -49,9 +51,12 @@ def greedy_mass_capture(mu: GridMeasure, lattice: DyadicLattice, beta: float,
                         candidates=None):
     """Greedy budgeted capture of |mu| mass by disjoint dyadic cubes.
 
-    Candidates are the occupied cubes at levels min_level..max_level, scanned
-    in decreasing density |mu|(Q)/l(Q)^beta; a cube is taken when it fits the
-    remaining budget and neither contains nor is contained in a selected
+    Candidates are the occupied cubes at levels min_level..max_level
+    (``candidates`` may pass them in, as ``{level: (indices, masses)}``;
+    every parent of a candidate above the coarsest level must be one too).
+    They are scanned in decreasing density |mu|(Q)/l(Q)^beta, ties broken by
+    level and then lexicographically by index; a cube is taken when it fits
+    the remaining budget and neither contains nor is contained in a selected
     cube.  Returns the selected cubes, the captured mass, and the budget
     actually spent.
     """
@@ -61,46 +66,46 @@ def greedy_mass_capture(mu: GridMeasure, lattice: DyadicLattice, beta: float,
         return CubeUnion.build(lattice, [], np.zeros((0, lattice.d))), 0.0, 0.0
     occ = candidates if candidates is not None else \
         _occupied_cubes(mu, lattice, min_level, max_level)
-    rows = []
-    for k in sorted(occ):
-        uniq, sums = occ[k]
-        side = lattice.side(k)
-        cost = side ** beta
-        dens = sums / cost
-        for n, m, dn in zip(uniq, sums, dens):
-            rows.append((-dn, k, tuple(int(v) for v in n), m, cost))
-    rows.sort()
-    selected = {}
-    blocked = set()
+    levels = sorted(occ)
+    lv = np.concatenate([np.full(len(occ[k][0]), k, dtype=np.int64) for k in levels])
+    ix = np.vstack([occ[k][0] for k in levels])
+    mass = np.concatenate([occ[k][1] for k in levels])
+    cost = np.concatenate([np.full(len(occ[k][0]), lattice.side(k) ** beta)
+                           for k in levels])
+    order = np.lexsort([*ix.T[::-1], lv, -(mass / cost)])
+    lv, ix, mass, cost = lv[order], ix[order], mass[order], cost[order]
+    n, lo = len(lv), levels[0]
+    parent = _match_rows(np.column_stack([lv, ix]), np.column_stack([lv - 1, ix >> 1]))
+    if np.any(parent[lv > lo] < 0):
+        raise ValueError("candidates must include the parent of every "
+                         "candidate above the coarsest level")
+    # anc[i, j]: the candidate that is the level-(lo + j) ancestor of
+    # candidate i (i itself at its own level), or -1 at finer levels
+    anc = np.full((n, levels[-1] - lo + 1), -1, dtype=np.int64)
+    cur = np.arange(n)
+    for k in range(levels[-1], lo - 1, -1):
+        cur = np.where(lv > k, parent[cur], cur)
+        anc[lv >= k, k - lo] = cur[lv >= k]
+    alive = np.ones(n, dtype=bool)
+    limit = delta * (1.0 + 1e-12)
     spent = 0.0
     captured = 0.0
-    out_lv, out_ix = [], []
-    for negd, k, n, mass, cost in rows:
-        if spent + cost > delta * (1.0 + 1e-12):
-            continue
-        if (k, n) in blocked:
-            continue
-        contained = False
-        for lv in selected:
-            if lv < k:
-                # python's >> floors for negatives, matching dyadic nesting
-                anc = tuple(v >> (k - lv) for v in n)
-                if anc in selected[lv]:
-                    contained = True
-                    break
-        if contained:
-            continue
-        selected.setdefault(k, set()).add(n)
-        spent += cost
-        captured += mass
-        out_lv.append(k)
-        out_ix.append(n)
-        up = np.array(n, dtype=np.int64)
-        for lv in range(k - 1, min_level - 1, -1):
-            up = np.floor_divide(up, 2)
-            blocked.add((lv, tuple(int(v) for v in up)))
-    union = CubeUnion.build(lattice, out_lv,
-                            np.array(out_ix, dtype=np.int64).reshape(-1, lattice.d))
+    picked = []
+    start = 0
+    while start < n:
+        fits = alive[start:] & (spent + cost[start:] <= limit)
+        s = start + int(np.argmax(fits))
+        if not fits[s - start]:
+            break
+        picked.append(s)
+        spent += cost[s]
+        captured += mass[s]
+        # selecting a cube rules out itself, its descendants and ancestors
+        j = lv[s] - lo
+        alive[anc[:, j] == s] = False
+        alive[anc[s, :j]] = False
+        start = s + 1
+    union = CubeUnion.build(lattice, lv[picked], ix[picked])
     return union, captured, spent
 
 

@@ -22,7 +22,7 @@ from scipy.special import j0 as _j0
 
 from . import _kernels
 from .heat import TGrid
-from .measures import DyadicLattice, GridMeasure, SampledField
+from .measures import DyadicLattice, GridMeasure, SampledField, _cube_sums, _match_rows
 
 
 # ---------------------------------------------------------------------------
@@ -320,13 +320,6 @@ def anti_local_maximal(mu: GridMeasure, family: TestFamily, alpha: float,
     return grand_maximal(mu, family, alpha, points, tgrid, s_min=rho)
 
 
-def _aggregate_by_cube(mu_idx, weights):
-    uniq, inv = np.unique(mu_idx, axis=0, return_inverse=True)
-    sums = np.zeros(len(uniq))
-    np.add.at(sums, inv.reshape(-1), weights)
-    return uniq, sums
-
-
 def dyadic_maximal(mu: GridMeasure, lattice: DyadicLattice, gamma: float,
                    points, k_min: int, k_max: int,
                    min_side: float | None = None) -> MaximalField:
@@ -346,19 +339,10 @@ def dyadic_maximal(mu: GridMeasure, lattice: DyadicLattice, gamma: float,
         side = lattice.side(k)
         if min_side is not None and side < min_side * (1 - 1e-12):
             continue
-        midx = lattice.index_of(mass_pts, k)
-        uniq, sums = _aggregate_by_cube(midx, mu.weights)
-        pidx = lattice.index_of(pts, k)
-        # match sample cubes against occupied cubes via a joint unique pass
-        allrows = np.vstack([uniq, pidx])
-        _, inv = np.unique(allrows, axis=0, return_inverse=True)
-        inv = inv.reshape(-1)
-        cube_of_mass = inv[: len(uniq)]
-        cube_of_pt = inv[len(uniq):]
-        lookup = {}
-        for row, s in zip(cube_of_mass, sums):
-            lookup[int(row)] = s
-        masses = np.array([lookup.get(int(r), 0.0) for r in cube_of_pt])
+        uniq, sums = _cube_sums(lattice.index_of(mass_pts, k), mu.weights)
+        # a sample point in an empty cube matches -1: the appended zero mass
+        pos = _match_rows(uniq, lattice.index_of(pts, k))
+        masses = np.append(sums, 0.0)[pos]
         vals = np.abs(masses) / side ** (d - gamma)
         better = vals > out
         out = np.where(better, vals, out)

@@ -168,12 +168,9 @@ def new_grid_measure(d, h, origin, indices, weights, name="") -> GridMeasure:
         raise ValueError("weights must be finite")
     if len(indices) != len(weights):
         raise ValueError("indices and weights must have equal length")
-    if len(indices):
-        uniq, inv = np.unique(indices, axis=0, return_inverse=True)
-        merged = np.zeros(len(uniq))
-        np.add.at(merged, inv.reshape(-1), weights)
-        keep = merged != 0.0
-        indices, weights = uniq[keep], merged[keep]
+    indices, weights = _cube_sums(indices, weights)
+    keep = weights != 0.0
+    indices, weights = indices[keep], weights[keep]
     return GridMeasure(d=int(d), h=float(h), origin=origin,
                        indices=indices, weights=weights, name=name)
 
@@ -300,10 +297,6 @@ class DyadicLattice:
         pts = np.atleast_2d(pts)
         return np.floor((pts - self.corner[None, :]) / self.side(level)).astype(np.int64)
 
-    def containing_cube(self, x, level: int) -> "DyadicCube":
-        n = self.index_of(np.asarray(x, dtype=np.float64)[None, :], level)[0]
-        return self.cube(level, n)
-
 
 @dataclass(frozen=True)
 class DyadicCube:
@@ -319,9 +312,6 @@ class DyadicCube:
     def corner(self) -> np.ndarray:
         return self.lattice.corner + np.array(self.n, dtype=np.float64) * self.side
 
-    def as_cube(self) -> Cube:
-        return Cube(corner=self.corner, side=self.side)
-
     def children(self):
         base = np.array(self.n, dtype=np.int64) * 2
         d = self.lattice.d
@@ -331,13 +321,48 @@ class DyadicCube:
             kids.append(self.lattice.cube(self.level + 1, base + np.array(off)))
         return kids
 
-    def parent(self) -> "DyadicCube":
-        n = np.array(self.n, dtype=np.int64)
-        return self.lattice.cube(self.level - 1, np.floor_divide(n, 2))
-
 
 def unit_lattice(d: int) -> DyadicLattice:
     return DyadicLattice(corner=np.zeros(d), l0=1.0, d=d)
+
+
+# Sets of dyadic cubes are int64 arrays: ``levels`` (m,) with ``indices``
+# (m, d).  The level-j ancestor of a level-k cube is ``indices >> (k - j)``
+# (the arithmetic shift floors negative indices too).
+
+def _unique_rows(rows):
+    """Distinct rows of an int64 (n, w) array in lexicographic order, the
+    position of the first occurrence of each, and the position of each row
+    among them: what ``np.unique(rows, axis=0)`` returns, but sorting int64
+    columns with ``lexsort`` instead of a structured view of the rows
+    (2-3 times faster for 300-10000 rows of width 3)."""
+    order = np.lexsort(rows.T[::-1])
+    srt = rows[order]
+    new = np.ones(len(rows), dtype=bool)
+    new[1:] = np.any(srt[1:] != srt[:-1], axis=1)
+    inv = np.empty(len(rows), dtype=np.int64)
+    inv[order] = np.cumsum(new) - 1
+    return srt[new], order[new], inv
+
+
+def _match_rows(table, query) -> np.ndarray:
+    """Position in ``table`` of each row of ``query``, or -1 if absent.
+
+    Both are int64 (n, w) arrays; a row repeated in ``table`` gets any of
+    its positions.
+    """
+    _, _, inv = _unique_rows(np.vstack([table, query]))
+    pos = np.full(len(inv), -1, dtype=np.int64)
+    pos[inv[:len(table)]] = np.arange(len(table))
+    return pos[inv[len(table):]]
+
+
+def _cube_sums(idx, weights):
+    """Distinct rows of ``idx`` (sorted) with the sum of ``weights`` per row."""
+    uniq, _, inv = _unique_rows(idx)
+    sums = np.zeros(len(uniq))
+    np.add.at(sums, inv, weights)
+    return uniq, sums
 
 
 def measure_of_cube(mu: GridMeasure, cube: DyadicCube) -> float:

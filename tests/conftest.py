@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from fracmeas.maximal import standard_family
+
+# property tests replay the same examples on every run, with no time limit
+# per example (timings on a loaded host say nothing about correctness)
+settings.register_profile("fracmeas", deadline=None, derandomize=True)
+settings.load_profile("fracmeas")
 
 
 @pytest.fixture(scope="session")

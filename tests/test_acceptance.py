@@ -152,9 +152,24 @@ def test_c07_dyadic_content_exact():
           f"50 cubes x 4 exponents, worst {worst:.1f} ulps <= 4", el, 1)
 
 
+def _covers_raster(cov, raster):
+    # each raster cell must lie in a cover cube; rows are keyed
+    # i0 * 2^32 + i1, one key per row while |i1| < 2^31
+    def key(rows):
+        return rows[:, 0] * 2 ** 32 + rows[:, 1]
+
+    level = raster.levels[0]
+    covered = np.zeros(raster.n_cubes, dtype=bool)
+    for lv in np.unique(cov.levels[cov.levels <= level]):
+        covered |= np.isin(key(raster.indices >> (level - lv)),
+                           key(cov.indices[cov.levels == lv]))
+    return bool(covered.all())
+
+
 def test_c08_covering_lemma():
     t0 = time.perf_counter()
     failures = 0
+    swaps = 0
     beta = 0.5
     for seed in range(100):
         rng = np.random.default_rng(seed)
@@ -162,26 +177,24 @@ def test_c08_covering_lemma():
         F = content.make_ball_family(rng.uniform(0, 1, (nb, 2)),
                                      rng.uniform(0.03, 0.3, nb))
         cov = content.regularized_cover(F, beta)
-        ok = (np.all(cov.witness_ratio >= cov.constants["c"])
-              and cov.total <= cov.constants["C_impl"]
-              * cov.constants["raster_content"] + 1e-9)
         raster = content.rasterize_balls(F, cov.lattice,
                                          cov.constants["cell_level"])
-        sets = {}
-        for lv, ix in zip(cov.levels, cov.indices):
-            sets.setdefault(int(lv), set()).add(tuple(int(v) for v in ix))
-        for l, nn in zip(raster.levels, raster.indices):
-            if not any(tuple(int(v) >> (int(l) - l2) for v in nn) in s
-                       for l2, s in sets.items() if l2 <= l):
-                ok = False
-                break
+        # from the raw raster the swap loop has to do the regularizing
+        raw = content.regularized_cover(F, beta, initial_cover=raster)
+        swaps += raw.constants["swaps"]
+        ok = (np.all(cov.witness_ratio >= cov.constants["c"])
+              and np.all(raw.witness_ratio >= raw.constants["c"])
+              and cov.total <= cov.constants["raster_content"] * (1 + 1e-12)
+              and raw.total <= np.sum(raster.sides() ** beta)
+              and _covers_raster(cov, raster) and _covers_raster(raw, raster))
         bc = content.ball_cover(F, beta)
         if np.any(bc.witness_ratio < -1e-9):
             ok = False
         failures += 0 if ok else 1
     el = time.perf_counter() - t0
-    _line(8, "covering regularization", failures == 0,
-          f"100 seeded families, {failures} failures", el, 60)
+    _line(8, "covering regularization", failures == 0 and swaps > 0,
+          f"100 seeded families from two starts, {failures} failures, "
+          f"{swaps} swaps", el, 60)
 
 
 def test_c09_choquet_layer_cake():

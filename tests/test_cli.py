@@ -2,9 +2,9 @@ import json
 import os
 
 import numpy as np
+import pytest
 
-
-from fracmeas import io
+from fracmeas import content, io
 from fracmeas.cli import main
 from fracmeas.measures import cantor_frostman, new_grid_measure
 
@@ -146,3 +146,18 @@ def test_report_serializes_numpy_bool(tmp_path):
     io.write_report(path, {"depth": 6}, {"dim_pass": np.bool_(True)})
     with open(path) as fh:
         assert json.load(fh)["results"]["dim_pass"] is True
+
+
+@pytest.mark.parametrize("action", ["cover", "value"])
+@pytest.mark.parametrize("exc", [RuntimeError("failed to stabilize"),
+                                 AssertionError("cover lost a ball")])
+def test_cover_invariant_exit_1(tmp_path, monkeypatch, capsys, action, exc):
+    def broken(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr(content, "regularized_cover", broken)
+    balls = tmp_path / "balls.csv"
+    balls.write_text("x,y,r\n0.5,0.5,0.1\n")
+    assert run(["--out", str(tmp_path), "content", action, "--balls",
+                str(balls), "--beta", "0.5"]) == 1
+    assert f"fracmeas: invariant violated: {exc}\n" in capsys.readouterr().err

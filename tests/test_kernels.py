@@ -35,7 +35,7 @@ def point_sets(draw):
     return x, y
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200)
 @given(pts=point_sets(), rows=st.integers(1, 64))
 def test_pairwise_blocks_match_one_block(pts, rows):
     # byte-identical verify CSVs rely on row blocking never moving a bit
