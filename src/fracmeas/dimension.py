@@ -15,11 +15,12 @@ while an inflated one exhibits a low-dimensional mass concentration.  Full
 curves are always part of the report.
 
 The greedy capture holds its candidates as int64 arrays (level, index
-rows, masses, costs), sorted once per call by decreasing density, then
-level, then index.  An ancestor table over the candidates (every ancestor
-of an occupied cube is occupied) lets each selection rule out its
-ancestors and descendants at once, so the scan steps from one selected
-cube to the next.
+rows, masses, costs), sorted by decreasing density, then level, then
+index.  These tables depend on beta but not on the budget, so the estimate
+builds them once per beta and runs one scan per budget over them.  An
+ancestor table over the candidates (every ancestor of an occupied cube is
+occupied) lets each selection rule out its ancestors and descendants at
+once, so a scan steps from one selected cube to the next.
 """
 
 from __future__ import annotations
@@ -46,26 +47,9 @@ def _occupied_cubes(mu: GridMeasure, lattice: DyadicLattice,
             for k in range(min_level, max_level + 1)}
 
 
-def greedy_mass_capture(mu: GridMeasure, lattice: DyadicLattice, beta: float,
-                        delta: float, max_level: int, min_level: int = 0,
-                        candidates=None):
-    """Greedy budgeted capture of |mu| mass by disjoint dyadic cubes.
-
-    Candidates are the occupied cubes at levels min_level..max_level
-    (``candidates`` may pass them in, as ``{level: (indices, masses)}``;
-    every parent of a candidate above the coarsest level must be one too).
-    They are scanned in decreasing density |mu|(Q)/l(Q)^beta, ties broken by
-    level and then lexicographically by index; a cube is taken when it fits
-    the remaining budget and neither contains nor is contained in a selected
-    cube.  Returns the selected cubes, the captured mass, and the budget
-    actually spent.
-    """
-    if delta <= 0:
-        raise ValueError("budget must be positive")
-    if mu.n_masses == 0:
-        return CubeUnion.build(lattice, [], np.zeros((0, lattice.d))), 0.0, 0.0
-    occ = candidates if candidates is not None else \
-        _occupied_cubes(mu, lattice, min_level, max_level)
+def _capture_tables(occ, lattice: DyadicLattice, beta: float):
+    """The candidates of one beta as arrays in scan order, with their
+    ancestor table: ``(levels, indices, masses, costs, anc, coarsest)``."""
     levels = sorted(occ)
     lv = np.concatenate([np.full(len(occ[k][0]), k, dtype=np.int64) for k in levels])
     ix = np.vstack([occ[k][0] for k in levels])
@@ -86,13 +70,19 @@ def greedy_mass_capture(mu: GridMeasure, lattice: DyadicLattice, beta: float,
     for k in range(levels[-1], lo - 1, -1):
         cur = np.where(lv > k, parent[cur], cur)
         anc[lv >= k, k - lo] = cur[lv >= k]
-    alive = np.ones(n, dtype=bool)
+    return lv, ix, mass, cost, anc, lo
+
+
+def _capture_scan(tables, delta: float):
+    """One budget's greedy scan over ``_capture_tables`` output: the picked
+    positions, the captured mass and the budget spent."""
+    lv, _, mass, cost, anc, lo = tables
+    alive = np.ones(len(lv), dtype=bool)
     limit = delta * (1.0 + 1e-12)
-    spent = 0.0
-    captured = 0.0
+    spent = captured = 0.0
     picked = []
     start = 0
-    while start < n:
+    while start < len(lv):
         fits = alive[start:] & (spent + cost[start:] <= limit)
         s = start + int(np.argmax(fits))
         if not fits[s - start]:
@@ -105,8 +95,35 @@ def greedy_mass_capture(mu: GridMeasure, lattice: DyadicLattice, beta: float,
         alive[anc[:, j] == s] = False
         alive[anc[s, :j]] = False
         start = s + 1
-    union = CubeUnion.build(lattice, lv[picked], ix[picked])
-    return union, captured, spent
+    return picked, captured, spent
+
+
+def greedy_mass_capture(mu: GridMeasure, lattice: DyadicLattice, beta: float,
+                        delta: float, max_level: int, min_level: int = 0,
+                        candidates=None):
+    """Greedy budgeted capture of |mu| mass by disjoint dyadic cubes.
+
+    Candidates are the occupied cubes at levels min_level..max_level
+    (``candidates`` may pass them in, as ``{level: (indices, masses)}``;
+    every parent of a candidate above the coarsest level must be one too).
+    They are scanned in decreasing density |mu|(Q)/l(Q)^beta, ties broken by
+    level and then lexicographically by index; a cube is taken when it fits
+    the remaining budget and neither contains nor is contained in a selected
+    cube.  Returns the selected cubes, the captured mass, and the budget
+    actually spent.  The work splits into the sorted candidate tables, which
+    depend on beta only, and one scan for the budget; ``lower_dim_estimate``
+    builds the tables once per beta and runs only the scan per budget.
+    """
+    if delta <= 0:
+        raise ValueError("budget must be positive")
+    if mu.n_masses == 0:
+        return CubeUnion.build(lattice, [], np.zeros((0, lattice.d))), 0.0, 0.0
+    occ = candidates if candidates is not None else \
+        _occupied_cubes(mu, lattice, min_level, max_level)
+    tables = _capture_tables(occ, lattice, beta)
+    picked, captured, spent = _capture_scan(tables, delta)
+    lv, ix = tables[:2]
+    return CubeUnion.build(lattice, lv[picked], ix[picked]), captured, spent
 
 
 @dataclass(frozen=True)
@@ -158,21 +175,24 @@ def lower_dim_estimate(mu: GridMeasure, lattice: DyadicLattice, betas,
                                delta_star=deltas[-1] * np.ones(len(betas)),
                                tol_factor=tol_factor, max_level=max_level,
                                total_variation=0.0)
+    if np.any(deltas <= 0):
+        raise ValueError("budget must be positive")
     occ = _occupied_cubes(mu, lattice, min_level, max_level)
     unit = lattice.l0
     spent_mat = np.zeros_like(curves)
+    vacuous = []
     for i, beta in enumerate(betas):
         min_cost = min(lattice.side(k) ** beta for k in occ if len(occ[k][0]))
+        tables = _capture_tables(occ, lattice, beta)
         for j, delta in enumerate(deltas):
-            _, captured, spent = greedy_mass_capture(mu, lattice, beta, delta,
-                                                     max_level, min_level,
-                                                     candidates=occ)
+            _, captured, spent = _capture_scan(tables, delta)
             curves[i, j] = captured / tv
             spent_mat[i, j] = spent
         feasible = deltas[deltas >= min_cost * (1 - 1e-12)]
         if len(feasible) == 0:
             # no probed budget affords even one cube: the probe is vacuous at
             # this resolution, which is not evidence of dimension >= beta
+            vacuous.append(float(beta))
             delta_star[i] = float(deltas[0])
             passes[i] = False
             continue
@@ -188,7 +208,8 @@ def lower_dim_estimate(mu: GridMeasure, lattice: DyadicLattice, betas,
                            delta_star=delta_star, tol_factor=tol_factor,
                            max_level=max_level, total_variation=tv,
                            diagnostics={"min_level": min_level,
-                                        "spent": spent_mat.tolist()})
+                                        "spent": spent_mat.tolist(),
+                                        "vacuous_betas": vacuous})
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,7 @@
+import hashlib
 import json
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -96,6 +98,19 @@ def test_dim_estimate_command(tmp_path, warm):
     assert run(["--out", out, "dim", "estimate", "--measure", csv,
                 "--depth", "10", "--beta-step", "0.1"]) == 0
     assert os.path.exists(os.path.join(out, "modulus_curves.csv"))
+    with open(os.path.join(out, "dim_estimate.json")) as fh:
+        rep = json.load(fh)
+    assert rep["results"]["diagnostics"]["vacuous_betas"] == []
+
+
+def test_verify_thm18_matches_digests(tmp_path):
+    # the benchmark's recorded CSV digests; thm18 runs greedy mass capture
+    digests = Path(__file__).resolve().parents[1] / "perfbench" / "digests.json"
+    want = json.loads(digests.read_text())
+    assert run(["--out", str(tmp_path), "verify", "thm18"]) == 0
+    for name in ("verify_thm18_curves.csv", "verify_thm18_choquet_maximal.csv"):
+        got = hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+        assert got == want[name], name
 
 
 def test_config_file_defaults(tmp_path, warm):

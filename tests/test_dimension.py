@@ -136,6 +136,20 @@ def test_beta_grid_guard():
         lower_dim_estimate(dirac(1), lat, [0.0, 0.5], 8)
     with pytest.raises(ValueError):
         lower_dim_estimate(dirac(1), lat, [1.5], 8)
+    with pytest.raises(ValueError):
+        lower_dim_estimate(dirac(1), lat, [0.5], 8, deltas=[0.1, 0.0])
+
+
+def test_vacuous_betas_flagged():
+    # a level-2 cube costs 4^-beta: 0.5 at beta 0.5 (above both budgets),
+    # 0.25 at beta 1
+    lat = unit_lattice(1)
+    d0 = dirac(1, x=[0.4375], h=2.0 ** -6)
+    rep = lower_dim_estimate(d0, lat, [0.5, 1.0], 2, deltas=[0.4, 0.3])
+    assert rep.diagnostics["vacuous_betas"] == [0.5]
+    assert not rep.passes[0] and rep.delta_star[0] == 0.4
+    rep = lower_dim_estimate(d0, lat, [0.5, 1.0], 2)
+    assert rep.diagnostics["vacuous_betas"] == []
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Properties of the array-encoded dyadic tree: cube-union reduction, exact
-dyadic content and greedy mass capture, in d = 1 and 2 with cubes on both
-sides of the lattice corner (negative indices)."""
+dyadic content, greedy mass capture and the dimension estimate built on it,
+in d = 1 and 2 with cubes on both sides of the lattice corner (negative
+indices)."""
 
 import math
 
@@ -8,7 +9,8 @@ import numpy as np
 from hypothesis import given, strategies as st
 
 from fracmeas.content import CubeUnion, dyadic_content
-from fracmeas.dimension import greedy_mass_capture
+from fracmeas.dimension import (_occupied_cubes, greedy_mass_capture,
+                                lower_dim_estimate)
 from fracmeas.measures import DyadicLattice, new_grid_measure
 
 
@@ -79,6 +81,24 @@ def test_content_level_shift_scaling(case, frac, j):
     assert math.isclose(got, want, rel_tol=8 * 2.0 ** -52, abs_tol=0.0)
 
 
+@given(two_cube_lists(), st.floats(0.05, 1.0), st.lists(st.integers(-3, 3),
+                                                      min_size=2, max_size=2))
+def test_content_whole_cube_shift(case, frac, shift):
+    # shifting every cube by one whole level-K cube (K the coarsest input
+    # level, or 0) maps the tree at levels >= K onto itself, so the best
+    # cover by cubes of level >= K keeps its cost.  A coarser cube costs at
+    # least cap = l(level K - 1)^beta and may pair the shifted cubes
+    # differently (H{[0,1), [1,2)} = 2^beta, H{[1,2), [2,3)} = min(2, 4^beta)
+    # at level 0), so H is invariant up to cap
+    d, (levels, indices), _ = case
+    beta = frac * d
+    top = int(levels.min(initial=0))
+    moved = indices + np.array(shift[:d]) * 2 ** (levels - top)[:, None]
+    cap = (2.0 ** (1 - top)) ** beta
+    assert (min(_content(d, (levels, moved), beta), cap)
+            == min(_content(d, (levels, indices), beta), cap))
+
+
 @st.composite
 def measures(draw):
     d = draw(st.sampled_from([1, 2]))
@@ -137,3 +157,23 @@ def test_greedy_capture_selects_disjoint_cubes(mu, frac, delta, lo, hi):
     assert np.array_equal(ix, np.array([chosen[i][1] for i in order],
                                        dtype=np.int64).reshape(-1, mu.d))
     assert (spent, captured) == (ref_spent, ref_captured)
+
+
+@given(measures(), st.lists(st.floats(0.05, 1.0), min_size=1, max_size=4),
+       st.lists(st.floats(1e-3, 2.0), min_size=1, max_size=6),
+       st.integers(-2, 0), st.integers(0, 6))
+def test_estimate_matches_one_capture_per_budget(mu, fracs, deltas, lo, hi):
+    # the estimate scans tables built once per beta; each (beta, delta) cell
+    # must equal a capture built from scratch for that budget, bit for bit
+    lat = _lattice(mu.d)
+    rep = lower_dim_estimate(mu, lat, np.array(fracs) * mu.d, hi,
+                             deltas=deltas, min_level=lo)
+    occ = _occupied_cubes(mu, lat, lo, hi)
+    tv = mu.total_variation()
+    for i, beta in enumerate(rep.betas):
+        for j, delta in enumerate(rep.deltas):
+            _, captured, spent = greedy_mass_capture(mu, lat, beta, delta, hi,
+                                                     min_level=lo,
+                                                     candidates=occ)
+            assert rep.curves[i, j] == captured / tv
+            assert rep.diagnostics["spent"][i][j] == spent
