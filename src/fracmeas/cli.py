@@ -32,12 +32,6 @@ def _outdir(args) -> str:
     return io.ensure_dir(out)
 
 
-def _load_measure(path: str) -> measures.GridMeasure:
-    if not os.path.exists(path):
-        _fail(f"measure file not found: {path}")
-    return io.load_measure(path)
-
-
 def _report(args, name: str, results: dict, constants: dict | None = None,
             config: dict | None = None) -> str:
     out = _outdir(args)
@@ -79,7 +73,7 @@ def cmd_atom_gen(args) -> int:
 
 
 def cmd_atom_check(args) -> int:
-    mu = _load_measure(args.measure)
+    mu = io.load_measure(args.measure)
     corner = np.array(args.cube_corner or [0.0] * mu.d)
     cand = atoms.AtomCandidate(measure=mu,
                                cube=measures.Cube(corner=corner, side=args.cube_side),
@@ -104,7 +98,7 @@ def cmd_atom_check(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_heat(args) -> int:
-    mu = _load_measure(args.measure)
+    mu = io.load_measure(args.measure)
     tg = heat.TGrid.for_measure(mu, nodes_per_decade=args.npd)
     pts = mu.points()
     fld = heat.heat_field(mu, tg, pts)
@@ -125,7 +119,7 @@ def cmd_heat(args) -> int:
 
 
 def cmd_potential_riesz(args) -> int:
-    mu = _load_measure(args.measure)
+    mu = io.load_measure(args.measure)
     rr = np.geomspace(args.r_lo, args.r_hi, args.n_points)
     pts = np.zeros((len(rr), mu.d))
     pts[:, 0] = rr
@@ -153,7 +147,7 @@ def cmd_potential_riesz(args) -> int:
 
 
 def cmd_potential_besov(args) -> int:
-    mu = _load_measure(args.measure)
+    mu = io.load_measure(args.measure)
     corner = np.array(args.cube_corner or [0.0] * mu.d)
     cand = atoms.AtomCandidate(measure=mu,
                                cube=measures.Cube(corner=corner, side=args.cube_side),
@@ -176,7 +170,7 @@ def cmd_potential_trace(args) -> int:
 
 
 def cmd_maximal(args) -> int:
-    mu = _load_measure(args.measure)
+    mu = io.load_measure(args.measure)
     out = _outdir(args)
     pts = mu.points()
     if args.variant in ("dyadic", "truncated"):
@@ -207,7 +201,7 @@ def cmd_maximal(args) -> int:
 
 
 def cmd_maximal_lp(args) -> int:
-    mu = _load_measure(args.measure)
+    mu = io.load_measure(args.measure)
     out = _outdir(args)
     try:
         fld = (maximal.lp_band if args.band else maximal.lp_lowpass)(mu, args.k)
@@ -225,13 +219,9 @@ def cmd_maximal_lp(args) -> int:
 
 
 def _load_balls(path: str) -> content.BallFamily | None:
-    if not os.path.exists(path):
-        _fail(f"ball file not found: {path}")
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln for ln in fh.read().splitlines()[1:] if ln.strip()]
-    if not lines:
+    data = io.read_csv_rows(path)
+    if len(data) == 0:
         return None
-    data = np.array([[float(v) for v in ln.split(",")] for ln in lines])
     return content.make_ball_family(data[:, :-1], data[:, -1])
 
 
@@ -276,13 +266,11 @@ def cmd_content(args) -> int:
                 config={"balls": args.balls, "beta": args.beta})
         return 0
     if args.action == "choquet":
-        with open(args.field, "r", encoding="utf-8") as fh:
-            lines = [ln for ln in fh.read().splitlines()[1:] if ln.strip()]
-        if not lines:
+        data = io.read_csv_rows(args.field)
+        if len(data) == 0:
             _report(args, "content_choquet", {"value": 0.0},
                     config={"field": args.field, "beta": args.beta})
             return 0
-        data = np.array([[float(v) for v in ln.split(",")] for ln in lines])
         d = data.shape[1] - 2
         lat = measures.unit_lattice(d)
         level = int(data[0, 0])
@@ -297,7 +285,7 @@ def cmd_content(args) -> int:
 def cmd_dim(args) -> int:
     out = _outdir(args)
     if args.action == "estimate":
-        mu = _load_measure(args.measure)
+        mu = io.load_measure(args.measure)
         lat = measures.unit_lattice(mu.d)
         betas = np.round(np.arange(args.beta_step, mu.d + 1e-9, args.beta_step), 6)
         rep = dimension.lower_dim_estimate(mu, lat, betas, max_level=args.depth)
@@ -498,6 +486,8 @@ def main(argv=None) -> int:
         raise
     except ValueError as exc:
         _fail(f"invalid configuration: {exc}")
+    except OSError as exc:
+        _fail(f"file error: {exc}")
     except (RuntimeError, AssertionError) as exc:
         _fail(f"invariant violated: {exc}", code=1)
     return 0

@@ -174,7 +174,10 @@ def lower_dim_estimate(mu: GridMeasure, lattice: DyadicLattice, betas,
                                passes=np.ones(len(betas), dtype=bool),
                                delta_star=deltas[-1] * np.ones(len(betas)),
                                tol_factor=tol_factor, max_level=max_level,
-                               total_variation=0.0)
+                               total_variation=0.0,
+                               diagnostics={"min_level": min_level,
+                                            "spent": curves.tolist(),
+                                            "vacuous_betas": []})
     if np.any(deltas <= 0):
         raise ValueError("budget must be positive")
     occ = _occupied_cubes(mu, lattice, min_level, max_level)

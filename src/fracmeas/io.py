@@ -82,20 +82,29 @@ def save_measure(mu: GridMeasure, csv_path: str):
         fh.write(canonical_json(side) + "\n")
 
 
+def read_csv_rows(path) -> np.ndarray:
+    """The float rows after a CSV file's header line, one column per field.
+
+    Blank lines are skipped; a file with no rows gives shape (0, fields).
+    """
+    with open(path, "r", encoding="utf-8") as fh:
+        header, *lines = fh.read().splitlines() or [""]
+    ncol = header.count(",") + 1
+    rows = [[float(v) for v in ln.split(",")] for ln in lines if ln.strip()]
+    if any(len(row) != ncol for row in rows):
+        raise ValueError(f"{path}: every row needs the header's {ncol} fields")
+    return np.array(rows).reshape(len(rows), ncol)
+
+
 def load_measure(csv_path: str) -> GridMeasure:
+    data = read_csv_rows(csv_path)
     with open(csv_path + ".json", "r", encoding="utf-8") as fh:
         side = json.load(fh)
     d = int(side["dim"])
-    with open(csv_path, "r", encoding="utf-8") as fh:
-        lines = [ln for ln in fh.read().splitlines()[1:] if ln.strip()]
-    if not lines:
-        idx = np.zeros((0, d), dtype=np.int64)
-        w = np.zeros(0)
-    else:
-        data = np.array([[float(v) for v in ln.split(",")] for ln in lines])
-        idx = data[:, :d].astype(np.int64)
-        w = data[:, d]
-    return new_grid_measure(d, side["spacing"], side["origin"], idx, w,
+    if data.shape[1] != d + 1:
+        raise ValueError(f"{csv_path}: expected {d} index columns and a weight")
+    return new_grid_measure(d, side["spacing"], side["origin"],
+                            data[:, :d].astype(np.int64), data[:, d],
                             name=side.get("name", ""))
 
 
@@ -126,12 +135,12 @@ def save_maximal_field(field, path):
 
 def save_cover(cover, path):
     """CSV ``type,center/corner...,size,witness_ball_id`` for covers."""
+    witness_of = {}
+    for bi, j in enumerate(cover.witness):
+        witness_of.setdefault(int(j), bi)
     if cover.kind == "cubes":
         d = cover.indices.shape[1] if cover.n_elements else cover.lattice.d
         header = ["type"] + [f"corner{a}" for a in range(d)] + ["size", "witness_ball_id"]
-        witness_of = {}
-        for bi, j in enumerate(cover.witness):
-            witness_of.setdefault(int(j), bi)
         corners = cover.cube_corners() if cover.n_elements else np.zeros((0, d))
         sides = cover.cube_sides() if cover.n_elements else np.zeros(0)
         rows = [["cube"] + list(c) + [s, witness_of.get(j, -1)]
@@ -139,9 +148,6 @@ def save_cover(cover, path):
     else:
         d = cover.centers.shape[1] if cover.n_elements else 0
         header = ["type"] + [f"center{a}" for a in range(d)] + ["size", "witness_ball_id"]
-        witness_of = {}
-        for bi, j in enumerate(cover.witness):
-            witness_of.setdefault(int(j), bi)
         rows = [["ball"] + list(c) + [r, witness_of.get(j, -1)]
                 for j, (c, r) in enumerate(zip(cover.centers, cover.radii))]
     write_csv(path, header, rows)

@@ -130,7 +130,7 @@ class Profile:
 
     name: str
     d: int
-    kind: int                      # _kernels.KIND_*
+    kind: str                      # "gauss", "bump" or "table"
     amp: float
     arg_scale: float
     support_radius: float
@@ -140,25 +140,32 @@ class Profile:
     meta: dict = field(default_factory=dict)
 
     def values(self, r):
-        """Profile value at radial distance r (linear table interpolation)."""
+        """Profile value at radial distance r (linear table interpolation).
+
+        The table spacings are powers of two, so ``r / table_dr`` and its
+        fractional part are exact: the value is bit for bit the piecewise
+        linear interpolant through the table nodes.
+        """
         r = np.abs(np.asarray(r, dtype=np.float64))
-        if self.kind == _kernels.KIND_GAUSS:
+        if self.kind == "gauss":
             v = self.amp * np.exp(-0.25 * r ** 2)
             return np.where(r < self.support_radius, v, 0.0)
-        if self.kind == _kernels.KIND_BUMP:
+        if self.kind == "bump":
             z2 = (r * self.arg_scale) ** 2
             out = np.zeros_like(r)
             inside = z2 < 1.0
             out[inside] = self.amp * np.exp(-1.0 / (1.0 - z2[inside]))
             return out
-        rmax = (len(self.table) - 1) * self.table_dr
-        v = np.interp(np.minimum(r, rmax), np.arange(len(self.table)) * self.table_dr,
-                      self.table)
+        idx = r / self.table_dr
+        # clamp before the integer cast, so no radius can overflow int64
+        k = np.minimum(idx, len(self.table) - 2).astype(np.int64)
+        frac = idx - k
+        v = self.table[k] + frac * (self.table[k + 1] - self.table[k])
         return np.where(r < self.support_radius, v, 0.0)
 
     def kernel_values(self, r):
         """High-accuracy values for building convolution kernels."""
-        if self.kind != _kernels.KIND_TABLE:
+        if self.kind != "table":
             return self.values(r)
         grid = np.arange(len(self.table)) * self.table_dr
         spl = CubicSpline(grid, self.table)
@@ -209,13 +216,13 @@ def standard_family(d: int, normalize: bool = True, nu_der: int = 4, nu_wt: int 
     c_bump = 1.0 / _bump_mass(d)
     amp_psi = 2.0 * (4.0 * math.pi) ** d * c_bump
     specs = [
-        ("gauss", _kernels.KIND_GAUSS, (4.0 * math.pi) ** (-d / 2.0), 1.0, 12.0, None, 1.0),
-        ("rho", _kernels.KIND_BUMP, c_bump, 1.0, 1.0, None, 1.0),
-        ("psi", _kernels.KIND_BUMP, amp_psi, 4.0 * math.pi, 1.0 / (4.0 * math.pi), None, 1.0),
+        ("gauss", "gauss", (4.0 * math.pi) ** (-d / 2.0), 1.0, 12.0, None, 1.0),
+        ("rho", "bump", c_bump, 1.0, 1.0, None, 1.0),
+        ("psi", "bump", amp_psi, 4.0 * math.pi, 1.0 / (4.0 * math.pi), None, 1.0),
     ]
     for sym in ("low", "band"):
         radii, table = _radial_table(sym, d)
-        specs.append((f"xi_{sym}", _kernels.KIND_TABLE, 1.0, 1.0,
+        specs.append((f"xi_{sym}", "table", 1.0, 1.0,
                       float(radii[-1]), table, float(radii[1] - radii[0])))
     for name, kind, amp, ascale, sup, table, dr in specs:
         prof = Profile(name=name, d=d, kind=kind, amp=amp, arg_scale=ascale,
@@ -231,7 +238,7 @@ def standard_family(d: int, normalize: bool = True, nu_der: int = 4, nu_wt: int 
                 "nu_der": nu_der, "nu_wt": nu_wt,
                 "fourier_support": {"low": (0.0, 1.0), "band": (0.125, 2.0)}.get(
                     name[3:], None) if name.startswith("xi_") else None,
-                "compact_support": kind != _kernels.KIND_GAUSS,
+                "compact_support": kind != "gauss",
                 "tail_power": 4 if table is not None else None}
         profiles.append(Profile(
             name=name, d=d, kind=kind, amp=amp * factor, arg_scale=ascale,
@@ -296,10 +303,7 @@ def grand_maximal(mu: GridMeasure, family: TestFamily, gamma: float, points,
     y = mu.points()
     w = mu.weights
     for prof in family.profiles:
-        conv = _kernels.radial_conv_values(
-            pts, y, w, svals, prof.kind, amp=prof.amp, arg_scale=prof.arg_scale,
-            table=prof.table, table_dr=prof.table_dr,
-            support_radius=prof.support_radius)
+        conv = _kernels.radial_conv_values(pts, y, w, svals, prof.values)
         weighted = svals[None, :] ** gamma * np.abs(conv)
         j = np.argmax(weighted, axis=1)
         vals = weighted[np.arange(len(pts)), j]

@@ -54,6 +54,33 @@ def test_missing_file_exit_2(tmp_path):
     assert rc == 2
 
 
+def test_choquet_missing_field_exit_2(tmp_path, capsys):
+    missing = str(tmp_path / "nope.csv")
+    assert run(["--out", str(tmp_path), "content", "choquet", "--field",
+                missing, "--beta", "0.5"]) == 2
+    assert missing in capsys.readouterr().err
+
+
+def test_measure_without_sidecar_exit_2(tmp_path, capsys):
+    csv = str(tmp_path / "mu.csv")
+    io.save_measure(cantor_frostman(3, 1.0)[0], csv)
+    os.remove(csv + ".json")
+    assert run(["--out", str(tmp_path), "heat", "--measure", csv]) == 2
+    assert csv + ".json" in capsys.readouterr().err
+
+
+def test_measure_columns_must_match_sidecar_exit_2(tmp_path, capsys):
+    csv = str(tmp_path / "mu.csv")
+    io.save_measure(cantor_frostman(3, 1.0)[0], csv)
+    with open(csv + ".json") as fh:
+        side = json.load(fh)
+    side["dim"] = 2
+    with open(csv + ".json", "w") as fh:
+        json.dump(side, fh)
+    assert run(["--out", str(tmp_path), "heat", "--measure", csv]) == 2
+    assert "index columns" in capsys.readouterr().err
+
+
 def test_heat_command(tmp_path, warm):
     out = str(tmp_path)
     mu, _ = cantor_frostman(3, 1.0)
@@ -103,12 +130,17 @@ def test_dim_estimate_command(tmp_path, warm):
     assert rep["results"]["diagnostics"]["vacuous_betas"] == []
 
 
-def test_verify_thm18_matches_digests(tmp_path):
-    # the benchmark's recorded CSV digests; thm18 runs greedy mass capture
+@pytest.mark.parametrize("argv, names", [
+    (["thm18"], ["verify_thm18_curves.csv", "verify_thm18_choquet_maximal.csv"]),
+    (["thm19", "--depth", "6"], ["verify_thm19_atomsum.csv"]),
+], ids=["thm18", "thm19"])
+def test_verify_matches_digests(tmp_path, argv, names):
+    # the benchmark's recorded CSV digests: thm18 runs greedy mass capture,
+    # thm19 the radial profile kernel
     digests = Path(__file__).resolve().parents[1] / "perfbench" / "digests.json"
     want = json.loads(digests.read_text())
-    assert run(["--out", str(tmp_path), "verify", "thm18"]) == 0
-    for name in ("verify_thm18_curves.csv", "verify_thm18_choquet_maximal.csv"):
+    assert run(["--out", str(tmp_path), "verify", *argv]) == 0
+    for name in names:
         got = hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
         assert got == want[name], name
 

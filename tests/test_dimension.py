@@ -109,6 +109,13 @@ def test_beta_hat_zero_measure():
     zero = new_grid_measure(1, 1.0, [0.0], np.zeros((0, 1)), [])
     rep = lower_dim_estimate(zero, lat, BETAS, max_level=8)
     assert rep.beta_hat == pytest.approx(1.0)
+    # the report keys do not depend on the input
+    can, _ = cantor_frostman(3, 1.0)
+    keys = lower_dim_estimate(can, lat, BETAS, max_level=8).diagnostics.keys()
+    assert rep.diagnostics.keys() == keys
+    assert rep.diagnostics["min_level"] == 0
+    assert np.array_equal(rep.diagnostics["spent"], np.zeros(rep.curves.shape))
+    assert rep.diagnostics["vacuous_betas"] == []
 
 
 def test_translation_invariance_exact():

@@ -4,6 +4,7 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from fracmeas import _kernels
+from fracmeas.maximal import standard_family
 
 
 def test_heat_rejects_bad_times():
@@ -16,7 +17,31 @@ def test_conv_rejects_bad_scales():
     with pytest.raises(ValueError):
         _kernels.radial_conv_values(np.zeros((1, 1)), np.zeros((1, 1)),
                                     np.ones(1), np.array([-1.0]),
-                                    _kernels.KIND_GAUSS)
+                                    lambda z: np.exp(-z * z))
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_conv_matches_pair_sum(d, warm, rng):
+    # scales away from 1, so a lost s^-d factor shows; four masses sit near
+    # points, inside the narrow psi support, and the rest reach past every
+    # profile's support at the small scales
+    x = rng.uniform(-3.0, 3.0, (7, d))
+    y = np.vstack([x[:4] + rng.uniform(-0.05, 0.05, (4, d)),
+                   rng.uniform(-3.0, 3.0, (5, d))])
+    w = rng.uniform(-1.0, 2.0, 9)
+    s = np.array([0.05, 0.3, 0.7, 1.9, 4.0])
+    for prof in standard_family(d).profiles:
+        got = _kernels.radial_conv_values(x, y, w, s, prof.values)
+        ref = np.zeros_like(got)
+        bound = np.zeros_like(got)
+        for i in range(len(x)):
+            for j in range(len(s)):
+                for m in range(len(y)):
+                    term = w[m] * prof.values(np.linalg.norm(x[i] - y[m]) / s[j])
+                    ref[i, j] += term * s[j] ** -d
+                    bound[i, j] += abs(term) * s[j] ** -d
+        assert np.all(np.abs(got - ref) <= 1e-12 * bound), prof.name
+        assert np.any(ref != 0.0), prof.name
 
 
 def test_empty_measure_returns_zeros():

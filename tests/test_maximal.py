@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from fracmeas import atoms, maximal
 from fracmeas.heat import TGrid, heat_sup_field
@@ -26,6 +28,29 @@ def test_family_profiles_present(warm):
     for p in fam.profiles:
         assert p.seminorm_budget == 1.0        # normalized
         assert p.meta["raw_seminorm"] > 0
+
+
+def _interp_reference(prof, r):
+    # reference: numpy's piecewise linear interpolation through the nodes
+    rmax = (len(prof.table) - 1) * prof.table_dr
+    v = np.interp(np.minimum(r, rmax), np.arange(len(prof.table)) * prof.table_dr,
+                  prof.table)
+    return np.where(r < prof.support_radius, v, 0.0)
+
+
+# radii anywhere, on the table nodes of either spacing, or near the supports
+_radii = st.one_of(st.floats(0.0, 100.0), st.floats(0.0, 1e300),
+                   st.integers(0, 100 * 256).map(lambda i: i / 256.0),
+                   st.integers(0, 40 * 64).map(lambda i: i / 64.0))
+
+
+@settings(max_examples=300)
+@given(d=st.sampled_from([1, 2]), normalize=st.booleans(),
+       name=st.sampled_from(["xi_low", "xi_band"]),
+       r=hnp.arrays(np.float64, st.integers(1, 64), elements=_radii))
+def test_table_profile_matches_interp(d, normalize, name, r):
+    prof = standard_family(d, normalize=normalize)[name]
+    assert np.array_equal(prof.values(r), _interp_reference(prof, r))
 
 
 def test_rho_integrates_to_one(warm):
