@@ -2,7 +2,11 @@
 
 The extension at time t is the Gaussian convolution
 ``(4 pi t)^{-d/2} sum_m w_m exp(-|x - y_m|^2 / 4t)``, summed over every
-mass; exp underflow is the only tail cutoff.
+mass; exp underflow is the only tail cutoff.  Terms with an exponent below
+-746, where exp gives 0.0, are written as 0.0 and never evaluated
+(``_kernels._gauss_terms``, also in the golden-section refinement).  The sums
+stay dense in fixed row blocks, because BLAS row results depend on the
+block, so the values are those of the plain sum bit for bit.
 """
 
 from __future__ import annotations
@@ -96,11 +100,14 @@ def _golden_refine(mu, pts, gamma, t_lo, t_hi, iters=14):
     d2 = np.empty((len(pts), len(y)))
     for s, e, block in _kernels.pairwise_sq_dists(pts, y, max(1, 4_000_000 // len(y))):
         d2[s:e] = block
+    arg, terms = np.empty_like(d2), np.empty_like(d2)
+    keep = np.empty(d2.shape, dtype=bool)
 
     def g(logt):
         t = np.exp(logt)
         pref = (4.0 * np.pi * t) ** (-d / 2.0)
-        conv = np.einsum("ij,j->i", np.exp(-d2 / (4.0 * t[:, None])), w)
+        np.divide(d2, -4.0 * t[:, None], out=arg)
+        conv = np.einsum("ij,j->i", _kernels._gauss_terms(arg, terms, keep), w)
         return t ** (gamma / 2.0) * np.abs(conv * pref)
 
     c = b - GOLDEN * (b - a)

@@ -100,6 +100,9 @@ def load_measure(csv_path: str) -> GridMeasure:
     data = read_csv_rows(csv_path)
     with open(csv_path + ".json", "r", encoding="utf-8") as fh:
         side = json.load(fh)
+    missing = [k for k in ("dim", "spacing", "origin") if k not in side]
+    if missing:
+        raise ValueError(f"{csv_path}.json: sidecar lacks {', '.join(missing)}")
     d = int(side["dim"])
     if data.shape[1] != d + 1:
         raise ValueError(f"{csv_path}: expected {d} index columns and a weight")

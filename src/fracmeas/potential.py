@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.spatial import cKDTree
 from scipy.special import gamma as _gamma, gammainc, gammaincc
 
 from . import _kernels
@@ -49,12 +48,13 @@ def riesz_kernel(cfg: RieszConfig, mu: GridMeasure, points) -> np.ndarray:
     y = mu.points()
     out = np.zeros(len(pts))
     expo = cfg.alpha - cfg.d
-    with np.errstate(divide="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore"):
         for s, e, d2 in _kernels.pairwise_sq_dists(pts, y, max(1, 4_000_000 // len(y))):
-            kern = np.sqrt(d2) ** expo
-            hot = np.any(np.isinf(kern), axis=1)
-            vals = np.where(np.isinf(kern), 0.0, kern) @ mu.weights
-            vals[hot] = np.inf
+            kern = np.sqrt(d2, out=d2)
+            kern **= expo
+            vals = kern @ mu.weights
+            # an infinite term only spoils its own row, which is set anyway
+            vals[np.isinf(kern).any(axis=1)] = np.inf
             out[s:e] = vals
     return out / cfg.gamma_alpha
 
@@ -190,16 +190,38 @@ class BesovResult:
 
 
 def _adaptive_heat_grid(mu: GridMeasure, t: float):
-    """Grid resolving scale sqrt(t) near the support (pad 8 sqrt(t))."""
+    """Grid resolving scale sqrt(t) near the support (pad 8 sqrt(t)).
+
+    Keeps the points of the bounding-box lattice within the pad of some
+    mass: each mass tests the lattice box around its pad ball, so the work
+    grows with the masses, not with the lattice.  Squared axis differences
+    are added in axis order; a point is kept when ``sqrt(d2) <= pad``.
+    """
     st = math.sqrt(t)
     spacing = max(mu.h / 2.0, st / 4.0)
     pad = 8.0 * st
     lo, hi = mu.bbox()
-    pts = lattice_points([np.arange(lo[a] - pad, hi[a] + pad + spacing, spacing)
-                          for a in range(mu.d)])
-    tree = cKDTree(mu.points())
-    dist, _ = tree.query(pts, k=1)
-    return pts[dist <= pad], spacing
+    axes = [np.arange(lo[a] - pad, hi[a] + pad + spacing, spacing) for a in range(mu.d)]
+    y = mu.points()
+    near = np.zeros([len(ax) for ax in axes], dtype=bool)
+    # widened by a few ulps, so each box holds every point within the pad
+    reach = pad * (1.0 + 1e-9) + 4.0 * np.spacing(float(np.max(np.abs([lo, hi]))) + pad)
+    first = [np.searchsorted(ax, y[:, a] - reach) for a, ax in enumerate(axes)]
+    width = [int(np.max(np.searchsorted(ax, y[:, a] + reach, side="right") - f, initial=0))
+             for a, (ax, f) in enumerate(zip(axes, first))]
+    step = max(1, 1_000_000 // max(1, math.prod(width)))
+    for c in range(0, len(y), step):
+        idx, d2 = [], 0.0
+        for a, ax in enumerate(axes):
+            shape = [-1] + [1] * mu.d
+            shape[1 + a] = width[a]
+            i = np.minimum(first[a][c:c + step, None] + np.arange(width[a]), len(ax) - 1)
+            diff = ax[i] - y[c:c + step, a, None]
+            d2 = d2 + (diff * diff).reshape(shape)
+            idx.append(i.reshape(shape))
+        hit = np.sqrt(d2) <= pad
+        near[tuple(np.broadcast_to(i, hit.shape)[hit] for i in idx)] = True
+    return np.stack([ax[i] for ax, i in zip(axes, np.nonzero(near))], axis=1), spacing
 
 
 def heat_besov_functional(cand, alpha: float, nodes_per_decade: int = 16) -> BesovResult:

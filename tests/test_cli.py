@@ -81,6 +81,19 @@ def test_measure_columns_must_match_sidecar_exit_2(tmp_path, capsys):
     assert "index columns" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key", ["dim", "spacing", "origin"])
+def test_measure_sidecar_missing_key_exit_2(tmp_path, capsys, key):
+    csv = str(tmp_path / "mu.csv")
+    io.save_measure(cantor_frostman(3, 1.0)[0], csv)
+    with open(csv + ".json") as fh:
+        side = json.load(fh)
+    del side[key]
+    with open(csv + ".json", "w") as fh:
+        json.dump(side, fh)
+    assert run(["--out", str(tmp_path), "heat", "--measure", csv]) == 2
+    assert f"sidecar lacks {key}" in capsys.readouterr().err
+
+
 def test_heat_command(tmp_path, warm):
     out = str(tmp_path)
     mu, _ = cantor_frostman(3, 1.0)
@@ -131,12 +144,17 @@ def test_dim_estimate_command(tmp_path, warm):
 
 
 @pytest.mark.parametrize("argv, names", [
+    (["thm13", "--depth", "6"], ["verify_thm13_besov.csv"]),
+    (["thm14"], ["verify_thm14_trace.csv"]),
+    (["thm15"], ["verify_thm15_trace.csv"]),
+    (["cor16"], ["verify_cor16_loops.csv"]),
     (["thm18"], ["verify_thm18_curves.csv", "verify_thm18_choquet_maximal.csv"]),
     (["thm19", "--depth", "6"], ["verify_thm19_atomsum.csv"]),
-], ids=["thm18", "thm19"])
+], ids=["thm13", "thm14", "thm15", "cor16", "thm18", "thm19"])
 def test_verify_matches_digests(tmp_path, argv, names):
-    # the benchmark's recorded CSV digests: thm18 runs greedy mass capture,
-    # thm19 the radial profile kernel
+    # the benchmark's recorded CSV digests, all seven: thm13-cor16 run the
+    # heat and Riesz kernels, thm18 greedy mass capture, thm19 the radial
+    # profile kernel
     digests = Path(__file__).resolve().parents[1] / "perfbench" / "digests.json"
     want = json.loads(digests.read_text())
     assert run(["--out", str(tmp_path), "verify", *argv]) == 0

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from fracmeas import heat
+from fracmeas import _kernels, heat
 from fracmeas.heat import TGrid, heat_extension, heat_field, heat_sup_field, \
     mass_conservation_residual
 from fracmeas.measures import cantor_frostman, dirac, new_grid_measure
@@ -122,3 +122,17 @@ def test_sup_refinement_improves():
     t_star = 0.7 ** 2 / (2 * (1 - 0.6))
     g = lambda t: t ** 0.3 * (4 * math.pi * t) ** -0.5 * math.exp(-0.49 / (4 * t))
     assert ref.values[0] == pytest.approx(g(t_star), rel=1e-3)
+
+
+def test_sup_refine_matches_dense_exp(monkeypatch):
+    # writing 0.0 for the terms below the exp floor, on the grid and in the
+    # golden-section refinement, leaves the sup field's bits unchanged
+    mu, _ = cantor_frostman(5, 1.0)
+    tg = TGrid.for_measure(mu, nodes_per_decade=8, reach=4.0)
+    pts = np.vstack([mu.points()[::3], np.linspace(-3.0, 4.0, 9)[:, None]])
+    got = heat_sup_field(mu, 0.6, pts, tg, refine=True)
+    monkeypatch.setattr(_kernels, "_gauss_terms",
+                        lambda arg, out, keep: np.exp(arg, out=out))
+    ref = heat_sup_field(mu, 0.6, pts, tg, refine=True)
+    assert np.array_equal(got.values.view(np.uint64), ref.values.view(np.uint64))
+    assert np.array_equal(got.t_at.view(np.uint64), ref.t_at.view(np.uint64))

@@ -70,3 +70,56 @@ def test_pairwise_blocks_match_one_block(pts, rows):
     assert [s for s, _, _ in blocks] == list(range(0, len(x), rows))
     assert all(e - s == len(b) for s, e, b in blocks)
     assert np.array_equal(np.vstack([b for _, _, b in blocks]), whole)
+
+
+@settings(max_examples=200)
+@given(d=st.integers(1, 7), n=st.integers(1, 40), m=st.integers(1, 30),
+       rows=st.integers(1, 64), data=st.data())
+def test_pairwise_matches_einsum(d, n, m, rows, data):
+    # the per-axis sum adds the squares in einsum's order for d <= 7
+    coords = st.floats(-1e6, 1e6, allow_nan=False)
+    x = data.draw(hnp.arrays(np.float64, (n, d), elements=coords))
+    y = data.draw(hnp.arrays(np.float64, (m, d), elements=coords))
+    diff = x[:, None, :] - y[None, :, :]
+    ref = np.einsum("ijk,ijk->ij", diff, diff)
+    got = np.vstack([b for _, _, b in _kernels.pairwise_sq_dists(x, y, rows)])
+    assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))
+
+
+def _dense_heat(x, y, w, t):
+    """The heat sum with exp evaluated on every pair: the reference."""
+    diff = x[:, None, :] - y[None, :, :]
+    d2 = np.einsum("ijk,ijk->ij", diff, diff)
+    inv4t = 1.0 / (4.0 * t)
+    out = np.zeros((len(x), len(t)))
+    for j in range(len(t)):
+        out[:, j] = np.exp(-d2 * inv4t[j]) @ w
+    return out * ((4.0 * np.pi * t) ** (-x.shape[1] / 2.0))[None, :]
+
+
+@st.composite
+def heat_cases(draw):
+    d = draw(st.sampled_from([1, 2]))
+    coords = st.floats(-50.0, 50.0, allow_nan=False)
+    x = draw(hnp.arrays(np.float64, (draw(st.integers(1, 30)), d), elements=coords))
+    y = draw(hnp.arrays(np.float64, (draw(st.integers(1, 20)), d), elements=coords))
+    w = draw(hnp.arrays(np.float64, len(y), elements=st.floats(-2.0, 2.0)))
+    # times that put one point's nearest exponent in the bulk, in the
+    # subnormal band above -745.13, or just below it, where exp gives 0.0
+    near = np.min(np.sum((x[draw(st.integers(0, len(x) - 1))] - y) ** 2, axis=1))
+    expo = st.one_of(st.floats(-745.2, -745.0), st.floats(-760.0, -700.0),
+                     st.floats(-50.0, -1e-3))
+    t = [near / (4.0 * -draw(expo)) for _ in range(draw(st.integers(1, 4)))]
+    t = [v for v in t if v > 0] + draw(st.lists(st.floats(1e-6, 1.0), max_size=2))
+    return x, y, w, np.array(t or [1e-3])
+
+
+@settings(max_examples=300)
+@given(case=heat_cases())
+def test_heat_matches_dense_exp(case):
+    # terms below the exp floor are written, not evaluated: same bits
+    x, y, w, t = case
+    with np.errstate(all="ignore"):
+        got = _kernels.heat_values(x, y, w, t)
+        ref = _dense_heat(x, y, w, t)
+    assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))

@@ -2,11 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
+from scipy.spatial import cKDTree
 
 from fracmeas import potential
 from fracmeas.atoms import AtomCandidate, make_frostman_atom
 from fracmeas.maximal import decay_fit
-from fracmeas.measures import Cube, SampledField, cantor_frostman, dirac, new_grid_measure
+from fracmeas.measures import (Cube, SampledField, cantor_frostman, dirac,
+                               lattice_points, new_grid_measure)
 from fracmeas.potential import (RieszConfig, heat_besov_functional,
                                 lorentz_norm, riesz_field, riesz_heat,
                                 riesz_kernel, trace_integral)
@@ -230,3 +234,72 @@ def test_riesz_field_interpolates(warm):
     nu, _ = cantor_frostman(4, 1.0)
     tr = trace_integral(fld, nu)
     assert math.isfinite(tr) and tr > 0
+
+
+@st.composite
+def grid_measures(draw):
+    d = draw(st.sampled_from([1, 2]))
+    h = draw(st.sampled_from([1.0 / 729.0, 1.0 / 32.0, 0.3, 1.0, 7.0]))
+    origin = draw(hnp.arrays(np.float64, d, elements=st.floats(-20.0, 20.0)))
+    n = draw(st.integers(1, 12))
+    idx = draw(hnp.arrays(np.int64, (n, d), elements=st.integers(-40, 40)))
+    w = draw(hnp.arrays(np.float64, n, elements=st.floats(-2.0, 2.0)))
+    mu = new_grid_measure(d, h, origin, idx, w)
+    assume(mu.n_masses > 0)
+    return mu
+
+
+def _kdtree_grid(mu, t):
+    """The nearest-mass selection through a k-d tree: the reference."""
+    st_ = math.sqrt(t)
+    spacing = max(mu.h / 2.0, st_ / 4.0)
+    pad = 8.0 * st_
+    lo, hi = mu.bbox()
+    pts = lattice_points([np.arange(lo[a] - pad, hi[a] + pad + spacing, spacing)
+                          for a in range(mu.d)])
+    dist, _ = cKDTree(mu.points()).query(pts, k=1)
+    return pts[dist <= pad], spacing
+
+
+@settings(max_examples=150)
+@given(mu=grid_measures(), log_ratio=st.floats(-3.0, 6.0))
+def test_adaptive_grid_matches_kdtree(mu, log_ratio):
+    # times from below the grid scale to far above the support's extent
+    t = (mu.h * 2.0 ** log_ratio) ** 2
+    pts, spacing = potential._adaptive_heat_grid(mu, t)
+    ref, ref_spacing = _kdtree_grid(mu, t)
+    assert spacing == ref_spacing
+    assert np.array_equal(pts, ref)
+
+
+def _dense_riesz(cfg, mu, pts):
+    """The Riesz sum with two isinf passes and a where: the reference."""
+    y = mu.points()
+    diff = pts[:, None, :] - y[None, :, :]
+    d2 = np.einsum("ijk,ijk->ij", diff, diff)
+    with np.errstate(divide="ignore"):
+        kern = np.sqrt(d2) ** (cfg.alpha - cfg.d)
+    hot = np.any(np.isinf(kern), axis=1)
+    vals = np.where(np.isinf(kern), 0.0, kern) @ mu.weights
+    vals[hot] = np.inf
+    return vals / cfg.gamma_alpha
+
+
+@settings(max_examples=150)
+@given(mu=grid_measures(), data=st.data())
+def test_riesz_kernel_matches_dense(mu, data):
+    d = mu.d
+    # alpha = d - 1 gives the exponent -1, which numpy's power special-cases
+    alpha = data.draw(st.one_of(st.floats(0.05, d - 0.05),
+                                st.sampled_from([0.5, d - 1.0] if d > 1 else [0.5])))
+    cfg = RieszConfig(alpha=alpha, d=d)
+    free = data.draw(hnp.arrays(np.float64, (data.draw(st.integers(0, 10)), d),
+                                elements=st.floats(-30.0, 30.0)))
+    on_mass = mu.points()[data.draw(st.lists(st.integers(0, mu.n_masses - 1),
+                                             max_size=3))]
+    pts = np.vstack([free, on_mass]).reshape(-1, d)
+    assume(len(pts) > 0)
+    got = riesz_kernel(cfg, mu, pts)
+    ref = _dense_riesz(cfg, mu, pts)
+    assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))
+    assert np.all(np.isinf(got[len(free):]))
