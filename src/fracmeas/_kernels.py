@@ -1,12 +1,12 @@
 """Hot numeric kernels: Gaussian heat sums and radial-profile convolutions.
 
-Both are dense numpy sums over every (point, mass) pair, evaluated in row
-blocks of the pairwise squared-distance table (``pairwise_sq_dists``).  A
-Gaussian term whose exponent lies below -746 is written as 0.0 and never
-evaluated (``_gauss_terms``): exp returns exactly 0.0 there anyway.  The sums
-stay dense, one matrix-vector product per fixed row block, because BLAS row
-results depend on the block; so the results do not move by a bit.  The
-radial convolution takes its profile as a function of the scaled distance
+Both, and ``potential.riesz_kernel``, are dense numpy sums over every
+(point, mass) pair, run by one driver, ``_pair_sums``, in fixed row blocks
+of the pairwise squared distances (``pairwise_sq_dists``): BLAS row results
+depend on the block, so fixed blocks keep every bit.  A Gaussian term whose
+exponent lies below -746 is written as 0.0 and never evaluated
+(``_gauss_terms``): exp returns exactly 0.0 there anyway.  The radial
+convolution takes its profile as a function of the scaled distance
 (``maximal.Profile.values``), so each profile formula is written once.
 """
 
@@ -31,10 +31,9 @@ def pairwise_sq_dists(x, y, rows: int):
     then odd axes, then the two partial sums: the order in which numpy's
     ``einsum("ijk,ijk->ij")`` sums them for d <= 7, so for those dimensions
     the distances equal the einsum ones bit for bit.  A block holds at most
-    three ``rows * len(y)`` arrays at a time.  ``heat_values`` writes 0.0 for
-    the Gaussian terms whose exponent is below -746 and never evaluates them,
-    but still sums each block densely: BLAS row results depend on the block,
-    so callers keep their row counts fixed.
+    three ``rows * len(y)`` arrays at a time.  ``_pair_sums`` sums each block
+    densely: BLAS row results depend on the block, so callers keep their row
+    counts fixed.
     """
     d = x.shape[1]
     for s in range(0, len(x), rows):
@@ -73,64 +72,77 @@ def _gauss_terms(arg, out, keep):
     return np.exp(arg, out=out, where=keep)
 
 
-def heat_values(x, y, w, t):
-    """Gaussian heat sums ``out[i,j] = (4 pi t_j)^{-d/2} sum_m w_m G(x_i - y_m; t_j)``.
+def _pair_sums(x, y, w, scale, block_terms):
+    """Pair sums ``out[i, j] = scale(d)[j] sum_m w_m T_j(x_i, y_m)`` for
+    (n, d) points ``x``, (m, d) masses ``y`` and (m,) weights ``w``.
 
-    ``x``: (n, d) evaluation points; ``y``: (m, d) mass locations; ``w``: (m,)
-    weights; ``t``: (nt,) strictly positive times.  A term whose exponent
-    ``-|x_i - y_m|^2 / 4t_j`` lies below -746 is written as 0.0 and never
-    evaluated (``_gauss_terms``); exp underflow is the only tail cutoff.  The
-    sums stay dense, one ``block @ w`` product per row block of
-    ``4_000_000 // m`` points, because BLAS row results depend on the block:
-    other blocks, or sums over the nonzero terms only, would move last bits.
+    The generator ``block_terms(s, e, d2)`` yields the terms of each column
+    in turn from the squared distances ``d2`` of points ``s:e``.  Blocks are
+    fixed at ``4_000_000 // m`` rows, because BLAS row results depend on the
+    block.  Terms and their inputs stay bound until the next column's are
+    made: dropping them slowed the radial kernel (an allocator effect).
     """
     x = np.ascontiguousarray(np.atleast_2d(np.asarray(x, dtype=np.float64)))
     y = np.ascontiguousarray(np.atleast_2d(np.asarray(y, dtype=np.float64)))
     w = np.ascontiguousarray(np.asarray(w, dtype=np.float64))
+    factors = scale(x.shape[1])
+    if not np.all(np.isfinite(factors)):
+        raise ValueError("time or scale too small: a kernel factor overflows")
+    out = np.zeros((x.shape[0], len(factors)))
+    if x.shape[0] and y.shape[0]:
+        for s, e, d2 in pairwise_sq_dists(x, y, max(1, 4_000_000 // y.shape[0])):
+            for j, terms in enumerate(block_terms(s, e, d2)):
+                out[s:e, j] = terms @ w
+    out *= factors
+    return out
+
+
+def heat_values(x, y, w, t):
+    """Gaussian heat sums ``out[i,j] = (4 pi t_j)^{-d/2} sum_m w_m G(x_i - y_m; t_j)``.
+
+    ``x``: (n, d) evaluation points; ``y``: (m, d) mass locations; ``w``: (m,)
+    weights; ``t``: (nt,) positive times with finite ``1/4t`` and
+    ``(4 pi t)^{-d/2}``.  A term whose exponent ``-|x_i - y_m|^2 / 4t_j``
+    lies below -746 is written as 0.0 and never evaluated (``_gauss_terms``);
+    exp underflow is the only tail cutoff.
+    """
     t = np.ascontiguousarray(np.asarray(t, dtype=np.float64))
     if np.any(t <= 0):
         raise ValueError("heat times must be positive")
-    out = np.zeros((x.shape[0], t.shape[0]))
-    if y.shape[0] == 0 or x.shape[0] == 0:
-        return out
-    pref = (4.0 * np.pi * t) ** (-x.shape[1] / 2.0)
     neg_inv4t = -(1.0 / (4.0 * t))
-    rows = max(1, 4_000_000 // y.shape[0])
-    # the terms of a block are made a cache-sized piece at a time
-    piece = max(1, 32_768 // y.shape[0])
-    terms = np.empty((min(rows, x.shape[0]), y.shape[0]))
-    arg, keep = np.empty((piece, y.shape[0])), np.empty((piece, y.shape[0]), dtype=bool)
-    for s, e, d2 in pairwise_sq_dists(x, y, rows):
-        for j in range(t.shape[0]):
-            for c in range(0, e - s, piece):
-                k = min(piece, e - s - c)
-                np.multiply(d2[c:c + k], neg_inv4t[j], out=arg[:k])
+    if not np.all(np.isfinite(neg_inv4t)):
+        raise ValueError("heat time too small: 1/4t overflows")
+
+    def gauss_columns(s, e, d2):
+        terms = np.empty_like(d2)
+        # the terms are made a cache-sized piece at a time
+        arg = np.empty_like(d2[:max(1, 32_768 // d2.shape[1])])
+        keep = np.empty(arg.shape, dtype=bool)
+        for nt in neg_inv4t:
+            for c in range(0, e - s, len(arg)):
+                k = min(len(arg), e - s - c)
+                np.multiply(d2[c:c + k], nt, out=arg[:k])
                 _gauss_terms(arg[:k], terms[c:c + k], keep[:k])
-            out[s:e, j] = terms[:e - s] @ w
-    out *= pref[None, :]
-    return out
+            yield terms
+
+    return _pair_sums(x, y, w, lambda d: (4.0 * np.pi * t) ** (-d / 2.0), gauss_columns)
 
 
 def radial_conv_values(x, y, w, s, phi):
     """Profile convolutions ``out[i,j] = s_j^{-d} sum_m w_m phi(|x_i-y_m|/s_j)``.
 
     ``phi`` maps an array of scaled distances ``z >= 0`` to the radial
-    profile's values there, elementwise (``maximal.Profile.values``).
+    profile's values there, elementwise (``maximal.Profile.values``), at
+    positive scales ``s`` with finite ``s^{-d}``.
     """
-    x = np.ascontiguousarray(np.atleast_2d(np.asarray(x, dtype=np.float64)))
-    y = np.ascontiguousarray(np.atleast_2d(np.asarray(y, dtype=np.float64)))
-    w = np.ascontiguousarray(np.asarray(w, dtype=np.float64))
     s = np.ascontiguousarray(np.asarray(s, dtype=np.float64))
     if np.any(s <= 0):
         raise ValueError("dilation scales must be positive")
-    out = np.zeros((x.shape[0], s.shape[0]))
-    if y.shape[0] == 0 or x.shape[0] == 0:
-        return out
-    sd = s ** (-x.shape[1])
-    for lo, hi, d2 in pairwise_sq_dists(x, y, max(1, 4_000_000 // y.shape[0])):
+
+    def profile_columns(lo, hi, d2):
         r = np.sqrt(d2)
-        for j in range(s.shape[0]):
-            z = r / s[j]
-            vals = phi(z)
-            out[lo:hi, j] = (vals @ w) * sd[j]
-    return out
+        for sj in s:
+            z = r / sj
+            yield phi(z)
+
+    return _pair_sums(x, y, w, lambda d: s ** (-d), profile_columns)

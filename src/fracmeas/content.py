@@ -296,24 +296,21 @@ def regularized_cover(F: BallFamily, beta: float, lattice: DyadicLattice | None 
         lv, ix = rows[:, 0], rows[:, 1:]
         sides = lat.l0 * 2.0 ** (-lv.astype(np.float64))
         corners = lat.corner[None, :] + ix * sides[:, None]
-        violated = []
+        witness = np.zeros(F.n_balls, dtype=np.int64)
         for bi in range(F.n_balls):
             dist = _cube_ball_dist(corners, sides, F.centers[bi])
-            meets = dist <= F.radii[bi]
-            if not np.any(meets):
+            meets = np.nonzero(dist <= F.radii[bi])[0]
+            if len(meets) == 0:
                 raise AssertionError("cover lost a ball")
-            if np.max(sides[meets]) < c * F.radii[bi]:
-                violated.append(bi)
-        if not violated:
+            # the ball's largest meeting cube (the first, among equal sides)
+            witness[bi] = meets[np.argmax(sides[meets])]
+        violated = np.nonzero(sides[witness] < c * F.radii)[0]
+        if len(violated) == 0:
             break
         if swaps >= budget:
             raise RuntimeError("covering regularization failed to stabilize "
                                f"within {budget} swaps")
-        radii_v = F.radii[violated]
-        big = radii_v > np.max(radii_v) / 2.0
-        pool = [violated[i] for i in range(len(violated)) if big[i]]
-        pool.sort(key=lambda bi: (-F.radii[bi], tuple(F.centers[bi])))
-        bi = pool[0]
+        bi = min(violated, key=lambda b: (-F.radii[b], tuple(F.centers[b])))
         x, r = F.centers[bi], F.radii[bi]
         # replacement level: 4r <= side < 8r, so the doubled ball (diameter
         # 4r) meets at most 2 cubes per axis
@@ -332,14 +329,7 @@ def regularized_cover(F: BallFamily, beta: float, lattice: DyadicLattice | None 
         rows, _, _ = _unique_rows(np.vstack([rows[dist > r], added]))
         swaps += 1
 
-    witness = np.zeros(F.n_balls, dtype=np.int64)
-    ratio = np.zeros(F.n_balls)
-    for bi in range(F.n_balls):
-        dist = _cube_ball_dist(corners, sides, F.centers[bi])
-        meets = np.nonzero(dist <= F.radii[bi])[0]
-        j = meets[np.argmax(sides[meets])]
-        witness[bi] = j
-        ratio[bi] = sides[j] / F.radii[bi]
+    ratio = sides[witness] / F.radii
     total = float(np.sum(sides ** beta))
     c_impl = total / raster_content if raster_content > 0 else 0.0
     return ContentCover(kind="cubes", beta=beta, lattice=lat, levels=lv,

@@ -35,8 +35,10 @@ class TGrid:
     def build(cls, t_min: float, t_max: float, nodes_per_decade: int = 32) -> "TGrid":
         if not (0 < t_min < t_max):
             raise ValueError("need 0 < t_min < t_max")
-        decades = math.log10(t_max / t_min)
-        n = max(2, int(math.ceil(decades * nodes_per_decade)) + 1)
+        count = math.log10(t_max / t_min) * nodes_per_decade
+        if not math.isfinite(count):
+            raise ValueError(f"time window [{t_min}, {t_max}] spans too many decades")
+        n = max(2, int(math.ceil(count)) + 1)
         return cls(t_min=float(t_min), t_max=float(t_max),
                    nodes_per_decade=int(nodes_per_decade),
                    nodes=np.geomspace(t_min, t_max, n))
@@ -65,12 +67,8 @@ class HeatField:
 
 
 def heat_extension(mu: GridMeasure, t: float, points) -> np.ndarray:
-    """e^{t Delta} mu at the given points."""
-    if t <= 0:
-        raise ValueError("heat time must be positive")
-    pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
-    vals = _kernels.heat_values(pts, mu.points(), mu.weights, np.array([t]))
-    return vals[:, 0]
+    """e^{t Delta} mu at the given points, for a positive time t."""
+    return _kernels.heat_values(points, mu.points(), mu.weights, np.array([t]))[:, 0]
 
 
 def heat_field(mu: GridMeasure, tgrid: TGrid, points) -> HeatField:

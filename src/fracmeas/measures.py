@@ -215,14 +215,13 @@ class VectorGridMeasure:
     def variation_measure(self) -> GridMeasure:
         """Scalar measure |F| with the euclidean norm of the weight vectors."""
         base = self.components[0]
-        idx = {}
-        for ci, comp in enumerate(self.components):
-            for row, w in zip(map(tuple, comp.indices), comp.weights):
-                vec = idx.setdefault(row, np.zeros(len(self.components)))
-                vec[ci] += w
-        rows = sorted(idx)
-        indices = np.array(rows, dtype=np.int64).reshape(-1, base.d)
-        weights = np.array([np.linalg.norm(idx[r]) for r in rows])
+        indices, _, inv = _unique_rows(np.vstack([c.indices for c in self.components]))
+        comp = np.repeat(np.arange(len(self.components)),
+                         [c.n_masses for c in self.components])
+        vecs = np.zeros((len(indices), len(self.components)))
+        np.add.at(vecs, (inv, comp), np.concatenate([c.weights for c in self.components]))
+        # one norm per row: norm(axis=1) can differ from it in the last bit
+        weights = np.array([np.linalg.norm(v) for v in vecs])
         return new_grid_measure(base.d, base.h, base.origin, indices, weights,
                                 name="|" + (base.name or "F") + "|")
 

@@ -42,20 +42,20 @@ def riesz_kernel(cfg: RieszConfig, mu: GridMeasure, points) -> np.ndarray:
 
     Evaluation at a point mass location records the +inf sentinel.
     """
-    pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
-    if mu.n_masses == 0:
-        return np.zeros(len(pts))
-    y = mu.points()
-    out = np.zeros(len(pts))
-    expo = cfg.alpha - cfg.d
+    hot = []
+
+    def power_terms(s, e, d2):
+        kern = np.sqrt(d2, out=d2)
+        kern **= cfg.alpha - cfg.d
+        yield kern
+        # an infinite term only spoils its own row, which is set afterwards
+        hot.append(np.isinf(kern).any(axis=1))
+
     with np.errstate(divide="ignore", invalid="ignore"):
-        for s, e, d2 in _kernels.pairwise_sq_dists(pts, y, max(1, 4_000_000 // len(y))):
-            kern = np.sqrt(d2, out=d2)
-            kern **= expo
-            vals = kern @ mu.weights
-            # an infinite term only spoils its own row, which is set anyway
-            vals[np.isinf(kern).any(axis=1)] = np.inf
-            out[s:e] = vals
+        out = _kernels._pair_sums(points, mu.points(), mu.weights,
+                                  lambda d: np.ones(1), power_terms)[:, 0]
+    if hot:
+        out[np.concatenate(hot)] = np.inf
     return out / cfg.gamma_alpha
 
 

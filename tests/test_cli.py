@@ -94,6 +94,16 @@ def test_measure_sidecar_missing_key_exit_2(tmp_path, capsys, key):
     assert f"sidecar lacks {key}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("t_lo, t_hi", [("1e-320", "1"), ("1e-3", "1e400")])
+def test_atom_check_window_too_wide_exit_2(tmp_path, capsys, t_lo, t_hi):
+    # t_hi / t_lo overflows to inf, so the window has no finite node count
+    csv = str(tmp_path / "mu.csv")
+    io.save_measure(cantor_frostman(3, 1.0)[0], csv)
+    assert run(["--out", str(tmp_path), "atom", "check", "--measure", csv,
+                "--beta", "0.5", "--t-lo", t_lo, "--t-hi", t_hi]) == 2
+    assert "spans too many decades" in capsys.readouterr().err
+
+
 def test_heat_command(tmp_path, warm):
     out = str(tmp_path)
     mu, _ = cantor_frostman(3, 1.0)

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from fracmeas import _kernels, heat
 from fracmeas.heat import TGrid, heat_extension, heat_field, heat_sup_field, \
@@ -57,6 +59,31 @@ def test_positivity(rng):
     pts = np.linspace(-2, 4, 101)[:, None]
     for t in (1e-3, 0.1, 3.0):
         assert np.all(heat_extension(mu, t, pts) >= 0)
+
+
+@st.composite
+def nonnegative_measures(draw):
+    d = draw(st.sampled_from([1, 2]))
+    h = draw(st.sampled_from([1.0 / 32.0, 0.3, 1.0, 7.0]))
+    origin = draw(hnp.arrays(np.float64, d, elements=st.floats(-20.0, 20.0)))
+    n = draw(st.integers(1, 12))
+    idx = draw(hnp.arrays(np.int64, (n, d), elements=st.integers(-8, 8)))
+    w = draw(hnp.arrays(np.float64, n, elements=st.floats(0.0, 2.0)))
+    mu = new_grid_measure(d, h, origin, idx, w)
+    assume(mu.n_masses > 0)
+    return mu
+
+
+@settings(max_examples=100)
+@given(mu=nonnegative_measures(), data=st.data())
+def test_heat_positive_and_mass_conserving(mu, data):
+    # times from (h/4)^2 to 100 h^2; points on the masses and around them
+    t = mu.h ** 2 * 10.0 ** data.draw(st.floats(math.log10(1.0 / 16.0), 2.0))
+    off = data.draw(hnp.arrays(np.float64, (data.draw(st.integers(0, 8)), mu.d),
+                               elements=st.floats(-30.0, 30.0)))
+    pts = np.vstack([mu.points(), mu.points()[0] + off * mu.h])
+    assert np.all(heat_extension(mu, t, pts) >= 0.0)
+    assert mass_conservation_residual(mu, t) <= 1e-6 * mu.total_variation()
 
 
 def test_semigroup_property():

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from fracmeas import measures
 from fracmeas.measures import (GridMeasure, cantor_frostman, curve_measure,
@@ -268,3 +270,34 @@ def test_vector_measure_shared_grid():
     var = vm.variation_measure()
     assert var.total_variation() == pytest.approx(4.0)
     assert vm.total_variation() == pytest.approx(4.0)
+
+
+def _dict_variation(vm):
+    """The variation measure through a dict of index tuples: the reference."""
+    idx = {}
+    for ci, comp in enumerate(vm.components):
+        for row, w in zip(map(tuple, comp.indices), comp.weights):
+            vec = idx.setdefault(row, np.zeros(len(vm.components)))
+            vec[ci] += w
+    rows = sorted(idx)
+    return (np.array(rows, dtype=np.int64).reshape(-1, vm.d),
+            np.array([np.linalg.norm(idx[r]) for r in rows]))
+
+
+@settings(max_examples=100)
+@given(d=st.integers(1, 2), k=st.integers(1, 3), data=st.data())
+def test_variation_measure_matches_dict_sum(d, k, data):
+    # repeated rows (unmerged components) are summed in the same order
+    comps = []
+    for _ in range(k):
+        n = data.draw(st.integers(0, 12))
+        idx = data.draw(hnp.arrays(np.int64, (n, d), elements=st.integers(-3, 3)))
+        w = data.draw(hnp.arrays(np.float64, n, elements=st.floats(-1e3, 1e3)))
+        comps.append(GridMeasure(d=d, h=0.5, origin=np.zeros(d), indices=idx,
+                                 weights=w))
+    vm = measures.VectorGridMeasure(tuple(comps))
+    rows, norms = _dict_variation(vm)
+    ref = new_grid_measure(d, 0.5, np.zeros(d), rows, norms)
+    got = vm.variation_measure()
+    assert np.array_equal(got.indices, ref.indices)
+    assert np.array_equal(got.weights.view(np.uint64), ref.weights.view(np.uint64))
