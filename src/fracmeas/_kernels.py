@@ -1,13 +1,17 @@
 """Hot numeric kernels: Gaussian heat sums and radial-profile convolutions.
 
-Both, and ``potential.riesz_kernel``, are dense numpy sums over every
-(point, mass) pair, run by one driver, ``_pair_sums``, in fixed row blocks
-of the pairwise squared distances (``pairwise_sq_dists``): BLAS row results
-depend on the block, so fixed blocks keep every bit.  A Gaussian term whose
-exponent lies below -746 is written as 0.0 and never evaluated
-(``_gauss_terms``): exp returns exactly 0.0 there anyway.  The radial
-convolution takes its profile as a function of the scaled distance
-(``maximal.Profile.values``), so each profile formula is written once.
+Both, and ``potential.riesz_kernel``, are numpy sums over (point, mass)
+pairs, run by one driver, ``_pair_sums``, in fixed row blocks of the
+pairwise squared distances (``pairwise_sq_dists``): BLAS row results depend
+on the block, so fixed blocks keep every bit.  A caller that needs only some
+points (``rows``) gets only those evaluated: their terms are written at their
+own positions in a zero-filled buffer of the full block, and the block's
+matrix-vector product runs as in the dense sum, so each wanted row is the
+dense one bit for bit.  A Gaussian term whose exponent lies below -746 is
+written as 0.0 and never evaluated (``_gauss_terms``): exp returns exactly
+0.0 there anyway.  The radial convolution takes its profile as a function
+of the scaled distance (``maximal.Profile.values``), so each profile
+formula is written once.
 """
 
 from __future__ import annotations
@@ -27,27 +31,34 @@ def pairwise_sq_dists(x, y, rows: int):
     """Yield ``(start, stop, d2)`` with ``d2[i, j] = |x[start + i] - y[j]|^2``.
 
     ``x`` (n, d) is taken ``rows`` rows at a time; the values do not depend
-    on ``rows``.  The squared per-axis differences are added even axes first,
-    then odd axes, then the two partial sums: the order in which numpy's
-    ``einsum("ijk,ijk->ij")`` sums them for d <= 7, so for those dimensions
-    the distances equal the einsum ones bit for bit.  A block holds at most
-    three ``rows * len(y)`` arrays at a time.  ``_pair_sums`` sums each block
-    densely: BLAS row results depend on the block, so callers keep their row
-    counts fixed.
+    on ``rows`` (``_sq_dists``).  ``_pair_sums`` sums each block densely:
+    BLAS row results depend on the block, so callers keep their row counts
+    fixed.
     """
-    d = x.shape[1]
     for s in range(0, len(x), rows):
         e = min(len(x), s + rows)
-        d2 = _axis_sq(x[s:e], y, 0)
-        for a in range(2, d, 2):
-            d2 += _axis_sq(x[s:e], y, a)
-        if d > 1:
-            odd = _axis_sq(x[s:e], y, 1)
-            for a in range(3, d, 2):
-                odd += _axis_sq(x[s:e], y, a)
-            d2 += odd
-            del odd
-        yield s, e, d2
+        yield s, e, _sq_dists(x[s:e], y)
+
+
+def _sq_dists(x, y):
+    """``d2[i, j] = |x[i] - y[j]|^2``, each entry from its own two rows only.
+
+    The squared per-axis differences are added even axes first, then odd
+    axes, then the two partial sums: the order in which numpy's
+    ``einsum("ijk,ijk->ij")`` sums them for d <= 7, so for those dimensions
+    the distances equal the einsum ones bit for bit.  At most three
+    ``len(x) * len(y)`` arrays are held at a time.
+    """
+    d = x.shape[1]
+    d2 = _axis_sq(x, y, 0)
+    for a in range(2, d, 2):
+        d2 += _axis_sq(x, y, a)
+    if d > 1:
+        odd = _axis_sq(x, y, 1)
+        for a in range(3, d, 2):
+            odd += _axis_sq(x, y, a)
+        d2 += odd
+    return d2
 
 
 def _axis_sq(x, y, a):
@@ -72,27 +83,56 @@ def _gauss_terms(arg, out, keep):
     return np.exp(arg, out=out, where=keep)
 
 
-def _pair_sums(x, y, w, scale, block_terms):
+def _pair_sums(x, y, w, scale, block_terms, rows=None):
     """Pair sums ``out[i, j] = scale(d)[j] sum_m w_m T_j(x_i, y_m)`` for
     (n, d) points ``x``, (m, d) masses ``y`` and (m,) weights ``w``.
 
-    The generator ``block_terms(s, e, d2)`` yields the terms of each column
-    in turn from the squared distances ``d2`` of points ``s:e``.  Blocks are
-    fixed at ``4_000_000 // m`` rows, because BLAS row results depend on the
-    block.  Terms and their inputs stay bound until the next column's are
-    made: dropping them slowed the radial kernel (an allocator effect).
+    The generator ``block_terms(d2)`` yields the terms of each column in
+    turn from the squared distances ``d2`` of a block's rows.  Blocks are
+    fixed at ``4_000_000 // m`` rows of ``x``, because BLAS row results
+    depend on the block.  ``rows``, strictly increasing indices into ``x``,
+    asks for those points only: ``out`` then has one row per index, and
+    blocks without a wanted row are skipped.  In the others only the wanted
+    rows get distances and terms; the terms are written at the rows' own
+    positions in a zero-filled buffer of the full block, whose product with
+    ``w`` is the dense one, so every wanted row equals the dense row bit for
+    bit (a product over the wanted rows alone moves the last bits of many
+    of them).  Terms and their inputs stay bound until the next column's
+    are made: dropping them slowed the radial kernel (an allocator effect).
     """
     x = np.ascontiguousarray(np.atleast_2d(np.asarray(x, dtype=np.float64)))
     y = np.ascontiguousarray(np.atleast_2d(np.asarray(y, dtype=np.float64)))
     w = np.ascontiguousarray(np.asarray(w, dtype=np.float64))
-    factors = scale(x.shape[1])
+    n, m = x.shape[0], y.shape[0]
+    if rows is not None:
+        rows = np.asarray(rows, dtype=np.int64).reshape(-1)
+        if len(rows) and (rows[0] < 0 or rows[-1] >= n or np.any(np.diff(rows) <= 0)):
+            raise ValueError("rows must be strictly increasing indices of the points")
+    with np.errstate(over="ignore", divide="ignore"):
+        factors = scale(x.shape[1])
     if not np.all(np.isfinite(factors)):
         raise ValueError("time or scale too small: a kernel factor overflows")
-    out = np.zeros((x.shape[0], len(factors)))
-    if x.shape[0] and y.shape[0]:
-        for s, e, d2 in pairwise_sq_dists(x, y, max(1, 4_000_000 // y.shape[0])):
-            for j, terms in enumerate(block_terms(s, e, d2)):
-                out[s:e, j] = terms @ w
+    out = np.zeros((n if rows is None else len(rows), len(factors)))
+    if n and m:
+        step = max(1, 4_000_000 // m)
+        for s in range(0, n, step):
+            e = min(n, s + step)
+            if rows is None:
+                a, b, pick = s, e, slice(s, e)
+            else:
+                a, b = np.searchsorted(rows, [s, e])
+                if a == b:
+                    continue
+                pick = rows[a:b]
+                local = pick - s
+                buf = np.zeros((e - s, m))
+            d2 = _sq_dists(x[pick], y)
+            for j, terms in enumerate(block_terms(d2)):
+                if rows is None:
+                    out[a:b, j] = terms @ w
+                else:
+                    buf[local] = terms
+                    out[a:b, j] = (buf @ w)[local]
     out *= factors
     return out
 
@@ -109,18 +149,19 @@ def heat_values(x, y, w, t):
     t = np.ascontiguousarray(np.asarray(t, dtype=np.float64))
     if np.any(t <= 0):
         raise ValueError("heat times must be positive")
-    neg_inv4t = -(1.0 / (4.0 * t))
+    with np.errstate(over="ignore", divide="ignore"):
+        neg_inv4t = -(1.0 / (4.0 * t))
     if not np.all(np.isfinite(neg_inv4t)):
         raise ValueError("heat time too small: 1/4t overflows")
 
-    def gauss_columns(s, e, d2):
+    def gauss_columns(d2):
         terms = np.empty_like(d2)
         # the terms are made a cache-sized piece at a time
         arg = np.empty_like(d2[:max(1, 32_768 // d2.shape[1])])
         keep = np.empty(arg.shape, dtype=bool)
         for nt in neg_inv4t:
-            for c in range(0, e - s, len(arg)):
-                k = min(len(arg), e - s - c)
+            for c in range(0, len(d2), len(arg)):
+                k = min(len(arg), len(d2) - c)
                 np.multiply(d2[c:c + k], nt, out=arg[:k])
                 _gauss_terms(arg[:k], terms[c:c + k], keep[:k])
             yield terms
@@ -139,7 +180,7 @@ def radial_conv_values(x, y, w, s, phi):
     if np.any(s <= 0):
         raise ValueError("dilation scales must be positive")
 
-    def profile_columns(lo, hi, d2):
+    def profile_columns(d2):
         r = np.sqrt(d2)
         for sj in s:
             z = r / sj

@@ -17,7 +17,7 @@ from scipy.special import gamma as _gamma, gammainc, gammaincc
 
 from . import _kernels
 from .heat import TGrid
-from .measures import GridMeasure, SampledField, lattice_points
+from .measures import GridMeasure, SampledField
 
 
 @dataclass(frozen=True)
@@ -37,14 +37,18 @@ class RieszConfig:
         return math.pi ** (d / 2.0) * 2.0 ** a * _gamma(a / 2.0) / _gamma((d - a) / 2.0)
 
 
-def riesz_kernel(cfg: RieszConfig, mu: GridMeasure, points) -> np.ndarray:
+def riesz_kernel(cfg: RieszConfig, mu: GridMeasure, points, rows=None) -> np.ndarray:
     """Direct kernel sum ``(1/gamma(alpha)) sum w_m |x - y_m|^{alpha-d}``.
 
-    Evaluation at a point mass location records the +inf sentinel.
+    Evaluation at a point mass location records the +inf sentinel.  With
+    ``rows`` (strictly increasing indices into ``points``) only those points
+    are evaluated and returned, each bit for bit its value in the full
+    evaluation: the pair driver keeps the fixed row blocks of all the points
+    (``_kernels._pair_sums``).
     """
     hot = []
 
-    def power_terms(s, e, d2):
+    def power_terms(d2):
         kern = np.sqrt(d2, out=d2)
         kern **= cfg.alpha - cfg.d
         yield kern
@@ -53,20 +57,31 @@ def riesz_kernel(cfg: RieszConfig, mu: GridMeasure, points) -> np.ndarray:
 
     with np.errstate(divide="ignore", invalid="ignore"):
         out = _kernels._pair_sums(points, mu.points(), mu.weights,
-                                  lambda d: np.ones(1), power_terms)[:, 0]
+                                  lambda d: np.ones(1), power_terms, rows)[:, 0]
     if hot:
         out[np.concatenate(hot)] = np.inf
     return out / cfg.gamma_alpha
 
 
 def riesz_field(cfg: RieszConfig, mu: GridMeasure, origin, spacing: float,
-                shape) -> SampledField:
-    origin = np.asarray(origin, dtype=np.float64)
+                shape, at=None) -> SampledField:
+    """The Riesz potential at the nodes ``origin + i * spacing`` of a grid.
+
+    With ``at`` (points inside the grid) only the nodes that
+    ``interpolate(at)`` reads are evaluated (``SampledField.stencil``), each
+    equal to its value in the full field bit for bit; every other node holds
+    NaN, so a read outside them shows.
+    """
     shape = tuple(int(v) for v in np.atleast_1d(shape))
-    pts = lattice_points([origin[a] + spacing * np.arange(shape[a])
-                          for a in range(len(shape))])
-    vals = riesz_kernel(cfg, mu, pts).reshape(shape)
-    return SampledField(origin=origin, spacing=float(spacing), values=vals)
+    fld = SampledField(origin=np.asarray(origin, dtype=np.float64),
+                       spacing=float(spacing), values=np.full(shape, np.nan))
+    flat = fld.values.reshape(-1)      # a view: writes land in the field
+    if at is None:
+        flat[:] = riesz_kernel(cfg, mu, fld.points())
+    else:
+        rows = np.unique(fld.stencil(at)[0])
+        flat[rows] = riesz_kernel(cfg, mu, fld.points(), rows)
+    return fld
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -24,19 +25,24 @@ def test_conv_rejects_bad_scales():
 
 @pytest.mark.parametrize("d, t", [(1, 1e-316), (2, 1e-316), (3, 1e-300)])
 def test_heat_rejects_overflowing_times(d, t):
-    # 1/4t overflows at t = 1e-316, and (4 pi t)^{-3/2} already at 1e-300
-    with pytest.raises(ValueError, match="too small"):
-        _kernels.heat_values(np.zeros((2, d)), np.ones((1, d)), np.ones(1),
-                             np.array([1.0, t]))
+    # 1/4t overflows at t = 1e-316, and (4 pi t)^{-3/2} already at 1e-300;
+    # the error comes with no numpy warning before it
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="too small"):
+            _kernels.heat_values(np.zeros((2, d)), np.ones((1, d)), np.ones(1),
+                                 np.array([1.0, t]))
 
 
 @pytest.mark.parametrize("d, s", [(1, 1e-310), (2, 1e-160)])
 def test_conv_rejects_overflowing_scales(d, s):
-    # s^{-d} overflows
-    with pytest.raises(ValueError, match="too small"):
-        _kernels.radial_conv_values(np.zeros((2, d)), np.ones((1, d)),
-                                    np.ones(1), np.array([1.0, s]),
-                                    lambda z: np.exp(-z * z))
+    # s^{-d} overflows; the error comes with no numpy warning before it
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="too small"):
+            _kernels.radial_conv_values(np.zeros((2, d)), np.ones((1, d)),
+                                        np.ones(1), np.array([1.0, s]),
+                                        lambda z: np.exp(-z * z))
 
 
 @pytest.mark.parametrize("d", [1, 2])

@@ -301,3 +301,28 @@ def test_variation_measure_matches_dict_sum(d, k, data):
     got = vm.variation_measure()
     assert np.array_equal(got.indices, ref.indices)
     assert np.array_equal(got.weights.view(np.uint64), ref.weights.view(np.uint64))
+
+
+@settings(max_examples=200)
+@given(d=st.integers(1, 2), data=st.data())
+def test_stencil_names_every_node_interpolation_reads(d, data):
+    # a field that holds NaN off the stencil interpolates to the same bits:
+    # the nodes riesz_field evaluates for a trace are the nodes it reads
+    shape = tuple(data.draw(st.integers(2, 8)) for _ in range(d))
+    origin = data.draw(hnp.arrays(np.float64, d, elements=st.floats(-10.0, 10.0)))
+    spacing = data.draw(st.sampled_from([1.0 / 729.0, 0.3, 1.0, 7.0]))
+    values = data.draw(hnp.arrays(np.float64, shape, elements=st.floats(-1e3, 1e3)))
+    # nodes, edges and points between nodes, in grid units
+    rel = data.draw(hnp.arrays(np.float64, (data.draw(st.integers(1, 20)), d),
+                               elements=st.one_of(st.integers(0, 7).map(float),
+                                                  st.floats(0.0, 7.0))))
+    pts = origin + np.minimum(rel, np.array(shape) - 1) * spacing
+    fld = measures.SampledField(origin=origin, spacing=spacing, values=values)
+    nodes, weights = fld.stencil(pts)
+    assert nodes.shape == weights.shape == (2 ** d, len(pts))
+    sparse = np.full(shape, np.nan)
+    sparse.flat[nodes.ravel()] = values.flat[nodes.ravel()]
+    got = measures.SampledField(origin=origin, spacing=spacing,
+                                values=sparse).interpolate(pts)
+    ref = fld.interpolate(pts)
+    assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))

@@ -303,3 +303,51 @@ def test_riesz_kernel_matches_dense(mu, data):
     ref = _dense_riesz(cfg, mu, pts)
     assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))
     assert np.all(np.isinf(got[len(free):]))
+
+
+@settings(max_examples=6)
+@given(d=st.sampled_from([1, 2]), alpha=st.floats(0.05, 0.95),
+       seed=st.integers(0, 2 ** 32 - 1), one=st.integers(0, 4999))
+def test_riesz_kernel_rows_match_full_rows(d, alpha, seed, one):
+    # 2048 masses make blocks of 1953 rows, so 5000 points take three, the
+    # last one shorter; a product over the wanted rows alone moves bits
+    rng = np.random.default_rng(seed)
+    flat = rng.choice(40_000, 2048, replace=False)
+    idx = np.stack(np.unravel_index(flat, (40_000,) if d == 1 else (200, 200)), axis=1)
+    mu = new_grid_measure(d, 1.0 / 64.0, np.zeros(d), idx, rng.uniform(-1.0, 1.0, 2048))
+    cfg = RieszConfig(alpha=alpha * d, d=d)
+    lo, hi = mu.bbox()
+    pts = rng.uniform(lo, hi, (5000, d))
+    on_mass = rng.choice(5000, 3, replace=False)
+    pts[on_mass] = mu.points()[rng.choice(mu.n_masses, 3, replace=False)]
+    full = riesz_kernel(cfg, mu, pts)
+    assert np.all(np.isposinf(full[on_mass]))
+    scattered = np.union1d(rng.choice(5000, rng.integers(1000, 4000), replace=False),
+                           on_mass)
+    for sel in (np.zeros(0, dtype=np.int64), np.array([one]), np.arange(5000),
+                scattered):
+        got = riesz_kernel(cfg, mu, pts, rows=sel)
+        assert np.array_equal(got.view(np.uint64), full[sel].view(np.uint64))
+
+
+def test_riesz_kernel_rejects_unordered_rows():
+    cfg = RieszConfig(alpha=0.5, d=1)
+    for rows in ([1, 0], [0, 0], [-1], [2]):
+        with pytest.raises(ValueError, match="strictly increasing"):
+            riesz_kernel(cfg, dirac(1), [[0.5], [1.5]], rows=rows)
+
+
+def test_riesz_field_at_evaluates_the_read_nodes(warm):
+    # the nodes read by the trace hold the full field's bits, the rest NaN
+    cand, _ = make_frostman_atom(depth=4)
+    cfg = RieszConfig(alpha=0.5, d=1)
+    nu, _ = cantor_frostman(4, 1.0)
+    grid = (cfg, cand.measure, [-0.5 + 0.2371 * 0.01], 0.01, [200])
+    full = riesz_field(*grid)
+    part = riesz_field(*grid, at=nu.points())
+    read = np.unique(part.stencil(nu.points())[0])
+    assert np.array_equal(np.flatnonzero(~np.isnan(part.values)), read)
+    assert len(read) < part.values.size
+    assert np.array_equal(part.values.flat[read].view(np.uint64),
+                          full.values.flat[read].view(np.uint64))
+    assert trace_integral(part, nu) == trace_integral(full, nu)
