@@ -219,7 +219,7 @@ def cmd_maximal_lp(args) -> int:
 
 
 def _load_balls(path: str) -> content.BallFamily | None:
-    data = io.read_csv_rows(path)
+    _, data = io.read_csv_rows(path)
     if len(data) == 0:
         return None
     return content.make_ball_family(data[:, :-1], data[:, -1])
@@ -266,16 +266,14 @@ def cmd_content(args) -> int:
                 config={"balls": args.balls, "beta": args.beta})
         return 0
     if args.action == "choquet":
-        data = io.read_csv_rows(args.field)
-        if len(data) == 0:
+        keys, values = io.read_csv_rows(args.field, indexed=True)
+        if len(keys) == 0:
             _report(args, "content_choquet", {"value": 0.0},
                     config={"field": args.field, "beta": args.beta})
             return 0
-        d = data.shape[1] - 2
-        lat = measures.unit_lattice(d)
-        level = int(data[0, 0])
-        val = content.choquet_integral(data[:, 1:1 + d].astype(np.int64),
-                                       data[:, -1], lat, level, args.beta)
+        lat = measures.unit_lattice(keys.shape[1] - 1)
+        val = content.choquet_integral(keys[:, 1:], values[:, 0], lat,
+                                       int(keys[0, 0]), args.beta)
         _report(args, "content_choquet", {"value": val},
                 config={"field": args.field, "beta": args.beta})
         return 0

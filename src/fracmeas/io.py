@@ -82,33 +82,44 @@ def save_measure(mu: GridMeasure, csv_path: str):
         fh.write(canonical_json(side) + "\n")
 
 
-def read_csv_rows(path) -> np.ndarray:
-    """The float rows after a CSV file's header line, one column per field.
+def read_csv_rows(path, indexed: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """The rows after a CSV file's header line as ``(keys, values)`` arrays,
+    one column per field.
 
-    Blank lines are skipped; a file with no rows gives shape (0, fields).
+    With ``indexed``, every field but the last is an integer key (a grid
+    index or level), parsed as int64 without a detour through float, so
+    indices beyond 2**53 stay exact; otherwise ``keys`` has no columns.  The
+    other fields are float64 ``values``.  Blank lines are skipped; a file
+    with no rows gives arrays with zero rows.
     """
     with open(path, "r", encoding="utf-8") as fh:
         header, *lines = fh.read().splitlines() or [""]
     ncol = header.count(",") + 1
-    rows = [[float(v) for v in ln.split(",")] for ln in lines if ln.strip()]
+    rows = [ln.split(",") for ln in lines if ln.strip()]
     if any(len(row) != ncol for row in rows):
         raise ValueError(f"{path}: every row needs the header's {ncol} fields")
-    return np.array(rows).reshape(len(rows), ncol)
+    n_keys = ncol - 1 if indexed else 0
+    try:
+        keys = np.array([[int(v) for v in row[:n_keys]] for row in rows],
+                        dtype=np.int64)
+    except OverflowError:
+        raise ValueError(f"{path}: an integer field lies outside int64") from None
+    values = np.array([[float(v) for v in row[n_keys:]] for row in rows])
+    return keys.reshape(len(rows), n_keys), values.reshape(len(rows), ncol - n_keys)
 
 
 def load_measure(csv_path: str) -> GridMeasure:
-    data = read_csv_rows(csv_path)
+    indices, weights = read_csv_rows(csv_path, indexed=True)
     with open(csv_path + ".json", "r", encoding="utf-8") as fh:
         side = json.load(fh)
     missing = [k for k in ("dim", "spacing", "origin") if k not in side]
     if missing:
         raise ValueError(f"{csv_path}.json: sidecar lacks {', '.join(missing)}")
     d = int(side["dim"])
-    if data.shape[1] != d + 1:
+    if indices.shape[1] != d:
         raise ValueError(f"{csv_path}: expected {d} index columns and a weight")
-    return new_grid_measure(d, side["spacing"], side["origin"],
-                            data[:, :d].astype(np.int64), data[:, d],
-                            name=side.get("name", ""))
+    return new_grid_measure(d, side["spacing"], side["origin"], indices,
+                            weights[:, 0], name=side.get("name", ""))
 
 
 # ---------------------------------------------------------------------------

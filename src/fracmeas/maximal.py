@@ -7,6 +7,14 @@ parameter ``s = sqrt(t)`` for t in the supplied TGrid, and over the profile
 family.  Every report produced from these fields carries that translation.
 The supremum is taken over scales as well as profiles (the anti-local
 variant restricts it to s > rho).
+
+``scipy.fft`` and ``scipy.interpolate`` load on first use, inside
+``_full_convolution`` and ``Profile.kernel_values``.  Only the frequency
+projectors (``lp_lowpass``, ``lp_band``, ``lp_apply_tilde``) reach them.
+Imported with this module, they and what they pull in (``scipy.optimize``,
+``scipy.linalg``, ``scipy.sparse``) would cost every process, ``fracmeas
+verify`` included, about 0.3 s and 27 MB of start-up.  ``scipy.special``
+stays at module level: the Bessel tables of ``standard_family`` need it.
 """
 
 from __future__ import annotations
@@ -16,8 +24,6 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-from scipy.fft import irfftn, next_fast_len, rfftn
-from scipy.interpolate import CubicSpline
 from scipy.special import j0 as _j0
 
 from . import _kernels
@@ -148,8 +154,11 @@ class Profile:
         """
         r = np.abs(np.asarray(r, dtype=np.float64))
         if self.kind == "gauss":
-            v = self.amp * np.exp(-0.25 * r ** 2)
-            return np.where(r < self.support_radius, v, 0.0)
+            # exp only inside the support: far radii hit its slow underflow path
+            out = np.zeros_like(r)
+            inside = r < self.support_radius
+            out[inside] = self.amp * np.exp(-0.25 * r[inside] ** 2)
+            return out
         if self.kind == "bump":
             z2 = (r * self.arg_scale) ** 2
             out = np.zeros_like(r)
@@ -164,9 +173,16 @@ class Profile:
         return np.where(r < self.support_radius, v, 0.0)
 
     def kernel_values(self, r):
-        """High-accuracy values for building convolution kernels."""
+        """High-accuracy values for building convolution kernels.
+
+        Only the projector kernels call this, so ``scipy.interpolate`` is
+        imported here, on first use: a process that never projects (every
+        ``fracmeas verify`` target) does not load it.
+        """
         if self.kind != "table":
             return self.values(r)
+        from scipy.interpolate import CubicSpline
+
         grid = np.arange(len(self.table)) * self.table_dr
         spl = CubicSpline(grid, self.table)
         r = np.abs(np.asarray(r, dtype=np.float64))
@@ -397,12 +413,16 @@ def _full_convolution(a, b):
     """Full linear convolution of two real d-arrays via zero-padded real FFTs.
 
     Axes where either input has length 1 are not transformed: broadcasting
-    convolves them exactly.
+    convolves them exactly.  ``scipy.fft`` is imported here, on first use:
+    the projectors are the only callers, and a process that never projects
+    (every ``fracmeas verify`` target) does not load it.
     """
     shape = [m + n - 1 for m, n in zip(a.shape, b.shape)]
     axes = [i for i in range(a.ndim) if a.shape[i] != 1 and b.shape[i] != 1]
     if not axes:
         return a * b
+    from scipy.fft import irfftn, next_fast_len, rfftn
+
     fshape = [next_fast_len(shape[i], real=True) for i in axes]
     spec = rfftn(a, fshape, axes=axes) * rfftn(b, fshape, axes=axes)
     return irfftn(spec, fshape, axes=axes)[tuple(slice(n) for n in shape)]

@@ -2,6 +2,10 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
+# Hypothesis also draws constants found in every loaded non-test module, so
+# load the whole package up front: a test then draws the same examples
+# whether it runs alone or in the full suite
+import fracmeas.cli  # noqa: F401
 from fracmeas.maximal import standard_family
 
 # property tests replay the same examples on every run, with no time limit

@@ -1,14 +1,19 @@
 import hashlib
 import json
 import os
+import subprocess
+import sys
+import tempfile
+import textwrap
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fracmeas import content, io
 from fracmeas.cli import main
-from fracmeas.measures import cantor_frostman, new_grid_measure
+from fracmeas.measures import cantor_frostman, new_grid_measure, unit_lattice
 
 
 def run(args):
@@ -173,6 +178,41 @@ def test_verify_matches_digests(tmp_path, argv, names):
         assert got == want[name], name
 
 
+_COLD_START = textwrap.dedent("""
+    import json, os, sys
+    out = sys.argv[1]
+    from fracmeas import cli, io
+    from fracmeas.measures import cantor_frostman
+
+    def loaded(names):
+        return [m for m in names if m in sys.modules]
+
+    heavy = ["scipy.fft", "scipy.interpolate", "scipy.optimize",
+             "scipy.linalg", "scipy.sparse"]
+    rc = [cli.main(["--out", out, "verify", t]) for t in ("cor16", "thm18")]
+    after_verify = loaded(heavy)
+    csv = os.path.join(out, "cantor.csv")
+    io.save_measure(cantor_frostman(5, 1.0)[0], csv)
+    rc.append(cli.main(["--out", out, "maximal", "lp", "--measure", csv, "--k", "3"]))
+    print(json.dumps({"rc": rc, "after_verify": after_verify,
+                      "after_lp": loaded(["scipy.fft", "scipy.interpolate"])}))
+""")
+
+
+def test_cold_start_loads_no_projector_modules(tmp_path):
+    # scipy.fft and scipy.interpolate (and, through them, scipy.optimize,
+    # linalg and sparse) serve only the frequency projectors, so a verify
+    # run must not load them; `maximal lp` must still find them
+    import fracmeas
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(fracmeas.__file__)))
+    proc = subprocess.run([sys.executable, "-c", _COLD_START, str(tmp_path)],
+                          env=env, capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stderr
+    got = json.loads(proc.stdout.splitlines()[-1])
+    assert got == {"rc": [0, 0, 0], "after_verify": [],
+                   "after_lp": ["scipy.fft", "scipy.interpolate"]}
+
+
 def test_verify_thm14_reports_riesz_nodes(tmp_path):
     # the trace interpolates at nu's 256 support points, from two nodes each
     assert run(["--out", str(tmp_path), "verify", "thm14"]) == 0
@@ -223,6 +263,66 @@ def test_measure_roundtrip(tmp_path):
     assert back.d == 2 and back.h == 0.25 and back.name == "demo"
     assert np.allclose(back.points(), mu.points())
     assert np.allclose(np.sort(back.weights), np.sort(mu.weights))
+
+
+_int64 = st.integers(-2 ** 63, 2 ** 63 - 1)
+_finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def _grid_measures(draw):
+    d = draw(st.sampled_from([1, 2]))
+    idx = draw(st.lists(st.tuples(*[_int64] * d), unique=True, max_size=12))
+    w = draw(st.lists(_finite, min_size=len(idx), max_size=len(idx)))
+    h = draw(st.floats(min_value=0.0, exclude_min=True, allow_infinity=False))
+    origin = draw(st.lists(_finite, min_size=d, max_size=d))
+    return new_grid_measure(d, h, origin, np.array(idx, dtype=np.int64).reshape(-1, d),
+                            w, name=draw(st.text()))
+
+
+@settings(max_examples=200)
+@given(mu=_grid_measures())
+def test_measure_roundtrip_is_exact(mu):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "m.csv")
+        io.save_measure(mu, path)
+        back = io.load_measure(path)
+    assert (back.d, back.h, back.name) == (mu.d, mu.h, mu.name)
+    assert back.indices.dtype == np.int64
+    assert np.array_equal(back.indices, mu.indices)
+    assert np.array_equal(back.weights, mu.weights)
+    assert np.array_equal(back.origin, mu.origin)
+
+
+def test_measure_indices_past_2_53_load_exactly(tmp_path):
+    # a float holds neither index: they would load as 2**53 and -2**53 - 4
+    idx = [[2 ** 53 + 1], [-2 ** 53 - 3]]
+    mu = new_grid_measure(1, 0.5, [0.0], idx, [1.0, 2.0])
+    path = str(tmp_path / "m.csv")
+    io.save_measure(mu, path)
+    assert sorted(io.load_measure(path).indices[:, 0].tolist()) == sorted(i for i, in idx)
+
+
+def test_choquet_command_matches_library(tmp_path):
+    # level and cell indices are read as integers, the value as a float
+    field = tmp_path / "f.csv"
+    field.write_text("level,i0,i1,value\n3,0,0,1.0\n3,1,2,0.5\n3,7,7,2.25\n")
+    assert run(["--out", str(tmp_path), "content", "choquet", "--field",
+                str(field), "--beta", "0.5"]) == 0
+    rep = json.loads((tmp_path / "content_choquet.json").read_text())
+    want = content.choquet_integral(np.array([[0, 0], [1, 2], [7, 7]]),
+                                    np.array([1.0, 0.5, 2.25]),
+                                    unit_lattice(2), 3, 0.5)
+    assert rep["results"]["value"] == want
+
+
+def test_measure_index_outside_int64_exit_2(tmp_path, capsys):
+    csv = str(tmp_path / "mu.csv")
+    io.save_measure(cantor_frostman(3, 1.0)[0], csv)
+    with open(csv, "a") as fh:
+        fh.write(f"{2 ** 63},1.0\n")
+    assert run(["--out", str(tmp_path), "heat", "--measure", csv]) == 2
+    assert "outside int64" in capsys.readouterr().err
 
 
 def test_report_serializes_numpy_bool(tmp_path):

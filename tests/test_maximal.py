@@ -53,6 +53,23 @@ def test_table_profile_matches_interp(d, normalize, name, r):
     assert np.array_equal(prof.values(r), _interp_reference(prof, r))
 
 
+# radii up to 1e6, around the support radius 12 and exp's underflow start
+# (r = 54.6), negative, infinite or NaN
+_gauss_radii = st.one_of(st.floats(0.0, 1e6), st.floats(11.0, 13.0),
+                         st.floats(54.0, 55.0), st.floats(-1e6, 0.0),
+                         st.sampled_from([12.0, math.inf, -math.inf, math.nan]))
+
+
+@settings(max_examples=300)
+@given(d=st.sampled_from([1, 2]), normalize=st.booleans(),
+       r=hnp.arrays(np.float64, st.integers(1, 200), elements=_gauss_radii))
+def test_gauss_profile_matches_dense_formula(d, normalize, r):
+    prof = standard_family(d, normalize=normalize)["gauss"]
+    a = np.abs(r)
+    dense = np.where(a < prof.support_radius, prof.amp * np.exp(-0.25 * a ** 2), 0.0)
+    assert np.array_equal(prof.values(r).view(np.uint64), dense.view(np.uint64))
+
+
 def test_rho_integrates_to_one(warm):
     fam = standard_family(1, normalize=False)
     rho = fam["rho"]
