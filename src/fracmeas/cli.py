@@ -267,6 +267,9 @@ def cmd_content(args) -> int:
         return 0
     if args.action == "choquet":
         keys, values = io.read_csv_rows(args.field, indexed=True)
+        if keys.shape[1] < 2:
+            _fail(f"{args.field}: a field needs a level, at least one index "
+                  "and a value in every row")
         if len(keys) == 0:
             _report(args, "content_choquet", {"value": 0.0},
                     config={"field": args.field, "beta": args.beta})

@@ -90,22 +90,32 @@ def read_csv_rows(path, indexed: bool = False) -> tuple[np.ndarray, np.ndarray]:
     index or level), parsed as int64 without a detour through float, so
     indices beyond 2**53 stay exact; otherwise ``keys`` has no columns.  The
     other fields are float64 ``values``.  Blank lines are skipped; a file
-    with no rows gives arrays with zero rows.
+    with no rows gives arrays with zero rows.  A field that does not parse
+    raises ``ValueError`` naming the file and its 1-based line.
     """
     with open(path, "r", encoding="utf-8") as fh:
         header, *lines = fh.read().splitlines() or [""]
     ncol = header.count(",") + 1
-    rows = [ln.split(",") for ln in lines if ln.strip()]
-    if any(len(row) != ncol for row in rows):
-        raise ValueError(f"{path}: every row needs the header's {ncol} fields")
     n_keys = ncol - 1 if indexed else 0
+    keys, values = [], []
+    for line_no, ln in enumerate(lines, start=2):
+        if not ln.strip():
+            continue
+        row = ln.split(",")
+        if len(row) != ncol:
+            raise ValueError(f"{path}, line {line_no}: every row needs the header's "
+                             f"{ncol} fields")
+        try:
+            keys.append([int(v) for v in row[:n_keys]])
+            values.append([float(v) for v in row[n_keys:]])
+        except ValueError as exc:
+            raise ValueError(f"{path}, line {line_no}: {exc}") from None
     try:
-        keys = np.array([[int(v) for v in row[:n_keys]] for row in rows],
-                        dtype=np.int64)
+        keys = np.array(keys, dtype=np.int64)
     except OverflowError:
         raise ValueError(f"{path}: an integer field lies outside int64") from None
-    values = np.array([[float(v) for v in row[n_keys:]] for row in rows])
-    return keys.reshape(len(rows), n_keys), values.reshape(len(rows), ncol - n_keys)
+    values = np.array(values, dtype=np.float64)
+    return keys.reshape(len(values), n_keys), values.reshape(len(values), ncol - n_keys)
 
 
 def load_measure(csv_path: str) -> GridMeasure:

@@ -14,12 +14,15 @@ projectors (``lp_lowpass``, ``lp_band``, ``lp_apply_tilde``) reach them.
 Imported with this module, they and what they pull in (``scipy.optimize``,
 ``scipy.linalg``, ``scipy.sparse``) would cost every process, ``fracmeas
 verify`` included, about 0.3 s and 27 MB of start-up.  ``scipy.special``
-stays at module level: the Bessel tables of ``standard_family`` need it.
+stays at module level: ``Profile.hat`` (d=2) and ``_quadrature_table``, the
+definition of the plateau tables shipped in ``radial_tables.npz``, need its
+Bessel function J0.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -73,18 +76,25 @@ def _simpson_weights(n):
     return w / 3.0
 
 
-@lru_cache(maxsize=8)
-def _radial_table(symbol_name: str, d: int):
+# table step per dimension; the radii of every table are arange(n) * step
+_TABLE_STEP = {1: 1.0 / 256.0, 2: 1.0 / 64.0}
+_TABLES_PATH = os.path.join(os.path.dirname(__file__), "radial_tables.npz")
+
+
+def _quadrature_table(symbol_name: str, d: int):
     """Physical-space radial table of a Fourier-side plateau symbol.
 
-    d=1 uses an FFT-evaluated cosine transform on a dense grid (table step
-    1/256 out to radius 96, absolute accuracy ~1e-10); d=2 uses a direct
-    Hankel (J0) quadrature on a lighter grid (step 1/64 out to radius 32).
+    The definition of the tables that ``_radial_table`` reads from the
+    package.  d=1 uses an FFT-evaluated cosine transform on a dense grid
+    (table step 1/256 out to radius 96, absolute accuracy ~1e-10); d=2 uses a
+    direct Hankel (J0) quadrature on a lighter grid (step 1/64 out to radius
+    32).  Both d=1 tables together take about 0.8 s and 200 MB of memory,
+    both d=2 tables about 1.5 s.
     """
     symbol = {"low": lowpass_symbol, "band": band_symbol}[symbol_name]
     r_sup = 1.0 if symbol_name == "low" else 2.0
     if d == 1:
-        dx = 1.0 / 256.0
+        dx = _TABLE_STEP[1]
         r_tab = 96.0
         n_fft = 2 ** 23
         dr = 1.0 / (n_fft * dx)
@@ -99,7 +109,7 @@ def _radial_table(symbol_name: str, d: int):
         table = 2.0 * np.real(spec[:n_out])
         return np.arange(n_out) * dx, table
     if d == 2:
-        dx = 1.0 / 64.0
+        dx = _TABLE_STEP[2]
         r_tab = 32.0
         n_quad = 8193
         nodes = np.linspace(0.0, r_sup, n_quad)
@@ -113,6 +123,24 @@ def _radial_table(symbol_name: str, d: int):
             table[s:e] = 2.0 * np.pi * (_j0(2.0 * np.pi * np.outer(radii[s:e], nodes)) @ fq)
         return radii, table
     raise ValueError("radial tables implemented for d in {1, 2}")
+
+
+@lru_cache(maxsize=8)
+def _radial_table(symbol_name: str, d: int):
+    """``(radii, table)`` of a plateau symbol, read from the package.
+
+    ``radial_tables.npz`` holds the float64 tables of ``_quadrature_table``,
+    keyed ``"<symbol_name>_d<d>"``: reading one takes milliseconds, computing
+    it up to a second (and, for d=1, about 200 MB).  The tier-1 test
+    ``test_maximal.py::test_shipped_tables_match_quadrature`` checks the file
+    against ``_quadrature_table`` bit for bit; its failure message gives the
+    command that rewrites the file.
+    """
+    if d not in _TABLE_STEP:
+        raise ValueError("radial tables implemented for d in {1, 2}")
+    with np.load(_TABLES_PATH) as tables:
+        table = tables[f"{symbol_name}_d{d}"]
+    return np.arange(len(table)) * _TABLE_STEP[d], table
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,11 @@ settings.load_profile("fracmeas")
 
 @pytest.fixture(scope="session")
 def warm():
-    """Build the profile tables once, outside timings."""
+    """Build the test families once, outside timings.
+
+    Their plateau tables are read from the package (``radial_tables.npz``),
+    so this costs milliseconds; the fixture keeps that out of timed tests.
+    """
     standard_family(1)
     standard_family(1, normalize=False)
     standard_family(2)

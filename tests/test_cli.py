@@ -316,6 +316,24 @@ def test_choquet_command_matches_library(tmp_path):
     assert rep["results"]["value"] == want
 
 
+def test_choquet_unparsable_level_names_file_and_line(tmp_path, capsys):
+    field = tmp_path / "f.csv"
+    field.write_text("level,i0,value\n3,0,1.0\n\n3.0,1,0.5\n")
+    assert run(["--out", str(tmp_path), "content", "choquet", "--field",
+                str(field), "--beta", "0.5"]) == 2
+    err = capsys.readouterr().err
+    assert f"{field}, line 4:" in err and "'3.0'" in err
+
+
+def test_choquet_field_without_index_column_exit_2(tmp_path, capsys):
+    field = tmp_path / "f.csv"
+    field.write_text("value\n1.0\n2.0\n")
+    assert run(["--out", str(tmp_path), "content", "choquet", "--field",
+                str(field), "--beta", "0.5"]) == 2
+    err = capsys.readouterr().err
+    assert str(field) in err and "at least one index" in err
+
+
 def test_measure_index_outside_int64_exit_2(tmp_path, capsys):
     csv = str(tmp_path / "mu.csv")
     io.save_measure(cantor_frostman(3, 1.0)[0], csv)

@@ -99,6 +99,17 @@ def test_content_whole_cube_shift(case, frac, shift):
             == min(_content(d, (levels, indices), beta), cap))
 
 
+
+@given(st.sampled_from([1, 2]), st.integers(0, 30), st.data())
+def test_content_of_one_cube_exact(d, level, data):
+    # one cube is its own best cover: H = l(Q)^beta, wherever the cube lies
+    index = data.draw(st.lists(st.integers(-2 ** 31, 2 ** 31 - 1),
+                               min_size=d, max_size=d))
+    beta = data.draw(st.floats(0.0, float(d), exclude_min=True))
+    got = dyadic_content(CubeUnion.build(_lattice(d), [level], [index]), beta)
+    expect = (2.0 ** -level) ** beta
+    assert abs(got - expect) <= 4 * np.spacing(expect)
+
 @st.composite
 def measures(draw):
     d = draw(st.sampled_from([1, 2]))

@@ -30,6 +30,39 @@ def test_family_profiles_present(warm):
         assert p.meta["raw_seminorm"] > 0
 
 
+# run from the repository root to rewrite the shipped tables
+_REWRITE_TABLES = (
+    "PYTHONPATH=src python -c \"import numpy as np; from fracmeas import maximal as m; "
+    "np.savez(m._TABLES_PATH, **{f'{s}_d{d}': m._quadrature_table(s, d)[1] "
+    "for s in ('low', 'band') for d in (1, 2)})\"")
+
+
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("name", ["low", "band"])
+def test_shipped_tables_match_quadrature(name, d):
+    radii, table = maximal._radial_table(name, d)
+    q_radii, q_table = maximal._quadrature_table(name, d)
+    assert np.array_equal(radii.view(np.uint64), q_radii.view(np.uint64))
+    assert table.dtype == np.float64 and table.shape == q_table.shape, _REWRITE_TABLES
+    assert np.array_equal(table.view(np.uint64), q_table.view(np.uint64)), (
+        f"radial_tables.npz differs from _quadrature_table({name!r}, {d}); "
+        f"rewrite it with: {_REWRITE_TABLES}")
+
+
+def test_family_never_reaches_quadrature(monkeypatch):
+    def fail(*args):
+        raise AssertionError("standard_family computed a radial table")
+
+    monkeypatch.setattr(maximal, "_quadrature_table", fail)
+    maximal._radial_table.cache_clear()
+    standard_family.cache_clear()
+    for d in (1, 2):
+        for normalize in (True, False):
+            assert len(standard_family(d, normalize=normalize).profiles) == 5
+    with pytest.raises(ValueError, match="d in"):
+        maximal._radial_table("low", 3)
+
+
 def _interp_reference(prof, r):
     # reference: numpy's piecewise linear interpolation through the nodes
     rmax = (len(prof.table) - 1) * prof.table_dr

@@ -188,6 +188,30 @@ def test_frostman_needs_radii():
         frostman_constant(dirac(1), 0.5, [])
 
 
+
+@settings(max_examples=60)
+@given(d=st.sampled_from([1, 2]), data=st.data())
+def test_frostman_constant_monotone_under_added_mass(d, data):
+    # the probe centres and the radius grid depend on positions only, so on
+    # a fixed support more mass in one point can only raise every ball ratio
+    idx = data.draw(st.lists(st.tuples(*[st.integers(-16, 16)] * d),
+                             min_size=1, max_size=12, unique=True))
+    mags = data.draw(st.lists(st.floats(1e-6, 1e6), min_size=len(idx),
+                              max_size=len(idx)))
+    signs = data.draw(st.lists(st.sampled_from([-1.0, 1.0]), min_size=len(idx),
+                               max_size=len(idx)))
+    j = data.draw(st.integers(0, len(idx) - 1))
+    factor = data.draw(st.floats(1.0, 1e3))
+    beta = data.draw(st.floats(0.05, float(d)))
+    w = np.array(signs) * np.array(mags)
+    mu = new_grid_measure(d, 0.25, [0.0] * d, idx, w)
+    w[j] *= factor
+    more = new_grid_measure(d, 0.25, [0.0] * d, idx, w)
+    radii = default_radius_grid(mu)
+    assert np.array_equal(more.indices, mu.indices)
+    assert (frostman_constant(more, beta, radii).constant
+            >= frostman_constant(mu, beta, radii).constant)
+
 # ---------------------------------------------------------------------------
 # curve measures
 # ---------------------------------------------------------------------------
