@@ -173,17 +173,17 @@ def radial_conv_values(x, y, w, s, phi):
     """Profile convolutions ``out[i,j] = s_j^{-d} sum_m w_m phi(|x_i-y_m|/s_j)``.
 
     ``phi`` maps an array of scaled distances ``z >= 0`` to the radial
-    profile's values there, elementwise (``maximal.Profile.values``), at
-    positive scales ``s`` with finite ``s^{-d}``.
+    profile's values there (``maximal.Profile.values``), at positive scales
+    ``s`` with finite ``s^{-d}``.  It must be elementwise: it runs once per
+    scale on a block's distinct distances, gathered back to their pairs.
     """
     s = np.ascontiguousarray(np.asarray(s, dtype=np.float64))
     if np.any(s <= 0):
         raise ValueError("dilation scales must be positive")
 
     def profile_columns(d2):
-        r = np.sqrt(d2)
+        r, inv = np.unique(np.sqrt(d2), return_inverse=True)
         for sj in s:
-            z = r / sj
-            yield phi(z)
+            yield phi(r / sj)[inv].reshape(d2.shape)
 
     return _pair_sums(x, y, w, lambda d: s ** (-d), profile_columns)

@@ -274,9 +274,12 @@ def cmd_content(args) -> int:
             _report(args, "content_choquet", {"value": 0.0},
                     config={"field": args.field, "beta": args.beta})
             return 0
+        levels = np.unique(keys[:, 0]).tolist()
+        if len(levels) > 1:
+            _fail(f"{args.field}: rows at levels {levels}; a field has one level")
         lat = measures.unit_lattice(keys.shape[1] - 1)
         val = content.choquet_integral(keys[:, 1:], values[:, 0], lat,
-                                       int(keys[0, 0]), args.beta)
+                                       levels[0], args.beta)
         _report(args, "content_choquet", {"value": val},
                 config={"field": args.field, "beta": args.beta})
         return 0

@@ -17,10 +17,11 @@ curves are always part of the report.
 The greedy capture holds its candidates as int64 arrays (level, index
 rows, masses, costs), sorted by decreasing density, then level, then
 index.  These tables depend on beta but not on the budget, so the estimate
-builds them once per beta and runs one scan per budget over them.  An
-ancestor table over the candidates (every ancestor of an occupied cube is
-occupied) lets each selection rule out its ancestors and descendants at
-once, so a scan steps from one selected cube to the next.
+builds them once per beta and runs one scan per budget, linear in the
+candidates: a pick rules out its ancestors (an ancestor table) and its
+descendants (one slice of a tree preorder), and the scan reads forward
+windows that never look back, since a candidate passed over is dead or
+does not fit, and the budget spent only grows.
 """
 
 from __future__ import annotations
@@ -48,8 +49,12 @@ def _occupied_cubes(mu: GridMeasure, lattice: DyadicLattice,
 
 
 def _capture_tables(occ, lattice: DyadicLattice, beta: float):
-    """The candidates of one beta as arrays in scan order, with their
-    ancestor table: ``(levels, indices, masses, costs, anc, coarsest)``."""
+    """The candidates of one beta in scan order with their tree,
+    ``(levels, indices, masses, costs, anc, coarsest, pos, picks)``.  ``pos``
+    is each one's place in the tree preorder (rows of ``anc`` sorted, -1
+    first); its subtree, itself included, fills as many places from there as
+    it occurs in ``anc``.  ``picks`` holds a pick's cost, mass, ancestor
+    column and subtree bounds as Python scalars."""
     levels = sorted(occ)
     lv = np.concatenate([np.full(len(occ[k][0]), k, dtype=np.int64) for k in levels])
     ix = np.vstack([occ[k][0] for k in levels])
@@ -70,31 +75,38 @@ def _capture_tables(occ, lattice: DyadicLattice, beta: float):
     for k in range(levels[-1], lo - 1, -1):
         cur = np.where(lv > k, parent[cur], cur)
         anc[lv >= k, k - lo] = cur[lv >= k]
-    return lv, ix, mass, cost, anc, lo
+    pos = np.argsort(np.lexsort(anc.T[::-1]))
+    end = pos + np.bincount(anc[anc >= 0], minlength=n)
+    picks = list(zip(cost.tolist(), mass.tolist(), (lv - lo).tolist(),
+                     pos.tolist(), end.tolist()))
+    return lv, ix, mass, cost, anc, lo, pos, picks
 
 
 def _capture_scan(tables, delta: float):
     """One budget's greedy scan over ``_capture_tables`` output: the picked
-    positions, the captured mass and the budget spent."""
-    lv, _, mass, cost, anc, lo = tables
-    alive = np.ones(len(lv), dtype=bool)
+    positions, the captured mass and the budget spent.  Windows that double
+    in size mark the candidates live and fitting at their start, each then
+    tested again in order; one left out stays out, as ``spent`` only grows
+    (float addition is monotone).  Liveness is kept by preorder place."""
+    lv, _, _, cost, anc, _, pos, picks = tables
+    n = len(lv)
+    live = np.ones(n, dtype=bool)
     limit = delta * (1.0 + 1e-12)
     spent = captured = 0.0
     picked = []
-    start = 0
-    while start < len(lv):
-        fits = alive[start:] & (spent + cost[start:] <= limit)
-        s = start + int(np.argmax(fits))
-        if not fits[s - start]:
-            break
-        picked.append(s)
-        spent += cost[s]
-        captured += mass[s]
-        # selecting a cube rules out itself, its descendants and ancestors
-        j = lv[s] - lo
-        alive[anc[:, j] == s] = False
-        alive[anc[s, :j]] = False
-        start = s + 1
+    start, width = 0, 16
+    while start < n:
+        stop = min(n, start + width)
+        fits = live[pos[start:stop]] & (spent + cost[start:stop] <= limit)
+        for s in (start + np.flatnonzero(fits)).tolist():
+            c, m, j, a, b = picks[s]
+            if live[a] and spent + c <= limit:
+                picked.append(s)
+                spent += c
+                captured += m
+                live[a:b] = False                # its subtree, itself included
+                live[pos[anc[s, :j]]] = False    # its ancestors
+        start, width = stop, 2 * width
     return picked, captured, spent
 
 
@@ -110,9 +122,7 @@ def greedy_mass_capture(mu: GridMeasure, lattice: DyadicLattice, beta: float,
     level and then lexicographically by index; a cube is taken when it fits
     the remaining budget and neither contains nor is contained in a selected
     cube.  Returns the selected cubes, the captured mass, and the budget
-    actually spent.  The work splits into the sorted candidate tables, which
-    depend on beta only, and one scan for the budget; ``lower_dim_estimate``
-    builds the tables once per beta and runs only the scan per budget.
+    actually spent.
     """
     if delta <= 0:
         raise ValueError("budget must be positive")

@@ -334,6 +334,18 @@ def test_choquet_field_without_index_column_exit_2(tmp_path, capsys):
     assert str(field) in err and "at least one index" in err
 
 
+def test_choquet_mixed_levels_exit_2(tmp_path, capsys):
+    # the level column is read per row: a field at two levels is refused,
+    # not integrated at the first row's level
+    field = tmp_path / "f.csv"
+    field.write_text("level,i0,value\n3,0,1.0\n5,4,0.5\n3,2,2.0\n")
+    assert run(["--out", str(tmp_path), "content", "choquet", "--field",
+                str(field), "--beta", "0.5"]) == 2
+    err = capsys.readouterr().err
+    assert str(field) in err and "[3, 5]" in err
+    assert not (tmp_path / "content_choquet.json").exists()
+
+
 def test_measure_index_outside_int64_exit_2(tmp_path, capsys):
     csv = str(tmp_path / "mu.csv")
     io.save_measure(cantor_frostman(3, 1.0)[0], csv)

@@ -8,8 +8,9 @@ from fracmeas.atoms import AtomCandidate, AtomicDecomposition, check_beta_atom, 
     make_frostman_atom
 from fracmeas.dimension import (atom_sum_dimension_check, choquet_maximal_test,
                                 greedy_mass_capture, lower_dim_estimate)
-from fracmeas.measures import (Cube, cantor_frostman, dirac, lebesgue_sample,
-                               measure_sum, new_grid_measure, unit_lattice)
+from fracmeas.measures import (Cube, DyadicLattice, cantor_frostman, dirac,
+                               lebesgue_sample, measure_sum, new_grid_measure,
+                               unit_lattice)
 
 BETA0 = math.log(2) / math.log(3)
 BETAS = np.round(np.arange(0.05, 1.0001, 0.05), 4)
@@ -69,6 +70,60 @@ def test_greedy_cantor_bands():
     # slightly below the critical exponent, small budgets capture little
     _, captured, _ = greedy_mass_capture(can, lat, 0.55, 1e-2, 16)
     assert captured < 0.1
+
+
+def _loop_scan(tables, delta):
+    """The capture scan with one pass over all n candidates per pick to
+    rule out its descendants, and a fit test over the whole rest of the
+    scan order, O(n x picks): the reference."""
+    lv, _, mass, cost, anc, lo = tables[:6]
+    alive = np.ones(len(lv), dtype=bool)
+    limit = delta * (1.0 + 1e-12)
+    spent = captured = 0.0
+    picked = []
+    start = 0
+    while start < len(lv):
+        fits = alive[start:] & (spent + cost[start:] <= limit)
+        s = start + int(np.argmax(fits))
+        if not fits[s - start]:
+            break
+        picked.append(s)
+        spent += cost[s]
+        captured += mass[s]
+        j = lv[s] - lo
+        alive[anc[:, j] == s] = False
+        alive[anc[s, :j]] = False
+        start = s + 1
+    return picked, captured, spent
+
+
+def _deep_2d_measure():
+    rng = np.random.default_rng(7)
+    # a tight cluster under a spread-out cloud: deep subtrees beside
+    # shallow ones, on both sides of the lattice corner
+    idx = np.vstack([rng.integers(0, 1500, (200, 2)),
+                     rng.integers(700, 716, (200, 2))])
+    return new_grid_measure(2, 2.0 ** -9, [-0.9, -0.9], idx,
+                            rng.uniform(0.1, 1.0, len(idx)))
+
+
+@pytest.mark.parametrize("case", ["cantor10", "plane"])
+def test_scan_matches_loop_scan_on_deep_trees(case):
+    # levels 0-16 of the depth-10 Cantor measure, levels -2..8 of a planar
+    # one: picks and both sums bit for bit, for every beta and budget
+    if case == "cantor10":
+        mu, lat, lo, hi = cantor_frostman(10, 1.0)[0], unit_lattice(1), 0, 16
+    else:
+        mu, lo, hi = _deep_2d_measure(), -2, 8
+        lat = DyadicLattice(corner=np.full(2, -0.25), l0=1.0, d=2)
+    occ = dimension._occupied_cubes(mu, lat, lo, hi)
+    assert min(occ) == lo and max(occ) == hi
+    deltas = 2.0 ** -np.arange(1, 13, dtype=np.float64)
+    for beta in BETAS * mu.d:
+        tables = dimension._capture_tables(occ, lat, beta)
+        for delta in deltas:
+            picked, captured, spent = dimension._capture_scan(tables, delta)
+            assert (picked, captured, spent) == _loop_scan(tables, delta)
 
 
 def test_modulus_curves_monotone_in_delta():

@@ -102,10 +102,33 @@ def conv_cases(draw):
     return x, y, w, np.array(s)
 
 
-@settings(max_examples=200)
-@given(case=conv_cases())
+@st.composite
+def lattice_conv_cases(draw):
+    """Points on a coarse lattice, masses on some of them and on other
+    lattice points, some masses twice, and scales that are lattice steps:
+    distances repeat within a block, some are zero, and some scaled ones
+    fall on profile support edges."""
+    d = draw(st.sampled_from([1, 2]))
+    step = draw(st.sampled_from([0.125, 0.3, 1.0]))
+    cells = st.integers(-6, 6)
+    x = draw(hnp.arrays(np.int64, (draw(st.integers(1, 30)), d), elements=cells)) * step
+    on = draw(st.lists(st.integers(0, len(x) - 1), max_size=8))
+    off = draw(hnp.arrays(np.int64, (draw(st.integers(0, 8)), d), elements=cells)) * step
+    y = np.vstack([x[on], off])
+    y = np.vstack([y, y[draw(st.lists(st.integers(0, max(len(y) - 1, 0)),
+                                      max_size=6 if len(y) else 0))]])
+    w = draw(hnp.arrays(np.float64, len(y), elements=st.floats(-2.0, 2.0)))
+    s = draw(st.lists(st.sampled_from([step, 2.0 * step, 0.5, 1.0])
+                      | st.floats(-3.0, math.log10(30.0)).map(lambda e: 10.0 ** e),
+                      min_size=1, max_size=6))
+    return x, y, w, np.array(s)
+
+
+@settings(max_examples=300)
+@given(case=conv_cases() | lattice_conv_cases())
 def test_conv_matches_block_loop(case, warm):
-    # the pair driver sums in the blocks the kernel's own loop used: same bits
+    # the pair driver sums in the blocks the kernel's own loop used, and each
+    # distinct distance's profile value is the pair-by-pair one: same bits
     x, y, w, s = case
     for prof in standard_family(x.shape[1]).profiles:
         got = _kernels.radial_conv_values(x, y, w, s, prof.values)
@@ -132,6 +155,22 @@ def test_kernels_match_block_loops_across_blocks(warm, rng):
             ref[lo:hi, j] = np.exp(d2 * -(1.0 / (4.0 * t[j]))) @ w
     ref *= (4.0 * np.pi * t) ** -0.5
     assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))
+
+
+def test_conv_matches_block_loop_on_lattice_across_blocks(warm, rng):
+    # lattice masses repeat distances within each 19-row block and across
+    # the two blocks, and 8 points sit on masses; a bump and a table profile
+    # (the test above has the Gaussian), same bits
+    y = rng.integers(-64, 64, (200_001, 1)) / 64.0
+    x = np.vstack([y[:8], rng.integers(-64, 64, (13, 1)) / 64.0])
+    w = rng.uniform(-1.0, 1.0, len(y))
+    s = np.array([1.0 / 64.0, 0.4])
+    for prof in standard_family(1).profiles:
+        if prof.name not in ("psi", "xi_band"):
+            continue
+        got = _kernels.radial_conv_values(x, y, w, s, prof.values)
+        ref = _block_loop_conv(x, y, w, s, prof.values)
+        assert np.array_equal(got.view(np.uint64), ref.view(np.uint64)), prof.name
 
 
 def test_empty_measure_returns_zeros():
