@@ -97,8 +97,10 @@ def _pair_sums(x, y, w, scale, block_terms, rows=None):
     positions in a zero-filled buffer of the full block, whose product with
     ``w`` is the dense one, so every wanted row equals the dense row bit for
     bit (a product over the wanted rows alone moves the last bits of many
-    of them).  Terms and their inputs stay bound until the next column's
-    are made: dropping them slowed the radial kernel (an allocator effect).
+    of them).  One buffer serves every block of a call: its wanted rows are
+    set back to 0.0 after each block.  Terms and their inputs stay bound
+    until the next column's are made: dropping them slowed the radial kernel
+    (an allocator effect).
     """
     x = np.ascontiguousarray(np.atleast_2d(np.asarray(x, dtype=np.float64)))
     y = np.ascontiguousarray(np.atleast_2d(np.asarray(y, dtype=np.float64)))
@@ -115,6 +117,8 @@ def _pair_sums(x, y, w, scale, block_terms, rows=None):
     out = np.zeros((n if rows is None else len(rows), len(factors)))
     if n and m:
         step = max(1, 4_000_000 // m)
+        if rows is not None and len(rows):
+            buf = np.zeros((min(n, step), m))
         for s in range(0, n, step):
             e = min(n, s + step)
             if rows is None:
@@ -125,14 +129,16 @@ def _pair_sums(x, y, w, scale, block_terms, rows=None):
                     continue
                 pick = rows[a:b]
                 local = pick - s
-                buf = np.zeros((e - s, m))
+                block = buf[:e - s]
             d2 = _sq_dists(x[pick], y)
             for j, terms in enumerate(block_terms(d2)):
                 if rows is None:
                     out[a:b, j] = terms @ w
                 else:
-                    buf[local] = terms
-                    out[a:b, j] = (buf @ w)[local]
+                    block[local] = terms
+                    out[a:b, j] = (block @ w)[local]
+            if rows is not None:
+                block[local] = 0.0
     out *= factors
     return out
 

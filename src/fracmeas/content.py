@@ -23,15 +23,20 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import gamma as _gamma
 
 from .measures import (Cube, DyadicLattice, _match_rows, _unique_rows, lattice_points,
                        unit_lattice)
 
 
 def ball_volume_constant(beta: float) -> float:
-    """omega_beta = pi^{beta/2} / Gamma(beta/2 + 1)."""
-    return math.pi ** (beta / 2.0) / _gamma(beta / 2.0 + 1.0)
+    """omega_beta = pi^{beta/2} / Gamma(beta/2 + 1).
+
+    ``scipy.special`` loads here, on first use, not with the module.  (Not
+    ``math.gamma``: it differs from scipy's in the last bits at some betas.)
+    """
+    from scipy.special import gamma
+
+    return math.pi ** (beta / 2.0) / gamma(beta / 2.0 + 1.0)
 
 
 # ---------------------------------------------------------------------------

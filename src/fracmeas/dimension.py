@@ -15,19 +15,20 @@ while an inflated one exhibits a low-dimensional mass concentration.  Full
 curves are always part of the report.
 
 The greedy capture holds its candidates as int64 arrays (level, index
-rows, masses, costs), sorted by decreasing density, then level, then
-index.  These tables depend on beta but not on the budget, so the estimate
-builds them once per beta and runs one scan per budget, linear in the
-candidates: a pick rules out its ancestors (an ancestor table) and its
-descendants (one slice of a tree preorder), and the scan reads forward
-windows that never look back, since a candidate passed over is dead or
-does not fit, and the budget spent only grows.
+rows, masses) with their tree (ancestors and a preorder), which depend on
+neither beta nor the budget: the estimate builds them once.  Per beta it
+sorts them by decreasing density, then level, then index, and runs one
+scan per budget, linear in the candidates: a pick rules out its ancestors
+(an ancestor table) and its descendants (one slice of the preorder), and
+the scan reads forward windows that never look back, since a candidate
+passed over is dead or does not fit, and the budget spent only grows.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -48,21 +49,32 @@ def _occupied_cubes(mu: GridMeasure, lattice: DyadicLattice,
             for k in range(min_level, max_level + 1)}
 
 
-def _capture_tables(occ, lattice: DyadicLattice, beta: float):
-    """The candidates of one beta in scan order with their tree,
-    ``(levels, indices, masses, costs, anc, coarsest, pos, picks)``.  ``pos``
-    is each one's place in the tree preorder (rows of ``anc`` sorted, -1
-    first); its subtree, itself included, fills as many places from there as
-    it occurs in ``anc``.  ``picks`` holds a pick's cost, mass, ancestor
-    column and subtree bounds as Python scalars."""
+class _CaptureTree(NamedTuple):
+    """The candidates of every beta, sorted by level and then index, with
+    their tree.  ``pos`` is each one's place in a tree preorder (rows of the
+    ancestor table sorted, -1 first); ``up[i, j]`` is the place of its
+    level-``lo + j`` ancestor, read only above its own level.  ``nodes``
+    holds each one's mass, ancestor column and subtree bounds (its place
+    and the place past its subtree) as Python scalars."""
+
+    lv: np.ndarray
+    ix: np.ndarray
+    mass: np.ndarray
+    lo: int
+    pos: np.ndarray
+    up: np.ndarray
+    nodes: list
+
+
+def _capture_tree(occ) -> _CaptureTree:
+    """The beta-independent part of the capture: candidates, parent match
+    (a missing parent raises ``ValueError``), ancestors and preorder."""
     levels = sorted(occ)
     lv = np.concatenate([np.full(len(occ[k][0]), k, dtype=np.int64) for k in levels])
     ix = np.vstack([occ[k][0] for k in levels])
     mass = np.concatenate([occ[k][1] for k in levels])
-    cost = np.concatenate([np.full(len(occ[k][0]), lattice.side(k) ** beta)
-                           for k in levels])
-    order = np.lexsort([*ix.T[::-1], lv, -(mass / cost)])
-    lv, ix, mass, cost = lv[order], ix[order], mass[order], cost[order]
+    base = np.lexsort([*ix.T[::-1], lv])
+    lv, ix, mass = lv[base], ix[base], mass[base]
     n, lo = len(lv), levels[0]
     parent = _match_rows(np.column_stack([lv, ix]), np.column_stack([lv - 1, ix >> 1]))
     if np.any(parent[lv > lo] < 0):
@@ -75,21 +87,34 @@ def _capture_tables(occ, lattice: DyadicLattice, beta: float):
     for k in range(levels[-1], lo - 1, -1):
         cur = np.where(lv > k, parent[cur], cur)
         anc[lv >= k, k - lo] = cur[lv >= k]
+    # any preorder keeps each subtree contiguous, which is all the scan needs
     pos = np.argsort(np.lexsort(anc.T[::-1]))
     end = pos + np.bincount(anc[anc >= 0], minlength=n)
-    picks = list(zip(cost.tolist(), mass.tolist(), (lv - lo).tolist(),
-                     pos.tolist(), end.tolist()))
-    return lv, ix, mass, cost, anc, lo, pos, picks
+    nodes = list(zip(mass.tolist(), (lv - lo).tolist(), pos.tolist(), end.tolist()))
+    return _CaptureTree(lv, ix, mass, lo, pos, pos[anc], nodes)
+
+
+def _capture_tables(tree: _CaptureTree, lattice: DyadicLattice, beta: float):
+    """The scan order of one beta, ``(tree, order, costs, pos, level_costs)``:
+    candidates by decreasing density, then level, then index (the tree's
+    order, kept by a stable sort), with their costs and preorder places in
+    that order; ``order`` is a list of tree rows, ``level_costs[j]`` the
+    cost of a level-``lo + j`` cube."""
+    level_costs = [lattice.side(k) ** beta
+                   for k in range(tree.lo, tree.lo + tree.up.shape[1])]
+    cost = np.array(level_costs)[tree.lv - tree.lo]
+    order = np.argsort(-(tree.mass / cost), kind="stable")
+    return tree, order.tolist(), cost[order], tree.pos[order], level_costs
 
 
 def _capture_scan(tables, delta: float):
     """One budget's greedy scan over ``_capture_tables`` output: the picked
-    positions, the captured mass and the budget spent.  Windows that double
+    tree rows, the captured mass and the budget spent.  Windows that double
     in size mark the candidates live and fitting at their start, each then
     tested again in order; one left out stays out, as ``spent`` only grows
     (float addition is monotone).  Liveness is kept by preorder place."""
-    lv, _, _, cost, anc, _, pos, picks = tables
-    n = len(lv)
+    tree, order, cost, pos, level_costs = tables
+    n = len(order)
     live = np.ones(n, dtype=bool)
     limit = delta * (1.0 + 1e-12)
     spent = captured = 0.0
@@ -99,13 +124,15 @@ def _capture_scan(tables, delta: float):
         stop = min(n, start + width)
         fits = live[pos[start:stop]] & (spent + cost[start:stop] <= limit)
         for s in (start + np.flatnonzero(fits)).tolist():
-            c, m, j, a, b = picks[s]
+            i = order[s]
+            m, j, a, b = tree.nodes[i]
+            c = level_costs[j]
             if live[a] and spent + c <= limit:
-                picked.append(s)
+                picked.append(i)
                 spent += c
                 captured += m
                 live[a:b] = False                # its subtree, itself included
-                live[pos[anc[s, :j]]] = False    # its ancestors
+                live[tree.up[i, :j]] = False     # its ancestors
         start, width = stop, 2 * width
     return picked, captured, spent
 
@@ -130,10 +157,9 @@ def greedy_mass_capture(mu: GridMeasure, lattice: DyadicLattice, beta: float,
         return CubeUnion.build(lattice, [], np.zeros((0, lattice.d))), 0.0, 0.0
     occ = candidates if candidates is not None else \
         _occupied_cubes(mu, lattice, min_level, max_level)
-    tables = _capture_tables(occ, lattice, beta)
-    picked, captured, spent = _capture_scan(tables, delta)
-    lv, ix = tables[:2]
-    return CubeUnion.build(lattice, lv[picked], ix[picked]), captured, spent
+    tree = _capture_tree(occ)
+    picked, captured, spent = _capture_scan(_capture_tables(tree, lattice, beta), delta)
+    return CubeUnion.build(lattice, tree.lv[picked], tree.ix[picked]), captured, spent
 
 
 @dataclass(frozen=True)
@@ -191,12 +217,13 @@ def lower_dim_estimate(mu: GridMeasure, lattice: DyadicLattice, betas,
     if np.any(deltas <= 0):
         raise ValueError("budget must be positive")
     occ = _occupied_cubes(mu, lattice, min_level, max_level)
+    tree = _capture_tree(occ)
     unit = lattice.l0
     spent_mat = np.zeros_like(curves)
     vacuous = []
     for i, beta in enumerate(betas):
         min_cost = min(lattice.side(k) ** beta for k in occ if len(occ[k][0]))
-        tables = _capture_tables(occ, lattice, beta)
+        tables = _capture_tables(tree, lattice, beta)
         for j, delta in enumerate(deltas):
             _, captured, spent = _capture_scan(tables, delta)
             curves[i, j] = captured / tv

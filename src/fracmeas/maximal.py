@@ -14,9 +14,10 @@ projectors (``lp_lowpass``, ``lp_band``, ``lp_apply_tilde``) reach them.
 Imported with this module, they and what they pull in (``scipy.optimize``,
 ``scipy.linalg``, ``scipy.sparse``) would cost every process, ``fracmeas
 verify`` included, about 0.3 s and 27 MB of start-up.  ``scipy.special``
-stays at module level: ``Profile.hat`` (d=2) and ``_quadrature_table``, the
-definition of the plateau tables shipped in ``radial_tables.npz``, need its
-Bessel function J0.
+likewise loads only in the d=2 branches of ``Profile.hat`` and
+``_quadrature_table`` (the definition of the plateau tables shipped in
+``radial_tables.npz``), which need its Bessel function J0; no ``fracmeas
+verify`` target calls either.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import j0 as _j0
 
 from . import _kernels
 from .heat import TGrid
@@ -109,6 +109,8 @@ def _quadrature_table(symbol_name: str, d: int):
         table = 2.0 * np.real(spec[:n_out])
         return np.arange(n_out) * dx, table
     if d == 2:
+        from scipy.special import j0
+
         dx = _TABLE_STEP[2]
         r_tab = 32.0
         n_quad = 8193
@@ -120,7 +122,7 @@ def _quadrature_table(symbol_name: str, d: int):
         chunk = 256
         for s in range(0, len(radii), chunk):
             e = min(len(radii), s + chunk)
-            table[s:e] = 2.0 * np.pi * (_j0(2.0 * np.pi * np.outer(radii[s:e], nodes)) @ fq)
+            table[s:e] = 2.0 * np.pi * (j0(2.0 * np.pi * np.outer(radii[s:e], nodes)) @ fq)
         return radii, table
     raise ValueError("radial tables implemented for d in {1, 2}")
 
@@ -233,7 +235,9 @@ class Profile:
         fr = self.values(r) * w
         if self.d == 1:
             return 2.0 * (np.cos(2.0 * np.pi * np.outer(rho, r)) @ fr)
-        return 2.0 * np.pi * (_j0(2.0 * np.pi * np.outer(rho, r)) @ (fr * r))
+        from scipy.special import j0
+
+        return 2.0 * np.pi * (j0(2.0 * np.pi * np.outer(rho, r)) @ (fr * r))
 
 
 def _axis_seminorm(profile_vals, dx, nu_der, nu_wt, x):

@@ -454,28 +454,45 @@ def frostman_constant(mu: GridMeasure, beta: float, radii) -> FrostmanCertificat
     pts = mu.points()
     absw = np.abs(mu.weights)
     centers = _probe_centers(mu)
+    n_r = len(radii)
+    by_size = np.argsort(radii, kind="stable")
+    r_sorted = radii[by_size]
+    grid_scale = np.power(radii, beta)
     best = (0.0, centers[0], r_lo)
     for s, e, d2 in pairwise_sq_dists(centers, pts, max(1, 2_000_000 // len(pts))):
-        dist = np.sqrt(d2)
+        dist = np.sqrt(d2, out=d2)
         order = np.argsort(dist, axis=1)
         dsort = np.take_along_axis(dist, order, axis=1)
-        csum = np.cumsum(np.take_along_axis(np.tile(absw, (e - s, 1)), order, axis=1), axis=1)
-        for i in range(e - s):
-            # critical radii: ratio jumps exactly when a ball gains a mass;
-            # clipping up to r_lo keeps the ball valid, but radii beyond r_hi
-            # must be dropped (their mass exceeds the r_hi ball's)
-            rc = np.maximum(dsort[i], r_lo)
-            ratios = np.where(dsort[i] <= r_hi, csum[i] / np.power(rc, beta), 0.0)
-            j = int(np.argmax(ratios))
-            if ratios[j] > best[0]:
-                best = (float(ratios[j]), centers[s + i], float(rc[j]))
-            # sampled grid radii on top (mass via searchsorted)
-            k = np.searchsorted(dsort[i], radii, side="right")
-            mass = np.where(k > 0, csum[i][np.maximum(k - 1, 0)], 0.0)
-            ratios_g = mass / np.power(radii, beta)
-            j = int(np.argmax(ratios_g))
-            if ratios_g[j] > best[0]:
-                best = (float(ratios_g[j]), centers[s + i], float(radii[j]))
+        csum = absw[order]
+        np.cumsum(csum, axis=1, out=csum)
+        del d2, dist, order              # hold few full blocks at a time
+        at = np.arange(e - s)
+        # sampled grid radii: count each row's points within each radius
+        # (a point lies within every radius from the first one >= its
+        # distance on), then read the mass off the sorted cumulative sums
+        cells = np.searchsorted(r_sorted, dsort)
+        cells += (n_r + 1) * at[:, None]
+        counts = np.bincount(cells.ravel(), minlength=(e - s) * (n_r + 1))
+        del cells
+        within = np.empty((e - s, n_r), dtype=np.int64)
+        within[:, by_size] = np.cumsum(counts.reshape(e - s, n_r + 1), axis=1)[:, :n_r]
+        mass = np.take_along_axis(csum, np.maximum(within - 1, 0), axis=1)
+        ratios_g = np.where(within > 0, mass, 0.0) / grid_scale
+        # critical radii: ratio jumps exactly when a ball gains a mass;
+        # clipping up to r_lo keeps the ball valid, but radii beyond r_hi
+        # must be dropped (their mass exceeds the r_hi ball's)
+        ratios = np.power(np.maximum(dsort, r_lo), beta)
+        np.divide(csum, ratios, out=ratios)
+        ratios[~(dsort <= r_hi)] = 0.0
+        # each row's first maximum, critical radii first, then the first
+        # row whose maximum beats the best so far (NaN never does)
+        jc, jg = np.argmax(ratios, axis=1), np.argmax(ratios_g, axis=1)
+        cand = np.column_stack([ratios[at, jc], ratios_g[at, jg]]).ravel()
+        q = int(np.argmax(np.where(np.isnan(cand), -np.inf, cand)))
+        if cand[q] > best[0]:
+            i, grid = divmod(q, 2)
+            r = float(radii[jg[i]]) if grid else max(float(dsort[i, jc[i]]), r_lo)
+            best = (float(cand[q]), centers[s + i], r)
     return FrostmanCertificate(exponent=beta, constant=best[0], radii=radii,
                                worst_center=best[1], worst_radius=best[2])
 

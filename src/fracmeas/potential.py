@@ -1,6 +1,10 @@
 """Riesz potentials, Lorentz rearrangement norms, the split heat-integral
 functional behind the strong-type inequality, and trace integrals.
 
+``scipy.special`` loads on first use, inside ``RieszConfig.gamma_alpha`` and
+``riesz_heat``: the ``fracmeas verify`` targets that never call them do not
+pay its start-up cost.
+
 Lorentz convention, fixed for every constant reported from this module:
 ``||f||_{p,1} = integral_0^inf t^{1/p - 1} f*(t) dt`` with f* the decreasing
 rearrangement weighted by cell volume (equals ``p * integral lambda_f(s)^{1/p}
@@ -13,7 +17,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import gamma as _gamma, gammainc, gammaincc
 
 from . import _kernels
 from .heat import TGrid
@@ -33,8 +36,10 @@ class RieszConfig:
 
     @property
     def gamma_alpha(self) -> float:
+        from scipy.special import gamma
+
         a, d = self.alpha, self.d
-        return math.pi ** (d / 2.0) * 2.0 ** a * _gamma(a / 2.0) / _gamma((d - a) / 2.0)
+        return math.pi ** (d / 2.0) * 2.0 ** a * gamma(a / 2.0) / gamma((d - a) / 2.0)
 
 
 def riesz_kernel(cfg: RieszConfig, mu: GridMeasure, points, rows=None) -> np.ndarray:
@@ -110,6 +115,8 @@ def riesz_heat(cfg: RieszConfig, mu: GridMeasure, points,
     masses).  The result is flagged when halving the node density moves the
     quadrature by more than ``rel_tol`` relative.
     """
+    from scipy.special import gamma, gammainc, gammaincc
+
     pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
     if mu.n_masses == 0:
         return RieszHeatResult(values=np.zeros(len(pts)), quad_error_est=0.0,
@@ -124,7 +131,7 @@ def riesz_heat(cfg: RieszConfig, mu: GridMeasure, points,
         r_hi = float(np.max(dists)) + mu.support_diameter() + mu.h
         tgrid = TGrid.build((r_lo / 8.0) ** 2, (8.0 * r_hi) ** 2, 32)
     a, d = cfg.alpha, cfg.d
-    ga2 = _gamma(a / 2.0)
+    ga2 = gamma(a / 2.0)
     field = _kernels.heat_values(pts, y, mu.weights, tgrid.nodes)
 
     def quad(sel):

@@ -182,34 +182,45 @@ _COLD_START = textwrap.dedent("""
     import json, os, sys
     out = sys.argv[1]
     from fracmeas import cli, io
+    from fracmeas.maximal import standard_family
     from fracmeas.measures import cantor_frostman
 
     def loaded(names):
         return [m for m in names if m in sys.modules]
 
-    heavy = ["scipy.fft", "scipy.interpolate", "scipy.optimize",
+    standard_family(1)
+    at_import = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+    heavy = ["scipy.special", "scipy.fft", "scipy.interpolate", "scipy.optimize",
              "scipy.linalg", "scipy.sparse"]
     rc = [cli.main(["--out", out, "verify", t]) for t in ("cor16", "thm18")]
     after_verify = loaded(heavy)
     csv = os.path.join(out, "cantor.csv")
     io.save_measure(cantor_frostman(5, 1.0)[0], csv)
+    rc.append(cli.main(["--out", out, "potential", "riesz", "--measure", csv,
+                        "--alpha", "0.5", "--n-points", "4"]))
+    after_riesz = loaded(heavy)
     rc.append(cli.main(["--out", out, "maximal", "lp", "--measure", csv, "--k", "3"]))
-    print(json.dumps({"rc": rc, "after_verify": after_verify,
+    print(json.dumps({"rc": rc, "at_import": at_import, "after_verify": after_verify,
+                      "after_riesz": after_riesz,
                       "after_lp": loaded(["scipy.fft", "scipy.interpolate"])}))
 """)
 
 
 def test_cold_start_loads_no_projector_modules(tmp_path):
-    # scipy.fft and scipy.interpolate (and, through them, scipy.optimize,
-    # linalg and sparse) serve only the frequency projectors, so a verify
-    # run must not load them; `maximal lp` must still find them
+    # importing the CLI and reading the plateau tables loads no scipy at all;
+    # scipy.special serves only the gamma and Bessel call sites (content,
+    # Riesz constants, d=2 quadrature), and scipy.fft and scipy.interpolate
+    # (and, through them, scipy.optimize, linalg and sparse) only the
+    # frequency projectors, so a verify run must load none of them, while
+    # `potential riesz` and `maximal lp` must still find theirs
     import fracmeas
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(fracmeas.__file__)))
     proc = subprocess.run([sys.executable, "-c", _COLD_START, str(tmp_path)],
                           env=env, capture_output=True, text=True, timeout=600)
     assert proc.returncode == 0, proc.stderr
     got = json.loads(proc.stdout.splitlines()[-1])
-    assert got == {"rc": [0, 0, 0], "after_verify": [],
+    assert got == {"rc": [0, 0, 0, 0], "at_import": [], "after_verify": [],
+                   "after_riesz": ["scipy.special"],
                    "after_lp": ["scipy.fft", "scipy.interpolate"]}
 
 

@@ -76,23 +76,27 @@ def _loop_scan(tables, delta):
     """The capture scan with one pass over all n candidates per pick to
     rule out its descendants, and a fit test over the whole rest of the
     scan order, O(n x picks): the reference."""
-    lv, _, mass, cost, anc, lo = tables[:6]
-    alive = np.ones(len(lv), dtype=bool)
+    tree, order, cost = tables[:3]
+    col = tree.lv - tree.lo
+    rank = np.argsort(order)                  # scan position of each tree row
+    row_at = np.argsort(tree.pos)             # tree row at each preorder place
+    alive = np.ones(len(order), dtype=bool)
     limit = delta * (1.0 + 1e-12)
     spent = captured = 0.0
     picked = []
     start = 0
-    while start < len(lv):
+    while start < len(order):
         fits = alive[start:] & (spent + cost[start:] <= limit)
         s = start + int(np.argmax(fits))
         if not fits[s - start]:
             break
-        picked.append(s)
+        i = order[s]
+        picked.append(i)
         spent += cost[s]
-        captured += mass[s]
-        j = lv[s] - lo
-        alive[anc[:, j] == s] = False
-        alive[anc[s, :j]] = False
+        captured += tree.mass[i]
+        j = col[i]
+        alive[rank[(col >= j) & (tree.up[:, j] == tree.pos[i])]] = False
+        alive[rank[row_at[tree.up[i, :j]]]] = False
         start = s + 1
     return picked, captured, spent
 
@@ -119,8 +123,9 @@ def test_scan_matches_loop_scan_on_deep_trees(case):
     occ = dimension._occupied_cubes(mu, lat, lo, hi)
     assert min(occ) == lo and max(occ) == hi
     deltas = 2.0 ** -np.arange(1, 13, dtype=np.float64)
+    tree = dimension._capture_tree(occ)
     for beta in BETAS * mu.d:
-        tables = dimension._capture_tables(occ, lat, beta)
+        tables = dimension._capture_tables(tree, lat, beta)
         for delta in deltas:
             picked, captured, spent = dimension._capture_scan(tables, delta)
             assert (picked, captured, spent) == _loop_scan(tables, delta)

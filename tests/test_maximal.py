@@ -126,6 +126,24 @@ def test_psi_hat_lower_bound(warm):
     assert np.all(psi.hat(xis) >= 1.0)
 
 
+@pytest.mark.parametrize("name", ["rho", "psi"])
+def test_bump_hat_2d_matches_lattice_sum(name):
+    # the d=2 transform (a J0 quadrature in the radius) against the direct
+    # 2-d sum h^2 sum_x values(|x|) cos(2 pi rho x_1) over a fine lattice,
+    # which converges fast for a smooth compactly supported bump
+    prof = standard_family(2, normalize=False)[name]
+    h = prof.support_radius / 200.0
+    axis = np.arange(-200, 201) * h
+    x1, x2 = np.meshgrid(axis, axis, indexing="ij")
+    vals = prof.values(np.hypot(x1, x2))
+    rhos = np.array([0.0, 0.35, 1.1, 2.5]) / prof.support_radius
+    direct = np.array([h * h * np.sum(vals * np.cos(2.0 * np.pi * r * x1))
+                       for r in rhos])
+    got = prof.hat(rhos)
+    assert np.allclose(got, direct, rtol=0.0, atol=1e-12 * abs(direct[0]))
+    assert abs(direct[-1]) > 1e-4 * abs(direct[0])      # not a vacuous check
+
+
 def test_symbols_plateaus():
     r = np.array([0.0, 0.3, 0.5, 0.7, 1.0, 1.5])
     low = lowpass_symbol(r)

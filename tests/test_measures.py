@@ -212,6 +212,64 @@ def test_frostman_constant_monotone_under_added_mass(d, data):
     assert (frostman_constant(more, beta, radii).constant
             >= frostman_constant(mu, beta, radii).constant)
 
+
+def _frostman_loop(mu, beta, radii):
+    """``frostman_constant`` written as a loop over probe centers: the
+    reference for the row-wise version (same probes, same first maximum,
+    critical radii before grid radii, center by center)."""
+    radii = np.asarray(radii, dtype=np.float64)
+    r_lo, r_hi = float(np.min(radii)), float(np.max(radii))
+    pts, absw = mu.points(), np.abs(mu.weights)
+    centers = measures._probe_centers(mu)
+    best = (0.0, centers[0], r_lo)
+    for i, c in enumerate(centers):
+        dist = np.sqrt(np.sum((pts - c) ** 2, axis=1))
+        order = np.argsort(dist)
+        dsort, csum = dist[order], np.cumsum(absw[order])
+        rc = np.maximum(dsort, r_lo)
+        ratios = np.where(dsort <= r_hi, csum / np.power(rc, beta), 0.0)
+        j = int(np.argmax(ratios))
+        if ratios[j] > best[0]:
+            best = (float(ratios[j]), centers[i], float(rc[j]))
+        k = np.searchsorted(dsort, radii, side="right")
+        mass = np.where(k > 0, csum[np.maximum(k - 1, 0)], 0.0)
+        ratios_g = mass / np.power(radii, beta)
+        j = int(np.argmax(ratios_g))
+        if ratios_g[j] > best[0]:
+            best = (float(ratios_g[j]), centers[i], float(radii[j]))
+    return best
+
+
+def _same_certificate(cert, ref):
+    assert (cert.constant, cert.worst_radius) == (ref[0], ref[2])
+    assert np.array_equal(cert.worst_center, ref[1])
+
+
+@settings(max_examples=80)
+@given(d=st.sampled_from([1, 2]), data=st.data())
+def test_frostman_constant_matches_center_loop(d, data):
+    # signed weights, unsorted radii with repeats, radii below, between and
+    # beyond the point distances: the certificate of the loop, bit for bit
+    idx = data.draw(st.lists(st.tuples(*[st.integers(-12, 12)] * d),
+                             min_size=1, max_size=20, unique=True))
+    w = data.draw(st.lists(st.floats(-10.0, 10.0).filter(lambda v: abs(v) > 1e-6),
+                           min_size=len(idx), max_size=len(idx)))
+    radii = data.draw(st.lists(st.floats(0.01, 20.0), min_size=1, max_size=12))
+    radii = radii + data.draw(st.lists(st.sampled_from(radii), max_size=3))
+    beta = data.draw(st.floats(0.05, float(d)))
+    mu = new_grid_measure(d, 0.25, [0.0] * d, idx, w)
+    _same_certificate(frostman_constant(mu, beta, radii),
+                      _frostman_loop(mu, beta, radii))
+
+
+def test_frostman_constant_matches_center_loop_over_blocks():
+    # 2048 points and about 4000 centers: the rows run in several blocks
+    mu, _ = cantor_frostman(11, 1.0)
+    radii = default_radius_grid(mu)[::-1]
+    _same_certificate(frostman_constant(mu, BETA0, radii),
+                      _frostman_loop(mu, BETA0, radii))
+
+
 # ---------------------------------------------------------------------------
 # curve measures
 # ---------------------------------------------------------------------------
