@@ -214,8 +214,10 @@ def rasterize_balls(F: BallFamily, lattice: DyadicLattice, level: int) -> CubeUn
         cells.append(idx[keep])
     if not cells:
         return CubeUnion.build(lattice, [], np.zeros((0, lattice.d)))
+    # distinct cells of one level are already a reduced union
     idx, _, _ = _unique_rows(np.vstack(cells))
-    return CubeUnion.build(lattice, np.full(len(idx), level), idx)
+    return CubeUnion(lattice=lattice, levels=np.full(len(idx), level, dtype=np.int64),
+                     indices=idx)
 
 
 def proof_constants(beta: float, d: int):
@@ -263,12 +265,14 @@ def regularized_cover(F: BallFamily, beta: float, lattice: DyadicLattice | None 
     """Dyadic cover of a ball union with per-ball comparable cube sizes.
 
     Starts from the exact dyadic-content optimizer's cover of the rasterized
-    union, then repeatedly picks a ball all of whose intersecting cubes are
-    smaller than c*r (largest radius first, lexicographic center tie-break),
-    removes those cubes, and adds the at most 2^d cubes of sidelength in
-    [4r, 8r) meeting the doubled ball.  Each swap strictly decreases the
-    total for beta < 1; a hard budget of ``budget_factor * |F|`` swaps guards
-    the loop and exhaustion raises (it indicates a bug, not an input).
+    union (or from ``initial_cover``, and then only the raster's content is
+    computed), then repeatedly picks a ball all of whose intersecting cubes
+    are smaller than c*r (largest radius first, lexicographic center
+    tie-break), removes those cubes, and adds the at most 2^d cubes of
+    sidelength in [4r, 8r) meeting the doubled ball.  Each swap strictly
+    decreases the total for beta < 1; a hard budget of ``budget_factor *
+    |F|`` swaps guards the loop and exhaustion raises (it indicates a bug,
+    not an input).
     """
     d = F.d
     if not (0 < beta < d):
@@ -290,9 +294,10 @@ def regularized_cover(F: BallFamily, beta: float, lattice: DyadicLattice | None 
     r_min = float(np.min(F.radii))
     cell_level = int(math.ceil(math.log2(lat.l0 / (r_min / 4.0))))
     raster = rasterize_balls(F, lat, cell_level)
-    raster_content, cover0 = dyadic_content_cover(raster, beta)
-    if initial_cover is not None:
-        cover0 = initial_cover
+    if initial_cover is None:
+        raster_content, cover0 = dyadic_content_cover(raster, beta)
+    else:
+        raster_content, cover0 = dyadic_content(raster, beta), initial_cover
     # the cover as distinct rows (level, index...) in lexicographic order
     rows, _, _ = _unique_rows(np.column_stack([cover0.levels, cover0.indices]))
     swaps = 0
@@ -421,7 +426,10 @@ def choquet_integral(cells, values, lattice: DyadicLattice, level: int,
     the sum ``sum_j (t_{j+1}-t_j) * content({f > t_j})`` with left endpoints
     converges to the integral from above as thresholds refine.  Thresholds
     default to 0 followed by ``n_thresholds`` geometric levels between the
-    smallest positive sample and the max.
+    smallest positive sample and the max; given ones must be nonnegative,
+    those above the max are dropped, and 0 and the max are always added.
+    The level sets shrink as t grows, so one with as many cells as the
+    previous one is that set, and its content is reused, not swept again.
     """
     values = np.asarray(values, dtype=np.float64).reshape(-1)
     cells = np.asarray(cells, dtype=np.int64).reshape(len(values), lattice.d)
@@ -445,17 +453,17 @@ def choquet_integral(cells, values, lattice: DyadicLattice, level: int,
             thresholds = np.concatenate([[0.0],
                                          np.geomspace(vmin, vmax, n_thresholds)])
     thresholds = np.asarray(thresholds, dtype=np.float64)
-    thresholds = np.unique(thresholds[thresholds <= vmax])
-    if thresholds[0] != 0.0:
-        thresholds = np.concatenate([[0.0], thresholds])
-    if thresholds[-1] < vmax:
-        thresholds = np.concatenate([thresholds, [vmax]])
+    if np.any(thresholds < 0):
+        raise ValueError("Choquet thresholds must be nonnegative")
+    thresholds = np.unique(np.concatenate([[0.0], thresholds[thresholds <= vmax], [vmax]]))
     total = 0.0
+    count, level_content = 0, 0.0
     for j in range(len(thresholds) - 1):
         t = thresholds[j]
         mask = values > t
-        if not np.any(mask):
-            continue
-        E = CubeUnion.build(lattice, np.full(int(np.sum(mask)), level), cells[mask])
-        total += (thresholds[j + 1] - t) * dyadic_content(E, beta)
+        n = int(np.count_nonzero(mask))
+        if n != count:
+            E = CubeUnion.build(lattice, np.full(n, level), cells[mask])
+            count, level_content = n, dyadic_content(E, beta)
+        total += (thresholds[j + 1] - t) * level_content
     return total

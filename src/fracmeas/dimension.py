@@ -284,17 +284,23 @@ def choquet_maximal_test(mu: GridMeasure, lattice: DyadicLattice, beta: float,
 
 def maximal_level_sums(cells, values, lattice: DyadicLattice, level: int,
                        beta: float, k_max: int = 60) -> np.ndarray:
-    """Partial sums of sum_k 2^-k H_beta({M >= 2^-k}) from a sampled field."""
+    """Partial sums of sum_k 2^-k H_beta({M >= 2^-k}) from a sampled field.
+
+    The level sets grow with k, so one with as many cells as the previous
+    one is that set, and its content is reused, not swept again.
+    """
     values = np.asarray(values, dtype=np.float64)
     cells = np.asarray(cells, dtype=np.int64)
     partial = np.zeros(k_max + 1)
     acc = 0.0
+    count, level_content = 0, 0.0
     for k in range(k_max + 1):
         mask = values >= 2.0 ** (-k)
-        if np.any(mask):
-            E = CubeUnion.build(lattice, np.full(int(mask.sum()), level),
-                                cells[mask])
-            acc += 2.0 ** (-k) * dyadic_content(E, beta)
+        n = int(np.count_nonzero(mask))
+        if n != count:
+            E = CubeUnion.build(lattice, np.full(n, level), cells[mask])
+            count, level_content = n, dyadic_content(E, beta)
+        acc += 2.0 ** (-k) * level_content
         partial[k] = acc
     return partial
 

@@ -126,7 +126,7 @@ def verify_thm14(alpha: float = 0.5, n_scales: int = 5, depth: int = 8,
     if not (d - atoms.LOG2_OVER_LOG3 < alpha < d):
         raise ValueError("alpha must lie in (d - beta, d)")
     cand, _ = atoms.make_frostman_atom(depth=depth)
-    nu, _ = measures.cantor_frostman(depth, 1.0)
+    nu = measures.cantor_measure(depth, 1.0)
     cfg = potential.RieszConfig(alpha=alpha, d=d)
     rows, traces, consts = [], [], []
     riesz_nodes = {"evaluated": [], "total": []}
@@ -169,7 +169,7 @@ def verify_thm15(n_scales: int = 5, depth: int = 8,
     beta = atoms.LOG2_OVER_LOG3
     alpha = d - beta
     cand, _ = atoms.make_frostman_atom(depth=depth)
-    nu, _ = measures.cantor_frostman(depth, 1.0)
+    nu = measures.cantor_measure(depth, 1.0)
     rows, traces, consts = [], [], []
     for j in range(n_scales):
         s = 2.0 ** (-j)
@@ -242,7 +242,7 @@ def verify_thm18(depth: int = 10, dirac_seed: int = 7) -> VerifyOutcome:
     beta0 = atoms.LOG2_OVER_LOG3
     leb = measures.lebesgue_sample(1, 2.0 ** -10)
     dir1 = measures.dirac(1, x=[float(rng.integers(1, 1023)) / 1024.0], h=2.0 ** -10)
-    can, _ = measures.cantor_frostman(depth, 1.0)
+    can = measures.cantor_measure(depth, 1.0)
     # probe down to the triadic construction scale 3^-depth/2, not below
     # (deeper cubes see bare atoms)
     j_can = int(math.floor(1.0 + depth * math.log2(3.0)))

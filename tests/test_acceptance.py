@@ -166,10 +166,21 @@ def _covers_raster(cov, raster):
     return bool(covered.all())
 
 
+def _mixed_start(raster, rng):
+    """A mixed-level cover of the raster: about a quarter of its cells moved
+    up to their ancestor one or two levels coarser, then reduced (coarser
+    moves leave the swap loop little to do)."""
+    level = int(raster.levels[0])
+    up = rng.integers(1, 3, raster.n_cubes) * (rng.random(raster.n_cubes) < 0.25)
+    up = np.minimum(up, level)
+    return content.CubeUnion.build(raster.lattice, raster.levels - up,
+                                   raster.indices >> up[:, None])
+
+
 def test_c08_covering_lemma():
     t0 = time.perf_counter()
     failures = 0
-    swaps = 0
+    swaps = mixed_swaps = 0
     beta = 0.5
     for seed in range(100):
         rng = np.random.default_rng(seed)
@@ -182,19 +193,28 @@ def test_c08_covering_lemma():
         # from the raw raster the swap loop has to do the regularizing
         raw = content.regularized_cover(F, beta, initial_cover=raster)
         swaps += raw.constants["swaps"]
+        # and from random mixed-level covers of it
+        start = _mixed_start(raster, rng)
+        mixed = content.regularized_cover(F, beta, initial_cover=start)
+        mixed_swaps += mixed.constants["swaps"]
         ok = (np.all(cov.witness_ratio >= cov.constants["c"])
               and np.all(raw.witness_ratio >= raw.constants["c"])
+              and np.all(mixed.witness_ratio >= mixed.constants["c"])
               and cov.total <= cov.constants["raster_content"] * (1 + 1e-12)
               and raw.total <= np.sum(raster.sides() ** beta)
-              and _covers_raster(cov, raster) and _covers_raster(raw, raster))
+              and mixed.total <= np.sum(start.sides() ** beta)
+              and mixed.constants["raster_content"] == cov.constants["raster_content"]
+              and _covers_raster(cov, raster) and _covers_raster(raw, raster)
+              and _covers_raster(mixed, raster))
         bc = content.ball_cover(F, beta)
         if np.any(bc.witness_ratio < -1e-9):
             ok = False
         failures += 0 if ok else 1
     el = time.perf_counter() - t0
-    _line(8, "covering regularization", failures == 0 and swaps > 0,
-          f"100 seeded families from two starts, {failures} failures, "
-          f"{swaps} swaps", el, 60)
+    _line(8, "covering regularization",
+          failures == 0 and swaps > 0 and mixed_swaps > 0,
+          f"100 seeded families from three starts, {failures} failures, "
+          f"{swaps} + {mixed_swaps} swaps (raster, mixed)", el, 60)
 
 
 def test_c09_choquet_layer_cake():

@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 from fracmeas import content, io
 from fracmeas.cli import main
-from fracmeas.measures import cantor_frostman, new_grid_measure, unit_lattice
+from fracmeas.measures import cantor_measure, new_grid_measure, unit_lattice
 
 
 def run(args):
@@ -68,7 +68,7 @@ def test_choquet_missing_field_exit_2(tmp_path, capsys):
 
 def test_measure_without_sidecar_exit_2(tmp_path, capsys):
     csv = str(tmp_path / "mu.csv")
-    io.save_measure(cantor_frostman(3, 1.0)[0], csv)
+    io.save_measure(cantor_measure(3, 1.0), csv)
     os.remove(csv + ".json")
     assert run(["--out", str(tmp_path), "heat", "--measure", csv]) == 2
     assert csv + ".json" in capsys.readouterr().err
@@ -76,7 +76,7 @@ def test_measure_without_sidecar_exit_2(tmp_path, capsys):
 
 def test_measure_columns_must_match_sidecar_exit_2(tmp_path, capsys):
     csv = str(tmp_path / "mu.csv")
-    io.save_measure(cantor_frostman(3, 1.0)[0], csv)
+    io.save_measure(cantor_measure(3, 1.0), csv)
     with open(csv + ".json") as fh:
         side = json.load(fh)
     side["dim"] = 2
@@ -89,7 +89,7 @@ def test_measure_columns_must_match_sidecar_exit_2(tmp_path, capsys):
 @pytest.mark.parametrize("key", ["dim", "spacing", "origin"])
 def test_measure_sidecar_missing_key_exit_2(tmp_path, capsys, key):
     csv = str(tmp_path / "mu.csv")
-    io.save_measure(cantor_frostman(3, 1.0)[0], csv)
+    io.save_measure(cantor_measure(3, 1.0), csv)
     with open(csv + ".json") as fh:
         side = json.load(fh)
     del side[key]
@@ -103,7 +103,7 @@ def test_measure_sidecar_missing_key_exit_2(tmp_path, capsys, key):
 def test_atom_check_window_too_wide_exit_2(tmp_path, capsys, t_lo, t_hi):
     # t_hi / t_lo overflows to inf, so the window has no finite node count
     csv = str(tmp_path / "mu.csv")
-    io.save_measure(cantor_frostman(3, 1.0)[0], csv)
+    io.save_measure(cantor_measure(3, 1.0), csv)
     assert run(["--out", str(tmp_path), "atom", "check", "--measure", csv,
                 "--beta", "0.5", "--t-lo", t_lo, "--t-hi", t_hi]) == 2
     assert "spans too many decades" in capsys.readouterr().err
@@ -111,7 +111,7 @@ def test_atom_check_window_too_wide_exit_2(tmp_path, capsys, t_lo, t_hi):
 
 def test_heat_command(tmp_path, warm):
     out = str(tmp_path)
-    mu, _ = cantor_frostman(3, 1.0)
+    mu = cantor_measure(3, 1.0)
     csv = os.path.join(out, "mu.csv")
     io.save_measure(mu, csv)
     assert run(["--out", out, "heat", "--measure", csv, "--npd", "4"]) == 0
@@ -147,7 +147,7 @@ def test_content_cover_real_family(tmp_path):
 
 def test_dim_estimate_command(tmp_path, warm):
     out = str(tmp_path)
-    mu, _ = cantor_frostman(6, 1.0)
+    mu = cantor_measure(6, 1.0)
     csv = os.path.join(out, "can.csv")
     io.save_measure(mu, csv)
     assert run(["--out", out, "dim", "estimate", "--measure", csv,
@@ -183,7 +183,7 @@ _COLD_START = textwrap.dedent("""
     out = sys.argv[1]
     from fracmeas import cli, io
     from fracmeas.maximal import standard_family
-    from fracmeas.measures import cantor_frostman
+    from fracmeas.measures import cantor_measure
 
     def loaded(names):
         return [m for m in names if m in sys.modules]
@@ -195,7 +195,7 @@ _COLD_START = textwrap.dedent("""
     rc = [cli.main(["--out", out, "verify", t]) for t in ("cor16", "thm18")]
     after_verify = loaded(heavy)
     csv = os.path.join(out, "cantor.csv")
-    io.save_measure(cantor_frostman(5, 1.0)[0], csv)
+    io.save_measure(cantor_measure(5, 1.0), csv)
     rc.append(cli.main(["--out", out, "potential", "riesz", "--measure", csv,
                         "--alpha", "0.5", "--n-points", "4"]))
     after_riesz = loaded(heavy)
@@ -359,7 +359,7 @@ def test_choquet_mixed_levels_exit_2(tmp_path, capsys):
 
 def test_measure_index_outside_int64_exit_2(tmp_path, capsys):
     csv = str(tmp_path / "mu.csv")
-    io.save_measure(cantor_frostman(3, 1.0)[0], csv)
+    io.save_measure(cantor_measure(3, 1.0), csv)
     with open(csv, "a") as fh:
         fh.write(f"{2 ** 63},1.0\n")
     assert run(["--out", str(tmp_path), "heat", "--measure", csv]) == 2

@@ -10,7 +10,7 @@ from fracmeas.content import (BallFamily, CubeUnion, ball_cover,
                               make_ball_family, proof_constants,
                               rasterize_balls, regularized_cover,
                               spherical_content_upper)
-from fracmeas.measures import cantor_frostman, unit_lattice
+from fracmeas.measures import cantor_measure, unit_lattice
 
 BETA0 = math.log(2) / math.log(3)
 
@@ -132,7 +132,7 @@ def test_cantor_snap_content_band():
     lat = unit_lattice(1)
     vals = {}
     for depth in (8, 10):
-        mu, _ = cantor_frostman(depth, 1.0)
+        mu = cantor_measure(depth, 1.0)
         lv = int(math.ceil(depth * math.log2(3.0))) + 1
         cells = np.unique(lat.index_of(mu.points(), lv), axis=0)
         E = CubeUnion.build(lat, np.full(len(cells), lv), cells)
@@ -351,3 +351,26 @@ def test_choquet_rejects_negative():
     lat = unit_lattice(1)
     with pytest.raises(ValueError):
         choquet_integral(np.array([[0]]), np.array([-1.0]), lat, 2, 0.5)
+
+
+def test_choquet_thresholds_above_max_are_zero_and_max():
+    # every given threshold lies above max f: the layer cake is [0, max f]
+    lat = unit_lattice(1)
+    cells = np.array([[0], [5], [11]])
+    f = np.array([1.0, 2.0, 0.5])
+    support = dyadic_content(CubeUnion.build(lat, [4, 4, 4], cells), 0.5)
+    got = choquet_integral(cells, f, lat, 4, 0.5, thresholds=[3.0, 7.0])
+    assert got == choquet_integral(cells, f, lat, 4, 0.5, thresholds=[0.0, 2.0])
+    assert got == 2.0 * support
+
+
+def test_choquet_rejects_negative_thresholds():
+    # a negative threshold would count the cells where f = 0: here [-1, 0.5]
+    # gave 1.375 for the exact 0.25
+    lat = unit_lattice(1)
+    cells = np.arange(16)[:, None]
+    f = np.zeros(16)
+    f[3] = 1.0
+    assert choquet_integral(cells, f, lat, 4, 0.5, thresholds=[0.0, 0.5]) == 0.25
+    with pytest.raises(ValueError):
+        choquet_integral(cells, f, lat, 4, 0.5, thresholds=[-1.0, 0.5])

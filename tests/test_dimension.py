@@ -8,7 +8,7 @@ from fracmeas.atoms import AtomCandidate, AtomicDecomposition, check_beta_atom, 
     make_frostman_atom
 from fracmeas.dimension import (atom_sum_dimension_check, choquet_maximal_test,
                                 greedy_mass_capture, lower_dim_estimate)
-from fracmeas.measures import (Cube, DyadicLattice, cantor_frostman, dirac,
+from fracmeas.measures import (Cube, DyadicLattice, cantor_measure, dirac,
                                lebesgue_sample, measure_sum, new_grid_measure,
                                unit_lattice)
 
@@ -63,7 +63,7 @@ def test_greedy_cantor_bands():
     # 1024 * 2^(-16 * 0.75) = 0.25, so that budget captures everything
     # (the greedy may do it cheaper with two-point cubes one level up)
     lat = unit_lattice(1)
-    can, _ = cantor_frostman(10, 1.0)
+    can = cantor_measure(10, 1.0)
     _, captured, spent = greedy_mass_capture(can, lat, 0.75, 0.2500001, 16)
     assert captured == pytest.approx(1.0)
     assert spent <= 1024 * 2.0 ** (-16 * 0.75) + 1e-9
@@ -116,7 +116,7 @@ def test_scan_matches_loop_scan_on_deep_trees(case):
     # levels 0-16 of the depth-10 Cantor measure, levels -2..8 of a planar
     # one: picks and both sums bit for bit, for every beta and budget
     if case == "cantor10":
-        mu, lat, lo, hi = cantor_frostman(10, 1.0)[0], unit_lattice(1), 0, 16
+        mu, lat, lo, hi = cantor_measure(10, 1.0), unit_lattice(1), 0, 16
     else:
         mu, lo, hi = _deep_2d_measure(), -2, 8
         lat = DyadicLattice(corner=np.full(2, -0.25), l0=1.0, d=2)
@@ -133,7 +133,7 @@ def test_scan_matches_loop_scan_on_deep_trees(case):
 
 def test_modulus_curves_monotone_in_delta():
     lat = unit_lattice(1)
-    can, _ = cantor_frostman(8, 1.0)
+    can = cantor_measure(8, 1.0)
     rep = lower_dim_estimate(can, lat, [0.4, BETA0, 0.8], cantor_levels(8))
     assert np.all(np.diff(rep.curves[:, ::-1], axis=1) >= -1e-12)
 
@@ -157,7 +157,7 @@ def test_beta_hat_cantor_depths():
     lat = unit_lattice(1)
     hats = {}
     for depth in (8, 10, 12):
-        can, _ = cantor_frostman(depth, 1.0)
+        can = cantor_measure(depth, 1.0)
         rep = lower_dim_estimate(can, lat, BETAS, max_level=cantor_levels(depth))
         hats[depth] = rep.beta_hat
         assert abs(rep.beta_hat - BETA0) <= 0.05
@@ -170,7 +170,7 @@ def test_beta_hat_zero_measure():
     rep = lower_dim_estimate(zero, lat, BETAS, max_level=8)
     assert rep.beta_hat == pytest.approx(1.0)
     # the report keys do not depend on the input
-    can, _ = cantor_frostman(3, 1.0)
+    can = cantor_measure(3, 1.0)
     keys = lower_dim_estimate(can, lat, BETAS, max_level=8).diagnostics.keys()
     assert rep.diagnostics.keys() == keys
     assert rep.diagnostics["min_level"] == 0
@@ -180,7 +180,7 @@ def test_beta_hat_zero_measure():
 
 def test_translation_invariance_exact():
     lat = unit_lattice(1)
-    can, _ = cantor_frostman(7, 1.0)
+    can = cantor_measure(7, 1.0)
     r1 = lower_dim_estimate(can, lat, [0.3, 0.6, 0.9], cantor_levels(7))
     r2 = lower_dim_estimate(can.translated([0.5]), lat, [0.3, 0.6, 0.9],
                             cantor_levels(7))

@@ -1,16 +1,16 @@
 """Properties of the array-encoded dyadic tree: cube-union reduction, exact
-dyadic content, greedy mass capture and the dimension estimate built on it,
-in d = 1 and 2 with cubes on both sides of the lattice corner (negative
-indices)."""
+dyadic content, the Choquet sweeps over level sets, greedy mass capture and
+the dimension estimate built on it, in d = 1 and 2 with cubes on both sides
+of the lattice corner (negative indices)."""
 
 import math
 
 import numpy as np
 from hypothesis import given, strategies as st
 
-from fracmeas.content import CubeUnion, dyadic_content
+from fracmeas.content import CubeUnion, choquet_integral, dyadic_content
 from fracmeas.dimension import (_occupied_cubes, greedy_mass_capture,
-                                lower_dim_estimate)
+                                lower_dim_estimate, maximal_level_sums)
 from fracmeas.measures import DyadicLattice, new_grid_measure
 
 
@@ -109,6 +109,60 @@ def test_content_of_one_cube_exact(d, level, data):
     got = dyadic_content(CubeUnion.build(_lattice(d), [level], [index]), beta)
     expect = (2.0 ** -level) ** beta
     assert abs(got - expect) <= 4 * np.spacing(expect)
+
+
+@st.composite
+def sampled_fields(draw):
+    """Samples of f >= 0 on cells of one level, with repeated values and
+    repeated cells (a repeat keeps the cube once, whatever its values)."""
+    d = draw(st.sampled_from([1, 2]))
+    level = draw(st.integers(1, 4))
+    span = 2 ** (level - 1)
+    n = draw(st.integers(1, 25))
+    cells = [[draw(st.integers(-span, span - 1)) for _ in range(d)] for _ in range(n)]
+    values = [draw(st.sampled_from([0.0, 2.0 ** -6, 0.125, 0.25, 0.375, 1.0, 1.5]))
+              for _ in range(n)]
+    return (d, level, np.array(cells, dtype=np.int64).reshape(n, d),
+            np.array(values))
+
+
+def _level_content(d, level, cells, mask, beta):
+    E = CubeUnion.build(_lattice(d), np.full(int(mask.sum()), level), cells[mask])
+    return dyadic_content(E, beta)
+
+
+@given(sampled_fields(), st.floats(0.05, 1.0),
+       st.lists(st.sampled_from(np.arange(0.0, 2.0, 1.0 / 16).tolist()), max_size=12))
+def test_choquet_matches_sweep_per_threshold(field, frac, given_thresholds):
+    # a level set repeated by the next threshold is not swept again; the sum
+    # must equal one sweep per threshold, bit for bit
+    d, level, cells, values = field
+    beta = frac * d
+    got = choquet_integral(cells, values, _lattice(d), level, beta,
+                           thresholds=given_thresholds)
+    vmax = float(np.max(values))
+    if vmax == 0.0:
+        assert got == 0.0
+        return
+    ts = sorted({0.0, vmax, *(t for t in given_thresholds if t <= vmax)})
+    want = 0.0
+    for t, t_next in zip(ts[:-1], ts[1:]):
+        want += (t_next - t) * _level_content(d, level, cells, values > t, beta)
+    assert got == want
+
+
+@given(sampled_fields(), st.floats(0.05, 1.0), st.integers(0, 8))
+def test_maximal_level_sums_match_sweep_per_level(field, frac, k_max):
+    d, level, cells, values = field
+    beta = frac * d
+    got = maximal_level_sums(cells, values, _lattice(d), level, beta, k_max=k_max)
+    want, acc = [], 0.0
+    for k in range(k_max + 1):
+        mask = values >= 2.0 ** -k
+        if np.any(mask):
+            acc += 2.0 ** -k * _level_content(d, level, cells, mask, beta)
+        want.append(acc)
+    assert got.tolist() == want
 
 @st.composite
 def measures(draw):

@@ -11,7 +11,7 @@ from fracmeas.maximal import (anti_local_maximal, band_symbol, decay_fit,
                               dyadic_maximal, grand_maximal, lowpass_symbol,
                               lp_apply_tilde, lp_band, lp_lowpass,
                               standard_family, truncated_dyadic_maximal)
-from fracmeas.measures import (SampledField, cantor_frostman, dirac, lebesgue_sample,
+from fracmeas.measures import (SampledField, cantor_measure, dirac, lebesgue_sample,
                                new_grid_measure, unit_lattice)
 
 BETA0 = math.log(2) / math.log(3)
@@ -193,7 +193,7 @@ def test_dyadic_far_point_zero():
 
 def test_truncated_matches_and_bounds(warm):
     lat = unit_lattice(1)
-    mu, _ = cantor_frostman(5, 1.0)
+    mu = cantor_measure(5, 1.0)
     pts = np.linspace(0, 0.5, 21)[:, None]
     full = dyadic_maximal(mu, lat, 1 - 0.5, pts, 0, 10)
     trunc = truncated_dyadic_maximal(mu, lat, 1 - 0.5, 2 ** -10, pts, 0, 10)
@@ -224,7 +224,7 @@ def test_grand_zero_measure(warm):
 
 def test_grand_gauss_only_reproduces_heat_sup(warm):
     # t <-> s^2 convention map, unnormalized family
-    mu, _ = cantor_frostman(5, 1.0)
+    mu = cantor_measure(5, 1.0)
     fam = standard_family(1, normalize=False).subset(["gauss"])
     tg = TGrid.for_measure(mu, 16)
     pts = np.linspace(-0.5, 1.0, 31)[:, None]
@@ -236,7 +236,7 @@ def test_grand_gauss_only_reproduces_heat_sup(warm):
 
 
 def test_grand_monotone_in_family(warm):
-    mu, _ = cantor_frostman(4, 1.0)
+    mu = cantor_measure(4, 1.0)
     tg = TGrid.for_measure(mu, 12)
     pts = np.linspace(0, 0.5, 11)[:, None]
     fam = standard_family(1)
@@ -268,7 +268,7 @@ def test_maximal_sublinear(warm):
 
 
 def test_anti_local_reduces_to_grand(warm):
-    mu, _ = cantor_frostman(4, 1.0)
+    mu = cantor_measure(4, 1.0)
     fam = standard_family(1)
     tg = TGrid.for_measure(mu, 12)
     pts = np.linspace(0, 0.5, 9)[:, None]
@@ -328,7 +328,7 @@ def test_anti_local_claim_on_seeded_instances(warm):
 # ---------------------------------------------------------------------------
 
 def test_lowpass_mean_preservation(warm):
-    mu, _ = cantor_frostman(4, 1.0)
+    mu = cantor_measure(4, 1.0)
     for k in (0, 2):
         lp = lp_lowpass(mu, k)
         assert abs(lp.grid_sum() - mu.total_mass()) <= 1e-6
@@ -419,7 +419,7 @@ def test_grand_tail_exponent(warm):
 def test_dyadic_scaling_under_dilation(warm):
     # lattice-aligned mass-preserving dilation shifts levels by log2(l)
     lat = unit_lattice(1)
-    mu, _ = cantor_frostman(4, 1.0)
+    mu = cantor_measure(4, 1.0)
     dil = mu.dilated(0.5, [0.0])
     pts = mu.points()[:5]
     v = dyadic_maximal(mu, lat, 1 - BETA0, pts, 0, 9).values

@@ -6,10 +6,11 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from fracmeas import measures
-from fracmeas.measures import (GridMeasure, cantor_frostman, curve_measure,
-                               default_radius_grid, dirac, frostman_constant,
-                               lebesgue_sample, measure_of_cube, measure_sum,
-                               new_grid_measure, unit_lattice)
+from fracmeas.measures import (GridMeasure, cantor_frostman, cantor_measure,
+                               curve_measure, default_radius_grid, dirac,
+                               frostman_constant, lebesgue_sample,
+                               measure_of_cube, measure_sum, new_grid_measure,
+                               unit_lattice)
 
 BETA0 = math.log(2) / math.log(3)
 
@@ -120,11 +121,16 @@ def test_cantor_construction():
     assert np.all(mu.weights == 0.5)
     assert mu.total_mass() == 1.0
     assert cert.exponent == pytest.approx(BETA0)
+    # the certificate comes on top of cantor_measure's measure
+    plain = cantor_measure(1, 1.0)
+    assert np.array_equal(plain.indices, mu.indices)
+    assert np.array_equal(plain.weights, mu.weights)
+    assert (plain.h, plain.name) == (mu.h, mu.name)
 
 
 def test_cantor_mass_exact():
     for depth in (3, 7, 10):
-        mu, _ = cantor_frostman(depth, 1.0)
+        mu = cantor_measure(depth, 1.0)
         assert mu.total_mass() == 1.0          # binary splitting, exact
         assert mu.n_masses == 2 ** depth
     zero, cert = cantor_frostman(8, 0.0)
@@ -155,7 +161,7 @@ def test_cantor_frostman_stable_in_depth():
 
 def test_difference_atom_tv_at_half_mass():
     # a = mu - translate(mu) with each piece of mass 1/2 has variation 1
-    mu, _ = cantor_frostman(6, 0.5)
+    mu = cantor_measure(6, 0.5)
     a = measure_sum([mu, mu.translated([0.5]).scaled(-1.0)])
     assert a.total_variation() == pytest.approx(1.0, rel=1e-14)
     assert a.total_mass() == 0.0
@@ -264,7 +270,7 @@ def test_frostman_constant_matches_center_loop(d, data):
 
 def test_frostman_constant_matches_center_loop_over_blocks():
     # 2048 points and about 4000 centers: the rows run in several blocks
-    mu, _ = cantor_frostman(11, 1.0)
+    mu = cantor_measure(11, 1.0)
     radii = default_radius_grid(mu)[::-1]
     _same_certificate(frostman_constant(mu, BETA0, radii),
                       _frostman_loop(mu, BETA0, radii))
@@ -326,14 +332,14 @@ def test_circle_component_variation():
 # ---------------------------------------------------------------------------
 
 def test_translate_exact_on_lattice():
-    mu, _ = cantor_frostman(4, 1.0)
+    mu = cantor_measure(4, 1.0)
     shifted = mu.translated([0.5])
     assert np.array_equal(shifted.indices, mu.indices + int(round(0.5 / mu.h)))
     assert shifted.origin[0] == mu.origin[0]
 
 
 def test_dilated_mass_preserving():
-    mu, _ = cantor_frostman(4, 1.0)
+    mu = cantor_measure(4, 1.0)
     dil = mu.dilated(0.25, [0.0])
     assert dil.total_mass() == mu.total_mass()
     assert np.allclose(dil.points(), mu.points() * 0.25)
@@ -408,3 +414,27 @@ def test_stencil_names_every_node_interpolation_reads(d, data):
                                 values=sparse).interpolate(pts)
     ref = fld.interpolate(pts)
     assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))
+
+
+_BIG = 2 ** 62
+
+
+@pytest.mark.parametrize("rows", [
+    *[np.random.default_rng(w).integers(-3, 4, (40, w)) for w in (1, 2, 3, 4)],
+    np.zeros((0, 3), dtype=np.int64),
+    np.array([[5, -1], [5, -1], [5, -1]]),
+    # spans near 2^63 per column: one sort key per column
+    np.array([[_BIG - 1, -_BIG + 1, 0], [-_BIG + 1, _BIG - 1, 0],
+              [_BIG - 1, -_BIG + 1, 0], [-_BIG + 1, -_BIG + 1, 1]]),
+    # spans past 2^63: the column is its own key, unshifted
+    np.array([[2 ** 63 - 1, 3], [-2 ** 63, 3], [0, -2], [2 ** 63 - 1, 3]]),
+    np.random.default_rng(9).integers(-_BIG, _BIG, (30, 3)) // 7 * 7,
+], ids=["w1", "w2", "w3", "w4", "empty", "repeated", "near_2_62", "full_int64",
+        "wide_random"])
+def test_unique_rows_matches_np_unique(rows):
+    rows = np.asarray(rows, dtype=np.int64)
+    want = np.unique(rows, axis=0, return_index=True, return_inverse=True)
+    got = measures._unique_rows(rows)
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype and g.shape == w.shape
+        assert np.array_equal(g, w)

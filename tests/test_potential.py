@@ -9,7 +9,7 @@ from scipy.spatial import cKDTree
 from fracmeas import potential
 from fracmeas.atoms import AtomCandidate, make_frostman_atom
 from fracmeas.maximal import decay_fit
-from fracmeas.measures import (Cube, SampledField, cantor_frostman, dirac,
+from fracmeas.measures import (Cube, SampledField, cantor_measure, dirac,
                                lattice_points, new_grid_measure)
 from fracmeas.potential import (RieszConfig, heat_besov_functional,
                                 lorentz_norm, riesz_field, riesz_heat,
@@ -69,7 +69,7 @@ def test_heat_route_matches_kernel(warm):
 
 def test_routes_agree_for_spread_measure(warm):
     # agreement holds away from the support (>= 10h) for general measures
-    mu, _ = cantor_frostman(5, 1.0)
+    mu = cantor_measure(5, 1.0)
     cfg = RieszConfig(alpha=0.5, d=1)
     pts = np.linspace(0.75, 3.0, 9)[:, None]
     k = riesz_kernel(cfg, mu, pts)
@@ -180,7 +180,7 @@ def test_besov_alpha_guard():
 # ---------------------------------------------------------------------------
 
 def test_trace_constant_field():
-    nu, _ = cantor_frostman(5, 1.0)
+    nu = cantor_measure(5, 1.0)
     fld = SampledField(origin=np.array([-1.0]), spacing=0.01,
                        values=np.ones(300))
     assert trace_integral(fld, nu) == pytest.approx(nu.total_mass())
@@ -231,7 +231,7 @@ def test_riesz_field_interpolates(warm):
     cand, _ = make_frostman_atom(depth=4)
     cfg = RieszConfig(alpha=0.5, d=1)
     fld = riesz_field(cfg, cand.measure, [-0.5 + 0.2371 * 0.01], 0.01, [200])
-    nu, _ = cantor_frostman(4, 1.0)
+    nu = cantor_measure(4, 1.0)
     tr = trace_integral(fld, nu)
     assert math.isfinite(tr) and tr > 0
 
@@ -341,7 +341,7 @@ def test_riesz_field_at_evaluates_the_read_nodes(warm):
     # the nodes read by the trace hold the full field's bits, the rest NaN
     cand, _ = make_frostman_atom(depth=4)
     cfg = RieszConfig(alpha=0.5, d=1)
-    nu, _ = cantor_frostman(4, 1.0)
+    nu = cantor_measure(4, 1.0)
     grid = (cfg, cand.measure, [-0.5 + 0.2371 * 0.01], 0.01, [200])
     full = riesz_field(*grid)
     part = riesz_field(*grid, at=nu.points())
