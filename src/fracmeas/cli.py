@@ -1,9 +1,12 @@
 """Command-line frontend: config-driven experiment runner.
 
 Exit codes: 0 all declared checks pass, 1 a check failed (the failing
-invariant is named on stderr), 2 usage or config errors.  Every run writes a
-JSON summary embedding the tool version, the resolved config and its hash,
-and all logged constants; data goes to CSV.  Reruns with one seed produce
+invariant is named on stderr), 2 usage or config errors.  Each subcommand
+registers only the flags it reads, so any other flag is a usage error; a
+``verify`` target's flags and their defaults are its verifier's parameters.
+Every run writes a JSON summary embedding the tool version, the config (every
+flag the run parsed, with ``command`` naming the report) and its hash, and
+all logged constants; data goes to CSV.  Reruns with one seed produce
 byte-identical CSVs.  Only the output directory may come from the
 environment (``FRACMEAS_OUT``).
 """
@@ -11,6 +14,7 @@ environment (``FRACMEAS_OUT``).
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import math
 import os
@@ -20,6 +24,9 @@ import numpy as np
 
 from . import atoms, content, dimension, heat, io, maximal, measures, potential
 from .verify import VERIFIERS
+
+# verifier parameter -> the flag that sets it
+_VERIFY_FLAGS = {"alpha": "--alpha", "n_scales": "--scales", "depth": "--depth"}
 
 
 def _fail(msg: str, code: int = 2):
@@ -32,14 +39,11 @@ def _outdir(args) -> str:
     return io.ensure_dir(out)
 
 
-def _report(args, name: str, results: dict, constants: dict | None = None,
-            config: dict | None = None) -> str:
-    out = _outdir(args)
-    cfg = dict(config or {})
-    cfg.setdefault("command", name)
-    if getattr(args, "seed", None) is not None:
-        cfg.setdefault("seed", args.seed)
-    path = os.path.join(out, f"{name}.json")
+def _report(args, name: str, results: dict, constants: dict | None = None) -> str:
+    """Write ``<name>.json``; its config is every flag the run parsed."""
+    cfg = {k: v for k, v in vars(args).items() if k not in ("out", "config", "func")}
+    cfg["command"] = name
+    path = os.path.join(_outdir(args), f"{name}.json")
     io.write_report(path, cfg, results, constants)
     return path
 
@@ -56,36 +60,31 @@ def cmd_atom_gen(args) -> int:
     elif args.kind == "linf":
         cand = atoms.make_linf_atom(1, args.depth)
         info = {"resolution": args.depth}
-    elif args.kind == "loop":
+    else:
         from .verify import square_loop
         cand, info = atoms.make_loop_atom(square_loop(args.depth), args.component,
                                           h=1.0 / (2.0 * args.depth))
-    else:
-        _fail(f"unknown atom kind {args.kind}")
     path = os.path.join(out, f"atom_{args.kind}.csv")
     io.save_measure(cand.measure, path)
     _report(args, f"atom_gen_{args.kind}",
             {"measure_csv": path, "beta": cand.beta,
              "cube_corner": [float(v) for v in cand.cube.corner],
-             "cube_side": cand.side, "build": info},
-            config={"kind": args.kind, "depth": args.depth, "beta": args.beta})
+             "cube_side": cand.side, "build": info})
     return 0
 
 
 def cmd_atom_check(args) -> int:
+    if (args.t_lo is None) != (args.t_hi is None):
+        given, missing = ("--t-lo", "--t-hi") if args.t_hi is None else ("--t-hi", "--t-lo")
+        _fail(f"{given} needs {missing}: a time window takes both bounds")
     mu = io.load_measure(args.measure)
     corner = np.array(args.cube_corner or [0.0] * mu.d)
     cand = atoms.AtomCandidate(measure=mu,
                                cube=measures.Cube(corner=corner, side=args.cube_side),
                                beta=args.beta)
-    tg = None
-    if args.t_lo is not None and args.t_hi is not None:
-        tg = heat.TGrid.build(args.t_lo, args.t_hi, args.npd)
+    tg = None if args.t_lo is None else heat.TGrid.build(args.t_lo, args.t_hi, args.npd)
     cert = atoms.check_beta_atom(cand, tgrid=tg)
-    _report(args, "atom_check", cert.to_dict(),
-            config={"measure": args.measure, "beta": args.beta,
-                    "cube_side": args.cube_side,
-                    "t_lo": args.t_lo, "t_hi": args.t_hi})
+    _report(args, "atom_check", cert.to_dict())
     if not cert.all_pass:
         failing = [k for k, v in cert.passes.items() if not v]
         print(f"atom check FAILED conditions: {failing}", file=sys.stderr)
@@ -110,8 +109,7 @@ def cmd_heat(args) -> int:
     tv = mu.total_variation()
     ok = worst <= 1e-6 * max(tv, 1e-300)
     _report(args, "heat", {"mass_conservation_residual": worst,
-                           "total_variation": tv, "pass": ok},
-            config={"measure": args.measure, "npd": args.npd})
+                           "total_variation": tv, "pass": ok})
     if not ok:
         print("heat mass conservation FAILED", file=sys.stderr)
         return 1
@@ -138,8 +136,7 @@ def cmd_potential_riesz(args) -> int:
     ok = rel <= args.tol and not hres.flagged
     _report(args, "potential_riesz",
             {"max_rel_gap": rel, "quad_error_est": hres.quad_error_est,
-             "flagged": hres.flagged, "pass": ok},
-            config={"measure": args.measure, "alpha": args.alpha, "tol": args.tol})
+             "flagged": hres.flagged, "pass": ok})
     if not ok:
         print("riesz route equivalence FAILED", file=sys.stderr)
         return 1
@@ -157,16 +154,8 @@ def cmd_potential_besov(args) -> int:
             {"total": res.total, "below_split": res.below_split,
              "above_split": res.above_split, "tail_estimate": res.tail_estimate,
              "p": res.p, "split_t": res.split_t, "flagged": res.flagged,
-             "label": "heat-integral functional (upper-bound surface)"},
-            config={"measure": args.measure, "alpha": args.alpha,
-                    "beta": args.beta, "cube_side": args.cube_side})
+             "label": "heat-integral functional (upper-bound surface)"})
     return 1 if res.flagged else 0
-
-
-def cmd_potential_trace(args) -> int:
-    outcome = VERIFIERS["thm14"](alpha=args.alpha, n_scales=args.scales,
-                                 depth=args.depth)
-    return _emit_outcome(args, outcome, "potential_trace")
 
 
 def cmd_maximal(args) -> int:
@@ -182,21 +171,17 @@ def cmd_maximal(args) -> int:
         else:
             fld = maximal.dyadic_maximal(mu, lat, args.gamma, pts,
                                          args.k_min, args.k_max)
-    elif args.variant in ("grand", "antilocal"):
+    else:
         fam = maximal.standard_family(mu.d)
         tg = heat.TGrid.for_measure(mu, nodes_per_decade=args.npd)
         if args.variant == "antilocal":
             fld = maximal.anti_local_maximal(mu, fam, args.gamma, args.rho, pts, tg)
         else:
             fld = maximal.grand_maximal(mu, fam, args.gamma, pts, tg)
-    else:
-        _fail(f"unknown maximal variant {args.variant}")
     io.save_maximal_field(fld, os.path.join(out, f"maximal_{args.variant}.csv"))
     _report(args, f"maximal_{args.variant}",
             {"max_value": float(np.max(fld.values)), "n_points": len(pts),
-             "convention": fld.convention},
-            config={"measure": args.measure, "variant": args.variant,
-                    "gamma": args.gamma})
+             "convention": fld.convention})
     return 0
 
 
@@ -213,8 +198,7 @@ def cmd_maximal_lp(args) -> int:
                  [list(p) + [v] for p, v in zip(fld.points(), fld.values.ravel())])
     _report(args, f"lp_{name}",
             {"k": args.k, "grid_sum": fld.grid_sum(),
-             "measure_mass": mu.total_mass()},
-            config={"measure": args.measure, "k": args.k, "band": args.band})
+             "measure_mass": mu.total_mass()})
     return 0
 
 
@@ -225,120 +209,90 @@ def _load_balls(path: str) -> content.BallFamily | None:
     return content.make_ball_family(data[:, :-1], data[:, -1])
 
 
-def cmd_content(args) -> int:
+def cmd_content_cover(args) -> int:
     out = _outdir(args)
-    if args.action == "cover":
-        F = _load_balls(args.balls)
-        if F is None:
-            io.write_csv(os.path.join(out, "cover.csv"),
-                         ["type", "corner0", "size", "witness_ball_id"], [])
-            _report(args, "content_cover",
-                    {"n_elements": 0, "total": 0.0, "empty_input": True},
-                    config={"balls": args.balls, "beta": args.beta})
-            return 0
-        cov = content.regularized_cover(F, args.beta)
-        io.save_cover(cov, os.path.join(out, "cover.csv"))
-        ok = bool(np.all(cov.witness_ratio >= cov.constants["c"] - 1e-12))
+    F = _load_balls(args.balls)
+    if F is None:
+        io.write_csv(os.path.join(out, "cover.csv"),
+                     ["type", "corner0", "size", "witness_ball_id"], [])
         _report(args, "content_cover",
-                {"n_elements": cov.n_elements, "total": cov.total,
-                 "witness_min_ratio": float(np.min(cov.witness_ratio)),
-                 "pass": ok},
-                constants=cov.constants,
-                config={"balls": args.balls, "beta": args.beta})
-        if not ok:
-            print("cover postcondition FAILED (witness ratio below c)",
-                  file=sys.stderr)
-            return 1
+                {"n_elements": 0, "total": 0.0, "empty_input": True})
         return 0
-    if args.action == "value":
-        F = _load_balls(args.balls)
-        if F is None:
-            val, upper = 0.0, 0.0
-        else:
-            lat = measures.unit_lattice(F.d)
-            r_min = float(np.min(F.radii))
-            lvl = int(math.ceil(math.log2(1.0 / (r_min / 4.0))))
-            raster = content.rasterize_balls(F, lat, lvl)
-            val = content.dyadic_content(raster, args.beta)
-            upper = content.spherical_content_upper(F, args.beta)
-        _report(args, "content_value",
-                {"dyadic_content": val, "spherical_upper": upper},
-                config={"balls": args.balls, "beta": args.beta})
-        return 0
-    if args.action == "choquet":
-        keys, values = io.read_csv_rows(args.field, indexed=True)
-        if keys.shape[1] < 2:
-            _fail(f"{args.field}: a field needs a level, at least one index "
-                  "and a value in every row")
-        if len(keys) == 0:
-            _report(args, "content_choquet", {"value": 0.0},
-                    config={"field": args.field, "beta": args.beta})
-            return 0
-        levels = np.unique(keys[:, 0]).tolist()
-        if len(levels) > 1:
-            _fail(f"{args.field}: rows at levels {levels}; a field has one level")
-        lat = measures.unit_lattice(keys.shape[1] - 1)
-        val = content.choquet_integral(keys[:, 1:], values[:, 0], lat,
-                                       levels[0], args.beta)
-        _report(args, "content_choquet", {"value": val},
-                config={"field": args.field, "beta": args.beta})
-        return 0
-    _fail(f"unknown content action {args.action}")
+    cov = content.regularized_cover(F, args.beta)
+    io.save_cover(cov, os.path.join(out, "cover.csv"))
+    ok = bool(np.all(cov.witness_ratio >= cov.constants["c"] - 1e-12))
+    _report(args, "content_cover",
+            {"n_elements": cov.n_elements, "total": cov.total,
+             "witness_min_ratio": float(np.min(cov.witness_ratio)), "pass": ok},
+            constants=cov.constants)
+    if not ok:
+        print("cover postcondition FAILED (witness ratio below c)", file=sys.stderr)
+        return 1
+    return 0
 
 
-def cmd_dim(args) -> int:
-    out = _outdir(args)
-    if args.action == "estimate":
-        mu = io.load_measure(args.measure)
-        lat = measures.unit_lattice(mu.d)
-        betas = np.round(np.arange(args.beta_step, mu.d + 1e-9, args.beta_step), 6)
-        rep = dimension.lower_dim_estimate(mu, lat, betas, max_level=args.depth)
-        io.save_modulus_curves(rep, os.path.join(out, "modulus_curves.csv"))
-        _report(args, "dim_estimate", rep.to_dict(),
-                config={"measure": args.measure, "depth": args.depth,
-                        "beta_step": args.beta_step})
+def cmd_content_value(args) -> int:
+    F = _load_balls(args.balls)
+    if F is None:
+        val, upper = 0.0, 0.0
+    else:
+        lat = measures.unit_lattice(F.d)
+        r_min = float(np.min(F.radii))
+        lvl = int(math.ceil(math.log2(1.0 / (r_min / 4.0))))
+        raster = content.rasterize_balls(F, lat, lvl)
+        val = content.dyadic_content(raster, args.beta)
+        upper = content.spherical_content_upper(F, args.beta)
+    _report(args, "content_value", {"dyadic_content": val, "spherical_upper": upper})
+    return 0
+
+
+def cmd_content_choquet(args) -> int:
+    keys, values = io.read_csv_rows(args.field, indexed=True)
+    if keys.shape[1] < 2:
+        _fail(f"{args.field}: a field needs a level, at least one index "
+              "and a value in every row")
+    if len(keys) == 0:
+        _report(args, "content_choquet", {"value": 0.0})
         return 0
-    if args.action == "atomsum":
-        outcome = VERIFIERS["thm19"](depth=args.depth)
-        return _emit_outcome(args, outcome, "dim_atomsum")
-    _fail(f"unknown dim action {args.action}")
+    levels = np.unique(keys[:, 0]).tolist()
+    if len(levels) > 1:
+        _fail(f"{args.field}: rows at levels {levels}; a field has one level")
+    lat = measures.unit_lattice(keys.shape[1] - 1)
+    val = content.choquet_integral(keys[:, 1:], values[:, 0], lat, levels[0], args.beta)
+    _report(args, "content_choquet", {"value": val})
+    return 0
+
+
+def cmd_dim_estimate(args) -> int:
+    mu = io.load_measure(args.measure)
+    lat = measures.unit_lattice(mu.d)
+    betas = np.round(np.arange(args.beta_step, mu.d + 1e-9, args.beta_step), 6)
+    rep = dimension.lower_dim_estimate(mu, lat, betas, max_level=args.depth)
+    io.save_modulus_curves(rep, os.path.join(_outdir(args), "modulus_curves.csv"))
+    _report(args, "dim_estimate", rep.to_dict())
+    return 0
 
 
 # ---------------------------------------------------------------------------
 # verify subcommands
 # ---------------------------------------------------------------------------
 
-def _emit_outcome(args, outcome, name=None) -> int:
+def cmd_verify(args) -> int:
+    fn = VERIFIERS[args.verifier]
+    params = inspect.signature(fn).parameters
+    kwargs = {p: getattr(args, p) for p in _VERIFY_FLAGS if p in params}
+    if "dirac_seed" in params:
+        kwargs["dirac_seed"] = args.seed
+    outcome = fn(**kwargs)
     out = _outdir(args)
-    name = name or f"verify_{outcome.name}"
+    name = f"verify_{outcome.name}"
     for tname, (header, rows) in outcome.tables.items():
         io.write_csv(os.path.join(out, f"{name}_{tname}.csv"), header, rows)
-    _report(args, name, {"pass": outcome.ok, **outcome.results},
-            config=getattr(args, "_config", None) or {"verifier": outcome.name})
+    _report(args, name, {"pass": outcome.ok, **outcome.results})
     if not outcome.ok:
         print(f"{name} FAILED", file=sys.stderr)
         return 1
     return 0
-
-
-def cmd_verify(args) -> int:
-    fn = VERIFIERS.get(args.target)
-    if fn is None:
-        _fail(f"unknown verify target {args.target}")
-    kwargs = {}
-    if args.target == "thm13":
-        kwargs = {"alpha": args.alpha, "n_scales": args.scales, "depth": args.depth}
-    elif args.target == "thm14":
-        kwargs = {"alpha": args.alpha, "n_scales": args.scales, "depth": args.depth}
-    elif args.target == "thm15":
-        kwargs = {"n_scales": args.scales, "depth": args.depth}
-    elif args.target == "thm18":
-        kwargs = {"depth": args.depth, "dirac_seed": args.seed}
-    elif args.target == "thm19":
-        kwargs = {"depth": args.depth}
-    args._config = {"verifier": args.target, **{k: v for k, v in kwargs.items()}}
-    outcome = fn(**kwargs)
-    return _emit_outcome(args, outcome)
 
 
 # ---------------------------------------------------------------------------
@@ -394,11 +348,6 @@ def build_parser() -> argparse.ArgumentParser:
     pb.add_argument("--cube-corner", type=float, nargs="*", default=None)
     pb.add_argument("--cube-side", type=float, default=1.0)
     pb.set_defaults(func=cmd_potential_besov)
-    pt = potsub.add_parser("trace")
-    pt.add_argument("--alpha", type=float, default=0.5)
-    pt.add_argument("--scales", type=int, default=5)
-    pt.add_argument("--depth", type=int, default=8)
-    pt.set_defaults(func=cmd_potential_trace)
 
     mx = sub.add_parser("maximal")
     mxsub = mx.add_subparsers(dest="variant", required=True)
@@ -406,14 +355,16 @@ def build_parser() -> argparse.ArgumentParser:
         m = mxsub.add_parser(variant)
         m.add_argument("--measure", required=True)
         m.add_argument("--gamma", type=float, required=True)
-        m.add_argument("--k-min", type=int, default=0)
-        m.add_argument("--k-max", type=int, default=12)
-        m.add_argument("--npd", type=int, default=16)
+        if variant in ("dyadic", "truncated"):
+            m.add_argument("--k-min", type=int, default=0)
+            m.add_argument("--k-max", type=int, default=12)
+        else:
+            m.add_argument("--npd", type=int, default=16)
         if variant == "truncated":
             m.add_argument("--truncation", type=float, required=True)
         if variant == "antilocal":
             m.add_argument("--rho", type=float, required=True)
-        m.set_defaults(func=cmd_maximal, variant=variant)
+        m.set_defaults(func=cmd_maximal)
     lp = mxsub.add_parser("lp")
     lp.add_argument("--measure", required=True)
     lp.add_argument("--k", type=int, required=True)
@@ -422,18 +373,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     ct = sub.add_parser("content")
     ctsub = ct.add_subparsers(dest="action", required=True)
-    cv = ctsub.add_parser("value")
-    cv.add_argument("--balls", required=True)
-    cv.add_argument("--beta", type=float, required=True)
-    cv.set_defaults(func=cmd_content, action="value")
-    cc = ctsub.add_parser("cover")
-    cc.add_argument("--balls", required=True)
-    cc.add_argument("--beta", type=float, required=True)
-    cc.set_defaults(func=cmd_content, action="cover")
+    for action, func in (("value", cmd_content_value), ("cover", cmd_content_cover)):
+        cb = ctsub.add_parser(action)
+        cb.add_argument("--balls", required=True)
+        cb.add_argument("--beta", type=float, required=True)
+        cb.set_defaults(func=func)
     cq = ctsub.add_parser("choquet")
     cq.add_argument("--field", required=True)
     cq.add_argument("--beta", type=float, required=True)
-    cq.set_defaults(func=cmd_content, action="choquet")
+    cq.set_defaults(func=cmd_content_choquet)
 
     dm = sub.add_parser("dim")
     dmsub = dm.add_subparsers(dest="action", required=True)
@@ -441,22 +389,23 @@ def build_parser() -> argparse.ArgumentParser:
     de.add_argument("--measure", required=True)
     de.add_argument("--depth", type=int, default=14)
     de.add_argument("--beta-step", type=float, default=0.05)
-    de.set_defaults(func=cmd_dim, action="estimate")
-    da = dmsub.add_parser("atomsum")
-    da.add_argument("--depth", type=int, default=8)
-    da.set_defaults(func=cmd_dim, action="atomsum")
+    de.set_defaults(func=cmd_dim_estimate)
 
     vf = sub.add_parser("verify", help="theorem-level verification suites")
-    vf.add_argument("target", choices=sorted(VERIFIERS))
-    vf.add_argument("--alpha", type=float, default=0.5)
-    vf.add_argument("--scales", type=int, default=5)
-    vf.add_argument("--depth", type=int, default=8)
-    vf.set_defaults(func=cmd_verify)
+    vfsub = vf.add_subparsers(dest="verifier", required=True)
+    for target, fn in VERIFIERS.items():
+        v = vfsub.add_parser(target)
+        for p in inspect.signature(fn).parameters.values():
+            if p.name in _VERIFY_FLAGS:
+                v.add_argument(_VERIFY_FLAGS[p.name], dest=p.name,
+                               type=type(p.default), default=p.default)
+        v.set_defaults(func=cmd_verify)
     return ap
 
 
 def _apply_config(ap: argparse.ArgumentParser, argv):
-    """Pull defaults from --config JSON; explicit flags still win."""
+    """Pull defaults from --config JSON; explicit flags still win.  Keys of
+    the top-level flags go before the command, all others after it."""
     if "--config" not in argv:
         return argv
     i = argv.index("--config")
@@ -465,10 +414,13 @@ def _apply_config(ap: argparse.ArgumentParser, argv):
             cfg = json.load(fh)
     except (OSError, json.JSONDecodeError, IndexError) as exc:
         _fail(f"bad config file: {exc}")
-    extra = []
+    if not isinstance(cfg, dict):
+        _fail(f"bad config file: {argv[i + 1]} holds no JSON object")
+    head, tail = [], []
     for key, val in sorted(cfg.items()):
         flag = "--" + key.replace("_", "-")
-        if flag not in argv:
+        extra = head if flag in ap._option_string_actions else tail
+        if not any(a == flag or a.startswith(flag + "=") for a in argv):
             if isinstance(val, bool):
                 if val:
                     extra.append(flag)
@@ -476,14 +428,13 @@ def _apply_config(ap: argparse.ArgumentParser, argv):
                 extra.extend([flag] + [str(v) for v in val])
             else:
                 extra.extend([flag, str(val)])
-    return argv + extra
+    return head + argv + tail
 
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     ap = build_parser()
-    argv = _apply_config(ap, argv)
-    args = ap.parse_args(argv)
+    args = ap.parse_args(_apply_config(ap, argv))
     try:
         return args.func(args)
     except SystemExit:

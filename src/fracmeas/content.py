@@ -83,11 +83,6 @@ class CubeUnion:
     def corners(self) -> np.ndarray:
         return self.lattice.corner[None, :] + self.indices * self.sides()[:, None]
 
-    def covers_cube(self, level: int, index) -> bool:
-        coarser = self.levels <= level
-        anc = np.asarray(index, dtype=np.int64) >> (level - self.levels[coarser])[:, None]
-        return bool(np.any(np.all(self.indices[coarser] == anc, axis=1)))
-
 
 # ---------------------------------------------------------------------------
 # exact dyadic content

@@ -302,38 +302,10 @@ class DyadicLattice:
     def side(self, level: int) -> float:
         return self.l0 * 2.0 ** (-level)
 
-    def cube(self, level: int, n) -> "DyadicCube":
-        return DyadicCube(lattice=self, level=int(level),
-                          n=tuple(int(v) for v in np.atleast_1d(n)))
-
     def index_of(self, pts, level: int) -> np.ndarray:
         """Integer lattice index of the level-k cube containing each point."""
         pts = np.atleast_2d(pts)
         return np.floor((pts - self.corner[None, :]) / self.side(level)).astype(np.int64)
-
-
-@dataclass(frozen=True)
-class DyadicCube:
-    lattice: DyadicLattice
-    level: int
-    n: tuple
-
-    @property
-    def side(self) -> float:
-        return self.lattice.side(self.level)
-
-    @property
-    def corner(self) -> np.ndarray:
-        return self.lattice.corner + np.array(self.n, dtype=np.float64) * self.side
-
-    def children(self):
-        base = np.array(self.n, dtype=np.int64) * 2
-        d = self.lattice.d
-        kids = []
-        for m in range(2 ** d):
-            off = [(m >> a) & 1 for a in range(d)]
-            kids.append(self.lattice.cube(self.level + 1, base + np.array(off)))
-        return kids
 
 
 def unit_lattice(d: int) -> DyadicLattice:
@@ -402,16 +374,6 @@ def _cube_sums(idx, weights):
     sums = np.zeros(len(uniq))
     np.add.at(sums, inv, weights)
     return uniq, sums
-
-
-def measure_of_cube(mu: GridMeasure, cube: DyadicCube) -> float:
-    """mu(Q) under the half-open convention, via floor index arithmetic."""
-    if mu.n_masses == 0:
-        return 0.0
-    idx = cube.lattice.index_of(mu.points(), cube.level)
-    target = np.array(cube.n, dtype=np.int64)
-    inside = np.all(idx == target[None, :], axis=1)
-    return float(np.sum(mu.weights[inside]))
 
 
 # ---------------------------------------------------------------------------

@@ -75,7 +75,7 @@ def _scaled_pair(cand: atoms.AtomCandidate, nu: measures.GridMeasure,
 # strong-type inequality (heat-integral functional)
 # ---------------------------------------------------------------------------
 
-def verify_thm13(alpha: float = 0.5, n_scales: int = 7, depth: int = 6,
+def verify_thm13(alpha: float = 0.5, n_scales: int = 5, depth: int = 8,
                  dilation_tol: float = 0.02, kind_ratio_cap: float = 10.0) -> VerifyOutcome:
     """Heat-integral functional: dilation invariance across scales 2^0..2^-(n-1)
     and finiteness with bounded spread across atom kinds."""
@@ -233,7 +233,7 @@ def verify_cor16(h: float = 1.0 / 64.0, dispersion_cap: float = 10.0) -> VerifyO
 # dimension estimates
 # ---------------------------------------------------------------------------
 
-def verify_thm18(depth: int = 10, dirac_seed: int = 7) -> VerifyOutcome:
+def verify_thm18(depth: int = 8, dirac_seed: int = 7) -> VerifyOutcome:
     """Dimension estimates for Lebesgue, Dirac, and the Cantor measure, plus
     the truncated maximal/Choquet diagnostic curves."""
     lat = measures.unit_lattice(1)

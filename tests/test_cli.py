@@ -1,6 +1,8 @@
+import argparse
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -12,7 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fracmeas import content, io
-from fracmeas.cli import main
+from fracmeas.cli import build_parser, main
 from fracmeas.measures import cantor_measure, new_grid_measure, unit_lattice
 
 
@@ -51,6 +53,129 @@ def test_atom_check_failure_exit_code(tmp_path, warm):
 def test_usage_error_exit_2(tmp_path):
     assert run(["--out", str(tmp_path), "atom"]) == 2
     assert run(["--out", str(tmp_path), "nonsense"]) == 2
+
+
+@pytest.mark.parametrize("given, missing", [("--t-lo", "--t-hi"), ("--t-hi", "--t-lo")])
+def test_atom_check_half_window_exit_2(tmp_path, capsys, given, missing):
+    # one bound alone used to run the default window and report the bound
+    csv = str(tmp_path / "mu.csv")
+    io.save_measure(cantor_measure(3, 1.0), csv)
+    assert run(["--out", str(tmp_path), "atom", "check", "--measure", csv,
+                "--beta", "0.5", given, "1e-3"]) == 2
+    assert f"{given} needs {missing}" in capsys.readouterr().err
+    assert not (tmp_path / "atom_check.json").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["potential", "trace"], ["dim", "atomsum"],
+    ["verify", "cor16", "--depth", "3"], ["verify", "thm15", "--alpha", "0.4"],
+    ["verify", "thm18", "--scales", "2"], ["verify", "--depth", "3", "thm13"],
+    ["maximal", "grand", "--measure", "m.csv", "--gamma", "0.5", "--k-min", "2"],
+    ["maximal", "dyadic", "--measure", "m.csv", "--gamma", "0.5", "--npd", "4"],
+], ids=" ".join)
+def test_unread_flag_or_command_exit_2(tmp_path, argv):
+    assert run(["--out", str(tmp_path), *argv]) == 2
+    assert os.listdir(tmp_path) == []
+
+
+def _leaves(parser, path=()):
+    """(command path, parser) of every runnable subcommand."""
+    subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not subs:
+        yield " ".join(path), parser
+        return
+    for name, child in subs[0].choices.items():
+        yield from _leaves(child, path + (name,))
+
+
+_LEAVES = dict(_leaves(build_parser()))
+
+# tiny inputs for every subcommand, with the report each one writes; all
+# flags but `atom gen --beta` (cantor only) are given on the command line
+_TINY = {
+    "atom gen": (["--kind", "loop", "--depth", "4", "--component", "1"], "atom_gen_loop"),
+    "atom check": (["--measure", "{measure}", "--beta", "0.6", "--cube-corner", "0",
+                    "--cube-side", "1", "--t-lo", "1e-4", "--t-hi", "4", "--npd", "4"],
+                   "atom_check"),
+    "heat": (["--measure", "{measure}", "--npd", "4"], "heat"),
+    "potential riesz": (["--measure", "{measure}", "--alpha", "0.5", "--r-lo", "0.2",
+                         "--r-hi", "5", "--n-points", "4", "--tol", "0.01"],
+                        "potential_riesz"),
+    "potential besov": (["--measure", "{measure}", "--alpha", "0.5", "--beta", "0.6",
+                         "--cube-corner", "0", "--cube-side", "1"], "potential_besov"),
+    "maximal dyadic": (["--measure", "{measure}", "--gamma", "0.3", "--k-min", "1",
+                        "--k-max", "6"], "maximal_dyadic"),
+    "maximal truncated": (["--measure", "{measure}", "--gamma", "0.3", "--k-min", "1",
+                           "--k-max", "6", "--truncation", "0.25"], "maximal_truncated"),
+    "maximal grand": (["--measure", "{measure}", "--gamma", "0.3", "--npd", "4"],
+                      "maximal_grand"),
+    "maximal antilocal": (["--measure", "{measure}", "--gamma", "0.3", "--npd", "4",
+                           "--rho", "0.5"], "maximal_antilocal"),
+    "maximal lp": (["--measure", "{measure}", "--k", "3", "--band"], "lp_band"),
+    "content value": (["--balls", "{balls}", "--beta", "0.5"], "content_value"),
+    "content cover": (["--balls", "{balls}", "--beta", "0.5"], "content_cover"),
+    "content choquet": (["--field", "{field}", "--beta", "0.5"], "content_choquet"),
+    "dim estimate": (["--measure", "{measure}", "--depth", "8", "--beta-step", "0.25"],
+                     "dim_estimate"),
+    "verify thm13": (["--alpha", "0.6", "--scales", "2", "--depth", "4"], "verify_thm13"),
+    "verify thm14": (["--alpha", "0.6", "--scales", "2", "--depth", "4"], "verify_thm14"),
+    "verify thm15": (["--scales", "2", "--depth", "4"], "verify_thm15"),
+    "verify cor16": ([], "verify_cor16"),
+    "verify thm18": (["--depth", "4"], "verify_thm18"),
+    "verify thm19": (["--depth", "4"], "verify_thm19"),
+}
+
+
+def _readme_cli_lines():
+    """The command lines of the README's CLI block: (command, flags, defaults)."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## CLI\n", 1)[1].split("```\n")[1]
+    for line in block.splitlines():
+        if not line.startswith("fracmeas "):
+            continue
+        words = line.split()[1:]
+        first = next((i for i, w in enumerate(words) if w[0] in "-[<"), len(words))
+        rest = " ".join(words[first:])
+        yield (" ".join(words[:first]), set(re.findall(r"--[a-z][a-z-]*", rest)),
+               dict(re.findall(r"\[(--[a-z][a-z-]*) (-?[0-9][0-9.e-]*)\]", rest)))
+
+
+def test_readme_cli_block_matches_parser():
+    # the README names exactly the parser's subcommands, each with exactly
+    # its flags, and every number shown in brackets is that flag's default
+    parsers = {**_LEAVES, "": build_parser()}
+    lines = list(_readme_cli_lines())
+    assert sorted(cmd for cmd, _, _ in lines) == sorted(parsers)
+    for cmd, flags, defaults in lines:
+        actions = {o: a for a in parsers[cmd]._actions for o in a.option_strings
+                   if a.dest != "help"}
+        assert flags == set(actions), cmd
+        for flag, shown in defaults.items():
+            assert float(shown) == actions[flag].default, (cmd, flag)
+
+
+def test_tiny_cases_name_every_subcommand():
+    assert sorted(_TINY) == sorted(_LEAVES)
+
+
+@pytest.mark.parametrize("command", sorted(_LEAVES))
+def test_report_config_holds_every_parsed_flag(tmp_path, command):
+    inputs = {"measure": str(tmp_path / "mu.csv"), "balls": str(tmp_path / "balls.csv"),
+              "field": str(tmp_path / "f.csv")}
+    io.save_measure(cantor_measure(3, 1.0), inputs["measure"])
+    io.write_csv(inputs["balls"], ["x0", "x1", "r"], [[0.3, 0.4, 0.1], [0.6, 0.5, 0.2]])
+    (tmp_path / "f.csv").write_text("level,i0,value\n3,0,1.0\n3,5,0.5\n")
+    tail, name = _TINY[command]
+    argv = ["--out", str(tmp_path / "out"), "--seed", "3", *command.split(),
+            *(a.format(**inputs) for a in tail)]
+    assert run(argv) in (0, 1)
+    config = json.loads((tmp_path / "out" / f"{name}.json").read_text())["config"]
+    parsed = vars(build_parser().parse_args(argv))
+    for key in ("out", "config", "func", "command"):
+        del parsed[key]
+    assert config.pop("command") == name
+    # parsed values are numbers, strings, lists or None, which JSON keeps
+    assert config == parsed
 
 
 def test_missing_file_exit_2(tmp_path):
@@ -257,12 +382,51 @@ def test_config_flag_overrides_file(tmp_path, warm):
     assert rep["config"]["depth"] == 3
 
 
+def test_config_file_sets_global_flags(tmp_path, warm):
+    # a top-level key such as seed goes before the command, where its flag is
+    out = str(tmp_path)
+    cfg = os.path.join(out, "cfg.json")
+    with open(cfg, "w") as fh:
+        json.dump({"depth": 4, "seed": 3}, fh)
+    assert run(["--out", out, "--config", cfg, "atom", "gen", "--kind", "cantor"]) == 0
+    with open(os.path.join(out, "atom_gen_cantor.json")) as fh:
+        rep = json.load(fh)
+    assert (rep["config"]["depth"], rep["config"]["seed"]) == (4, 3)
+
+
+def test_config_flag_with_equals_overrides_file(tmp_path, warm):
+    out = str(tmp_path)
+    cfg = os.path.join(out, "cfg.json")
+    with open(cfg, "w") as fh:
+        json.dump({"depth": 4}, fh)
+    assert run(["--out", out, "--config", cfg, "atom", "gen", "--kind", "cantor",
+                "--depth=3"]) == 0
+    with open(os.path.join(out, "atom_gen_cantor.json")) as fh:
+        assert json.load(fh)["config"]["depth"] == 3
+
+
+def test_config_file_key_the_command_does_not_take_exit_2(tmp_path):
+    cfg = os.path.join(str(tmp_path), "cfg.json")
+    with open(cfg, "w") as fh:
+        json.dump({"depth": 4}, fh)
+    assert run(["--out", str(tmp_path), "--config", cfg, "verify", "cor16"]) == 2
+
+
 def test_bad_config_exit_2(tmp_path):
     cfg = os.path.join(str(tmp_path), "broken.json")
     with open(cfg, "w") as fh:
         fh.write("{not json")
     assert run(["--out", str(tmp_path), "--config", cfg, "atom", "gen",
                 "--kind", "cantor"]) == 2
+
+
+def test_config_file_without_object_exit_2(tmp_path, capsys):
+    cfg = os.path.join(str(tmp_path), "list.json")
+    with open(cfg, "w") as fh:
+        fh.write("[1]")
+    assert run(["--out", str(tmp_path), "--config", cfg, "atom", "gen",
+                "--kind", "cantor"]) == 2
+    assert "holds no JSON object" in capsys.readouterr().err
 
 
 def test_measure_roundtrip(tmp_path):

@@ -6,11 +6,10 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from fracmeas import measures
-from fracmeas.measures import (GridMeasure, cantor_frostman, cantor_measure,
-                               curve_measure, default_radius_grid, dirac,
-                               frostman_constant, lebesgue_sample,
-                               measure_of_cube, measure_sum, new_grid_measure,
-                               unit_lattice)
+from fracmeas.measures import (GridMeasure, _cube_sums, cantor_frostman,
+                               cantor_measure, curve_measure, default_radius_grid,
+                               dirac, frostman_constant, lebesgue_sample,
+                               measure_sum, new_grid_measure, unit_lattice)
 
 BETA0 = math.log(2) / math.log(3)
 
@@ -84,34 +83,38 @@ def test_total_variation_additive_disjoint(rng):
                           a.total_variation() + b.total_variation(), rtol=1e-14)
 
 
-def test_measure_of_cube_dirac():
-    lat = unit_lattice(1)
-    d0 = dirac(1)
-    assert measure_of_cube(d0, lat.cube(0, [0])) == 1.0
-    assert measure_of_cube(d0, lat.cube(0, [1])) == 0.0
+def _cube_masses(mu, level):
+    """mu of every level-k cube holding a mass: (indices, sums)."""
+    return _cube_sums(unit_lattice(mu.d).index_of(mu.points(), level), mu.weights)
 
 
-def test_measure_of_cube_riemann_half():
+def test_cube_sums_dirac_half_open():
+    # the point 0 lies in [0, 1), not in [-1, 0): cubes are half-open
+    idx, sums = _cube_masses(dirac(1), 0)
+    assert idx.tolist() == [[0]] and sums.tolist() == [1.0]
+
+
+def test_cube_sums_riemann_half():
     h = 2.0 ** -10
-    leb = lebesgue_sample(1, h)
-    lat = unit_lattice(1)
-    got = measure_of_cube(leb, lat.cube(1, [0]))
-    assert abs(got - 0.5) <= h
+    idx, sums = _cube_masses(lebesgue_sample(1, h), 1)
+    assert idx.tolist() == [[0], [1]]
+    assert abs(sums[0] - 0.5) <= h
 
 
 def test_children_partition_parent(rng):
-    # half-open convention: each mass lands in exactly one child
-    lat = unit_lattice(2)
+    # half-open convention: each mass lands in exactly one child, so each
+    # parent's mass is the sum of its children's, whose indices >> 1 name it
     for _ in range(8):
         n = rng.integers(1, 40)
         mu = new_grid_measure(2, 1 / 16, [0.0, 0.0], rng.integers(0, 32, (n, 2)),
                               rng.normal(size=n))
         if mu.n_masses == 0:
             continue
-        parent = lat.cube(1, rng.integers(0, 2, 2))
-        total = measure_of_cube(mu, parent)
-        kids = sum(measure_of_cube(mu, c) for c in parent.children())
-        assert np.isclose(total, kids, rtol=0, atol=1e-12)
+        parents, totals = _cube_masses(mu, 1)
+        kids, kid_sums = _cube_masses(mu, 2)
+        up, summed = _cube_sums(kids >> 1, kid_sums)
+        assert np.array_equal(up, parents)
+        assert np.allclose(summed, totals, rtol=0, atol=1e-12)
 
 
 def test_cantor_construction():
