@@ -53,6 +53,10 @@ def _report(args, name: str, results: dict, constants: dict | None = None) -> st
 # ---------------------------------------------------------------------------
 
 def cmd_atom_gen(args) -> int:
+    for flag, value, kind in (("--beta", args.beta, "cantor"),
+                              ("--component", args.component, "loop")):
+        if value is not None and args.kind != kind:
+            _fail(f"{flag} applies only to --kind {kind}")
     out = _outdir(args)
     if args.kind == "cantor":
         cand, info = atoms.make_frostman_atom(beta=args.beta or measures.LOG2_OVER_LOG3,
@@ -62,7 +66,7 @@ def cmd_atom_gen(args) -> int:
         info = {"resolution": args.depth}
     else:
         from .verify import square_loop
-        cand, info = atoms.make_loop_atom(square_loop(args.depth), args.component,
+        cand, info = atoms.make_loop_atom(square_loop(args.depth), args.component or 0,
                                           h=1.0 / (2.0 * args.depth))
     path = os.path.join(out, f"atom_{args.kind}.csv")
     io.save_measure(cand.measure, path)
@@ -77,12 +81,15 @@ def cmd_atom_check(args) -> int:
     if (args.t_lo is None) != (args.t_hi is None):
         given, missing = ("--t-lo", "--t-hi") if args.t_hi is None else ("--t-hi", "--t-lo")
         _fail(f"{given} needs {missing}: a time window takes both bounds")
+    if args.npd is not None and args.t_lo is None:
+        _fail("--npd needs --t-lo and --t-hi: it sets the time window's nodes per decade")
     mu = io.load_measure(args.measure)
     corner = np.array(args.cube_corner or [0.0] * mu.d)
     cand = atoms.AtomCandidate(measure=mu,
                                cube=measures.Cube(corner=corner, side=args.cube_side),
                                beta=args.beta)
-    tg = None if args.t_lo is None else heat.TGrid.build(args.t_lo, args.t_hi, args.npd)
+    npd = 16 if args.npd is None else args.npd
+    tg = None if args.t_lo is None else heat.TGrid.build(args.t_lo, args.t_hi, npd)
     cert = atoms.check_beta_atom(cand, tgrid=tg)
     _report(args, "atom_check", cert.to_dict())
     if not cert.all_pass:
@@ -314,7 +321,7 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--kind", choices=["cantor", "linf", "loop"], required=True)
     g.add_argument("--beta", type=float, default=None)
     g.add_argument("--depth", type=int, default=8)
-    g.add_argument("--component", type=int, default=0)
+    g.add_argument("--component", type=int, default=None)
     g.set_defaults(func=cmd_atom_gen)
     c = atomsub.add_parser("check")
     c.add_argument("--measure", required=True)
@@ -323,7 +330,7 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--cube-side", type=float, default=1.0)
     c.add_argument("--t-lo", type=float, default=None)
     c.add_argument("--t-hi", type=float, default=None)
-    c.add_argument("--npd", type=int, default=16)
+    c.add_argument("--npd", type=int, default=None)
     c.set_defaults(func=cmd_atom_check)
 
     h = sub.add_parser("heat", help="heat field over the default time grid")
@@ -404,18 +411,23 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _apply_config(ap: argparse.ArgumentParser, argv):
-    """Pull defaults from --config JSON; explicit flags still win.  Keys of
-    the top-level flags go before the command, all others after it."""
-    if "--config" not in argv:
+    """Pull defaults from the --config JSON (``--config F`` or
+    ``--config=F``); explicit flags still win.  Keys of the top-level flags
+    go before the command, all others after it."""
+    for i, arg in enumerate(argv):
+        flag, eq, path = arg.partition("=")
+        if flag == "--config":
+            break
+    else:
         return argv
-    i = argv.index("--config")
     try:
-        with open(argv[i + 1], "r", encoding="utf-8") as fh:
+        path = path if eq else argv[i + 1]
+        with open(path, "r", encoding="utf-8") as fh:
             cfg = json.load(fh)
     except (OSError, json.JSONDecodeError, IndexError) as exc:
         _fail(f"bad config file: {exc}")
     if not isinstance(cfg, dict):
-        _fail(f"bad config file: {argv[i + 1]} holds no JSON object")
+        _fail(f"bad config file: {path} holds no JSON object")
     head, tail = [], []
     for key, val in sorted(cfg.items()):
         flag = "--" + key.replace("_", "-")

@@ -9,12 +9,17 @@ per-cube Python objects.
 
 The dyadic content of a finite cube union is computed exactly by a bottom-up
 sweep on the cube tree: ``cost(Q) = min(l(Q)^beta, sum of child costs)``.
-The sweep ascends past the coarsest input level until no coarser cube could
-pay (a single cube at the next level would already cost more than the
-current total), which makes the result the true infimum over all dyadic
-covers, not just covers by sub-cubes of the inputs.  The optimal cover is
-read off top-down, level by level: a node is in it when it chose itself and
-its parent chose its children.
+The tree is a list of levels, each holding its nodes and every node's
+position among its parents one level up (one ``_unique_rows`` per level),
+grown on demand while the sweep climbs.  The sweep ascends past the coarsest
+input level until no coarser cube could pay (a single cube at the next level
+would already cost more than the current total), which makes the result the
+true infimum over all dyadic covers, not just covers by sub-cubes of the
+inputs.  The same pass, with only some bottom cubes active, gives the content
+of each level set of a sampled field from one tree, so the nested level sets
+of a Choquet integral are never re-sorted.  The optimal cover is read off
+top-down along the parent links: a node is in it when it chose itself and its
+parent chose its children.
 """
 
 from __future__ import annotations
@@ -88,46 +93,84 @@ class CubeUnion:
 # exact dyadic content
 # ---------------------------------------------------------------------------
 
-def _content_sweep(E: CubeUnion, beta: float):
-    """Bottom-up cost sweep; returns the total and, finest level first, the
-    (level, nodes, costs, chose-itself) arrays of every level swept."""
-    lat = E.lattice
-    if E.n_cubes == 0:
-        return 0.0, []
-    levels = E.levels
-    k = int(levels.max())
+class _AncestorTree:
+    """Ancestor links of a reduced cube union, one level at a time.
+
+    ``nodes[i]`` holds the cubes of level ``k_bottom - i``: the distinct
+    parents of ``nodes[i - 1]`` in lexicographic order, then the input cubes
+    of that level (a reduced union's inputs have no input below them).
+    ``n_inner[i]`` counts the parents, and ``up[i]`` is the position of each
+    node of ``nodes[i]`` in ``nodes[i + 1]``.  ``grow`` adds the next coarser
+    level.
+    """
+
+    def __init__(self, E: CubeUnion):
+        self.E = E
+        self.k_bottom = int(E.levels.max())
+        self.k_top = int(E.levels.min())
+        self.nodes = [E.indices[E.levels == self.k_bottom]]
+        self.n_inner = [0]
+        self.up = []
+
+    def grow(self):
+        uniq, _, inv = _unique_rows(self.nodes[-1] >> 1)
+        k = self.k_bottom - len(self.nodes)
+        self.up.append(inv)
+        self.n_inner.append(len(uniq))
+        self.nodes.append(np.vstack([uniq, self.E.indices[self.E.levels == k]]))
+
+
+def _content_sweep(tree: _AncestorTree, beta: float, active=None):
+    """Bottom-up cost sweep of the union of the tree's coarser input cubes
+    and its bottom cubes where ``active`` holds (all of them when None).
+
+    Returns the total and, finest level first, the chose-itself flags of
+    every level swept.  A node is live when it has a live child (input cubes
+    above the bottom always are); the costs of other nodes are never read.
+    Parent sums add live child costs in node order (``bincount`` adds in
+    input order, as ``np.add.at`` does), and totals sum the live costs in
+    node order, so each result matches a sweep of the live cubes alone, bit
+    for bit.
+    """
+    lat = tree.E.lattice
+    k = tree.k_bottom
     side = lat.l0 * 2.0 ** (-k)
-    nodes = E.indices[levels == k]
-    costs = np.full(len(nodes), side ** beta)
-    choice_self = np.ones(len(nodes), dtype=bool)
-    record = [(k, nodes, costs, choice_self)]
-    k_top = int(levels.min())
+    costs = np.full(len(tree.nodes[0]), side ** beta)
+    live = active
+    choices = [np.ones(len(costs), dtype=bool)]
+    i = 0
     while True:
-        total = float(np.sum(costs))
+        live_costs = costs if live is None else costs[live]
+        total = float(np.sum(live_costs))
         parent_side = lat.l0 * 2.0 ** (-(k - 1))
-        if k <= k_top and (len(nodes) <= 1 or parent_side ** beta >= total):
-            break
-        uniq, _, inv = _unique_rows(nodes >> 1)
-        sums = np.zeros(len(uniq))
-        np.add.at(sums, inv, costs)
+        if k <= tree.k_top and (len(live_costs) <= 1 or parent_side ** beta >= total):
+            return total, choices
+        if i + 1 == len(tree.nodes):
+            tree.grow()
+        up, n_inner = tree.up[i], tree.n_inner[i + 1]
+        sums = np.full(len(tree.nodes[i + 1]), np.inf)
+        if live is None:
+            sums[:n_inner] = np.bincount(up, weights=costs, minlength=n_inner)
+        else:
+            live_up = up[live]
+            sums[:n_inner] = np.bincount(live_up, weights=live_costs, minlength=n_inner)
+            live = np.ones(len(sums), dtype=bool)
+            live[:n_inner] = np.bincount(live_up, minlength=n_inner) > 0
         k -= 1
+        i += 1
         own = parent_side ** beta
-        # input cubes at this level are disjoint from finer inputs (reduced)
-        inputs_here = E.indices[levels == k]
-        uniq = np.vstack([uniq, inputs_here])
-        sums = np.concatenate([sums, np.full(len(inputs_here), np.inf)])
         choice_self = own <= sums
         costs = np.where(choice_self, own, sums)
-        nodes = uniq
-        record.append((k, nodes, costs, choice_self))
-    return float(np.sum(costs)), record
+        choices.append(choice_self)
 
 
 def dyadic_content(E: CubeUnion, beta: float) -> float:
     """Exact infimum of sum l(Q)^beta over dyadic covers of E."""
     if not (0 < beta <= E.lattice.d):
         raise ValueError("beta must lie in (0, d]")
-    total, _ = _content_sweep(E, beta)
+    if E.n_cubes == 0:
+        return 0.0
+    total, _ = _content_sweep(_AncestorTree(E), beta)
     return total
 
 
@@ -136,22 +179,60 @@ def dyadic_content_cover(E: CubeUnion, beta: float):
     if not (0 < beta <= E.lattice.d):
         raise ValueError("beta must lie in (0, d]")
     lat = E.lattice
-    total, record = _content_sweep(E, beta)
-    levels = np.zeros(0, dtype=np.int64)
-    indices = np.zeros((0, lat.d), dtype=np.int64)
+    if E.n_cubes == 0:
+        return 0.0, CubeUnion(lattice=lat, levels=np.zeros(0, dtype=np.int64),
+                              indices=np.zeros((0, lat.d), dtype=np.int64))
+    tree = _AncestorTree(E)
+    total, choices = _content_sweep(tree, beta)
+    levels, indices = [], []
     expanded = None
-    for k, nodes, _, choice_self in reversed(record):
+    for i in reversed(range(len(choices))):
         # a node is in the cover when it chose itself and its parent was
         # expanded; every node of the top level is reached
-        if expanded is None:
-            reached = np.ones(len(nodes), dtype=bool)
-        else:
-            reached = _match_rows(expanded, nodes >> 1) >= 0
-        pick = reached & choice_self
-        levels = np.concatenate([levels, np.full(np.count_nonzero(pick), k)])
-        indices = np.vstack([indices, nodes[pick]])
-        expanded = nodes[reached & ~choice_self]
-    return total, CubeUnion(lattice=lat, levels=levels, indices=indices)
+        reached = np.ones(len(choices[i]), dtype=bool) if expanded is None \
+            else expanded[tree.up[i]]
+        pick = reached & choices[i]
+        levels.append(np.full(np.count_nonzero(pick), tree.k_bottom - i, dtype=np.int64))
+        indices.append(tree.nodes[i][pick])
+        expanded = reached & ~choices[i]
+    return total, CubeUnion(lattice=lat, levels=np.concatenate(levels),
+                           indices=np.vstack(indices))
+
+
+def _level_set_contents(cells, values, lattice: DyadicLattice, level: int,
+                       beta: float, cuts, strict: bool = True) -> np.ndarray:
+    """Dyadic content of each level set ``{f > t}`` (``{f >= t}`` unless
+    ``strict``) for t in ``cuts``, which must make the sets nested.
+
+    ``cells`` are level-``level`` lattice indices carrying the samples
+    ``values`` of f; a repeated cell is in a level set when any of its
+    samples is.  One ancestor tree over the cells of the largest set serves
+    every set, each swept by a masked pass; a set with as many cells as the
+    previous one is that set, and its content is reused.
+    """
+    cuts = np.asarray(cuts, dtype=np.float64)
+    out = np.zeros(len(cuts))
+    if len(cuts) == 0:
+        return out
+    t_min = float(np.min(cuts))
+    base = values > t_min if strict else values >= t_min
+    if not np.any(base):
+        return out
+    leaves, _, inv = _unique_rows(cells[base])
+    peak = np.full(len(leaves), -np.inf)
+    np.maximum.at(peak, inv, values[base])
+    tree = _AncestorTree(CubeUnion(lattice=lattice,
+                                   levels=np.full(len(leaves), level, dtype=np.int64),
+                                   indices=leaves))
+    count, content = 0, 0.0
+    for j, t in enumerate(cuts):
+        active = peak > t if strict else peak >= t
+        n = int(np.count_nonzero(active))
+        if n != count:
+            count = n
+            content = _content_sweep(tree, beta, active)[0] if n else 0.0
+        out[j] = content
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -183,34 +264,82 @@ def make_ball_family(centers, radii) -> BallFamily:
 
 
 def _cube_ball_dist(corners, side, center):
-    """Distance from a ball center to each cube [corner, corner+side]^d.
+    """Distance from ball centres to cubes [corner, corner+side]^d.
 
-    ``side`` is a scalar or a per-cube array.
+    ``corners`` (..., d), ``side`` (...) or a scalar and ``center`` (..., d)
+    broadcast against each other; the result has their common leading shape.
     """
-    side = np.asarray(side, dtype=np.float64)
-    if side.ndim == 1:
-        side = side[:, None]
-    lo = corners
-    hi = corners + side
-    gap = np.maximum(np.maximum(lo - center[None, :], center[None, :] - hi), 0.0)
-    return np.sqrt(np.sum(gap ** 2, axis=1))
+    hi = corners + np.asarray(side, dtype=np.float64)[..., None]
+    gap = np.maximum(np.maximum(corners - center, center - hi), 0.0)
+    return np.sqrt(np.sum(gap ** 2, axis=-1))
+
+
+def _first_true(pred, lo, hi):
+    """Per entry, the least j in [lo, hi] where ``pred(j)`` holds, or hi + 1;
+    ``pred`` must be false then true on each range (bisection on arrays)."""
+    hi = hi + 1
+    while True:
+        open_ = lo < hi
+        if not np.any(open_):
+            return lo
+        mid = (lo + hi) // 2
+        ok = pred(mid)
+        lo = np.where(open_ & ~ok, mid + 1, lo)
+        hi = np.where(open_ & ok, mid, hi)
 
 
 def rasterize_balls(F: BallFamily, lattice: DyadicLattice, level: int) -> CubeUnion:
-    """All level-``level`` cells intersecting the union of balls."""
-    side = lattice.side(level)
-    cells = []
-    for c, r in zip(F.centers, F.radii):
-        lo = np.floor((c - r - lattice.corner) / side).astype(np.int64)
-        hi = np.floor((c + r - lattice.corner) / side).astype(np.int64)
-        idx = lattice_points([np.arange(lo[a], hi[a] + 1) for a in range(F.d)])
-        corners = lattice.corner[None, :] + idx * side
-        keep = _cube_ball_dist(corners, side, c) <= r
-        cells.append(idx[keep])
-    if not cells:
+    """All level-``level`` cells intersecting the union of balls.
+
+    A row of a ball's index box (all axes but the last fixed) meets the ball
+    in an interval of cells around the one whose last-axis gap is least: the
+    distance is monotone in that gap, which falls and then rises along the
+    row.  So the interval ends are bisected for all rows of all balls at
+    once, each probe being the cell-by-cell test, and one ``_unique_rows``
+    merges the intervals.
+    """
+    if F.n_balls == 0:
         return CubeUnion.build(lattice, [], np.zeros((0, lattice.d)))
+    side = lattice.side(level)
+    radii = F.radii[:, None]
+    lo = np.floor((F.centers - radii - lattice.corner) / side).astype(np.int64)
+    hi = np.floor((F.centers + radii - lattice.corner) / side).astype(np.int64)
+    # a ball's last-axis gap max(start - c, c - end) falls while the second
+    # term is the larger and rises after: it is least at the first cell where
+    # the first term catches up, or at the cell before
+    corner, c = lattice.corner[-1], F.centers[:, -1]
+
+    def gap_terms(j):
+        start = corner + j * side
+        return start - c, c - (start + side)
+
+    top = _first_true(lambda j: np.greater_equal(*gap_terms(j)), lo[:, -1], hi[:, -1])
+    top = np.minimum(top, hi[:, -1])
+    before = np.maximum(*gap_terms(top - 1)) < np.maximum(*gap_terms(top))
+    pivot = np.where((top > lo[:, -1]) & before, top - 1, top)
+    # the rows of every box, first axis slowest
+    spans = hi[:, :-1] - lo[:, :-1] + 1
+    n_rows = np.prod(spans, axis=1)
+    ball = np.repeat(np.arange(F.n_balls), n_rows)
+    rest = np.arange(len(ball)) - np.repeat(np.cumsum(n_rows) - n_rows, n_rows)
+    head = np.empty((len(ball), F.d - 1), dtype=np.int64)
+    for a in reversed(range(F.d - 1)):
+        head[:, a] = lo[ball, a] + rest % spans[ball, a]
+        rest //= spans[ball, a]
+
+    def meets(ball, head, j):
+        corners = lattice.corner[None, :] + np.column_stack([head, j]) * side
+        return _cube_ball_dist(corners, side, F.centers[ball]) <= F.radii[ball]
+
+    hit = meets(ball, head, pivot[ball])
+    ball, head = ball[hit], head[hit]
+    first = _first_true(lambda j: meets(ball, head, j), lo[ball, -1], pivot[ball])
+    ends = _first_true(lambda j: ~meets(ball, head, j), pivot[ball], hi[ball, -1])
+    counts = ends - first
+    run = np.arange(np.sum(counts)) - np.repeat(np.cumsum(counts) - counts, counts)
+    idx = np.column_stack([np.repeat(head, counts, axis=0), np.repeat(first, counts) + run])
     # distinct cells of one level are already a reduced union
-    idx, _, _ = _unique_rows(np.vstack(cells))
+    idx, _, _ = _unique_rows(idx)
     return CubeUnion(lattice=lattice, levels=np.full(len(idx), level, dtype=np.int64),
                      indices=idx)
 
@@ -252,6 +381,36 @@ class ContentCover:
 
     def cube_corners(self) -> np.ndarray:
         return self.lattice.corner[None, :] + self.indices * self.cube_sides()[:, None]
+
+
+# temporaries of one witness scan chunk, in float64 entries (0.5 MB)
+_SCAN_FLOATS = 2 ** 16
+
+
+def _witnesses(F: BallFamily, corners, sides) -> np.ndarray:
+    """Each ball's largest meeting cover cube, the first among equal sides.
+
+    The cover's rows are sorted by level, so sides never increase along
+    them and the first meeting row is that cube.  One scan runs through the
+    levels in that order, testing each level's cubes against the balls
+    still without a witness, in chunks of balls whose (balls, cubes, d)
+    temporaries stay near ``_SCAN_FLOATS`` entries.
+    """
+    witness = np.full(F.n_balls, -1, dtype=np.int64)
+    bounds = np.flatnonzero(np.diff(sides, prepend=np.inf, append=-np.inf))
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        pending = np.flatnonzero(witness < 0)
+        chunk = max(1, _SCAN_FLOATS // ((hi - lo) * F.d))
+        for s in range(0, len(pending), chunk):
+            balls = pending[s:s + chunk]
+            meets = _cube_ball_dist(corners[lo:hi], sides[lo:hi],
+                                    F.centers[balls, None, :]) <= F.radii[balls, None]
+            first = np.argmax(meets, axis=1)
+            found = meets[np.arange(len(balls)), first]
+            witness[balls[found]] = lo + first[found]
+    if np.any(witness < 0):
+        raise AssertionError("cover lost a ball")
+    return witness
 
 
 def regularized_cover(F: BallFamily, beta: float, lattice: DyadicLattice | None = None,
@@ -301,21 +460,16 @@ def regularized_cover(F: BallFamily, beta: float, lattice: DyadicLattice | None 
         lv, ix = rows[:, 0], rows[:, 1:]
         sides = lat.l0 * 2.0 ** (-lv.astype(np.float64))
         corners = lat.corner[None, :] + ix * sides[:, None]
-        witness = np.zeros(F.n_balls, dtype=np.int64)
-        for bi in range(F.n_balls):
-            dist = _cube_ball_dist(corners, sides, F.centers[bi])
-            meets = np.nonzero(dist <= F.radii[bi])[0]
-            if len(meets) == 0:
-                raise AssertionError("cover lost a ball")
-            # the ball's largest meeting cube (the first, among equal sides)
-            witness[bi] = meets[np.argmax(sides[meets])]
+        witness = _witnesses(F, corners, sides)
         violated = np.nonzero(sides[witness] < c * F.radii)[0]
         if len(violated) == 0:
             break
         if swaps >= budget:
             raise RuntimeError("covering regularization failed to stabilize "
                                f"within {budget} swaps")
-        bi = min(violated, key=lambda b: (-F.radii[b], tuple(F.centers[b])))
+        # largest radius first, then the lexicographically least centre
+        keys = (*F.centers[violated].T[::-1], -F.radii[violated])
+        bi = violated[np.lexsort(keys)[0]]
         x, r = F.centers[bi], F.radii[bi]
         # replacement level: 4r <= side < 8r, so the doubled ball (diameter
         # 4r) meets at most 2 cubes per axis
@@ -423,8 +577,9 @@ def choquet_integral(cells, values, lattice: DyadicLattice, level: int,
     default to 0 followed by ``n_thresholds`` geometric levels between the
     smallest positive sample and the max; given ones must be nonnegative,
     those above the max are dropped, and 0 and the max are always added.
-    The level sets shrink as t grows, so one with as many cells as the
-    previous one is that set, and its content is reused, not swept again.
+    All level sets are swept over one ancestor tree of the support's cells
+    (``_level_set_contents``); one with as many cells as the previous one is
+    that set, and its content is reused.
     """
     values = np.asarray(values, dtype=np.float64).reshape(-1)
     cells = np.asarray(cells, dtype=np.int64).reshape(len(values), lattice.d)
@@ -451,14 +606,8 @@ def choquet_integral(cells, values, lattice: DyadicLattice, level: int,
     if np.any(thresholds < 0):
         raise ValueError("Choquet thresholds must be nonnegative")
     thresholds = np.unique(np.concatenate([[0.0], thresholds[thresholds <= vmax], [vmax]]))
+    contents = _level_set_contents(cells, values, lattice, level, beta, thresholds[:-1])
     total = 0.0
-    count, level_content = 0, 0.0
-    for j in range(len(thresholds) - 1):
-        t = thresholds[j]
-        mask = values > t
-        n = int(np.count_nonzero(mask))
-        if n != count:
-            E = CubeUnion.build(lattice, np.full(n, level), cells[mask])
-            count, level_content = n, dyadic_content(E, beta)
-        total += (thresholds[j + 1] - t) * level_content
+    for step, content in zip(np.diff(thresholds), contents):
+        total += step * content
     return total

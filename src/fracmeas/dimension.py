@@ -33,7 +33,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .atoms import AtomicDecomposition
-from .content import CubeUnion, choquet_integral, dyadic_content
+from .content import CubeUnion, _level_set_contents, choquet_integral
 from .heat import TGrid
 from .maximal import grand_maximal, standard_family, truncated_dyadic_maximal
 from .measures import (Cube, DyadicLattice, GridMeasure, _cube_sums, _match_rows,
@@ -286,23 +286,15 @@ def maximal_level_sums(cells, values, lattice: DyadicLattice, level: int,
                        beta: float, k_max: int = 60) -> np.ndarray:
     """Partial sums of sum_k 2^-k H_beta({M >= 2^-k}) from a sampled field.
 
-    The level sets grow with k, so one with as many cells as the previous
-    one is that set, and its content is reused, not swept again.
+    The level sets grow with k and are all swept over one ancestor tree
+    (``content._level_set_contents``); one with as many cells as the
+    previous one is that set, and its content is reused.
     """
     values = np.asarray(values, dtype=np.float64)
     cells = np.asarray(cells, dtype=np.int64)
-    partial = np.zeros(k_max + 1)
-    acc = 0.0
-    count, level_content = 0, 0.0
-    for k in range(k_max + 1):
-        mask = values >= 2.0 ** (-k)
-        n = int(np.count_nonzero(mask))
-        if n != count:
-            E = CubeUnion.build(lattice, np.full(n, level), cells[mask])
-            count, level_content = n, dyadic_content(E, beta)
-        acc += 2.0 ** (-k) * level_content
-        partial[k] = acc
-    return partial
+    cuts = 2.0 ** -np.arange(k_max + 1)
+    return np.cumsum(cuts * _level_set_contents(cells, values, lattice, level, beta, cuts,
+                                                strict=False))
 
 
 def atom_sum_dimension_check(dec: AtomicDecomposition, sample_level: int = 6,

@@ -67,6 +67,23 @@ def test_atom_check_half_window_exit_2(tmp_path, capsys, given, missing):
 
 
 @pytest.mark.parametrize("argv", [
+    "atom gen --kind linf --beta 0.3", "atom gen --kind loop --beta 0.3",
+    "atom gen --kind cantor --component 0", "atom gen --kind linf --component 5",
+    "atom check --measure {measure} --beta 0.5 --npd 4",
+])
+def test_atom_flag_its_mode_does_not_read_exit_2(tmp_path, capsys, argv):
+    # each last flag used to be accepted and recorded in the config, then
+    # ignored
+    csv = str(tmp_path / "mu.csv")
+    io.save_measure(cantor_measure(3, 1.0), csv)
+    out = tmp_path / "out"
+    assert run(["--out", str(out), *argv.format(measure=csv).split()]) == 2
+    flag = [w for w in argv.split() if w.startswith("--")][-1]
+    assert flag in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
     ["potential", "trace"], ["dim", "atomsum"],
     ["verify", "cor16", "--depth", "3"], ["verify", "thm15", "--alpha", "0.4"],
     ["verify", "thm18", "--scales", "2"], ["verify", "--depth", "3", "thm13"],
@@ -368,6 +385,17 @@ def test_config_file_defaults(tmp_path, warm):
     with open(os.path.join(out, "atom_gen_cantor.json")) as fh:
         rep = json.load(fh)
     assert rep["config"]["depth"] == 4
+
+
+def test_config_file_given_with_equals_sign(tmp_path, warm):
+    # argparse takes --config=F as --config F; the file used to go unread
+    out = str(tmp_path)
+    cfg = os.path.join(out, "cfg.json")
+    with open(cfg, "w") as fh:
+        json.dump({"depth": 4}, fh)
+    assert run(["--out", out, f"--config={cfg}", "atom", "gen", "--kind", "cantor"]) == 0
+    with open(os.path.join(out, "atom_gen_cantor.json")) as fh:
+        assert json.load(fh)["config"]["depth"] == 4
 
 
 def test_config_flag_overrides_file(tmp_path, warm):

@@ -1,17 +1,19 @@
 """Properties of the array-encoded dyadic tree: cube-union reduction, exact
-dyadic content, the Choquet sweeps over level sets, greedy mass capture and
-the dimension estimate built on it, in d = 1 and 2 with cubes on both sides
-of the lattice corner (negative indices)."""
+dyadic content, the Choquet sweeps over level sets, ball rasters and cover
+witnesses, greedy mass capture and the dimension estimate built on it, in
+d = 1 and 2 (rasters also in d = 3) with cubes on both sides of the lattice
+corner (negative indices)."""
 
 import math
 
 import numpy as np
 from hypothesis import given, strategies as st
 
-from fracmeas.content import CubeUnion, choquet_integral, dyadic_content
+from fracmeas.content import (CubeUnion, choquet_integral, dyadic_content,
+                              make_ball_family, rasterize_balls, regularized_cover)
 from fracmeas.dimension import (_occupied_cubes, greedy_mass_capture,
                                 lower_dim_estimate, maximal_level_sums)
-from fracmeas.measures import DyadicLattice, new_grid_measure
+from fracmeas.measures import DyadicLattice, lattice_points, new_grid_measure
 
 
 def _lattice(d):
@@ -163,6 +165,105 @@ def test_maximal_level_sums_match_sweep_per_level(field, frac, k_max):
             acc += 2.0 ** -k * _level_content(d, level, cells, mask, beta)
         want.append(acc)
     assert got.tolist() == want
+
+
+@given(sampled_fields(), st.floats(0.05, 1.0),
+       st.lists(st.sampled_from(np.arange(0.0, 2.0, 1.0 / 16).tolist()), max_size=12),
+       st.integers(-8, 8))
+def test_choquet_homogeneous_in_powers_of_two(field, frac, given_thresholds, k):
+    # scaling f and the thresholds by 2^k scales every threshold step and
+    # leaves every level set, so the integral scales exactly
+    d, level, cells, values = field
+    beta = frac * d
+    scale = 2.0 ** k
+    got = choquet_integral(cells, scale * values, _lattice(d), level, beta,
+                           thresholds=[scale * t for t in given_thresholds])
+    want = choquet_integral(cells, values, _lattice(d), level, beta,
+                            thresholds=given_thresholds)
+    assert got == scale * want
+
+
+@given(sampled_fields(), st.data(), st.floats(0.05, 1.0),
+       st.lists(st.sampled_from(np.arange(0.0, 2.0, 1.0 / 16).tolist()), max_size=12))
+def test_choquet_monotone_in_the_field(field, data, frac, given_thresholds):
+    d, level, cells, f = field
+    beta = frac * d
+    bump = data.draw(st.lists(st.sampled_from([0.0, 2.0 ** -6, 0.125, 0.25, 0.5]),
+                              min_size=len(f), max_size=len(f)))
+    g = f + np.array(bump)
+    lat = _lattice(d)
+    assert (choquet_integral(cells, f, lat, level, beta, thresholds=given_thresholds)
+            <= choquet_integral(cells, g, lat, level, beta, thresholds=given_thresholds))
+
+
+# ---------------------------------------------------------------------------
+# ball rasters and cover witnesses
+# ---------------------------------------------------------------------------
+
+def _cube_ball_distance(corners, sides, center):
+    gap = np.maximum(np.maximum(corners - center, center - (corners + sides)), 0.0)
+    return np.sqrt(np.sum(gap ** 2, axis=1))
+
+
+def _raster_reference(F, lat, level):
+    """Each ball's index box tested cell by cell, then merged."""
+    side = lat.side(level)
+    cells = []
+    for c, r in zip(F.centers, F.radii):
+        lo = np.floor((c - r - lat.corner) / side).astype(np.int64)
+        hi = np.floor((c + r - lat.corner) / side).astype(np.int64)
+        idx = lattice_points([np.arange(lo[a], hi[a] + 1) for a in range(F.d)])
+        corners = lat.corner[None, :] + idx * side
+        cells.append(idx[_cube_ball_distance(corners, side, c) <= r])
+    return np.unique(np.vstack(cells), axis=0)
+
+
+@st.composite
+def ball_families(draw, dims=(1, 2)):
+    """Centres on a 1/32 grid and radii of a few dyadic and other sizes, so
+    balls touch cube faces exactly and meet many cubes of one side."""
+    d = draw(st.sampled_from(dims))
+    n = draw(st.integers(1, 6))
+    centers = [[draw(st.integers(-8, 40)) / 32 for _ in range(d)] for _ in range(n)]
+    radii = [draw(st.sampled_from([1 / 16, 3 / 32, 0.1, 0.13, 0.25, 0.3]))
+             for _ in range(n)]
+    return make_ball_family(centers, radii)
+
+
+@given(ball_families(dims=(1, 2, 3)), st.integers(2, 6),
+       st.sampled_from([0.0, -0.25, 0.3]))
+def test_raster_matches_cell_by_cell_reference(F, level, offset):
+    lat = DyadicLattice(corner=np.full(F.d, offset), l0=1.0, d=F.d)
+    if F.d == 3:
+        level = min(level, 4)
+    got = rasterize_balls(F, lat, level)
+    assert np.all(got.levels == level)
+    assert np.array_equal(got.indices, _raster_reference(F, lat, level))
+
+
+def _witness_reference(cov, F):
+    """Per ball, the first of the largest cover cubes that meet it."""
+    sides = cov.cube_sides()
+    corners = cov.cube_corners()
+    witness = []
+    for c, r in zip(F.centers, F.radii):
+        meets = np.nonzero(_cube_ball_distance(corners, sides[:, None], c) <= r)[0]
+        witness.append(meets[np.argmax(sides[meets])])
+    return np.array(witness, dtype=np.int64)
+
+
+@given(ball_families(), st.sampled_from([0.3, 0.5]))
+def test_witness_is_first_largest_meeting_cube(F, frac):
+    # from the raw raster every cube has one side (ties everywhere) and the
+    # swap loop has to run before the witnesses settle
+    beta = frac * F.d
+    lat = _lattice(F.d)
+    optimal = regularized_cover(F, beta, lattice=lat)
+    raster = rasterize_balls(F, lat, optimal.constants["cell_level"])
+    from_raster = regularized_cover(F, beta, lattice=lat, initial_cover=raster)
+    for cov in (optimal, from_raster):
+        assert np.array_equal(cov.witness, _witness_reference(cov, F))
+
 
 @st.composite
 def measures(draw):
