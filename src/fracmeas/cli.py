@@ -306,8 +306,16 @@ def cmd_verify(args) -> int:
 # parser
 # ---------------------------------------------------------------------------
 
+class _Parser(argparse.ArgumentParser):
+    """A parser that takes no prefix of a long flag for the flag (``--conf``
+    is not ``--config``); its subcommand parsers are of this class too."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, allow_abbrev=False, **kwargs)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="fracmeas",
         description="desk-scale experiments on fractal measures")
     ap.add_argument("--config", help="JSON config file; flags override its keys")
@@ -412,8 +420,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _apply_config(ap: argparse.ArgumentParser, argv):
     """Pull defaults from the --config JSON (``--config F`` or
-    ``--config=F``); explicit flags still win.  Keys of the top-level flags
-    go before the command, all others after it."""
+    ``--config=F``); explicit flags still win, and a null value means the
+    flag was not given.  Keys of the top-level flags go before the command,
+    all others after it."""
     for i, arg in enumerate(argv):
         flag, eq, path = arg.partition("=")
         if flag == "--config":
@@ -432,7 +441,8 @@ def _apply_config(ap: argparse.ArgumentParser, argv):
     for key, val in sorted(cfg.items()):
         flag = "--" + key.replace("_", "-")
         extra = head if flag in ap._option_string_actions else tail
-        if not any(a == flag or a.startswith(flag + "=") for a in argv):
+        if val is not None and not any(a == flag or a.startswith(flag + "=")
+                                       for a in argv):
             if isinstance(val, bool):
                 if val:
                     extra.append(flag)

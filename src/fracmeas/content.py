@@ -20,6 +20,14 @@ of each level set of a sampled field from one tree, so the nested level sets
 of a Choquet integral are never re-sorted.  The optimal cover is read off
 top-down along the parent links: a node is in it when it chose itself and its
 parent chose its children.
+
+Ball geometry works by rows: a row is a line of cells along the last axis,
+all other indices fixed, and a ball meets a row in an interval of cells.  A
+raster settles each row's interval ends from the chord half-width and merges
+the intervals per row, with no sort over cells.  A cover's witnesses are
+found per level block of its sorted rows, each ball searching only the rows
+of its own index box, in doubling windows, by ``searchsorted`` on packed
+index keys.
 """
 
 from __future__ import annotations
@@ -274,29 +282,35 @@ def _cube_ball_dist(corners, side, center):
     return np.sqrt(np.sum(gap ** 2, axis=-1))
 
 
-def _first_true(pred, lo, hi):
-    """Per entry, the least j in [lo, hi] where ``pred(j)`` holds, or hi + 1;
-    ``pred`` must be false then true on each range (bisection on arrays)."""
-    hi = hi + 1
-    while True:
-        open_ = lo < hi
-        if not np.any(open_):
-            return lo
-        mid = (lo + hi) // 2
-        ok = pred(mid)
-        lo = np.where(open_ & ~ok, mid + 1, lo)
-        hi = np.where(open_ & ok, mid, hi)
+def _runs(counts):
+    """For runs of lengths ``counts`` laid end to end: each slot's run and
+    its offset within the run."""
+    owner = np.repeat(np.arange(len(counts)), counts)
+    return owner, np.arange(len(owner)) - np.repeat(np.cumsum(counts) - counts, counts)
+
+
+def _row_heads(lo, spans, q):
+    """Indices on all axes but the last of row ``q`` of boxes that start at
+    ``lo`` and span ``spans`` cells on those axes, first axis slowest."""
+    head = np.empty(lo.shape, dtype=np.int64)
+    for a in reversed(range(lo.shape[1])):
+        head[:, a] = lo[:, a] + q % spans[:, a]
+        q = q // spans[:, a]
+    return head
 
 
 def rasterize_balls(F: BallFamily, lattice: DyadicLattice, level: int) -> CubeUnion:
     """All level-``level`` cells intersecting the union of balls.
 
     A row of a ball's index box (all axes but the last fixed) meets the ball
-    in an interval of cells around the one whose last-axis gap is least: the
-    distance is monotone in that gap, which falls and then rises along the
-    row.  So the interval ends are bisected for all rows of all balls at
-    once, each probe being the cell-by-cell test, and one ``_unique_rows``
-    merges the intervals.
+    in an interval of cells: the distance is monotone in the last-axis gap,
+    which falls and then rises along the row.  Each interval end is first
+    estimated from the chord half-width ``sqrt(r^2 - g^2)``, g the row's gap
+    on the other axes, then settled with the cell-by-cell test: an end that
+    meets steps outward while the next cell meets, one that misses steps
+    toward the ball's cell of least last-axis gap until it meets (a row
+    whose least-gap cell misses is empty).  The intervals are sorted by
+    (row, start) and merged per row with a running maximum of their ends.
     """
     if F.n_balls == 0:
         return CubeUnion.build(lattice, [], np.zeros((0, lattice.d)))
@@ -304,42 +318,81 @@ def rasterize_balls(F: BallFamily, lattice: DyadicLattice, level: int) -> CubeUn
     radii = F.radii[:, None]
     lo = np.floor((F.centers - radii - lattice.corner) / side).astype(np.int64)
     hi = np.floor((F.centers + radii - lattice.corner) / side).astype(np.int64)
-    # a ball's last-axis gap max(start - c, c - end) falls while the second
-    # term is the larger and rises after: it is least at the first cell where
-    # the first term catches up, or at the cell before
-    corner, c = lattice.corner[-1], F.centers[:, -1]
+    corner = lattice.corner
 
-    def gap_terms(j):
-        start = corner + j * side
-        return start - c, c - (start + side)
+    def gap(axis, j, c):
+        """Gap on ``axis`` between cells ``j`` and centre coordinates ``c``."""
+        start = corner[axis] + j * side
+        return np.maximum(np.maximum(start - c, c - (start + side)), 0.0)
 
-    top = _first_true(lambda j: np.greater_equal(*gap_terms(j)), lo[:, -1], hi[:, -1])
-    top = np.minimum(top, hi[:, -1])
-    before = np.maximum(*gap_terms(top - 1)) < np.maximum(*gap_terms(top))
-    pivot = np.where((top > lo[:, -1]) & before, top - 1, top)
+    # each ball's cell of least last-axis gap: descend from the cell of the
+    # centre (the gap is unimodal along the last axis)
+    c = F.centers[:, -1]
+    pivot = np.clip(np.floor((c - corner[-1]) / side).astype(np.int64), lo[:, -1], hi[:, -1])
+    for step, bound in ((-1, lo[:, -1]), (1, hi[:, -1])):
+        move = np.ones(F.n_balls, dtype=bool)
+        while np.any(move):
+            nxt = pivot + step
+            move = (pivot != bound) & (gap(-1, nxt, c) < gap(-1, pivot, c))
+            pivot = np.where(move, nxt, pivot)
     # the rows of every box, first axis slowest
     spans = hi[:, :-1] - lo[:, :-1] + 1
-    n_rows = np.prod(spans, axis=1)
-    ball = np.repeat(np.arange(F.n_balls), n_rows)
-    rest = np.arange(len(ball)) - np.repeat(np.cumsum(n_rows) - n_rows, n_rows)
-    head = np.empty((len(ball), F.d - 1), dtype=np.int64)
-    for a in reversed(range(F.d - 1)):
-        head[:, a] = lo[ball, a] + rest % spans[ball, a]
-        rest //= spans[ball, a]
+    ball, q = _runs(np.prod(spans, axis=1))
+    head = _row_heads(lo[ball, :-1], spans[ball], q)
+    g2 = np.zeros(len(ball))
+    for a in range(F.d - 1):
+        g2 += gap(a, head[:, a], F.centers[ball, a]) ** 2
+    w = np.sqrt(np.maximum(F.radii[ball] ** 2 - g2, 0.0))
+    c = F.centers[ball, -1]
+    # both ends of every row at once, first cells then last cells, each
+    # estimate kept between its box end and the least-gap cell
+    n = len(ball)
+    out = np.repeat([-1, 1], n)
+    bound = np.concatenate([lo[ball, -1], hi[ball, -1]])
+    piv = np.tile(pivot[ball], 2)
+    j = np.floor((np.concatenate([c - w, c + w]) - corner[-1]) / side).astype(np.int64)
+    j = np.clip(j, np.minimum(bound, piv), np.maximum(bound, piv))
+    ball2, head2 = np.tile(ball, 2), np.tile(head, (2, 1))
 
-    def meets(ball, head, j):
-        corners = lattice.corner[None, :] + np.column_stack([head, j]) * side
-        return _cube_ball_dist(corners, side, F.centers[ball]) <= F.radii[ball]
+    def meets(i, j):
+        corners = corner[None, :] + np.column_stack([head2[i], j]) * side
+        return _cube_ball_dist(corners, side, F.centers[ball2[i]]) <= F.radii[ball2[i]]
 
-    hit = meets(ball, head, pivot[ball])
-    ball, head = ball[hit], head[hit]
-    first = _first_true(lambda j: meets(ball, head, j), lo[ball, -1], pivot[ball])
-    ends = _first_true(lambda j: ~meets(ball, head, j), pivot[ball], hi[ball, -1])
-    counts = ends - first
-    run = np.arange(np.sum(counts)) - np.repeat(np.cumsum(counts) - counts, counts)
-    idx = np.column_stack([np.repeat(head, counts, axis=0), np.repeat(first, counts) + run])
+    hit = meets(slice(None), j)
+    empty = np.zeros(len(j), dtype=bool)
+    # ends that meet step outward while the next cell meets
+    i = np.flatnonzero(hit & (j != bound))
+    while len(i):
+        nxt = j[i] + out[i]
+        ok = meets(i, nxt)
+        j[i[ok]] = nxt[ok]
+        i = i[ok & (nxt != bound[i])]
+    # ends that miss step inward until they meet, or find the row empty
+    i = np.flatnonzero(~hit)
+    while len(i):
+        stuck = j[i] == piv[i]
+        empty[i[stuck]] = True
+        i = i[~stuck]
+        j[i] -= out[i]
+        i = i[~meets(i, j[i])]
+    keep = ~(empty[:n] | empty[n:])
+    head, first, end = head[keep], j[:n][keep], j[n:][keep] + 1
+    # merge per row: sort by (row, start), clip each start to the running
+    # maximum of the earlier ends of its row, taken over group * n + the
+    # end's rank among the n distinct ends (below n^2, whatever the indices)
+    order = np.lexsort((first, *head.T[::-1]))
+    head, first, end = head[order], first[order], end[order]
+    new = np.ones(len(first), dtype=bool)
+    new[1:] = np.any(head[1:] != head[:-1], axis=1)
+    ends, rank = np.unique(end, return_inverse=True)
+    shift = (np.cumsum(new) - 1) * len(ends)
+    reach = ends[np.maximum.accumulate(shift + rank) - shift]
+    start = first.copy()
+    start[1:] = np.where(new[1:], first[1:], np.maximum(first[1:], reach[:-1]))
+    counts = np.maximum(end - start, 0)
+    row, offset = _runs(counts)
+    idx = np.column_stack([head[row], start[row] + offset])
     # distinct cells of one level are already a reduced union
-    idx, _, _ = _unique_rows(idx)
     return CubeUnion(lattice=lattice, levels=np.full(len(idx), level, dtype=np.int64),
                      indices=idx)
 
@@ -385,29 +438,92 @@ class ContentCover:
 
 # temporaries of one witness scan chunk, in float64 entries (0.5 MB)
 _SCAN_FLOATS = 2 ** 16
+# (pending ball, cube) pairs up to which a level block is scanned whole: the
+# measured crossover.  Over the 553 level blocks of the content workload's
+# covers for seeds 2001-2012, the whole scan was faster in 405 of the 406
+# blocks at or below this count and the windows in 145 of the 147 above it
+_WHOLE_SCAN_PAIRS = 3 * 2 ** 10
 
 
-def _witnesses(F: BallFamily, corners, sides) -> np.ndarray:
+def _first_meeting(F: BallFamily, witness, balls, left, right, corners_of, offset):
+    """Give each ball of ``balls`` still without a witness its first meeting
+    cube among rows ``left:right`` of a block (a ball may take several
+    ranges; its ranges follow one another in row order), in chunks of
+    (ball, cube) pairs whose temporaries stay near ``_SCAN_FLOATS``."""
+    counts = right - left
+    ends = np.cumsum(counts)
+    limit = max(1, _SCAN_FLOATS // F.d)
+    s = 0
+    while s < len(counts):
+        e = max(s + 1, int(np.searchsorted(ends, ends[s] - counts[s] + limit, "right")))
+        pair, off = _runs(counts[s:e])
+        owner, pos = balls[s:e][pair], left[s:e][pair] + off
+        hit = np.flatnonzero(_cube_ball_dist(*corners_of(pos), F.centers[owner])
+                             <= F.radii[owner])
+        # a ball's pairs are contiguous and in row order: its first hit is
+        # its first meeting cube
+        first = hit[np.diff(owner[hit], prepend=-1) != 0]
+        free = witness[owner[first]] < 0
+        witness[owner[first[free]]] = offset + pos[first[free]]
+        s = e
+
+
+def _witnesses(F: BallFamily, lattice: DyadicLattice, levels, indices) -> np.ndarray:
     """Each ball's largest meeting cover cube, the first among equal sides.
 
-    The cover's rows are sorted by level, so sides never increase along
-    them and the first meeting row is that cube.  One scan runs through the
-    levels in that order, testing each level's cubes against the balls
-    still without a witness, in chunks of balls whose (balls, cubes, d)
-    temporaries stay near ``_SCAN_FLOATS`` entries.
+    The cover's rows are distinct and sorted by (level, index), so sides
+    never increase along them and the first meeting row is that cube.  One
+    pass takes the level blocks in that order.  In a block, a ball still
+    without a witness tests only the cubes in its index box widened by one
+    cell on each side (rounding moves a meeting cube's index by less than
+    one): the box's rows (all axes but the last fixed) are found by
+    ``searchsorted`` on the block's packed index keys and taken in doubling
+    windows of 1, 2, 4, ... rows until a window holds a meeting cube, whose
+    first one in row order is the witness a scan of the whole block finds.
+    A block with at most ``_WHOLE_SCAN_PAIRS`` (pending ball, cube) pairs,
+    or whose index spans do not pack into one int64 key, is scanned whole.
     """
+    d = F.d
     witness = np.full(F.n_balls, -1, dtype=np.int64)
-    bounds = np.flatnonzero(np.diff(sides, prepend=np.inf, append=-np.inf))
-    for lo, hi in zip(bounds[:-1], bounds[1:]):
+    bounds = np.flatnonzero(np.diff(levels, prepend=levels[:1] - 1, append=levels[-1:] + 1))
+    for b0, b1 in zip(bounds[:-1], bounds[1:]):
         pending = np.flatnonzero(witness < 0)
-        chunk = max(1, _SCAN_FLOATS // ((hi - lo) * F.d))
-        for s in range(0, len(pending), chunk):
-            balls = pending[s:s + chunk]
-            meets = _cube_ball_dist(corners[lo:hi], sides[lo:hi],
-                                    F.centers[balls, None, :]) <= F.radii[balls, None]
-            first = np.argmax(meets, axis=1)
-            found = meets[np.arange(len(balls)), first]
-            witness[balls[found]] = lo + first[found]
+        if len(pending) == 0:
+            break
+        side = lattice.side(int(levels[b0]))
+        ix = indices[b0:b1]
+
+        def corners_of(pos):
+            return lattice.corner[None, :] + ix[pos] * side, side
+
+        mn, mx = ix.min(axis=0), ix.max(axis=0)
+        spans = [int(s) for s in mx - mn + 1]
+        if len(ix) * len(pending) <= _WHOLE_SCAN_PAIRS or math.prod(spans) >= 2 ** 63:
+            _first_meeting(F, witness, pending, np.zeros(len(pending), dtype=np.int64),
+                           np.full(len(pending), len(ix)), corners_of, b0)
+            continue
+        strides = np.array([math.prod(spans[a + 1:]) for a in range(d)], dtype=np.int64)
+        keys = (ix - mn) @ strides
+        c, r = F.centers[pending], F.radii[pending, None]
+        lo = np.maximum(np.floor((c - r - lattice.corner) / side).astype(np.int64) - 1, mn)
+        hi = np.minimum(np.floor((c + r - lattice.corner) / side).astype(np.int64) + 1, mx)
+        head_spans = hi[:, :-1] - lo[:, :-1] + 1
+        n_rows = np.where(np.all(lo <= hi, axis=1), np.prod(head_spans, axis=1), 0)
+        done = np.zeros(len(pending), dtype=np.int64)
+        width = 1
+        live = np.flatnonzero(n_rows > 0)
+        while len(live):
+            take = np.minimum(width, n_rows[live] - done[live])
+            p, off = _runs(take)
+            p = live[p]
+            head = _row_heads(lo[p, :-1], head_spans[p], done[p] + off)
+            row = (head - mn[:-1]) @ strides[:-1]
+            left = np.searchsorted(keys, row + (lo[p, -1] - mn[-1]), "left")
+            right = np.searchsorted(keys, row + (hi[p, -1] - mn[-1]), "right")
+            _first_meeting(F, witness, pending[p], left, right, corners_of, b0)
+            done[live] += take
+            live = live[(witness[pending[live]] < 0) & (done[live] < n_rows[live])]
+            width *= 2
     if np.any(witness < 0):
         raise AssertionError("cover lost a ball")
     return witness
@@ -459,8 +575,7 @@ def regularized_cover(F: BallFamily, beta: float, lattice: DyadicLattice | None 
     while True:
         lv, ix = rows[:, 0], rows[:, 1:]
         sides = lat.l0 * 2.0 ** (-lv.astype(np.float64))
-        corners = lat.corner[None, :] + ix * sides[:, None]
-        witness = _witnesses(F, corners, sides)
+        witness = _witnesses(F, lat, lv, ix)
         violated = np.nonzero(sides[witness] < c * F.radii)[0]
         if len(violated) == 0:
             break
@@ -483,7 +598,7 @@ def regularized_cover(F: BallFamily, beta: float, lattice: DyadicLattice | None 
         new_cubes = cand[keep]
         if len(new_cubes) > 2 ** d:
             raise AssertionError("replacement produced more than 2^d cubes")
-        dist = _cube_ball_dist(corners, sides, x)
+        dist = _cube_ball_dist(lat.corner[None, :] + ix * sides[:, None], sides, x)
         added = np.column_stack([np.full(len(new_cubes), k_new), new_cubes])
         rows, _, _ = _unique_rows(np.vstack([rows[dist > r], added]))
         swaps += 1

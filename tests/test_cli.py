@@ -457,6 +457,42 @@ def test_config_file_without_object_exit_2(tmp_path, capsys):
     assert "holds no JSON object" in capsys.readouterr().err
 
 
+def _parsers(parser):
+    yield parser
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for sub in action.choices.values():
+                yield from _parsers(sub)
+
+
+def test_prefix_of_a_flag_exits_2(tmp_path):
+    # argparse used to take --conf for --config: the run went on at depth 8
+    # and the file was never read
+    out = str(tmp_path)
+    cfg = os.path.join(out, "cfg.json")
+    with open(cfg, "w") as fh:
+        json.dump({"depth": 4}, fh)
+    assert run(["--out", out, "--conf", cfg, "atom", "gen", "--kind", "cantor"]) == 2
+    assert run(["--out", out, "atom", "gen", "--kind", "cantor", "--dep", "4"]) == 2
+    assert not os.path.exists(os.path.join(out, "atom_gen_cantor.json"))
+    assert all(not p.allow_abbrev for p in _parsers(build_parser()))
+
+
+def test_config_null_means_flag_not_given(tmp_path, warm):
+    # a report's config holds null for a flag not given (beta for --kind
+    # cantor); it used to reach argparse as the word None and exit 2
+    out = tmp_path / "from_config"
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"beta": None, "depth": 4}))
+    assert run(["--out", str(out), "--config", str(cfg), "atom", "gen",
+                "--kind", "cantor"]) == 0
+    config = json.loads((out / "atom_gen_cantor.json").read_text())["config"]
+    assert (config["beta"], config["depth"]) == (None, 4)
+    flags = tmp_path / "from_flags"
+    assert run(["--out", str(flags), "atom", "gen", "--kind", "cantor", "--depth", "4"]) == 0
+    assert (out / "atom_cantor.csv").read_bytes() == (flags / "atom_cantor.csv").read_bytes()
+
+
 def test_measure_roundtrip(tmp_path):
     mu = new_grid_measure(2, 0.25, [0.5, -1.0], [[0, 0], [3, -2]], [1.5, -0.5],
                           name="demo")

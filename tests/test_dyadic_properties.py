@@ -5,15 +5,18 @@ d = 1 and 2 (rasters also in d = 3) with cubes on both sides of the lattice
 corner (negative indices)."""
 
 import math
+from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import given, strategies as st
 
+from fracmeas import content
 from fracmeas.content import (CubeUnion, choquet_integral, dyadic_content,
                               make_ball_family, rasterize_balls, regularized_cover)
 from fracmeas.dimension import (_occupied_cubes, greedy_mass_capture,
                                 lower_dim_estimate, maximal_level_sums)
-from fracmeas.measures import DyadicLattice, lattice_points, new_grid_measure
+from fracmeas.measures import DyadicLattice, lattice_points, new_grid_measure, unit_lattice
 
 
 def _lattice(d):
@@ -221,19 +224,21 @@ def _raster_reference(F, lat, level):
 @st.composite
 def ball_families(draw, dims=(1, 2)):
     """Centres on a 1/32 grid and radii of a few dyadic and other sizes, so
-    balls touch cube faces exactly and meet many cubes of one side."""
+    balls touch cube faces exactly and meet many cubes of one side; radius
+    5/32 touches cell corners exactly ((3/32)^2 + (4/32)^2 = (5/32)^2)."""
     d = draw(st.sampled_from(dims))
     n = draw(st.integers(1, 6))
     centers = [[draw(st.integers(-8, 40)) / 32 for _ in range(d)] for _ in range(n)]
-    radii = [draw(st.sampled_from([1 / 16, 3 / 32, 0.1, 0.13, 0.25, 0.3]))
+    radii = [draw(st.sampled_from([1 / 16, 3 / 32, 5 / 32, 0.1, 0.13, 0.25, 0.3]))
              for _ in range(n)]
     return make_ball_family(centers, radii)
 
 
 @given(ball_families(dims=(1, 2, 3)), st.integers(2, 6),
-       st.sampled_from([0.0, -0.25, 0.3]))
-def test_raster_matches_cell_by_cell_reference(F, level, offset):
-    lat = DyadicLattice(corner=np.full(F.d, offset), l0=1.0, d=F.d)
+       st.sampled_from([0.0, -0.25, 0.3, -4096.25, 2.0 ** 20 + 0.3]),
+       st.sampled_from([1.0, 0.5, 2.0, 0.75]))
+def test_raster_matches_cell_by_cell_reference(F, level, offset, l0):
+    lat = DyadicLattice(corner=np.full(F.d, offset), l0=l0, d=F.d)
     if F.d == 3:
         level = min(level, 4)
     got = rasterize_balls(F, lat, level)
@@ -241,10 +246,82 @@ def test_raster_matches_cell_by_cell_reference(F, level, offset):
     assert np.array_equal(got.indices, _raster_reference(F, lat, level))
 
 
-def _witness_reference(cov, F):
+@st.composite
+def chord_end_on_face_families(draw):
+    """2-d balls with a row whose chord ends fall on cell faces up to
+    rounding: for a Pythagorean triple (a, b, h), a t that is not dyadic and
+    cells of side s = 1/32, the centre is (16 s + a t, n s +- b t) and the
+    radius h t.  The row ending at the face 16 s has the chord half-width
+    b t, so its estimated ends round a cell either way of the true ones."""
+    s = 1 / 32
+    centers, radii = [], []
+    for _ in range(draw(st.integers(1, 4))):
+        t = draw(st.floats(0.005, 0.05))
+        a, b, h = draw(st.sampled_from([(3, 4, 5), (4, 3, 5), (5, 12, 13), (8, 15, 17)]))
+        sign = draw(st.sampled_from([-1, 1]))
+        centers.append([16 * s + a * t, draw(st.integers(12, 20)) * s + sign * b * t])
+        radii.append(h * t)
+    return make_ball_family(centers, radii)
+
+
+@given(chord_end_on_face_families())
+def test_raster_settles_chord_ends_that_round_across_a_face(F):
+    lat = unit_lattice(2)
+    got = rasterize_balls(F, lat, 5)
+    assert np.array_equal(got.indices, _raster_reference(F, lat, 5))
+
+
+def test_raster_finds_the_least_gap_cell_when_the_centre_rounds_across_a_face():
+    # the centre's last coordinate lies an ulp below a cell face, but its
+    # cell index rounds to the cell above, whose gap is 5.6e-17 where the
+    # cell below has gap 0.  The row at index 100 touches the ball (gap r on
+    # the first axis), and with r = 2^-29 the stray 5.6e-17 would push its
+    # distance past r: the row's one cell is found only from the cell below
+    s, r = 2.0 ** -19, 2.0 ** -29
+    lat = DyadicLattice(corner=np.array([0.0, 0.030568503387485624]), l0=1.0, d=2)
+    F = make_ball_family([[100 * s - r, -0.48227939700313943]], [r])
+    got = rasterize_balls(F, lat, 19)
+    assert np.array_equal(got.indices, _raster_reference(F, lat, 19))
+    assert [100, -268881] in got.indices.tolist()
+
+
+def test_raster_merges_rows_at_last_axis_indices_near_2_to_52():
+    # a lattice corner 2^22 below the balls and cells of side 2^-30 put the
+    # last-axis indices near 2^52.  Pairs of balls of radius one cell, two
+    # cells apart on the last axis, meet 3 rows each in overlapping
+    # intervals; 2^12 pairs make 3 * 2^12 rows, so row number times index
+    # passes 2^63, yet every row's intervals merge into distinct cells
+    side, n = 2.0 ** -30, 2 ** 12
+    lat = DyadicLattice(corner=np.array([0.0, -2.0 ** 22]), l0=1.0, d=2)
+    x = np.repeat(np.arange(n) * 2 ** 10 + 0.5, 2) * side
+    y = np.tile([0.5, 2.5], n) * side + 0.5
+    F = make_ball_family(np.column_stack([x, y]), np.full(2 * n, side))
+    got = rasterize_balls(F, lat, 30)
+    assert np.array_equal(got.indices, _raster_reference(F, lat, 30))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_raster_keeps_cells_that_only_touch_the_ball(d):
+    # dyadic centre and radius: the cells touching the sphere face-on (and
+    # corner-on for d >= 2) are at distance r exactly, and belong to the raster
+    lat = DyadicLattice(corner=np.full(d, -0.25), l0=0.5, d=d)
+    F = make_ball_family([[0.25] * d, [0.75] * d], [5 / 32, 3 / 32])
+    level = 4                       # cells of side 1/32
+    got = rasterize_balls(F, lat, level)
+    assert np.array_equal(got.indices, _raster_reference(F, lat, level))
+    side, c, r = lat.side(level), F.centers[0], F.radii[0]
+    corners = lat.corner[None, :] + got.indices * side
+    gap = np.maximum(np.maximum(corners - c, c - (corners + side)), 0.0)
+    touching = np.count_nonzero(gap[np.sqrt(np.sum(gap ** 2, axis=1)) == r], axis=1)
+    assert np.any(touching == 1)                # face on
+    if d >= 2:
+        assert np.any(touching == 2)            # corner on
+
+
+def _witness_reference(F, lat, levels, indices):
     """Per ball, the first of the largest cover cubes that meet it."""
-    sides = cov.cube_sides()
-    corners = cov.cube_corners()
+    sides = lat.l0 * 2.0 ** (-levels.astype(np.float64))
+    corners = lat.corner[None, :] + indices * sides[:, None]
     witness = []
     for c, r in zip(F.centers, F.radii):
         meets = np.nonzero(_cube_ball_distance(corners, sides[:, None], c) <= r)[0]
@@ -262,7 +339,84 @@ def test_witness_is_first_largest_meeting_cube(F, frac):
     raster = rasterize_balls(F, lat, optimal.constants["cell_level"])
     from_raster = regularized_cover(F, beta, lattice=lat, initial_cover=raster)
     for cov in (optimal, from_raster):
-        assert np.array_equal(cov.witness, _witness_reference(cov, F))
+        want = _witness_reference(F, cov.lattice, cov.levels, cov.indices)
+        assert np.array_equal(cov.witness, want)
+
+
+@st.composite
+def witness_covers(draw):
+    """A lattice (corner off 0, l0 off 1 allowed), a ball family and a cover
+    of distinct cubes sorted by (level, index): per ball, cubes of its
+    widened index box at a drawn level, crowding its first rows (which often
+    hold only cubes that miss), and the cell of its centre at another
+    level; maybe also a cube so far off that the level's index spans do not
+    pack into int64."""
+    F = draw(ball_families(dims=(1, 2, 3)))
+    d = F.d
+    lat = DyadicLattice(corner=np.full(d, draw(st.sampled_from([0.0, -0.25, 0.3]))),
+                        l0=draw(st.sampled_from([1.0, 0.5, 0.75])), d=d)
+    rows = []
+    for c, r in zip(F.centers, F.radii):
+        k = draw(st.integers(2, 6))
+        lo = lat.index_of(c - r, k)[0] - 1
+        hi = lat.index_of(c + r, k)[0] + 1
+        for _ in range(draw(st.integers(0, 10))):
+            # half of them in the box's first three rows
+            top = int(hi[0]) if draw(st.booleans()) else min(int(hi[0]), int(lo[0]) + 2)
+            rows.append([k, draw(st.integers(int(lo[0]), top)),
+                         *(draw(st.integers(int(lo[a]), int(hi[a]))) for a in range(1, d))])
+        k = draw(st.integers(1, 6))
+        rows.append([k, *lat.index_of(c, k)[0]])
+    if draw(st.booleans()):
+        rows.append([rows[0][0]] + [2 ** 40] * d)
+    rows = np.unique(np.array(rows, dtype=np.int64), axis=0)
+    return F, lat, rows[:, 0], rows[:, 1:]
+
+
+@given(witness_covers(), st.sampled_from([2, 16, content._SCAN_FLOATS]),
+       st.sampled_from([0, content._WHOLE_SCAN_PAIRS]))
+def test_windowed_witness_matches_whole_scan(case, scan_floats, whole_scan_pairs):
+    # with no whole-scan pairs every block goes through the index-box
+    # windows, and a small scan budget splits them into chunks
+    F, lat, levels, indices = case
+    with mock.patch.object(content, "_SCAN_FLOATS", scan_floats), \
+            mock.patch.object(content, "_WHOLE_SCAN_PAIRS", whole_scan_pairs):
+        got = content._witnesses(F, lat, levels, indices)
+    assert np.array_equal(got, _witness_reference(F, lat, levels, indices))
+
+
+def test_witness_box_reaches_a_cube_past_the_rounded_ball_end():
+    # c + r lies on the face of cell 28 (level 4) only up to rounding:
+    # (c + r - corner) / side rounds to just below 28, yet cell 28 touches
+    # the ball (its gap is r exactly).  The box's extra cell on the high side
+    # keeps it, so the witness is cell 28, not the finer cell of the centre
+    lat = DyadicLattice(corner=np.array([0.3390665622833302]), l0=1.0, d=1)
+    F = make_ball_family([[1.93281656228333]], [0.15625])
+    rows = np.array([[4, 0], [4, 28], [4, 40], [6, lat.index_of(F.centers, 6)[0, 0]]])
+    with mock.patch.object(content, "_WHOLE_SCAN_PAIRS", 0):
+        got = content._witnesses(F, lat, rows[:, 0], rows[:, 1:])
+    assert got.tolist() == [1]
+    assert np.array_equal(got, _witness_reference(F, lat, rows[:, 0], rows[:, 1:]))
+
+
+def test_witness_window_doubles_past_rows_that_miss():
+    # the first ball's widened box has rows 8..23 at level 5; rows 8-11 hold
+    # only its corner cubes, which miss, and its one meeting cube is in row
+    # 16, so windows of 1, 2, 4 and 8 rows run.  The second ball's box
+    # leaves the cover's index range below 0 and above 31.
+    F = make_ball_family([[0.5, 0.5], [0.05, 0.95]], [0.2, 0.1])
+    lat = unit_lattice(2)
+    cubes = [(8, 8), (8, 23), (9, 8), (9, 23), (10, 8), (11, 23), (16, 16),
+             (1, 30), (0, 0), (31, 31)]
+    rows = np.unique(np.array([(5, *ix) for ix in cubes], dtype=np.int64), axis=0)
+    spy = mock.Mock(wraps=content._first_meeting)
+    with mock.patch.object(content, "_WHOLE_SCAN_PAIRS", 0), \
+            mock.patch.object(content, "_first_meeting", spy):
+        got = content._witnesses(F, lat, rows[:, 0], rows[:, 1:])
+    assert np.array_equal(got, _witness_reference(F, lat, rows[:, 0], rows[:, 1:]))
+    assert [tuple(rows[w, 1:]) for w in got] == [(16, 16), (1, 30)]
+    windows = [int(np.count_nonzero(call.args[2] == 0)) for call in spy.call_args_list]
+    assert windows == [1, 2, 4, 8]
 
 
 @st.composite
