@@ -1,5 +1,5 @@
 """Generation and certification of cancellative atoms with dimensional
-normalization, and decomposition-based norm upper bounds.
+normalization, and finite atomic decompositions.
 
 An atom candidate is a grid measure ``a``, a cube Q, and an exponent beta.
 Certification samples the four defining conditions: support in Q, vanishing
@@ -21,10 +21,21 @@ import numpy as np
 
 from . import _kernels
 from .heat import TGrid, heat_sup_field
-from .maximal import _smoothstep
 from .measures import (Cube, GridMeasure, LOG2_OVER_LOG3, cantor_frostman,
                        curve_measure, default_radius_grid, frostman_constant,
                        lattice_points, measure_sum, new_grid_measure, unit_cube)
+
+# the default x-grid: coarse points over 4Q, and far points out to
+# _FAR_REACH * l(Q), which also extends the default time window
+_N_COARSE = 129
+_N_FAR = 64
+_FAR_REACH = 16.0
+# a PASS allows the sampled heat-bound ratio to exceed 1 by _SUP_TOL and
+# |a(Q)| to reach _CANCELLATION_TOL times the total variation
+_SUP_TOL = 0.01
+_CANCELLATION_TOL = 1e-10
+# the generators scale their atoms to this fraction of the series bound
+_SAFETY = 0.99
 
 
 @dataclass(frozen=True)
@@ -58,12 +69,9 @@ class AtomCertificate:
     sup_at_t: float
     small_t_exponent: float       # log-log slope of max_x value on low t
     small_t_residual: float
-    sup_tol: float
-    cancellation_tol: float
     n_points: int
     t_window: tuple
     nodes_per_decade: int
-    sampling_rule: str
     extras: dict = field(default_factory=dict)
 
     @property
@@ -86,12 +94,11 @@ class AtomCertificate:
             "sup_at": {"x": list(self.sup_at_x), "t": self.sup_at_t},
             "small_t": {"exponent": self.small_t_exponent,
                         "residual": self.small_t_residual},
-            "tolerances": {"sup": self.sup_tol,
-                           "cancellation": self.cancellation_tol},
+            "tolerances": {"sup": _SUP_TOL, "cancellation": _CANCELLATION_TOL},
             "sampling": {"n_points": self.n_points,
                          "t_window": list(self.t_window),
                          "nodes_per_decade": self.nodes_per_decade,
-                         "rule": self.sampling_rule},
+                         "rule": "default(support+midpoints+4Q+far)"},
         }
         out.update({k: v for k, v in self.extras.items()})
         return out
@@ -126,31 +133,30 @@ def _adjacent_midpoints(pts):
     return np.vstack(mids)
 
 
-def certification_points(cand: AtomCandidate, n_coarse: int = 129,
-                         n_far: int = 64, far_reach: float = 16.0) -> np.ndarray:
+def certification_points(cand: AtomCandidate) -> np.ndarray:
     """Default x-grid: support points and midpoints, a coarse grid over 4Q,
-    and ``n_far`` far points log-spaced out to ``far_reach * l(Q)``."""
+    and ``_N_FAR`` far points log-spaced out to ``_FAR_REACH * l(Q)``."""
     mu = cand.measure
     pts = mu.points()
     parts = [pts, _adjacent_midpoints(pts)]
     big = cand.cube.scaled_about_center(4.0)
     d = cand.d
     if d == 1:
-        n_side = n_coarse
+        n_side = _N_COARSE
         coarse = big.corner[None, :] + np.linspace(0, big.side, n_side)[:, None]
     else:
-        n_side = max(9, int(round(n_coarse ** (1.0 / d))))
+        n_side = max(9, int(round(_N_COARSE ** (1.0 / d))))
         coarse = lattice_points([np.linspace(big.corner[a], big.corner[a] + big.side, n_side)
                                  for a in range(d)])
     parts.append(coarse)
     center = cand.cube.center
     if d == 1:
-        radii = np.geomspace(2.0 * cand.side, far_reach * cand.side, n_far // 2)
+        radii = np.geomspace(2.0 * cand.side, _FAR_REACH * cand.side, _N_FAR // 2)
         far = np.concatenate([center[0] + radii, center[0] - radii])[:, None]
     else:
         n_dirs = 8
-        n_rad = max(2, n_far // n_dirs)
-        radii = np.geomspace(2.0 * cand.side, far_reach * cand.side, n_rad)
+        n_rad = max(2, _N_FAR // n_dirs)
+        radii = np.geomspace(2.0 * cand.side, _FAR_REACH * cand.side, n_rad)
         angles = 2.0 * np.pi * np.arange(n_dirs) / n_dirs
         dirs = np.stack([np.cos(angles), np.sin(angles)], axis=1)
         if d > 2:
@@ -162,16 +168,10 @@ def certification_points(cand: AtomCandidate, n_coarse: int = 129,
     return np.unique(np.vstack(parts), axis=0)
 
 
-def certification_tgrid(cand: AtomCandidate, nodes_per_decade: int = 16,
-                        far_reach: float = 16.0) -> TGrid:
-    return TGrid.for_measure(cand.measure, nodes_per_decade=nodes_per_decade,
-                             reach=far_reach * cand.side)
-
-
-def _small_t_fit(mu: GridMeasure, gamma: float, tgrid: TGrid, decades: float = 1.5):
-    """Slope of log10 max_x t^{gamma/2}|E| over the lowest time decades,
+def _small_t_fit(mu: GridMeasure, gamma: float, tgrid: TGrid):
+    """Slope of log10 max_x t^{gamma/2}|E| over the lowest 1.5 time decades,
     sampled at the heaviest support points (where small-t peaks live)."""
-    t_hi = tgrid.t_min * 10.0 ** decades
+    t_hi = tgrid.t_min * 10.0 ** 1.5
     tsel = tgrid.nodes[tgrid.nodes <= t_hi]
     if len(tsel) < 4:
         tsel = tgrid.nodes[:4]
@@ -189,10 +189,7 @@ def _small_t_fit(mu: GridMeasure, gamma: float, tgrid: TGrid, decades: float = 1
     return float(slope), resid
 
 
-def check_beta_atom(cand: AtomCandidate, tgrid: TGrid | None = None,
-                    points=None, sup_tol: float = 0.01,
-                    cancellation_tol: float = 1e-10,
-                    sampling_rule: str | None = None) -> AtomCertificate:
+def check_beta_atom(cand: AtomCandidate, tgrid: TGrid | None = None) -> AtomCertificate:
     """Evaluate the four atom conditions on finite samples.
 
     Failures are reported in the certificate, never raised.  The sampled sup
@@ -202,11 +199,8 @@ def check_beta_atom(cand: AtomCandidate, tgrid: TGrid | None = None,
     if not (0 < cand.beta <= cand.d):
         raise ValueError("beta must lie in (0, d]")
     mu = cand.measure
-    tg = tgrid or certification_tgrid(cand)
-    pts = certification_points(cand) if points is None else \
-        np.atleast_2d(np.asarray(points, dtype=np.float64))
-    rule = sampling_rule or ("default(support+midpoints+4Q+far)"
-                             if points is None else "caller")
+    tg = tgrid or TGrid.for_measure(mu, nodes_per_decade=16, reach=_FAR_REACH * cand.side)
+    pts = certification_points(cand)
     tv = mu.total_variation()
     gamma = cand.d - cand.beta
 
@@ -221,8 +215,8 @@ def check_beta_atom(cand: AtomCandidate, tgrid: TGrid | None = None,
 
     passes = {
         "support": overflow <= 1e-12 * max(tv, 1.0),
-        "cancellation": abs(mass_q) <= cancellation_tol * max(tv, 1e-300),
-        "heat_bound": ratio <= 1.0 + sup_tol,
+        "cancellation": abs(mass_q) <= _CANCELLATION_TOL * max(tv, 1e-300),
+        "heat_bound": ratio <= 1.0 + _SUP_TOL,
         "variation": tv <= 1.0 + 1e-12,
     }
     return AtomCertificate(
@@ -238,12 +232,9 @@ def check_beta_atom(cand: AtomCandidate, tgrid: TGrid | None = None,
         sup_at_t=float(sup.t_at[i]),
         small_t_exponent=slope,
         small_t_residual=resid,
-        sup_tol=sup_tol,
-        cancellation_tol=cancellation_tol,
         n_points=len(pts),
         t_window=(tg.t_min, tg.t_max),
         nodes_per_decade=tg.nodes_per_decade,
-        sampling_rule=rule,
     )
 
 
@@ -251,12 +242,11 @@ def check_beta_atom(cand: AtomCandidate, tgrid: TGrid | None = None,
 # generators
 # ---------------------------------------------------------------------------
 
-def make_frostman_atom(beta: float = LOG2_OVER_LOG3, depth: int = 8,
-                       safety: float = 0.99):
+def make_frostman_atom(beta: float = LOG2_OVER_LOG3, depth: int = 8):
     """Difference of a Cantor Frostman measure on [0, 1/2] and its translate.
 
     The mass c2 is chosen so that the measured Frostman constant of each
-    piece meets the annuli series bound with the given safety margin (and
+    piece meets the annuli series bound with the safety margin ``_SAFETY`` (and
     c2 <= 1/2 keeps the total variation at most one).  Returns the candidate
     on Q = [0, 1] and a build-info dict (c1, c2, series value).
     """
@@ -266,7 +256,7 @@ def make_frostman_atom(beta: float = LOG2_OVER_LOG3, depth: int = 8,
         raise ValueError("depth must be >= 1")
     mu_unit, cert_unit = cantor_frostman(depth, 1.0)
     series_unit = frostman_series_value(1.0, beta, 1)
-    c1_star = safety / series_unit
+    c1_star = _SAFETY / series_unit
     c2 = min(0.5, c1_star / cert_unit.constant)
     half = mu_unit.scaled(c2, name=f"cantor_atom+(d{depth})")
     a = measure_sum([half, half.translated([0.5]).scaled(-1.0)],
@@ -294,8 +284,7 @@ def make_linf_atom(d: int = 1, resolution: int = 8):
     return AtomCandidate(measure=mu, cube=unit_cube(d), beta=float(d))
 
 
-def make_loop_atom(polyline, component: int, h: float,
-                   safety: float = 0.99, scale: float | None = None):
+def make_loop_atom(polyline, component: int, h: float):
     """Component of a closed-curve vector measure, rescaled into a 1-atom.
 
     The polyline (closed, inside the unit cube) is discretized by
@@ -311,45 +300,16 @@ def make_loop_atom(polyline, component: int, h: float,
     var = vm.variation_measure()
     cert = frostman_constant(var, 1.0, default_radius_grid(var, r_min=2.0 * h))
     series_unit = frostman_series_value(1.0, 1.0, d)
-    s_frost = safety / (series_unit * cert.constant)
+    s_frost = _SAFETY / (series_unit * cert.constant)
     comp = vm.components[component]
     tv = comp.total_variation()
     s = min(s_frost, 1.0 / tv if tv > 0 else math.inf)
-    if scale is not None:
-        s = min(s, scale)
     cand = AtomCandidate(measure=comp.scaled(s, name=f"loop_atom[{component}]"),
                          cube=unit_cube(d), beta=1.0)
     info = {"scale": s, "variation_frostman_constant": cert.constant,
             "series_value": frostman_series_value(s * cert.constant, 1.0, d),
             "component_tv": tv}
     return cand, info
-
-
-# ---------------------------------------------------------------------------
-# derived checks
-# ---------------------------------------------------------------------------
-
-def downgrade_check(cand: AtomCandidate, alpha: float,
-                    tgrid: TGrid | None = None, points=None,
-                    sup_tol: float = 0.01) -> AtomCertificate:
-    """Re-certify a beta-certified candidate at a smaller exponent alpha."""
-    if not (0 < alpha < cand.beta):
-        raise ValueError("need 0 < alpha < beta")
-    down = AtomCandidate(measure=cand.measure, cube=cand.cube, beta=alpha)
-    return check_beta_atom(down, tgrid=tgrid, points=points, sup_tol=sup_tol)
-
-
-def normalize_to_standard(cand: AtomCandidate) -> AtomCandidate:
-    """Mass-preserving dilation carrying Q onto [-1, 1]^d.
-
-    The heat-bound margin (ratio times l(Q)^beta) is exactly invariant under
-    this map, so re-certification reproduces the input margins up to
-    quadrature rounding.
-    """
-    s = 2.0 / cand.side
-    mu = cand.measure.dilated(s, cand.cube.center)
-    std = Cube(corner=-np.ones(cand.d), side=2.0)
-    return AtomCandidate(measure=mu, cube=std, beta=cand.beta)
 
 
 # ---------------------------------------------------------------------------
@@ -380,67 +340,3 @@ class AtomicDecomposition:
     def budget(self) -> float:
         return float(sum(abs(lam) for lam, _, _ in self.entries))
 
-
-def mollified_indicator_family(d: int, center, extent: float, count: int = 16):
-    """Deterministic mollified plateaus at ~3 scales covering the region.
-
-    Each phi is 1 inside radius 0.8 r, 0 outside r, with a smoothstep bridge.
-    """
-    center = np.asarray(center, dtype=np.float64)
-    tests = []
-
-    def plateau(c, r):
-        def phi(x):
-            dist = np.sqrt(np.sum((np.atleast_2d(x) - c[None, :]) ** 2, axis=1))
-            return 1.0 - _smoothstep((dist - 0.8 * r) / (0.2 * r))
-        return phi
-
-    tests.append(plateau(center, 1.5 * extent))
-    for k, n_side in ((2.0, 3), (4.0, 12)):
-        r = 1.5 * extent / k
-        if d == 1:
-            offs = np.linspace(-extent, extent, n_side)[:, None]
-        else:
-            m = max(2, int(math.ceil(math.sqrt(n_side))))
-            g = np.linspace(-extent, extent, m)
-            offs = lattice_points([g] * d)[:n_side]
-        for o in offs:
-            tests.append(plateau(center + o, r))
-        if len(tests) >= count:
-            break
-    return tests[:count]
-
-
-def _pair(measure: GridMeasure, phi) -> float:
-    if measure.n_masses == 0:
-        return 0.0
-    return float(np.sum(measure.weights * phi(measure.points())))
-
-
-def atomic_norm_upper_bound(dec: AtomicDecomposition, target: GridMeasure,
-                        n_tests: int = 16):
-    """Coefficient budget of an explicit decomposition plus a weak-star
-    residual proxy: max over a fixed mollified-indicator family of
-    |<target - sum lambda_i a_i, phi>|.
-
-    The budget is an upper bound for the atomic norm; the infimum over all
-    decompositions is not computed (and reports must say so).
-    """
-    bound = dec.budget
-    los, his = [target.bbox()[0]], [target.bbox()[1]]
-    for _, cand, _ in dec.entries:
-        lo, hi = cand.measure.bbox()
-        los.append(lo)
-        his.append(hi)
-    lo = np.min(np.vstack(los), axis=0)
-    hi = np.max(np.vstack(his), axis=0)
-    center = 0.5 * (lo + hi)
-    extent = max(float(np.max(hi - lo)) * 0.75, 1e-6)
-    tests = mollified_indicator_family(target.d, center, extent, count=n_tests)
-    residual = 0.0
-    for phi in tests:
-        val = _pair(target, phi)
-        for lam, cand, _ in dec.entries:
-            val -= lam * _pair(cand.measure, phi)
-        residual = max(residual, abs(val))
-    return bound, residual

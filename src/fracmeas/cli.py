@@ -16,7 +16,6 @@ from __future__ import annotations
 import argparse
 import inspect
 import json
-import math
 import os
 import sys
 
@@ -242,11 +241,15 @@ def cmd_content_value(args) -> int:
     F = _load_balls(args.balls)
     if F is None:
         val, upper = 0.0, 0.0
+    elif args.beta < F.d:
+        # one cover: its raster's exact content and its cubes' balls
+        cover = content.regularized_cover(F, args.beta)
+        val = cover.constants["raster_content"]
+        upper = content.spherical_content_upper(F, args.beta, cover)
     else:
+        # no regularized cover at beta = d: the raster at the cover's level
         lat = measures.unit_lattice(F.d)
-        r_min = float(np.min(F.radii))
-        lvl = int(math.ceil(math.log2(1.0 / (r_min / 4.0))))
-        raster = content.rasterize_balls(F, lat, lvl)
+        raster = content.rasterize_balls(F, lat, content._cell_level(F, lat))
         val = content.dyadic_content(raster, args.beta)
         upper = content.spherical_content_upper(F, args.beta)
     _report(args, "content_value", {"dyadic_content": val, "spherical_upper": upper})

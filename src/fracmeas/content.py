@@ -438,6 +438,8 @@ class ContentCover:
 
 # temporaries of one witness scan chunk, in float64 entries (0.5 MB)
 _SCAN_FLOATS = 2 ** 16
+# swaps allowed per ball before covering regularization gives up
+_SWAPS_PER_BALL = 64
 # (pending ball, cube) pairs up to which a level block is scanned whole: the
 # measured crossover.  Over the 553 level blocks of the content workload's
 # covers for seeds 2001-2012, the whole scan was faster in 405 of the 406
@@ -529,8 +531,14 @@ def _witnesses(F: BallFamily, lattice: DyadicLattice, levels, indices) -> np.nda
     return witness
 
 
+def _cell_level(F: BallFamily, lattice: DyadicLattice) -> int:
+    """Raster level of a ball family: the coarsest with cells of side at
+    most a quarter of the smallest radius."""
+    r_min = float(np.min(F.radii))
+    return int(math.ceil(math.log2(lattice.l0 / (r_min / 4.0))))
+
+
 def regularized_cover(F: BallFamily, beta: float, lattice: DyadicLattice | None = None,
-                      budget_factor: int = 64,
                       initial_cover: CubeUnion | None = None) -> ContentCover:
     """Dyadic cover of a ball union with per-ball comparable cube sizes.
 
@@ -540,7 +548,7 @@ def regularized_cover(F: BallFamily, beta: float, lattice: DyadicLattice | None 
     are smaller than c*r (largest radius first, lexicographic center
     tie-break), removes those cubes, and adds the at most 2^d cubes of
     sidelength in [4r, 8r) meeting the doubled ball.  Each swap strictly
-    decreases the total for beta < 1; a hard budget of ``budget_factor *
+    decreases the total for beta < 1; a hard budget of ``_SWAPS_PER_BALL *
     |F|`` swaps guards the loop and exhaustion raises (it indicates a bug,
     not an input).
     """
@@ -561,8 +569,7 @@ def regularized_cover(F: BallFamily, beta: float, lattice: DyadicLattice | None 
                             constants={"c": c, "c_prime": c_prime,
                                        "C_impl": 0.0, "swaps": 0,
                                        "raster_content": 0.0})
-    r_min = float(np.min(F.radii))
-    cell_level = int(math.ceil(math.log2(lat.l0 / (r_min / 4.0))))
+    cell_level = _cell_level(F, lat)
     raster = rasterize_balls(F, lat, cell_level)
     if initial_cover is None:
         raster_content, cover0 = dyadic_content_cover(raster, beta)
@@ -571,7 +578,7 @@ def regularized_cover(F: BallFamily, beta: float, lattice: DyadicLattice | None 
     # the cover as distinct rows (level, index...) in lexicographic order
     rows, _, _ = _unique_rows(np.column_stack([cover0.levels, cover0.indices]))
     swaps = 0
-    budget = budget_factor * F.n_balls
+    budget = _SWAPS_PER_BALL * F.n_balls
     while True:
         lv, ix = rows[:, 0], rows[:, 1:]
         sides = lat.l0 * 2.0 ** (-lv.astype(np.float64))
@@ -615,14 +622,14 @@ def regularized_cover(F: BallFamily, beta: float, lattice: DyadicLattice | None 
                                    "cell_level": cell_level})
 
 
-def ball_cover(F: BallFamily, beta: float, lattice: DyadicLattice | None = None) -> ContentCover:
+def ball_cover(F: BallFamily, beta: float) -> ContentCover:
     """Ball covering with every input ball contained in one covering ball.
 
     Dilates the regularized cover's cubes to balls of radius
     ``side * (sqrt(d)/2 + 2/c)``: the witness inequality l >= c r makes the
     witness cube's dilate swallow the input ball.
     """
-    reg = regularized_cover(F, beta, lattice=lattice)
+    reg = regularized_cover(F, beta)
     d = F.d
     c = reg.constants["c"]
     if reg.n_elements == 0:
@@ -651,11 +658,13 @@ def ball_cover(F: BallFamily, beta: float, lattice: DyadicLattice | None = None)
                         constants=consts)
 
 
-def spherical_content_upper(obj, beta: float, lattice: DyadicLattice | None = None) -> float:
+def spherical_content_upper(obj, beta: float, cover: ContentCover | None = None) -> float:
     """Greedy upper bound for the spherical Hausdorff content.
 
     Always at least the true content: it is the min of the self-cover cost
-    and the circumscribed-ball cost of a regularized/optimal cube cover.
+    and the circumscribed-ball cost of a regularized/optimal cube cover.  A
+    ball family's regularized cover is computed here unless the caller
+    passes the one it holds as ``cover``.
     """
     omega = ball_volume_constant(beta)
     if isinstance(obj, BallFamily):
@@ -664,7 +673,7 @@ def spherical_content_upper(obj, beta: float, lattice: DyadicLattice | None = No
         self_cover = float(np.sum(omega * obj.radii ** beta))
         if beta >= obj.d:
             return self_cover
-        reg = regularized_cover(obj, beta, lattice=lattice)
+        reg = regularized_cover(obj, beta) if cover is None else cover
         circ = float(np.sum(omega * (reg.cube_sides() * math.sqrt(obj.d) / 2.0) ** beta))
         return min(self_cover, circ)
     E: CubeUnion = obj

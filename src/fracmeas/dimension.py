@@ -9,8 +9,8 @@ meaningful budget.  "Meaningful" matters for discrete surrogates: budgets
 below the cost of a single candidate cube capture nothing vacuously, so the
 verdict is evaluated at delta* = the smallest probed budget admitting any
 selection, and beta passes when the capture density
-``(captured/|mu|) / (spent/l0^beta)`` stays below ``tol_factor`` (default
-1.5) there; a bounded density is the mass-capture form of a Frostman bound,
+``(captured/|mu|) / (spent/l0^beta)`` stays below ``_TOL_FACTOR`` (1.5)
+there; a bounded density is the mass-capture form of a Frostman bound,
 while an inflated one exhibits a low-dimensional mass concentration.  Full
 curves are always part of the report.
 
@@ -38,6 +38,9 @@ from .heat import TGrid
 from .maximal import grand_maximal, standard_family, truncated_dyadic_maximal
 from .measures import (Cube, DyadicLattice, GridMeasure, _cube_sums, _match_rows,
                        lattice_points, measure_sum)
+
+# the largest capture density at which a beta passes
+_TOL_FACTOR = 1.5
 
 
 def _occupied_cubes(mu: GridMeasure, lattice: DyadicLattice,
@@ -191,8 +194,7 @@ class DimensionReport:
 
 
 def lower_dim_estimate(mu: GridMeasure, lattice: DyadicLattice, betas,
-                       max_level: int, tol_factor: float = 1.5,
-                       deltas=None, min_level: int = 0) -> DimensionReport:
+                       max_level: int, deltas=None, min_level: int = 0) -> DimensionReport:
     """Modulus curves over the budget grid and the operational beta-hat."""
     betas = np.asarray(betas, dtype=np.float64)
     if np.any(betas <= 0) or np.any(betas > lattice.d):
@@ -209,7 +211,7 @@ def lower_dim_estimate(mu: GridMeasure, lattice: DyadicLattice, betas,
                                beta_hat=float(np.max(betas)),
                                passes=np.ones(len(betas), dtype=bool),
                                delta_star=deltas[-1] * np.ones(len(betas)),
-                               tol_factor=tol_factor, max_level=max_level,
+                               tol_factor=_TOL_FACTOR, max_level=max_level,
                                total_variation=0.0,
                                diagnostics={"min_level": min_level,
                                             "spent": curves.tolist(),
@@ -241,11 +243,11 @@ def lower_dim_estimate(mu: GridMeasure, lattice: DyadicLattice, betas,
         j_star = int(np.argmin(np.abs(deltas - dstar)))
         # bounded capture density: mass fraction per unit of content spent
         density = curves[i, j_star] / (spent_mat[i, j_star] / unit ** beta)
-        passes[i] = density <= tol_factor
+        passes[i] = density <= _TOL_FACTOR
     beta_hat = float(np.max(betas[passes])) if np.any(passes) else 0.0
     return DimensionReport(betas=betas, deltas=deltas, curves=curves,
                            beta_hat=beta_hat, passes=passes,
-                           delta_star=delta_star, tol_factor=tol_factor,
+                           delta_star=delta_star, tol_factor=_TOL_FACTOR,
                            max_level=max_level, total_variation=tv,
                            diagnostics={"min_level": min_level,
                                         "spent": spent_mat.tolist(),
@@ -257,9 +259,9 @@ def lower_dim_estimate(mu: GridMeasure, lattice: DyadicLattice, betas,
 # ---------------------------------------------------------------------------
 
 def choquet_maximal_test(mu: GridMeasure, lattice: DyadicLattice, beta: float,
-                         truncation: float, k_min: int = 0,
-                         domain: Cube | None = None) -> float:
-    """Choquet integral over Q0 of the truncated dyadic maximal function.
+                         truncation: float) -> float:
+    """Choquet integral over Q0 of the truncated dyadic maximal function
+    (cube levels 0 through the truncation level).
 
     The truncated field is constant on cells at the truncation level, so
     sampling there represents it exactly.
@@ -270,14 +272,14 @@ def choquet_maximal_test(mu: GridMeasure, lattice: DyadicLattice, beta: float,
         return 0.0
     d = lattice.d
     k_trunc = int(math.floor(math.log2(lattice.l0 / truncation) + 1e-9))
-    domain = domain or Cube(corner=lattice.corner.copy(), side=lattice.l0)
+    domain = Cube(corner=lattice.corner.copy(), side=lattice.l0)
     side = lattice.side(k_trunc)
     n0 = np.floor((domain.corner - lattice.corner) / side).astype(np.int64)
     counts = [int(round(domain.side / side))] * d
     cells = lattice_points([n0[a] + np.arange(counts[a]) for a in range(d)])
     centers = lattice.corner[None, :] + (cells + 0.5) * side
     fld = truncated_dyadic_maximal(mu, lattice, d - beta, truncation,
-                                   centers, k_min, k_trunc)
+                                   centers, 0, k_trunc)
     return choquet_integral(cells, fld.values, lattice, k_trunc, beta,
                             domain=domain)
 
@@ -298,16 +300,14 @@ def maximal_level_sums(cells, values, lattice: DyadicLattice, level: int,
 
 
 def atom_sum_dimension_check(dec: AtomicDecomposition, sample_level: int = 6,
-                             margin: float = 4.0, betas=None,
-                             max_level: int = 14, tol_factor: float = 1.5,
-                             nodes_per_decade: int = 16,
-                             beta_slack: float = 0.1) -> dict:
+                             max_level: int = 14) -> dict:
     """Maximal/Choquet bound and dimension estimate for an atom combination.
 
     Computes ``||M(sum lambda_i a_i)||_{L^1(H^beta)}`` via the grand maximal
-    field sampled on a dyadic grid and its Choquet integral, reports the
-    ratio to the coefficient budget, then runs the dimension estimate on the
-    sum and checks beta_hat >= beta - beta_slack.
+    field sampled on a dyadic grid (a margin of 4 around the sum's support)
+    and its Choquet integral, reports the ratio to the coefficient budget,
+    then runs the dimension estimate on the sum over the betas 0.05, 0.10,
+    ..., d and checks beta_hat >= beta - 0.1.
     """
     if not dec.entries:
         return {"budget": 0.0, "maximal_l1": 0.0, "bound_constant": 0.0,
@@ -318,7 +318,7 @@ def atom_sum_dimension_check(dec: AtomicDecomposition, sample_level: int = 6,
     d = mu.d
     lo, hi = mu.bbox()
     center = 0.5 * (lo + hi)
-    extent = max(float(np.max(hi - lo)), 1.0) + 2.0 * margin
+    extent = max(float(np.max(hi - lo)), 1.0) + 2.0 * 4.0
     size = 2.0 ** math.ceil(math.log2(extent))
     lattice = DyadicLattice(corner=center - 0.5 * size, l0=size, d=d)
     domain = Cube(corner=lattice.corner.copy(), side=size)
@@ -326,8 +326,7 @@ def atom_sum_dimension_check(dec: AtomicDecomposition, sample_level: int = 6,
     cells = lattice_points([np.arange(2 ** sample_level)] * d)
     centers = lattice.corner[None, :] + (cells + 0.5) * side
     fam = standard_family(d)
-    tg = TGrid.for_measure(mu, nodes_per_decade=nodes_per_decade,
-                           reach=0.5 * size)
+    tg = TGrid.for_measure(mu, nodes_per_decade=16, reach=0.5 * size)
     fld = grand_maximal(mu, fam, d - beta, centers, tg)
     l1 = choquet_integral(cells, fld.values, lattice, sample_level, beta,
                           domain=domain)
@@ -335,10 +334,8 @@ def atom_sum_dimension_check(dec: AtomicDecomposition, sample_level: int = 6,
                                     beta, k_max=48)
     # dimension estimate on the sum, on a unit lattice at the sum's corner
     est_lattice = DyadicLattice(corner=np.floor(lo), l0=1.0, d=d)
-    if betas is None:
-        betas = np.arange(0.05, d + 1e-9, 0.05)
-    report = lower_dim_estimate(mu, est_lattice, betas, max_level,
-                                tol_factor=tol_factor)
+    betas = np.arange(0.05, d + 1e-9, 0.05)
+    report = lower_dim_estimate(mu, est_lattice, betas, max_level)
     budget = dec.budget
     return {
         "beta": beta,
@@ -346,7 +343,7 @@ def atom_sum_dimension_check(dec: AtomicDecomposition, sample_level: int = 6,
         "maximal_l1": l1,
         "bound_constant": l1 / budget if budget > 0 else 0.0,
         "beta_hat": report.beta_hat,
-        "dim_pass": report.beta_hat >= beta - beta_slack,
+        "dim_pass": report.beta_hat >= beta - 0.1,
         "level_sums": [float(v) for v in level_sums],
         "dimension_report": report,
         "convention": fld.convention,

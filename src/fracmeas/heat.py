@@ -45,15 +45,15 @@ class TGrid:
 
     @classmethod
     def for_measure(cls, mu: GridMeasure, nodes_per_decade: int = 32,
-                    span_factor: float = 4.0, reach: float = 0.0) -> "TGrid":
-        """Default window (h/4)^2 .. (span_factor * (diam + reach))^2.
+                    reach: float = 0.0) -> "TGrid":
+        """Default window (h/4)^2 .. (4 * (diam + reach))^2.
 
         ``reach`` extends the top of the window when far-field evaluation
         points matter (the sup in t is attained near t ~ |x|^2 out there).
         A degenerate support (single mass) falls back to diam = h.
         """
         span = max(mu.support_diameter(), mu.h) + reach
-        return cls.build((mu.h / 4.0) ** 2, (span_factor * span) ** 2,
+        return cls.build((mu.h / 4.0) ** 2, (4.0 * span) ** 2,
                          nodes_per_decade)
 
 
@@ -88,8 +88,9 @@ class SupField:
     tgrid: TGrid
 
 
-def _golden_refine(mu, pts, gamma, t_lo, t_hi, iters=14):
-    """Vectorized golden-section maximization of t^{g/2}|E(x,t)| per point."""
+def _golden_refine(mu, pts, gamma, t_lo, t_hi):
+    """Vectorized golden-section maximization of t^{g/2}|E(x,t)| per point,
+    14 steps."""
     a = np.log(t_lo)
     b = np.log(t_hi)
     y = mu.points()
@@ -112,7 +113,7 @@ def _golden_refine(mu, pts, gamma, t_lo, t_hi, iters=14):
     e = a + GOLDEN * (b - a)
     fc = g(c)
     fe = g(e)
-    for _ in range(iters):
+    for _ in range(14):
         left = fc >= fe            # keep [a, e], drop (e, b]
         b = np.where(left, e, b)
         a = np.where(left, a, c)
@@ -153,21 +154,20 @@ def heat_sup_field(mu: GridMeasure, gamma: float, points, tgrid: TGrid,
     return SupField(points=pts, values=vals, t_at=t_at, gamma=gamma, tgrid=tgrid)
 
 
-def mass_quadrature_grid(mu: GridMeasure, t: float, pad_sigmas: float = 10.0,
-                         resolve: float | None = None):
+def mass_quadrature_grid(mu: GridMeasure, t: float, resolve: float | None = None):
     """Quadrature lattice for integrating heat extensions at time t.
 
     A lattice Riemann sum of a Gaussian is exact up to Poisson-summation
     aliasing ``2 exp(-4 pi^2 t / hq^2)``; spacing ``1.25 sqrt(t)`` keeps that
-    near 1e-11, and the ``pad_sigmas`` margin keeps the truncated tail below
-    ``erfc(pad/2)`` per axis.  Pass ``resolve`` (a finer time scale) when the
+    near 1e-11, and a margin of 10 sqrt(t) keeps the truncated tail below
+    ``erfc(5)`` per axis.  Pass ``resolve`` (a finer time scale) when the
     sampled field feeds another convolution.
     """
     lo, hi = mu.bbox()
     st = math.sqrt(t)
     hq = 1.25 * math.sqrt(t if resolve is None else min(t, resolve))
-    lo = lo - pad_sigmas * st
-    hi = hi + pad_sigmas * st
+    lo = lo - 10.0 * st
+    hi = hi + 10.0 * st
     pts = lattice_points([np.arange(lo[a], hi[a] + hq, hq) for a in range(mu.d)])
     return pts, hq
 

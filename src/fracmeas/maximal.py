@@ -1,5 +1,5 @@
 """Dyadic, truncated, grand, and anti-local fractional maximal functions;
-smoothed frequency projectors; decay-exponent fitting.
+smoothed frequency projectors.
 
 Convention note: atoms are stated in heat time t (spatial scale sqrt(t)); the
 grand maximal function here sups ``s^gamma |mu * Phi_s|`` over the dilation
@@ -10,7 +10,7 @@ variant restricts it to s > rho).
 
 ``scipy.fft`` and ``scipy.interpolate`` load on first use, inside
 ``_full_convolution`` and ``Profile.kernel_values``.  Only the frequency
-projectors (``lp_lowpass``, ``lp_band``, ``lp_apply_tilde``) reach them.
+projectors (``lp_lowpass``, ``lp_band``) reach them.
 Imported with this module, they and what they pull in (``scipy.optimize``,
 ``scipy.linalg``, ``scipy.sparse``) would cost every process, ``fracmeas
 verify`` included, about 0.3 s and 27 MB of start-up.  ``scipy.special``
@@ -153,9 +153,9 @@ def _sphere_area(d):
     return 2.0 * math.pi ** (d / 2.0) / math.gamma(d / 2.0)
 
 
-def _bump_mass(d, n=20001):
+def _bump_mass(d):
     """integral of exp(-1/(1-|x|^2)) over the unit ball in R^d."""
-    r = np.linspace(0.0, 1.0, n)[:-1]
+    r = np.linspace(0.0, 1.0, 20001)[:-1]
     vals = np.exp(-1.0 / (1.0 - r ** 2)) * r ** (d - 1)
     return _sphere_area(d) * np.trapezoid(vals, r)
 
@@ -250,8 +250,13 @@ def _axis_seminorm(profile_vals, dx, nu_der, nu_wt, x):
     return budget
 
 
+# the seminorm budget: derivative orders up to _NU_DER, weight (1+|x|)^_NU_WT
+_NU_DER = 4
+_NU_WT = 4
+
+
 @lru_cache(maxsize=16)
-def standard_family(d: int, normalize: bool = True, nu_der: int = 4, nu_wt: int = 4):
+def standard_family(d: int, normalize: bool = True):
     """The five-profile concrete family standing in for the Schwartz class.
 
     gauss (heat kernel at t=1), the compactly supported mollifier bump, its
@@ -280,10 +285,10 @@ def standard_family(d: int, normalize: bool = True, nu_der: int = 4, nu_wt: int 
         x = np.arange(-span, span + 1e-12, min(dr, 1.0 / 512.0) if table is not None else
                       min(span / 4096.0, 1.0 / 512.0))
         raw = _axis_seminorm(prof.values(np.abs(x)), float(x[1] - x[0]),
-                             nu_der, nu_wt, x)
+                             _NU_DER, _NU_WT, x)
         factor = 1.0 / raw if (normalize and raw > 0) else 1.0
         meta = {"raw_seminorm": raw, "norm_factor": factor,
-                "nu_der": nu_der, "nu_wt": nu_wt,
+                "nu_der": _NU_DER, "nu_wt": _NU_WT,
                 "fourier_support": {"low": (0.0, 1.0), "band": (0.125, 2.0)}.get(
                     name[3:], None) if name.startswith("xi_") else None,
                 "compact_support": kind != "gauss",
@@ -293,28 +298,19 @@ def standard_family(d: int, normalize: bool = True, nu_der: int = 4, nu_wt: int 
             support_radius=sup,
             table=None if table is None else table * factor, table_dr=dr,
             seminorm_budget=1.0 if normalize else raw, meta=meta))
-    return TestFamily(profiles=tuple(profiles), d=d, nu_der=nu_der, nu_wt=nu_wt,
-                      normalized=normalize)
+    return TestFamily(profiles=tuple(profiles), d=d)
 
 
 @dataclass(frozen=True)
 class TestFamily:
     profiles: tuple
     d: int
-    nu_der: int
-    nu_wt: int
-    normalized: bool
 
     def __getitem__(self, name: str) -> Profile:
         for p in self.profiles:
             if p.name == name:
                 return p
         raise KeyError(name)
-
-    def subset(self, names) -> "TestFamily":
-        return TestFamily(profiles=tuple(p for p in self.profiles if p.name in names),
-                          d=self.d, nu_der=self.nu_der, nu_wt=self.nu_wt,
-                          normalized=self.normalized)
 
 
 # ---------------------------------------------------------------------------
@@ -476,17 +472,14 @@ def _lowpass_raw(f, k: int, profile: Profile):
     return SampledField(origin=origin - n * h, spacing=h, values=vals, k=k)
 
 
-def lp_lowpass(f, k: int, family: TestFamily | None = None) -> SampledField:
+def lp_lowpass(f, k: int) -> SampledField:
     """Smoothed low-pass projector P_{<=k}: convolution with Xi_k."""
-    fam = family or standard_family(f.d, normalize=False)
-    return _lowpass_raw(f, k, fam["xi_low"])
+    return _lowpass_raw(f, k, standard_family(f.d, normalize=False)["xi_low"])
 
 
-def lp_band(f, k: int, family: TestFamily | None = None) -> SampledField:
+def lp_band(f, k: int) -> SampledField:
     """Band projector P_k = P_{<=k} - P_{<=k-1} (exact telescoping by design)."""
-    low_k = lp_lowpass(f, k, family)
-    low_km1 = lp_lowpass(f, k - 1, family)
-    return _field_sub(low_k, low_km1)
+    return _field_sub(lp_lowpass(f, k), lp_lowpass(f, k - 1))
 
 
 def _field_sub(a: SampledField, b: SampledField) -> SampledField:
@@ -506,59 +499,3 @@ def _field_sub(a: SampledField, b: SampledField) -> SampledField:
     out[sl_b] -= b.values
     return SampledField(origin=a.origin + lo * h, spacing=h, values=out, k=a.k)
 
-
-def lp_apply_tilde(g: SampledField, family: TestFamily | None = None) -> SampledField:
-    """Apply the widened band profile at the field's own level k."""
-    fam = family or standard_family(g.d, normalize=False)
-    return _lowpass_raw(g, g.k, fam["xi_band"])
-
-
-# ---------------------------------------------------------------------------
-# decay fits
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class DecayFit:
-    exponent: float
-    residual: float
-    r_lo: float
-    r_hi: float
-    n_bins: int
-    defined: bool = True
-
-
-def decay_fit(points, values, center, r_lo: float, r_hi: float,
-              n_bins: int = 12) -> DecayFit:
-    """Log-log least squares of per-shell max |value| against radius.
-
-    Shell maxima ride the envelope of oscillatory tails.  The residual is the
-    RMS of log10 residuals; an all-zero tail yields the undefined sentinel.
-    """
-    if n_bins < 8:
-        raise ValueError("need at least 8 radial bins")
-    pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
-    center = np.asarray(center, dtype=np.float64)
-    dist = np.sqrt(np.sum((pts - center[None, :]) ** 2, axis=1))
-    vals = np.abs(np.asarray(values, dtype=np.float64).reshape(-1))
-    edges = np.geomspace(r_lo, r_hi, n_bins + 1)
-    rads, peaks = [], []
-    for i in range(n_bins):
-        sel = np.nonzero((dist >= edges[i]) & (dist < edges[i + 1]))[0]
-        if len(sel) == 0:
-            continue
-        j = sel[np.argmax(vals[sel])]
-        if vals[j] <= 0:
-            continue
-        # fit at the attaining radius, not the bin center: shell maxima ride
-        # the envelope of oscillatory tails without placement bias
-        rads.append(float(dist[j]))
-        peaks.append(float(vals[j]))
-    if len(rads) < 8:
-        return DecayFit(exponent=math.nan, residual=math.inf, r_lo=r_lo,
-                        r_hi=r_hi, n_bins=len(rads), defined=False)
-    lx = np.log10(np.array(rads))
-    ly = np.log10(np.array(peaks))
-    slope, intercept = np.polyfit(lx, ly, 1)
-    resid = float(np.sqrt(np.mean((ly - (slope * lx + intercept)) ** 2)))
-    return DecayFit(exponent=float(slope), residual=resid, r_lo=r_lo, r_hi=r_hi,
-                    n_bins=len(rads))

@@ -484,13 +484,13 @@ def frostman_constant(mu: GridMeasure, beta: float, radii) -> FrostmanCertificat
                                worst_center=best[1], worst_radius=best[2])
 
 
-def default_radius_grid(mu: GridMeasure, r_min=None, r_max=None, per_decade=16):
-    """Geometric radius grid from the resolution scale to the diameter."""
+def default_radius_grid(mu: GridMeasure, r_min=None):
+    """Geometric radius grid, 16 radii per decade, from the resolution scale
+    to twice the diameter."""
     if r_min is None:
         r_min = mu.h
-    if r_max is None:
-        r_max = max(2.0 * mu.support_diameter(), 4.0 * r_min)
-    n = max(2, int(math.ceil(math.log10(r_max / r_min) * per_decade)) + 1)
+    r_max = max(2.0 * mu.support_diameter(), 4.0 * r_min)
+    n = max(2, int(math.ceil(math.log10(r_max / r_min) * 16)) + 1)
     return np.geomspace(r_min, r_max, n)
 
 
@@ -561,20 +561,19 @@ def curve_measure(polyline, h: float) -> VectorGridMeasure:
     return VectorGridMeasure(components=tuple(comps))
 
 
-def lebesgue_sample(d: int, h: float, cube: Cube | None = None, name="lebesgue") -> GridMeasure:
-    """Riemann sample of Lebesgue measure on a cube (default unit cube)."""
-    cube = cube or unit_cube(d)
-    n = int(round(cube.side / h))
+def lebesgue_sample(d: int, h: float) -> GridMeasure:
+    """Riemann sample of Lebesgue measure on the unit cube."""
+    n = int(round(1.0 / h))
     if n < 1:
         raise ValueError("spacing coarser than the cube")
     idx = lattice_points([np.arange(n, dtype=np.int64)] * d)
     w = np.full(len(idx), h ** d)
     # cell centers: origin at corner + h/2
-    return new_grid_measure(d, h, cube.corner + 0.5 * h, idx, w, name=name)
+    return new_grid_measure(d, h, np.full(d, 0.5 * h), idx, w, name="lebesgue")
 
 
-def dirac(d: int, x=None, mass=1.0, h=1.0, name="dirac") -> GridMeasure:
-    """Single point mass (position snapped to a spacing-h lattice at x)."""
+def dirac(d: int, x=None, h=1.0) -> GridMeasure:
+    """Unit point mass (position snapped to a spacing-h lattice at x)."""
     x = np.zeros(d) if x is None else np.asarray(x, dtype=np.float64)
-    return new_grid_measure(d, h, x, np.zeros((1, d), dtype=np.int64), [mass],
-                            name=name)
+    return new_grid_measure(d, h, x, np.zeros((1, d), dtype=np.int64), [1.0],
+                            name="dirac")

@@ -106,14 +106,15 @@ def _log_trapezoid_weights(nodes):
     return w * nodes
 
 
-def riesz_heat(cfg: RieszConfig, mu: GridMeasure, points,
-               tgrid: TGrid | None = None, rel_tol: float = 1e-4) -> RieszHeatResult:
+def riesz_heat(cfg: RieszConfig, mu: GridMeasure, points) -> RieszHeatResult:
     """Riesz potential via the time integral of heat extensions.
 
-    Log-trapezoid quadrature over the TGrid plus exact power-law tail
-    corrections at both ends (incomplete-gamma closed forms, valid for point
-    masses).  The result is flagged when halving the node density moves the
-    quadrature by more than ``rel_tol`` relative.
+    Log-trapezoid quadrature over a TGrid of 32 nodes per decade from
+    (r_lo/8)^2 to (8 r_hi)^2, r_lo and r_hi the least and greatest
+    point-mass distances (r_hi widened by the support), plus exact power-law
+    tail corrections at both ends (incomplete-gamma closed forms, valid for
+    point masses).  The result is flagged when halving the node density
+    moves the quadrature by more than 1e-4 relative.
     """
     from scipy.special import gamma, gammainc, gammaincc
 
@@ -126,10 +127,9 @@ def riesz_heat(cfg: RieszConfig, mu: GridMeasure, points,
     for s, e, d2 in _kernels.pairwise_sq_dists(pts, y, 4096):
         dists[s:e] = np.sqrt(d2)
     positive = dists[dists > 0]
-    if tgrid is None:
-        r_lo = float(np.min(positive)) if len(positive) else mu.h
-        r_hi = float(np.max(dists)) + mu.support_diameter() + mu.h
-        tgrid = TGrid.build((r_lo / 8.0) ** 2, (8.0 * r_hi) ** 2, 32)
+    r_lo = float(np.min(positive)) if len(positive) else mu.h
+    r_hi = float(np.max(dists)) + mu.support_diameter() + mu.h
+    tgrid = TGrid.build((r_lo / 8.0) ** 2, (8.0 * r_hi) ** 2, 32)
     a, d = cfg.alpha, cfg.d
     ga2 = gamma(a / 2.0)
     field = _kernels.heat_values(pts, y, mu.weights, tgrid.nodes)
@@ -160,7 +160,7 @@ def riesz_heat(cfg: RieszConfig, mu: GridMeasure, points,
     err = float(np.max(np.abs(main[finite] - half[finite])
                        / np.abs(values[finite]))) if np.any(finite) else 0.0
     return RieszHeatResult(values=values, quad_error_est=err,
-                           flagged=err > rel_tol,
+                           flagged=err > 1e-4,
                            t_window=(tgrid.t_min, tgrid.t_max))
 
 
@@ -246,8 +246,9 @@ def _adaptive_heat_grid(mu: GridMeasure, t: float):
     return np.stack([ax[i] for ax, i in zip(axes, np.nonzero(near))], axis=1), spacing
 
 
-def heat_besov_functional(cand, alpha: float, nodes_per_decade: int = 16) -> BesovResult:
-    """Quadrature of the t-integral of Lorentz norms of heat extensions.
+def heat_besov_functional(cand, alpha: float) -> BesovResult:
+    """Quadrature of the t-integral of Lorentz norms of heat extensions, on
+    the measure's default time window at 16 nodes per decade.
 
     Exactly invariant under mass-preserving dilation of the candidate when
     p = d/(d-alpha) (every grid parameter scales with the measure, so the
@@ -259,7 +260,7 @@ def heat_besov_functional(cand, alpha: float, nodes_per_decade: int = 16) -> Bes
     if not (0.0 < alpha < d):
         raise ValueError("alpha must lie in (0, d)")
     p = d / (d - alpha)
-    tgrid = TGrid.for_measure(mu, nodes_per_decade=nodes_per_decade)
+    tgrid = TGrid.for_measure(mu, nodes_per_decade=16)
     y = mu.points()
     g = np.zeros(len(tgrid.nodes))
     for j, t in enumerate(tgrid.nodes):

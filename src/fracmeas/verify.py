@@ -16,6 +16,13 @@ import numpy as np
 from . import atoms, dimension, heat, measures, potential
 from .measures import Cube
 
+# verdict caps; each report records its cap in its results
+_DILATION_TOL = 0.02        # thm13: relative deviation across dilations
+_KIND_RATIO_CAP = 10.0      # thm13: largest over smallest atom-kind value
+_SPREAD_CAP = 2.0           # thm14, thm15: largest over smallest trace
+_DISPERSION_CAP = 10.0      # cor16: largest over smallest trace ratio
+_C_SPREAD_CAP = 2.0         # thm19: larger over smaller bound constant
+
 
 @dataclass
 class VerifyOutcome:
@@ -39,17 +46,18 @@ def square_loop(n_per_side: int = 16) -> np.ndarray:
     return np.vstack([bottom, right, top, left])
 
 
-def ngon_loop(n: int, radius: float = 0.35, center=(0.5, 0.5)) -> np.ndarray:
+def ngon_loop(n: int) -> np.ndarray:
+    """Closed regular n-gon of radius 0.35 about (0.5, 0.5)."""
     th = 2.0 * np.pi * np.arange(n + 1) / n
-    pts = np.stack([center[0] + radius * np.cos(th),
-                    center[1] + radius * np.sin(th)], axis=1)
+    pts = np.stack([0.5 + 0.35 * np.cos(th), 0.5 + 0.35 * np.sin(th)], axis=1)
     pts[-1] = pts[0]
     return pts
 
 
-def segment_measure(n: int = 128, h: float = 1.0 / 512.0) -> measures.GridMeasure:
-    """Arclength measure on a diagonal segment in the unit square (2d);
-    satisfies nu(B(x,r)) <= C r."""
+def segment_measure() -> measures.GridMeasure:
+    """Arclength measure on a diagonal segment in the unit square (2d), 128
+    masses on the 1/512 lattice; satisfies nu(B(x,r)) <= C r."""
+    n, h = 128, 1.0 / 512.0
     t = (np.arange(n) + 0.5) / n
     pts = np.stack([0.1 + 0.8 * t, 0.15 + 0.7 * t], axis=1)
     idx = np.rint(pts / h).astype(np.int64)
@@ -75,8 +83,7 @@ def _scaled_pair(cand: atoms.AtomCandidate, nu: measures.GridMeasure,
 # strong-type inequality (heat-integral functional)
 # ---------------------------------------------------------------------------
 
-def verify_thm13(alpha: float = 0.5, n_scales: int = 5, depth: int = 8,
-                 dilation_tol: float = 0.02, kind_ratio_cap: float = 10.0) -> VerifyOutcome:
+def verify_thm13(alpha: float = 0.5, n_scales: int = 5, depth: int = 8) -> VerifyOutcome:
     """Heat-integral functional: dilation invariance across scales 2^0..2^-(n-1)
     and finiteness with bounded spread across atom kinds."""
     cand, _ = atoms.make_frostman_atom(depth=depth)
@@ -102,12 +109,12 @@ def verify_thm13(alpha: float = 0.5, n_scales: int = 5, depth: int = 8,
             rows.append([k, 0, v, math.nan, math.nan])
     finite = all(math.isfinite(v) and v > 0 for v in kind_vals.values())
     ratio = max(kind_vals.values()) / min(kind_vals.values())
-    ok = finite and worst_dev <= dilation_tol and ratio <= kind_ratio_cap
+    ok = finite and worst_dev <= _DILATION_TOL and ratio <= _KIND_RATIO_CAP
     return VerifyOutcome(
         name="thm13", ok=ok,
         results={"alpha": alpha, "dilation_max_rel_dev": worst_dev,
-                 "dilation_tol": dilation_tol, "kind_values": kind_vals,
-                 "kind_ratio": ratio, "kind_ratio_cap": kind_ratio_cap,
+                 "dilation_tol": _DILATION_TOL, "kind_values": kind_vals,
+                 "kind_ratio": ratio, "kind_ratio_cap": _KIND_RATIO_CAP,
                  "functional": "heat-integral of Lorentz norms "
                                "(upper-bound surface, split at l(Q)^2)"},
         tables={"besov": (["atom", "scale_j", "total", "below_split", "above_split"],
@@ -118,8 +125,7 @@ def verify_thm13(alpha: float = 0.5, n_scales: int = 5, depth: int = 8,
 # trace inequalities
 # ---------------------------------------------------------------------------
 
-def verify_thm14(alpha: float = 0.5, n_scales: int = 5, depth: int = 8,
-                 spread_cap: float = 2.0) -> VerifyOutcome:
+def verify_thm14(alpha: float = 0.5, n_scales: int = 5, depth: int = 8) -> VerifyOutcome:
     """Riesz-potential trace against a Frostman measure, uniform over jointly
     rescaled (atom, measure) pairs with the certified growth constant fixed."""
     d = 1
@@ -152,18 +158,17 @@ def verify_thm14(alpha: float = 0.5, n_scales: int = 5, depth: int = 8,
         rows.append([j, s, tr, cert.constant])
     spread = max(traces) / min(traces)
     finite = all(math.isfinite(v) for v in traces)
-    ok = finite and spread <= spread_cap
+    ok = finite and spread <= _SPREAD_CAP
     return VerifyOutcome(
         name="thm14", ok=ok,
         results={"alpha": alpha, "traces": traces, "spread": spread,
-                 "spread_cap": spread_cap, "frostman_constants": consts,
+                 "spread_cap": _SPREAD_CAP, "frostman_constants": consts,
                  "growth_exponent": d - alpha,
                  "riesz_nodes": riesz_nodes},
         tables={"trace": (["scale_j", "s", "trace", "nu_frostman_C"], rows)})
 
 
-def verify_thm15(n_scales: int = 5, depth: int = 8,
-                 spread_cap: float = 2.0) -> VerifyOutcome:
+def verify_thm15(n_scales: int = 5, depth: int = 8) -> VerifyOutcome:
     """Endpoint trace: sup_t t^{alpha/2}|e^{t Delta} a| at alpha = d - beta."""
     d = 1
     beta = atoms.LOG2_OVER_LOG3
@@ -184,17 +189,18 @@ def verify_thm15(n_scales: int = 5, depth: int = 8,
         consts.append(cert.constant)
         rows.append([j, s, tr, cert.constant])
     spread = max(traces) / min(traces)
-    ok = all(math.isfinite(v) for v in traces) and spread <= spread_cap
+    ok = all(math.isfinite(v) for v in traces) and spread <= _SPREAD_CAP
     return VerifyOutcome(
         name="thm15", ok=ok,
         results={"alpha": alpha, "traces": traces, "spread": spread,
-                 "spread_cap": spread_cap, "frostman_constants": consts},
+                 "spread_cap": _SPREAD_CAP, "frostman_constants": consts},
         tables={"trace": (["scale_j", "s", "trace", "nu_frostman_C"], rows)})
 
 
-def verify_cor16(h: float = 1.0 / 64.0, dispersion_cap: float = 10.0) -> VerifyOutcome:
+def verify_cor16() -> VerifyOutcome:
     """Divergence-free surrogate: every component of three closed-loop vector
-    measures obeys one shared trace constant against a certified measure."""
+    measures (on the 1/64 lattice) obeys one shared trace constant against a
+    certified measure."""
     d = 2
     alpha = 1.0                      # = d - 1, the curve-measure endpoint
     nu = segment_measure()
@@ -204,7 +210,7 @@ def verify_cor16(h: float = 1.0 / 64.0, dispersion_cap: float = 10.0) -> VerifyO
              ("circle64", ngon_loop(64))]
     rows, ratios = [], []
     for name, poly in loops:
-        vm = measures.curve_measure(poly, h)
+        vm = measures.curve_measure(poly, 1.0 / 64.0)
         tv = vm.total_variation()
         for i in range(d):
             comp = vm.components[i]
@@ -219,11 +225,11 @@ def verify_cor16(h: float = 1.0 / 64.0, dispersion_cap: float = 10.0) -> VerifyO
     dispersion = max(ratios) / min(ratios)
     ok = (all(math.isfinite(r) for r in ratios)
           and all(tr <= shared_c * tv * (1 + 1e-12) for _, _, tr, tv, _ in rows)
-          and dispersion <= dispersion_cap)
+          and dispersion <= _DISPERSION_CAP)
     return VerifyOutcome(
         name="cor16", ok=ok,
         results={"alpha": alpha, "shared_C": shared_c, "dispersion": dispersion,
-                 "dispersion_cap": dispersion_cap,
+                 "dispersion_cap": _DISPERSION_CAP,
                  "nu_frostman_C": cert.constant, "n_components": len(ratios)},
         tables={"loops": (["loop", "component", "trace", "total_variation",
                            "ratio"], rows)})
@@ -277,7 +283,7 @@ def verify_thm18(depth: int = 8, dirac_seed: int = 7) -> VerifyOutcome:
                                     choquet_rows)})
 
 
-def verify_thm19(depth: int = 8, c_spread_cap: float = 2.0) -> VerifyOutcome:
+def verify_thm19(depth: int = 8) -> VerifyOutcome:
     """Maximal/Choquet bound against the coefficient budget for a single atom
     and a 4-atom combination, one logged constant, plus dimension passes."""
     cand, _ = atoms.make_frostman_atom(depth=depth)
@@ -297,13 +303,13 @@ def verify_thm19(depth: int = 8, c_spread_cap: float = 2.0) -> VerifyOutcome:
     shared_c = max(c1, c4)
     spread = shared_c / min(c1, c4)
     ok = (rep1["dim_pass"] and rep4["dim_pass"]
-          and math.isfinite(shared_c) and spread <= c_spread_cap)
+          and math.isfinite(shared_c) and spread <= _C_SPREAD_CAP)
     rows = [["single", rep1["budget"], rep1["maximal_l1"], c1, rep1["beta_hat"]],
             ["sum4", rep4["budget"], rep4["maximal_l1"], c4, rep4["beta_hat"]]]
     return VerifyOutcome(
         name="thm19", ok=ok,
         results={"shared_C": shared_c, "constant_spread": spread,
-                 "c_spread_cap": c_spread_cap,
+                 "c_spread_cap": _C_SPREAD_CAP,
                  "beta": cand.beta,
                  "beta_hat": {"single": rep1["beta_hat"], "sum4": rep4["beta_hat"]},
                  "level_sum_final": {"single": rep1["level_sums"][-1],

@@ -12,6 +12,7 @@ import time
 
 import numpy as np
 import pytest
+from decay import decay_fit
 
 from fracmeas import atoms, content, dimension, heat, io, maximal, measures, \
     potential
@@ -245,16 +246,17 @@ def test_c09_choquet_layer_cake():
 def test_c10_decay_fits(warm):
     t0 = time.perf_counter()
     cand, _ = atoms.make_frostman_atom(depth=6)
-    std = atoms.normalize_to_standard(cand)
-    band = maximal.lp_band(std.measure, 1)
-    fit_band = maximal.decay_fit(band.points(), band.values.ravel(),
-                                 np.zeros(1), 4.0, 64.0)
+    # the atom dilated, mass-preserving, from its cube onto [-1, 1]
+    std = cand.measure.dilated(2.0 / cand.side, cand.cube.center)
+    band = maximal.lp_band(std, 1)
+    fit_band = decay_fit(band.points(), band.values.ravel(),
+                         np.zeros(1), 4.0, 64.0)
     fam = maximal.standard_family(1)
     tg = heat.TGrid.for_measure(cand.measure, 16, reach=20.0)
     radii = np.geomspace(2.0, 16.0, 16)
     pts = np.concatenate([0.5 + radii, 0.5 - radii])[:, None]
     fld = maximal.grand_maximal(cand.measure, fam, 1 - BETA0, pts, tg)
-    fit_max = maximal.decay_fit(pts, fld.values, np.array([0.5]), 2.0, 16.0)
+    fit_max = decay_fit(pts, fld.values, np.array([0.5]), 2.0, 16.0)
     ok = (fit_band.defined and fit_band.exponent <= -(1 + 1) + 0.3
           and fit_band.residual <= 0.1
           and fit_max.defined and fit_max.exponent <= -(1 + BETA0) + 0.3

@@ -5,12 +5,10 @@ import pytest
 
 from fracmeas import atoms
 from fracmeas.atoms import (AtomCandidate, AtomicDecomposition, check_beta_atom,
-                            downgrade_check, atomic_norm_upper_bound,
                             frostman_series_value, make_frostman_atom,
-                            make_linf_atom, make_loop_atom,
-                            normalize_to_standard)
+                            make_linf_atom, make_loop_atom)
 from fracmeas.heat import TGrid
-from fracmeas.measures import Cube, new_grid_measure, unit_cube
+from fracmeas.measures import Cube, curve_measure, measure_sum, new_grid_measure, unit_cube
 from fracmeas.verify import square_loop
 
 BETA0 = math.log(2) / math.log(3)
@@ -140,9 +138,15 @@ def test_scaling_monotonicity(cantor_atom):
 # downgrade and standard normalization
 # ---------------------------------------------------------------------------
 
+def _at(cand, beta):
+    """The same measure and cube, certified at another exponent."""
+    return AtomCandidate(measure=cand.measure, cube=cand.cube, beta=beta)
+
+
 def test_downgrade_cantor(cantor_atom):
+    # a beta-atom is an alpha-atom for every alpha < beta
     cand, _, _ = cantor_atom
-    cert = downgrade_check(cand, 0.3)
+    cert = check_beta_atom(_at(cand, 0.3))
     assert cert.all_pass
     assert cert.beta == 0.3
 
@@ -151,30 +155,15 @@ def test_downgrade_linf_all_alpha():
     cand = make_linf_atom(1, 5)
     tg = TGrid.build(cand.measure.h ** 2, 16.0, 16)
     for alpha in (0.25, 0.5, 0.9):
-        cert = downgrade_check(cand, alpha, tgrid=tg)
+        cert = check_beta_atom(_at(cand, alpha), tgrid=tg)
         assert cert.all_pass
 
 
-def test_downgrade_rejects_alpha_above():
-    cand = make_linf_atom(1, 4)
-    with pytest.raises(ValueError):
-        downgrade_check(cand, 1.0)
-    with pytest.raises(ValueError):
-        downgrade_check(cand, 1.5)
-
-
-def test_normalize_to_standard_identity():
-    cand = AtomCandidate(
-        measure=new_grid_measure(1, 0.5, [-1.0], [[0], [2]], [0.4, -0.4]),
-        cube=Cube(corner=np.array([-1.0]), side=2.0), beta=0.5)
-    std = normalize_to_standard(cand)
-    assert np.allclose(std.measure.points(), cand.measure.points())
-    assert std.cube.side == 2.0
-
-
 def test_normalize_to_standard_margin_invariant(cantor_atom):
+    # the mass-preserving dilation carrying Q onto [-1, 1]^d
     cand, _, cert = cantor_atom
-    std = normalize_to_standard(cand)
+    std = AtomCandidate(measure=cand.measure.dilated(2.0 / cand.side, cand.cube.center),
+                        cube=Cube(corner=-np.ones(cand.d), side=2.0), beta=cand.beta)
     assert np.all(std.measure.points() >= -1.0) and np.all(std.measure.points() <= 1.0)
     cert_std = check_beta_atom(std)
     assert cert_std.all_pass
@@ -184,31 +173,29 @@ def test_normalize_to_standard_margin_invariant(cantor_atom):
     assert cert_std.sup_ratio / 2.0 ** cand.beta <= 1.0
 
 
-def test_normalize_zero_measure():
-    zero = new_grid_measure(1, 1.0, [0.0], np.zeros((0, 1)), [])
-    cand = AtomCandidate(measure=zero, cube=unit_cube(1), beta=0.5)
-    std = normalize_to_standard(cand)
-    assert std.measure.n_masses == 0
-
-
 # ---------------------------------------------------------------------------
 # decompositions
 # ---------------------------------------------------------------------------
 
+def _combination(dec):
+    """sum_i lambda_i a_i, as ``dimension.atom_sum_dimension_check`` forms it."""
+    return measure_sum([cand.measure.scaled(lam) for lam, cand, _ in dec.entries])
+
+
 def test_decomposition_single_atom(cantor_atom):
     cand, _, cert = cantor_atom
     dec = AtomicDecomposition(entries=((1.0, cand, cert),))
-    bound, residual = atomic_norm_upper_bound(dec, cand.measure)
-    assert bound == 1.0
-    assert residual == 0.0
+    assert dec.budget == 1.0
+    assert dec.beta == cand.beta
+    assert np.array_equal(_combination(dec).weights, cand.measure.weights)
 
 
 def test_decomposition_homogeneity(cantor_atom):
     cand, _, cert = cantor_atom
     dec = AtomicDecomposition(entries=((2.0, cand, cert),))
-    bound, residual = atomic_norm_upper_bound(dec, cand.measure.scaled(2.0))
-    assert bound == 2.0
-    assert residual <= 1e-14
+    assert dec.budget == 2.0
+    target = cand.measure.scaled(2.0)
+    assert np.array_equal(_combination(dec).weights, target.weights)
 
 
 def test_decomposition_mixed_beta_rejected(cantor_atom):
@@ -241,20 +228,23 @@ def test_square_loop_split_into_two_rectangles():
         left = np.stack([np.zeros_like(s), y1 - (y1 - y0) * s], axis=1)[1:]
         return np.vstack([bottom, right, top, left])
 
+    square = curve_measure(square_loop(n), h).components[0]
+    lo_comp = curve_measure(rect(0.0, 0.5), h).components[0]
+    hi_comp = curve_measure(rect(0.5, 1.0), h).components[0]
+    # an identity of measures: same masses at the same places, bit for bit
+    split = measure_sum([lo_comp, hi_comp])
+    assert np.array_equal(split.indices, square.indices)
+    assert np.array_equal(split.weights, square.weights)
+    # each half is a certified 1-atom after its scaling, so the square
+    # component at the smaller scale has a decomposition of budget <= 2
     lo_cand, lo_info = make_loop_atom(rect(0.0, 0.5), 0, h=h)
     hi_cand, hi_info = make_loop_atom(rect(0.5, 1.0), 0, h=h)
+    assert np.array_equal(lo_cand.measure.weights, lo_comp.weights * lo_info["scale"])
+    assert np.array_equal(hi_cand.measure.weights, hi_comp.weights * hi_info["scale"])
     lo_cert = check_beta_atom(lo_cand)
     hi_cert = check_beta_atom(hi_cand)
     assert lo_cert.all_pass and hi_cert.all_pass
-    # target: the square component at the smaller certified scale, so each
-    # coefficient is at most one
     s_t = min(lo_info["scale"], hi_info["scale"])
-    from fracmeas.measures import curve_measure
-    target = curve_measure(square_loop(n), h).components[0].scaled(s_t)
-    lam_lo = s_t / lo_info["scale"]
-    lam_hi = s_t / hi_info["scale"]
-    dec = AtomicDecomposition(entries=((lam_lo, lo_cand, lo_cert),
-                                       (lam_hi, hi_cand, hi_cert)))
-    bound, residual = atomic_norm_upper_bound(dec, target)
-    assert bound <= 2.0 + 1e-9
-    assert residual <= 1e-12
+    dec = AtomicDecomposition(entries=((s_t / lo_info["scale"], lo_cand, lo_cert),
+                                       (s_t / hi_info["scale"], hi_cand, hi_cert)))
+    assert dec.budget <= 2.0 + 1e-9

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fracmeas import content, io
+from fracmeas import content, io, verify
 from fracmeas.cli import build_parser, main
 from fracmeas.measures import cantor_measure, new_grid_measure, unit_lattice
 
@@ -599,6 +599,57 @@ def test_report_serializes_numpy_bool(tmp_path):
     io.write_report(path, {"depth": 6}, {"dim_pass": np.bool_(True)})
     with open(path) as fh:
         assert json.load(fh)["results"]["dim_pass"] is True
+
+
+# report digests of a saved family, from the implementation that rasterized
+# and swept the family twice per run; the config names the file relatively
+_CONTENT_VALUE_DIGESTS = {
+    "0.5": "78cc84218fac24becfa2d74d26f5c624466122817f7cd4831889bc760f961820",
+    "2": "4499a89263bdebbc5049c7eeed6bff0e36fd884905112393ae6c49b8ab3d0f14",
+}
+
+
+@pytest.mark.parametrize("beta", sorted(_CONTENT_VALUE_DIGESTS))
+def test_content_value_rasterizes_and_sweeps_once(tmp_path, monkeypatch, beta):
+    # below d one regularized cover gives the dyadic content (its raster's)
+    # and the spherical bound (its cubes' balls); at beta = d there is no
+    # such cover, and the raster alone is swept
+    calls = {"rasterize_balls": 0, "_content_sweep": 0}
+    for name in calls:
+        def counted(*args, _fn=getattr(content, name), _name=name):
+            calls[_name] += 1
+            return _fn(*args)
+
+        monkeypatch.setattr(content, name, counted)
+    data = Path(__file__).resolve().parent / "data" / "content_value_balls.csv"
+    (tmp_path / "balls.csv").write_bytes(data.read_bytes())
+    monkeypatch.chdir(tmp_path)
+    assert run(["--out", "out", "content", "value", "--balls", "balls.csv",
+                "--beta", beta]) == 0
+    assert calls == {"rasterize_balls": 1, "_content_sweep": 1}
+    report = (tmp_path / "out" / "content_value.json").read_bytes()
+    assert hashlib.sha256(report).hexdigest() == _CONTENT_VALUE_DIGESTS[beta]
+
+
+@pytest.mark.parametrize("argv, measured, key, cap, value", [
+    (["cor16"], "dispersion", "dispersion_cap", "_DISPERSION_CAP", 10.0),
+    (["thm15"], "spread", "spread_cap", "_SPREAD_CAP", 2.0),
+    (["thm19", "--depth", "6"], "constant_spread", "c_spread_cap", "_C_SPREAD_CAP", 2.0),
+], ids=["cor16", "thm15", "thm19"])
+def test_verdict_cap_is_applied(tmp_path, monkeypatch, capsys, argv, measured, key, cap,
+                                value):
+    # a cap just below the measured value turns the verdict, and the report
+    # still records the cap under its key
+    name = f"verify_{argv[0]}"
+    path = tmp_path / f"{name}.json"
+    assert run(["--out", str(tmp_path), "verify", *argv]) == 0
+    results = json.loads(path.read_text())["results"]
+    assert results[key] == value
+    monkeypatch.setattr(verify, cap, float(np.nextafter(results[measured], -np.inf)))
+    capsys.readouterr()
+    assert run(["--out", str(tmp_path), "verify", *argv]) == 1
+    assert f"{name} FAILED" in capsys.readouterr().err
+    assert json.loads(path.read_text())["results"]["pass"] is False
 
 
 @pytest.mark.parametrize("action", ["cover", "value"])

@@ -1,20 +1,32 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from decay import decay_fit
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from fracmeas import atoms, maximal
 from fracmeas.heat import TGrid, heat_sup_field
-from fracmeas.maximal import (anti_local_maximal, band_symbol, decay_fit,
+from fracmeas.maximal import (anti_local_maximal, band_symbol,
                               dyadic_maximal, grand_maximal, lowpass_symbol,
-                              lp_apply_tilde, lp_band, lp_lowpass,
+                              lp_band, lp_lowpass,
                               standard_family, truncated_dyadic_maximal)
 from fracmeas.measures import (SampledField, cantor_measure, dirac, lebesgue_sample,
                                new_grid_measure, unit_lattice)
 
 BETA0 = math.log(2) / math.log(3)
+
+
+def _only(fam, *names):
+    """The family restricted to the named profiles, in the given order."""
+    return dataclasses.replace(fam, profiles=tuple(fam[n] for n in names))
+
+
+def _standard_measure(cand):
+    """The mass-preserving dilation carrying the atom's cube onto [-1, 1]^d."""
+    return cand.measure.dilated(2.0 / cand.side, cand.cube.center)
 
 
 # ---------------------------------------------------------------------------
@@ -225,7 +237,7 @@ def test_grand_zero_measure(warm):
 def test_grand_gauss_only_reproduces_heat_sup(warm):
     # t <-> s^2 convention map, unnormalized family
     mu = cantor_measure(5, 1.0)
-    fam = standard_family(1, normalize=False).subset(["gauss"])
+    fam = _only(standard_family(1, normalize=False), "gauss")
     tg = TGrid.for_measure(mu, 16)
     pts = np.linspace(-0.5, 1.0, 31)[:, None]
     gamma = 1 - BETA0
@@ -240,7 +252,7 @@ def test_grand_monotone_in_family(warm):
     tg = TGrid.for_measure(mu, 12)
     pts = np.linspace(0, 0.5, 11)[:, None]
     fam = standard_family(1)
-    small = grand_maximal(mu, fam.subset(["gauss", "rho"]), 0.4, pts, tg)
+    small = grand_maximal(mu, _only(fam, "gauss", "rho"), 0.4, pts, tg)
     big = grand_maximal(mu, fam, 0.4, pts, tg)
     assert np.all(big.values >= small.values - 1e-15)
 
@@ -279,7 +291,7 @@ def test_anti_local_reduces_to_grand(warm):
 
 def test_anti_local_dirac_decreasing():
     d0 = dirac(1, h=1.0)
-    fam = standard_family(1, normalize=False).subset(["gauss"])
+    fam = _only(standard_family(1, normalize=False), "gauss")
     tg = TGrid.build(1.0, 1e4, 8)
     fld = anti_local_maximal(d0, fam, 0.0, 1.0, np.zeros((1, 1)), tg)
     # alpha = 0: sup_{s>1} s^{-d} Phi(0) attained at the smallest scale
@@ -336,7 +348,7 @@ def test_lowpass_mean_preservation(warm):
 
 def test_telescoping_exact(warm):
     cand, _ = atoms.make_frostman_atom(depth=4)
-    mu = atoms.normalize_to_standard(cand).measure
+    mu = _standard_measure(cand)
     acc = lp_lowpass(mu, 0)
     K = 3
     for k in range(1, K + 1):
@@ -352,9 +364,11 @@ def test_telescoping_exact(warm):
 
 def test_composition_band_then_tilde(warm):
     cand, _ = atoms.make_frostman_atom(depth=4)
-    mu = atoms.normalize_to_standard(cand).measure
+    mu = _standard_measure(cand)
     band = lp_band(mu, 2)
-    comp = lp_apply_tilde(band)
+    # the widened band profile at the band's own level reproduces it
+    xi_band = standard_family(1, normalize=False)["xi_band"]
+    comp = maximal._lowpass_raw(band, band.k, xi_band)
     off = np.rint((band.origin - comp.origin) / comp.spacing).astype(int)
     sl = tuple(slice(o, o + s) for o, s in zip(off, band.values.shape))
     scale = float(np.max(np.abs(band.values)))
@@ -394,7 +408,7 @@ def test_band_tail_power(warm):
     # realized profile tails are ~r^-4; fitted slope must reach the
     # configured M_fit = 4 window within grid slack
     cand, _ = atoms.make_frostman_atom(depth=5)
-    mu = atoms.normalize_to_standard(cand).measure
+    mu = _standard_measure(cand)
     for k in (0, 1):
         band = lp_band(mu, k)
         fit = decay_fit(band.points(), band.values.ravel(), np.zeros(1),

@@ -2,13 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from decay import decay_fit
 from hypothesis import assume, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy.spatial import cKDTree
 
 from fracmeas import potential
 from fracmeas.atoms import AtomCandidate, make_frostman_atom
-from fracmeas.maximal import decay_fit
 from fracmeas.measures import (Cube, SampledField, cantor_measure, dirac,
                                lattice_points, new_grid_measure)
 from fracmeas.potential import (RieszConfig, heat_besov_functional,

@@ -1,0 +1,203 @@
+"""The package surface is what the CLI, the verify targets and the benchmark
+reach.  Both rules read the source with ``ast``, so docstrings and comments
+never count as uses:
+
+* every public function, class and method of ``src/fracmeas`` is referenced
+  from package code other than its own definition, or from ``perfbench/``
+  (so the CLI, the verify targets or the benchmark reach it);
+* every defaulted parameter of a function in ``src/fracmeas`` is set, by
+  keyword or by position, by some call in ``src/``, ``perfbench/`` or
+  ``tests/``.  The verify parameters that ``cli.cmd_verify`` fills from the
+  parsed flags count as set.
+
+References and calls are matched to definitions by the bare name alone,
+so two definitions of one name share their uses: the checks can miss an
+unused name or parameter, never flag a used one.  Both fail at a package
+that still carries API only the tests call.
+"""
+
+from __future__ import annotations
+
+import ast
+import inspect
+from pathlib import Path
+
+from fracmeas import cli, verify
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "fracmeas"
+
+# public names kept although only tests call them, each with its reason
+ALLOWED_UNREACHED = {
+    "dimension.greedy_mass_capture":
+        "the reference the estimate's property test compares its scans with; "
+        "perfbench/tracer.py counts its span",
+    "maximal.Profile.hat":
+        "the Fourier side of each profile, through which the tests check the "
+        "family's defining properties (rho-hat(0) = 1, psi-hat >= 1 on the unit ball)",
+}
+
+
+def _parse(path: Path) -> ast.Module:
+    return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+
+
+def _package_modules():
+    return {p.stem: _parse(p) for p in sorted(PACKAGE.glob("*.py"))}
+
+
+def _trees(*dirs):
+    return [_parse(p) for d in dirs for p in sorted((ROOT / d).rglob("*.py"))]
+
+
+def _referenced_names(tree: ast.AST) -> set:
+    """Every name a module uses in code: bare names, attributes and the
+    names it imports."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            names.update(a.name for a in node.names)
+    return names
+
+
+def _public_definitions(module: ast.Module):
+    """``(qualified name, bare name)`` of the module's public functions and
+    classes and of the public methods of its public classes."""
+    for node in module.body:
+        if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("_"):
+            continue
+        yield node.name, node.name
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                    yield f"{node.name}.{item.name}", item.name
+
+
+def unreached_names() -> list:
+    """Public package names that no package or benchmark code references."""
+    modules = _package_modules()
+    used = set().union(*(_referenced_names(t) for t in _trees("src", "perfbench")))
+    out = []
+    for mod, tree in modules.items():
+        for qual, bare in _public_definitions(tree):
+            if bare not in used:
+                out.append(f"{mod}.{qual}")
+    return sorted(out)
+
+
+def _defaulted_parameters(module: ast.Module):
+    """``(qualified name, bare name, parameter, position)`` for every
+    defaulted parameter of the module's functions and methods; ``position``
+    counts the positional arguments a call passes (after ``self``/``cls``),
+    None for keyword-only parameters."""
+
+    def visit(node, prefix, in_class):
+        for item in ast.iter_child_nodes(node):
+            if isinstance(item, ast.ClassDef):
+                yield from visit(item, f"{prefix}{item.name}.", True)
+            elif isinstance(item, ast.FunctionDef):
+                args = item.args
+                positional = args.posonlyargs + args.args
+                static = any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                             for d in item.decorator_list)
+                skip = 1 if in_class and not static else 0
+                first = len(positional) - len(args.defaults)
+                for i, arg in enumerate(positional[first:], start=first):
+                    yield f"{prefix}{item.name}", item.name, arg.arg, i - skip
+                for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+                    if default is not None:
+                        yield f"{prefix}{item.name}", item.name, arg.arg, None
+                yield from visit(item, f"{prefix}{item.name}.", False)
+
+    yield from visit(module, "", False)
+
+
+def _set_parameters(trees) -> dict:
+    """Called name -> (largest positional count, keyword names); a starred
+    argument counts as every position, ``**`` as every keyword."""
+    calls = {}
+    for tree in trees:
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else \
+                func.attr if isinstance(func, ast.Attribute) else None
+            if name is None:
+                continue
+            n_pos, kws = calls.get(name, (0, set()))
+            starred = any(isinstance(a, ast.Starred) for a in node.args)
+            n_pos = max(n_pos, 10 ** 6 if starred else len(node.args))
+            for kw in node.keywords:
+                kws = kws | {"**" if kw.arg is None else kw.arg}
+            calls[name] = (n_pos, kws)
+    return calls
+
+
+def _introspected() -> set:
+    """``verify.<function>.<parameter>`` pairs that ``cli.cmd_verify``
+    fills from the parsed flags."""
+    out = set()
+    for fn in verify.VERIFIERS.values():
+        for p in inspect.signature(fn).parameters:
+            if p in cli._VERIFY_FLAGS or p == "dirac_seed":
+                out.add(f"verify.{fn.__name__}.{p}")
+    return out
+
+
+def unset_parameters() -> list:
+    """Defaulted package parameters that no call in src/, perfbench/ or
+    tests/ sets."""
+    calls = _set_parameters(_trees("src", "perfbench", "tests"))
+    filled = _introspected()
+    out = []
+    for mod, tree in _package_modules().items():
+        for qual, bare, param, pos in _defaulted_parameters(tree):
+            n_pos, kws = calls.get(bare, (0, set()))
+            name = f"{mod}.{qual}.{param}"
+            if name in filled or param in kws or "**" in kws:
+                continue
+            if pos is not None and pos < n_pos:
+                continue
+            out.append(name)
+    return sorted(out)
+
+
+def test_every_public_name_is_reached():
+    unreached = unreached_names()
+    stale = sorted(set(ALLOWED_UNREACHED) - set(unreached))
+    assert not stale, f"allowlist entries now reached or gone: {stale}"
+    missing = [n for n in unreached if n not in ALLOWED_UNREACHED]
+    assert not missing, ("public names no package or benchmark code references "
+                         f"(delete them, or make them private): {missing}")
+
+
+def test_every_defaulted_parameter_is_set():
+    unset = unset_parameters()
+    assert not unset, ("defaulted parameters no caller sets (make each a constant "
+                       f"in the body or the module): {unset}")
+
+
+_SAMPLE = """
+class A:
+    def m(self, x, k=2):
+        "unused(x) is named here in a docstring only"
+        return x * k
+
+
+def unused(y, *, z=1):
+    return A().m(y)
+"""
+
+
+def test_the_checks_see_a_stale_name_and_parameter():
+    tree = ast.parse(_SAMPLE)
+    assert [q for q, _ in _public_definitions(tree)] == ["A", "A.m", "unused"]
+    assert "unused" not in _referenced_names(tree)
+    # self is not counted: a call's one positional argument is x, not k
+    assert [(p[2], p[3]) for p in _defaulted_parameters(tree)] == [("k", 1), ("z", None)]
+    assert _set_parameters([tree])["m"] == (1, set())
