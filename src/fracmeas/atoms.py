@@ -204,7 +204,7 @@ def check_beta_atom(cand: AtomCandidate, tgrid: TGrid | None = None) -> AtomCert
     tv = mu.total_variation()
     gamma = cand.d - cand.beta
 
-    inside = cand.cube.contains_points(mu.points(), closed=True)
+    inside = cand.cube.contains_points(mu.points())
     overflow = float(np.sum(np.abs(mu.weights[~inside])))
     mass_q = float(np.sum(mu.weights[inside]))
 
@@ -254,7 +254,7 @@ def make_frostman_atom(beta: float = LOG2_OVER_LOG3, depth: int = 8):
         raise ValueError("the Cantor builder realizes beta = log2/log3 only")
     if depth < 1:
         raise ValueError("depth must be >= 1")
-    mu_unit, cert_unit = cantor_frostman(depth, 1.0)
+    mu_unit, cert_unit = cantor_frostman(depth)
     series_unit = frostman_series_value(1.0, beta, 1)
     c1_star = _SAFETY / series_unit
     c2 = min(0.5, c1_star / cert_unit.constant)
@@ -274,7 +274,10 @@ def make_frostman_atom(beta: float = LOG2_OVER_LOG3, depth: int = 8):
 
 def make_linf_atom(d: int = 1, resolution: int = 8):
     """Riemann-weight indicator difference: +1 on the lower half of the unit
-    cube (first axis), -1 on the upper half; a d-atom after no rescaling."""
+    cube (first axis), -1 on the upper half; a d-atom after no rescaling.
+    The grid has 2^resolution cells per axis, resolution >= 1."""
+    if resolution < 1:
+        raise ValueError("resolution must be >= 1")
     h = 2.0 ** (-resolution)
     n = 2 ** resolution
     idx = lattice_points([np.arange(n, dtype=np.int64)] * d)

@@ -276,6 +276,8 @@ def cmd_content_choquet(args) -> int:
 def cmd_dim_estimate(args) -> int:
     mu = io.load_measure(args.measure)
     lat = measures.unit_lattice(mu.d)
+    if not args.beta_step > 0:
+        _fail("--beta-step must be positive")
     betas = np.round(np.arange(args.beta_step, mu.d + 1e-9, args.beta_step), 6)
     rep = dimension.lower_dim_estimate(mu, lat, betas, max_level=args.depth)
     io.save_modulus_curves(rep, os.path.join(_outdir(args), "modulus_curves.csv"))

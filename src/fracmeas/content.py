@@ -90,12 +90,6 @@ class CubeUnion:
     def n_cubes(self) -> int:
         return len(self.levels)
 
-    def sides(self) -> np.ndarray:
-        return self.lattice.l0 * 2.0 ** (-self.levels.astype(np.float64))
-
-    def corners(self) -> np.ndarray:
-        return self.lattice.corner[None, :] + self.indices * self.sides()[:, None]
-
 
 # ---------------------------------------------------------------------------
 # exact dyadic content
@@ -538,9 +532,10 @@ def _cell_level(F: BallFamily, lattice: DyadicLattice) -> int:
     return int(math.ceil(math.log2(lattice.l0 / (r_min / 4.0))))
 
 
-def regularized_cover(F: BallFamily, beta: float, lattice: DyadicLattice | None = None,
+def regularized_cover(F: BallFamily, beta: float,
                       initial_cover: CubeUnion | None = None) -> ContentCover:
-    """Dyadic cover of a ball union with per-ball comparable cube sizes.
+    """Dyadic cover of a ball union, on the unit lattice, with per-ball
+    comparable cube sizes.
 
     Starts from the exact dyadic-content optimizer's cover of the rasterized
     union (or from ``initial_cover``, and then only the raster's content is
@@ -558,7 +553,7 @@ def regularized_cover(F: BallFamily, beta: float, lattice: DyadicLattice | None 
     c, c_prime = proof_constants(beta, d)
     if c * math.sqrt(d) >= 1.0:
         raise AssertionError("violated cubes must sit inside the doubled ball")
-    lat = lattice or unit_lattice(d)
+    lat = unit_lattice(d)
     if F.n_balls == 0:
         empty = np.zeros((0, d), dtype=np.int64)
         return ContentCover(kind="cubes", beta=beta, lattice=lat,
@@ -658,32 +653,24 @@ def ball_cover(F: BallFamily, beta: float) -> ContentCover:
                         constants=consts)
 
 
-def spherical_content_upper(obj, beta: float, cover: ContentCover | None = None) -> float:
-    """Greedy upper bound for the spherical Hausdorff content.
+def spherical_content_upper(F: BallFamily, beta: float,
+                            cover: ContentCover | None = None) -> float:
+    """Greedy upper bound for the spherical Hausdorff content of a ball union.
 
     Always at least the true content: it is the min of the self-cover cost
-    and the circumscribed-ball cost of a regularized/optimal cube cover.  A
-    ball family's regularized cover is computed here unless the caller
-    passes the one it holds as ``cover``.
+    and the circumscribed-ball cost of the regularized cube cover (the
+    self-cover alone at beta >= d).  The regularized cover is computed here
+    unless the caller passes the one it holds as ``cover``.
     """
-    omega = ball_volume_constant(beta)
-    if isinstance(obj, BallFamily):
-        if obj.n_balls == 0:
-            return 0.0
-        self_cover = float(np.sum(omega * obj.radii ** beta))
-        if beta >= obj.d:
-            return self_cover
-        reg = regularized_cover(obj, beta) if cover is None else cover
-        circ = float(np.sum(omega * (reg.cube_sides() * math.sqrt(obj.d) / 2.0) ** beta))
-        return min(self_cover, circ)
-    E: CubeUnion = obj
-    if E.n_cubes == 0:
+    if F.n_balls == 0:
         return 0.0
-    d = E.lattice.d
-    direct = float(np.sum(omega * (E.sides() * math.sqrt(d) / 2.0) ** beta))
-    _, cov = dyadic_content_cover(E, beta)
-    via_cover = float(np.sum(omega * (cov.sides() * math.sqrt(d) / 2.0) ** beta))
-    return min(direct, via_cover)
+    omega = ball_volume_constant(beta)
+    self_cover = float(np.sum(omega * F.radii ** beta))
+    if beta >= F.d:
+        return self_cover
+    reg = regularized_cover(F, beta) if cover is None else cover
+    circ = float(np.sum(omega * (reg.cube_sides() * math.sqrt(F.d) / 2.0) ** beta))
+    return min(self_cover, circ)
 
 
 # ---------------------------------------------------------------------------
@@ -705,6 +692,8 @@ def choquet_integral(cells, values, lattice: DyadicLattice, level: int,
     (``_level_set_contents``); one with as many cells as the previous one is
     that set, and its content is reused.
     """
+    if not (0 < beta <= lattice.d):
+        raise ValueError("beta must lie in (0, d]")
     values = np.asarray(values, dtype=np.float64).reshape(-1)
     cells = np.asarray(cells, dtype=np.int64).reshape(len(values), lattice.d)
     if np.any(values < 0):

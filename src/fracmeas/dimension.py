@@ -194,14 +194,15 @@ class DimensionReport:
 
 
 def lower_dim_estimate(mu: GridMeasure, lattice: DyadicLattice, betas,
-                       max_level: int, deltas=None, min_level: int = 0) -> DimensionReport:
-    """Modulus curves over the budget grid and the operational beta-hat."""
+                       max_level: int) -> DimensionReport:
+    """Modulus curves over the budgets 2^-1 .. 2^-12 and the operational
+    beta-hat, capturing with the cubes of levels 0 .. ``max_level``."""
     betas = np.asarray(betas, dtype=np.float64)
+    if len(betas) == 0:
+        raise ValueError("beta grid is empty")
     if np.any(betas <= 0) or np.any(betas > lattice.d):
         raise ValueError("beta grid must lie in (0, d]")
-    if deltas is None:
-        deltas = 2.0 ** (-np.arange(1, 13, dtype=np.float64))
-    deltas = np.sort(np.asarray(deltas, dtype=np.float64))[::-1]
+    deltas = 2.0 ** (-np.arange(1, 13, dtype=np.float64))
     tv = mu.total_variation()
     curves = np.zeros((len(betas), len(deltas)))
     passes = np.zeros(len(betas), dtype=bool)
@@ -213,12 +214,10 @@ def lower_dim_estimate(mu: GridMeasure, lattice: DyadicLattice, betas,
                                delta_star=deltas[-1] * np.ones(len(betas)),
                                tol_factor=_TOL_FACTOR, max_level=max_level,
                                total_variation=0.0,
-                               diagnostics={"min_level": min_level,
+                               diagnostics={"min_level": 0,
                                             "spent": curves.tolist(),
                                             "vacuous_betas": []})
-    if np.any(deltas <= 0):
-        raise ValueError("budget must be positive")
-    occ = _occupied_cubes(mu, lattice, min_level, max_level)
+    occ = _occupied_cubes(mu, lattice, 0, max_level)
     tree = _capture_tree(occ)
     unit = lattice.l0
     spent_mat = np.zeros_like(curves)
@@ -249,7 +248,7 @@ def lower_dim_estimate(mu: GridMeasure, lattice: DyadicLattice, betas,
                            beta_hat=beta_hat, passes=passes,
                            delta_star=delta_star, tol_factor=_TOL_FACTOR,
                            max_level=max_level, total_variation=tv,
-                           diagnostics={"min_level": min_level,
+                           diagnostics={"min_level": 0,
                                         "spent": spent_mat.tolist(),
                                         "vacuous_betas": vacuous})
 

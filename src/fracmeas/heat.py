@@ -154,18 +154,17 @@ def heat_sup_field(mu: GridMeasure, gamma: float, points, tgrid: TGrid,
     return SupField(points=pts, values=vals, t_at=t_at, gamma=gamma, tgrid=tgrid)
 
 
-def mass_quadrature_grid(mu: GridMeasure, t: float, resolve: float | None = None):
+def mass_quadrature_grid(mu: GridMeasure, t: float):
     """Quadrature lattice for integrating heat extensions at time t.
 
     A lattice Riemann sum of a Gaussian is exact up to Poisson-summation
     aliasing ``2 exp(-4 pi^2 t / hq^2)``; spacing ``1.25 sqrt(t)`` keeps that
     near 1e-11, and a margin of 10 sqrt(t) keeps the truncated tail below
-    ``erfc(5)`` per axis.  Pass ``resolve`` (a finer time scale) when the
-    sampled field feeds another convolution.
+    ``erfc(5)`` per axis.
     """
     lo, hi = mu.bbox()
     st = math.sqrt(t)
-    hq = 1.25 * math.sqrt(t if resolve is None else min(t, resolve))
+    hq = 1.25 * st
     lo = lo - 10.0 * st
     hi = hi + 10.0 * st
     pts = lattice_points([np.arange(lo[a], hi[a] + hq, hq) for a in range(mu.d)])

@@ -158,22 +158,14 @@ def save_maximal_field(field, path):
 
 
 def save_cover(cover, path):
-    """CSV ``type,center/corner...,size,witness_ball_id`` for covers."""
+    """CSV ``type,corner...,size,witness_ball_id`` of a cube cover."""
     witness_of = {}
     for bi, j in enumerate(cover.witness):
         witness_of.setdefault(int(j), bi)
-    if cover.kind == "cubes":
-        d = cover.indices.shape[1] if cover.n_elements else cover.lattice.d
-        header = ["type"] + [f"corner{a}" for a in range(d)] + ["size", "witness_ball_id"]
-        corners = cover.cube_corners() if cover.n_elements else np.zeros((0, d))
-        sides = cover.cube_sides() if cover.n_elements else np.zeros(0)
-        rows = [["cube"] + list(c) + [s, witness_of.get(j, -1)]
-                for j, (c, s) in enumerate(zip(corners, sides))]
-    else:
-        d = cover.centers.shape[1] if cover.n_elements else 0
-        header = ["type"] + [f"center{a}" for a in range(d)] + ["size", "witness_ball_id"]
-        rows = [["ball"] + list(c) + [r, witness_of.get(j, -1)]
-                for j, (c, r) in enumerate(zip(cover.centers, cover.radii))]
+    header = (["type"] + [f"corner{a}" for a in range(cover.lattice.d)]
+              + ["size", "witness_ball_id"])
+    rows = [["cube"] + list(c) + [s, witness_of.get(j, -1)]
+            for j, (c, s) in enumerate(zip(cover.cube_corners(), cover.cube_sides()))]
     write_csv(path, header, rows)
 
 

@@ -207,10 +207,9 @@ class Profile:
 
         Only the projector kernels call this, so ``scipy.interpolate`` is
         imported here, on first use: a process that never projects (every
-        ``fracmeas verify`` target) does not load it.
+        ``fracmeas verify`` target) does not load it.  The projectors use
+        only the plateau profiles, so the profile must be a table.
         """
-        if self.kind != "table":
-            return self.values(r)
         from scipy.interpolate import CubicSpline
 
         grid = np.arange(len(self.table)) * self.table_dr
@@ -456,30 +455,27 @@ def _full_convolution(a, b):
     return irfftn(spec, fshape, axes=axes)[tuple(slice(n) for n in shape)]
 
 
-def _lowpass_raw(f, k: int, profile: Profile):
-    """Convolution with the dilated low-pass profile; 'full' output grid."""
-    if isinstance(f, GridMeasure):
-        origin, dense, scale = *_dense_from_measure(f), 1.0
-        h = f.h
-    else:
-        origin, dense, scale = f.origin, f.values, f.cell_volume
-        h = f.spacing
+def _lowpass_raw(mu: GridMeasure, k: int, profile: Profile):
+    """Convolution of a grid measure's masses with the dilated profile;
+    'full' output grid."""
+    origin, dense = _dense_from_measure(mu)
+    h = mu.h
     if 2.0 ** k > 1.0 / (2.0 * h) * (1 + 1e-12):
         raise ValueError(f"projector level {k} above the grid Nyquist 1/(2h)")
-    ker = _projector_kernel(profile, k, h, f.d)
-    vals = _full_convolution(dense, ker) * scale
+    ker = _projector_kernel(profile, k, h, mu.d)
+    vals = _full_convolution(dense, ker)
     n = (ker.shape[0] - 1) // 2
     return SampledField(origin=origin - n * h, spacing=h, values=vals, k=k)
 
 
-def lp_lowpass(f, k: int) -> SampledField:
+def lp_lowpass(mu: GridMeasure, k: int) -> SampledField:
     """Smoothed low-pass projector P_{<=k}: convolution with Xi_k."""
-    return _lowpass_raw(f, k, standard_family(f.d, normalize=False)["xi_low"])
+    return _lowpass_raw(mu, k, standard_family(mu.d, normalize=False)["xi_low"])
 
 
-def lp_band(f, k: int) -> SampledField:
+def lp_band(mu: GridMeasure, k: int) -> SampledField:
     """Band projector P_k = P_{<=k} - P_{<=k-1} (exact telescoping by design)."""
-    return _field_sub(lp_lowpass(f, k), lp_lowpass(f, k - 1))
+    return _field_sub(lp_lowpass(mu, k), lp_lowpass(mu, k - 1))
 
 
 def _field_sub(a: SampledField, b: SampledField) -> SampledField:

@@ -255,9 +255,9 @@ class Cube:
     corner: np.ndarray
     side: float
 
-    @property
-    def d(self) -> int:
-        return len(self.corner)
+    def __post_init__(self):
+        if not (math.isfinite(self.side) and self.side > 0):
+            raise ValueError("cube side must be positive and finite")
 
     @property
     def center(self) -> np.ndarray:
@@ -268,13 +268,11 @@ class Cube:
         side = self.side * factor
         return Cube(corner=c - 0.5 * side, side=side)
 
-    def contains_points(self, pts, closed=True) -> np.ndarray:
-        pts = np.atleast_2d(pts)
-        rel = pts - self.corner[None, :]
-        if closed:
-            return np.all((rel >= -1e-12 * self.side)
-                          & (rel <= self.side * (1 + 1e-12)), axis=1)
-        return np.all((rel >= 0) & (rel < self.side), axis=1)
+    def contains_points(self, pts) -> np.ndarray:
+        """Which points lie in the closed cube (up to a relative 1e-12)."""
+        rel = np.atleast_2d(pts) - self.corner[None, :]
+        return np.all((rel >= -1e-12 * self.side)
+                      & (rel <= self.side * (1 + 1e-12)), axis=1)
 
 
 def unit_cube(d: int) -> Cube:
@@ -385,8 +383,7 @@ class FrostmanCertificate:
     """Sampled growth bound ``|mu|(B(x,r)) <= C r^beta``.
 
     ``constant`` is the max sampled ratio, hence a lower bound for the true
-    supremum; the probe grid (centers rule + radii) is recorded so the
-    certificate is reproducible.
+    supremum; the probed radii are recorded with the worst ball.
     """
 
     exponent: float
@@ -394,19 +391,6 @@ class FrostmanCertificate:
     radii: np.ndarray
     worst_center: np.ndarray
     worst_radius: float
-    centers_rule: str = "support+midpoints"
-
-    def to_dict(self):
-        return {
-            "exponent": self.exponent,
-            "constant": self.constant,
-            "radii_min": float(np.min(self.radii)) if len(self.radii) else 0.0,
-            "radii_max": float(np.max(self.radii)) if len(self.radii) else 0.0,
-            "n_radii": int(len(self.radii)),
-            "worst_center": list(map(float, np.atleast_1d(self.worst_center))),
-            "worst_radius": self.worst_radius,
-            "centers_rule": self.centers_rule,
-        }
 
 
 def _probe_centers(mu: GridMeasure) -> np.ndarray:
@@ -484,11 +468,9 @@ def frostman_constant(mu: GridMeasure, beta: float, radii) -> FrostmanCertificat
                                worst_center=best[1], worst_radius=best[2])
 
 
-def default_radius_grid(mu: GridMeasure, r_min=None):
-    """Geometric radius grid, 16 radii per decade, from the resolution scale
-    to twice the diameter."""
-    if r_min is None:
-        r_min = mu.h
+def default_radius_grid(mu: GridMeasure, r_min: float):
+    """Geometric radius grid, 16 radii per decade, from ``r_min`` to twice
+    the diameter (at least 4 r_min)."""
     r_max = max(2.0 * mu.support_diameter(), 4.0 * r_min)
     n = max(2, int(math.ceil(math.log10(r_max / r_min) * 16)) + 1)
     return np.geomspace(r_min, r_max, n)
@@ -498,11 +480,11 @@ def default_radius_grid(mu: GridMeasure, r_min=None):
 # generators
 # ---------------------------------------------------------------------------
 
-def cantor_measure(depth: int, normalization: float = 1.0) -> GridMeasure:
+def cantor_measure(depth: int) -> GridMeasure:
     """Level-``depth`` middle-thirds Cantor measure on [0, 1/2].
 
     Mass splits equally among the 2^depth triadic intervals, one point mass
-    at each interval center; total mass is exactly ``normalization``.
+    at each interval center; total mass is exactly 1.
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")
@@ -515,23 +497,16 @@ def cantor_measure(depth: int, normalization: float = 1.0) -> GridMeasure:
         lefts = np.concatenate([3 * lefts, 3 * lefts + 2])
     # halving [0,1] -> [0,1/2]: centers land on odd multiples of h
     idx = (2 * np.sort(lefts) + 1).reshape(-1, 1)
-    w = np.full(len(idx), normalization * 2.0 ** (-depth))
+    w = np.full(len(idx), 2.0 ** (-depth))
     return new_grid_measure(1, h, [0.0], idx, w, name=f"cantor(depth={depth})")
 
 
-def cantor_frostman(depth: int, normalization: float = 1.0):
-    """``cantor_measure(depth, normalization)`` and its Frostman certificate
-    at beta = log2/log3."""
-    mu = cantor_measure(depth, normalization)
-    beta = LOG2_OVER_LOG3
-    if mu.n_masses == 0:
-        cert = FrostmanCertificate(exponent=beta, constant=0.0,
-                                   radii=np.array([1.0]),
-                                   worst_center=np.zeros(1), worst_radius=1.0)
-        return mu, cert
+def cantor_frostman(depth: int):
+    """``cantor_measure(depth)`` and its Frostman certificate at beta =
+    log2/log3."""
+    mu = cantor_measure(depth)
     r_min = 3.0 ** (-depth) / 2.0
-    cert = frostman_constant(mu, beta, default_radius_grid(mu, r_min=r_min))
-    return mu, cert
+    return mu, frostman_constant(mu, LOG2_OVER_LOG3, default_radius_grid(mu, r_min=r_min))
 
 
 def curve_measure(polyline, h: float) -> VectorGridMeasure:

@@ -69,23 +69,20 @@ def riesz_kernel(cfg: RieszConfig, mu: GridMeasure, points, rows=None) -> np.nda
 
 
 def riesz_field(cfg: RieszConfig, mu: GridMeasure, origin, spacing: float,
-                shape, at=None) -> SampledField:
-    """The Riesz potential at the nodes ``origin + i * spacing`` of a grid.
+                shape, at) -> SampledField:
+    """The Riesz potential at the nodes ``origin + i * spacing`` of a grid
+    that ``interpolate(at)`` reads, for points ``at`` inside the grid.
 
-    With ``at`` (points inside the grid) only the nodes that
-    ``interpolate(at)`` reads are evaluated (``SampledField.stencil``), each
-    equal to its value in the full field bit for bit; every other node holds
-    NaN, so a read outside them shows.
+    Only those nodes are evaluated (``SampledField.stencil``), each equal to
+    its value in a full evaluation ``riesz_kernel(cfg, mu, fld.points())``
+    bit for bit; every other node holds NaN, so a read outside them shows.
     """
     shape = tuple(int(v) for v in np.atleast_1d(shape))
     fld = SampledField(origin=np.asarray(origin, dtype=np.float64),
                        spacing=float(spacing), values=np.full(shape, np.nan))
-    flat = fld.values.reshape(-1)      # a view: writes land in the field
-    if at is None:
-        flat[:] = riesz_kernel(cfg, mu, fld.points())
-    else:
-        rows = np.unique(fld.stencil(at)[0])
-        flat[rows] = riesz_kernel(cfg, mu, fld.points(), rows)
+    rows = np.unique(fld.stencil(at)[0])
+    # a view: writes land in the field
+    fld.values.reshape(-1)[rows] = riesz_kernel(cfg, mu, fld.points(), rows)
     return fld
 
 
@@ -168,26 +165,17 @@ def riesz_heat(cfg: RieszConfig, mu: GridMeasure, points) -> RieszHeatResult:
 # Lorentz norms
 # ---------------------------------------------------------------------------
 
-def lorentz_norm(field, p: float, q: float = 1.0, cell_volume: float | None = None) -> float:
-    """L^{p,1} norm of a sampled field (exact sum over sorted cells)."""
+def lorentz_norm(values, p: float, cell_volume: float) -> float:
+    """L^{p,1} norm of the samples ``values``, one per cell of volume
+    ``cell_volume`` (exact sum over sorted cells)."""
     if p <= 1.0:
         raise ValueError("need p > 1")
-    if q != 1.0:
-        raise ValueError("only the second index q = 1 is implemented")
-    if isinstance(field, SampledField):
-        vals = field.values.ravel()
-        vol = field.cell_volume
-    else:
-        vals = np.asarray(field, dtype=np.float64).ravel()
-        if cell_volume is None:
-            raise ValueError("cell_volume required for raw value arrays")
-        vol = cell_volume
-    v = np.abs(vals)
+    v = np.abs(np.asarray(values, dtype=np.float64).ravel())
     v = v[v > 0]
     if len(v) == 0:
         return 0.0
     v = np.sort(v)[::-1]
-    cum = vol * np.arange(1, len(v) + 1, dtype=np.float64)
+    cum = cell_volume * np.arange(1, len(v) + 1, dtype=np.float64)
     prev = np.concatenate([[0.0], cum[:-1]])
     return float(np.sum(v * p * (cum ** (1.0 / p) - prev ** (1.0 / p))))
 

@@ -37,7 +37,10 @@ class VerifyOutcome:
 # ---------------------------------------------------------------------------
 
 def square_loop(n_per_side: int = 16) -> np.ndarray:
-    """Closed unit-square polyline, counterclockwise."""
+    """Closed unit-square polyline, counterclockwise, ``n_per_side`` >= 1
+    segments per side."""
+    if n_per_side < 1:
+        raise ValueError("a square loop needs at least one segment per side")
     s = np.linspace(0.0, 1.0, n_per_side + 1)
     bottom = np.stack([s, np.zeros_like(s)], axis=1)
     right = np.stack([np.ones_like(s), s], axis=1)[1:]
@@ -66,6 +69,12 @@ def segment_measure() -> measures.GridMeasure:
                                      np.full(n, seg_len / n), name="segment")
 
 
+def _check_scales(n_scales: int):
+    # with one scale the capped spread is 1 (the deviation 0) whatever the inputs
+    if n_scales < 2:
+        raise ValueError("n_scales must be >= 2: one scale leaves nothing to compare")
+
+
 def _scaled_pair(cand: atoms.AtomCandidate, nu: measures.GridMeasure,
                  growth_exp: float, s: float):
     """Jointly rescaled (atom, trace measure) with the growth constant of nu
@@ -86,6 +95,7 @@ def _scaled_pair(cand: atoms.AtomCandidate, nu: measures.GridMeasure,
 def verify_thm13(alpha: float = 0.5, n_scales: int = 5, depth: int = 8) -> VerifyOutcome:
     """Heat-integral functional: dilation invariance across scales 2^0..2^-(n-1)
     and finiteness with bounded spread across atom kinds."""
+    _check_scales(n_scales)
     cand, _ = atoms.make_frostman_atom(depth=depth)
     base = potential.heat_besov_functional(cand, alpha)
     rows = [["cantor", 0, base.total, base.below_split, base.above_split]]
@@ -128,11 +138,12 @@ def verify_thm13(alpha: float = 0.5, n_scales: int = 5, depth: int = 8) -> Verif
 def verify_thm14(alpha: float = 0.5, n_scales: int = 5, depth: int = 8) -> VerifyOutcome:
     """Riesz-potential trace against a Frostman measure, uniform over jointly
     rescaled (atom, measure) pairs with the certified growth constant fixed."""
+    _check_scales(n_scales)
     d = 1
     if not (d - atoms.LOG2_OVER_LOG3 < alpha < d):
         raise ValueError("alpha must lie in (d - beta, d)")
     cand, _ = atoms.make_frostman_atom(depth=depth)
-    nu = measures.cantor_measure(depth, 1.0)
+    nu = measures.cantor_measure(depth)
     cfg = potential.RieszConfig(alpha=alpha, d=d)
     rows, traces, consts = [], [], []
     riesz_nodes = {"evaluated": [], "total": []}
@@ -170,11 +181,12 @@ def verify_thm14(alpha: float = 0.5, n_scales: int = 5, depth: int = 8) -> Verif
 
 def verify_thm15(n_scales: int = 5, depth: int = 8) -> VerifyOutcome:
     """Endpoint trace: sup_t t^{alpha/2}|e^{t Delta} a| at alpha = d - beta."""
+    _check_scales(n_scales)
     d = 1
     beta = atoms.LOG2_OVER_LOG3
     alpha = d - beta
     cand, _ = atoms.make_frostman_atom(depth=depth)
-    nu = measures.cantor_measure(depth, 1.0)
+    nu = measures.cantor_measure(depth)
     rows, traces, consts = [], [], []
     for j in range(n_scales):
         s = 2.0 ** (-j)
@@ -248,7 +260,7 @@ def verify_thm18(depth: int = 8, dirac_seed: int = 7) -> VerifyOutcome:
     beta0 = atoms.LOG2_OVER_LOG3
     leb = measures.lebesgue_sample(1, 2.0 ** -10)
     dir1 = measures.dirac(1, x=[float(rng.integers(1, 1023)) / 1024.0], h=2.0 ** -10)
-    can = measures.cantor_measure(depth, 1.0)
+    can = measures.cantor_measure(depth)
     # probe down to the triadic construction scale 3^-depth/2, not below
     # (deeper cubes see bare atoms)
     j_can = int(math.floor(1.0 + depth * math.log2(3.0)))

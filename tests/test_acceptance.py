@@ -202,8 +202,8 @@ def test_c08_covering_lemma():
               and np.all(raw.witness_ratio >= raw.constants["c"])
               and np.all(mixed.witness_ratio >= mixed.constants["c"])
               and cov.total <= cov.constants["raster_content"] * (1 + 1e-12)
-              and raw.total <= np.sum(raster.sides() ** beta)
-              and mixed.total <= np.sum(start.sides() ** beta)
+              and raw.total <= np.sum(cov.lattice.side(raster.levels) ** beta)
+              and mixed.total <= np.sum(cov.lattice.side(start.levels) ** beta)
               and mixed.constants["raster_content"] == cov.constants["raster_content"]
               and _covers_raster(cov, raster) and _covers_raster(raw, raster)
               and _covers_raster(mixed, raster))

@@ -59,7 +59,7 @@ def test_usage_error_exit_2(tmp_path):
 def test_atom_check_half_window_exit_2(tmp_path, capsys, given, missing):
     # one bound alone used to run the default window and report the bound
     csv = str(tmp_path / "mu.csv")
-    io.save_measure(cantor_measure(3, 1.0), csv)
+    io.save_measure(cantor_measure(3), csv)
     assert run(["--out", str(tmp_path), "atom", "check", "--measure", csv,
                 "--beta", "0.5", given, "1e-3"]) == 2
     assert f"{given} needs {missing}" in capsys.readouterr().err
@@ -75,7 +75,7 @@ def test_atom_flag_its_mode_does_not_read_exit_2(tmp_path, capsys, argv):
     # each last flag used to be accepted and recorded in the config, then
     # ignored
     csv = str(tmp_path / "mu.csv")
-    io.save_measure(cantor_measure(3, 1.0), csv)
+    io.save_measure(cantor_measure(3), csv)
     out = tmp_path / "out"
     assert run(["--out", str(out), *argv.format(measure=csv).split()]) == 2
     flag = [w for w in argv.split() if w.startswith("--")][-1]
@@ -93,6 +93,32 @@ def test_atom_flag_its_mode_does_not_read_exit_2(tmp_path, capsys, argv):
 def test_unread_flag_or_command_exit_2(tmp_path, argv):
     assert run(["--out", str(tmp_path), *argv]) == 2
     assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize("argv", [
+    "atom gen --kind loop --depth 0", "atom gen --kind linf --depth -1",
+    "dim estimate --measure {measure} --beta-step 0",
+    "dim estimate --measure {measure} --beta-step -0.5",
+    "dim estimate --measure {measure} --beta-step 1.5",
+    "content choquet --field {field} --beta -1",
+    "content choquet --field {field} --beta 0",
+    "content choquet --field {field} --beta 5",
+    "verify thm13 --scales 1", "verify thm14 --scales 1", "verify thm15 --scales 1",
+    "verify thm13 --scales 0", "verify thm14 --scales 0",
+    "atom check --measure {measure} --beta 0.5 --cube-side -1",
+    "atom check --measure {measure} --beta 0.5 --cube-side 0",
+    "potential besov --measure {measure} --alpha 0.5 --beta 0.5 --cube-side 0",
+])
+def test_out_of_range_input_exit_2(tmp_path, capsys, argv):
+    # each used to raise a traceback, run to exit 0 on a meaningless grid,
+    # scale set or cube, or exit 1 or 2 only through a later failure
+    csv = str(tmp_path / "mu.csv")
+    io.save_measure(cantor_measure(3), csv)
+    field = tmp_path / "f.csv"
+    field.write_text("level,i0,value\n3,0,1.0\n3,5,0.5\n")
+    argv = argv.format(measure=csv, field=field).split()
+    assert run(["--out", str(tmp_path / "out"), *argv]) == 2
+    assert re.fullmatch(r"fracmeas: [^\n]+\n", capsys.readouterr().err)
 
 
 def _leaves(parser, path=()):
@@ -179,7 +205,7 @@ def test_tiny_cases_name_every_subcommand():
 def test_report_config_holds_every_parsed_flag(tmp_path, command):
     inputs = {"measure": str(tmp_path / "mu.csv"), "balls": str(tmp_path / "balls.csv"),
               "field": str(tmp_path / "f.csv")}
-    io.save_measure(cantor_measure(3, 1.0), inputs["measure"])
+    io.save_measure(cantor_measure(3), inputs["measure"])
     io.write_csv(inputs["balls"], ["x0", "x1", "r"], [[0.3, 0.4, 0.1], [0.6, 0.5, 0.2]])
     (tmp_path / "f.csv").write_text("level,i0,value\n3,0,1.0\n3,5,0.5\n")
     tail, name = _TINY[command]
@@ -210,7 +236,7 @@ def test_choquet_missing_field_exit_2(tmp_path, capsys):
 
 def test_measure_without_sidecar_exit_2(tmp_path, capsys):
     csv = str(tmp_path / "mu.csv")
-    io.save_measure(cantor_measure(3, 1.0), csv)
+    io.save_measure(cantor_measure(3), csv)
     os.remove(csv + ".json")
     assert run(["--out", str(tmp_path), "heat", "--measure", csv]) == 2
     assert csv + ".json" in capsys.readouterr().err
@@ -218,7 +244,7 @@ def test_measure_without_sidecar_exit_2(tmp_path, capsys):
 
 def test_measure_columns_must_match_sidecar_exit_2(tmp_path, capsys):
     csv = str(tmp_path / "mu.csv")
-    io.save_measure(cantor_measure(3, 1.0), csv)
+    io.save_measure(cantor_measure(3), csv)
     with open(csv + ".json") as fh:
         side = json.load(fh)
     side["dim"] = 2
@@ -231,7 +257,7 @@ def test_measure_columns_must_match_sidecar_exit_2(tmp_path, capsys):
 @pytest.mark.parametrize("key", ["dim", "spacing", "origin"])
 def test_measure_sidecar_missing_key_exit_2(tmp_path, capsys, key):
     csv = str(tmp_path / "mu.csv")
-    io.save_measure(cantor_measure(3, 1.0), csv)
+    io.save_measure(cantor_measure(3), csv)
     with open(csv + ".json") as fh:
         side = json.load(fh)
     del side[key]
@@ -245,7 +271,7 @@ def test_measure_sidecar_missing_key_exit_2(tmp_path, capsys, key):
 def test_atom_check_window_too_wide_exit_2(tmp_path, capsys, t_lo, t_hi):
     # t_hi / t_lo overflows to inf, so the window has no finite node count
     csv = str(tmp_path / "mu.csv")
-    io.save_measure(cantor_measure(3, 1.0), csv)
+    io.save_measure(cantor_measure(3), csv)
     assert run(["--out", str(tmp_path), "atom", "check", "--measure", csv,
                 "--beta", "0.5", "--t-lo", t_lo, "--t-hi", t_hi]) == 2
     assert "spans too many decades" in capsys.readouterr().err
@@ -253,7 +279,7 @@ def test_atom_check_window_too_wide_exit_2(tmp_path, capsys, t_lo, t_hi):
 
 def test_heat_command(tmp_path, warm):
     out = str(tmp_path)
-    mu = cantor_measure(3, 1.0)
+    mu = cantor_measure(3)
     csv = os.path.join(out, "mu.csv")
     io.save_measure(mu, csv)
     assert run(["--out", out, "heat", "--measure", csv, "--npd", "4"]) == 0
@@ -289,7 +315,7 @@ def test_content_cover_real_family(tmp_path):
 
 def test_dim_estimate_command(tmp_path, warm):
     out = str(tmp_path)
-    mu = cantor_measure(6, 1.0)
+    mu = cantor_measure(6)
     csv = os.path.join(out, "can.csv")
     io.save_measure(mu, csv)
     assert run(["--out", out, "dim", "estimate", "--measure", csv,
@@ -337,7 +363,7 @@ _COLD_START = textwrap.dedent("""
     rc = [cli.main(["--out", out, "verify", t]) for t in ("cor16", "thm18")]
     after_verify = loaded(heavy)
     csv = os.path.join(out, "cantor.csv")
-    io.save_measure(cantor_measure(5, 1.0), csv)
+    io.save_measure(cantor_measure(5), csv)
     rc.append(cli.main(["--out", out, "potential", "riesz", "--measure", csv,
                         "--alpha", "0.5", "--n-points", "4"]))
     after_riesz = loaded(heavy)
@@ -587,7 +613,7 @@ def test_choquet_mixed_levels_exit_2(tmp_path, capsys):
 
 def test_measure_index_outside_int64_exit_2(tmp_path, capsys):
     csv = str(tmp_path / "mu.csv")
-    io.save_measure(cantor_measure(3, 1.0), csv)
+    io.save_measure(cantor_measure(3), csv)
     with open(csv, "a") as fh:
         fh.write(f"{2 ** 63},1.0\n")
     assert run(["--out", str(tmp_path), "heat", "--measure", csv]) == 2

@@ -132,7 +132,7 @@ def test_cantor_snap_content_band():
     lat = unit_lattice(1)
     vals = {}
     for depth in (8, 10):
-        mu = cantor_measure(depth, 1.0)
+        mu = cantor_measure(depth)
         lv = int(math.ceil(depth * math.log2(3.0))) + 1
         cells = np.unique(lat.index_of(mu.points(), lv), axis=0)
         E = CubeUnion.build(lat, np.full(len(cells), lv), cells)
@@ -149,7 +149,7 @@ def test_cover_extraction_consistent(rng):
         ix = np.stack([rng.integers(0, 2 ** l, 2) for l in lv])
         E = CubeUnion.build(lat, lv, ix)
         val, cov = dyadic_content_cover(E, 0.5)
-        assert float(np.sum(cov.sides() ** 0.5)) == pytest.approx(val, rel=1e-12)
+        assert float(np.sum(lat.side(cov.levels) ** 0.5)) == pytest.approx(val, rel=1e-12)
         # extracted cover must cover every input cube: some cover cube is the
         # input cube itself or one of its ancestors
         covered = np.zeros(E.n_cubes, dtype=bool)
@@ -199,7 +199,7 @@ def test_swap_iteration_from_fine_cover():
     F = make_ball_family([[0.3, 0.4]], [0.25])
     lat = unit_lattice(2)
     fine = rasterize_balls(F, lat, 6)
-    fine_total = float(np.sum(fine.sides() ** 0.5))
+    fine_total = float(np.sum(lat.side(fine.levels) ** 0.5))
     cov = regularized_cover(F, 0.5, initial_cover=fine)
     assert cov.constants["swaps"] >= 1
     assert cov.total < fine_total
@@ -228,7 +228,7 @@ def test_cover_postconditions_random_families(rng):
         cov = regularized_cover(F, 0.5)
         raster = rasterize_balls(F, cov.lattice, cov.constants["cell_level"])
         assert np.all(cov.witness_ratio >= cov.constants["c"])
-        assert cov.total <= np.sum(raster.sides() ** 0.5)
+        assert cov.total <= np.sum(cov.lattice.side(raster.levels) ** 0.5)
         assert cov.constants["C_impl"] <= 1.0 + 1e-12   # swaps only decrease
         assert _covered_by(cov, raster)
 
@@ -281,17 +281,17 @@ def test_spherical_packed_cover_constant():
 
 
 def test_spherical_vs_dyadic_band(rng):
-    # dimensional equivalence band on random unions
+    # dimensional equivalence band on random ball unions, against the exact
+    # dyadic content of their raster
     lat = unit_lattice(2)
     omega = ball_volume_constant(0.5)
     lo_band = omega / 2 ** (0.5 + 2)
     hi_band = 2.0 * omega * 2 ** 0.25
     for _ in range(100):
         n = int(rng.integers(1, 15))
-        lv = rng.integers(2, 6, n)
-        ix = np.stack([rng.integers(0, 2 ** l, 2) for l in lv])
-        E = CubeUnion.build(lat, lv, ix)
-        ratio = spherical_content_upper(E, 0.5) / dyadic_content(E, 0.5)
+        F = make_ball_family(rng.uniform(0, 1, (n, 2)), rng.uniform(0.03, 0.25, n))
+        raster = rasterize_balls(F, lat, content._cell_level(F, lat))
+        ratio = spherical_content_upper(F, 0.5) / dyadic_content(raster, 0.5)
         assert lo_band <= ratio <= hi_band
 
 

@@ -63,7 +63,7 @@ def test_greedy_cantor_bands():
     # 1024 * 2^(-16 * 0.75) = 0.25, so that budget captures everything
     # (the greedy may do it cheaper with two-point cubes one level up)
     lat = unit_lattice(1)
-    can = cantor_measure(10, 1.0)
+    can = cantor_measure(10)
     _, captured, spent = greedy_mass_capture(can, lat, 0.75, 0.2500001, 16)
     assert captured == pytest.approx(1.0)
     assert spent <= 1024 * 2.0 ** (-16 * 0.75) + 1e-9
@@ -116,7 +116,7 @@ def test_scan_matches_loop_scan_on_deep_trees(case):
     # levels 0-16 of the depth-10 Cantor measure, levels -2..8 of a planar
     # one: picks and both sums bit for bit, for every beta and budget
     if case == "cantor10":
-        mu, lat, lo, hi = cantor_measure(10, 1.0), unit_lattice(1), 0, 16
+        mu, lat, lo, hi = cantor_measure(10), unit_lattice(1), 0, 16
     else:
         mu, lo, hi = _deep_2d_measure(), -2, 8
         lat = DyadicLattice(corner=np.full(2, -0.25), l0=1.0, d=2)
@@ -133,7 +133,7 @@ def test_scan_matches_loop_scan_on_deep_trees(case):
 
 def test_modulus_curves_monotone_in_delta():
     lat = unit_lattice(1)
-    can = cantor_measure(8, 1.0)
+    can = cantor_measure(8)
     rep = lower_dim_estimate(can, lat, [0.4, BETA0, 0.8], cantor_levels(8))
     assert np.all(np.diff(rep.curves[:, ::-1], axis=1) >= -1e-12)
 
@@ -157,7 +157,7 @@ def test_beta_hat_cantor_depths():
     lat = unit_lattice(1)
     hats = {}
     for depth in (8, 10, 12):
-        can = cantor_measure(depth, 1.0)
+        can = cantor_measure(depth)
         rep = lower_dim_estimate(can, lat, BETAS, max_level=cantor_levels(depth))
         hats[depth] = rep.beta_hat
         assert abs(rep.beta_hat - BETA0) <= 0.05
@@ -170,7 +170,7 @@ def test_beta_hat_zero_measure():
     rep = lower_dim_estimate(zero, lat, BETAS, max_level=8)
     assert rep.beta_hat == pytest.approx(1.0)
     # the report keys do not depend on the input
-    can = cantor_measure(3, 1.0)
+    can = cantor_measure(3)
     keys = lower_dim_estimate(can, lat, BETAS, max_level=8).diagnostics.keys()
     assert rep.diagnostics.keys() == keys
     assert rep.diagnostics["min_level"] == 0
@@ -180,7 +180,7 @@ def test_beta_hat_zero_measure():
 
 def test_translation_invariance_exact():
     lat = unit_lattice(1)
-    can = cantor_measure(7, 1.0)
+    can = cantor_measure(7)
     r1 = lower_dim_estimate(can, lat, [0.3, 0.6, 0.9], cantor_levels(7))
     r2 = lower_dim_estimate(can.translated([0.5]), lat, [0.3, 0.6, 0.9],
                             cantor_levels(7))
@@ -203,18 +203,19 @@ def test_beta_grid_guard():
         lower_dim_estimate(dirac(1), lat, [0.0, 0.5], 8)
     with pytest.raises(ValueError):
         lower_dim_estimate(dirac(1), lat, [1.5], 8)
-    with pytest.raises(ValueError):
-        lower_dim_estimate(dirac(1), lat, [0.5], 8, deltas=[0.1, 0.0])
+    with pytest.raises(ValueError, match="empty"):
+        lower_dim_estimate(dirac(1), lat, [], 8)
 
 
 def test_vacuous_betas_flagged():
-    # a level-2 cube costs 4^-beta: 0.5 at beta 0.5 (above both budgets),
-    # 0.25 at beta 1
+    # the largest budget is 1/2; a level-1 cube costs 2^-beta: 0.71 at beta
+    # 0.5 (above every budget), 0.5 at beta 1; a level-2 cube costs 0.5 at
+    # beta 0.5
     lat = unit_lattice(1)
     d0 = dirac(1, x=[0.4375], h=2.0 ** -6)
-    rep = lower_dim_estimate(d0, lat, [0.5, 1.0], 2, deltas=[0.4, 0.3])
+    rep = lower_dim_estimate(d0, lat, [0.5, 1.0], 1)
     assert rep.diagnostics["vacuous_betas"] == [0.5]
-    assert not rep.passes[0] and rep.delta_star[0] == 0.4
+    assert not rep.passes[0] and rep.delta_star[0] == 0.5
     rep = lower_dim_estimate(d0, lat, [0.5, 1.0], 2)
     assert rep.diagnostics["vacuous_betas"] == []
 

@@ -334,10 +334,9 @@ def test_witness_is_first_largest_meeting_cube(F, frac):
     # from the raw raster every cube has one side (ties everywhere) and the
     # swap loop has to run before the witnesses settle
     beta = frac * F.d
-    lat = _lattice(F.d)
-    optimal = regularized_cover(F, beta, lattice=lat)
-    raster = rasterize_balls(F, lat, optimal.constants["cell_level"])
-    from_raster = regularized_cover(F, beta, lattice=lat, initial_cover=raster)
+    optimal = regularized_cover(F, beta)
+    raster = rasterize_balls(F, optimal.lattice, optimal.constants["cell_level"])
+    from_raster = regularized_cover(F, beta, initial_cover=raster)
     for cov in (optimal, from_raster):
         want = _witness_reference(F, cov.lattice, cov.levels, cov.indices)
         assert np.array_equal(cov.witness, want)
@@ -465,7 +464,7 @@ def test_greedy_capture_selects_disjoint_cubes(mu, frac, delta, lo, hi):
         for q in range(len(lv)):
             assert p == q or not _contains(lv[q], ix[q], lv[p], ix[p])
     assert spent <= delta * (1 + 1e-12)
-    assert math.isclose(spent, float(np.sum(union.sides() ** beta)),
+    assert math.isclose(spent, float(np.sum(lat.side(union.levels) ** beta)),
                         rel_tol=1e-12)
     want = sum(float(np.sum(absw[np.all(lat.index_of(pts, k) == n, axis=1)]))
                for k, n in zip(lv, ix))
@@ -480,20 +479,17 @@ def test_greedy_capture_selects_disjoint_cubes(mu, frac, delta, lo, hi):
 
 
 @given(measures(), st.lists(st.floats(0.05, 1.0), min_size=1, max_size=4),
-       st.lists(st.floats(1e-3, 2.0), min_size=1, max_size=6),
-       st.integers(-2, 0), st.integers(0, 6))
-def test_estimate_matches_one_capture_per_budget(mu, fracs, deltas, lo, hi):
+       st.integers(0, 6))
+def test_estimate_matches_one_capture_per_budget(mu, fracs, hi):
     # the estimate scans tables built once per beta; each (beta, delta) cell
     # must equal a capture built from scratch for that budget, bit for bit
     lat = _lattice(mu.d)
-    rep = lower_dim_estimate(mu, lat, np.array(fracs) * mu.d, hi,
-                             deltas=deltas, min_level=lo)
-    occ = _occupied_cubes(mu, lat, lo, hi)
+    rep = lower_dim_estimate(mu, lat, np.array(fracs) * mu.d, hi)
+    occ = _occupied_cubes(mu, lat, 0, hi)
     tv = mu.total_variation()
     for i, beta in enumerate(rep.betas):
         for j, delta in enumerate(rep.deltas):
             _, captured, spent = greedy_mass_capture(mu, lat, beta, delta, hi,
-                                                     min_level=lo,
                                                      candidates=occ)
             assert rep.curves[i, j] == captured / tv
             assert rep.diagnostics["spent"][i][j] == spent

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from fracmeas import _kernels, heat
+from fracmeas import _kernels
 from fracmeas.heat import TGrid, heat_extension, heat_field, heat_sup_field, \
     mass_conservation_residual
 from fracmeas.measures import cantor_measure, dirac, new_grid_measure
@@ -87,10 +87,13 @@ def test_heat_positive_and_mass_conserving(mu, data):
 
 
 def test_semigroup_property():
-    mu = cantor_measure(4, 1.0)
+    mu = cantor_measure(4)
     s, t = 0.02, 0.05
-    # resample e^{t}mu as a measure fine enough for the second convolution
-    pts, hq = heat.mass_quadrature_grid(mu, t, resolve=s / 4.0)
+    # resample e^{t}mu as a measure fine enough for the second convolution:
+    # mass_quadrature_grid's lattice at the spacing of time s/4
+    hq = 1.25 * math.sqrt(s / 4.0)
+    lo, hi = mu.bbox()
+    pts = np.arange(lo[0] - 10.0 * math.sqrt(t), hi[0] + 10.0 * math.sqrt(t) + hq, hq)[:, None]
     mid_vals = heat_extension(mu, t, pts)
     mid = new_grid_measure(1, hq, [float(pts[0, 0])],
                            np.arange(len(pts))[:, None], mid_vals * hq)
@@ -103,7 +106,7 @@ def test_semigroup_property():
 def test_dilation_law():
     # e^{t}[dilated mu](x) = l^d e^{t l^2}[mu](l(x - c)) for the mass-
     # preserving pushforward x -> (x - c)/l ... checked in scaled variables
-    mu = cantor_measure(4, 1.0)
+    mu = cantor_measure(4)
     scale = 0.25
     dil = mu.dilated(scale, [0.0])
     x = np.linspace(-0.2, 0.3, 17)[:, None]
@@ -114,7 +117,7 @@ def test_dilation_law():
 
 
 def test_heat_field_matches_pointwise():
-    mu = cantor_measure(3, 1.0)
+    mu = cantor_measure(3)
     tg = TGrid.for_measure(mu, nodes_per_decade=4)
     pts = np.linspace(0, 0.5, 9)[:, None]
     fld = heat_field(mu, tg, pts)
@@ -154,7 +157,7 @@ def test_sup_refinement_improves():
 def test_sup_refine_matches_dense_exp(monkeypatch):
     # writing 0.0 for the terms below the exp floor, on the grid and in the
     # golden-section refinement, leaves the sup field's bits unchanged
-    mu = cantor_measure(5, 1.0)
+    mu = cantor_measure(5)
     tg = TGrid.for_measure(mu, nodes_per_decade=8, reach=4.0)
     pts = np.vstack([mu.points()[::3], np.linspace(-3.0, 4.0, 9)[:, None]])
     got = heat_sup_field(mu, 0.6, pts, tg, refine=True)

@@ -205,7 +205,7 @@ def test_dyadic_far_point_zero():
 
 def test_truncated_matches_and_bounds(warm):
     lat = unit_lattice(1)
-    mu = cantor_measure(5, 1.0)
+    mu = cantor_measure(5)
     pts = np.linspace(0, 0.5, 21)[:, None]
     full = dyadic_maximal(mu, lat, 1 - 0.5, pts, 0, 10)
     trunc = truncated_dyadic_maximal(mu, lat, 1 - 0.5, 2 ** -10, pts, 0, 10)
@@ -236,7 +236,7 @@ def test_grand_zero_measure(warm):
 
 def test_grand_gauss_only_reproduces_heat_sup(warm):
     # t <-> s^2 convention map, unnormalized family
-    mu = cantor_measure(5, 1.0)
+    mu = cantor_measure(5)
     fam = _only(standard_family(1, normalize=False), "gauss")
     tg = TGrid.for_measure(mu, 16)
     pts = np.linspace(-0.5, 1.0, 31)[:, None]
@@ -248,7 +248,7 @@ def test_grand_gauss_only_reproduces_heat_sup(warm):
 
 
 def test_grand_monotone_in_family(warm):
-    mu = cantor_measure(4, 1.0)
+    mu = cantor_measure(4)
     tg = TGrid.for_measure(mu, 12)
     pts = np.linspace(0, 0.5, 11)[:, None]
     fam = standard_family(1)
@@ -280,7 +280,7 @@ def test_maximal_sublinear(warm):
 
 
 def test_anti_local_reduces_to_grand(warm):
-    mu = cantor_measure(4, 1.0)
+    mu = cantor_measure(4)
     fam = standard_family(1)
     tg = TGrid.for_measure(mu, 12)
     pts = np.linspace(0, 0.5, 9)[:, None]
@@ -340,7 +340,7 @@ def test_anti_local_claim_on_seeded_instances(warm):
 # ---------------------------------------------------------------------------
 
 def test_lowpass_mean_preservation(warm):
-    mu = cantor_measure(4, 1.0)
+    mu = cantor_measure(4)
     for k in (0, 2):
         lp = lp_lowpass(mu, k)
         assert abs(lp.grid_sum() - mu.total_mass()) <= 1e-6
@@ -366,9 +366,13 @@ def test_composition_band_then_tilde(warm):
     cand, _ = atoms.make_frostman_atom(depth=4)
     mu = _standard_measure(cand)
     band = lp_band(mu, 2)
-    # the widened band profile at the band's own level reproduces it
+    # the widened band profile at the band's own level reproduces it; the
+    # band field enters as the grid measure of its Riemann weights
     xi_band = standard_family(1, normalize=False)["xi_band"]
-    comp = maximal._lowpass_raw(band, band.k, xi_band)
+    weights = band.values.ravel() * band.cell_volume
+    band_mu = new_grid_measure(1, band.spacing, band.origin,
+                               np.arange(len(weights))[:, None], weights)
+    comp = maximal._lowpass_raw(band_mu, band.k, xi_band)
     off = np.rint((band.origin - comp.origin) / comp.spacing).astype(int)
     sl = tuple(slice(o, o + s) for o, s in zip(off, band.values.shape))
     scale = float(np.max(np.abs(band.values)))
@@ -433,7 +437,7 @@ def test_grand_tail_exponent(warm):
 def test_dyadic_scaling_under_dilation(warm):
     # lattice-aligned mass-preserving dilation shifts levels by log2(l)
     lat = unit_lattice(1)
-    mu = cantor_measure(4, 1.0)
+    mu = cantor_measure(4)
     dil = mu.dilated(0.5, [0.0])
     pts = mu.points()[:5]
     v = dyadic_maximal(mu, lat, 1 - BETA0, pts, 0, 9).values

@@ -118,14 +118,14 @@ def test_children_partition_parent(rng):
 
 
 def test_cantor_construction():
-    mu, cert = cantor_frostman(1, 1.0)
+    mu, cert = cantor_frostman(1)
     assert mu.n_masses == 2
     assert np.allclose(sorted(mu.points()[:, 0]), [1 / 12, 5 / 12])
     assert np.all(mu.weights == 0.5)
     assert mu.total_mass() == 1.0
     assert cert.exponent == pytest.approx(BETA0)
     # the certificate comes on top of cantor_measure's measure
-    plain = cantor_measure(1, 1.0)
+    plain = cantor_measure(1)
     assert np.array_equal(plain.indices, mu.indices)
     assert np.array_equal(plain.weights, mu.weights)
     assert (plain.h, plain.name) == (mu.h, mu.name)
@@ -133,12 +133,12 @@ def test_cantor_construction():
 
 def test_cantor_mass_exact():
     for depth in (3, 7, 10):
-        mu = cantor_measure(depth, 1.0)
+        mu = cantor_measure(depth)
         assert mu.total_mass() == 1.0          # binary splitting, exact
         assert mu.n_masses == 2 ** depth
-    zero, cert = cantor_frostman(8, 0.0)
+    zero = cantor_measure(8).scaled(0.0)
     assert zero.n_masses == 0
-    assert cert.constant == 0.0
+    assert frostman_constant(zero, BETA0, [1.0]).constant == 0.0
 
 
 def test_cantor_depth_guard():
@@ -149,7 +149,7 @@ def test_cantor_depth_guard():
 
 
 def test_cantor_frostman_constant_vs_oracle():
-    mu, cert = cantor_frostman(8, 1.0)
+    mu, cert = cantor_frostman(8)
     r_min = 3.0 ** -8 / 2.0
     oracle = frostman_sup_oracle_1d(mu, BETA0, r_min)
     assert cert.constant <= oracle * (1 + 1e-12)
@@ -157,14 +157,14 @@ def test_cantor_frostman_constant_vs_oracle():
 
 
 def test_cantor_frostman_stable_in_depth():
-    _, c8 = cantor_frostman(8, 1.0)
-    _, c10 = cantor_frostman(10, 1.0)
+    _, c8 = cantor_frostman(8)
+    _, c10 = cantor_frostman(10)
     assert abs(c8.constant - c10.constant) / c8.constant < 0.10
 
 
 def test_difference_atom_tv_at_half_mass():
     # a = mu - translate(mu) with each piece of mass 1/2 has variation 1
-    mu = cantor_measure(6, 0.5)
+    mu = cantor_measure(6).scaled(0.5)
     a = measure_sum([mu, mu.translated([0.5]).scaled(-1.0)])
     assert a.total_variation() == pytest.approx(1.0, rel=1e-14)
     assert a.total_mass() == 0.0
@@ -216,7 +216,7 @@ def test_frostman_constant_monotone_under_added_mass(d, data):
     mu = new_grid_measure(d, 0.25, [0.0] * d, idx, w)
     w[j] *= factor
     more = new_grid_measure(d, 0.25, [0.0] * d, idx, w)
-    radii = default_radius_grid(mu)
+    radii = default_radius_grid(mu, r_min=mu.h)
     assert np.array_equal(more.indices, mu.indices)
     assert (frostman_constant(more, beta, radii).constant
             >= frostman_constant(mu, beta, radii).constant)
@@ -273,8 +273,8 @@ def test_frostman_constant_matches_center_loop(d, data):
 
 def test_frostman_constant_matches_center_loop_over_blocks():
     # 2048 points and about 4000 centers: the rows run in several blocks
-    mu = cantor_measure(11, 1.0)
-    radii = default_radius_grid(mu)[::-1]
+    mu = cantor_measure(11)
+    radii = default_radius_grid(mu, r_min=mu.h)[::-1]
     _same_certificate(frostman_constant(mu, BETA0, radii),
                       _frostman_loop(mu, BETA0, radii))
 
@@ -335,14 +335,14 @@ def test_circle_component_variation():
 # ---------------------------------------------------------------------------
 
 def test_translate_exact_on_lattice():
-    mu = cantor_measure(4, 1.0)
+    mu = cantor_measure(4)
     shifted = mu.translated([0.5])
     assert np.array_equal(shifted.indices, mu.indices + int(round(0.5 / mu.h)))
     assert shifted.origin[0] == mu.origin[0]
 
 
 def test_dilated_mass_preserving():
-    mu = cantor_measure(4, 1.0)
+    mu = cantor_measure(4)
     dil = mu.dilated(0.25, [0.0])
     assert dil.total_mass() == mu.total_mass()
     assert np.allclose(dil.points(), mu.points() * 0.25)

@@ -6,14 +6,15 @@ never count as uses:
   from package code other than its own definition, or from ``perfbench/``
   (so the CLI, the verify targets or the benchmark reach it);
 * every defaulted parameter of a function in ``src/fracmeas`` is set, by
-  keyword or by position, by some call in ``src/``, ``perfbench/`` or
-  ``tests/``.  The verify parameters that ``cli.cmd_verify`` fills from the
-  parsed flags count as set.
+  keyword or by position, by some call in ``src/`` or ``perfbench/``: a
+  parameter that only tests set is a mode no command uses.  The verify
+  parameters that ``cli.cmd_verify`` fills from the parsed flags count as
+  set.
 
 References and calls are matched to definitions by the bare name alone,
 so two definitions of one name share their uses: the checks can miss an
 unused name or parameter, never flag a used one.  Both fail at a package
-that still carries API only the tests call.
+that still carries API, or a mode of it, that only the tests call.
 """
 
 from __future__ import annotations
@@ -35,6 +36,21 @@ ALLOWED_UNREACHED = {
     "maximal.Profile.hat":
         "the Fourier side of each profile, through which the tests check the "
         "family's defining properties (rho-hat(0) = 1, psi-hat >= 1 on the unit ball)",
+}
+
+# defaulted parameters kept although only tests set them, each with its reason
+ALLOWED_UNSET = {
+    "content.choquet_integral.thresholds":
+        "ROADMAP direction 5 redefines the default threshold grid; until then "
+        "the golden digests and the hypothesis properties pin today's grid, "
+        "and the tests check the layer-cake sum on thresholds of their own",
+    "content.choquet_integral.n_thresholds":
+        "the size of today's default grid, which direction 5 redefines",
+    "dimension.greedy_mass_capture.min_level":
+        "greedy_mass_capture is the reference the estimate's property test "
+        "compares its scans with, over candidate levels the test picks",
+    "dimension.greedy_mass_capture.candidates":
+        "the same reference, fed the test's own candidate table",
 }
 
 
@@ -150,9 +166,9 @@ def _introspected() -> set:
 
 
 def unset_parameters() -> list:
-    """Defaulted package parameters that no call in src/, perfbench/ or
-    tests/ sets."""
-    calls = _set_parameters(_trees("src", "perfbench", "tests"))
+    """Defaulted package parameters that no call in src/ or perfbench/
+    sets."""
+    calls = _set_parameters(_trees("src", "perfbench"))
     filled = _introspected()
     out = []
     for mod, tree in _package_modules().items():
@@ -178,8 +194,12 @@ def test_every_public_name_is_reached():
 
 def test_every_defaulted_parameter_is_set():
     unset = unset_parameters()
-    assert not unset, ("defaulted parameters no caller sets (make each a constant "
-                       f"in the body or the module): {unset}")
+    stale = sorted(set(ALLOWED_UNSET) - set(unset))
+    assert not stale, f"allowlist entries now set or gone: {stale}"
+    missing = [n for n in unset if n not in ALLOWED_UNSET]
+    assert not missing, ("defaulted parameters no package or benchmark call sets "
+                         "(make each a constant in the body or the module): "
+                         f"{missing}")
 
 
 _SAMPLE = """
