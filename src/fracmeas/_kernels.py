@@ -7,11 +7,12 @@ on the block, so fixed blocks keep every bit.  A caller that needs only some
 points (``rows``) gets only those evaluated: their terms are written at their
 own positions in a zero-filled buffer of the full block, and the block's
 matrix-vector product runs as in the dense sum, so each wanted row is the
-dense one bit for bit.  A Gaussian term whose exponent lies below -746 is
-written as 0.0 and never evaluated (``_gauss_terms``): exp returns exactly
-0.0 there anyway.  The radial convolution takes its profile as a function
-of the scaled distance (``maximal.Profile.values``), so each profile
-formula is written once.
+dense one bit for bit.  That buffer is a private anonymous memory map without
+huge pages (``_zero_rows``), so it costs memory only for the rows written.
+A Gaussian term whose exponent lies below -746 is written as 0.0 and never
+evaluated (``_gauss_terms``): exp returns exactly 0.0 there anyway.  The
+radial convolution takes its profile as a function of the scaled distance
+(``maximal.Profile.values``), so each profile formula is written once.
 """
 
 from __future__ import annotations
@@ -98,9 +99,10 @@ def _pair_sums(x, y, w, scale, block_terms, rows=None):
     ``w`` is the dense one, so every wanted row equals the dense row bit for
     bit (a product over the wanted rows alone moves the last bits of many
     of them).  One buffer serves every block of a call: its wanted rows are
-    set back to 0.0 after each block.  Terms and their inputs stay bound
-    until the next column's are made: dropping them slowed the radial kernel
-    (an allocator effect).
+    set back to 0.0 after each block (``_zero_rows``: only the pages of the
+    rows written take memory).  Terms and their inputs stay bound until the
+    next column's are made: dropping them slowed the radial kernel (an
+    allocator effect).
     """
     x = np.ascontiguousarray(np.atleast_2d(np.asarray(x, dtype=np.float64)))
     y = np.ascontiguousarray(np.atleast_2d(np.asarray(y, dtype=np.float64)))
@@ -118,7 +120,7 @@ def _pair_sums(x, y, w, scale, block_terms, rows=None):
     if n and m:
         step = max(1, 4_000_000 // m)
         if rows is not None and len(rows):
-            buf = np.zeros((min(n, step), m))
+            buf = _zero_rows(min(n, step), m)
         for s in range(0, n, step):
             e = min(n, s + step)
             if rows is None:
@@ -141,6 +143,25 @@ def _pair_sums(x, y, w, scale, block_terms, rows=None):
                 block[local] = 0.0
     out *= factors
     return out
+
+
+def _zero_rows(n, m):
+    """A zero (n, m) float64 array on a private anonymous memory map.
+
+    numpy asks the kernel for huge pages on arrays of 4 MB and more, so each
+    scattered row written into it makes a whole 2 MB page resident (32 MB
+    for a thm14 block whose 512 wanted rows lie among 7812).  Here huge
+    pages are declined where ``mmap`` can say so: a written row makes its
+    4 KB pages resident, and reads of untouched pages map the shared zero
+    page.  The values are the zeros of ``np.zeros``.  ``mmap`` is imported
+    here, so importing the package does not load it.
+    """
+    import mmap
+
+    buf = mmap.mmap(-1, n * m * 8, flags=mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS)
+    if hasattr(mmap, "MADV_NOHUGEPAGE"):
+        buf.madvise(mmap.MADV_NOHUGEPAGE)
+    return np.frombuffer(buf, dtype=np.float64).reshape(n, m)
 
 
 def heat_values(x, y, w, t):

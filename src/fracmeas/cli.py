@@ -123,6 +123,8 @@ def cmd_heat(args) -> int:
 
 
 def cmd_potential_riesz(args) -> int:
+    if args.n_points < 1:
+        _fail("--n-points must be at least 1")
     mu = io.load_measure(args.measure)
     rr = np.geomspace(args.r_lo, args.r_hi, args.n_points)
     pts = np.zeros((len(rr), mu.d))
@@ -194,10 +196,7 @@ def cmd_maximal(args) -> int:
 def cmd_maximal_lp(args) -> int:
     mu = io.load_measure(args.measure)
     out = _outdir(args)
-    try:
-        fld = (maximal.lp_band if args.band else maximal.lp_lowpass)(mu, args.k)
-    except ValueError as exc:
-        _fail(str(exc), 1)
+    fld = (maximal.lp_band if args.band else maximal.lp_lowpass)(mu, args.k)
     name = "band" if args.band else "lowpass"
     io.write_csv(os.path.join(out, f"lp_{name}.csv"),
                  [f"x{a}" for a in range(mu.d)] + ["value"],

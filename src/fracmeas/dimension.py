@@ -202,6 +202,8 @@ def lower_dim_estimate(mu: GridMeasure, lattice: DyadicLattice, betas,
         raise ValueError("beta grid is empty")
     if np.any(betas <= 0) or np.any(betas > lattice.d):
         raise ValueError("beta grid must lie in (0, d]")
+    if max_level < 0:
+        raise ValueError("max_level (--depth) must be at least 0")
     deltas = 2.0 ** (-np.arange(1, 13, dtype=np.float64))
     tv = mu.total_variation()
     curves = np.zeros((len(betas), len(deltas)))

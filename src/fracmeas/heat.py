@@ -35,6 +35,8 @@ class TGrid:
     def build(cls, t_min: float, t_max: float, nodes_per_decade: int = 32) -> "TGrid":
         if not (0 < t_min < t_max):
             raise ValueError("need 0 < t_min < t_max")
+        if nodes_per_decade < 1:
+            raise ValueError("nodes_per_decade (--npd) must be at least 1")
         count = math.log10(t_max / t_min) * nodes_per_decade
         if not math.isfinite(count):
             raise ValueError(f"time window [{t_min}, {t_max}] spans too many decades")

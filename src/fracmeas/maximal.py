@@ -424,9 +424,20 @@ def _dense_from_measure(mu: GridMeasure):
     return origin, dense
 
 
+# most nodes a projector kernel may have (256 MB of float64); at k = 0 a
+# depth-8 Cantor measure needs 5.0M and the d = 2 lattice of spacing 1/64 16.8M
+_MAX_KERNEL_NODES = 2 ** 25
+
+
 def _projector_kernel(profile: Profile, k: int, h: float, d: int):
-    reach = profile.support_radius / 2.0 ** k
-    n = int(math.ceil(reach / h))
+    # the kernel has (2n + 1)^d nodes; its half-width n grows as 2^-k, so a
+    # negative k is checked before anything is built (2.0 ** k underflows
+    # below k = -1022, where n is past the cap anyway)
+    n = math.inf if k < -1022 else profile.support_radius / 2.0 ** k / h
+    if not n < _MAX_KERNEL_NODES or (2 * math.ceil(n) + 1) ** d > _MAX_KERNEL_NODES:
+        raise ValueError(f"projector level k = {k} needs a kernel of more than "
+                         f"{_MAX_KERNEL_NODES} nodes on this grid")
+    n = math.ceil(n)
     offs = np.arange(-n, n + 1) * h
     if d == 1:
         r = np.abs(offs) * 2.0 ** k
@@ -460,7 +471,8 @@ def _lowpass_raw(mu: GridMeasure, k: int, profile: Profile):
     'full' output grid."""
     origin, dense = _dense_from_measure(mu)
     h = mu.h
-    if 2.0 ** k > 1.0 / (2.0 * h) * (1 + 1e-12):
+    # 2.0 ** k overflows above k = 1023, far above any grid's Nyquist level
+    if k > 1023 or 2.0 ** k > 1.0 / (2.0 * h) * (1 + 1e-12):
         raise ValueError(f"projector level {k} above the grid Nyquist 1/(2h)")
     ker = _projector_kernel(profile, k, h, mu.d)
     vals = _full_convolution(dense, ker)

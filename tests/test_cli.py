@@ -121,6 +121,33 @@ def test_out_of_range_input_exit_2(tmp_path, capsys, argv):
     assert re.fullmatch(r"fracmeas: [^\n]+\n", capsys.readouterr().err)
 
 
+@pytest.mark.parametrize("argv, named", [
+    ("heat --npd 0", "--npd"),
+    ("maximal grand --gamma 0.3 --npd 0", "--npd"),
+    ("maximal antilocal --gamma 0.3 --npd 0 --rho 0.5", "--npd"),
+    ("atom check --beta 0.5 --t-lo 1e-4 --t-hi 1 --npd 0", "--npd"),
+    # a kernel 2^40 times wider than at k = 0: refused before it is built
+    ("maximal lp --k -40", "k = -40"),
+    ("maximal lp --k -2000", "k = -2000"),
+    ("maximal lp --k 2000", "level 2000 above the grid Nyquist"),
+    ("maximal lp --k 9", "level 9 above the grid Nyquist"),
+    ("dim estimate --depth -1", "--depth"),
+    ("potential riesz --alpha 0.5 --n-points 0", "--n-points"),
+])
+def test_out_of_range_input_names_its_check(tmp_path, capsys, argv, named):
+    # each used to exit 0 on a two-node time grid, die in a numpy or float
+    # error (a traceback, or exit 2 with numpy's message), or exit 1 for a
+    # level above Nyquist; now a check refuses it and names what it checked
+    csv = str(tmp_path / "mu.csv")
+    io.save_measure(cantor_measure(3), csv)
+    command, flags = argv.split(" --", 1)
+    argv = [*command.split(), "--measure", csv, *f"--{flags}".split()]
+    assert run(["--out", str(tmp_path / "out"), *argv]) == 2
+    err = capsys.readouterr().err
+    assert re.fullmatch(r"fracmeas: [^\n]+\n", err)
+    assert named in err
+
+
 def _leaves(parser, path=()):
     """(command path, parser) of every runnable subcommand."""
     subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
@@ -358,6 +385,7 @@ _COLD_START = textwrap.dedent("""
 
     standard_family(1)
     at_import = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+    at_import += loaded(["concurrent.futures"])
     heavy = ["scipy.special", "scipy.fft", "scipy.interpolate", "scipy.optimize",
              "scipy.linalg", "scipy.sparse"]
     rc = [cli.main(["--out", out, "verify", t]) for t in ("cor16", "thm18")]
@@ -375,7 +403,8 @@ _COLD_START = textwrap.dedent("""
 
 
 def test_cold_start_loads_no_projector_modules(tmp_path):
-    # importing the CLI and reading the plateau tables loads no scipy at all;
+    # importing the CLI and reading the plateau tables loads no scipy at all,
+    # nor the verify targets' thread pool (concurrent.futures);
     # scipy.special serves only the gamma and Bessel call sites (content,
     # Riesz constants, d=2 quadrature), and scipy.fft and scipy.interpolate
     # (and, through them, scipy.optimize, linalg and sparse) only the

@@ -1,5 +1,9 @@
 import dataclasses
 import math
+import os
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
@@ -345,3 +349,43 @@ def test_riesz_field_at_evaluates_the_read_nodes(warm):
     assert np.array_equal(part.values.flat[read].view(np.uint64),
                           full.values.flat[read].view(np.uint64))
     assert trace_integral(part, nu) == trace_integral(full, nu)
+
+
+# the child reads its peak RSS from VmHWM: Linux keeps ru_maxrss across
+# exec, so in a process started by pytest it starts at pytest's own peak
+_RIESZ_FIELD_RSS = textwrap.dedent("""
+    from fracmeas import atoms, measures, potential, verify
+
+    def peak_mb():
+        with open("/proc/self/status") as fh:
+            line = next(ln for ln in fh if ln.startswith("VmHWM:"))
+        return int(line.split()[1]) / 1024.0
+
+    cand, _ = atoms.make_frostman_atom(depth=8)
+    nu = measures.cantor_measure(8)
+    cfg = potential.RieszConfig(alpha=0.5, d=1)
+    cfg.gamma_alpha                   # scipy.special's own memory comes first
+    before = peak_mb()
+    for j in range(2):                # thm14's first two scales
+        s = 2.0 ** -j
+        a_s, nu_s = verify._scaled_pair(cand, nu, 0.5, s)
+        h_f = nu_s.h / 2.0
+        lo = min(a_s.measure.bbox()[0][0], nu_s.bbox()[0][0]) - 0.1 * s
+        hi = max(a_s.measure.bbox()[1][0], nu_s.bbox()[1][0]) + 0.1 * s
+        n = int((hi - lo) / h_f) + 2
+        potential.riesz_field(cfg, a_s.measure, [lo + 0.2371 * h_f], h_f, [n],
+                              at=nu_s.points())
+    print(peak_mb() - before)
+""")
+
+
+def test_riesz_field_pays_only_for_the_rows_it_writes():
+    # thm14's field evaluates 512 nodes scattered among blocks of 7812 rows
+    # of 512 masses; on a huge-page buffer each written row made a 2 MB page
+    # resident (22-29 MB of peak on a host whose huge pages are on madvise),
+    # on 4 KB pages it costs a few MB
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(potential.__file__)))
+    proc = subprocess.run([sys.executable, "-c", _RIESZ_FIELD_RSS], env=env,
+                          capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stderr
+    assert float(proc.stdout.splitlines()[-1]) < 10.0

@@ -1,0 +1,53 @@
+import os
+import threading
+import time
+
+import pytest
+
+from fracmeas import verify
+
+
+def _serial(fn, cases):
+    return [fn(c) for c in cases]
+
+
+@pytest.fixture()
+def two_cores(monkeypatch):
+    # the pool path runs whatever the host's core count
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+
+
+def test_map_cases_keeps_input_order(two_cores):
+    # later cases finish first; results still come back in input order
+    def slow_first(c):
+        time.sleep(0.02 * (4 - c))
+        return c, threading.current_thread().name
+
+    got = verify._map_cases(slow_first, range(4))
+    assert [c for c, _ in got] == [0, 1, 2, 3]
+    assert all(name.startswith("fracmeas") for _, name in got)
+
+
+def test_map_cases_raises_first_failing_case(two_cores):
+    def fail_on(c):
+        if c in (1, 2):
+            raise ValueError(f"case {c}")
+        return c
+
+    with pytest.raises(ValueError, match="case 1"):
+        verify._map_cases(fail_on, range(4))
+
+
+@pytest.mark.parametrize("fn, kwargs", [
+    (verify.verify_thm13, {"depth": 5}),
+    (verify.verify_thm15, {"depth": 6}),
+], ids=["thm13", "thm15"])
+def test_pooled_verify_equals_serial(monkeypatch, two_cores, fn, kwargs):
+    # every case computes alone, so the pooled results and tables are the
+    # serial ones bit for bit (repr tells floats apart and NaN equals NaN)
+    pooled = fn(**kwargs)
+    monkeypatch.setattr(verify, "_map_cases", _serial)
+    serial = fn(**kwargs)
+    assert pooled.ok == serial.ok
+    assert repr(pooled.results) == repr(serial.results)
+    assert repr(pooled.tables) == repr(serial.tables)
