@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import inspect
 import json
+import math
 import os
 import sys
 
@@ -76,17 +77,28 @@ def cmd_atom_gen(args) -> int:
     return 0
 
 
+def _candidate(args, mu) -> atoms.AtomCandidate:
+    """The atom candidate of ``--cube-corner`` (default the origin),
+    ``--cube-side`` and ``--beta`` on the measure ``mu``."""
+    corner = np.array(args.cube_corner or [0.0] * mu.d, dtype=np.float64)
+    if len(corner) != mu.d:
+        _fail(f"--cube-corner takes {mu.d} coordinates for this {mu.d}-d measure, "
+              f"got {len(corner)}")
+    # `potential besov` squares the side for its split time l(Q)^2
+    if 0 < args.cube_side < math.inf and math.isinf(args.cube_side * args.cube_side):
+        _fail(f"--cube-side {args.cube_side} is too large: its square overflows")
+    return atoms.AtomCandidate(measure=mu,
+                               cube=measures.Cube(corner=corner, side=args.cube_side),
+                               beta=args.beta)
+
+
 def cmd_atom_check(args) -> int:
     if (args.t_lo is None) != (args.t_hi is None):
         given, missing = ("--t-lo", "--t-hi") if args.t_hi is None else ("--t-hi", "--t-lo")
         _fail(f"{given} needs {missing}: a time window takes both bounds")
     if args.npd is not None and args.t_lo is None:
         _fail("--npd needs --t-lo and --t-hi: it sets the time window's nodes per decade")
-    mu = io.load_measure(args.measure)
-    corner = np.array(args.cube_corner or [0.0] * mu.d)
-    cand = atoms.AtomCandidate(measure=mu,
-                               cube=measures.Cube(corner=corner, side=args.cube_side),
-                               beta=args.beta)
+    cand = _candidate(args, io.load_measure(args.measure))
     npd = 16 if args.npd is None else args.npd
     tg = None if args.t_lo is None else heat.TGrid.build(args.t_lo, args.t_hi, npd)
     cert = atoms.check_beta_atom(cand, tgrid=tg)
@@ -152,11 +164,7 @@ def cmd_potential_riesz(args) -> int:
 
 
 def cmd_potential_besov(args) -> int:
-    mu = io.load_measure(args.measure)
-    corner = np.array(args.cube_corner or [0.0] * mu.d)
-    cand = atoms.AtomCandidate(measure=mu,
-                               cube=measures.Cube(corner=corner, side=args.cube_side),
-                               beta=args.beta)
+    cand = _candidate(args, io.load_measure(args.measure))
     res = potential.heat_besov_functional(cand, args.alpha)
     _report(args, "potential_besov",
             {"total": res.total, "below_split": res.below_split,

@@ -55,8 +55,11 @@ class TGrid:
         A degenerate support (single mass) falls back to diam = h.
         """
         span = max(mu.support_diameter(), mu.h) + reach
-        return cls.build((mu.h / 4.0) ** 2, (4.0 * span) ** 2,
-                         nodes_per_decade)
+        try:
+            t_max = (4.0 * span) ** 2
+        except OverflowError:
+            raise ValueError(f"time window too wide: (4 * {span})^2 overflows") from None
+        return cls.build((mu.h / 4.0) ** 2, t_max, nodes_per_decade)
 
 
 @dataclass(frozen=True)

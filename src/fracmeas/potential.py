@@ -5,6 +5,14 @@ functional behind the strong-type inequality, and trace integrals.
 ``riesz_heat``: the ``fracmeas verify`` targets that never call them do not
 pay its start-up cost.
 
+The heat-integral functional's quadrature grids, one per time node, come
+from one vectorized pass over groups of nodes (``_adaptive_heat_grids``):
+for each (node, mass, lattice row) the points within the pad form one run
+along the row, whose ends are estimated from the chord and settled with the
+exact distance test, and the runs are merged with a difference array.  Each
+grid holds the points a search of the node's whole lattice keeps, in the
+same order.
+
 Lorentz convention, fixed for every constant reported from this module:
 ``||f||_{p,1} = integral_0^inf t^{1/p - 1} f*(t) dt`` with f* the decreasing
 rearrangement weighted by cell volume (equals ``p * integral lambda_f(s)^{1/p}
@@ -175,9 +183,12 @@ def lorentz_norm(values, p: float, cell_volume: float) -> float:
     if len(v) == 0:
         return 0.0
     v = np.sort(v)[::-1]
-    cum = cell_volume * np.arange(1, len(v) + 1, dtype=np.float64)
-    prev = np.concatenate([[0.0], cum[:-1]])
-    return float(np.sum(v * p * (cum ** (1.0 / p) - prev ** (1.0 / p))))
+    # the roots of the cumulative volumes, each taken once: a cell's lower
+    # root is the cell before's upper one (the first cell's is 0.0)
+    root = (cell_volume * np.arange(1, len(v) + 1, dtype=np.float64)) ** (1.0 / p)
+    step = root.copy()
+    step[1:] -= root[:-1]
+    return float(np.sum(v * p * step))
 
 
 # ---------------------------------------------------------------------------
@@ -199,49 +210,195 @@ class BesovResult:
     flagged: bool
 
 
-def _adaptive_heat_grid(mu: GridMeasure, t: float):
-    """Grid resolving scale sqrt(t) near the support (pad 8 sqrt(t)).
+# transient bounds of the grid pass: lattice cells merged at once, and
+# (node, mass, row) triples settled at once
+_GRID_CELLS = 1 << 16
+_GRID_ROWS = 1 << 12
 
-    Keeps the points of the bounding-box lattice within the pad of some
-    mass: each mass tests the lattice box around its pad ball, so the work
-    grows with the masses, not with the lattice.  Squared axis differences
-    are added in axis order; a point is kept when ``sqrt(d2) <= pad``.
+
+def _adaptive_heat_grids(mu: GridMeasure, nodes):
+    """Grids resolving scale sqrt(t) near the support (pad 8 sqrt(t)), one
+    ``(points, spacing)`` per time node t, in node order.
+
+    Node t keeps the points of its bounding-box lattice (axes
+    ``np.arange(lo - pad, hi + pad + spacing, spacing)``, spacing
+    ``max(h/2, sqrt(t)/4)``) within the pad of some mass, first axis
+    slowest: squared axis differences are added in axis order, and a point
+    is kept when ``sqrt(d2) <= pad``.  The nodes are taken in groups of at
+    most ``_GRID_CELLS`` lattice cells (or one node), and each group's kept
+    cells are found in one vectorized pass (``_grid_cover``): numpy is
+    called per group and per chunk of about ``_GRID_ROWS`` lattice rows, not
+    per node, and the pass's arrays stay bounded.  A node's points are
+    gathered from its lattice when it is reached.
     """
-    st = math.sqrt(t)
-    spacing = max(mu.h / 2.0, st / 4.0)
-    pad = 8.0 * st
-    lo, hi = mu.bbox()
-    axes = [np.arange(lo[a] - pad, hi[a] + pad + spacing, spacing) for a in range(mu.d)]
+    d = mu.d
     y = mu.points()
-    near = np.zeros([len(ax) for ax in axes], dtype=bool)
-    # widened by a few ulps, so each box holds every point within the pad
-    reach = pad * (1.0 + 1e-9) + 4.0 * np.spacing(float(np.max(np.abs([lo, hi]))) + pad)
-    first = [np.searchsorted(ax, y[:, a] - reach) for a, ax in enumerate(axes)]
-    width = [int(np.max(np.searchsorted(ax, y[:, a] + reach, side="right") - f, initial=0))
-             for a, (ax, f) in enumerate(zip(axes, first))]
-    step = max(1, 1_000_000 // max(1, math.prod(width)))
-    for c in range(0, len(y), step):
-        idx, d2 = [], 0.0
-        for a, ax in enumerate(axes):
-            shape = [-1] + [1] * mu.d
-            shape[1 + a] = width[a]
-            i = np.minimum(first[a][c:c + step, None] + np.arange(width[a]), len(ax) - 1)
-            diff = ax[i] - y[c:c + step, a, None]
-            d2 = d2 + (diff * diff).reshape(shape)
-            idx.append(i.reshape(shape))
-        hit = np.sqrt(d2) <= pad
-        near[tuple(np.broadcast_to(i, hit.shape)[hit] for i in idx)] = True
-    return np.stack([ax[i] for ax, i in zip(axes, np.nonzero(near))], axis=1), spacing
+    lo, hi = mu.bbox()
+    group, size = [], 0
+    for t in np.asarray(nodes, dtype=np.float64).tolist():
+        st = math.sqrt(t)
+        spacing = max(mu.h / 2.0, st / 4.0)
+        pad = 8.0 * st
+        axes = [np.arange(lo[a] - pad, hi[a] + pad + spacing, spacing) for a in range(d)]
+        cells = math.prod(len(ax) for ax in axes)
+        if group and size + cells > _GRID_CELLS:
+            yield from _group_grids(y, group)
+            group, size = [], 0
+        group.append((pad, spacing, axes))
+        size += cells
+    if group:
+        yield from _group_grids(y, group)
+
+
+def _group_grids(y, group):
+    """``(points, spacing)`` of each node of a group, gathered from its
+    lattice's kept cells when the node is reached."""
+    near = _grid_cover(y, group)
+    at = 0
+    for _, spacing, axes in group:
+        shape = [len(ax) for ax in axes]
+        idx = np.nonzero(near[at:at + math.prod(shape)].reshape(shape))
+        at += math.prod(shape)
+        yield np.stack([ax[i] for ax, i in zip(axes, idx)], axis=1), spacing
+
+
+def _grid_cover(y, group):
+    """The kept cells of the lattices ``(pad, spacing, axes)`` of a group of
+    nodes, laid end to end, each lattice first axis slowest.
+
+    For one mass and one row of a lattice (indices fixed on all axes but the
+    last) the kept points form a run, since d2 falls and then rises along
+    the row.  Each run's ends are estimated from the chord half-width
+    ``sqrt(pad^2 - g2)``, g2 the row's part of d2, then settled with the
+    same test, for all (node, mass, row) triples of a chunk at once: an end
+    that passes steps outward while the next point passes, one that fails
+    steps toward the row's point nearest the mass until it passes (a row
+    whose nearest point fails is empty).  The runs are merged with one
+    difference array and its cumulative sum.
+    """
+    d = y.shape[1]
+    pads = np.array([lat[0] for lat in group])
+    steps = np.array([lat[1] for lat in group])
+    lens = np.array([[len(ax) for ax in lat[2]] for lat in group], dtype=np.int64)
+    # every node's axes laid end to end, and where each one starts
+    axes = [np.concatenate([lat[2][a] for lat in group]) for a in range(d)]
+    aoff = np.cumsum(lens, axis=0) - lens
+    start = np.stack([axes[a][aoff[:, a]] for a in range(d)], axis=1)
+    cells = np.prod(lens, axis=1)
+    # each lattice's first cell, and its row-major strides
+    first = np.cumsum(cells) - cells
+    strides = np.ones((len(group), d), dtype=np.int64)
+    for a in reversed(range(d - 1)):
+        strides[:, a] = strides[:, a + 1] * lens[:, a + 1]
+    # every (node, mass) pair's box of rows, widened by one row each way
+    node = np.repeat(np.arange(len(group)), len(y))
+    mass = np.tile(np.arange(len(y)), len(group))
+    lo = np.floor((y[mass, :-1] - pads[node, None] - start[node, :-1])
+                  / steps[node, None]).astype(np.int64) - 1
+    hi = np.floor((y[mass, :-1] + pads[node, None] - start[node, :-1])
+                  / steps[node, None]).astype(np.int64) + 1
+    lo = np.clip(lo, 0, lens[node, :-1] - 1)
+    spans = np.clip(hi, 0, lens[node, :-1] - 1) - lo + 1
+    rows = np.prod(spans, axis=1)
+    del hi
+    cover = np.zeros(int(np.sum(cells)) + 1, dtype=np.int32)
+    tables = (axes, aoff, start, first, strides, lens, pads, steps)
+    # the pairs in chunks of about _GRID_ROWS rows
+    ends = np.cumsum(rows)
+    cuts = (np.flatnonzero(np.diff(ends // _GRID_ROWS)) + 1).tolist()
+    for s, e in zip([0, *cuts], [*cuts, len(node)]):
+        _add_runs(cover, y, tables, node[s:e], mass[s:e], lo[s:e], spans[s:e], rows[s:e])
+    np.cumsum(cover, dtype=np.int32, out=cover)
+    return cover[:-1] > 0
+
+
+def _add_runs(cover, y, tables, node, mass, lo, spans, rows):
+    """Add the runs of the rows of some (node, mass) pairs to ``cover``, the
+    difference array of ``_grid_cover``."""
+    axes, aoff, start, first, strides, lens, pads, steps = tables
+    d = y.shape[1]
+    last, c = axes[-1], y[mass, -1]
+    base, n_last = aoff[node, -1], lens[node, -1]
+    inv = 1.0 / steps[node]
+    u = (c - start[node, -1]) * inv
+    # each pair's last-axis point nearest its mass: the first point at or
+    # above the mass, or the one before
+    k0 = np.clip(np.ceil(u).astype(np.int64), 0, n_last)
+    i = np.arange(len(node))
+    while len(i):
+        i = i[(k0[i] < n_last[i]) & (last[base[i] + np.minimum(k0[i], n_last[i] - 1)] < c[i])]
+        k0[i] += 1
+    i = np.arange(len(node))
+    while len(i):
+        i = i[(k0[i] > 0) & (last[base[i] + k0[i] - 1] >= c[i])]
+        k0[i] -= 1
+    below, above = np.maximum(k0 - 1, 0), np.minimum(k0, n_last - 1)
+    db, da = last[base + below] - c, last[base + above] - c
+    piv = np.where(da * da < db * db, above, below)
+    # the rows of every box, first axis slowest
+    pr = np.repeat(np.arange(len(node)), rows)
+    q = np.arange(len(pr)) - np.repeat(np.cumsum(rows) - rows, rows)
+    head = np.empty((len(pr), d - 1), dtype=np.int64)
+    for a in reversed(range(d - 1)):
+        head[:, a] = lo[pr, a] + q % spans[pr, a]
+        q //= spans[pr, a]
+    g2 = np.zeros(len(pr))
+    for a in range(d - 1):
+        diff = axes[a][aoff[node[pr], a] + head[:, a]] - y[mass[pr], a]
+        g2 += diff * diff
+    row0 = first[node[pr]] + np.sum(head * strides[node[pr], :-1], axis=1)
+    del q, head
+    base, c, piv, n_last = base[pr], c[pr], piv[pr], n_last[pr]
+    pad = pads[node[pr]]
+    half = np.sqrt(np.maximum(pad * pad - g2, 0.0)) * inv[pr]
+    u = u[pr]
+
+    def kept(i, k):
+        diff = last[base[i] + k] - c[i]
+        return np.sqrt(g2[i] + diff * diff) <= pad[i]
+
+    for out in (-1, 1):
+        # the end estimated from the chord, kept between its row end and
+        # the nearest point
+        if out < 0:
+            bound, j = np.zeros_like(n_last), np.ceil(u - half).astype(np.int64)
+        else:
+            bound, j = n_last - 1, np.floor(u + half).astype(np.int64)
+        j = np.clip(j, np.minimum(bound, piv), np.maximum(bound, piv))
+        hit = kept(slice(None), j)
+        # ends that pass step outward while the next point passes
+        i = np.flatnonzero(hit & (j != bound))
+        while len(i):
+            nxt = j[i] + out
+            ok = kept(i, nxt)
+            j[i[ok]] = nxt[ok]
+            i = i[ok & (nxt != bound[i])]
+        # ends that fail step inward until they pass; in an empty row they
+        # stop at the nearest point, the first end just past it, so that its
+        # run is empty
+        i = np.flatnonzero(~hit)
+        while len(i):
+            at = j[i] == piv[i]
+            j[i[at]] -= min(out, 0)
+            i = i[~at]
+            j[i] -= out
+            i = i[~kept(i, j[i])]
+        # a run adds 1 from its first cell on and takes it away after its
+        # last, which may be the next row's first cell
+        np.add.at(cover, row0 + j + max(out, 0), np.int32(-out))
 
 
 def heat_besov_functional(cand, alpha: float) -> BesovResult:
     """Quadrature of the t-integral of Lorentz norms of heat extensions, on
     the measure's default time window at 16 nodes per decade.
 
-    Exactly invariant under mass-preserving dilation of the candidate when
-    p = d/(d-alpha) (every grid parameter scales with the measure, so the
-    computed sums reproduce to rounding).  Both halves of the split at
-    t = l(Q)^2 are reported; a divergent-looking integrand flags the result.
+    Each node's heat extension is summed on its own adaptive grid
+    (``_adaptive_heat_grids``, which finds the grids of many nodes in one
+    pass) and its Lorentz norm taken on those values.  Exactly invariant
+    under mass-preserving dilation of the candidate when p = d/(d-alpha)
+    (every grid parameter scales with the measure, so the computed sums
+    reproduce to rounding).  Both halves of the split at t = l(Q)^2 are
+    reported; a divergent-looking integrand flags the result.
     """
     mu = cand.measure
     d = mu.d
@@ -251,8 +408,8 @@ def heat_besov_functional(cand, alpha: float) -> BesovResult:
     tgrid = TGrid.for_measure(mu, nodes_per_decade=16)
     y = mu.points()
     g = np.zeros(len(tgrid.nodes))
-    for j, t in enumerate(tgrid.nodes):
-        pts, spacing = _adaptive_heat_grid(mu, t)
+    grids = _adaptive_heat_grids(mu, tgrid.nodes)
+    for j, (t, (pts, spacing)) in enumerate(zip(tgrid.nodes, grids)):
         vals = _kernels.heat_values(pts, y, mu.weights, np.array([t]))[:, 0]
         g[j] = t ** (alpha / 2.0 - 1.0) * lorentz_norm(vals, p, cell_volume=spacing ** d)
     wts = _log_trapezoid_weights(tgrid.nodes)

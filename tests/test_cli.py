@@ -108,6 +108,8 @@ def test_unread_flag_or_command_exit_2(tmp_path, argv):
     "atom check --measure {measure} --beta 0.5 --cube-side -1",
     "atom check --measure {measure} --beta 0.5 --cube-side 0",
     "potential besov --measure {measure} --alpha 0.5 --beta 0.5 --cube-side 0",
+    # its square is finite, but the far-field time window's overflows
+    "atom check --measure {measure} --beta 0.5 --cube-side 1e153",
 ])
 def test_out_of_range_input_exit_2(tmp_path, capsys, argv):
     # each used to raise a traceback, run to exit 0 on a meaningless grid,
@@ -133,6 +135,9 @@ def test_out_of_range_input_exit_2(tmp_path, capsys, argv):
     ("maximal lp --k 9", "level 9 above the grid Nyquist"),
     ("dim estimate --depth -1", "--depth"),
     ("potential riesz --alpha 0.5 --n-points 0", "--n-points"),
+    # a cube side whose square overflows (an OverflowError traceback)
+    ("atom check --beta 0.5 --cube-side 1e200", "--cube-side"),
+    ("potential besov --alpha 0.5 --beta 0.5 --cube-side 1e200", "--cube-side"),
 ])
 def test_out_of_range_input_names_its_check(tmp_path, capsys, argv, named):
     # each used to exit 0 on a two-node time grid, die in a numpy or float
@@ -146,6 +151,24 @@ def test_out_of_range_input_names_its_check(tmp_path, capsys, argv, named):
     err = capsys.readouterr().err
     assert re.fullmatch(r"fracmeas: [^\n]+\n", err)
     assert named in err
+
+
+@pytest.mark.parametrize("argv, given", [
+    ("atom check --beta 0.5 --cube-corner 0", 1),
+    ("atom check --beta 0.5 --cube-corner 0 0 0", 3),
+    ("potential besov --alpha 0.5 --beta 0.5 --cube-corner 0", 1),
+])
+def test_cube_corner_takes_one_coordinate_per_axis(tmp_path, capsys, argv, given):
+    # on a 2-d measure these died in an IndexError, stopped at numpy's
+    # broadcast message, or ran to exit 0 with the corner ignored
+    csv = str(tmp_path / "mu.csv")
+    io.save_measure(new_grid_measure(2, 0.25, [0.0, 0.0], [[1, 1], [2, 3]], [1.0, -1.0]), csv)
+    command, flags = argv.split(" --", 1)
+    argv = [*command.split(), "--measure", csv, *f"--{flags}".split()]
+    assert run(["--out", str(tmp_path / "out"), *argv]) == 2
+    err = capsys.readouterr().err
+    assert re.fullmatch(r"fracmeas: [^\n]+\n", err)
+    assert "--cube-corner" in err and "2-d measure" in err and f"got {given}" in err
 
 
 def _leaves(parser, path=()):
@@ -222,6 +245,19 @@ def test_readme_cli_block_matches_parser():
         assert flags == set(actions), cmd
         for flag, shown in defaults.items():
             assert float(shown) == actions[flag].default, (cmd, flag)
+
+
+def test_readme_python_example_runs():
+    # the README's Python block, as written, in a fresh interpreter: its
+    # last line prints the Cantor measure's lower-dimension estimate
+    import fracmeas
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("```python\n", 1)[1].split("```", 1)[0]
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(fracmeas.__file__)))
+    proc = subprocess.run([sys.executable, "-c", block], env=env, capture_output=True,
+                          text=True, timeout=600)
+    assert proc.returncode == 0, proc.stderr
+    assert round(float(proc.stdout.splitlines()[-1]), 2) == 0.65
 
 
 def test_tiny_cases_name_every_subcommand():

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import textwrap
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -12,8 +13,9 @@ from hypothesis import assume, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy.spatial import cKDTree
 
-from fracmeas import potential
+from fracmeas import _kernels, potential
 from fracmeas.atoms import AtomCandidate, make_frostman_atom
+from fracmeas.heat import TGrid
 from fracmeas.measures import (Cube, SampledField, cantor_measure, dirac,
                                lattice_points, new_grid_measure)
 from fracmeas.potential import (RieszConfig, heat_besov_functional,
@@ -130,6 +132,28 @@ def test_lorentz_guards():
     assert lorentz_norm(np.zeros(4), 2.0, cell_volume=1.0) == 0.0
     with pytest.raises(ValueError):
         lorentz_norm(np.ones(4), 1.0, cell_volume=1.0)
+
+
+def _two_root_lorentz(values, p, cell_volume):
+    """The Lorentz sum with both roots of every step taken: the reference."""
+    v = np.abs(np.asarray(values, dtype=np.float64).ravel())
+    v = np.sort(v[v > 0])[::-1]
+    if len(v) == 0:
+        return 0.0
+    cum = cell_volume * np.arange(1, len(v) + 1, dtype=np.float64)
+    prev = np.concatenate([[0.0], cum[:-1]])
+    return float(np.sum(v * p * (cum ** (1.0 / p) - prev ** (1.0 / p))))
+
+
+@settings(max_examples=150)
+@given(values=hnp.arrays(np.float64, st.integers(0, 300),
+                         elements=st.floats(-1e6, 1e6, allow_subnormal=False)),
+       p=st.one_of(st.floats(1.0001, 8.0), st.sampled_from([4.0 / 3.0, 2.0, 3.0])),
+       cell_volume=st.floats(1e-12, 10.0))
+def test_lorentz_norm_matches_two_root_sum(values, p, cell_volume):
+    # each step's lower root is the previous step's root, bit for bit
+    got = lorentz_norm(values, p, cell_volume=cell_volume)
+    assert got.hex() == _two_root_lorentz(values, p, cell_volume).hex()
 
 
 # ---------------------------------------------------------------------------
@@ -258,15 +282,83 @@ def _kdtree_grid(mu, t):
     return pts[dist <= pad], spacing
 
 
+def _assert_grids_match_kdtree(mu, nodes):
+    grids = list(potential._adaptive_heat_grids(mu, nodes))
+    assert len(grids) == len(nodes)
+    for t, (pts, spacing) in zip(nodes, grids):
+        ref, ref_spacing = _kdtree_grid(mu, t)
+        assert spacing == ref_spacing
+        assert pts.shape == ref.shape
+        assert np.array_equal(pts.view(np.uint64), ref.view(np.uint64))
+
+
+# sqrt(t) / h: from below the grid scale to windows far wider than the
+# support, and on both sides of the spacing switch sqrt(t) = 2h
+_LOG_RATIOS = st.one_of(st.floats(-3.0, 6.0),
+                        st.sampled_from([1.0 - 1e-12, 1.0, 1.0 + 1e-12]))
+
+
 @settings(max_examples=150)
-@given(mu=grid_measures(), log_ratio=st.floats(-3.0, 6.0))
-def test_adaptive_grid_matches_kdtree(mu, log_ratio):
-    # times from below the grid scale to far above the support's extent
-    t = (mu.h * 2.0 ** log_ratio) ** 2
-    pts, spacing = potential._adaptive_heat_grid(mu, t)
-    ref, ref_spacing = _kdtree_grid(mu, t)
-    assert spacing == ref_spacing
-    assert np.array_equal(pts, ref)
+@given(mu=grid_measures(), log_ratios=st.lists(_LOG_RATIOS, min_size=1, max_size=6),
+       budget=st.sampled_from([None, (1, 1), (64, 16), (4096, 256)]))
+def test_adaptive_grid_matches_kdtree(mu, log_ratios, budget):
+    # every node's grid, in node order, whatever groups and chunks the pass
+    # takes (one cell and one row take every node and every (node, mass)
+    # pair alone)
+    nodes = (mu.h * 2.0 ** np.array(log_ratios)) ** 2
+    cells, rows = budget or (potential._GRID_CELLS, potential._GRID_ROWS)
+    with mock.patch.object(potential, "_GRID_CELLS", cells), \
+            mock.patch.object(potential, "_GRID_ROWS", rows):
+        _assert_grids_match_kdtree(mu, nodes)
+
+
+@settings(max_examples=25)
+@given(data=st.data())
+def test_adaptive_grid_matches_kdtree_in_3d(data):
+    # rows that fix two axes
+    n = data.draw(st.integers(1, 6))
+    idx = data.draw(hnp.arrays(np.int64, (n, 3), elements=st.integers(-4, 4)))
+    w = data.draw(hnp.arrays(np.float64, n, elements=st.floats(0.5, 2.0)))
+    origin = data.draw(hnp.arrays(np.float64, 3, elements=st.floats(-5.0, 5.0)))
+    mu = new_grid_measure(3, 0.25, origin, idx, w)
+    log_ratios = data.draw(st.lists(st.floats(-2.0, 1.2), min_size=1, max_size=3))
+    _assert_grids_match_kdtree(mu, (mu.h * 2.0 ** np.array(log_ratios)) ** 2)
+
+
+def _besov_reference(cand, alpha):
+    """(total, below, above) of the functional, one node at a time on the
+    k-d tree grids: the reference."""
+    mu = cand.measure
+    p = mu.d / (mu.d - alpha)
+    tgrid = TGrid.for_measure(mu, nodes_per_decade=16)
+    g = np.zeros(len(tgrid.nodes))
+    for j, t in enumerate(tgrid.nodes):
+        pts, spacing = _kdtree_grid(mu, t)
+        vals = _kernels.heat_values(pts, mu.points(), mu.weights, np.array([t]))[:, 0]
+        g[j] = t ** (alpha / 2.0 - 1.0) * lorentz_norm(vals, p, cell_volume=spacing ** mu.d)
+    gw = g * potential._log_trapezoid_weights(tgrid.nodes)
+    below = float(np.sum(gw[tgrid.nodes <= cand.side ** 2]))
+    above = float(np.sum(gw[tgrid.nodes > cand.side ** 2]))
+    return below + above, below, above
+
+
+@settings(max_examples=10, deadline=None)
+@given(d=st.sampled_from([1, 2]), data=st.data())
+def test_besov_functional_matches_per_node_reference(d, data):
+    # a few masses within 8 cells of the origin keep the reference's
+    # lattices small
+    n = data.draw(st.integers(1, 6))
+    idx = data.draw(hnp.arrays(np.int64, (n, d), elements=st.integers(-8, 8)))
+    w = data.draw(hnp.arrays(np.float64, n, elements=st.floats(-2.0, 2.0)))
+    h = data.draw(st.sampled_from([1.0 / 729.0, 0.3, 7.0]))
+    mu = new_grid_measure(d, h, np.zeros(d), idx, w)
+    assume(mu.n_masses > 0)
+    side = data.draw(st.floats(0.01, 100.0))
+    alpha = data.draw(st.floats(0.05, d - 0.05))
+    cand = AtomCandidate(measure=mu, cube=Cube(np.zeros(mu.d), side), beta=0.5)
+    res = heat_besov_functional(cand, alpha)
+    got = (res.total, res.below_split, res.above_split)
+    assert [v.hex() for v in got] == [v.hex() for v in _besov_reference(cand, alpha)]
 
 
 def _dense_riesz(cfg, mu, pts):
