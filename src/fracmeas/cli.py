@@ -1,14 +1,14 @@
 """Command-line frontend: config-driven experiment runner.
 
 Exit codes: 0 all declared checks pass, 1 a check failed (the failing
-invariant is named on stderr), 2 usage or config errors.  Each subcommand
-registers only the flags it reads, so any other flag is a usage error; a
-``verify`` target's flags and their defaults are its verifier's parameters.
-Every run writes a JSON summary embedding the tool version, the config (every
-flag the run parsed, with ``command`` naming the report) and its hash, and
-all logged constants; data goes to CSV.  Reruns with one seed produce
-byte-identical CSVs.  Only the output directory may come from the
-environment (``FRACMEAS_OUT``).
+invariant is named on stderr) or memory ran out, 2 usage or config errors.
+Each subcommand registers only the flags it reads, so any other flag is a
+usage error; a ``verify`` target's flags and their defaults are its
+verifier's parameters.  Every run writes a JSON summary embedding the tool
+version, the config (every flag the run parsed, with ``command`` naming the
+report) and its hash, and all logged constants; data goes to CSV.  Reruns
+with one seed produce byte-identical CSVs.  Only the output directory may
+come from the environment (``FRACMEAS_OUT``).
 """
 
 from __future__ import annotations
@@ -137,6 +137,12 @@ def cmd_heat(args) -> int:
 def cmd_potential_riesz(args) -> int:
     if args.n_points < 1:
         _fail("--n-points must be at least 1")
+    if not 0 < args.r_lo < math.inf:
+        _fail(f"--r-lo {args.r_lo} must be positive and finite")
+    if not args.r_lo < args.r_hi < math.inf:
+        _fail(f"--r-hi {args.r_hi} must be finite and above --r-lo {args.r_lo}")
+    if not 0 <= args.tol < math.inf:
+        _fail(f"--tol {args.tol} must be finite and at least 0")
     mu = io.load_measure(args.measure)
     rr = np.geomspace(args.r_lo, args.r_hi, args.n_points)
     pts = np.zeros((len(rr), mu.d))
@@ -215,16 +221,23 @@ def cmd_maximal_lp(args) -> int:
     return 0
 
 
-def _load_balls(path: str) -> content.BallFamily | None:
-    _, data = io.read_csv_rows(path)
+def _load_balls(args, beta_at_d: bool) -> content.BallFamily | None:
+    """The ball family of ``--balls`` (None for a header-only file), after
+    checking ``--beta`` against its dimension, read from the header: beta in
+    (0, d], or in (0, d) when ``beta_at_d`` is false."""
+    _, data = io.read_csv_rows(args.balls)
+    d = data.shape[1] - 1
+    if not (0 < args.beta < d or (beta_at_d and args.beta == d)):
+        _fail(f"--beta {args.beta} must lie in (0, {d}{']' if beta_at_d else ')'} "
+              f"for the {d}-d balls of {args.balls}")
     if len(data) == 0:
         return None
     return content.make_ball_family(data[:, :-1], data[:, -1])
 
 
 def cmd_content_cover(args) -> int:
+    F = _load_balls(args, beta_at_d=False)
     out = _outdir(args)
-    F = _load_balls(args.balls)
     if F is None:
         io.write_csv(os.path.join(out, "cover.csv"),
                      ["type", "corner0", "size", "witness_ball_id"], [])
@@ -245,7 +258,7 @@ def cmd_content_cover(args) -> int:
 
 
 def cmd_content_value(args) -> int:
-    F = _load_balls(args.balls)
+    F = _load_balls(args, beta_at_d=True)
     if F is None:
         val, upper = 0.0, 0.0
     elif args.beta < F.d:
@@ -479,6 +492,8 @@ def main(argv=None) -> int:
         _fail(f"file error: {exc}")
     except (RuntimeError, AssertionError) as exc:
         _fail(f"invariant violated: {exc}", code=1)
+    except MemoryError:
+        _fail("out of memory", code=1)
     return 0
 
 

@@ -37,6 +37,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._gamma import gamma
 from .measures import (Cube, DyadicLattice, _match_rows, _unique_rows, lattice_points,
                        unit_lattice)
 
@@ -44,11 +45,10 @@ from .measures import (Cube, DyadicLattice, _match_rows, _unique_rows, lattice_p
 def ball_volume_constant(beta: float) -> float:
     """omega_beta = pi^{beta/2} / Gamma(beta/2 + 1).
 
-    ``scipy.special`` loads here, on first use, not with the module.  (Not
-    ``math.gamma``: it differs from scipy's in the last bits at some betas.)
+    Gamma is ``_gamma.gamma``, scipy's bit for bit without importing
+    ``scipy.special``.  (Not ``math.gamma``: it differs from scipy's in the
+    last bits at most betas.)
     """
-    from scipy.special import gamma
-
     return math.pi ** (beta / 2.0) / gamma(beta / 2.0 + 1.0)
 
 

@@ -29,7 +29,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from . import _kernels
+from . import _gamma, _kernels
 from .heat import TGrid
 from .measures import DyadicLattice, GridMeasure, SampledField, _cube_sums, _match_rows
 
@@ -150,7 +150,8 @@ def _radial_table(symbol_name: str, d: int):
 # ---------------------------------------------------------------------------
 
 def _sphere_area(d):
-    return 2.0 * math.pi ** (d / 2.0) / math.gamma(d / 2.0)
+    # the module, not its function: ``gamma`` names the maximal order here
+    return 2.0 * math.pi ** (d / 2.0) / _gamma.gamma(d / 2.0)
 
 
 def _bump_mass(d):

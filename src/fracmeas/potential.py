@@ -1,9 +1,10 @@
 """Riesz potentials, Lorentz rearrangement norms, the split heat-integral
 functional behind the strong-type inequality, and trace integrals.
 
-``scipy.special`` loads on first use, inside ``RieszConfig.gamma_alpha`` and
-``riesz_heat``: the ``fracmeas verify`` targets that never call them do not
-pay its start-up cost.
+Gamma comes from ``_gamma.gamma``, bit for bit scipy's, so the Riesz
+constant costs no ``scipy.special`` import: that loads on first use inside
+``riesz_heat``, for its incomplete gammas, and no ``fracmeas verify`` target
+pays its start-up cost.
 
 The heat-integral functional's quadrature grids, one per time node, come
 from one vectorized pass over groups of nodes (``_adaptive_heat_grids``):
@@ -27,6 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _kernels
+from ._gamma import gamma
 from .heat import TGrid
 from .measures import GridMeasure, SampledField
 
@@ -44,8 +46,6 @@ class RieszConfig:
 
     @property
     def gamma_alpha(self) -> float:
-        from scipy.special import gamma
-
         a, d = self.alpha, self.d
         return math.pi ** (d / 2.0) * 2.0 ** a * gamma(a / 2.0) / gamma((d - a) / 2.0)
 
@@ -121,7 +121,7 @@ def riesz_heat(cfg: RieszConfig, mu: GridMeasure, points) -> RieszHeatResult:
     point masses).  The result is flagged when halving the node density
     moves the quadrature by more than 1e-4 relative.
     """
-    from scipy.special import gamma, gammainc, gammaincc
+    from scipy.special import gammainc, gammaincc
 
     pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
     if mu.n_masses == 0:

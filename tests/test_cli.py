@@ -3,6 +3,7 @@ import hashlib
 import json
 import os
 import re
+import resource
 import subprocess
 import sys
 import tempfile
@@ -135,6 +136,16 @@ def test_out_of_range_input_exit_2(tmp_path, capsys, argv):
     ("maximal lp --k 9", "level 9 above the grid Nyquist"),
     ("dim estimate --depth -1", "--depth"),
     ("potential riesz --alpha 0.5 --n-points 0", "--n-points"),
+    # numpy's "Geometric sequence cannot include zero", a t_min/t_max window
+    # the user never set, a time window of too many decades, a reversed range
+    # run to exit 0, and a tolerance that ran the whole comparison to exit 1
+    ("potential riesz --alpha 0.5 --r-lo 0", "--r-lo"),
+    ("potential riesz --alpha 0.5 --r-lo -1", "--r-lo"),
+    ("potential riesz --alpha 0.5 --r-lo nan", "--r-lo"),
+    ("potential riesz --alpha 0.5 --r-hi inf", "--r-hi"),
+    ("potential riesz --alpha 0.5 --r-lo 0.5 --r-hi 0.1", "--r-hi"),
+    ("potential riesz --alpha 0.5 --tol -1", "--tol"),
+    ("potential riesz --alpha 0.5 --tol nan", "--tol"),
     # a cube side whose square overflows (an OverflowError traceback)
     ("atom check --beta 0.5 --cube-side 1e200", "--cube-side"),
     ("potential besov --alpha 0.5 --beta 0.5 --cube-side 1e200", "--cube-side"),
@@ -151,6 +162,48 @@ def test_out_of_range_input_names_its_check(tmp_path, capsys, argv, named):
     err = capsys.readouterr().err
     assert re.fullmatch(r"fracmeas: [^\n]+\n", err)
     assert named in err
+
+
+@pytest.mark.parametrize("header_only", [False, True], ids=["family", "header-only"])
+@pytest.mark.parametrize("action, beta, bracket", [
+    ("value", "0", "]"), ("value", "3", "]"), ("value", "-1", "]"), ("value", "nan", "]"),
+    ("cover", "0", ")"), ("cover", "2", ")"), ("cover", "-1", ")"), ("cover", "nan", ")"),
+])
+def test_content_beta_is_checked_against_the_balls_dimension(tmp_path, capsys, action,
+                                                             beta, bracket, header_only):
+    # `value` takes beta in (0, d] and `cover` in (0, d), d from the CSV
+    # header; value's beta = 0 used to report regularized_cover's range,
+    # beta = 3 named no flag, and a header-only family ran to exit 0
+    balls = tmp_path / "balls.csv"
+    balls.write_text("x0,x1,r\n" + ("" if header_only else "0.5,0.5,0.1\n"))
+    assert run(["--out", str(tmp_path / "out"), "content", action, "--balls", str(balls),
+                "--beta", beta]) == 2
+    err = capsys.readouterr().err
+    assert re.fullmatch(r"fracmeas: [^\n]+\n", err)
+    assert f"--beta {float(beta)} must lie in (0, 2{bracket}" in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["potential", "riesz", "--measure", "{measure}", "--alpha", "0.5",
+     "--n-points", "100000000"],
+    ["heat", "--measure", "{measure}", "--npd", "100000"],
+], ids=["riesz-points", "heat-csv"])
+def test_out_of_memory_exits_1(tmp_path, argv):
+    # under a 512 MB address-space limit (set in the child only) these died
+    # in a MemoryError traceback: numpy's 763 MiB array for the radii, and
+    # the heat CSV's rows (4.7M of them) held in a list before writing
+    import fracmeas
+    csv = str(tmp_path / "mu.csv")
+    io.save_measure(cantor_measure(3), csv)
+    limit = 512 << 20
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(fracmeas.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-m", "fracmeas.cli", "--out", str(tmp_path / "out"),
+         *(a.format(measure=csv) for a in argv)],
+        env=env, capture_output=True, text=True, timeout=600,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)))
+    assert (proc.returncode, proc.stderr) == (1, "fracmeas: out of memory\n")
 
 
 @pytest.mark.parametrize("argv, given", [
@@ -424,8 +477,11 @@ _COLD_START = textwrap.dedent("""
     at_import += loaded(["concurrent.futures"])
     heavy = ["scipy.special", "scipy.fft", "scipy.interpolate", "scipy.optimize",
              "scipy.linalg", "scipy.sparse"]
-    rc = [cli.main(["--out", out, "verify", t]) for t in ("cor16", "thm18")]
+    rc = [cli.main(["--out", out, "verify", t]) for t in ("cor16", "thm14", "thm18")]
     after_verify = loaded(heavy)
+    rc += [cli.main(["--out", out, "content", action, "--balls", sys.argv[2],
+                     "--beta", "1.5"]) for action in ("value", "cover")]
+    after_content = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
     csv = os.path.join(out, "cantor.csv")
     io.save_measure(cantor_measure(5), csv)
     rc.append(cli.main(["--out", out, "potential", "riesz", "--measure", csv,
@@ -433,7 +489,7 @@ _COLD_START = textwrap.dedent("""
     after_riesz = loaded(heavy)
     rc.append(cli.main(["--out", out, "maximal", "lp", "--measure", csv, "--k", "3"]))
     print(json.dumps({"rc": rc, "at_import": at_import, "after_verify": after_verify,
-                      "after_riesz": after_riesz,
+                      "after_content": after_content, "after_riesz": after_riesz,
                       "after_lp": loaded(["scipy.fft", "scipy.interpolate"])}))
 """)
 
@@ -441,19 +497,21 @@ _COLD_START = textwrap.dedent("""
 def test_cold_start_loads_no_projector_modules(tmp_path):
     # importing the CLI and reading the plateau tables loads no scipy at all,
     # nor the verify targets' thread pool (concurrent.futures);
-    # scipy.special serves only the gamma and Bessel call sites (content,
-    # Riesz constants, d=2 quadrature), and scipy.fft and scipy.interpolate
-    # (and, through them, scipy.optimize, linalg and sparse) only the
-    # frequency projectors, so a verify run must load none of them, while
-    # `potential riesz` and `maximal lp` must still find theirs
+    # scipy.special serves only riesz_heat's incomplete gammas and the d=2
+    # Bessel quadrature (Gamma is the package's own), and scipy.fft and
+    # scipy.interpolate (and, through them, scipy.optimize, linalg and
+    # sparse) only the frequency projectors, so a verify run (thm14's Riesz
+    # constants included) and `content value` / `cover` must load no scipy
+    # module, while `potential riesz` and `maximal lp` must still find theirs
     import fracmeas
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(fracmeas.__file__)))
-    proc = subprocess.run([sys.executable, "-c", _COLD_START, str(tmp_path)],
+    balls = Path(__file__).resolve().parent / "data" / "content_value_balls.csv"
+    proc = subprocess.run([sys.executable, "-c", _COLD_START, str(tmp_path), str(balls)],
                           env=env, capture_output=True, text=True, timeout=600)
     assert proc.returncode == 0, proc.stderr
     got = json.loads(proc.stdout.splitlines()[-1])
-    assert got == {"rc": [0, 0, 0, 0], "at_import": [], "after_verify": [],
-                   "after_riesz": ["scipy.special"],
+    assert got == {"rc": [0, 0, 0, 0, 0, 0, 0], "at_import": [], "after_verify": [],
+                   "after_content": [], "after_riesz": ["scipy.special"],
                    "after_lp": ["scipy.fft", "scipy.interpolate"]}
 
 

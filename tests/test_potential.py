@@ -456,7 +456,6 @@ _RIESZ_FIELD_RSS = textwrap.dedent("""
     cand, _ = atoms.make_frostman_atom(depth=8)
     nu = measures.cantor_measure(8)
     cfg = potential.RieszConfig(alpha=0.5, d=1)
-    cfg.gamma_alpha                   # scipy.special's own memory comes first
     before = peak_mb()
     for j in range(2):                # thm14's first two scales
         s = 2.0 ** -j
