@@ -24,10 +24,10 @@ parent chose its children.
 Ball geometry works by rows: a row is a line of cells along the last axis,
 all other indices fixed, and a ball meets a row in an interval of cells.  A
 raster settles each row's interval ends from the chord half-width and merges
-the intervals per row, with no sort over cells.  A cover's witnesses are
-found per level block of its sorted rows, each ball searching only the rows
-of its own index box, in doubling windows, by ``searchsorted`` on packed
-index keys.
+the intervals per row, with no sort over cells (``measures._row_runs``, as
+for the heat functional's grids).  A cover's witnesses are found per level
+block of its sorted rows, each ball searching only the rows of its own index
+box, in doubling windows, by ``searchsorted`` on packed index keys.
 """
 
 from __future__ import annotations
@@ -38,8 +38,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._gamma import gamma
-from .measures import (Cube, DyadicLattice, _match_rows, _unique_rows, lattice_points,
-                       unit_lattice)
+from .measures import (Cube, DyadicLattice, _cube_ball_dist, _match_rows, _row_heads,
+                       _row_runs, _unique_rows, unit_lattice)
 
 
 def ball_volume_constant(beta: float) -> float:
@@ -265,17 +265,6 @@ def make_ball_family(centers, radii) -> BallFamily:
     return BallFamily(centers=centers, radii=radii)
 
 
-def _cube_ball_dist(corners, side, center):
-    """Distance from ball centres to cubes [corner, corner+side]^d.
-
-    ``corners`` (..., d), ``side`` (...) or a scalar and ``center`` (..., d)
-    broadcast against each other; the result has their common leading shape.
-    """
-    hi = corners + np.asarray(side, dtype=np.float64)[..., None]
-    gap = np.maximum(np.maximum(corners - center, center - hi), 0.0)
-    return np.sqrt(np.sum(gap ** 2, axis=-1))
-
-
 def _runs(counts):
     """For runs of lengths ``counts`` laid end to end: each slot's run and
     its offset within the run."""
@@ -283,109 +272,14 @@ def _runs(counts):
     return owner, np.arange(len(owner)) - np.repeat(np.cumsum(counts) - counts, counts)
 
 
-def _row_heads(lo, spans, q):
-    """Indices on all axes but the last of row ``q`` of boxes that start at
-    ``lo`` and span ``spans`` cells on those axes, first axis slowest."""
-    head = np.empty(lo.shape, dtype=np.int64)
-    for a in reversed(range(lo.shape[1])):
-        head[:, a] = lo[:, a] + q % spans[:, a]
-        q = q // spans[:, a]
-    return head
-
-
 def rasterize_balls(F: BallFamily, lattice: DyadicLattice, level: int) -> CubeUnion:
-    """All level-``level`` cells intersecting the union of balls.
-
-    A row of a ball's index box (all axes but the last fixed) meets the ball
-    in an interval of cells: the distance is monotone in the last-axis gap,
-    which falls and then rises along the row.  Each interval end is first
-    estimated from the chord half-width ``sqrt(r^2 - g^2)``, g the row's gap
-    on the other axes, then settled with the cell-by-cell test: an end that
-    meets steps outward while the next cell meets, one that misses steps
-    toward the ball's cell of least last-axis gap until it meets (a row
-    whose least-gap cell misses is empty).  The intervals are sorted by
-    (row, start) and merged per row with a running maximum of their ends.
-    """
-    if F.n_balls == 0:
-        return CubeUnion.build(lattice, [], np.zeros((0, lattice.d)))
+    """All level-``level`` cells intersecting the union of balls, found row
+    by row in each ball's index box (``measures._row_runs``)."""
     side = lattice.side(level)
     radii = F.radii[:, None]
     lo = np.floor((F.centers - radii - lattice.corner) / side).astype(np.int64)
     hi = np.floor((F.centers + radii - lattice.corner) / side).astype(np.int64)
-    corner = lattice.corner
-
-    def gap(axis, j, c):
-        """Gap on ``axis`` between cells ``j`` and centre coordinates ``c``."""
-        start = corner[axis] + j * side
-        return np.maximum(np.maximum(start - c, c - (start + side)), 0.0)
-
-    # each ball's cell of least last-axis gap: descend from the cell of the
-    # centre (the gap is unimodal along the last axis)
-    c = F.centers[:, -1]
-    pivot = np.clip(np.floor((c - corner[-1]) / side).astype(np.int64), lo[:, -1], hi[:, -1])
-    for step, bound in ((-1, lo[:, -1]), (1, hi[:, -1])):
-        move = np.ones(F.n_balls, dtype=bool)
-        while np.any(move):
-            nxt = pivot + step
-            move = (pivot != bound) & (gap(-1, nxt, c) < gap(-1, pivot, c))
-            pivot = np.where(move, nxt, pivot)
-    # the rows of every box, first axis slowest
-    spans = hi[:, :-1] - lo[:, :-1] + 1
-    ball, q = _runs(np.prod(spans, axis=1))
-    head = _row_heads(lo[ball, :-1], spans[ball], q)
-    g2 = np.zeros(len(ball))
-    for a in range(F.d - 1):
-        g2 += gap(a, head[:, a], F.centers[ball, a]) ** 2
-    w = np.sqrt(np.maximum(F.radii[ball] ** 2 - g2, 0.0))
-    c = F.centers[ball, -1]
-    # both ends of every row at once, first cells then last cells, each
-    # estimate kept between its box end and the least-gap cell
-    n = len(ball)
-    out = np.repeat([-1, 1], n)
-    bound = np.concatenate([lo[ball, -1], hi[ball, -1]])
-    piv = np.tile(pivot[ball], 2)
-    j = np.floor((np.concatenate([c - w, c + w]) - corner[-1]) / side).astype(np.int64)
-    j = np.clip(j, np.minimum(bound, piv), np.maximum(bound, piv))
-    ball2, head2 = np.tile(ball, 2), np.tile(head, (2, 1))
-
-    def meets(i, j):
-        corners = corner[None, :] + np.column_stack([head2[i], j]) * side
-        return _cube_ball_dist(corners, side, F.centers[ball2[i]]) <= F.radii[ball2[i]]
-
-    hit = meets(slice(None), j)
-    empty = np.zeros(len(j), dtype=bool)
-    # ends that meet step outward while the next cell meets
-    i = np.flatnonzero(hit & (j != bound))
-    while len(i):
-        nxt = j[i] + out[i]
-        ok = meets(i, nxt)
-        j[i[ok]] = nxt[ok]
-        i = i[ok & (nxt != bound[i])]
-    # ends that miss step inward until they meet, or find the row empty
-    i = np.flatnonzero(~hit)
-    while len(i):
-        stuck = j[i] == piv[i]
-        empty[i[stuck]] = True
-        i = i[~stuck]
-        j[i] -= out[i]
-        i = i[~meets(i, j[i])]
-    keep = ~(empty[:n] | empty[n:])
-    head, first, end = head[keep], j[:n][keep], j[n:][keep] + 1
-    # merge per row: sort by (row, start), clip each start to the running
-    # maximum of the earlier ends of its row, taken over group * n + the
-    # end's rank among the n distinct ends (below n^2, whatever the indices)
-    order = np.lexsort((first, *head.T[::-1]))
-    head, first, end = head[order], first[order], end[order]
-    new = np.ones(len(first), dtype=bool)
-    new[1:] = np.any(head[1:] != head[:-1], axis=1)
-    ends, rank = np.unique(end, return_inverse=True)
-    shift = (np.cumsum(new) - 1) * len(ends)
-    reach = ends[np.maximum.accumulate(shift + rank) - shift]
-    start = first.copy()
-    start[1:] = np.where(new[1:], first[1:], np.maximum(first[1:], reach[:-1]))
-    counts = np.maximum(end - start, 0)
-    row, offset = _runs(counts)
-    idx = np.column_stack([head[row], start[row] + offset])
+    idx = _row_runs(F.centers, F.radii, lattice.corner, side, side, lo, hi)
     # distinct cells of one level are already a reduced union
     return CubeUnion(lattice=lattice, levels=np.full(len(idx), level, dtype=np.int64),
                      indices=idx)
@@ -591,13 +485,7 @@ def regularized_cover(F: BallFamily, beta: float,
         # replacement level: 4r <= side < 8r, so the doubled ball (diameter
         # 4r) meets at most 2 cubes per axis
         k_new = int(math.floor(math.log2(lat.l0 / (4.0 * r))))
-        side_new = lat.side(k_new)
-        lo = np.floor((x - 2 * r - lat.corner) / side_new).astype(np.int64)
-        hi = np.floor((x + 2 * r - lat.corner) / side_new).astype(np.int64)
-        cand = lattice_points([np.arange(lo[a], hi[a] + 1) for a in range(d)])
-        cc = lat.corner[None, :] + cand * side_new
-        keep = _cube_ball_dist(cc, side_new, x) <= 2 * r
-        new_cubes = cand[keep]
+        new_cubes = rasterize_balls(make_ball_family(x, 2 * r), lat, k_new).indices
         if len(new_cubes) > 2 ** d:
             raise AssertionError("replacement produced more than 2^d cubes")
         dist = _cube_ball_dist(lat.corner[None, :] + ix * sides[:, None], sides, x)

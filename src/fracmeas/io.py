@@ -140,10 +140,8 @@ def save_heat_field(field, path):
     """CSV ``x...,t,value`` over all (point, time) pairs."""
     d = field.points.shape[1]
     header = [f"x{a}" for a in range(d)] + ["t", "value"]
-    rows = []
-    for i, p in enumerate(field.points):
-        for j, t in enumerate(field.tgrid.nodes):
-            rows.append(list(p) + [t, field.values[i, j]])
+    rows = (list(p) + [t, field.values[i, j]] for i, p in enumerate(field.points)
+            for j, t in enumerate(field.tgrid.nodes))
     write_csv(path, header, rows)
 
 
@@ -151,9 +149,9 @@ def save_maximal_field(field, path):
     """CSV with attainment columns (profile name, scale)."""
     d = field.points.shape[1]
     header = [f"x{a}" for a in range(d)] + ["value", "att_profile", "att_scale"]
-    rows = [list(p) + [v, prof, s]
+    rows = (list(p) + [v, prof, s]
             for p, v, prof, s in zip(field.points, field.values,
-                                     field.att_profile, field.att_scale)]
+                                     field.att_profile, field.att_scale))
     write_csv(path, header, rows)
 
 
@@ -171,10 +169,8 @@ def save_cover(cover, path):
 
 def save_modulus_curves(report, path):
     """CSV ``beta,delta,captured_mass`` of a dimension report."""
-    rows = []
-    for i, b in enumerate(report.betas):
-        for j, dl in enumerate(report.deltas):
-            rows.append([b, dl, report.curves[i, j]])
+    rows = ([b, dl, report.curves[i, j]] for i, b in enumerate(report.betas)
+            for j, dl in enumerate(report.deltas))
     write_csv(path, ["beta", "delta", "captured_mass"], rows)
 
 

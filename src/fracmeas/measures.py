@@ -31,6 +31,148 @@ def lattice_points(axes) -> np.ndarray:
     return np.stack([g.ravel() for g in grids], axis=1)
 
 
+def _cube_ball_dist(corners, side, center):
+    """Distance from ball centres to cubes [corner, corner+side]^d, the
+    squared gaps added in axis order (as ``np.sum`` adds fewer than 8).
+
+    ``corners`` (..., d), ``side`` (...) or a scalar and ``center`` (..., d)
+    broadcast against each other; the result has their common leading shape.
+    """
+    hi = corners + np.asarray(side, dtype=np.float64)[..., None]
+    gap = np.maximum(np.maximum(corners - center, center - hi), 0.0)
+    return np.sqrt(sum(gap[..., a] ** 2 for a in range(gap.shape[-1])))
+
+
+def _row_heads(lo, spans, q):
+    """Indices on all axes but the last of row ``q`` of boxes that start at
+    ``lo`` and span ``spans`` cells on those axes, first axis slowest."""
+    head = np.empty(lo.shape, dtype=np.int64)
+    for a in reversed(range(lo.shape[1])):
+        head[:, a] = lo[:, a] + q % spans[:, a]
+        q = q // spans[:, a]
+    return head
+
+
+# lattice rows that _row_runs settles at once: a bound on its temporaries
+_RUN_ROWS = 1 << 12
+
+
+def _row_runs(centers, radii, origin, step, width, lo, hi, tag=None):
+    """The distinct lattice cells within a radius of some balls.
+
+    Ball b searches the cells ``[origin + j*step, origin + j*step + width]``
+    per axis (``width`` is ``step`` for dyadic cubes, 0 for grid points) of
+    its index box ``lo[b]..hi[b]``, ``origin`` and ``step`` per ball or
+    shared, and keeps those with ``_cube_ball_dist(...) <= radii[b]``.
+
+    A ball meets a row of its box (all axes but the last fixed) in a run of
+    cells, since the last-axis gap falls and then rises along the row.  The
+    ends of each run are estimated from the chord half-width ``sqrt(r^2 -
+    g2)``, g2 the row's part of the squared distance, and settled with the
+    cell test, ``_RUN_ROWS`` rows at a time: an end that passes steps outward
+    while the next cell passes, one that fails steps toward the ball's pivot
+    (its cell of least last-axis gap) until it passes, and a row whose pivot
+    fails is empty.  The runs merge per row after each chunk (``_merge_runs``).
+
+    Returns the cells' indices, sorted by row and last index.  With ``tag``
+    (an int per ball) rows are keyed by (tag, row): the tag comes first as
+    column 0, and runs of different tags never merge.
+    """
+    n, d = centers.shape
+    if n == 0:
+        return np.zeros((0, d + (tag is not None)), dtype=np.int64)
+    origin, step = (np.broadcast_to(v, (n, d)).copy() for v in (origin, step))
+
+    def gap(start, c):
+        """Gaps between cells that start at ``start`` and coordinates ``c``."""
+        return np.maximum(np.maximum(start - c, c - (start + width)), 0.0)
+
+    # each ball's pivot: descend from the cell of the centre (the gap is
+    # unimodal along the last axis)
+    o_, st_, c_ = origin[:, -1], step[:, -1], centers[:, -1]
+    pivot = np.clip(np.floor((c_ - o_) / st_).astype(np.int64), lo[:, -1], hi[:, -1])
+    for out, bound in ((-1, lo[:, -1]), (1, hi[:, -1])):
+        move = np.ones(n, dtype=bool)
+        while np.any(move):
+            nxt = pivot + out
+            move = (pivot != bound) & (gap(o_ + nxt * st_, c_) < gap(o_ + pivot * st_, c_))
+            pivot = np.where(move, nxt, pivot)
+    # the rows of every box, first axis slowest, laid end to end
+    spans = hi[:, :-1] - lo[:, :-1] + 1
+    n_rows = np.prod(spans, axis=1)
+    row_end = np.cumsum(n_rows)
+    runs = []
+    for s in range(0, int(row_end[-1]), _RUN_ROWS):
+        q = np.arange(s, min(s + _RUN_ROWS, int(row_end[-1])))
+        b = np.searchsorted(row_end, q, "right")
+        head = _row_heads(lo[b, :-1], spans[b], q - row_end[b] + n_rows[b])
+        # each row's part g2 of the squared distance, whose last term the
+        # cell test adds: the sum _cube_ball_dist takes, in the same order
+        g2 = np.zeros(len(b))
+        for a in range(d - 1):
+            g2 += gap(origin[b, a] + head[:, a] * step[b, a], centers[b, a]) ** 2
+        c, r, o, st, piv = c_[b], radii[b], o_[b], st_[b], pivot[b]
+        w = np.sqrt(np.maximum(r ** 2 - g2, 0.0))
+
+        def meets(i, j):
+            return np.sqrt(g2[i] + gap(o[i] + j * st[i], c[i]) ** 2) <= r[i]
+
+        ends = []
+        for out, bound in ((-1, lo[b, -1]), (1, hi[b, -1])):
+            # the end cell of those meeting the chord [c - w, c + w], kept
+            # between its box end and the pivot
+            x = (c + out * w - o - (out < 0) * width) / st
+            j = (np.ceil(x) if out < 0 else np.floor(x)).astype(np.int64)
+            j = np.clip(j, np.minimum(bound, piv), np.maximum(bound, piv))
+            hit = meets(slice(None), j)
+            # ends that meet step outward while the next cell meets
+            i = np.flatnonzero(hit & (j != bound))
+            while len(i):
+                nxt = j[i] + out
+                ok = meets(i, nxt)
+                j[i[ok]] = nxt[ok]
+                i = i[ok & (nxt != bound[i])]
+            # ends that miss step inward until they meet; in an empty row both
+            # stop at the pivot, the first one just past it: an empty run
+            i = np.flatnonzero(~hit)
+            while len(i):
+                stuck = j[i] == piv[i]
+                j[i[stuck]] -= min(out, 0)
+                i = i[~stuck]
+                j[i] -= out
+                i = i[~meets(i, j[i])]
+            ends.append(j)
+        key = head if tag is None else np.column_stack([tag[b], head])
+        runs = [_merge_runs(*runs, (key, ends[0], ends[1] + 1))]
+    # each run's cells: its row and start - (cells before it), repeated,
+    # plus the running cell index
+    key, first, end = runs[0]
+    counts = end - first
+    cells = np.repeat(np.column_stack([key, first - np.cumsum(counts) + counts]), counts, 0)
+    cells[:, -1] += np.arange(len(cells))
+    return cells
+
+
+def _merge_runs(*parts):
+    """The union of the cell runs ``[first, end)`` of rows ``key`` in some
+    ``(key, first, end)`` parts, as disjoint non-empty runs sorted by (row,
+    start): once sorted so (by ``_sort_keys``), each start is clipped to the
+    running maximum of the earlier ends of its row, taken over row * n + the
+    end's rank among the n distinct ends (below n^2 whatever the indices,
+    and the rank mod n)."""
+    key, first, end = map(np.concatenate, zip(*parts))
+    order = np.lexsort(_sort_keys(np.column_stack([key, first]))[::-1])
+    key, first, end = key[order], first[order], end[order]
+    new = np.ones(len(first), dtype=bool)
+    new[1:] = np.any(key[1:] != key[:-1], axis=1)
+    distinct, rank = np.unique(end, return_inverse=True)
+    rank += (np.cumsum(new) - 1) * len(distinct)
+    reach = distinct[np.maximum.accumulate(rank) % len(distinct)]
+    first[1:] = np.where(new[1:], first[1:], np.maximum(first[1:], reach[:-1]))
+    keep = first < end
+    return key[keep], first[keep], end[keep]
+
+
 @dataclass(frozen=True)
 class SampledField:
     """Values of a function on a regular grid: ``values[i]`` sits at
@@ -314,20 +456,16 @@ def unit_lattice(d: int) -> DyadicLattice:
 # (m, d).  The level-j ancestor of a level-k cube is ``indices >> (k - j)``
 # (the arithmetic shift floors negative indices too).
 
-def _unique_rows(rows):
-    """Distinct rows of an int64 (n, w) array in lexicographic order, the
-    position of the first occurrence of each, and the position of each row
-    among them: what ``np.unique(rows, axis=0, return_index=True,
-    return_inverse=True)`` returns.
+def _sort_keys(rows):
+    """int64 keys, most significant first, whose ``lexsort`` orders the rows
+    of an int64 (n, w) array lexicographically.
 
-    The columns are packed into as few int64 sort keys as their spans
-    allow: each column is shifted by its minimum, and consecutive columns
-    share a key (mixed radix, the first column most significant) while the
-    product of their spans, in Python ints, stays below 2^63.  A column
-    whose span alone reaches 2^63 is its own key, unshifted.  Cube rows
-    (level, index...) always fit one key, so the stable ``lexsort`` sorts
-    one int64 array and neighbours compare on it, not on whole rows; the
-    packing is exact and order-preserving, so one path serves every input.
+    The columns are packed into as few keys as their spans allow: each
+    column is shifted by its minimum, and consecutive columns share a key
+    (mixed radix, the first column most significant) while the product of
+    their spans, in Python ints, stays below 2^63.  A column whose span
+    alone reaches 2^63 is its own key, unshifted.  The packing is exact and
+    order-preserving, so one path serves every input.
     """
     keys, spans = [], []
     for col in rows.T:
@@ -342,6 +480,17 @@ def _unique_rows(rows):
         else:
             keys.append(col)
             spans.append(2 ** 64)
+    return keys
+
+
+def _unique_rows(rows):
+    """Distinct rows of an int64 (n, w) array in lexicographic order, the
+    position of the first occurrence of each, and the position of each row
+    among them: what ``np.unique(rows, axis=0, return_index=True,
+    return_inverse=True)`` returns.  Cube rows (level, index...) always fit
+    one ``_sort_keys`` key, so neighbours compare on it, not on whole rows.
+    """
+    keys = _sort_keys(rows)
     order = np.lexsort(keys[::-1])
     new = np.zeros(len(rows), dtype=bool)
     new[:1] = True

@@ -8,11 +8,11 @@ pays its start-up cost.
 
 The heat-integral functional's quadrature grids, one per time node, come
 from one vectorized pass over groups of nodes (``_adaptive_heat_grids``):
-for each (node, mass, lattice row) the points within the pad form one run
-along the row, whose ends are estimated from the chord and settled with the
-exact distance test, and the runs are merged with a difference array.  Each
-grid holds the points a search of the node's whole lattice keeps, in the
-same order.
+each (node, mass) pair is a ball of radius pad on the node's lattice, and
+``measures._row_runs``, the row-run search that also rasterizes ball
+families (``content.rasterize_balls``), finds its points row by row and
+merges them per (node, row).  Each grid holds the points a search of the
+node's whole lattice keeps, in the same order.
 
 Lorentz convention, fixed for every constant reported from this module:
 ``||f||_{p,1} = integral_0^inf t^{1/p - 1} f*(t) dt`` with f* the decreasing
@@ -30,7 +30,7 @@ import numpy as np
 from . import _kernels
 from ._gamma import gamma
 from .heat import TGrid
-from .measures import GridMeasure, SampledField
+from .measures import GridMeasure, SampledField, _row_runs
 
 
 @dataclass(frozen=True)
@@ -210,10 +210,15 @@ class BesovResult:
     flagged: bool
 
 
-# transient bounds of the grid pass: lattice cells merged at once, and
-# (node, mass, row) triples settled at once
+# lattice cells whose grids one pass finds at most (or one node's)
 _GRID_CELLS = 1 << 16
-_GRID_ROWS = 1 << 12
+
+
+def _axis(start, stop, spacing):
+    """``(origin, step, n)`` of ``np.arange(start, stop, spacing)``, which
+    numpy fills as ``origin + i * step`` with ``step = ax[1] - ax[0]``."""
+    ax = np.arange(start, stop, spacing)
+    return ax[0], (ax[1] - ax[0] if len(ax) > 1 else spacing), len(ax)
 
 
 def _adaptive_heat_grids(mu: GridMeasure, nodes):
@@ -222,170 +227,41 @@ def _adaptive_heat_grids(mu: GridMeasure, nodes):
 
     Node t keeps the points of its bounding-box lattice (axes
     ``np.arange(lo - pad, hi + pad + spacing, spacing)``, spacing
-    ``max(h/2, sqrt(t)/4)``) within the pad of some mass, first axis
-    slowest: squared axis differences are added in axis order, and a point
-    is kept when ``sqrt(d2) <= pad``.  The nodes are taken in groups of at
-    most ``_GRID_CELLS`` lattice cells (or one node), and each group's kept
-    cells are found in one vectorized pass (``_grid_cover``): numpy is
-    called per group and per chunk of about ``_GRID_ROWS`` lattice rows, not
-    per node, and the pass's arrays stay bounded.  A node's points are
-    gathered from its lattice when it is reached.
+    ``max(h/2, sqrt(t)/4)``, read as ``origin + j * step`` by ``_axis``)
+    within the pad of some mass, first axis slowest.  Groups of nodes with
+    at most ``_GRID_CELLS`` lattice cells (or one node) are searched by one
+    ``measures._row_runs`` call, a ball of radius pad per (node, mass) pair
+    and rows keyed by (node, row), so each node's points come out in its
+    lattice order.
     """
-    d = mu.d
-    y = mu.points()
+    d, y = mu.d, mu.points()
     lo, hi = mu.bbox()
-    group, size = [], 0
+    # per node its spacing, pad and axes (origins, steps, lengths)
+    lats, cuts, size = [], [0], 0
     for t in np.asarray(nodes, dtype=np.float64).tolist():
         st = math.sqrt(t)
         spacing = max(mu.h / 2.0, st / 4.0)
         pad = 8.0 * st
-        axes = [np.arange(lo[a] - pad, hi[a] + pad + spacing, spacing) for a in range(d)]
-        cells = math.prod(len(ax) for ax in axes)
-        if group and size + cells > _GRID_CELLS:
-            yield from _group_grids(y, group)
-            group, size = [], 0
-        group.append((pad, spacing, axes))
+        axes = [_axis(lo[a] - pad, hi[a] + pad + spacing, spacing) for a in range(d)]
+        cells = math.prod(n for *_, n in axes)
+        if len(lats) > cuts[-1] and size + cells > _GRID_CELLS:
+            cuts.append(len(lats))
+            size = 0
         size += cells
-    if group:
-        yield from _group_grids(y, group)
-
-
-def _group_grids(y, group):
-    """``(points, spacing)`` of each node of a group, gathered from its
-    lattice's kept cells when the node is reached."""
-    near = _grid_cover(y, group)
-    at = 0
-    for _, spacing, axes in group:
-        shape = [len(ax) for ax in axes]
-        idx = np.nonzero(near[at:at + math.prod(shape)].reshape(shape))
-        at += math.prod(shape)
-        yield np.stack([ax[i] for ax, i in zip(axes, idx)], axis=1), spacing
-
-
-def _grid_cover(y, group):
-    """The kept cells of the lattices ``(pad, spacing, axes)`` of a group of
-    nodes, laid end to end, each lattice first axis slowest.
-
-    For one mass and one row of a lattice (indices fixed on all axes but the
-    last) the kept points form a run, since d2 falls and then rises along
-    the row.  Each run's ends are estimated from the chord half-width
-    ``sqrt(pad^2 - g2)``, g2 the row's part of d2, then settled with the
-    same test, for all (node, mass, row) triples of a chunk at once: an end
-    that passes steps outward while the next point passes, one that fails
-    steps toward the row's point nearest the mass until it passes (a row
-    whose nearest point fails is empty).  The runs are merged with one
-    difference array and its cumulative sum.
-    """
-    d = y.shape[1]
-    pads = np.array([lat[0] for lat in group])
-    steps = np.array([lat[1] for lat in group])
-    lens = np.array([[len(ax) for ax in lat[2]] for lat in group], dtype=np.int64)
-    # every node's axes laid end to end, and where each one starts
-    axes = [np.concatenate([lat[2][a] for lat in group]) for a in range(d)]
-    aoff = np.cumsum(lens, axis=0) - lens
-    start = np.stack([axes[a][aoff[:, a]] for a in range(d)], axis=1)
-    cells = np.prod(lens, axis=1)
-    # each lattice's first cell, and its row-major strides
-    first = np.cumsum(cells) - cells
-    strides = np.ones((len(group), d), dtype=np.int64)
-    for a in reversed(range(d - 1)):
-        strides[:, a] = strides[:, a + 1] * lens[:, a + 1]
-    # every (node, mass) pair's box of rows, widened by one row each way
-    node = np.repeat(np.arange(len(group)), len(y))
-    mass = np.tile(np.arange(len(y)), len(group))
-    lo = np.floor((y[mass, :-1] - pads[node, None] - start[node, :-1])
-                  / steps[node, None]).astype(np.int64) - 1
-    hi = np.floor((y[mass, :-1] + pads[node, None] - start[node, :-1])
-                  / steps[node, None]).astype(np.int64) + 1
-    lo = np.clip(lo, 0, lens[node, :-1] - 1)
-    spans = np.clip(hi, 0, lens[node, :-1] - 1) - lo + 1
-    rows = np.prod(spans, axis=1)
-    del hi
-    cover = np.zeros(int(np.sum(cells)) + 1, dtype=np.int32)
-    tables = (axes, aoff, start, first, strides, lens, pads, steps)
-    # the pairs in chunks of about _GRID_ROWS rows
-    ends = np.cumsum(rows)
-    cuts = (np.flatnonzero(np.diff(ends // _GRID_ROWS)) + 1).tolist()
-    for s, e in zip([0, *cuts], [*cuts, len(node)]):
-        _add_runs(cover, y, tables, node[s:e], mass[s:e], lo[s:e], spans[s:e], rows[s:e])
-    np.cumsum(cover, dtype=np.int32, out=cover)
-    return cover[:-1] > 0
-
-
-def _add_runs(cover, y, tables, node, mass, lo, spans, rows):
-    """Add the runs of the rows of some (node, mass) pairs to ``cover``, the
-    difference array of ``_grid_cover``."""
-    axes, aoff, start, first, strides, lens, pads, steps = tables
-    d = y.shape[1]
-    last, c = axes[-1], y[mass, -1]
-    base, n_last = aoff[node, -1], lens[node, -1]
-    inv = 1.0 / steps[node]
-    u = (c - start[node, -1]) * inv
-    # each pair's last-axis point nearest its mass: the first point at or
-    # above the mass, or the one before
-    k0 = np.clip(np.ceil(u).astype(np.int64), 0, n_last)
-    i = np.arange(len(node))
-    while len(i):
-        i = i[(k0[i] < n_last[i]) & (last[base[i] + np.minimum(k0[i], n_last[i] - 1)] < c[i])]
-        k0[i] += 1
-    i = np.arange(len(node))
-    while len(i):
-        i = i[(k0[i] > 0) & (last[base[i] + k0[i] - 1] >= c[i])]
-        k0[i] -= 1
-    below, above = np.maximum(k0 - 1, 0), np.minimum(k0, n_last - 1)
-    db, da = last[base + below] - c, last[base + above] - c
-    piv = np.where(da * da < db * db, above, below)
-    # the rows of every box, first axis slowest
-    pr = np.repeat(np.arange(len(node)), rows)
-    q = np.arange(len(pr)) - np.repeat(np.cumsum(rows) - rows, rows)
-    head = np.empty((len(pr), d - 1), dtype=np.int64)
-    for a in reversed(range(d - 1)):
-        head[:, a] = lo[pr, a] + q % spans[pr, a]
-        q //= spans[pr, a]
-    g2 = np.zeros(len(pr))
-    for a in range(d - 1):
-        diff = axes[a][aoff[node[pr], a] + head[:, a]] - y[mass[pr], a]
-        g2 += diff * diff
-    row0 = first[node[pr]] + np.sum(head * strides[node[pr], :-1], axis=1)
-    del q, head
-    base, c, piv, n_last = base[pr], c[pr], piv[pr], n_last[pr]
-    pad = pads[node[pr]]
-    half = np.sqrt(np.maximum(pad * pad - g2, 0.0)) * inv[pr]
-    u = u[pr]
-
-    def kept(i, k):
-        diff = last[base[i] + k] - c[i]
-        return np.sqrt(g2[i] + diff * diff) <= pad[i]
-
-    for out in (-1, 1):
-        # the end estimated from the chord, kept between its row end and
-        # the nearest point
-        if out < 0:
-            bound, j = np.zeros_like(n_last), np.ceil(u - half).astype(np.int64)
-        else:
-            bound, j = n_last - 1, np.floor(u + half).astype(np.int64)
-        j = np.clip(j, np.minimum(bound, piv), np.maximum(bound, piv))
-        hit = kept(slice(None), j)
-        # ends that pass step outward while the next point passes
-        i = np.flatnonzero(hit & (j != bound))
-        while len(i):
-            nxt = j[i] + out
-            ok = kept(i, nxt)
-            j[i[ok]] = nxt[ok]
-            i = i[ok & (nxt != bound[i])]
-        # ends that fail step inward until they pass; in an empty row they
-        # stop at the nearest point, the first end just past it, so that its
-        # run is empty
-        i = np.flatnonzero(~hit)
-        while len(i):
-            at = j[i] == piv[i]
-            j[i[at]] -= min(out, 0)
-            i = i[~at]
-            j[i] -= out
-            i = i[~kept(i, j[i])]
-        # a run adds 1 from its first cell on and takes it away after its
-        # last, which may be the next row's first cell
-        np.add.at(cover, row0 + j + max(out, 0), np.int32(-out))
+        lats.append((spacing, pad, *zip(*axes)))
+    for s, e in zip(cuts, cuts[1:] + [len(lats)]):
+        _, pad, origin, step, shape = (np.array(v) for v in zip(*lats[s:e]))
+        # each (node, mass) pair is a ball on its node's lattice, whose index
+        # box is widened by one cell each way and clipped to the lattice
+        node = np.repeat(np.arange(e - s), len(y))
+        c, r, o, st = np.tile(y, (e - s, 1)), pad[node], origin[node], step[node]
+        box = [np.clip(np.floor((c + out * r[:, None] - o) / st).astype(np.int64) + out,
+                       0, shape[node] - 1) for out in (-1, 1)]
+        cells = _row_runs(c, r, o, st, 0.0, *box, tag=node)
+        at = np.searchsorted(cells[:, 0], np.arange(e - s + 1))
+        for k in range(e - s):
+            yield origin[k] + cells[at[k]:at[k + 1], 1:] * step[k], lats[s + k][0]
+        del cells
 
 
 def heat_besov_functional(cand, alpha: float) -> BesovResult:
@@ -440,20 +316,11 @@ def heat_besov_functional(cand, alpha: float) -> BesovResult:
 # trace integrals
 # ---------------------------------------------------------------------------
 
-def trace_integral(field, nu: GridMeasure, values_at=None) -> float:
-    """``sum_y |f(y)| nu({y})`` with f interpolated to nu's support points.
-
-    ``field`` is a SampledField (multilinear interpolation) or a per-point
-    value array aligned with nu's support (pass ``values_at=True``).
-    """
+def trace_integral(values, nu: GridMeasure) -> float:
+    """``sum_y |f(y)| nu({y})`` for values f(y) aligned with nu's support."""
     if np.any(nu.weights < 0):
         raise ValueError("trace measure must be nonnegative")
-    if nu.n_masses == 0:
-        return 0.0
-    if values_at is True:
-        f = np.asarray(field, dtype=np.float64).reshape(-1)
-        if len(f) != nu.n_masses:
-            raise ValueError("value array does not match nu's support")
-    else:
-        f = field.interpolate(nu.points())
+    f = np.asarray(values, dtype=np.float64).reshape(-1)
+    if len(f) != nu.n_masses:
+        raise ValueError("value array does not match nu's support")
     return float(np.sum(np.abs(f) * nu.weights))

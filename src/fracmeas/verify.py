@@ -198,7 +198,7 @@ def verify_thm14(alpha: float = 0.5, n_scales: int = 5, depth: int = 8) -> Verif
         # only the nodes the trace interpolates from are evaluated
         fld = potential.riesz_field(cfg, a_s.measure, [lo + 0.2371 * h_f], h_f, [n],
                                     at=nu_pts)
-        tr = potential.trace_integral(fld, nu_s)
+        tr = potential.trace_integral(fld.interpolate(nu_pts), nu_s)
         riesz_nodes["evaluated"].append(len(np.unique(fld.stencil(nu_pts)[0])))
         riesz_nodes["total"].append(n)
         traces.append(tr)
@@ -233,7 +233,7 @@ def verify_thm15(n_scales: int = 5, depth: int = 8) -> VerifyOutcome:
         tg = heat.TGrid.for_measure(a_s.measure, nodes_per_decade=16)
         sup = heat.heat_sup_field(a_s.measure, alpha, nu_s.points(), tg,
                                   refine=False)
-        tr = potential.trace_integral(sup.values, nu_s, values_at=True)
+        tr = potential.trace_integral(sup.values, nu_s)
         return [j, s, tr, cert.constant]
 
     rows = _map_cases(one_scale, range(n_scales))
@@ -269,7 +269,7 @@ def verify_cor16() -> VerifyOutcome:
                 continue
             tg = heat.TGrid.for_measure(comp, nodes_per_decade=12)
             sup = heat.heat_sup_field(comp, alpha, nu.points(), tg, refine=False)
-            tr = potential.trace_integral(sup.values, nu, values_at=True)
+            tr = potential.trace_integral(sup.values, nu)
             ratios.append(tr / tv)
             rows.append([name, i, tr, tv, tr / tv])
     shared_c = max(ratios)

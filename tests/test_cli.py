@@ -8,13 +8,14 @@ import subprocess
 import sys
 import tempfile
 import textwrap
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fracmeas import content, io, verify
+from fracmeas import content, heat, io, verify
 from fracmeas.cli import build_parser, main
 from fracmeas.measures import cantor_measure, new_grid_measure, unit_lattice
 
@@ -187,12 +188,10 @@ def test_content_beta_is_checked_against_the_balls_dimension(tmp_path, capsys, a
 @pytest.mark.parametrize("argv", [
     ["potential", "riesz", "--measure", "{measure}", "--alpha", "0.5",
      "--n-points", "100000000"],
-    ["heat", "--measure", "{measure}", "--npd", "100000"],
-], ids=["riesz-points", "heat-csv"])
+], ids=["riesz-points"])
 def test_out_of_memory_exits_1(tmp_path, argv):
-    # under a 512 MB address-space limit (set in the child only) these died
-    # in a MemoryError traceback: numpy's 763 MiB array for the radii, and
-    # the heat CSV's rows (4.7M of them) held in a list before writing
+    # under a 512 MB address-space limit (set in the child only) this died
+    # in a MemoryError traceback: numpy's 763 MiB array for the radii
     import fracmeas
     csv = str(tmp_path / "mu.csv")
     io.save_measure(cantor_measure(3), csv)
@@ -204,6 +203,24 @@ def test_out_of_memory_exits_1(tmp_path, argv):
         env=env, capture_output=True, text=True, timeout=600,
         preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)))
     assert (proc.returncode, proc.stderr) == (1, "fracmeas: out of memory\n")
+
+
+def test_heat_csv_is_written_row_by_row(tmp_path):
+    # 201 times at 1000 points: the 201000 rows held as lists before writing
+    # peaked at 32 MB (`heat --npd 100000` on a depth-3 Cantor measure, 4.7M
+    # rows, ran out of memory in that list)
+    tg = heat.TGrid.build(1e-4, 1.0, 50)
+    pts = np.linspace(0.0, 1.0, 1000)[:, None]
+    vals = np.random.default_rng(0).random((len(pts), len(tg.nodes)))
+    path = tmp_path / "heat_field.csv"
+    tracemalloc.start()
+    try:
+        io.save_heat_field(heat.HeatField(points=pts, tgrid=tg, values=vals), str(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(tg.nodes) == 201 and len(path.read_text().splitlines()) == 201001
+    assert peak < 1 << 20
 
 
 @pytest.mark.parametrize("argv, given", [

@@ -300,6 +300,20 @@ def test_raster_merges_rows_at_last_axis_indices_near_2_to_52():
     assert np.array_equal(got.indices, _raster_reference(F, lat, 30))
 
 
+def test_raster_merges_rows_whose_indices_do_not_pack_into_one_key():
+    # cells of side 2^-40 and balls at opposite corners of the unit square:
+    # the row and last-axis indices each span about 2^40, so (row, start)
+    # does not pack into one int64 and the runs are sorted by lexsort; the
+    # two balls near the origin meet the same rows in overlapping intervals
+    side = 2.0 ** -40
+    F = make_ball_family([[3.5 * side, 3.5 * side], [3.5 * side, 5.25 * side],
+                          [1 - 3.5 * side, 1 - 3.5 * side]], [1.3 * side] * 3)
+    lat = unit_lattice(2)
+    got = rasterize_balls(F, lat, 40)
+    assert got.indices.max() - got.indices.min() > 2 ** 39
+    assert np.array_equal(got.indices, _raster_reference(F, lat, 40))
+
+
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_raster_keeps_cells_that_only_touch_the_ball(d):
     # dyadic centre and radius: the cells touching the sphere face-on (and

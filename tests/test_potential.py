@@ -9,11 +9,11 @@ from unittest import mock
 import numpy as np
 import pytest
 from decay import decay_fit
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy.spatial import cKDTree
 
-from fracmeas import _kernels, potential
+from fracmeas import _kernels, measures, potential
 from fracmeas.atoms import AtomCandidate, make_frostman_atom
 from fracmeas.heat import TGrid
 from fracmeas.measures import (Cube, SampledField, cantor_measure, dirac,
@@ -203,24 +203,30 @@ def test_trace_constant_field():
     nu = cantor_measure(5)
     fld = SampledField(origin=np.array([-1.0]), spacing=0.01,
                        values=np.ones(300))
-    assert trace_integral(fld, nu) == pytest.approx(nu.total_mass())
+    assert trace_integral(fld.interpolate(nu.points()), nu) == pytest.approx(nu.total_mass())
     fld0 = SampledField(origin=np.array([-1.0]), spacing=0.01,
                         values=np.zeros(300))
-    assert trace_integral(fld0, nu) == 0.0
+    assert trace_integral(fld0.interpolate(nu.points()), nu) == 0.0
+
+
+def test_trace_needs_one_value_per_mass():
+    nu = cantor_measure(3)
+    with pytest.raises(ValueError, match="does not match"):
+        trace_integral(np.ones(nu.n_masses + 1), nu)
 
 
 def test_trace_rejects_signed_measure():
     bad = new_grid_measure(1, 0.5, [0.0], [[0], [1]], [1.0, -1.0])
     fld = SampledField(origin=np.array([-1.0]), spacing=0.1, values=np.ones(30))
     with pytest.raises(ValueError):
-        trace_integral(fld, bad)
+        trace_integral(fld.interpolate(bad.points()), bad)
 
 
 def test_trace_interpolation_bilinear():
     vals = np.arange(16.0).reshape(4, 4)
     fld = SampledField(origin=np.zeros(2), spacing=1.0, values=vals)
     nu = new_grid_measure(2, 0.5, [0.0, 0.0], [[1, 1], [3, 3]], [1.0, 1.0])
-    got = trace_integral(fld, nu)
+    got = trace_integral(fld.interpolate(nu.points()), nu)
     expect = abs(vals[0, 0] + vals[0, 1] + vals[1, 0] + vals[1, 1]) / 4 \
         + abs(vals[1, 1] + vals[1, 2] + vals[2, 1] + vals[2, 2]) / 4
     assert got == pytest.approx(expect)
@@ -253,7 +259,7 @@ def test_riesz_field_interpolates(warm):
     nu = cantor_measure(4)
     fld = riesz_field(cfg, cand.measure, [-0.5 + 0.2371 * 0.01], 0.01, [200],
                       at=nu.points())
-    tr = trace_integral(fld, nu)
+    tr = trace_integral(fld.interpolate(nu.points()), nu)
     assert math.isfinite(tr) and tr > 0
 
 
@@ -303,12 +309,12 @@ _LOG_RATIOS = st.one_of(st.floats(-3.0, 6.0),
        budget=st.sampled_from([None, (1, 1), (64, 16), (4096, 256)]))
 def test_adaptive_grid_matches_kdtree(mu, log_ratios, budget):
     # every node's grid, in node order, whatever groups and chunks the pass
-    # takes (one cell and one row take every node and every (node, mass)
-    # pair alone)
+    # takes (one cell and one row take every node and every lattice row of
+    # the shared row-run search alone)
     nodes = (mu.h * 2.0 ** np.array(log_ratios)) ** 2
-    cells, rows = budget or (potential._GRID_CELLS, potential._GRID_ROWS)
+    cells, rows = budget or (potential._GRID_CELLS, measures._RUN_ROWS)
     with mock.patch.object(potential, "_GRID_CELLS", cells), \
-            mock.patch.object(potential, "_GRID_ROWS", rows):
+            mock.patch.object(measures, "_RUN_ROWS", rows):
         _assert_grids_match_kdtree(mu, nodes)
 
 
@@ -323,6 +329,36 @@ def test_adaptive_grid_matches_kdtree_in_3d(data):
     mu = new_grid_measure(3, 0.25, origin, idx, w)
     log_ratios = data.draw(st.lists(st.floats(-2.0, 1.2), min_size=1, max_size=3))
     _assert_grids_match_kdtree(mu, (mu.h * 2.0 ** np.array(log_ratios)) ** 2)
+
+
+@given(d=st.integers(1, 3), data=st.data())
+def test_side_0_cube_distance_is_the_grid_point_distance(d, data):
+    # the grids' points are cubes of side 0 to the row-run search, which
+    # tests them with _cube_ball_dist: bit for bit the point distance with
+    # the squared axis differences added in axis order
+    coords = st.floats(-1e3, 1e3)
+    pts = data.draw(hnp.arrays(np.float64, (16, d), elements=coords))
+    c = data.draw(hnp.arrays(np.float64, d, elements=coords))
+    d2 = np.zeros(len(pts))
+    for a in range(d):
+        diff = pts[:, a] - c[a]
+        d2 += diff * diff
+    got = measures._cube_ball_dist(pts, 0.0, c)
+    assert np.array_equal(got.view(np.uint64), np.sqrt(d2).view(np.uint64))
+
+
+@example(lo=1e4, extent=0.0, pad=1e-13, spacing=0.5)      # one point
+@example(lo=0.3, extent=0.0, pad=0.01, spacing=0.5)       # two points
+@given(lo=st.floats(-1e4, 1e4), extent=st.floats(0.0, 100.0),
+       pad=st.floats(0.0, 100.0, exclude_min=True), spacing=st.floats(0.01, 100.0))
+def test_axis_is_numpys_arange_fill(lo, extent, pad, spacing):
+    # a grid axis built as the grids build it is origin + j * step bit for
+    # bit, so the row-run search reads its coordinates from three numbers
+    start, stop = lo - pad, lo + extent + pad + spacing
+    origin, step, n = potential._axis(start, stop, spacing)
+    ax = np.arange(start, stop, spacing)
+    assert n == len(ax)
+    assert np.array_equal((origin + np.arange(n) * step).view(np.uint64), ax.view(np.uint64))
 
 
 def _besov_reference(cand, alpha):
@@ -440,7 +476,8 @@ def test_riesz_field_at_evaluates_the_read_nodes(warm):
     assert len(read) < part.values.size
     assert np.array_equal(part.values.flat[read].view(np.uint64),
                           full.values.flat[read].view(np.uint64))
-    assert trace_integral(part, nu) == trace_integral(full, nu)
+    assert (trace_integral(part.interpolate(nu.points()), nu)
+            == trace_integral(full.interpolate(nu.points()), nu))
 
 
 # the child reads its peak RSS from VmHWM: Linux keeps ru_maxrss across
