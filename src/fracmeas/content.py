@@ -39,7 +39,7 @@ import numpy as np
 
 from ._gamma import gamma
 from .measures import (Cube, DyadicLattice, _cube_ball_dist, _match_rows, _row_heads,
-                       _row_runs, _unique_rows, unit_lattice)
+                       _row_runs, _run_cells, _unique_rows, unit_lattice)
 
 
 def ball_volume_constant(beta: float) -> float:
@@ -279,7 +279,7 @@ def rasterize_balls(F: BallFamily, lattice: DyadicLattice, level: int) -> CubeUn
     radii = F.radii[:, None]
     lo = np.floor((F.centers - radii - lattice.corner) / side).astype(np.int64)
     hi = np.floor((F.centers + radii - lattice.corner) / side).astype(np.int64)
-    idx = _row_runs(F.centers, F.radii, lattice.corner, side, side, lo, hi)
+    idx = _run_cells(*_row_runs(F.centers, F.radii, lattice.corner, side, side, lo, hi))
     # distinct cells of one level are already a reduced union
     return CubeUnion(lattice=lattice, levels=np.full(len(idx), level, dtype=np.int64),
                      indices=idx)

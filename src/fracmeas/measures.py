@@ -33,11 +33,9 @@ def lattice_points(axes) -> np.ndarray:
 
 def _cube_ball_dist(corners, side, center):
     """Distance from ball centres to cubes [corner, corner+side]^d, the
-    squared gaps added in axis order (as ``np.sum`` adds fewer than 8).
-
+    squared gaps added in axis order (as ``np.sum`` adds fewer than 8):
     ``corners`` (..., d), ``side`` (...) or a scalar and ``center`` (..., d)
-    broadcast against each other; the result has their common leading shape.
-    """
+    broadcast against each other, to their common leading shape."""
     hi = corners + np.asarray(side, dtype=np.float64)[..., None]
     gap = np.maximum(np.maximum(corners - center, center - hi), 0.0)
     return np.sqrt(sum(gap[..., a] ** 2 for a in range(gap.shape[-1])))
@@ -74,13 +72,11 @@ def _row_runs(centers, radii, origin, step, width, lo, hi, tag=None):
     (its cell of least last-axis gap) until it passes, and a row whose pivot
     fails is empty.  The runs merge per row after each chunk (``_merge_runs``).
 
-    Returns the cells' indices, sorted by row and last index.  With ``tag``
-    (an int per ball) rows are keyed by (tag, row): the tag comes first as
-    column 0, and runs of different tags never merge.
+    Returns the merged runs ``(key, first, end)`` (cells: ``_run_cells``),
+    ``key`` a run's indices on all axes but the last, after ``tag[b]`` (an
+    int per ball, if given: runs of different tags never merge).
     """
     n, d = centers.shape
-    if n == 0:
-        return np.zeros((0, d + (tag is not None)), dtype=np.int64)
     origin, step = (np.broadcast_to(v, (n, d)).copy() for v in (origin, step))
 
     def gap(start, c):
@@ -101,9 +97,9 @@ def _row_runs(centers, radii, origin, step, width, lo, hi, tag=None):
     spans = hi[:, :-1] - lo[:, :-1] + 1
     n_rows = np.prod(spans, axis=1)
     row_end = np.cumsum(n_rows)
-    runs = []
-    for s in range(0, int(row_end[-1]), _RUN_ROWS):
-        q = np.arange(s, min(s + _RUN_ROWS, int(row_end[-1])))
+    runs = [(np.zeros((0, d - 1 + (tag is not None)), dtype=np.int64), lo[:0, -1], lo[:0, -1])]
+    for s in range(0, int(n_rows.sum()), _RUN_ROWS):
+        q = np.arange(s, min(s + _RUN_ROWS, int(n_rows.sum())))
         b = np.searchsorted(row_end, q, "right")
         head = _row_heads(lo[b, :-1], spans[b], q - row_end[b] + n_rows[b])
         # each row's part g2 of the squared distance, whose last term the
@@ -144,13 +140,7 @@ def _row_runs(centers, radii, origin, step, width, lo, hi, tag=None):
             ends.append(j)
         key = head if tag is None else np.column_stack([tag[b], head])
         runs = [_merge_runs(*runs, (key, ends[0], ends[1] + 1))]
-    # each run's cells: its row and start - (cells before it), repeated,
-    # plus the running cell index
-    key, first, end = runs[0]
-    counts = end - first
-    cells = np.repeat(np.column_stack([key, first - np.cumsum(counts) + counts]), counts, 0)
-    cells[:, -1] += np.arange(len(cells))
-    return cells
+    return runs[0]
 
 
 def _merge_runs(*parts):
@@ -163,14 +153,22 @@ def _merge_runs(*parts):
     key, first, end = map(np.concatenate, zip(*parts))
     order = np.lexsort(_sort_keys(np.column_stack([key, first]))[::-1])
     key, first, end = key[order], first[order], end[order]
-    new = np.ones(len(first), dtype=bool)
-    new[1:] = np.any(key[1:] != key[:-1], axis=1)
+    new = np.concatenate([[True], np.any(key[1:] != key[:-1], axis=1)])
     distinct, rank = np.unique(end, return_inverse=True)
     rank += (np.cumsum(new) - 1) * len(distinct)
     reach = distinct[np.maximum.accumulate(rank) % len(distinct)]
     first[1:] = np.where(new[1:], first[1:], np.maximum(first[1:], reach[:-1]))
     keep = first < end
     return key[keep], first[keep], end[keep]
+
+
+def _run_cells(key, first, end):
+    """The cells of the runs ``[first, end)`` of rows ``key``, run by run."""
+    counts = end - first
+    # each run's row and start - (cells before it), repeated, + a running index
+    cells = np.repeat(np.column_stack([key, first - np.cumsum(counts) + counts]), counts, 0)
+    cells[:, -1] += np.arange(len(cells))
+    return cells
 
 
 @dataclass(frozen=True)

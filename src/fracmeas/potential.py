@@ -30,7 +30,7 @@ import numpy as np
 from . import _kernels
 from ._gamma import gamma
 from .heat import TGrid
-from .measures import GridMeasure, SampledField, _row_runs
+from .measures import GridMeasure, SampledField, _row_runs, _run_cells
 
 
 @dataclass(frozen=True)
@@ -257,11 +257,13 @@ def _adaptive_heat_grids(mu: GridMeasure, nodes):
         c, r, o, st = np.tile(y, (e - s, 1)), pad[node], origin[node], step[node]
         box = [np.clip(np.floor((c + out * r[:, None] - o) / st).astype(np.int64) + out,
                        0, shape[node] - 1) for out in (-1, 1)]
-        cells = _row_runs(c, r, o, st, 0.0, *box, tag=node)
-        at = np.searchsorted(cells[:, 0], np.arange(e - s + 1))
+        key, first, end = _row_runs(c, r, o, st, 0.0, *box, tag=node)
+        at = np.searchsorted(key[:, 0], np.arange(e - s + 1))
+        del c, r, o, st, box, node    # the heat sums of the group's nodes come next
         for k in range(e - s):
-            yield origin[k] + cells[at[k]:at[k + 1], 1:] * step[k], lats[s + k][0]
-        del cells
+            run = slice(at[k], at[k + 1])
+            yield (origin[k] + _run_cells(key[run, 1:], first[run], end[run]) * step[k],
+                   lats[s + k][0])
 
 
 def heat_besov_functional(cand, alpha: float) -> BesovResult:
