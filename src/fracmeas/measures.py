@@ -70,7 +70,7 @@ def _row_runs(centers, radii, origin, step, width, lo, hi, tag=None):
     cell test, ``_RUN_ROWS`` rows at a time: an end that passes steps outward
     while the next cell passes, one that fails steps toward the ball's pivot
     (its cell of least last-axis gap) until it passes, and a row whose pivot
-    fails is empty.  The runs merge per row after each chunk (``_merge_runs``).
+    fails is empty.  The runs are then merged per row (``_merge_runs``).
 
     Returns the merged runs ``(key, first, end)`` (cells: ``_run_cells``),
     ``key`` a run's indices on all axes but the last, after ``tag[b]`` (an
@@ -139,8 +139,8 @@ def _row_runs(centers, radii, origin, step, width, lo, hi, tag=None):
                 i = i[~meets(i, j[i])]
             ends.append(j)
         key = head if tag is None else np.column_stack([tag[b], head])
-        runs = [_merge_runs(*runs, (key, ends[0], ends[1] + 1))]
-    return runs[0]
+        runs.append((key, ends[0], ends[1] + 1))
+    return _merge_runs(*runs)
 
 
 def _merge_runs(*parts):
