@@ -15,7 +15,7 @@ at (h/4)^2 and callers probing divergence pass deeper windows explicitly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -72,14 +72,13 @@ class AtomCertificate:
     n_points: int
     t_window: tuple
     nodes_per_decade: int
-    extras: dict = field(default_factory=dict)
 
     @property
     def all_pass(self) -> bool:
         return all(self.passes.values())
 
     def to_dict(self) -> dict:
-        out = {
+        return {
             "beta": self.beta,
             "cube_corner": list(self.cube_corner),
             "cube_side": self.cube_side,
@@ -100,8 +99,6 @@ class AtomCertificate:
                          "nodes_per_decade": self.nodes_per_decade,
                          "rule": "default(support+midpoints+4Q+far)"},
         }
-        out.update({k: v for k, v in self.extras.items()})
-        return out
 
 
 def frostman_series_value(c1: float, beta: float, d: int) -> float:

@@ -181,25 +181,23 @@ def cmd_potential_besov(args) -> int:
 
 
 def cmd_maximal(args) -> int:
+    # the truncated and anti-local variants: the sup over cubes of side at
+    # least --truncation, or over scales above --rho
+    bounds = {k: v for k, v in vars(args).items() if k in ("truncation", "rho")}
+    for name, value in bounds.items():
+        if not 0 < value < math.inf:
+            _fail(f"--{name} {value} must be positive and finite")
     mu = io.load_measure(args.measure)
     out = _outdir(args)
     pts = mu.points()
     if args.variant in ("dyadic", "truncated"):
-        lat = measures.unit_lattice(mu.d)
-        if args.variant == "truncated":
-            fld = maximal.truncated_dyadic_maximal(mu, lat, args.gamma,
-                                                   args.truncation, pts,
-                                                   args.k_min, args.k_max)
-        else:
-            fld = maximal.dyadic_maximal(mu, lat, args.gamma, pts,
-                                         args.k_min, args.k_max)
+        fld = maximal.dyadic_maximal(mu, measures.unit_lattice(mu.d), args.gamma, pts,
+                                     args.k_min, args.k_max,
+                                     min_side=bounds.get("truncation"))
     else:
         fam = maximal.standard_family(mu.d)
         tg = heat.TGrid.for_measure(mu, nodes_per_decade=args.npd)
-        if args.variant == "antilocal":
-            fld = maximal.anti_local_maximal(mu, fam, args.gamma, args.rho, pts, tg)
-        else:
-            fld = maximal.grand_maximal(mu, fam, args.gamma, pts, tg)
+        fld = maximal.grand_maximal(mu, fam, args.gamma, pts, tg, s_min=bounds.get("rho"))
     io.save_maximal_field(fld, os.path.join(out, f"maximal_{args.variant}.csv"))
     _report(args, f"maximal_{args.variant}",
             {"max_value": float(np.max(fld.values)), "n_points": len(pts),

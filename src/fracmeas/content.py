@@ -277,8 +277,8 @@ def rasterize_balls(F: BallFamily, lattice: DyadicLattice, level: int) -> CubeUn
     by row in each ball's index box (``measures._row_runs``)."""
     side = lattice.side(level)
     radii = F.radii[:, None]
-    lo = np.floor((F.centers - radii - lattice.corner) / side).astype(np.int64)
-    hi = np.floor((F.centers + radii - lattice.corner) / side).astype(np.int64)
+    lo = lattice.index_of(F.centers - radii, level)
+    hi = lattice.index_of(F.centers + radii, level)
     idx = _run_cells(*_row_runs(F.centers, F.radii, lattice.corner, side, side, lo, hi))
     # distinct cells of one level are already a reduced union
     return CubeUnion(lattice=lattice, levels=np.full(len(idx), level, dtype=np.int64),
@@ -380,7 +380,8 @@ def _witnesses(F: BallFamily, lattice: DyadicLattice, levels, indices) -> np.nda
         pending = np.flatnonzero(witness < 0)
         if len(pending) == 0:
             break
-        side = lattice.side(int(levels[b0]))
+        level = int(levels[b0])
+        side = lattice.side(level)
         ix = indices[b0:b1]
 
         def corners_of(pos):
@@ -395,8 +396,8 @@ def _witnesses(F: BallFamily, lattice: DyadicLattice, levels, indices) -> np.nda
         strides = np.array([math.prod(spans[a + 1:]) for a in range(d)], dtype=np.int64)
         keys = (ix - mn) @ strides
         c, r = F.centers[pending], F.radii[pending, None]
-        lo = np.maximum(np.floor((c - r - lattice.corner) / side).astype(np.int64) - 1, mn)
-        hi = np.minimum(np.floor((c + r - lattice.corner) / side).astype(np.int64) + 1, mx)
+        lo = np.maximum(lattice.index_of(c - r, level) - 1, mn)
+        hi = np.minimum(lattice.index_of(c + r, level) + 1, mx)
         head_spans = hi[:, :-1] - lo[:, :-1] + 1
         n_rows = np.where(np.all(lo <= hi, axis=1), np.prod(head_spans, axis=1), 0)
         done = np.zeros(len(pending), dtype=np.int64)

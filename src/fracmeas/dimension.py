@@ -33,9 +33,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .atoms import AtomicDecomposition
-from .content import CubeUnion, _level_set_contents, choquet_integral
+from .content import _level_set_contents, choquet_integral
 from .heat import TGrid
-from .maximal import grand_maximal, standard_family, truncated_dyadic_maximal
+from .maximal import dyadic_maximal, grand_maximal, standard_family
 from .measures import (Cube, DyadicLattice, GridMeasure, _cube_sums, _match_rows,
                        lattice_points, measure_sum)
 
@@ -61,7 +61,6 @@ class _CaptureTree(NamedTuple):
     and the place past its subtree) as Python scalars."""
 
     lv: np.ndarray
-    ix: np.ndarray
     mass: np.ndarray
     lo: int
     pos: np.ndarray
@@ -94,7 +93,7 @@ def _capture_tree(occ) -> _CaptureTree:
     pos = np.argsort(np.lexsort(anc.T[::-1]))
     end = pos + np.bincount(anc[anc >= 0], minlength=n)
     nodes = list(zip(mass.tolist(), (lv - lo).tolist(), pos.tolist(), end.tolist()))
-    return _CaptureTree(lv, ix, mass, lo, pos, pos[anc], nodes)
+    return _CaptureTree(lv, mass, lo, pos, pos[anc], nodes)
 
 
 def _capture_tables(tree: _CaptureTree, lattice: DyadicLattice, beta: float):
@@ -138,31 +137,6 @@ def _capture_scan(tables, delta: float):
                 live[tree.up[i, :j]] = False     # its ancestors
         start, width = stop, 2 * width
     return picked, captured, spent
-
-
-def greedy_mass_capture(mu: GridMeasure, lattice: DyadicLattice, beta: float,
-                        delta: float, max_level: int, min_level: int = 0,
-                        candidates=None):
-    """Greedy budgeted capture of |mu| mass by disjoint dyadic cubes.
-
-    Candidates are the occupied cubes at levels min_level..max_level
-    (``candidates`` may pass them in, as ``{level: (indices, masses)}``;
-    every parent of a candidate above the coarsest level must be one too).
-    They are scanned in decreasing density |mu|(Q)/l(Q)^beta, ties broken by
-    level and then lexicographically by index; a cube is taken when it fits
-    the remaining budget and neither contains nor is contained in a selected
-    cube.  Returns the selected cubes, the captured mass, and the budget
-    actually spent.
-    """
-    if delta <= 0:
-        raise ValueError("budget must be positive")
-    if mu.n_masses == 0:
-        return CubeUnion.build(lattice, [], np.zeros((0, lattice.d))), 0.0, 0.0
-    occ = candidates if candidates is not None else \
-        _occupied_cubes(mu, lattice, min_level, max_level)
-    tree = _capture_tree(occ)
-    picked, captured, spent = _capture_scan(_capture_tables(tree, lattice, beta), delta)
-    return CubeUnion.build(lattice, tree.lv[picked], tree.ix[picked]), captured, spent
 
 
 @dataclass(frozen=True)
@@ -279,8 +253,8 @@ def choquet_maximal_test(mu: GridMeasure, lattice: DyadicLattice, beta: float,
     counts = [int(round(domain.side / side))] * d
     cells = lattice_points([n0[a] + np.arange(counts[a]) for a in range(d)])
     centers = lattice.corner[None, :] + (cells + 0.5) * side
-    fld = truncated_dyadic_maximal(mu, lattice, d - beta, truncation,
-                                   centers, 0, k_trunc)
+    fld = dyadic_maximal(mu, lattice, d - beta, centers, 0, k_trunc,
+                         min_side=truncation)
     return choquet_integral(cells, fld.values, lattice, k_trunc, beta,
                             domain=domain)
 

@@ -86,11 +86,8 @@ def heat_field(mu: GridMeasure, tgrid: TGrid, points) -> HeatField:
 class SupField:
     """Per-point sup over t of t^{gamma/2} |e^{t Delta} mu| with argmax times."""
 
-    points: np.ndarray
     values: np.ndarray
     t_at: np.ndarray
-    gamma: float
-    tgrid: TGrid
 
 
 def _golden_refine(mu, pts, gamma, t_lo, t_hi):
@@ -142,8 +139,7 @@ def heat_sup_field(mu: GridMeasure, gamma: float, points, tgrid: TGrid,
     pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
     if mu.n_masses == 0:
         z = np.zeros(len(pts))
-        return SupField(points=pts, values=z, t_at=np.full(len(pts), tgrid.t_min),
-                        gamma=gamma, tgrid=tgrid)
+        return SupField(values=z, t_at=np.full(len(pts), tgrid.t_min))
     field = _kernels.heat_values(pts, mu.points(), mu.weights, tgrid.nodes)
     weighted = tgrid.nodes[None, :] ** (gamma / 2.0) * np.abs(field)
     j = np.argmax(weighted, axis=1)
@@ -156,7 +152,7 @@ def heat_sup_field(mu: GridMeasure, gamma: float, points, tgrid: TGrid,
         better = v_ref > vals
         vals = np.where(better, v_ref, vals)
         t_at = np.where(better, t_ref, t_at)
-    return SupField(points=pts, values=vals, t_at=t_at, gamma=gamma, tgrid=tgrid)
+    return SupField(values=vals, t_at=t_at)
 
 
 def mass_quadrature_grid(mu: GridMeasure, t: float):

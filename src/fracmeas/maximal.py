@@ -1,30 +1,27 @@
-"""Dyadic, truncated, grand, and anti-local fractional maximal functions;
-smoothed frequency projectors.
+"""Dyadic and grand fractional maximal functions, with their truncated and
+anti-local variants; smoothed frequency projectors.
 
 Convention note: atoms are stated in heat time t (spatial scale sqrt(t)); the
 grand maximal function here sups ``s^gamma |mu * Phi_s|`` over the dilation
 parameter ``s = sqrt(t)`` for t in the supplied TGrid, and over the profile
 family.  Every report produced from these fields carries that translation.
 The supremum is taken over scales as well as profiles (the anti-local
-variant restricts it to s > rho).
+variant restricts it to s > rho, the truncated dyadic one to cubes of side
+at least the truncation length).
 
 ``scipy.fft`` and ``scipy.interpolate`` load on first use, inside
 ``_full_convolution`` and ``Profile.kernel_values``.  Only the frequency
 projectors (``lp_lowpass``, ``lp_band``) reach them.
 Imported with this module, they and what they pull in (``scipy.optimize``,
 ``scipy.linalg``, ``scipy.sparse``) would cost every process, ``fracmeas
-verify`` included, about 0.3 s and 27 MB of start-up.  ``scipy.special``
-likewise loads only in the d=2 branches of ``Profile.hat`` and
-``_quadrature_table`` (the definition of the plateau tables shipped in
-``radial_tables.npz``), which need its Bessel function J0; no ``fracmeas
-verify`` target calls either.
+verify`` included, about 0.3 s and 27 MB of start-up.
 """
 
 from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -34,108 +31,21 @@ from .heat import TGrid
 from .measures import DyadicLattice, GridMeasure, SampledField, _cube_sums, _match_rows
 
 
-# ---------------------------------------------------------------------------
-# smooth plateau symbols (Fourier side)
-# ---------------------------------------------------------------------------
-
-def _smoothstep(u):
-    u = np.clip(u, 0.0, 1.0)
-    return u ** 3 * (6.0 * u ** 2 - 15.0 * u + 10.0)
-
-
-def lowpass_symbol(r):
-    """Radial symbol of the low-pass profile: 1 on r<=1/2, 0 on r>=1.
-
-    The bridge is a C^2 quintic smoothstep, so the physical-space kernel has
-    a clean r^-4 power tail that log-log fits can certify (an infinitely
-    smooth bridge decays faster but visibly curved over any fit window).
-    """
-    r = np.abs(np.asarray(r, dtype=np.float64))
-    return 1.0 - _smoothstep((r - 0.5) * 2.0)
-
-
-def band_symbol(r):
-    """Radial symbol equal to 1 on [1/4, 1], supported in [1/8, 2].
-
-    The plateau covers the full support (1/4, 1) of the band difference
-    ``lowpass(u) - lowpass(2u)``, which makes the composition identity
-    band-then-tilde == band exact on the Fourier side.
-    """
-    r = np.abs(np.asarray(r, dtype=np.float64))
-    up = _smoothstep((r - 0.125) * 8.0)
-    down = 1.0 - _smoothstep(r - 1.0)
-    return up * down
-
-
-def _simpson_weights(n):
-    if n % 2 == 0:
-        raise ValueError("Simpson needs an odd node count")
-    w = np.ones(n)
-    w[1:-1:2] = 4.0
-    w[2:-1:2] = 2.0
-    return w / 3.0
-
-
 # table step per dimension; the radii of every table are arange(n) * step
 _TABLE_STEP = {1: 1.0 / 256.0, 2: 1.0 / 64.0}
 _TABLES_PATH = os.path.join(os.path.dirname(__file__), "radial_tables.npz")
-
-
-def _quadrature_table(symbol_name: str, d: int):
-    """Physical-space radial table of a Fourier-side plateau symbol.
-
-    The definition of the tables that ``_radial_table`` reads from the
-    package.  d=1 uses an FFT-evaluated cosine transform on a dense grid
-    (table step 1/256 out to radius 96, absolute accuracy ~1e-10); d=2 uses a
-    direct Hankel (J0) quadrature on a lighter grid (step 1/64 out to radius
-    32).  Both d=1 tables together take about 0.8 s and 200 MB of memory,
-    both d=2 tables about 1.5 s.
-    """
-    symbol = {"low": lowpass_symbol, "band": band_symbol}[symbol_name]
-    r_sup = 1.0 if symbol_name == "low" else 2.0
-    if d == 1:
-        dx = _TABLE_STEP[1]
-        r_tab = 96.0
-        n_fft = 2 ** 23
-        dr = 1.0 / (n_fft * dx)
-        i_sup = int(round(r_sup / dr))
-        if i_sup % 2 == 1:
-            i_sup += 1
-        nodes = np.arange(i_sup + 1) * dr
-        vec = np.zeros(n_fft)
-        vec[: i_sup + 1] = _simpson_weights(i_sup + 1) * symbol(nodes) * dr
-        spec = np.fft.rfft(vec)
-        n_out = int(round(r_tab / dx)) + 1
-        table = 2.0 * np.real(spec[:n_out])
-        return np.arange(n_out) * dx, table
-    if d == 2:
-        from scipy.special import j0
-
-        dx = _TABLE_STEP[2]
-        r_tab = 32.0
-        n_quad = 8193
-        nodes = np.linspace(0.0, r_sup, n_quad)
-        wq = _simpson_weights(n_quad) * (r_sup / (n_quad - 1))
-        fq = symbol(nodes) * nodes * wq
-        radii = np.arange(int(round(r_tab / dx)) + 1) * dx
-        table = np.empty(len(radii))
-        chunk = 256
-        for s in range(0, len(radii), chunk):
-            e = min(len(radii), s + chunk)
-            table[s:e] = 2.0 * np.pi * (j0(2.0 * np.pi * np.outer(radii[s:e], nodes)) @ fq)
-        return radii, table
-    raise ValueError("radial tables implemented for d in {1, 2}")
 
 
 @lru_cache(maxsize=8)
 def _radial_table(symbol_name: str, d: int):
     """``(radii, table)`` of a plateau symbol, read from the package.
 
-    ``radial_tables.npz`` holds the float64 tables of ``_quadrature_table``,
-    keyed ``"<symbol_name>_d<d>"``: reading one takes milliseconds, computing
-    it up to a second (and, for d=1, about 200 MB).  The tier-1 test
-    ``test_maximal.py::test_shipped_tables_match_quadrature`` checks the file
-    against ``_quadrature_table`` bit for bit; its failure message gives the
+    ``radial_tables.npz`` holds the float64 tables of the Fourier-side
+    plateau symbols, keyed ``"<symbol_name>_d<d>"``: reading one takes
+    milliseconds, computing it up to a second (and, for d=1, about 200 MB).
+    Their definition is ``quadrature_table`` in ``tests/fourier.py``; the
+    tier-1 test ``test_maximal.py::test_shipped_tables_match_quadrature``
+    checks the file against it bit for bit, and its failure message gives the
     command that rewrites the file.
     """
     if d not in _TABLE_STEP:
@@ -163,7 +73,7 @@ def _bump_mass(d):
 
 @dataclass(frozen=True)
 class Profile:
-    """One radial test profile with a normalized seminorm budget."""
+    """One radial test profile, by its values in physical space."""
 
     name: str
     d: int
@@ -173,8 +83,6 @@ class Profile:
     support_radius: float
     table: np.ndarray | None
     table_dr: float
-    seminorm_budget: float
-    meta: dict = field(default_factory=dict)
 
     def values(self, r):
         """Profile value at radial distance r (linear table interpolation).
@@ -219,26 +127,6 @@ class Profile:
         out = np.where(r <= grid[-1], spl(np.minimum(r, grid[-1])), 0.0)
         return out
 
-    def hat(self, rho):
-        """Fourier transform at radial frequency rho (convention e^{2 pi i x.xi})."""
-        rho = np.abs(np.asarray(rho, dtype=np.float64))
-        if self.name.startswith("gauss"):
-            return self.amp * (4.0 * math.pi) ** (self.d / 2.0) * np.exp(-4.0 * math.pi ** 2 * rho ** 2)
-        if self.name.startswith("xi_low"):
-            return lowpass_symbol(rho) * self.meta.get("norm_factor", 1.0)
-        if self.name.startswith("xi_band"):
-            return band_symbol(rho) * self.meta.get("norm_factor", 1.0)
-        # compactly supported bumps: direct radial quadrature
-        n = 8193
-        r = np.linspace(0.0, self.support_radius, n)
-        w = _simpson_weights(n) * (self.support_radius / (n - 1))
-        fr = self.values(r) * w
-        if self.d == 1:
-            return 2.0 * (np.cos(2.0 * np.pi * np.outer(rho, r)) @ fr)
-        from scipy.special import j0
-
-        return 2.0 * np.pi * (j0(2.0 * np.pi * np.outer(rho, r)) @ (fr * r))
-
 
 def _axis_seminorm(profile_vals, dx, nu_der, nu_wt, x):
     """max over derivative orders <= nu_der of sup (1+|x|)^nu_wt |g^(j)|."""
@@ -262,8 +150,7 @@ def standard_family(d: int, normalize: bool = True):
     gauss (heat kernel at t=1), the compactly supported mollifier bump, its
     4pi-rescaled copy whose Fourier transform is >= 1 on the unit ball, and
     the low-pass / band plateau profiles.  With ``normalize`` each profile is
-    divided by its measured axis-section seminorm budget, so recorded budgets
-    are 1; the raw budget stays in ``meta``.
+    divided by its measured axis-section seminorm budget, so each has budget 1.
     """
     profiles = []
     c_bump = 1.0 / _bump_mass(d)
@@ -279,25 +166,17 @@ def standard_family(d: int, normalize: bool = True):
                       float(radii[-1]), table, float(radii[1] - radii[0])))
     for name, kind, amp, ascale, sup, table, dr in specs:
         prof = Profile(name=name, d=d, kind=kind, amp=amp, arg_scale=ascale,
-                       support_radius=sup, table=table, table_dr=dr,
-                       seminorm_budget=1.0, meta={})
+                       support_radius=sup, table=table, table_dr=dr)
         span = min(sup, 16.0)
         x = np.arange(-span, span + 1e-12, min(dr, 1.0 / 512.0) if table is not None else
                       min(span / 4096.0, 1.0 / 512.0))
         raw = _axis_seminorm(prof.values(np.abs(x)), float(x[1] - x[0]),
                              _NU_DER, _NU_WT, x)
         factor = 1.0 / raw if (normalize and raw > 0) else 1.0
-        meta = {"raw_seminorm": raw, "norm_factor": factor,
-                "nu_der": _NU_DER, "nu_wt": _NU_WT,
-                "fourier_support": {"low": (0.0, 1.0), "band": (0.125, 2.0)}.get(
-                    name[3:], None) if name.startswith("xi_") else None,
-                "compact_support": kind != "gauss",
-                "tail_power": 4 if table is not None else None}
         profiles.append(Profile(
             name=name, d=d, kind=kind, amp=amp * factor, arg_scale=ascale,
             support_radius=sup,
-            table=None if table is None else table * factor, table_dr=dr,
-            seminorm_budget=1.0 if normalize else raw, meta=meta))
+            table=None if table is None else table * factor, table_dr=dr))
     return TestFamily(profiles=tuple(profiles), d=d)
 
 
@@ -325,14 +204,16 @@ class MaximalField:
     values: np.ndarray
     att_profile: np.ndarray      # profile name (or level, for dyadic variants)
     att_scale: np.ndarray        # dilation s (or cube side)
-    gamma: float
-    truncation: float | None = None
     convention: str = "dilation s = sqrt(heat t); sup over profiles and s"
 
 
 def grand_maximal(mu: GridMeasure, family: TestFamily, gamma: float, points,
                   tgrid: TGrid, s_min: float | None = None) -> MaximalField:
-    """sup over profiles and scales of s^gamma |mu * Phi_s(x)|."""
+    """sup over profiles and scales of s^gamma |mu * Phi_s(x)|.
+
+    ``s_min`` keeps the scales s > s_min (the anti-local variant), or the
+    scale just above it when no node of ``tgrid`` is above it.
+    """
     if not (0 <= gamma):
         raise ValueError("gamma must be nonnegative")
     pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
@@ -356,16 +237,7 @@ def grand_maximal(mu: GridMeasure, family: TestFamily, gamma: float, points,
         best_s = np.where(better, svals[j], best_s)
         best_p = np.where(better, prof.name, best_p)
     return MaximalField(points=pts, values=best, att_profile=best_p.astype(str),
-                        att_scale=best_s, gamma=gamma,
-                        truncation=s_min)
-
-
-def anti_local_maximal(mu: GridMeasure, family: TestFamily, alpha: float,
-                       rho: float, points, tgrid: TGrid) -> MaximalField:
-    """Grand maximal restricted to dilation scales s > rho."""
-    if rho <= 0:
-        raise ValueError("rho must be positive")
-    return grand_maximal(mu, family, alpha, points, tgrid, s_min=rho)
+                        att_scale=best_s)
 
 
 def dyadic_maximal(mu: GridMeasure, lattice: DyadicLattice, gamma: float,
@@ -376,6 +248,8 @@ def dyadic_maximal(mu: GridMeasure, lattice: DyadicLattice, gamma: float,
     Levels run k_min..k_max; ``min_side`` drops levels with l(Q) < min_side
     (the truncated variant).  Attainment stores the optimal cube side.
     """
+    if not (0 <= gamma):
+        raise ValueError("gamma must be nonnegative")
     if k_min > k_max:
         raise ValueError("k_min must not exceed k_max")
     pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
@@ -397,18 +271,8 @@ def dyadic_maximal(mu: GridMeasure, lattice: DyadicLattice, gamma: float,
         att_side = np.where(better, side, att_side)
     return MaximalField(points=pts, values=out,
                         att_profile=np.full(len(pts), "dyadic"),
-                        att_scale=att_side, gamma=gamma,
-                        truncation=min_side,
+                        att_scale=att_side,
                         convention="dyadic cubes; attainment stores l(Q)")
-
-
-def truncated_dyadic_maximal(mu: GridMeasure, lattice: DyadicLattice, gamma: float,
-                             truncation: float, points, k_min: int, k_max: int) -> MaximalField:
-    """Dyadic maximal over cubes with l(Q) >= truncation."""
-    if truncation <= 0:
-        raise ValueError("truncation length must be positive")
-    return dyadic_maximal(mu, lattice, gamma, points, k_min, k_max,
-                          min_side=truncation)
 
 
 # ---------------------------------------------------------------------------
@@ -478,7 +342,7 @@ def _lowpass_raw(mu: GridMeasure, k: int, profile: Profile):
     ker = _projector_kernel(profile, k, h, mu.d)
     vals = _full_convolution(dense, ker)
     n = (ker.shape[0] - 1) // 2
-    return SampledField(origin=origin - n * h, spacing=h, values=vals, k=k)
+    return SampledField(origin=origin - n * h, spacing=h, values=vals)
 
 
 def lp_lowpass(mu: GridMeasure, k: int) -> SampledField:
@@ -506,5 +370,5 @@ def _field_sub(a: SampledField, b: SampledField) -> SampledField:
     sl_b = tuple(slice(o - l, o - l + s) for o, l, s in zip(off, lo, b_shape))
     out[sl_a] += a.values
     out[sl_b] -= b.values
-    return SampledField(origin=a.origin + lo * h, spacing=h, values=out, k=a.k)
+    return SampledField(origin=a.origin + lo * h, spacing=h, values=out)
 

@@ -174,13 +174,11 @@ def _run_cells(key, first, end):
 @dataclass(frozen=True)
 class SampledField:
     """Values of a function on a regular grid: ``values[i]`` sits at
-    ``origin + i * spacing``.  ``k`` is the frequency level of a projector
-    output and None for other fields."""
+    ``origin + i * spacing``."""
 
     origin: np.ndarray
     spacing: float
     values: np.ndarray
-    k: int | None = None
 
     @property
     def d(self) -> int:
@@ -441,9 +439,17 @@ class DyadicLattice:
         return self.l0 * 2.0 ** (-level)
 
     def index_of(self, pts, level: int) -> np.ndarray:
-        """Integer lattice index of the level-k cube containing each point."""
-        pts = np.atleast_2d(pts)
-        return np.floor((pts - self.corner[None, :]) / self.side(level)).astype(np.int64)
+        """Integer lattice index of the level-k cube containing each point.
+
+        Raises ``ValueError`` when an index does not fit in int64 (a point
+        too far from the corner for the level, or not finite), where the
+        cast would wrap it without an error.
+        """
+        idx = np.floor((np.atleast_2d(pts) - self.corner[None, :]) / self.side(level))
+        if not np.all((idx >= -2.0 ** 63) & (idx < 2.0 ** 63)):
+            raise ValueError(f"cube indices at level {level} do not fit in int64 "
+                             "(a point too far from the lattice corner, or not finite)")
+        return idx.astype(np.int64)
 
 
 def unit_lattice(d: int) -> DyadicLattice:
@@ -530,14 +536,11 @@ class FrostmanCertificate:
     """Sampled growth bound ``|mu|(B(x,r)) <= C r^beta``.
 
     ``constant`` is the max sampled ratio, hence a lower bound for the true
-    supremum; the probed radii are recorded with the worst ball.
+    supremum; ``radii`` is the probed radius grid.
     """
 
-    exponent: float
     constant: float
     radii: np.ndarray
-    worst_center: np.ndarray
-    worst_radius: float
 
 
 def _probe_centers(mu: GridMeasure) -> np.ndarray:
@@ -566,8 +569,7 @@ def frostman_constant(mu: GridMeasure, beta: float, radii) -> FrostmanCertificat
     if len(radii) == 0:
         raise ValueError("radius grid must be nonempty")
     if mu.n_masses == 0:
-        return FrostmanCertificate(exponent=beta, constant=0.0, radii=radii,
-                                   worst_center=np.zeros(mu.d), worst_radius=0.0)
+        return FrostmanCertificate(constant=0.0, radii=radii)
     r_lo, r_hi = float(np.min(radii)), float(np.max(radii))
     pts = mu.points()
     absw = np.abs(mu.weights)
@@ -576,7 +578,7 @@ def frostman_constant(mu: GridMeasure, beta: float, radii) -> FrostmanCertificat
     by_size = np.argsort(radii, kind="stable")
     r_sorted = radii[by_size]
     grid_scale = np.power(radii, beta)
-    best = (0.0, centers[0], r_lo)
+    best = 0.0
     for s, e, d2 in pairwise_sq_dists(centers, pts, max(1, 2_000_000 // len(pts))):
         dist = np.sqrt(d2, out=d2)
         order = np.argsort(dist, axis=1)
@@ -602,17 +604,11 @@ def frostman_constant(mu: GridMeasure, beta: float, radii) -> FrostmanCertificat
         ratios = np.power(np.maximum(dsort, r_lo), beta)
         np.divide(csum, ratios, out=ratios)
         ratios[~(dsort <= r_hi)] = 0.0
-        # each row's first maximum, critical radii first, then the first
-        # row whose maximum beats the best so far (NaN never does)
-        jc, jg = np.argmax(ratios, axis=1), np.argmax(ratios_g, axis=1)
-        cand = np.column_stack([ratios[at, jc], ratios_g[at, jg]]).ravel()
-        q = int(np.argmax(np.where(np.isnan(cand), -np.inf, cand)))
-        if cand[q] > best[0]:
-            i, grid = divmod(q, 2)
-            r = float(radii[jg[i]]) if grid else max(float(dsort[i, jc[i]]), r_lo)
-            best = (float(cand[q]), centers[s + i], r)
-    return FrostmanCertificate(exponent=beta, constant=best[0], radii=radii,
-                               worst_center=best[1], worst_radius=best[2])
+        # each row's maximum, NaN for a row that holds one: such a row never
+        # beats the best so far
+        rows = np.concatenate([ratios.max(axis=1), ratios_g.max(axis=1)])
+        best = max(best, float(np.max(rows, initial=0.0, where=~np.isnan(rows))))
+    return FrostmanCertificate(constant=best, radii=radii)
 
 
 def default_radius_grid(mu: GridMeasure, r_min: float):

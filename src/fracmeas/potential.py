@@ -23,7 +23,7 @@ ds``); an indicator of volume V has norm ``p V^{1/p}``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -99,7 +99,6 @@ class RieszHeatResult:
     values: np.ndarray
     quad_error_est: float
     flagged: bool
-    t_window: tuple
 
 
 def _log_trapezoid_weights(nodes):
@@ -126,7 +125,7 @@ def riesz_heat(cfg: RieszConfig, mu: GridMeasure, points) -> RieszHeatResult:
     pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
     if mu.n_masses == 0:
         return RieszHeatResult(values=np.zeros(len(pts)), quad_error_est=0.0,
-                               flagged=False, t_window=(0.0, 0.0))
+                               flagged=False)
     y = mu.points()
     dists = np.empty((len(pts), len(y)))
     for s, e, d2 in _kernels.pairwise_sq_dists(pts, y, 4096):
@@ -164,9 +163,7 @@ def riesz_heat(cfg: RieszConfig, mu: GridMeasure, points) -> RieszHeatResult:
     finite = np.isfinite(values) & (np.abs(values) > 0)
     err = float(np.max(np.abs(main[finite] - half[finite])
                        / np.abs(values[finite]))) if np.any(finite) else 0.0
-    return RieszHeatResult(values=values, quad_error_est=err,
-                           flagged=err > 1e-4,
-                           t_window=(tgrid.t_min, tgrid.t_max))
+    return RieszHeatResult(values=values, quad_error_est=err, flagged=err > 1e-4)
 
 
 # ---------------------------------------------------------------------------
@@ -205,8 +202,6 @@ class BesovResult:
     tail_estimate: float
     p: float
     split_t: float
-    t_window: tuple
-    n_nodes: int
     flagged: bool
 
 
@@ -309,9 +304,7 @@ def heat_besov_functional(cand, alpha: float) -> BesovResult:
         tail = 0.0
     flagged = not math.isfinite(tail) or not np.all(np.isfinite(g))
     return BesovResult(total=below + above, below_split=below, above_split=above,
-                       tail_estimate=tail, p=p, split_t=split,
-                       t_window=(tgrid.t_min, tgrid.t_max),
-                       n_nodes=len(tgrid.nodes), flagged=flagged)
+                       tail_estimate=tail, p=p, split_t=split, flagged=flagged)
 
 
 # ---------------------------------------------------------------------------

@@ -110,17 +110,22 @@ def _check_scales(n_scales: int):
         raise ValueError("n_scales must be >= 2: one scale leaves nothing to compare")
 
 
+def _dilated_atom(cand: atoms.AtomCandidate, s: float) -> atoms.AtomCandidate:
+    """The atom dilated by s about its cube's corner, mass-preserving."""
+    origin = cand.cube.corner
+    return atoms.AtomCandidate(
+        measure=cand.measure.dilated(s, origin).translated(origin),
+        cube=Cube(corner=origin, side=cand.side * s), beta=cand.beta)
+
+
 def _scaled_pair(cand: atoms.AtomCandidate, nu: measures.GridMeasure,
                  growth_exp: float, s: float):
     """Jointly rescaled (atom, trace measure) with the growth constant of nu
     held fixed: the dilation is mass-preserving on the atom and renormalized
     by s^growth_exp on nu."""
     origin = cand.cube.corner
-    a_s = atoms.AtomCandidate(
-        measure=cand.measure.dilated(s, origin).translated(origin),
-        cube=Cube(corner=origin, side=cand.side * s), beta=cand.beta)
     nu_s = nu.dilated(s, origin).translated(origin).scaled(s ** growth_exp)
-    return a_s, nu_s
+    return _dilated_atom(cand, s), nu_s
 
 
 # ---------------------------------------------------------------------------
@@ -132,13 +137,7 @@ def verify_thm13(alpha: float = 0.5, n_scales: int = 5, depth: int = 8) -> Verif
     and finiteness with bounded spread across atom kinds."""
     _check_scales(n_scales)
     cand, _ = atoms.make_frostman_atom(depth=depth)
-    dilates = [cand]
-    for j in range(1, n_scales):
-        s = 2.0 ** (-j)
-        dilates.append(atoms.AtomCandidate(
-            measure=cand.measure.dilated(s, cand.cube.corner).translated(cand.cube.corner),
-            cube=Cube(corner=cand.cube.corner, side=cand.side * s),
-            beta=cand.beta))
+    dilates = [cand] + [_dilated_atom(cand, 2.0 ** (-j)) for j in range(1, n_scales)]
     linf = atoms.make_linf_atom(1, 6)
     loop, _ = atoms.make_loop_atom(square_loop(16), 0, h=1.0 / 32.0)
     # the loop atom goes first: it is the longest case

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fracmeas import content, heat, io, verify
+from fracmeas import atoms, content, heat, io, verify
 from fracmeas.cli import build_parser, main
 from fracmeas.measures import cantor_measure, new_grid_measure, unit_lattice
 
@@ -150,6 +150,18 @@ def test_out_of_range_input_exit_2(tmp_path, capsys, argv):
     # a cube side whose square overflows (an OverflowError traceback)
     ("atom check --beta 0.5 --cube-side 1e200", "--cube-side"),
     ("potential besov --alpha 0.5 --beta 0.5 --cube-side 1e200", "--cube-side"),
+    # a NaN truncation ran to exit 0 with the untruncated field, a NaN rho
+    # exited 2 on a kernel overflow, and the dyadic variants took any gamma
+    ("maximal truncated --gamma 0.3 --truncation nan", "--truncation"),
+    ("maximal truncated --gamma 0.3 --truncation 0", "--truncation"),
+    ("maximal truncated --gamma 0.3 --truncation inf", "--truncation"),
+    ("maximal antilocal --gamma 0.3 --rho nan", "--rho"),
+    ("maximal antilocal --gamma 0.3 --rho -1", "--rho"),
+    ("maximal antilocal --gamma 0.3 --rho inf", "--rho"),
+    ("maximal dyadic --gamma nan", "gamma must be nonnegative"),
+    ("maximal dyadic --gamma -1", "gamma must be nonnegative"),
+    ("maximal truncated --gamma nan --truncation 0.25", "gamma must be nonnegative"),
+    ("maximal truncated --gamma -1 --truncation 0.25", "gamma must be nonnegative"),
 ])
 def test_out_of_range_input_names_its_check(tmp_path, capsys, argv, named):
     # each used to exit 0 on a two-node time grid, die in a numpy or float
@@ -514,8 +526,8 @@ _COLD_START = textwrap.dedent("""
 def test_cold_start_loads_no_projector_modules(tmp_path):
     # importing the CLI and reading the plateau tables loads no scipy at all,
     # nor the verify targets' thread pool (concurrent.futures);
-    # scipy.special serves only riesz_heat's incomplete gammas and the d=2
-    # Bessel quadrature (Gamma is the package's own), and scipy.fft and
+    # scipy.special serves only riesz_heat's incomplete gammas (Gamma is the
+    # package's own), and scipy.fft and
     # scipy.interpolate (and, through them, scipy.optimize, linalg and
     # sparse) only the frequency projectors, so a verify run (thm14's Riesz
     # constants included) and `content value` / `cover` must load no scipy
@@ -749,6 +761,28 @@ def test_choquet_mixed_levels_exit_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert str(field) in err and "[3, 5]" in err
     assert not (tmp_path / "content_choquet.json").exists()
+
+
+@pytest.mark.parametrize("argv, level", [
+    # a +1/-1 pair at 0.3 and 0.7, whose wrapped indices read [0, 0] at level 70
+    ("maximal dyadic --measure {pair} --gamma 0 --k-min 70 --k-max 70", 70),
+    ("maximal dyadic --measure {pair} --gamma 0 --k-max 64", 64),
+    # radii 1e-20 and 0.1 raster at level 69: a content of 0.0, a lost ball
+    ("content value --balls {balls} --beta 2", 69),
+    ("content cover --balls {balls} --beta 0.5", 69),
+    # a depth-4 Cantor atom: a candidate without its parent at level 64
+    ("dim estimate --measure {atom} --depth 64", 64),
+])
+def test_cube_index_outside_int64_exit_2(tmp_path, capsys, argv, level):
+    pair, atom, balls = (str(tmp_path / n) for n in ("pair.csv", "atom.csv", "balls.csv"))
+    io.save_measure(new_grid_measure(1, 0.1, [0.0], [[3], [7]], [1.0, -1.0]), pair)
+    io.save_measure(atoms.make_frostman_atom(depth=4)[0].measure, atom)
+    io.write_csv(balls, ["c0", "c1", "r"], [[0.5, 0.5, 1e-20], [0.2, 0.3, 0.1]])
+    argv = argv.format(pair=pair, atom=atom, balls=balls).split()
+    assert run(["--out", str(tmp_path / "out"), *argv]) == 2
+    err = capsys.readouterr().err
+    assert re.fullmatch(r"fracmeas: [^\n]+\n", err)
+    assert f"cube indices at level {level} do not fit in int64" in err
 
 
 def test_measure_index_outside_int64_exit_2(tmp_path, capsys):

@@ -2,12 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from greedy import greedy_mass_capture
 
 from fracmeas import dimension
 from fracmeas.atoms import AtomCandidate, AtomicDecomposition, check_beta_atom, \
     make_frostman_atom
 from fracmeas.dimension import (atom_sum_dimension_check, choquet_maximal_test,
-                                greedy_mass_capture, lower_dim_estimate)
+                                lower_dim_estimate)
 from fracmeas.measures import (Cube, DyadicLattice, cantor_measure, dirac,
                                lebesgue_sample, measure_sum, new_grid_measure,
                                unit_lattice)

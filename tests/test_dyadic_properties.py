@@ -9,13 +9,13 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from greedy import greedy_mass_capture
 from hypothesis import given, strategies as st
 
 from fracmeas import content
 from fracmeas.content import (CubeUnion, choquet_integral, dyadic_content,
                               make_ball_family, rasterize_balls, regularized_cover)
-from fracmeas.dimension import (_occupied_cubes, greedy_mass_capture,
-                                lower_dim_estimate, maximal_level_sums)
+from fracmeas.dimension import _occupied_cubes, lower_dim_estimate, maximal_level_sums
 from fracmeas.measures import DyadicLattice, lattice_points, new_grid_measure, unit_lattice
 
 

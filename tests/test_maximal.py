@@ -4,15 +4,14 @@ import math
 import numpy as np
 import pytest
 from decay import decay_fit
+from fourier import band_symbol, bump_hat, lowpass_symbol, quadrature_table
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from fracmeas import atoms, maximal
 from fracmeas.heat import TGrid, heat_sup_field
-from fracmeas.maximal import (anti_local_maximal, band_symbol,
-                              dyadic_maximal, grand_maximal, lowpass_symbol,
-                              lp_band, lp_lowpass,
-                              standard_family, truncated_dyadic_maximal)
+from fracmeas.maximal import (dyadic_maximal, grand_maximal, lp_band, lp_lowpass,
+                              standard_family)
 from fracmeas.measures import (SampledField, cantor_measure, dirac, lebesgue_sample,
                                new_grid_measure, unit_lattice)
 
@@ -37,15 +36,20 @@ def test_family_profiles_present(warm):
     fam = standard_family(1)
     names = {p.name for p in fam.profiles}
     assert names == {"gauss", "rho", "psi", "xi_low", "xi_band"}
+    raw = standard_family(1, normalize=False)
+    r = np.linspace(0.0, 0.05, 6)
     for p in fam.profiles:
-        assert p.seminorm_budget == 1.0        # normalized
-        assert p.meta["raw_seminorm"] > 0
+        # normalized: the raw profile divided by its positive seminorm budget
+        ratio = p.values(r) / raw[p.name].values(r)
+        assert np.all(ratio > 0) and np.allclose(ratio, ratio[0], rtol=1e-12, atol=0)
 
 
-# run from the repository root to rewrite the shipped tables
+# run from the repository root to rewrite the shipped tables; their
+# definition is quadrature_table in tests/fourier.py
 _REWRITE_TABLES = (
-    "PYTHONPATH=src python -c \"import numpy as np; from fracmeas import maximal as m; "
-    "np.savez(m._TABLES_PATH, **{f'{s}_d{d}': m._quadrature_table(s, d)[1] "
+    "PYTHONPATH=src:tests python -c \"import numpy as np; from fracmeas import maximal as m; "
+    "from fourier import quadrature_table as q; "
+    "np.savez(m._TABLES_PATH, **{f'{s}_d{d}': q(s, d)[1] "
     "for s in ('low', 'band') for d in (1, 2)})\"")
 
 
@@ -53,24 +57,25 @@ _REWRITE_TABLES = (
 @pytest.mark.parametrize("name", ["low", "band"])
 def test_shipped_tables_match_quadrature(name, d):
     radii, table = maximal._radial_table(name, d)
-    q_radii, q_table = maximal._quadrature_table(name, d)
+    q_radii, q_table = quadrature_table(name, d)
     assert np.array_equal(radii.view(np.uint64), q_radii.view(np.uint64))
     assert table.dtype == np.float64 and table.shape == q_table.shape, _REWRITE_TABLES
     assert np.array_equal(table.view(np.uint64), q_table.view(np.uint64)), (
-        f"radial_tables.npz differs from _quadrature_table({name!r}, {d}); "
+        f"radial_tables.npz differs from quadrature_table({name!r}, {d}); "
         f"rewrite it with: {_REWRITE_TABLES}")
 
 
-def test_family_never_reaches_quadrature(monkeypatch):
-    def fail(*args):
-        raise AssertionError("standard_family computed a radial table")
-
-    monkeypatch.setattr(maximal, "_quadrature_table", fail)
+def test_family_never_reaches_quadrature():
+    # the package computes no table: each plateau profile is the shipped one
     maximal._radial_table.cache_clear()
     standard_family.cache_clear()
-    for d in (1, 2):
-        for normalize in (True, False):
-            assert len(standard_family(d, normalize=normalize).profiles) == 5
+    with np.load(maximal._TABLES_PATH) as shipped:
+        for d in (1, 2):
+            for normalize in (True, False):
+                assert len(standard_family(d, normalize=normalize).profiles) == 5
+            fam = standard_family(d, normalize=False)
+            for sym in ("low", "band"):
+                assert np.array_equal(fam[f"xi_{sym}"].table, shipped[f"{sym}_d{d}"])
     with pytest.raises(ValueError, match="d in"):
         maximal._radial_table("low", 3)
 
@@ -118,14 +123,14 @@ def test_gauss_profile_matches_dense_formula(d, normalize, r):
 def test_rho_integrates_to_one(warm):
     fam = standard_family(1, normalize=False)
     rho = fam["rho"]
-    assert rho.hat([0.0])[0] == pytest.approx(1.0, abs=1e-6)
+    assert bump_hat(rho, [0.0])[0] == pytest.approx(1.0, abs=1e-6)
 
 
 def test_rho_hat_lipschitz(warm):
     fam = standard_family(1, normalize=False)
     rho = fam["rho"]
     xis = np.linspace(0.0, 0.6, 25)
-    vals = rho.hat(xis)
+    vals = bump_hat(rho, xis)
     # |rho_hat(xi) - rho_hat(0)| <= 2 pi |xi| on samples
     assert np.all(np.abs(vals - vals[0]) <= 2 * np.pi * xis + 1e-9)
 
@@ -133,9 +138,9 @@ def test_rho_hat_lipschitz(warm):
 def test_psi_hat_lower_bound(warm):
     fam = standard_family(1, normalize=False)
     psi = fam["psi"]
-    assert psi.hat([0.0])[0] == pytest.approx(2.0, abs=1e-6)
+    assert bump_hat(psi, [0.0])[0] == pytest.approx(2.0, abs=1e-6)
     xis = np.linspace(0, 1, 33)
-    assert np.all(psi.hat(xis) >= 1.0)
+    assert np.all(bump_hat(psi, xis) >= 1.0)
 
 
 @pytest.mark.parametrize("name", ["rho", "psi"])
@@ -151,7 +156,7 @@ def test_bump_hat_2d_matches_lattice_sum(name):
     rhos = np.array([0.0, 0.35, 1.1, 2.5]) / prof.support_radius
     direct = np.array([h * h * np.sum(vals * np.cos(2.0 * np.pi * r * x1))
                        for r in rhos])
-    got = prof.hat(rhos)
+    got = bump_hat(prof, rhos)
     assert np.allclose(got, direct, rtol=0.0, atol=1e-12 * abs(direct[0]))
     assert abs(direct[-1]) > 1e-4 * abs(direct[0])      # not a vacuous check
 
@@ -208,9 +213,9 @@ def test_truncated_matches_and_bounds(warm):
     mu = cantor_measure(5)
     pts = np.linspace(0, 0.5, 21)[:, None]
     full = dyadic_maximal(mu, lat, 1 - 0.5, pts, 0, 10)
-    trunc = truncated_dyadic_maximal(mu, lat, 1 - 0.5, 2 ** -10, pts, 0, 10)
+    trunc = dyadic_maximal(mu, lat, 1 - 0.5, pts, 0, 10, min_side=2 ** -10)
     assert np.allclose(full.values, trunc.values)  # l <= smallest level
-    coarse = truncated_dyadic_maximal(mu, lat, 1 - 0.5, 2 ** -4, pts, 0, 10)
+    coarse = dyadic_maximal(mu, lat, 1 - 0.5, pts, 0, 10, min_side=2 ** -4)
     assert np.all(coarse.values <= full.values + 1e-12)
 
 
@@ -218,7 +223,7 @@ def test_truncated_dirac_value():
     lat = unit_lattice(1)
     d0 = dirac(1, h=1.0)
     l = 2.0 ** -7
-    fld = truncated_dyadic_maximal(d0, lat, 1 - BETA0, l, np.zeros((1, 1)), 0, 20)
+    fld = dyadic_maximal(d0, lat, 1 - BETA0, np.zeros((1, 1)), 0, 20, min_side=l)
     assert fld.values[0] == pytest.approx(l ** -BETA0)
 
 
@@ -285,7 +290,7 @@ def test_anti_local_reduces_to_grand(warm):
     tg = TGrid.for_measure(mu, 12)
     pts = np.linspace(0, 0.5, 9)[:, None]
     g = grand_maximal(mu, fam, 0.4, pts, tg)
-    a = anti_local_maximal(mu, fam, 0.4, float(np.sqrt(tg.t_min)) / 2, pts, tg)
+    a = grand_maximal(mu, fam, 0.4, pts, tg, s_min=float(np.sqrt(tg.t_min)) / 2)
     assert np.allclose(a.values, g.values, rtol=1e-12)
 
 
@@ -293,7 +298,7 @@ def test_anti_local_dirac_decreasing():
     d0 = dirac(1, h=1.0)
     fam = _only(standard_family(1, normalize=False), "gauss")
     tg = TGrid.build(1.0, 1e4, 8)
-    fld = anti_local_maximal(d0, fam, 0.0, 1.0, np.zeros((1, 1)), tg)
+    fld = grand_maximal(d0, fam, 0.0, np.zeros((1, 1)), tg, s_min=1.0)
     # alpha = 0: sup_{s>1} s^{-d} Phi(0) attained at the smallest scale
     gauss_peak = (4 * math.pi) ** -0.5
     assert fld.values[0] == pytest.approx(gauss_peak / fld.att_scale[0], rel=1e-9)
@@ -328,9 +333,9 @@ def test_anti_local_claim_on_seeded_instances(warm):
         tg = TGrid.for_measure(mu, 12)
         rho = 0.15
         x0 = np.array([[float(rng.uniform(0.2, 0.8))]])
-        v0 = anti_local_maximal(mu, fam, 0.4, rho, x0, tg).values[0]
+        v0 = grand_maximal(mu, fam, 0.4, x0, tg, s_min=rho).values[0]
         ys = x0 + np.linspace(-rho, rho, 17)[:, None]
-        vy = anti_local_maximal(mu, fam, 0.4, rho, ys, tg).values
+        vy = grand_maximal(mu, fam, 0.4, ys, tg, s_min=rho).values
         cs.append(float(np.min(vy) / v0))
     assert min(cs) > 0.05
 
@@ -354,7 +359,7 @@ def test_telescoping_exact(warm):
     for k in range(1, K + 1):
         band = lp_band(mu, k)
         neg = SampledField(origin=acc.origin, spacing=acc.spacing,
-                           values=-acc.values, k=acc.k)
+                           values=-acc.values)
         acc = maximal._field_sub(band, neg)
     low_K = lp_lowpass(mu, K)
     off = np.rint((low_K.origin - acc.origin) / acc.spacing).astype(int)
@@ -372,7 +377,7 @@ def test_composition_band_then_tilde(warm):
     weights = band.values.ravel() * band.cell_volume
     band_mu = new_grid_measure(1, band.spacing, band.origin,
                                np.arange(len(weights))[:, None], weights)
-    comp = maximal._lowpass_raw(band_mu, band.k, xi_band)
+    comp = maximal._lowpass_raw(band_mu, 2, xi_band)
     off = np.rint((band.origin - comp.origin) / comp.spacing).astype(int)
     sl = tuple(slice(o, o + s) for o, s in zip(off, band.values.shape))
     scale = float(np.max(np.abs(band.values)))

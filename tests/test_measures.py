@@ -123,7 +123,8 @@ def test_cantor_construction():
     assert np.allclose(sorted(mu.points()[:, 0]), [1 / 12, 5 / 12])
     assert np.all(mu.weights == 0.5)
     assert mu.total_mass() == 1.0
-    assert cert.exponent == pytest.approx(BETA0)
+    # a ball of radius r_min about a point holds half the mass
+    assert cert.constant >= 0.5 / cert.radii.min() ** BETA0
     # the certificate comes on top of cantor_measure's measure
     plain = cantor_measure(1)
     assert np.array_equal(plain.indices, mu.indices)
@@ -224,34 +225,27 @@ def test_frostman_constant_monotone_under_added_mass(d, data):
 
 def _frostman_loop(mu, beta, radii):
     """``frostman_constant`` written as a loop over probe centers: the
-    reference for the row-wise version (same probes, same first maximum,
-    critical radii before grid radii, center by center)."""
+    reference for the row-wise version (same probes, critical radii and grid
+    radii, center by center)."""
     radii = np.asarray(radii, dtype=np.float64)
     r_lo, r_hi = float(np.min(radii)), float(np.max(radii))
     pts, absw = mu.points(), np.abs(mu.weights)
-    centers = measures._probe_centers(mu)
-    best = (0.0, centers[0], r_lo)
-    for i, c in enumerate(centers):
+    best = 0.0
+    for c in measures._probe_centers(mu):
         dist = np.sqrt(np.sum((pts - c) ** 2, axis=1))
         order = np.argsort(dist)
         dsort, csum = dist[order], np.cumsum(absw[order])
         rc = np.maximum(dsort, r_lo)
         ratios = np.where(dsort <= r_hi, csum / np.power(rc, beta), 0.0)
-        j = int(np.argmax(ratios))
-        if ratios[j] > best[0]:
-            best = (float(ratios[j]), centers[i], float(rc[j]))
         k = np.searchsorted(dsort, radii, side="right")
         mass = np.where(k > 0, csum[np.maximum(k - 1, 0)], 0.0)
         ratios_g = mass / np.power(radii, beta)
-        j = int(np.argmax(ratios_g))
-        if ratios_g[j] > best[0]:
-            best = (float(ratios_g[j]), centers[i], float(radii[j]))
+        best = max(best, float(np.max(ratios)), float(np.max(ratios_g)))
     return best
 
 
 def _same_certificate(cert, ref):
-    assert (cert.constant, cert.worst_radius) == (ref[0], ref[2])
-    assert np.array_equal(cert.worst_center, ref[1])
+    assert cert.constant == ref
 
 
 @settings(max_examples=80)

@@ -1,5 +1,5 @@
 """The package surface is what the CLI, the verify targets and the benchmark
-reach.  Both rules read the source with ``ast``, so docstrings and comments
+reach.  The rules read the source with ``ast``, so docstrings and comments
 never count as uses:
 
 * every public function, class and method of ``src/fracmeas`` is referenced
@@ -9,12 +9,16 @@ never count as uses:
   keyword or by position, by some call in ``src/`` or ``perfbench/``: a
   parameter that only tests set is a mode no command uses.  The verify
   parameters that ``cli.cmd_verify`` fills from the parsed flags count as
-  set.
+  set;
+* every annotated field of a class in ``src/fracmeas`` is read as an
+  attribute somewhere in ``src/`` or ``perfbench/``: a result field that
+  nothing reads is bookkeeping no command uses.
 
-References and calls are matched to definitions by the bare name alone,
-so two definitions of one name share their uses: the checks can miss an
-unused name or parameter, never flag a used one.  Both fail at a package
-that still carries API, or a mode of it, that only the tests call.
+References, calls and attribute reads are matched to definitions by the
+bare name alone, so two definitions of one name share their uses: the checks
+can miss an unused name, parameter or field, never flag a used one.  They
+fail at a package that still carries API, a mode of it or a result field
+that only the tests read.
 """
 
 from __future__ import annotations
@@ -29,14 +33,7 @@ ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "fracmeas"
 
 # public names kept although only tests call them, each with its reason
-ALLOWED_UNREACHED = {
-    "dimension.greedy_mass_capture":
-        "the reference the estimate's property test compares its scans with; "
-        "perfbench/tracer.py counts its span",
-    "maximal.Profile.hat":
-        "the Fourier side of each profile, through which the tests check the "
-        "family's defining properties (rho-hat(0) = 1, psi-hat >= 1 on the unit ball)",
-}
+ALLOWED_UNREACHED = {}
 
 # defaulted parameters kept although only tests set them, each with its reason
 ALLOWED_UNSET = {
@@ -46,11 +43,6 @@ ALLOWED_UNSET = {
         "and the tests check the layer-cake sum on thresholds of their own",
     "content.choquet_integral.n_thresholds":
         "the size of today's default grid, which direction 5 redefines",
-    "dimension.greedy_mass_capture.min_level":
-        "greedy_mass_capture is the reference the estimate's property test "
-        "compares its scans with, over candidate levels the test picks",
-    "dimension.greedy_mass_capture.candidates":
-        "the same reference, fed the test's own candidate table",
 }
 
 
@@ -103,6 +95,29 @@ def unreached_names() -> list:
             if bare not in used:
                 out.append(f"{mod}.{qual}")
     return sorted(out)
+
+
+def _attributes_read(tree: ast.AST) -> set:
+    """Every attribute name a module reads (``x.name`` in a load)."""
+    return {node.attr for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+
+
+def _fields(module: ast.Module):
+    """``(qualified name, bare name)`` of the annotated fields of every
+    class of the module, nested classes included."""
+    for node in ast.walk(module):
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
+                    yield f"{node.name}.{item.target.id}", item.target.id
+
+
+def unread_fields() -> list:
+    """Package class fields that no package or benchmark code reads."""
+    read = set().union(*(_attributes_read(t) for t in _trees("src", "perfbench")))
+    return sorted(f"{mod}.{qual}" for mod, tree in _package_modules().items()
+                  for qual, bare in _fields(tree) if bare not in read)
 
 
 def _defaulted_parameters(module: ast.Module):
@@ -192,6 +207,12 @@ def test_every_public_name_is_reached():
                          f"(delete them, or make them private): {missing}")
 
 
+def test_every_field_is_read():
+    unread = unread_fields()
+    assert not unread, ("class fields no package or benchmark code reads "
+                        f"(delete them): {unread}")
+
+
 def test_every_defaulted_parameter_is_set():
     unset = unset_parameters()
     stale = sorted(set(ALLOWED_UNSET) - set(unset))
@@ -204,8 +225,12 @@ def test_every_defaulted_parameter_is_set():
 
 _SAMPLE = """
 class A:
+    read: int
+    unread: int = 0
+
     def m(self, x, k=2):
         "unused(x) is named here in a docstring only"
+        self.unread = x.read
         return x * k
 
 
@@ -221,3 +246,6 @@ def test_the_checks_see_a_stale_name_and_parameter():
     # self is not counted: a call's one positional argument is x, not k
     assert [(p[2], p[3]) for p in _defaulted_parameters(tree)] == [("k", 1), ("z", None)]
     assert _set_parameters([tree])["m"] == (1, set())
+    # a store is no read
+    assert [q for q, _ in _fields(tree)] == ["A.read", "A.unread"]
+    assert {"read", "unread"} & _attributes_read(tree) == {"read"}
