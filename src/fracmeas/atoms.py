@@ -10,6 +10,8 @@ in the certificate, so a PASS is relative to those grids (the sampled max
 lower-bounds the true supremum).  Discrete surrogates only represent their
 continuum targets above the grid resolution; the default time window starts
 at (h/4)^2 and callers probing divergence pass deeper windows explicitly.
+The Cantor and loop generators scale their atoms by the Frostman constant
+of their measures over radii of two grid spacings and more.
 """
 
 from __future__ import annotations
@@ -22,8 +24,8 @@ import numpy as np
 from . import _kernels
 from .heat import TGrid, heat_sup_field
 from .measures import (Cube, GridMeasure, LOG2_OVER_LOG3, cantor_frostman,
-                       curve_measure, default_radius_grid, frostman_constant,
-                       lattice_points, measure_sum, new_grid_measure, unit_cube)
+                       curve_measure, frostman_constant, lattice_points,
+                       measure_sum, new_grid_measure, unit_cube)
 
 # the default x-grid: coarse points over 4Q, and far points out to
 # _FAR_REACH * l(Q), which also extends the default time window
@@ -251,19 +253,19 @@ def make_frostman_atom(beta: float = LOG2_OVER_LOG3, depth: int = 8):
         raise ValueError("the Cantor builder realizes beta = log2/log3 only")
     if depth < 1:
         raise ValueError("depth must be >= 1")
-    mu_unit, cert_unit = cantor_frostman(depth)
+    mu_unit, c_unit = cantor_frostman(depth)
     series_unit = frostman_series_value(1.0, beta, 1)
     c1_star = _SAFETY / series_unit
-    c2 = min(0.5, c1_star / cert_unit.constant)
+    c2 = min(0.5, c1_star / c_unit)
     half = mu_unit.scaled(c2, name=f"cantor_atom+(d{depth})")
     a = measure_sum([half, half.translated([0.5]).scaled(-1.0)],
                     name=f"cantor_atom(depth={depth})")
     cand = AtomCandidate(measure=a, cube=unit_cube(1), beta=beta)
     info = {
-        "c1": c2 * cert_unit.constant,
+        "c1": c2 * c_unit,
         "c2": c2,
-        "series_value": frostman_series_value(c2 * cert_unit.constant, beta, 1),
-        "unit_frostman_constant": cert_unit.constant,
+        "series_value": frostman_series_value(c2 * c_unit, beta, 1),
+        "unit_frostman_constant": c_unit,
         "depth": depth,
     }
     return cand, info
@@ -298,16 +300,16 @@ def make_loop_atom(polyline, component: int, h: float):
     if np.any(pts < -1e-12) or np.any(pts > 1 + 1e-12):
         raise ValueError("polyline must stay inside the unit cube")
     var = vm.variation_measure()
-    cert = frostman_constant(var, 1.0, default_radius_grid(var, r_min=2.0 * h))
+    c_var = frostman_constant(var, 1.0, 2.0 * h)
     series_unit = frostman_series_value(1.0, 1.0, d)
-    s_frost = _SAFETY / (series_unit * cert.constant)
+    s_frost = _SAFETY / (series_unit * c_var)
     comp = vm.components[component]
     tv = comp.total_variation()
     s = min(s_frost, 1.0 / tv if tv > 0 else math.inf)
     cand = AtomCandidate(measure=comp.scaled(s, name=f"loop_atom[{component}]"),
                          cube=unit_cube(d), beta=1.0)
-    info = {"scale": s, "variation_frostman_constant": cert.constant,
-            "series_value": frostman_series_value(s * cert.constant, 1.0, d),
+    info = {"scale": s, "variation_frostman_constant": c_var,
+            "series_value": frostman_series_value(s * c_var, 1.0, d),
             "component_tv": tv}
     return cand, info
 

@@ -38,8 +38,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._gamma import gamma
-from .measures import (Cube, DyadicLattice, _cube_ball_dist, _match_rows, _row_heads,
-                       _row_runs, _run_cells, _unique_rows, unit_lattice)
+from .measures import (DyadicLattice, _cube_ball_dist, _match_rows, _row_heads, _row_runs,
+                       _run_cells, _unique_rows, unit_lattice)
 
 
 def ball_volume_constant(beta: float) -> float:
@@ -272,13 +272,25 @@ def _runs(counts):
     return owner, np.arange(len(owner)) - np.repeat(np.cumsum(counts) - counts, counts)
 
 
+# cells of the balls' index boxes that one raster may search: a bound on the
+# rows it searches and the cells it returns (radii far apart put the large
+# balls at the level of the small)
+_RASTER_CELLS = 1 << 24
+
+
 def rasterize_balls(F: BallFamily, lattice: DyadicLattice, level: int) -> CubeUnion:
     """All level-``level`` cells intersecting the union of balls, found row
-    by row in each ball's index box (``measures._row_runs``)."""
+    by row in each ball's index box (``measures._row_runs``); a
+    ``ValueError`` if the boxes hold more than ``_RASTER_CELLS`` cells."""
     side = lattice.side(level)
     radii = F.radii[:, None]
     lo = lattice.index_of(F.centers - radii, level)
     hi = lattice.index_of(F.centers + radii, level)
+    # in float: the spans of int64 indices can overflow int64
+    boxes = float(np.sum(np.prod(hi.astype(np.float64) - lo + 1, axis=1)))
+    if boxes > _RASTER_CELLS:
+        raise ValueError(f"radii {np.min(F.radii):.3g} to {np.max(F.radii):.3g} need "
+                         f"{boxes:.3g} cells at raster level {level}, over {_RASTER_CELLS}")
     idx = _run_cells(*_row_runs(F.centers, F.radii, lattice.corner, side, side, lo, hi))
     # distinct cells of one level are already a reduced union
     return CubeUnion(lattice=lattice, levels=np.full(len(idx), level, dtype=np.int64),
@@ -567,8 +579,7 @@ def spherical_content_upper(F: BallFamily, beta: float,
 # ---------------------------------------------------------------------------
 
 def choquet_integral(cells, values, lattice: DyadicLattice, level: int,
-                     beta: float, domain: Cube | None = None,
-                     thresholds=None, n_thresholds: int = 64) -> float:
+                     beta: float, thresholds=None, n_thresholds: int = 64) -> float:
     """Layer-cake integral of f >= 0 against the dyadic content.
 
     ``cells`` are level-``level`` lattice indices carrying the samples of f;
@@ -587,12 +598,6 @@ def choquet_integral(cells, values, lattice: DyadicLattice, level: int,
     cells = np.asarray(cells, dtype=np.int64).reshape(len(values), lattice.d)
     if np.any(values < 0):
         raise ValueError("Choquet integration needs nonnegative samples")
-    if domain is not None:
-        side = lattice.side(level)
-        centers = lattice.corner[None, :] + (cells + 0.5) * side
-        rel = centers - domain.corner[None, :]
-        keep = np.all((rel >= 0) & (rel < domain.side), axis=1)
-        cells, values = cells[keep], values[keep]
     pos = values[values > 0]
     if len(pos) == 0:
         return 0.0

@@ -36,7 +36,7 @@ from .atoms import AtomicDecomposition
 from .content import _level_set_contents, choquet_integral
 from .heat import TGrid
 from .maximal import dyadic_maximal, grand_maximal, standard_family
-from .measures import (Cube, DyadicLattice, GridMeasure, _cube_sums, _match_rows,
+from .measures import (DyadicLattice, GridMeasure, _cube_sums, _match_rows,
                        lattice_points, measure_sum)
 
 # the largest capture density at which a beta passes
@@ -247,16 +247,11 @@ def choquet_maximal_test(mu: GridMeasure, lattice: DyadicLattice, beta: float,
         return 0.0
     d = lattice.d
     k_trunc = int(math.floor(math.log2(lattice.l0 / truncation) + 1e-9))
-    domain = Cube(corner=lattice.corner.copy(), side=lattice.l0)
-    side = lattice.side(k_trunc)
-    n0 = np.floor((domain.corner - lattice.corner) / side).astype(np.int64)
-    counts = [int(round(domain.side / side))] * d
-    cells = lattice_points([n0[a] + np.arange(counts[a]) for a in range(d)])
-    centers = lattice.corner[None, :] + (cells + 0.5) * side
+    cells = lattice_points([np.arange(2 ** k_trunc)] * d)
+    centers = lattice.corner[None, :] + (cells + 0.5) * lattice.side(k_trunc)
     fld = dyadic_maximal(mu, lattice, d - beta, centers, 0, k_trunc,
                          min_side=truncation)
-    return choquet_integral(cells, fld.values, lattice, k_trunc, beta,
-                            domain=domain)
+    return choquet_integral(cells, fld.values, lattice, k_trunc, beta)
 
 
 def maximal_level_sums(cells, values, lattice: DyadicLattice, level: int,
@@ -296,15 +291,12 @@ def atom_sum_dimension_check(dec: AtomicDecomposition, sample_level: int = 6,
     extent = max(float(np.max(hi - lo)), 1.0) + 2.0 * 4.0
     size = 2.0 ** math.ceil(math.log2(extent))
     lattice = DyadicLattice(corner=center - 0.5 * size, l0=size, d=d)
-    domain = Cube(corner=lattice.corner.copy(), side=size)
-    side = lattice.side(sample_level)
     cells = lattice_points([np.arange(2 ** sample_level)] * d)
-    centers = lattice.corner[None, :] + (cells + 0.5) * side
+    centers = lattice.corner[None, :] + (cells + 0.5) * lattice.side(sample_level)
     fam = standard_family(d)
     tg = TGrid.for_measure(mu, nodes_per_decade=16, reach=0.5 * size)
     fld = grand_maximal(mu, fam, d - beta, centers, tg)
-    l1 = choquet_integral(cells, fld.values, lattice, sample_level, beta,
-                          domain=domain)
+    l1 = choquet_integral(cells, fld.values, lattice, sample_level, beta)
     level_sums = maximal_level_sums(cells, fld.values, lattice, sample_level,
                                     beta, k_max=48)
     # dimension estimate on the sum, on a unit lattice at the sum's corner

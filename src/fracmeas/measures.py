@@ -1,9 +1,10 @@
-"""Discretized signed measures, dyadic lattices, and Frostman-type generators.
+"""Discretized signed measures, dyadic lattices, Frostman probes and generators.
 
 A measure is a finite collection of weighted point masses on a regular grid:
 the grid index set is integer, positions are ``origin + index * spacing``.
 Densities enter as Riemann weights ``w = f(x) * h^d``.  All values are
-immutable after construction and every operation is a pure function.
+immutable after construction and every operation is a pure function.  The
+constant C of ``|mu|(B(x,r)) <= C r^beta`` is probed at critical radii only.
 """
 
 from __future__ import annotations
@@ -528,20 +529,8 @@ def _cube_sums(idx, weights):
 
 
 # ---------------------------------------------------------------------------
-# Frostman certification
+# Frostman probing
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class FrostmanCertificate:
-    """Sampled growth bound ``|mu|(B(x,r)) <= C r^beta``.
-
-    ``constant`` is the max sampled ratio, hence a lower bound for the true
-    supremum; ``radii`` is the probed radius grid.
-    """
-
-    constant: float
-    radii: np.ndarray
-
 
 def _probe_centers(mu: GridMeasure) -> np.ndarray:
     """Support points plus midpoints with each point's nearest neighbour."""
@@ -550,73 +539,47 @@ def _probe_centers(mu: GridMeasure) -> np.ndarray:
         return pts
     mids = np.empty_like(pts)
     for s, e, d2 in pairwise_sq_dists(pts, pts, max(1, 2_000_000 // len(pts))):
-        for i in range(e - s):
-            d2[i, s + i] = np.inf
+        d2[np.arange(e - s), np.arange(s, e)] = np.inf
         nearest = np.argmin(d2, axis=1)
         mids[s:e] = 0.5 * (pts[s:e] + pts[nearest])
     return np.unique(np.vstack([pts, mids]), axis=0)
 
 
-def frostman_constant(mu: GridMeasure, beta: float, radii) -> FrostmanCertificate:
-    """Max of |mu|(B(x,r)) / r^beta over probe centers and radii.
+def frostman_constant(mu: GridMeasure, beta: float, r_min: float) -> float:
+    """Max of |mu|(B(x,r)) / r^beta over probe centers and radii r in
+    ``[r_min, max(2 diam, 4 r_min)]``, a lower bound for the C of
+    ``|mu|(B(x,r)) <= C r^beta``.
 
-    Centers are all support points plus nearest-neighbour midpoints; for each
-    center the sampled radii are augmented with the exact critical radii (the
-    distances to support points) clipped to the probed range, where the ratio
-    is locally maximal for closed balls.
+    Centers are all support points plus nearest-neighbour midpoints.  Each
+    is read at its critical radii, its distances to support points clipped
+    up to ``r_min``: between two of them a closed ball keeps its mass while
+    r^beta grows, so no other radius of the window beats them.
     """
-    radii = np.asarray(radii, dtype=np.float64)
-    if len(radii) == 0:
-        raise ValueError("radius grid must be nonempty")
+    if not r_min > 0:
+        raise ValueError("r_min must be positive")
     if mu.n_masses == 0:
-        return FrostmanCertificate(constant=0.0, radii=radii)
-    r_lo, r_hi = float(np.min(radii)), float(np.max(radii))
+        return 0.0
+    r_hi = max(2.0 * mu.support_diameter(), 4.0 * r_min)
     pts = mu.points()
     absw = np.abs(mu.weights)
-    centers = _probe_centers(mu)
-    n_r = len(radii)
-    by_size = np.argsort(radii, kind="stable")
-    r_sorted = radii[by_size]
-    grid_scale = np.power(radii, beta)
     best = 0.0
-    for s, e, d2 in pairwise_sq_dists(centers, pts, max(1, 2_000_000 // len(pts))):
+    for s, e, d2 in pairwise_sq_dists(_probe_centers(mu), pts, max(1, 2_000_000 // len(pts))):
         dist = np.sqrt(d2, out=d2)
         order = np.argsort(dist, axis=1)
         dsort = np.take_along_axis(dist, order, axis=1)
         csum = absw[order]
         np.cumsum(csum, axis=1, out=csum)
         del d2, dist, order              # hold few full blocks at a time
-        at = np.arange(e - s)
-        # sampled grid radii: count each row's points within each radius
-        # (a point lies within every radius from the first one >= its
-        # distance on), then read the mass off the sorted cumulative sums
-        cells = np.searchsorted(r_sorted, dsort)
-        cells += (n_r + 1) * at[:, None]
-        counts = np.bincount(cells.ravel(), minlength=(e - s) * (n_r + 1))
-        del cells
-        within = np.empty((e - s, n_r), dtype=np.int64)
-        within[:, by_size] = np.cumsum(counts.reshape(e - s, n_r + 1), axis=1)[:, :n_r]
-        mass = np.take_along_axis(csum, np.maximum(within - 1, 0), axis=1)
-        ratios_g = np.where(within > 0, mass, 0.0) / grid_scale
-        # critical radii: ratio jumps exactly when a ball gains a mass;
-        # clipping up to r_lo keeps the ball valid, but radii beyond r_hi
-        # must be dropped (their mass exceeds the r_hi ball's)
-        ratios = np.power(np.maximum(dsort, r_lo), beta)
+        # clipping up to r_min keeps a ball valid, but radii beyond r_hi must
+        # be dropped (their mass exceeds the r_hi ball's)
+        ratios = np.power(np.maximum(dsort, r_min), beta)
         np.divide(csum, ratios, out=ratios)
         ratios[~(dsort <= r_hi)] = 0.0
         # each row's maximum, NaN for a row that holds one: such a row never
         # beats the best so far
-        rows = np.concatenate([ratios.max(axis=1), ratios_g.max(axis=1)])
+        rows = ratios.max(axis=1)
         best = max(best, float(np.max(rows, initial=0.0, where=~np.isnan(rows))))
-    return FrostmanCertificate(constant=best, radii=radii)
-
-
-def default_radius_grid(mu: GridMeasure, r_min: float):
-    """Geometric radius grid, 16 radii per decade, from ``r_min`` to twice
-    the diameter (at least 4 r_min)."""
-    r_max = max(2.0 * mu.support_diameter(), 4.0 * r_min)
-    n = max(2, int(math.ceil(math.log10(r_max / r_min) * 16)) + 1)
-    return np.geomspace(r_min, r_max, n)
+    return best
 
 
 # ---------------------------------------------------------------------------
@@ -645,11 +608,10 @@ def cantor_measure(depth: int) -> GridMeasure:
 
 
 def cantor_frostman(depth: int):
-    """``cantor_measure(depth)`` and its Frostman certificate at beta =
-    log2/log3."""
+    """``cantor_measure(depth)`` and its Frostman constant at beta =
+    log2/log3, probed from radius 3^-depth / 2 up."""
     mu = cantor_measure(depth)
-    r_min = 3.0 ** (-depth) / 2.0
-    return mu, frostman_constant(mu, LOG2_OVER_LOG3, default_radius_grid(mu, r_min=r_min))
+    return mu, frostman_constant(mu, LOG2_OVER_LOG3, 3.0 ** (-depth) / 2.0)
 
 
 def curve_measure(polyline, h: float) -> VectorGridMeasure:

@@ -186,8 +186,7 @@ def verify_thm14(alpha: float = 0.5, n_scales: int = 5, depth: int = 8) -> Verif
     for j in range(n_scales):
         s = 2.0 ** (-j)
         a_s, nu_s = _scaled_pair(cand, nu, d - alpha, s)
-        cert = measures.frostman_constant(
-            nu_s, d - alpha, measures.default_radius_grid(nu_s, r_min=2 * nu_s.h))
+        c_nu = measures.frostman_constant(nu_s, d - alpha, 2 * nu_s.h)
         nu_pts = nu_s.points()
         h_f = nu_s.h / 2.0
         lo = min(a_s.measure.bbox()[0][0], nu_s.bbox()[0][0]) - 0.1 * s
@@ -201,8 +200,8 @@ def verify_thm14(alpha: float = 0.5, n_scales: int = 5, depth: int = 8) -> Verif
         riesz_nodes["evaluated"].append(len(np.unique(fld.stencil(nu_pts)[0])))
         riesz_nodes["total"].append(n)
         traces.append(tr)
-        consts.append(cert.constant)
-        rows.append([j, s, tr, cert.constant])
+        consts.append(c_nu)
+        rows.append([j, s, tr, c_nu])
     spread = max(traces) / min(traces)
     finite = all(math.isfinite(v) for v in traces)
     ok = finite and spread <= _SPREAD_CAP
@@ -227,13 +226,12 @@ def verify_thm15(n_scales: int = 5, depth: int = 8) -> VerifyOutcome:
     def one_scale(j):
         s = 2.0 ** (-j)
         a_s, nu_s = _scaled_pair(cand, nu, d - alpha, s)
-        cert = measures.frostman_constant(
-            nu_s, d - alpha, measures.default_radius_grid(nu_s, r_min=2 * nu_s.h))
+        c_nu = measures.frostman_constant(nu_s, d - alpha, 2 * nu_s.h)
         tg = heat.TGrid.for_measure(a_s.measure, nodes_per_decade=16)
         sup = heat.heat_sup_field(a_s.measure, alpha, nu_s.points(), tg,
                                   refine=False)
         tr = potential.trace_integral(sup.values, nu_s)
-        return [j, s, tr, cert.constant]
+        return [j, s, tr, c_nu]
 
     rows = _map_cases(one_scale, range(n_scales))
     traces = [row[2] for row in rows]
@@ -254,8 +252,7 @@ def verify_cor16() -> VerifyOutcome:
     d = 2
     alpha = 1.0                      # = d - 1, the curve-measure endpoint
     nu = segment_measure()
-    cert = measures.frostman_constant(
-        nu, d - alpha, measures.default_radius_grid(nu, r_min=4 * nu.h))
+    c_nu = measures.frostman_constant(nu, d - alpha, 4 * nu.h)
     loops = [("square", square_loop(16)), ("hexagon", ngon_loop(6)),
              ("circle64", ngon_loop(64))]
     rows, ratios = [], []
@@ -280,7 +277,7 @@ def verify_cor16() -> VerifyOutcome:
         name="cor16", ok=ok,
         results={"alpha": alpha, "shared_C": shared_c, "dispersion": dispersion,
                  "dispersion_cap": _DISPERSION_CAP,
-                 "nu_frostman_C": cert.constant, "n_components": len(ratios)},
+                 "nu_frostman_C": c_nu, "n_components": len(ratios)},
         tables={"loops": (["loop", "component", "trace", "total_variation",
                            "ratio"], rows)})
 

@@ -217,6 +217,26 @@ def test_out_of_memory_exits_1(tmp_path, argv):
     assert (proc.returncode, proc.stderr) == (1, "fracmeas: out of memory\n")
 
 
+@pytest.mark.parametrize("beta", ["0.5", "2"])
+def test_far_apart_radii_exit_2_before_rasterizing(tmp_path, beta):
+    # radii 1e-12 and 0.1 put the 0.1 ball at level 42, about 8.8e11 rows of
+    # its index box: the raster grew until the host ran out of memory (exit 1
+    # under the 1.5 GB address-space limit, set in the child only)
+    import fracmeas
+    balls = tmp_path / "balls.csv"
+    balls.write_text("x0,x1,r\n0.5,0.5,1e-12\n0.2,0.3,0.1\n")
+    limit = 1536 << 20
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(fracmeas.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-m", "fracmeas.cli", "--out", str(tmp_path / "out"),
+         "content", "value", "--balls", str(balls), "--beta", beta],
+        env=env, capture_output=True, text=True, timeout=600,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)))
+    assert proc.returncode == 2, proc.stderr
+    assert re.fullmatch(r"fracmeas: [^\n]+\n", proc.stderr)
+    assert "radii 1e-12 to 0.1 need 7.74e+23 cells at raster level 42" in proc.stderr
+
+
 def test_heat_csv_is_written_row_by_row(tmp_path):
     # 201 times at 1000 points: the 201000 rows held as lists before writing
     # peaked at 32 MB (`heat --npd 100000` on a depth-3 Cantor measure, 4.7M

@@ -206,6 +206,21 @@ def test_swap_iteration_from_fine_cover():
     assert np.all(cov.witness_ratio >= cov.constants["c"])
 
 
+def test_raster_bounds_the_cells_of_its_boxes(monkeypatch):
+    # a 1-d family has one row per ball, so the bound counts cells: the 0.1
+    # ball at level 42 (about 8.8e11 cells in one row) is refused
+    lat = unit_lattice(1)
+    F = make_ball_family([[0.5], [0.2]], [1e-12, 0.1])
+    with pytest.raises(ValueError, match="radii 1e-12 to 0.1 need 8.8e"):
+        rasterize_balls(F, lat, content._cell_level(F, lat))
+    # boxes of 8 + 8 cells at level 4, then one more
+    monkeypatch.setattr(content, "_RASTER_CELLS", 16)
+    F = make_ball_family([[0.25], [0.75]], [0.25 - 2.0 ** -6] * 2)
+    assert rasterize_balls(F, lat, 4).n_cubes == 16
+    with pytest.raises(ValueError, match="need 17 cells at raster level 4, over 16"):
+        rasterize_balls(make_ball_family([[0.25], [0.75]], [0.25 - 2.0 ** -6, 0.25]), lat, 4)
+
+
 def _covered_by(cov, raster):
     sets = {}
     for lv, ix in zip(cov.levels, cov.indices):

@@ -7,9 +7,9 @@ from hypothesis.extra import numpy as hnp
 
 from fracmeas import measures
 from fracmeas.measures import (GridMeasure, _cube_sums, cantor_frostman,
-                               cantor_measure, curve_measure, default_radius_grid,
-                               dirac, frostman_constant, lebesgue_sample,
-                               measure_sum, new_grid_measure, unit_lattice)
+                               cantor_measure, curve_measure, dirac, frostman_constant,
+                               lebesgue_sample, measure_sum, new_grid_measure,
+                               unit_lattice)
 
 BETA0 = math.log(2) / math.log(3)
 
@@ -118,14 +118,14 @@ def test_children_partition_parent(rng):
 
 
 def test_cantor_construction():
-    mu, cert = cantor_frostman(1)
+    mu, c = cantor_frostman(1)
     assert mu.n_masses == 2
     assert np.allclose(sorted(mu.points()[:, 0]), [1 / 12, 5 / 12])
     assert np.all(mu.weights == 0.5)
     assert mu.total_mass() == 1.0
-    # a ball of radius r_min about a point holds half the mass
-    assert cert.constant >= 0.5 / cert.radii.min() ** BETA0
-    # the certificate comes on top of cantor_measure's measure
+    # a ball of radius r_min = 1/6 about a point holds half the mass
+    assert c >= 0.5 / (1 / 6) ** BETA0
+    # the constant comes on top of cantor_measure's measure
     plain = cantor_measure(1)
     assert np.array_equal(plain.indices, mu.indices)
     assert np.array_equal(plain.weights, mu.weights)
@@ -139,7 +139,7 @@ def test_cantor_mass_exact():
         assert mu.n_masses == 2 ** depth
     zero = cantor_measure(8).scaled(0.0)
     assert zero.n_masses == 0
-    assert frostman_constant(zero, BETA0, [1.0]).constant == 0.0
+    assert frostman_constant(zero, BETA0, 1.0) == 0.0
 
 
 def test_cantor_depth_guard():
@@ -150,17 +150,17 @@ def test_cantor_depth_guard():
 
 
 def test_cantor_frostman_constant_vs_oracle():
-    mu, cert = cantor_frostman(8)
+    mu, c = cantor_frostman(8)
     r_min = 3.0 ** -8 / 2.0
     oracle = frostman_sup_oracle_1d(mu, BETA0, r_min)
-    assert cert.constant <= oracle * (1 + 1e-12)
-    assert abs(cert.constant - oracle) / oracle < 0.05
+    assert c <= oracle * (1 + 1e-12)
+    assert abs(c - oracle) / oracle < 0.05
 
 
 def test_cantor_frostman_stable_in_depth():
     _, c8 = cantor_frostman(8)
     _, c10 = cantor_frostman(10)
-    assert abs(c8.constant - c10.constant) / c8.constant < 0.10
+    assert abs(c8 - c10) / c8 < 0.10
 
 
 def test_difference_atom_tv_at_half_mass():
@@ -172,38 +172,37 @@ def test_difference_atom_tv_at_half_mass():
 
 
 def test_frostman_dirac():
-    d0 = dirac(1)
-    cert = frostman_constant(d0, 0.5, [1.0])
-    assert cert.constant == pytest.approx(1.0)
+    assert frostman_constant(dirac(1), 0.5, 1.0) == pytest.approx(1.0)
 
 
 def test_frostman_lebesgue_band():
     h = 2.0 ** -8
     r_min = 2.0 ** -5
     leb = lebesgue_sample(1, h)
-    cert = frostman_constant(leb, 1.0, default_radius_grid(leb, r_min=r_min))
+    c = frostman_constant(leb, 1.0, r_min)
     # interval of length 2r has mass <= min(2r, 1); the Riemann sample can
     # catch one extra cell, so the discrete ratio tops out at 2 + h/r
-    assert 1.0 <= cert.constant <= 2.0 + h / r_min + 1e-9
+    assert 1.0 <= c <= 2.0 + h / r_min + 1e-9
 
 
 def test_frostman_empty():
     empty = new_grid_measure(1, 1.0, [0.0], np.zeros((0, 1)), [])
-    cert = frostman_constant(empty, 0.5, [1.0])
-    assert cert.constant == 0.0
+    assert frostman_constant(empty, 0.5, 1.0) == 0.0
 
 
-def test_frostman_needs_radii():
-    with pytest.raises(ValueError):
-        frostman_constant(dirac(1), 0.5, [])
+@pytest.mark.parametrize("r_min", [0.0, -1.0, math.nan])
+def test_frostman_needs_positive_r_min(r_min):
+    # a zero radius would divide a point's mass by 0^beta
+    with pytest.raises(ValueError, match="r_min"):
+        frostman_constant(dirac(1), 0.5, r_min)
 
 
 
 @settings(max_examples=60)
 @given(d=st.sampled_from([1, 2]), data=st.data())
 def test_frostman_constant_monotone_under_added_mass(d, data):
-    # the probe centres and the radius grid depend on positions only, so on
-    # a fixed support more mass in one point can only raise every ball ratio
+    # the probe centres and radius window depend on positions only, so on a
+    # fixed support more mass in one point can only raise every ball ratio
     idx = data.draw(st.lists(st.tuples(*[st.integers(-16, 16)] * d),
                              min_size=1, max_size=12, unique=True))
     mags = data.draw(st.lists(st.floats(1e-6, 1e6), min_size=len(idx),
@@ -217,26 +216,28 @@ def test_frostman_constant_monotone_under_added_mass(d, data):
     mu = new_grid_measure(d, 0.25, [0.0] * d, idx, w)
     w[j] *= factor
     more = new_grid_measure(d, 0.25, [0.0] * d, idx, w)
-    radii = default_radius_grid(mu, r_min=mu.h)
     assert np.array_equal(more.indices, mu.indices)
-    assert (frostman_constant(more, beta, radii).constant
-            >= frostman_constant(mu, beta, radii).constant)
+    assert frostman_constant(more, beta, mu.h) >= frostman_constant(mu, beta, mu.h)
 
 
-def _frostman_loop(mu, beta, radii):
-    """``frostman_constant`` written as a loop over probe centers: the
-    reference for the row-wise version (same probes, critical radii and grid
-    radii, center by center)."""
-    radii = np.asarray(radii, dtype=np.float64)
-    r_lo, r_hi = float(np.min(radii)), float(np.max(radii))
+def _frostman_loop(mu, beta, r_min):
+    """``frostman_constant`` written as a loop over probe centers, with more
+    radii than the critical ones it reads: the 16-per-decade grid of the
+    window, and per center each point distance and its neighbours one ulp
+    away, where they lie in the window.  Equal bits show that no such
+    radius ever beats the critical radii."""
+    r_hi = max(2.0 * mu.support_diameter(), 4.0 * r_min)
+    grid = np.geomspace(r_min, r_hi, max(2, math.ceil(math.log10(r_hi / r_min) * 16) + 1))
     pts, absw = mu.points(), np.abs(mu.weights)
     best = 0.0
     for c in measures._probe_centers(mu):
         dist = np.sqrt(np.sum((pts - c) ** 2, axis=1))
         order = np.argsort(dist)
         dsort, csum = dist[order], np.cumsum(absw[order])
-        rc = np.maximum(dsort, r_lo)
+        rc = np.maximum(dsort, r_min)
         ratios = np.where(dsort <= r_hi, csum / np.power(rc, beta), 0.0)
+        near = np.concatenate([dsort, np.nextafter(dsort, 0.0), np.nextafter(dsort, np.inf)])
+        radii = np.concatenate([grid, near[(near >= r_min) & (near <= r_hi)]])
         k = np.searchsorted(dsort, radii, side="right")
         mass = np.where(k > 0, csum[np.maximum(k - 1, 0)], 0.0)
         ratios_g = mass / np.power(radii, beta)
@@ -244,33 +245,28 @@ def _frostman_loop(mu, beta, radii):
     return best
 
 
-def _same_certificate(cert, ref):
-    assert cert.constant == ref
-
-
 @settings(max_examples=80)
 @given(d=st.sampled_from([1, 2]), data=st.data())
 def test_frostman_constant_matches_center_loop(d, data):
-    # signed weights, unsorted radii with repeats, radii below, between and
-    # beyond the point distances: the certificate of the loop, bit for bit
+    # signed weights, r_min below, between, at and beyond the point
+    # distances: the constant of the loop, bit for bit
     idx = data.draw(st.lists(st.tuples(*[st.integers(-12, 12)] * d),
                              min_size=1, max_size=20, unique=True))
     w = data.draw(st.lists(st.floats(-10.0, 10.0).filter(lambda v: abs(v) > 1e-6),
                            min_size=len(idx), max_size=len(idx)))
-    radii = data.draw(st.lists(st.floats(0.01, 20.0), min_size=1, max_size=12))
-    radii = radii + data.draw(st.lists(st.sampled_from(radii), max_size=3))
     beta = data.draw(st.floats(0.05, float(d)))
     mu = new_grid_measure(d, 0.25, [0.0] * d, idx, w)
-    _same_certificate(frostman_constant(mu, beta, radii),
-                      _frostman_loop(mu, beta, radii))
+    pts = mu.points()
+    gaps = np.sqrt(np.sum((pts[:, None] - pts[None]) ** 2, axis=2))
+    gaps = sorted(set(gaps[gaps > 0])) or [1.0]
+    r_min = data.draw(st.floats(0.01, 20.0) | st.sampled_from(gaps))
+    assert frostman_constant(mu, beta, r_min) == _frostman_loop(mu, beta, r_min)
 
 
 def test_frostman_constant_matches_center_loop_over_blocks():
     # 2048 points and about 4000 centers: the rows run in several blocks
     mu = cantor_measure(11)
-    radii = default_radius_grid(mu, r_min=mu.h)[::-1]
-    _same_certificate(frostman_constant(mu, BETA0, radii),
-                      _frostman_loop(mu, BETA0, radii))
+    assert frostman_constant(mu, BETA0, mu.h) == _frostman_loop(mu, BETA0, mu.h)
 
 
 # ---------------------------------------------------------------------------
