@@ -177,7 +177,7 @@ def _small_t_fit(mu: GridMeasure, gamma: float, tgrid: TGrid):
     order = np.argsort(-np.abs(mu.weights))[:256]
     pts = mu.points()[order]
     vals = _kernels.heat_values(pts, mu.points(), mu.weights, tsel)
-    curve = np.max(tsel[None, :] ** (gamma / 2.0) * np.abs(vals), axis=0)
+    curve = np.max(tsel[None, :] ** (gamma / 2.0) * np.abs(vals), axis=0, initial=0.0)
     good = curve > 0
     if np.sum(good) < 3:
         return 0.0, math.inf

@@ -200,13 +200,15 @@ def cmd_maximal(args) -> int:
         fld = maximal.grand_maximal(mu, fam, args.gamma, pts, tg, s_min=bounds.get("rho"))
     io.save_maximal_field(fld, os.path.join(out, f"maximal_{args.variant}.csv"))
     _report(args, f"maximal_{args.variant}",
-            {"max_value": float(np.max(fld.values)), "n_points": len(pts),
+            {"max_value": float(np.max(fld.values, initial=0.0)), "n_points": len(pts),
              "convention": fld.convention})
     return 0
 
 
 def cmd_maximal_lp(args) -> int:
     mu = io.load_measure(args.measure)
+    if mu.n_masses == 0:
+        _fail(f"{args.measure}: a measure with no masses has no grid to project on")
     out = _outdir(args)
     fld = (maximal.lp_band if args.band else maximal.lp_lowpass)(mu, args.k)
     name = "band" if args.band else "lowpass"
@@ -219,35 +221,28 @@ def cmd_maximal_lp(args) -> int:
     return 0
 
 
-def _load_balls(args, beta_at_d: bool) -> content.BallFamily | None:
-    """The ball family of ``--balls`` (None for a header-only file), after
-    checking ``--beta`` against its dimension, read from the header: beta in
-    (0, d], or in (0, d) when ``beta_at_d`` is false."""
+def _load_balls(args, beta_at_d: bool) -> content.BallFamily:
+    """The ball family of ``--balls`` (no balls for a header-only file),
+    after checking ``--beta`` against its dimension, read from the header:
+    beta in (0, d], or in (0, d) when ``beta_at_d`` is false."""
     _, data = io.read_csv_rows(args.balls)
     d = data.shape[1] - 1
     if not (0 < args.beta < d or (beta_at_d and args.beta == d)):
         _fail(f"--beta {args.beta} must lie in (0, {d}{']' if beta_at_d else ')'} "
               f"for the {d}-d balls of {args.balls}")
-    if len(data) == 0:
-        return None
     return content.make_ball_family(data[:, :-1], data[:, -1])
 
 
 def cmd_content_cover(args) -> int:
     F = _load_balls(args, beta_at_d=False)
     out = _outdir(args)
-    if F is None:
-        io.write_csv(os.path.join(out, "cover.csv"),
-                     ["type", "corner0", "size", "witness_ball_id"], [])
-        _report(args, "content_cover",
-                {"n_elements": 0, "total": 0.0, "empty_input": True})
-        return 0
     cov = content.regularized_cover(F, args.beta)
     io.save_cover(cov, os.path.join(out, "cover.csv"))
     ok = bool(np.all(cov.witness_ratio >= cov.constants["c"] - 1e-12))
     _report(args, "content_cover",
             {"n_elements": cov.n_elements, "total": cov.total,
-             "witness_min_ratio": float(np.min(cov.witness_ratio)), "pass": ok},
+             "witness_min_ratio": float(np.min(cov.witness_ratio, initial=np.inf)),
+             "pass": ok},
             constants=cov.constants)
     if not ok:
         print("cover postcondition FAILED (witness ratio below c)", file=sys.stderr)
@@ -257,9 +252,7 @@ def cmd_content_cover(args) -> int:
 
 def cmd_content_value(args) -> int:
     F = _load_balls(args, beta_at_d=True)
-    if F is None:
-        val, upper = 0.0, 0.0
-    elif args.beta < F.d:
+    if args.beta < F.d:
         # one cover: its raster's exact content and its cubes' balls
         cover = content.regularized_cover(F, args.beta)
         val = cover.constants["raster_content"]

@@ -33,7 +33,7 @@ box, in doubling windows, by ``searchsorted`` on packed index keys.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -214,9 +214,7 @@ def _level_set_contents(cells, values, lattice: DyadicLattice, level: int,
     """
     cuts = np.asarray(cuts, dtype=np.float64)
     out = np.zeros(len(cuts))
-    if len(cuts) == 0:
-        return out
-    t_min = float(np.min(cuts))
+    t_min = float(np.min(cuts, initial=np.inf))
     base = values > t_min if strict else values >= t_min
     if not np.any(base):
         return out
@@ -309,25 +307,22 @@ def proof_constants(beta: float, d: int):
 
 @dataclass
 class ContentCover:
-    """A covering family (cubes or balls) with its beta-content and witnesses."""
+    """A dyadic cube cover, its beta-content and witnesses; ball covers add balls."""
 
-    kind: str                     # "cubes" or "balls"
     beta: float
-    lattice: DyadicLattice | None
-    levels: np.ndarray | None
-    indices: np.ndarray | None
-    centers: np.ndarray | None
-    radii: np.ndarray | None
+    lattice: DyadicLattice
+    levels: np.ndarray
+    indices: np.ndarray
     total: float
     witness: np.ndarray           # per input ball: cover element index
     witness_ratio: np.ndarray     # l/r (cubes) or containment slack (balls)
     constants: dict = field(default_factory=dict)
+    centers: np.ndarray | None = None
+    radii: np.ndarray | None = None
 
     @property
     def n_elements(self) -> int:
-        if self.kind == "cubes":
-            return len(self.levels)
-        return len(self.radii)
+        return len(self.levels)
 
     def cube_sides(self) -> np.ndarray:
         return self.lattice.l0 * 2.0 ** (-self.levels.astype(np.float64))
@@ -434,7 +429,9 @@ def _witnesses(F: BallFamily, lattice: DyadicLattice, levels, indices) -> np.nda
 
 def _cell_level(F: BallFamily, lattice: DyadicLattice) -> int:
     """Raster level of a ball family: the coarsest with cells of side at
-    most a quarter of the smallest radius."""
+    most a quarter of the smallest radius (0 for a family with no balls)."""
+    if F.n_balls == 0:
+        return 0
     r_min = float(np.min(F.radii))
     return int(math.ceil(math.log2(lattice.l0 / (r_min / 4.0))))
 
@@ -461,16 +458,6 @@ def regularized_cover(F: BallFamily, beta: float,
     if c * math.sqrt(d) >= 1.0:
         raise AssertionError("violated cubes must sit inside the doubled ball")
     lat = unit_lattice(d)
-    if F.n_balls == 0:
-        empty = np.zeros((0, d), dtype=np.int64)
-        return ContentCover(kind="cubes", beta=beta, lattice=lat,
-                            levels=np.zeros(0, dtype=np.int64), indices=empty,
-                            centers=None, radii=None, total=0.0,
-                            witness=np.zeros(0, dtype=np.int64),
-                            witness_ratio=np.zeros(0),
-                            constants={"c": c, "c_prime": c_prime,
-                                       "C_impl": 0.0, "swaps": 0,
-                                       "raster_content": 0.0})
     cell_level = _cell_level(F, lat)
     raster = rasterize_balls(F, lat, cell_level)
     if initial_cover is None:
@@ -509,8 +496,7 @@ def regularized_cover(F: BallFamily, beta: float,
     ratio = sides[witness] / F.radii
     total = float(np.sum(sides ** beta))
     c_impl = total / raster_content if raster_content > 0 else 0.0
-    return ContentCover(kind="cubes", beta=beta, lattice=lat, levels=lv,
-                        indices=ix, centers=None, radii=None, total=total,
+    return ContentCover(beta=beta, lattice=lat, levels=lv, indices=ix, total=total,
                         witness=witness, witness_ratio=ratio,
                         constants={"c": c, "c_prime": c_prime, "C_impl": c_impl,
                                    "swaps": swaps,
@@ -518,40 +504,33 @@ def regularized_cover(F: BallFamily, beta: float,
                                    "cell_level": cell_level})
 
 
+def _row_norms(x: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row, bit for bit ``np.linalg.norm`` of the row
+    (``einsum`` and ``np.sum`` round differently)."""
+    return np.sqrt((x[:, None, :] @ x[:, :, None])[:, 0, 0])
+
+
 def ball_cover(F: BallFamily, beta: float) -> ContentCover:
     """Ball covering with every input ball contained in one covering ball.
 
     Dilates the regularized cover's cubes to balls of radius
     ``side * (sqrt(d)/2 + 2/c)``: the witness inequality l >= c r makes the
-    witness cube's dilate swallow the input ball.
+    witness cube's dilate swallow the input ball.  The result keeps the
+    cubes; ``witness_ratio`` holds each input ball's containment slack.
     """
     reg = regularized_cover(F, beta)
-    d = F.d
-    c = reg.constants["c"]
-    if reg.n_elements == 0:
-        return ContentCover(kind="balls", beta=beta, lattice=None, levels=None,
-                            indices=None, centers=np.zeros((0, d)),
-                            radii=np.zeros(0), total=0.0,
-                            witness=np.zeros(0, dtype=np.int64),
-                            witness_ratio=np.zeros(0), constants=reg.constants)
+    dilate = math.sqrt(F.d) / 2.0 + 2.0 / reg.constants["c"]
     sides = reg.cube_sides()
     centers = reg.cube_corners() + 0.5 * sides[:, None]
-    radii = sides * (math.sqrt(d) / 2.0 + 2.0 / c)
+    radii = sides * dilate
     omega = ball_volume_constant(beta)
-    total = float(np.sum(omega * radii ** beta))
-    slack = np.zeros(F.n_balls)
-    for bi in range(F.n_balls):
-        j = reg.witness[bi]
-        need = float(np.linalg.norm(F.centers[bi] - centers[j])) + F.radii[bi]
-        slack[bi] = radii[j] - need
+    dist = _row_norms(F.centers - centers[reg.witness])
+    slack = radii[reg.witness] - (dist + F.radii)
     if np.any(slack < -1e-9):
         raise AssertionError("ball cover containment failed")
-    consts = dict(reg.constants)
-    consts["dilate_factor"] = math.sqrt(d) / 2.0 + 2.0 / c
-    return ContentCover(kind="balls", beta=beta, lattice=None, levels=None,
-                        indices=None, centers=centers, radii=radii, total=total,
-                        witness=reg.witness.copy(), witness_ratio=slack,
-                        constants=consts)
+    return replace(reg, centers=centers, radii=radii,
+                   total=float(np.sum(omega * radii ** beta)), witness_ratio=slack,
+                   constants={**reg.constants, "dilate_factor": dilate})
 
 
 def spherical_content_upper(F: BallFamily, beta: float,
@@ -563,8 +542,6 @@ def spherical_content_upper(F: BallFamily, beta: float,
     self-cover alone at beta >= d).  The regularized cover is computed here
     unless the caller passes the one it holds as ``cover``.
     """
-    if F.n_balls == 0:
-        return 0.0
     omega = ball_volume_constant(beta)
     self_cover = float(np.sum(omega * F.radii ** beta))
     if beta >= F.d:

@@ -243,8 +243,6 @@ def choquet_maximal_test(mu: GridMeasure, lattice: DyadicLattice, beta: float,
     """
     if truncation <= 0:
         raise ValueError("truncation must be positive")
-    if mu.n_masses == 0:
-        return 0.0
     d = lattice.d
     k_trunc = int(math.floor(math.log2(lattice.l0 / truncation) + 1e-9))
     cells = lattice_points([np.arange(2 ** k_trunc)] * d)

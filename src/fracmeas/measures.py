@@ -547,8 +547,7 @@ def _probe_centers(mu: GridMeasure) -> np.ndarray:
 
 def frostman_constant(mu: GridMeasure, beta: float, r_min: float) -> float:
     """Max of |mu|(B(x,r)) / r^beta over probe centers and radii r in
-    ``[r_min, max(2 diam, 4 r_min)]``, a lower bound for the C of
-    ``|mu|(B(x,r)) <= C r^beta``.
+    ``[r_min, inf)``, a lower bound for the C of ``|mu|(B(x,r)) <= C r^beta``.
 
     Centers are all support points plus nearest-neighbour midpoints.  Each
     is read at its critical radii, its distances to support points clipped
@@ -559,7 +558,6 @@ def frostman_constant(mu: GridMeasure, beta: float, r_min: float) -> float:
         raise ValueError("r_min must be positive")
     if mu.n_masses == 0:
         return 0.0
-    r_hi = max(2.0 * mu.support_diameter(), 4.0 * r_min)
     pts = mu.points()
     absw = np.abs(mu.weights)
     best = 0.0
@@ -570,11 +568,8 @@ def frostman_constant(mu: GridMeasure, beta: float, r_min: float) -> float:
         csum = absw[order]
         np.cumsum(csum, axis=1, out=csum)
         del d2, dist, order              # hold few full blocks at a time
-        # clipping up to r_min keeps a ball valid, but radii beyond r_hi must
-        # be dropped (their mass exceeds the r_hi ball's)
         ratios = np.power(np.maximum(dsort, r_min), beta)
         np.divide(csum, ratios, out=ratios)
-        ratios[~(dsort <= r_hi)] = 0.0
         # each row's maximum, NaN for a row that holds one: such a row never
         # beats the best so far
         rows = ratios.max(axis=1)

@@ -176,10 +176,7 @@ def lorentz_norm(values, p: float, cell_volume: float) -> float:
     if p <= 1.0:
         raise ValueError("need p > 1")
     v = np.abs(np.asarray(values, dtype=np.float64).ravel())
-    v = v[v > 0]
-    if len(v) == 0:
-        return 0.0
-    v = np.sort(v)[::-1]
+    v = np.sort(v[v > 0])[::-1]
     # the roots of the cumulative volumes, each taken once: a cell's lower
     # root is the cell before's upper one (the first cell's is 0.0)
     root = (cell_volume * np.arange(1, len(v) + 1, dtype=np.float64)) ** (1.0 / p)

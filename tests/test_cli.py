@@ -451,16 +451,73 @@ def test_heat_command(tmp_path, warm):
     assert os.path.exists(os.path.join(out, "heat_field.csv"))
 
 
+def _header_only_balls(tmp_path, d):
+    balls = tmp_path / f"balls{d}.csv"
+    balls.write_text(",".join([f"x{a}" for a in range(d)] + ["r"]) + "\n")
+    return str(balls)
+
+
 def test_content_cover_empty_file(tmp_path):
-    out = str(tmp_path)
-    balls = os.path.join(out, "empty.csv")
-    with open(balls, "w") as fh:
-        fh.write("x0,x1,r\n")
-    assert run(["--out", out, "content", "cover", "--balls", balls,
-                "--beta", "0.5"]) == 0
-    with open(os.path.join(out, "content_cover.json")) as fh:
-        rep = json.load(fh)
-    assert rep["results"]["n_elements"] == 0
+    # a family with no balls takes the general path: one corner column per
+    # axis (the 1-d header used to be written whatever the dimension)
+    for d in (1, 2, 3):
+        out = tmp_path / f"out{d}"
+        assert run(["--out", str(out), "content", "cover",
+                    "--balls", _header_only_balls(tmp_path, d), "--beta", "0.5"]) == 0
+        header = ",".join(["type"] + [f"corner{a}" for a in range(d)]
+                          + ["size", "witness_ball_id"])
+        assert (out / "cover.csv").read_text() == header + "\n"
+        rep = json.loads((out / "content_cover.json").read_text())
+        assert rep["results"] == {"n_elements": 0, "total": 0.0,
+                                  "witness_min_ratio": float("inf"), "pass": True}
+        assert rep["constants"]["cell_level"] == 0
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("at_d", [False, True], ids=["below-d", "at-d"])
+def test_content_value_header_only_file_is_zero(tmp_path, d, at_d):
+    out = tmp_path / "out"
+    beta = str(float(d) if at_d else d / 2)
+    assert run(["--out", str(out), "content", "value",
+                "--balls", _header_only_balls(tmp_path, d), "--beta", beta]) == 0
+    rep = json.loads((out / "content_value.json").read_text())
+    assert rep["results"] == {"dyadic_content": 0.0, "spherical_upper": 0.0}
+
+
+def _empty_measure(tmp_path, d):
+    csv = str(tmp_path / "empty.csv")
+    io.save_measure(new_grid_measure(d, 0.25, [0.0] * d, np.zeros((0, d)), []), csv)
+    return csv
+
+
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("argv", [
+    ["maximal", "dyadic", "--gamma", "0.5"],
+    ["maximal", "truncated", "--gamma", "0.5", "--truncation", "0.1"],
+    ["maximal", "grand", "--gamma", "0.5"],
+    ["maximal", "antilocal", "--gamma", "0.5", "--rho", "0.1"],
+    ["atom", "check", "--beta", "0.5"],
+], ids=["dyadic", "truncated", "grand", "antilocal", "atom-check"])
+def test_measure_with_no_masses(tmp_path, capsys, warm, d, argv):
+    # these used to exit 2 on numpy's "zero-size array to reduction
+    # operation maximum"; the maximal fields and the heat sup are now 0
+    csv = _empty_measure(tmp_path, d)
+    assert run(["--out", str(tmp_path), *argv, "--measure", csv]) == 0
+    assert capsys.readouterr().err == ""
+    if argv[0] == "maximal":
+        rep = json.loads((tmp_path / f"maximal_{argv[1]}.json").read_text())
+        assert rep["results"]["max_value"] == 0.0
+        assert rep["results"]["n_points"] == 0
+
+
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("band", [[], ["--band"]], ids=["lowpass", "band"])
+def test_maximal_lp_of_a_measure_with_no_masses_exit_2(tmp_path, capsys, d, band):
+    csv = _empty_measure(tmp_path, d)
+    assert run(["--out", str(tmp_path), "maximal", "lp", "--measure", csv,
+                "--k", "2", *band]) == 2
+    assert capsys.readouterr().err == (f"fracmeas: {csv}: a measure with no masses "
+                                       "has no grid to project on\n")
 
 
 def test_content_cover_real_family(tmp_path):

@@ -174,11 +174,35 @@ def test_proof_constants_balance():
         proof_constants(2.0, 2)
 
 
+def _assert_dtype_shape(a, b):
+    assert (a.dtype, a.shape) == (b.dtype, b.shape)
+
+
 def test_empty_family_cover():
-    F = BallFamily(centers=np.zeros((0, 2)), radii=np.zeros(0))
-    cov = regularized_cover(F, 0.5)
-    assert cov.n_elements == 0
-    assert cov.total == 0.0
+    # the records the removed empty-family returns built, but for the
+    # constants: the general path adds the raster level (0) and the
+    # dilation factor
+    for d in (1, 2, 3):
+        F = BallFamily(centers=np.zeros((0, d)), radii=np.zeros(0))
+        c, c_prime = proof_constants(0.5, d)
+        consts = {"c": c, "c_prime": c_prime, "C_impl": 0.0, "swaps": 0,
+                  "raster_content": 0.0, "cell_level": 0}
+        cov = regularized_cover(F, 0.5)
+        lat = cov.lattice
+        assert (lat.d, lat.l0, lat.corner.tolist()) == (d, 1.0, [0.0] * d)
+        _assert_dtype_shape(cov.levels, np.zeros(0, dtype=np.int64))
+        _assert_dtype_shape(cov.indices, np.zeros((0, d), dtype=np.int64))
+        _assert_dtype_shape(cov.witness, np.zeros(0, dtype=np.int64))
+        _assert_dtype_shape(cov.witness_ratio, np.zeros(0))
+        assert cov.centers is None and cov.radii is None
+        assert cov.n_elements == 0 and cov.total == 0.0 and cov.constants == consts
+        bc = ball_cover(F, 0.5)
+        _assert_dtype_shape(bc.centers, np.zeros((0, d)))
+        _assert_dtype_shape(bc.radii, np.zeros(0))
+        _assert_dtype_shape(bc.witness, np.zeros(0, dtype=np.int64))
+        _assert_dtype_shape(bc.witness_ratio, np.zeros(0))
+        assert bc.n_elements == 0 and bc.total == 0.0
+        assert bc.constants == {**consts, "dilate_factor": math.sqrt(d) / 2.0 + 2.0 / c}
 
 
 def test_single_ball_cover_postconditions():

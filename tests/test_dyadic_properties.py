@@ -356,6 +356,17 @@ def test_witness_is_first_largest_meeting_cube(F, frac):
         assert np.array_equal(cov.witness, want)
 
 
+@given(st.sampled_from([1, 2, 3]), st.integers(0, 2 ** 32 - 1))
+def test_row_norms_match_per_row_norm(d, seed):
+    # ball_cover's containment distances: bit for bit np.linalg.norm of each
+    # row (einsum, np.sum and norm(axis=1) differ in about one 2-d or 3-d row
+    # in ten, so the rows are drawn off any grid and over many scales)
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(-2.0, 2.0, (1000, d)) * 10.0 ** rng.integers(-6, 7, (1000, 1))
+    want = np.array([np.linalg.norm(row) for row in x])
+    assert content._row_norms(x).tobytes() == want.tobytes()
+
+
 @st.composite
 def witness_covers(draw):
     """A lattice (corner off 0, l0 off 1 allowed), a ball family and a cover
