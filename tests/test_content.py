@@ -179,9 +179,8 @@ def _assert_dtype_shape(a, b):
 
 
 def test_empty_family_cover():
-    # the records the removed empty-family returns built, but for the
-    # constants: the general path adds the raster level (0) and the
-    # dilation factor
+    # an empty family's covers hold empty arrays of the non-empty dtypes and
+    # shapes, and the constants a non-empty family's covers hold
     for d in (1, 2, 3):
         F = BallFamily(centers=np.zeros((0, d)), radii=np.zeros(0))
         c, c_prime = proof_constants(0.5, d)
