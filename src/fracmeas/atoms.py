@@ -23,6 +23,7 @@ import numpy as np
 
 from . import _kernels
 from .heat import TGrid, heat_sup_field
+from .io import Check
 from .measures import (Cube, GridMeasure, LOG2_OVER_LOG3, cantor_frostman,
                        curve_measure, frostman_constant, lattice_points,
                        measure_sum, new_grid_measure, unit_cube)
@@ -57,12 +58,11 @@ class AtomCandidate:
 
 @dataclass(frozen=True)
 class AtomCertificate:
-    """Pass/fail plus numeric margins for the four atom conditions."""
+    """The measured values of the four atom conditions, with their checks."""
 
     beta: float
     cube_corner: tuple
     cube_side: float
-    passes: dict                  # {"support": bool, ...}
     support_overflow: float       # mass outside the closed cube
     cancellation: float           # |a(Q)|
     sup_ratio: float              # l(Q)^beta * sampled sup of t^{(d-b)/2}|E|
@@ -76,26 +76,23 @@ class AtomCertificate:
     nodes_per_decade: int
 
     @property
-    def all_pass(self) -> bool:
-        return all(self.passes.values())
+    def checks(self) -> tuple:
+        """support, cancellation, heat_bound and variation, in that order."""
+        tv = self.total_variation
+        return (Check("support", self.support_overflow, "<=", 1e-12 * max(tv, 1.0)),
+                Check("cancellation", self.cancellation, "<=",
+                      _CANCELLATION_TOL * max(tv, 1e-300)),
+                Check("heat_bound", self.sup_ratio, "<=", 1.0 + _SUP_TOL),
+                Check("variation", tv, "<=", 1.0 + 1e-12))
 
     def to_dict(self) -> dict:
         return {
             "beta": self.beta,
             "cube_corner": list(self.cube_corner),
             "cube_side": self.cube_side,
-            "passes": dict(self.passes),
-            "all_pass": self.all_pass,
-            "margins": {
-                "support_overflow": self.support_overflow,
-                "cancellation": self.cancellation,
-                "sup_ratio": self.sup_ratio,
-                "total_variation": self.total_variation,
-            },
             "sup_at": {"x": list(self.sup_at_x), "t": self.sup_at_t},
             "small_t": {"exponent": self.small_t_exponent,
                         "residual": self.small_t_residual},
-            "tolerances": {"sup": _SUP_TOL, "cancellation": _CANCELLATION_TOL},
             "sampling": {"n_points": self.n_points,
                          "t_window": list(self.t_window),
                          "nodes_per_decade": self.nodes_per_decade,
@@ -212,17 +209,10 @@ def check_beta_atom(cand: AtomCandidate, tgrid: TGrid | None = None) -> AtomCert
     ratio = float(sup.values[i] * cand.side ** cand.beta)
     slope, resid = _small_t_fit(mu, gamma, tg)
 
-    passes = {
-        "support": overflow <= 1e-12 * max(tv, 1.0),
-        "cancellation": abs(mass_q) <= _CANCELLATION_TOL * max(tv, 1e-300),
-        "heat_bound": ratio <= 1.0 + _SUP_TOL,
-        "variation": tv <= 1.0 + 1e-12,
-    }
     return AtomCertificate(
         beta=cand.beta,
         cube_corner=tuple(float(v) for v in cand.cube.corner),
         cube_side=float(cand.side),
-        passes=passes,
         support_overflow=overflow,
         cancellation=abs(mass_q),
         sup_ratio=ratio,
@@ -320,19 +310,13 @@ def make_loop_atom(polyline, component: int, h: float):
 
 @dataclass(frozen=True)
 class AtomicDecomposition:
-    """Finite combination sum_i lambda_i a_i of certified atoms (common beta)."""
+    """Finite combination sum_i lambda_i a_i of atoms of one beta, uncertified."""
 
-    entries: tuple                # ((lam, AtomCandidate, AtomCertificate), ...)
+    entries: tuple                # ((lam, AtomCandidate), ...)
 
     def __post_init__(self):
-        if not self.entries:
-            return
-        beta = self.entries[0][1].beta
-        for lam, cand, cert in self.entries:
-            if abs(cand.beta - beta) > 1e-12:
-                raise ValueError("mixed atom exponents in one decomposition")
-            if cert is not None and not cert.all_pass:
-                raise ValueError("decomposition contains a failing certificate")
+        if any(abs(cand.beta - self.beta) > 1e-12 for _, cand in self.entries):
+            raise ValueError("mixed atom exponents in one decomposition")
 
     @property
     def beta(self) -> float:
@@ -340,5 +324,5 @@ class AtomicDecomposition:
 
     @property
     def budget(self) -> float:
-        return float(sum(abs(lam) for lam, _, _ in self.entries))
+        return float(sum(abs(lam) for lam, _ in self.entries))
 

@@ -1,14 +1,17 @@
 """Command-line frontend: config-driven experiment runner.
 
-Exit codes: 0 all declared checks pass, 1 a check failed (the failing
-invariant is named on stderr) or memory ran out, 2 usage or config errors.
-Each subcommand registers only the flags it reads, so any other flag is a
-usage error; a ``verify`` target's flags and their defaults are its
-verifier's parameters.  Every run writes a JSON summary embedding the tool
-version, the config (every flag the run parsed, with ``command`` naming the
-report) and its hash, and all logged constants; data goes to CSV.  Reruns
-with one seed produce byte-identical CSVs.  Only the output directory may
-come from the environment (``FRACMEAS_OUT``).
+Exit codes: 0 all declared checks pass, 1 a check failed or memory ran out,
+2 usage or config errors.  Every command that judges ends in ``_verdict``:
+its report holds ``pass`` and ``checks`` (``io.Check``: ``value op
+bound``), and a failure prints ``<report> FAILED: <name>: <value> <op>
+<bound>; ...`` on stderr, one entry per failing check.  Each subcommand
+registers only the flags it reads, so any other flag is a usage error; a
+``verify`` target's flags and their defaults are its verifier's parameters.
+Every run writes a JSON summary embedding the tool version, the config
+(every flag the run parsed, with ``command`` naming the report) and its
+hash, and all logged constants; data goes to CSV.  Reruns with one seed
+produce byte-identical CSVs.  Only the output directory may come from the
+environment (``FRACMEAS_OUT``).
 """
 
 from __future__ import annotations
@@ -23,10 +26,14 @@ import sys
 import numpy as np
 
 from . import atoms, content, dimension, heat, io, maximal, measures, potential
+from .io import Check
 from .verify import VERIFIERS
 
 # verifier parameter -> the flag that sets it
 _VERIFY_FLAGS = {"alpha": "--alpha", "n_scales": "--scales", "depth": "--depth"}
+# `potential riesz`: the largest relative move of the heat route's quadrature
+# at half its node density that passes
+_QUAD_TOL = 1e-4
 
 
 def _fail(msg: str, code: int = 2):
@@ -46,6 +53,17 @@ def _report(args, name: str, results: dict, constants: dict | None = None) -> st
     path = os.path.join(_outdir(args), f"{name}.json")
     io.write_report(path, cfg, results, constants)
     return path
+
+
+def _verdict(args, name: str, results: dict, checks, constants: dict) -> int:
+    """Write ``<name>.json`` with ``pass`` and ``checks`` in its results;
+    return 1, naming every failing check on stderr, if one fails."""
+    failed = [c for c in checks if not c.passed]
+    _report(args, name, {**results, "pass": not failed,
+                         "checks": [c.to_dict() for c in checks]}, constants)
+    if failed:
+        print(f"{name} FAILED: " + "; ".join(map(str, failed)), file=sys.stderr)
+    return 1 if failed else 0
 
 
 # ---------------------------------------------------------------------------
@@ -102,12 +120,7 @@ def cmd_atom_check(args) -> int:
     npd = 16 if args.npd is None else args.npd
     tg = None if args.t_lo is None else heat.TGrid.build(args.t_lo, args.t_hi, npd)
     cert = atoms.check_beta_atom(cand, tgrid=tg)
-    _report(args, "atom_check", cert.to_dict())
-    if not cert.all_pass:
-        failing = [k for k, v in cert.passes.items() if not v]
-        print(f"atom check FAILED conditions: {failing}", file=sys.stderr)
-        return 1
-    return 0
+    return _verdict(args, "atom_check", cert.to_dict(), cert.checks, {})
 
 
 # ---------------------------------------------------------------------------
@@ -119,19 +132,14 @@ def cmd_heat(args) -> int:
     tg = heat.TGrid.for_measure(mu, nodes_per_decade=args.npd)
     pts = mu.points()
     fld = heat.heat_field(mu, tg, pts)
-    out = _outdir(args)
-    io.save_heat_field(fld, os.path.join(out, "heat_field.csv"))
+    io.save_heat_field(fld, os.path.join(_outdir(args), "heat_field.csv"))
     worst = 0.0
     for t in tg.nodes[:: max(1, len(tg.nodes) // 8)]:
         worst = max(worst, heat.mass_conservation_residual(mu, float(t)))
     tv = mu.total_variation()
-    ok = worst <= 1e-6 * max(tv, 1e-300)
-    _report(args, "heat", {"mass_conservation_residual": worst,
-                           "total_variation": tv, "pass": ok})
-    if not ok:
-        print("heat mass conservation FAILED", file=sys.stderr)
-        return 1
-    return 0
+    return _verdict(args, "heat", {"total_variation": tv},
+                    [Check("mass_conservation_residual", worst, "<=", 1e-6 * max(tv, 1e-300))],
+                    {})
 
 
 def cmd_potential_riesz(args) -> int:
@@ -153,31 +161,25 @@ def cmd_potential_riesz(args) -> int:
     k = potential.riesz_kernel(cfg, mu, pts)
     hres = potential.riesz_heat(cfg, mu, pts)
     good = np.isfinite(k) & (np.abs(k) > 0)
-    rel = float(np.max(np.abs(hres.values[good] - k[good]) / np.abs(k[good]))) \
-        if np.any(good) else 0.0
-    out = _outdir(args)
-    io.write_csv(os.path.join(out, "riesz.csv"),
+    rel = float(np.max(np.abs(hres.values[good] - k[good]) / np.abs(k[good]), initial=0.0))
+    io.write_csv(os.path.join(_outdir(args), "riesz.csv"),
                  [f"x{a}" for a in range(mu.d)] + ["kernel", "heat_route"],
                  [list(p) + [kv, hv] for p, kv, hv in zip(pts, k, hres.values)])
-    ok = rel <= args.tol and not hres.flagged
-    _report(args, "potential_riesz",
-            {"max_rel_gap": rel, "quad_error_est": hres.quad_error_est,
-             "flagged": hres.flagged, "pass": ok})
-    if not ok:
-        print("riesz route equivalence FAILED", file=sys.stderr)
-        return 1
-    return 0
+    return _verdict(args, "potential_riesz", {},
+                    [Check("max_rel_gap", rel, "<=", args.tol),
+                     Check("quad_error_est", hres.quad_error_est, "<=", _QUAD_TOL)], {})
 
 
 def cmd_potential_besov(args) -> int:
     cand = _candidate(args, io.load_measure(args.measure))
     res = potential.heat_besov_functional(cand, args.alpha)
-    _report(args, "potential_besov",
-            {"total": res.total, "below_split": res.below_split,
-             "above_split": res.above_split, "tail_estimate": res.tail_estimate,
-             "p": res.p, "split_t": res.split_t, "flagged": res.flagged,
-             "label": "heat-integral functional (upper-bound surface)"})
-    return 1 if res.flagged else 0
+    # the integrand's values are >= 0, so the total is finite when they are
+    return _verdict(args, "potential_besov",
+                    {"below_split": res.below_split, "above_split": res.above_split,
+                     "p": res.p, "split_t": res.split_t,
+                     "label": "heat-integral functional (upper-bound surface)"},
+                    [Check("total", res.total, "<", math.inf),
+                     Check("tail_estimate", res.tail_estimate, "<", math.inf)], {})
 
 
 def cmd_maximal(args) -> int:
@@ -238,16 +240,11 @@ def cmd_content_cover(args) -> int:
     out = _outdir(args)
     cov = content.regularized_cover(F, args.beta)
     io.save_cover(cov, os.path.join(out, "cover.csv"))
-    ok = bool(np.all(cov.witness_ratio >= cov.constants["c"] - 1e-12))
-    _report(args, "content_cover",
-            {"n_elements": cov.n_elements, "total": cov.total,
-             "witness_min_ratio": float(np.min(cov.witness_ratio, initial=np.inf)),
-             "pass": ok},
-            constants=cov.constants)
-    if not ok:
-        print("cover postcondition FAILED (witness ratio below c)", file=sys.stderr)
-        return 1
-    return 0
+    # NaN propagates through the min, so a NaN ratio fails
+    return _verdict(args, "content_cover", {"n_elements": cov.n_elements, "total": cov.total},
+                    [Check("witness_min_ratio", np.min(cov.witness_ratio, initial=np.inf),
+                           ">=", cov.constants["c"] - 1e-12)],
+                    cov.constants)
 
 
 def cmd_content_value(args) -> int:
@@ -307,15 +304,10 @@ def cmd_verify(args) -> int:
     if "dirac_seed" in params:
         kwargs["dirac_seed"] = args.seed
     outcome = fn(**kwargs)
-    out = _outdir(args)
     name = f"verify_{outcome.name}"
     for tname, (header, rows) in outcome.tables.items():
-        io.write_csv(os.path.join(out, f"{name}_{tname}.csv"), header, rows)
-    _report(args, name, {"pass": outcome.ok, **outcome.results})
-    if not outcome.ok:
-        print(f"{name} FAILED", file=sys.stderr)
-        return 1
-    return 0
+        io.write_csv(os.path.join(_outdir(args), f"{name}_{tname}.csv"), header, rows)
+    return _verdict(args, name, outcome.results, outcome.checks, {})
 
 
 # ---------------------------------------------------------------------------

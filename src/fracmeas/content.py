@@ -38,8 +38,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from ._gamma import gamma
-from .measures import (DyadicLattice, _cube_ball_dist, _match_rows, _row_heads, _row_runs,
-                       _run_cells, _unique_rows, unit_lattice)
+from .measures import (DyadicLattice, _cube_ball_dist, _match_rows, _row_heads, _row_norms,
+                       _row_runs, _run_cells, _unique_rows, unit_lattice)
 
 
 def ball_volume_constant(beta: float) -> float:
@@ -245,6 +245,10 @@ class BallFamily:
     radii: np.ndarray            # (m,)
 
     def __post_init__(self):
+        for what, values in (("radius", self.radii), ("centre coordinate", self.centers)):
+            bad = values[~np.isfinite(values)]
+            if len(bad):
+                raise ValueError(f"a ball {what} is {bad[0]}: it must be finite")
         if np.any(self.radii <= 0):
             raise ValueError("radii must be positive")
 
@@ -502,12 +506,6 @@ def regularized_cover(F: BallFamily, beta: float,
                                    "swaps": swaps,
                                    "raster_content": raster_content,
                                    "cell_level": cell_level})
-
-
-def _row_norms(x: np.ndarray) -> np.ndarray:
-    """Euclidean norm of each row, bit for bit ``np.linalg.norm`` of the row
-    (``einsum`` and ``np.sum`` round differently)."""
-    return np.sqrt((x[:, None, :] @ x[:, :, None])[:, 0, 0])
 
 
 def ball_cover(F: BallFamily, beta: float) -> ContentCover:

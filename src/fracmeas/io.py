@@ -1,4 +1,5 @@
-"""Serialization: CSV data files with JSON sidecars and reports.
+"""Serialization: CSV data files with JSON sidecars and reports, and the
+named checks a report's verdict is made of.
 
 All writers format floats with ``repr`` (shortest round-trip) and sort any
 key-ordered content, so a rerun with the same inputs is byte-identical.
@@ -8,12 +9,43 @@ from __future__ import annotations
 
 import hashlib
 import json
+import operator
 import os
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import __version__
 from .measures import GridMeasure, new_grid_measure
+
+_OPS = {"<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge}
+
+
+@dataclass(frozen=True)
+class Check:
+    """One named condition ``value op bound`` of a verdict.  ``passed`` is the
+    plain comparison (a NaN fails, ±inf compare as numbers); ``margin`` is
+    how far inside its bound the value lies (negative outside)."""
+
+    name: str
+    value: float
+    op: str                       # "<", "<=", ">" or ">="
+    bound: float
+
+    @property
+    def passed(self) -> bool:
+        return bool(_OPS[self.op](self.value, self.bound))
+
+    @property
+    def margin(self) -> float:
+        return (float(self.bound) - float(self.value)) * (1 if self.op[0] == "<" else -1)
+
+    def to_dict(self) -> dict:
+        return {"name": self.name, "value": float(self.value), "op": self.op,
+                "bound": float(self.bound), "passed": self.passed, "margin": self.margin}
+
+    def __str__(self) -> str:
+        return f"{self.name}: {float(self.value)!r} {self.op} {float(self.bound)!r}"
 
 
 def _fmt(v) -> str:
@@ -64,7 +96,6 @@ def write_report(path, config: dict, results: dict, constants: dict | None = Non
     }
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(canonical_json(payload) + "\n")
-    return payload
 
 
 # ---------------------------------------------------------------------------

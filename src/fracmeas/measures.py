@@ -42,6 +42,12 @@ def _cube_ball_dist(corners, side, center):
     return np.sqrt(sum(gap[..., a] ** 2 for a in range(gap.shape[-1])))
 
 
+def _row_norms(x: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row, bit for bit ``np.linalg.norm`` of the row
+    (``einsum`` and ``np.sum`` round differently)."""
+    return np.sqrt((x[:, None, :] @ x[:, :, None])[:, 0, 0])
+
+
 def _row_heads(lo, spans, q):
     """Indices on all axes but the last of row ``q`` of boxes that start at
     ``lo`` and span ``spans`` cells on those axes, first axis slowest."""
@@ -374,8 +380,7 @@ class VectorGridMeasure:
                          [c.n_masses for c in self.components])
         vecs = np.zeros((len(indices), len(self.components)))
         np.add.at(vecs, (inv, comp), np.concatenate([c.weights for c in self.components]))
-        # one norm per row: norm(axis=1) can differ from it in the last bit
-        weights = np.array([np.linalg.norm(v) for v in vecs])
+        weights = _row_norms(vecs)
         return new_grid_measure(base.d, base.h, base.origin, indices, weights,
                                 name="|" + (base.name or "F") + "|")
 

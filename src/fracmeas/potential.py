@@ -98,7 +98,6 @@ def riesz_field(cfg: RieszConfig, mu: GridMeasure, origin, spacing: float,
 class RieszHeatResult:
     values: np.ndarray
     quad_error_est: float
-    flagged: bool
 
 
 def _log_trapezoid_weights(nodes):
@@ -117,15 +116,14 @@ def riesz_heat(cfg: RieszConfig, mu: GridMeasure, points) -> RieszHeatResult:
     (r_lo/8)^2 to (8 r_hi)^2, r_lo and r_hi the least and greatest
     point-mass distances (r_hi widened by the support), plus exact power-law
     tail corrections at both ends (incomplete-gamma closed forms, valid for
-    point masses).  The result is flagged when halving the node density
-    moves the quadrature by more than 1e-4 relative.
+    point masses).  ``quad_error_est`` is the largest relative move of the
+    quadrature when the node density is halved.
     """
     from scipy.special import gammainc, gammaincc
 
     pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
     if mu.n_masses == 0:
-        return RieszHeatResult(values=np.zeros(len(pts)), quad_error_est=0.0,
-                               flagged=False)
+        return RieszHeatResult(values=np.zeros(len(pts)), quad_error_est=0.0)
     y = mu.points()
     dists = np.empty((len(pts), len(y)))
     for s, e, d2 in _kernels.pairwise_sq_dists(pts, y, 4096):
@@ -161,9 +159,9 @@ def riesz_heat(cfg: RieszConfig, mu: GridMeasure, points) -> RieszHeatResult:
     values = main + tailsum
     values[hot] = np.inf
     finite = np.isfinite(values) & (np.abs(values) > 0)
-    err = float(np.max(np.abs(main[finite] - half[finite])
-                       / np.abs(values[finite]))) if np.any(finite) else 0.0
-    return RieszHeatResult(values=values, quad_error_est=err, flagged=err > 1e-4)
+    err = float(np.max(np.abs(main[finite] - half[finite]) / np.abs(values[finite]),
+                       initial=0.0))
+    return RieszHeatResult(values=values, quad_error_est=err)
 
 
 # ---------------------------------------------------------------------------
@@ -199,7 +197,6 @@ class BesovResult:
     tail_estimate: float
     p: float
     split_t: float
-    flagged: bool
 
 
 # lattice cells whose grids one pass finds at most (or one node's)
@@ -268,7 +265,8 @@ def heat_besov_functional(cand, alpha: float) -> BesovResult:
     under mass-preserving dilation of the candidate when p = d/(d-alpha)
     (every grid parameter scales with the measure, so the computed sums
     reproduce to rounding).  Both halves of the split at t = l(Q)^2 are
-    reported; a divergent-looking integrand flags the result.
+    reported; a divergent-looking integrand has an infinite ``tail_estimate``
+    and a non-finite one an infinite or NaN ``total``.
     """
     mu = cand.measure
     d = mu.d
@@ -299,9 +297,8 @@ def heat_besov_functional(cand, alpha: float) -> BesovResult:
             tail = float(g[sel][pos][-1] * tgrid.nodes[sel][pos][-1] / (-slope - 1.0))
     elif np.all(g[sel] == 0):
         tail = 0.0
-    flagged = not math.isfinite(tail) or not np.all(np.isfinite(g))
     return BesovResult(total=below + above, below_split=below, above_split=above,
-                       tail_estimate=tail, p=p, split_t=split, flagged=flagged)
+                       tail_estimate=tail, p=p, split_t=split)
 
 
 # ---------------------------------------------------------------------------

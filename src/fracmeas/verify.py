@@ -1,8 +1,10 @@
 """Theorem-level verification harnesses.
 
-Each ``verify_*`` function runs one desk-scale experiment suite, returns a
-``VerifyOutcome`` with a pass flag, a results dict (every logged constant
-included), and named CSV tables.  The CLI wraps these; the acceptance test
+Each ``verify_*`` function runs one desk-scale experiment suite and returns
+a ``VerifyOutcome``: its verdict as named checks (``io.Check``, one per
+condition, and the outcome passes when every check does), a results dict of
+the other logged constants, and named CSV tables.  A non-finite
+value fails a check of its own.  The CLI wraps these; the acceptance test
 suite calls them directly.  All randomness flows from an explicit seed.
 
 thm13's heat-integral functionals and thm15's scales do not depend on each
@@ -18,18 +20,21 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import atoms, dimension, heat, measures, potential
+from .io import Check
 from .measures import Cube
 
-# verdict caps; each report records its cap in its results
+# verdict bounds; each is the bound of a named check
 _DILATION_TOL = 0.02        # thm13: relative deviation across dilations
 _KIND_RATIO_CAP = 10.0      # thm13: largest over smallest atom-kind value
 _SPREAD_CAP = 2.0           # thm14, thm15: largest over smallest trace
 _DISPERSION_CAP = 10.0      # cor16: largest over smallest trace ratio
+_BETA_HAT_TOL = 0.05        # thm18: distance of each estimate from its target
+_BETA_HAT_DROP = 0.1        # thm19: how far an atom sum's estimate may fall below beta
 _C_SPREAD_CAP = 2.0         # thm19: larger over smaller bound constant
 
 _pool = None                # the case pool of ``_map_cases``, made on first use
@@ -62,9 +67,13 @@ def _map_cases(fn, cases) -> list:
 @dataclass
 class VerifyOutcome:
     name: str
-    ok: bool
+    checks: tuple                                 # the verdict's io.Check records
     results: dict
     tables: dict = field(default_factory=dict)   # name -> (header, rows)
+
+    @property
+    def ok(self) -> bool:
+        return all(c.passed for c in self.checks)
 
 
 # ---------------------------------------------------------------------------
@@ -150,17 +159,15 @@ def verify_thm13(alpha: float = 0.5, n_scales: int = 5, depth: int = 8) -> Verif
         worst_dev = max(worst_dev, abs(res.total - base.total) / base.total)
         rows.append([f"cantor@2^-{j}", j, res.total, res.below_split, res.above_split])
     kind_vals = {"cantor": base.total, "linf": linf_res.total, "loop": loop_res.total}
-    for k, v in kind_vals.items():
-        if k != "cantor":
-            rows.append([k, 0, v, math.nan, math.nan])
-    finite = all(math.isfinite(v) and v > 0 for v in kind_vals.values())
-    ratio = max(kind_vals.values()) / min(kind_vals.values())
-    ok = finite and worst_dev <= _DILATION_TOL and ratio <= _KIND_RATIO_CAP
+    rows += [[k, 0, v, math.nan, math.nan] for k, v in kind_vals.items() if k != "cantor"]
+    # a NaN or a value <= 0 fails kind_min; an infinite one, kind_ratio
     return VerifyOutcome(
-        name="thm13", ok=ok,
-        results={"alpha": alpha, "dilation_max_rel_dev": worst_dev,
-                 "dilation_tol": _DILATION_TOL, "kind_values": kind_vals,
-                 "kind_ratio": ratio, "kind_ratio_cap": _KIND_RATIO_CAP,
+        name="thm13",
+        checks=(Check("kind_min", np.min(list(kind_vals.values())), ">", 0.0),
+                Check("dilation_max_rel_dev", worst_dev, "<=", _DILATION_TOL),
+                Check("kind_ratio", max(kind_vals.values()) / min(kind_vals.values()),
+                      "<=", _KIND_RATIO_CAP)),
+        results={"alpha": alpha, "kind_values": kind_vals,
                  "functional": "heat-integral of Lorentz norms "
                                "(upper-bound surface, split at l(Q)^2)"},
         tables={"besov": (["atom", "scale_j", "total", "below_split", "above_split"],
@@ -170,6 +177,18 @@ def verify_thm13(alpha: float = 0.5, n_scales: int = 5, depth: int = 8) -> Verif
 # ---------------------------------------------------------------------------
 # trace inequalities
 # ---------------------------------------------------------------------------
+
+def _trace_outcome(name: str, rows, results: dict) -> VerifyOutcome:
+    """A trace verdict from rows ``[j, s, trace, C_nu]``: every trace finite
+    (traces are >= 0), and largest over smallest at most ``_SPREAD_CAP``."""
+    traces = [row[2] for row in rows]
+    return VerifyOutcome(
+        name=name, checks=(Check("trace_max", np.max(traces), "<", math.inf),
+                           Check("spread", max(traces) / min(traces), "<=", _SPREAD_CAP)),
+        results={**results, "traces": traces,
+                 "frostman_constants": [row[3] for row in rows]},
+        tables={"trace": (["scale_j", "s", "trace", "nu_frostman_C"], rows)})
+
 
 def verify_thm14(alpha: float = 0.5, n_scales: int = 5, depth: int = 8) -> VerifyOutcome:
     """Riesz-potential trace against a Frostman measure, uniform over jointly
@@ -181,7 +200,7 @@ def verify_thm14(alpha: float = 0.5, n_scales: int = 5, depth: int = 8) -> Verif
     cand, _ = atoms.make_frostman_atom(depth=depth)
     nu = measures.cantor_measure(depth)
     cfg = potential.RieszConfig(alpha=alpha, d=d)
-    rows, traces, consts = [], [], []
+    rows = []
     riesz_nodes = {"evaluated": [], "total": []}
     for j in range(n_scales):
         s = 2.0 ** (-j)
@@ -199,19 +218,9 @@ def verify_thm14(alpha: float = 0.5, n_scales: int = 5, depth: int = 8) -> Verif
         tr = potential.trace_integral(fld.interpolate(nu_pts), nu_s)
         riesz_nodes["evaluated"].append(len(np.unique(fld.stencil(nu_pts)[0])))
         riesz_nodes["total"].append(n)
-        traces.append(tr)
-        consts.append(c_nu)
         rows.append([j, s, tr, c_nu])
-    spread = max(traces) / min(traces)
-    finite = all(math.isfinite(v) for v in traces)
-    ok = finite and spread <= _SPREAD_CAP
-    return VerifyOutcome(
-        name="thm14", ok=ok,
-        results={"alpha": alpha, "traces": traces, "spread": spread,
-                 "spread_cap": _SPREAD_CAP, "frostman_constants": consts,
-                 "growth_exponent": d - alpha,
-                 "riesz_nodes": riesz_nodes},
-        tables={"trace": (["scale_j", "s", "trace", "nu_frostman_C"], rows)})
+    return _trace_outcome("thm14", rows, {"alpha": alpha, "growth_exponent": d - alpha,
+                                          "riesz_nodes": riesz_nodes})
 
 
 def verify_thm15(n_scales: int = 5, depth: int = 8) -> VerifyOutcome:
@@ -233,16 +242,7 @@ def verify_thm15(n_scales: int = 5, depth: int = 8) -> VerifyOutcome:
         tr = potential.trace_integral(sup.values, nu_s)
         return [j, s, tr, c_nu]
 
-    rows = _map_cases(one_scale, range(n_scales))
-    traces = [row[2] for row in rows]
-    consts = [row[3] for row in rows]
-    spread = max(traces) / min(traces)
-    ok = all(math.isfinite(v) for v in traces) and spread <= _SPREAD_CAP
-    return VerifyOutcome(
-        name="thm15", ok=ok,
-        results={"alpha": alpha, "traces": traces, "spread": spread,
-                 "spread_cap": _SPREAD_CAP, "frostman_constants": consts},
-        tables={"trace": (["scale_j", "s", "trace", "nu_frostman_C"], rows)})
+    return _trace_outcome("thm15", _map_cases(one_scale, range(n_scales)), {"alpha": alpha})
 
 
 def verify_cor16() -> VerifyOutcome:
@@ -255,7 +255,7 @@ def verify_cor16() -> VerifyOutcome:
     c_nu = measures.frostman_constant(nu, d - alpha, 4 * nu.h)
     loops = [("square", square_loop(16)), ("hexagon", ngon_loop(6)),
              ("circle64", ngon_loop(64))]
-    rows, ratios = [], []
+    rows = []
     for name, poly in loops:
         vm = measures.curve_measure(poly, 1.0 / 64.0)
         tv = vm.total_variation()
@@ -266,17 +266,16 @@ def verify_cor16() -> VerifyOutcome:
             tg = heat.TGrid.for_measure(comp, nodes_per_decade=12)
             sup = heat.heat_sup_field(comp, alpha, nu.points(), tg, refine=False)
             tr = potential.trace_integral(sup.values, nu)
-            ratios.append(tr / tv)
             rows.append([name, i, tr, tv, tr / tv])
+    ratios = [row[4] for row in rows]
     shared_c = max(ratios)
-    dispersion = max(ratios) / min(ratios)
-    ok = (all(math.isfinite(r) for r in ratios)
-          and all(tr <= shared_c * tv * (1 + 1e-12) for _, _, tr, tv, _ in rows)
-          and dispersion <= _DISPERSION_CAP)
     return VerifyOutcome(
-        name="cor16", ok=ok,
-        results={"alpha": alpha, "shared_C": shared_c, "dispersion": dispersion,
-                 "dispersion_cap": _DISPERSION_CAP,
+        name="cor16",
+        checks=(Check("ratio_max", np.max(ratios), "<", math.inf),
+                Check("trace_excess", max(tr - shared_c * tv * (1 + 1e-12)
+                                          for _, _, tr, tv, _ in rows), "<=", 0.0),
+                Check("dispersion", max(ratios) / min(ratios), "<=", _DISPERSION_CAP)),
+        results={"alpha": alpha, "shared_C": shared_c,
                  "nu_frostman_C": c_nu, "n_components": len(ratios)},
         tables={"loops": (["loop", "component", "trace", "total_variation",
                            "ratio"], rows)})
@@ -304,25 +303,19 @@ def verify_thm18(depth: int = 8, dirac_seed: int = 7) -> VerifyOutcome:
         "dirac": dimension.lower_dim_estimate(dir1, lat, betas, max_level=16),
         "cantor": dimension.lower_dim_estimate(can, lat, betas, max_level=j_can),
     }
-    curves_rows = []
-    for name, rep in reps.items():
-        for i, b in enumerate(rep.betas):
-            for j, dl in enumerate(rep.deltas):
-                curves_rows.append([name, b, dl, rep.curves[i, j]])
-    choquet_rows = []
-    for name, mu in [("lebesgue", leb), ("dirac", dir1)]:
-        for lexp in (3, 5, 8):
-            v = dimension.choquet_maximal_test(mu, lat, 0.5, 2.0 ** -lexp)
-            choquet_rows.append([name, 2.0 ** -lexp, v])
-    ok = (reps["lebesgue"].beta_hat >= 1.0 - 0.05
-          and reps["dirac"].beta_hat <= 0.05
-          and abs(reps["cantor"].beta_hat - beta0) <= 0.05)
+    curves_rows = [[name, b, dl, rep.curves[i, j]] for name, rep in reps.items()
+                   for i, b in enumerate(rep.betas) for j, dl in enumerate(rep.deltas)]
+    choquet_rows = [[name, 2.0 ** -lexp,
+                     dimension.choquet_maximal_test(mu, lat, 0.5, 2.0 ** -lexp)]
+                    for name, mu in [("lebesgue", leb), ("dirac", dir1)] for lexp in (3, 5, 8)]
+    hats = {k: r.beta_hat for k, r in reps.items()}
     return VerifyOutcome(
-        name="thm18", ok=ok,
-        results={"beta_hat": {k: r.beta_hat for k, r in reps.items()},
-                 "expected": {"lebesgue": ">= 0.95", "dirac": "<= 0.05",
-                              "cantor": f"{beta0:.4f} +- 0.05"},
-                 "tol_factor": reps["cantor"].tol_factor,
+        name="thm18",
+        checks=(Check("lebesgue.beta_hat", hats["lebesgue"], ">=", 1.0 - _BETA_HAT_TOL),
+                Check("dirac.beta_hat", hats["dirac"], "<=", _BETA_HAT_TOL),
+                Check("cantor.beta_hat_error", abs(hats["cantor"] - beta0), "<=",
+                      _BETA_HAT_TOL)),
+        results={"beta_hat": hats, "tol_factor": reps["cantor"].tol_factor,
                  "cantor_depth": depth, "cantor_max_level": j_can},
         tables={"curves": (["measure", "beta", "delta", "captured_mass"],
                            curves_rows),
@@ -332,33 +325,30 @@ def verify_thm18(depth: int = 8, dirac_seed: int = 7) -> VerifyOutcome:
 
 def verify_thm19(depth: int = 8) -> VerifyOutcome:
     """Maximal/Choquet bound against the coefficient budget for a single atom
-    and a 4-atom combination, one logged constant, plus dimension passes."""
+    and a 4-atom combination, one logged constant, plus the atom's
+    certificate and the sums' dimension estimates."""
     cand, _ = atoms.make_frostman_atom(depth=depth)
     cert = atoms.check_beta_atom(cand)
-    dec1 = atoms.AtomicDecomposition(entries=((1.0, cand, cert),))
+    dec1 = atoms.AtomicDecomposition(entries=((1.0, cand),))
     rep1 = dimension.atom_sum_dimension_check(dec1, sample_level=7, max_level=13)
-    entries = []
-    for i in range(4):
-        m = cand.measure.translated([2.0 * i])
-        c = atoms.AtomCandidate(measure=m,
-                                cube=Cube(corner=np.array([2.0 * i]), side=1.0),
-                                beta=cand.beta)
-        entries.append((0.25, c, None))
-    dec4 = atoms.AtomicDecomposition(entries=tuple(entries))
+    dec4 = atoms.AtomicDecomposition(entries=tuple(
+        (0.25, atoms.AtomCandidate(measure=cand.measure.translated([2.0 * i]),
+                                   cube=Cube(corner=np.array([2.0 * i]), side=1.0),
+                                   beta=cand.beta)) for i in range(4)))
     rep4 = dimension.atom_sum_dimension_check(dec4, sample_level=7, max_level=13)
     c1, c4 = rep1["bound_constant"], rep4["bound_constant"]
     shared_c = max(c1, c4)
-    spread = shared_c / min(c1, c4)
-    ok = (rep1["dim_pass"] and rep4["dim_pass"]
-          and math.isfinite(shared_c) and spread <= _C_SPREAD_CAP)
+    low = cand.beta - _BETA_HAT_DROP
     rows = [["single", rep1["budget"], rep1["maximal_l1"], c1, rep1["beta_hat"]],
             ["sum4", rep4["budget"], rep4["maximal_l1"], c4, rep4["beta_hat"]]]
     return VerifyOutcome(
-        name="thm19", ok=ok,
-        results={"shared_C": shared_c, "constant_spread": spread,
-                 "c_spread_cap": _C_SPREAD_CAP,
-                 "beta": cand.beta,
-                 "beta_hat": {"single": rep1["beta_hat"], "sum4": rep4["beta_hat"]},
+        name="thm19",
+        checks=(*(replace(c, name=f"certificate.{c.name}") for c in cert.checks),
+                Check("single.beta_hat", rep1["beta_hat"], ">=", low),
+                Check("sum4.beta_hat", rep4["beta_hat"], ">=", low),
+                Check("shared_C", shared_c, "<", math.inf),
+                Check("constant_spread", shared_c / min(c1, c4), "<=", _C_SPREAD_CAP)),
+        results={"beta": cand.beta,
                  "level_sum_final": {"single": rep1["level_sums"][-1],
                                      "sum4": rep4["level_sums"][-1]},
                  "convention": rep1["convention"]},

@@ -1,6 +1,7 @@
 import argparse
 import hashlib
 import json
+import math
 import os
 import re
 import resource
@@ -9,13 +10,14 @@ import sys
 import tempfile
 import textwrap
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fracmeas import atoms, content, heat, io, verify
+from fracmeas import atoms, content, heat, io, potential, verify
 from fracmeas.cli import build_parser, main
 from fracmeas.measures import cantor_measure, new_grid_measure, unit_lattice
 
@@ -37,12 +39,25 @@ def test_atom_gen_then_check(tmp_path, warm):
                 "--beta", "0.6309297535714574"]) == 0
     with open(os.path.join(out, "atom_check.json")) as fh:
         rep = json.load(fh)
-    assert rep["results"]["all_pass"]
+    assert rep["results"]["pass"] is True
+    assert [c["name"] for c in rep["results"]["checks"]] == [
+        "support", "cancellation", "heat_bound", "variation"]
     assert rep["version"]
     assert rep["config_hash"]
 
 
-def test_atom_check_failure_exit_code(tmp_path, warm):
+def _assert_failed(capsys, path, checks):
+    """The run's one stderr line names exactly ``checks`` (``name: value op
+    bound`` each, as its report records them) and its report does not pass."""
+    results = json.loads(path.read_text())["results"]
+    assert results["pass"] is False
+    failed = [c for c in results["checks"] if not c["passed"]]
+    assert [c["name"] for c in failed] == checks
+    line = "; ".join(f"{c['name']}: {c['value']!r} {c['op']} {c['bound']!r}" for c in failed)
+    assert capsys.readouterr().err == f"{path.stem} FAILED: {line}\n"
+
+
+def test_atom_check_failure_exit_code(tmp_path, capsys, warm):
     out = str(tmp_path)
     bad = new_grid_measure(1, 0.5, [0.0], [[0], [1]], [0.5, -0.5])
     csv = os.path.join(out, "bad.csv")
@@ -50,6 +65,7 @@ def test_atom_check_failure_exit_code(tmp_path, warm):
     rc = run(["--out", out, "atom", "check", "--measure", csv,
               "--beta", "0.3", "--t-lo", "1e-9", "--t-hi", "64.0"])
     assert rc == 1
+    _assert_failed(capsys, tmp_path / "atom_check.json", ["heat_bound"])
 
 
 def test_usage_error_exit_2(tmp_path):
@@ -451,6 +467,37 @@ def test_heat_command(tmp_path, warm):
     assert os.path.exists(os.path.join(out, "heat_field.csv"))
 
 
+def test_heat_failing_mass_conservation_exit_1(tmp_path, monkeypatch, capsys):
+    csv = str(tmp_path / "mu.csv")
+    io.save_measure(cantor_measure(3), csv)
+    monkeypatch.setattr(heat, "mass_conservation_residual", lambda mu, t: 1.0)
+    assert run(["--out", str(tmp_path), "heat", "--measure", csv, "--npd", "4"]) == 1
+    _assert_failed(capsys, tmp_path / "heat.json", ["mass_conservation_residual"])
+
+
+def test_potential_besov_divergent_tail_exit_1(tmp_path, monkeypatch, capsys, warm):
+    # an infinite tail estimate (a divergent-looking integrand) fails its check
+    def divergent(*args):
+        return replace(functional(*args), tail_estimate=math.inf)
+
+    functional = potential.heat_besov_functional
+    monkeypatch.setattr(potential, "heat_besov_functional", divergent)
+    csv = str(tmp_path / "mu.csv")
+    io.save_measure(atoms.make_frostman_atom(depth=4)[0].measure, csv)
+    assert run(["--out", str(tmp_path), "potential", "besov", "--measure", csv,
+                "--alpha", "0.5", "--beta", "0.6"]) == 1
+    _assert_failed(capsys, tmp_path / "potential_besov.json", ["tail_estimate"])
+
+
+def test_potential_riesz_failing_gap_exit_1(tmp_path, capsys, warm):
+    # no two routes agree to the last bit, so a zero tolerance fails
+    csv = str(tmp_path / "mu.csv")
+    io.save_measure(cantor_measure(3), csv)
+    assert run(["--out", str(tmp_path), "potential", "riesz", "--measure", csv,
+                "--alpha", "0.5", "--n-points", "4", "--tol", "0"]) == 1
+    _assert_failed(capsys, tmp_path / "potential_riesz.json", ["max_rel_gap"])
+
+
 def _header_only_balls(tmp_path, d):
     balls = tmp_path / f"balls{d}.csv"
     balls.write_text(",".join([f"x{a}" for a in range(d)] + ["r"]) + "\n")
@@ -468,9 +515,39 @@ def test_content_cover_empty_file(tmp_path):
                           + ["size", "witness_ball_id"])
         assert (out / "cover.csv").read_text() == header + "\n"
         rep = json.loads((out / "content_cover.json").read_text())
-        assert rep["results"] == {"n_elements": 0, "total": 0.0,
-                                  "witness_min_ratio": float("inf"), "pass": True}
+        # no ball, so the least witness ratio is +inf and the check passes
+        inf = float("inf")
+        assert rep["results"] == {
+            "n_elements": 0, "total": 0.0, "pass": True,
+            "checks": [{"name": "witness_min_ratio", "value": inf, "op": ">=",
+                        "bound": rep["constants"]["c"] - 1e-12, "passed": True,
+                        "margin": inf}]}
         assert rep["constants"]["cell_level"] == 0
+
+
+@pytest.mark.parametrize("radius", ["nan", "inf"])
+def test_content_cover_non_finite_radius_exit_2(tmp_path, capsys, radius):
+    balls = tmp_path / "balls.csv"
+    balls.write_text(f"x,y,r\n0.5,0.5,{radius}\n")
+    assert run(["--out", str(tmp_path), "content", "cover", "--balls", str(balls),
+                "--beta", "0.5"]) == 2
+    assert capsys.readouterr().err == (f"fracmeas: invalid configuration: a ball radius "
+                                       f"is {radius}: it must be finite\n")
+
+
+def test_content_cover_failing_witness_exit_1(tmp_path, monkeypatch, capsys):
+    # a witness constant c above every witness ratio fails the postcondition
+    def no_witness(*args):
+        cov = regularized_cover(*args)
+        return replace(cov, constants={**cov.constants, "c": float("inf")})
+
+    regularized_cover = content.regularized_cover
+    monkeypatch.setattr(content, "regularized_cover", no_witness)
+    balls = tmp_path / "balls.csv"
+    balls.write_text("x,y,r\n0.5,0.5,0.1\n")
+    assert run(["--out", str(tmp_path), "content", "cover", "--balls", str(balls),
+                "--beta", "0.5"]) == 1
+    _assert_failed(capsys, tmp_path / "content_cover.json", ["witness_min_ratio"])
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
@@ -908,25 +985,34 @@ def test_content_value_rasterizes_and_sweeps_once(tmp_path, monkeypatch, beta):
     assert hashlib.sha256(report).hexdigest() == _CONTENT_VALUE_DIGESTS[beta]
 
 
-@pytest.mark.parametrize("argv, measured, key, cap, value", [
-    (["cor16"], "dispersion", "dispersion_cap", "_DISPERSION_CAP", 10.0),
-    (["thm15"], "spread", "spread_cap", "_SPREAD_CAP", 2.0),
-    (["thm19", "--depth", "6"], "constant_spread", "c_spread_cap", "_C_SPREAD_CAP", 2.0),
-], ids=["cor16", "thm15", "thm19"])
-def test_verdict_cap_is_applied(tmp_path, monkeypatch, capsys, argv, measured, key, cap,
-                                value):
-    # a cap just below the measured value turns the verdict, and the report
-    # still records the cap under its key
+@pytest.mark.parametrize("argv, check, cap", [
+    (["thm13", "--depth", "5"], "kind_ratio", "_KIND_RATIO_CAP"),
+    (["thm14", "--depth", "5"], "spread", "_SPREAD_CAP"),
+    (["thm15", "--depth", "5"], "spread", "_SPREAD_CAP"),
+    (["cor16"], "dispersion", "_DISPERSION_CAP"),
+    (["thm18", "--depth", "5"], "cantor.beta_hat_error", "_BETA_HAT_TOL"),
+    (["thm19", "--depth", "6"], "constant_spread", "_C_SPREAD_CAP"),
+], ids=["thm13", "thm14", "thm15", "cor16", "thm18", "thm19"])
+def test_verdict_cap_is_applied(tmp_path, monkeypatch, capsys, argv, check, cap):
+    # the report records the cap as its check's bound, and a cap just below
+    # the measured value fails that check alone, which stderr names
     name = f"verify_{argv[0]}"
     path = tmp_path / f"{name}.json"
     assert run(["--out", str(tmp_path), "verify", *argv]) == 0
-    results = json.loads(path.read_text())["results"]
-    assert results[key] == value
-    monkeypatch.setattr(verify, cap, float(np.nextafter(results[measured], -np.inf)))
+    checks = {c["name"]: c for c in json.loads(path.read_text())["results"]["checks"]}
+    assert checks[check]["op"] == "<=" and checks[check]["bound"] == getattr(verify, cap)
+    monkeypatch.setattr(verify, cap, float(np.nextafter(checks[check]["value"], -np.inf)))
     capsys.readouterr()
     assert run(["--out", str(tmp_path), "verify", *argv]) == 1
-    assert f"{name} FAILED" in capsys.readouterr().err
-    assert json.loads(path.read_text())["results"]["pass"] is False
+    _assert_failed(capsys, path, [check])
+
+
+def test_thm19_failing_certificate_exit_1(tmp_path, monkeypatch, capsys):
+    # a heat-bound tolerance of -1 puts the bound at 0, below any sup ratio:
+    # the atom's certificate fails, and thm19 names its condition
+    monkeypatch.setattr(atoms, "_SUP_TOL", -1.0)
+    assert run(["--out", str(tmp_path), "verify", "thm19", "--depth", "6"]) == 1
+    _assert_failed(capsys, tmp_path / "verify_thm19.json", ["certificate.heat_bound"])
 
 
 @pytest.mark.parametrize("action", ["cover", "value"])

@@ -204,6 +204,17 @@ def test_empty_family_cover():
         assert bc.constants == {**consts, "dilate_factor": math.sqrt(d) / 2.0 + 2.0 / c}
 
 
+@pytest.mark.parametrize("centers, radii, what", [
+    ([[0.5, 0.5]], [math.nan], "radius is nan"),
+    ([[0.5, 0.5]], [math.inf], "radius is inf"),
+    ([[0.5, -math.inf]], [0.1], "centre coordinate is -inf"),
+    ([[math.nan, 0.5]], [0.1], "centre coordinate is nan"),
+])
+def test_ball_family_rejects_non_finite_values(centers, radii, what):
+    with pytest.raises(ValueError, match=f"a ball {what}: it must be finite"):
+        make_ball_family(centers, radii)
+
+
 def test_single_ball_cover_postconditions():
     F = make_ball_family([[0.3, 0.4]], [0.11])
     cov = regularized_cover(F, 0.5)

@@ -70,7 +70,7 @@ def test_heat_route_matches_kernel(warm):
             pts[:, 0] = rr
             k = riesz_kernel(cfg, mu, pts)
             res = riesz_heat(cfg, mu, pts)
-            assert not res.flagged
+            assert res.quad_error_est <= 1e-4
             assert np.max(np.abs(res.values - k) / k) < 1e-3
 
 
@@ -186,7 +186,7 @@ def test_besov_halves_dominated_by_small_t(warm):
     res = heat_besov_functional(cand, 0.5)
     assert res.below_split > res.above_split
     assert math.isfinite(res.tail_estimate)
-    assert not res.flagged
+    assert math.isfinite(res.total)
 
 
 def test_besov_alpha_guard():
@@ -237,7 +237,8 @@ def test_trace_riesz_of_atom_bounded_across_scales(warm):
     from fracmeas.verify import verify_thm14
     out = verify_thm14(alpha=0.5, n_scales=3, depth=6)
     assert out.ok
-    assert out.results["spread"] <= 1.05     # exact scaling up to rounding
+    spread, = (c.value for c in out.checks if c.name == "spread")
+    assert spread <= 1.05     # exact scaling up to rounding
 
 
 def test_riesz_far_field_decay(warm):

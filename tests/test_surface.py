@@ -38,11 +38,11 @@ ALLOWED_UNREACHED = {}
 # defaulted parameters kept although only tests set them, each with its reason
 ALLOWED_UNSET = {
     "content.choquet_integral.thresholds":
-        "ROADMAP direction 6 redefines the default threshold grid; until then "
+        "ROADMAP direction 9 redefines the default threshold grid; until then "
         "the golden digests and the hypothesis properties pin today's grid, "
         "and the tests check the layer-cake sum on thresholds of their own",
     "content.choquet_integral.n_thresholds":
-        "the size of today's default grid, which direction 6 redefines",
+        "the size of today's default grid, which direction 9 redefines",
 }
 
 
