@@ -11,8 +11,8 @@ dense one bit for bit.  That buffer is a private anonymous memory map without
 huge pages (``_zero_rows``), so it costs memory only for the rows written.
 A Gaussian term whose exponent lies below -746 is written as 0.0 and never
 evaluated (``_gauss_terms``): exp returns exactly 0.0 there anyway.  The
-radial convolution takes its profile as a function of the scaled distance
-(``maximal.Profile.values``), so each profile formula is written once.
+radial convolution takes its profile (``maximal.Profile``, each formula
+written once) and evaluates it only inside its support: it is 0.0 past it.
 """
 
 from __future__ import annotations
@@ -26,6 +26,8 @@ HAVE_NUMBA = False
 
 # exp(a) is exactly 0.0 for every double a below about -745.13
 EXP_FLOOR = -746.0
+# the radial window's relative reach past a support radius: r / s rounds by less
+SUPPORT_MARGIN = 2.0 ** -40
 
 
 def pairwise_sq_dists(x, y, rows: int):
@@ -196,13 +198,15 @@ def heat_values(x, y, w, t):
     return _pair_sums(x, y, w, lambda d: (4.0 * np.pi * t) ** (-d / 2.0), gauss_columns)
 
 
-def radial_conv_values(x, y, w, s, phi):
+def radial_conv_values(x, y, w, s, profile):
     """Profile convolutions ``out[i,j] = s_j^{-d} sum_m w_m phi(|x_i-y_m|/s_j)``.
 
-    ``phi`` maps an array of scaled distances ``z >= 0`` to the radial
-    profile's values there (``maximal.Profile.values``), at positive scales
-    ``s`` with finite ``s^{-d}``.  It must be elementwise: it runs once per
-    scale on a block's distinct distances, gathered back to their pairs.
+    ``profile.values`` is ``phi`` on an array of scaled distances ``z``,
+    elementwise, and exactly 0.0 at ``z >= profile.support_radius``; scales
+    ``s`` are positive with finite ``s^{-d}``.  Per scale it runs on the
+    block's sorted distinct distances below ``support_radius * (1 +
+    SUPPORT_MARGIN) * s_j`` only: any other scales to the radius or past it
+    however r / s_j rounds, so writing its 0.0 keeps every bit of the terms.
     """
     s = np.ascontiguousarray(np.asarray(s, dtype=np.float64))
     if np.any(s <= 0):
@@ -210,7 +214,10 @@ def radial_conv_values(x, y, w, s, phi):
 
     def profile_columns(d2):
         r, inv = np.unique(np.sqrt(d2), return_inverse=True)
-        for sj in s:
-            yield phi(r / sj)[inv].reshape(d2.shape)
+        reach = np.searchsorted(r, profile.support_radius * (1.0 + SUPPORT_MARGIN) * s)
+        for sj, k in zip(s, reach.tolist()):
+            v = np.zeros_like(r)
+            v[:k] = profile.values(r[:k] / sj)
+            yield v[inv].reshape(d2.shape)
 
     return _pair_sums(x, y, w, lambda d: s ** (-d), profile_columns)

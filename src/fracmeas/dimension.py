@@ -27,7 +27,7 @@ passed over is dead or does not fit, and the budget spent only grows.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -114,15 +114,17 @@ def _capture_scan(tables, delta: float):
     tree rows, the captured mass and the budget spent.  Windows that double
     in size mark the candidates live and fitting at their start, each then
     tested again in order; one left out stays out, as ``spent`` only grows
-    (float addition is monotone).  Liveness is kept by preorder place."""
+    (float addition is monotone), and the scan stops once the cheapest
+    level's cube does not fit.  Liveness is kept by preorder place."""
     tree, order, cost, pos, level_costs = tables
     n = len(order)
     live = np.ones(n, dtype=bool)
     limit = delta * (1.0 + 1e-12)
+    cheapest = min(level_costs)
     spent = captured = 0.0
     picked = []
     start, width = 0, 16
-    while start < n:
+    while start < n and spent + cheapest <= limit:
         stop = min(n, start + width)
         fits = live[pos[start:stop]] & (spent + cost[start:stop] <= limit)
         for s in (start + np.flatnonzero(fits)).tolist():
@@ -153,18 +155,7 @@ class DimensionReport:
     diagnostics: dict = field(default_factory=dict)
 
     def to_dict(self):
-        return {
-            "betas": [float(b) for b in self.betas],
-            "deltas": [float(x) for x in self.deltas],
-            "curves": [[float(v) for v in row] for row in self.curves],
-            "beta_hat": self.beta_hat,
-            "passes": [bool(p) for p in self.passes],
-            "delta_star": [float(x) for x in self.delta_star],
-            "tol_factor": self.tol_factor,
-            "max_level": self.max_level,
-            "total_variation": self.total_variation,
-            "diagnostics": self.diagnostics,
-        }
+        return asdict(self)
 
 
 def lower_dim_estimate(mu: GridMeasure, lattice: DyadicLattice, betas,

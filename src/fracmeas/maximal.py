@@ -73,7 +73,9 @@ def _bump_mass(d):
 
 @dataclass(frozen=True)
 class Profile:
-    """One radial test profile, by its values in physical space."""
+    """One radial test profile, by its values in physical space.  ``values``
+    is exactly 0.0 at every radius ``r >= support_radius``, where the radial
+    convolution (``_kernels.radial_conv_values``) never evaluates it."""
 
     name: str
     d: int
@@ -228,7 +230,7 @@ def grand_maximal(mu: GridMeasure, family: TestFamily, gamma: float, points,
     y = mu.points()
     w = mu.weights
     for prof in family.profiles:
-        conv = _kernels.radial_conv_values(pts, y, w, svals, prof.values)
+        conv = _kernels.radial_conv_values(pts, y, w, svals, prof)
         weighted = svals[None, :] ** gamma * np.abs(conv)
         j = np.argmax(weighted, axis=1)
         vals = weighted[np.arange(len(pts)), j]

@@ -153,11 +153,10 @@ def verify_thm13(alpha: float = 0.5, n_scales: int = 5, depth: int = 8) -> Verif
     loop_res, *cantor_res, linf_res = _map_cases(
         lambda c: potential.heat_besov_functional(c, alpha), [loop, *dilates, linf])
     base = cantor_res[0]
-    rows = [["cantor", 0, base.total, base.below_split, base.above_split]]
-    worst_dev = 0.0
-    for j, res in enumerate(cantor_res[1:], start=1):
-        worst_dev = max(worst_dev, abs(res.total - base.total) / base.total)
-        rows.append([f"cantor@2^-{j}", j, res.total, res.below_split, res.above_split])
+    rows = [[f"cantor@2^-{j}" if j else "cantor", j, res.total, res.below_split,
+             res.above_split] for j, res in enumerate(cantor_res)]
+    # np.max, not max: a NaN deviation is the largest and fails its check
+    worst_dev = np.max([abs(res.total - base.total) / base.total for res in cantor_res[1:]])
     kind_vals = {"cantor": base.total, "linf": linf_res.total, "loop": loop_res.total}
     rows += [[k, 0, v, math.nan, math.nan] for k, v in kind_vals.items() if k != "cantor"]
     # a NaN or a value <= 0 fails kind_min; an infinite one, kind_ratio
@@ -337,7 +336,7 @@ def verify_thm19(depth: int = 8) -> VerifyOutcome:
                                    beta=cand.beta)) for i in range(4)))
     rep4 = dimension.atom_sum_dimension_check(dec4, sample_level=7, max_level=13)
     c1, c4 = rep1["bound_constant"], rep4["bound_constant"]
-    shared_c = max(c1, c4)
+    shared_c = np.max([c1, c4])        # NaN if either is: both checks fail
     low = cand.beta - _BETA_HAT_DROP
     rows = [["single", rep1["budget"], rep1["maximal_l1"], c1, rep1["beta_hat"]],
             ["sum4", rep4["budget"], rep4["maximal_l1"], c4, rep4["beta_hat"]]]
@@ -347,7 +346,7 @@ def verify_thm19(depth: int = 8) -> VerifyOutcome:
                 Check("single.beta_hat", rep1["beta_hat"], ">=", low),
                 Check("sum4.beta_hat", rep4["beta_hat"], ">=", low),
                 Check("shared_C", shared_c, "<", math.inf),
-                Check("constant_spread", shared_c / min(c1, c4), "<=", _C_SPREAD_CAP)),
+                Check("constant_spread", shared_c / np.min([c1, c4]), "<=", _C_SPREAD_CAP)),
         results={"beta": cand.beta,
                  "level_sum_final": {"single": rep1["level_sums"][-1],
                                      "sum4": rep4["level_sums"][-1]},

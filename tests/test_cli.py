@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fracmeas import atoms, content, heat, io, potential, verify
+from fracmeas import atoms, content, dimension, heat, io, potential, verify
 from fracmeas.cli import build_parser, main
 from fracmeas.measures import cantor_measure, new_grid_measure, unit_lattice
 
@@ -1013,6 +1013,34 @@ def test_thm19_failing_certificate_exit_1(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(atoms, "_SUP_TOL", -1.0)
     assert run(["--out", str(tmp_path), "verify", "thm19", "--depth", "6"]) == 1
     _assert_failed(capsys, tmp_path / "verify_thm19.json", ["certificate.heat_bound"])
+
+
+def test_thm13_nan_dilate_total_exit_1(tmp_path, monkeypatch, capsys):
+    # a NaN total of the 2^-1 dilate (cube side 0.5) is the largest
+    # deviation, not one that max() skips
+    def nan_half_dilate(cand, alpha):
+        res = functional(cand, alpha)
+        return replace(res, total=math.nan) if cand.side == 0.5 else res
+
+    functional = potential.heat_besov_functional
+    monkeypatch.setattr(potential, "heat_besov_functional", nan_half_dilate)
+    assert run(["--out", str(tmp_path), "verify", "thm13", "--depth", "5",
+                "--scales", "3"]) == 1
+    _assert_failed(capsys, tmp_path / "verify_thm13.json", ["dilation_max_rel_dev"])
+
+
+def test_thm19_nan_bound_constant_exit_1(tmp_path, monkeypatch, capsys):
+    # a NaN constant of the four-atom sum (the second call) makes the shared
+    # constant and the spread NaN, where max() and min() returned the other
+    def nan_second(dec, **kwargs):
+        rep = check(dec, **kwargs)
+        calls.append(dec)
+        return {**rep, "bound_constant": math.nan} if len(calls) == 2 else rep
+
+    calls, check = [], dimension.atom_sum_dimension_check
+    monkeypatch.setattr(dimension, "atom_sum_dimension_check", nan_second)
+    assert run(["--out", str(tmp_path), "verify", "thm19", "--depth", "6"]) == 1
+    _assert_failed(capsys, tmp_path / "verify_thm19.json", ["shared_C", "constant_spread"])
 
 
 @pytest.mark.parametrize("action", ["cover", "value"])

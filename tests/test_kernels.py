@@ -1,3 +1,4 @@
+import functools
 import math
 import warnings
 
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from fracmeas import _kernels
+from fracmeas import _kernels, maximal
 from fracmeas.maximal import standard_family
 
 
@@ -20,7 +21,7 @@ def test_conv_rejects_bad_scales():
     with pytest.raises(ValueError):
         _kernels.radial_conv_values(np.zeros((1, 1)), np.zeros((1, 1)),
                                     np.ones(1), np.array([-1.0]),
-                                    lambda z: np.exp(-z * z))
+                                    standard_family(1)["gauss"])
 
 
 @pytest.mark.parametrize("d, t", [(1, 1e-316), (2, 1e-316), (3, 1e-300)])
@@ -42,7 +43,7 @@ def test_conv_rejects_overflowing_scales(d, s):
         with pytest.raises(ValueError, match="too small"):
             _kernels.radial_conv_values(np.zeros((2, d)), np.ones((1, d)),
                                         np.ones(1), np.array([1.0, s]),
-                                        lambda z: np.exp(-z * z))
+                                        standard_family(d)["gauss"])
 
 
 @pytest.mark.parametrize("d", [1, 2])
@@ -56,7 +57,7 @@ def test_conv_matches_pair_sum(d, warm, rng):
     w = rng.uniform(-1.0, 2.0, 9)
     s = np.array([0.05, 0.3, 0.7, 1.9, 4.0])
     for prof in standard_family(d).profiles:
-        got = _kernels.radial_conv_values(x, y, w, s, prof.values)
+        got = _kernels.radial_conv_values(x, y, w, s, prof)
         ref = np.zeros_like(got)
         bound = np.zeros_like(got)
         for i in range(len(x)):
@@ -131,7 +132,7 @@ def test_conv_matches_block_loop(case, warm):
     # distinct distance's profile value is the pair-by-pair one: same bits
     x, y, w, s = case
     for prof in standard_family(x.shape[1]).profiles:
-        got = _kernels.radial_conv_values(x, y, w, s, prof.values)
+        got = _kernels.radial_conv_values(x, y, w, s, prof)
         ref = _block_loop_conv(x, y, w, s, prof.values)
         assert np.array_equal(got.view(np.uint64), ref.view(np.uint64)), prof.name
 
@@ -144,7 +145,7 @@ def test_kernels_match_block_loops_across_blocks(warm, rng):
     w = rng.uniform(-1.0, 1.0, len(y))
     s = np.array([0.01, 0.4])
     prof = standard_family(1).profiles[0]
-    got = _kernels.radial_conv_values(x, y, w, s, prof.values)
+    got = _kernels.radial_conv_values(x, y, w, s, prof)
     ref = _block_loop_conv(x, y, w, s, prof.values)
     assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))
     t = s ** 2
@@ -168,9 +169,50 @@ def test_conv_matches_block_loop_on_lattice_across_blocks(warm, rng):
     for prof in standard_family(1).profiles:
         if prof.name not in ("psi", "xi_band"):
             continue
-        got = _kernels.radial_conv_values(x, y, w, s, prof.values)
+        got = _kernels.radial_conv_values(x, y, w, s, prof)
         ref = _block_loop_conv(x, y, w, s, prof.values)
         assert np.array_equal(got.view(np.uint64), ref.view(np.uint64)), prof.name
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_conv_evaluates_profiles_inside_their_support_only(d, monkeypatch, warm, rng):
+    # lattice distances reach 256 steps of the smallest scale, far past every
+    # support radius, and land on the support edges of gauss, rho and the
+    # tables (12, 1, 96 and 32 times the scales 1/64 and 1/32 are lattice
+    # distances): each scale's one call of the profile sees no scaled
+    # distance past its reach, and the sums keep their bits
+    y = rng.integers(-128, 128, (300, d)) / 64.0
+    x = np.vstack([y[:10], rng.integers(-128, 128, (20, d)) / 64.0])
+    w = rng.uniform(-1.0, 2.0, len(y))
+    s = np.array([1.0 / 64.0, 1.0 / 32.0, 0.3, 1.0])
+    values = maximal.Profile.values
+    seen = []
+
+    def spy(prof, z):
+        seen.append(np.max(z, initial=0.0) / prof.support_radius)
+        return values(prof, z)
+
+    monkeypatch.setattr(maximal.Profile, "values", spy)
+    for prof in standard_family(d).profiles:
+        seen.clear()
+        got = _kernels.radial_conv_values(x, y, w, s, prof)
+        assert len(seen) == len(s), prof.name
+        assert max(seen) < 1.0 + 2.0 * _kernels.SUPPORT_MARGIN, prof.name
+        ref = _block_loop_conv(x, y, w, s, functools.partial(values, prof))
+        assert np.array_equal(got.view(np.uint64), ref.view(np.uint64)), prof.name
+
+
+def test_conv_keeps_a_distance_that_rounds_into_the_support():
+    # r lies at or past 12 s, yet r / s rounds to the float below the gauss
+    # support radius 12, where the profile is not 0.0: the window's margin
+    # keeps it
+    s, r = 0.4410372420317049, 5.2924469043804585
+    assert r >= 12.0 * s and r / s < 12.0
+    prof = standard_family(1)["gauss"]
+    case = np.zeros((1, 1)), np.array([[r]]), np.ones(1), np.array([s])
+    got = _kernels.radial_conv_values(*case, prof)
+    assert got[0, 0] != 0.0
+    assert np.array_equal(got, _block_loop_conv(*case, prof.values))
 
 
 def test_empty_measure_returns_zeros():

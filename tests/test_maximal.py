@@ -120,6 +120,25 @@ def test_gauss_profile_matches_dense_formula(d, normalize, r):
     assert np.array_equal(prof.values(r).view(np.uint64), dense.view(np.uint64))
 
 
+@settings(max_examples=300)
+@given(d=st.sampled_from([1, 2]), i=st.integers(0, 4),
+       far=st.lists(st.floats(1.0, allow_nan=False), max_size=8))
+def test_profile_is_zero_from_its_support_radius(d, i, far):
+    # the radial kernel writes 0.0 for every scaled distance at or past the
+    # support radius without evaluating the profile: the radius itself, the
+    # float above it and radii up to inf give exactly +0.0, and every value
+    # (the float below the radius too) is the same alone and in an array
+    prof = standard_family(d).profiles[i]
+    edge = prof.support_radius
+    z = np.array([np.nextafter(edge, 0.0), edge, np.nextafter(edge, math.inf),
+                  *(edge * f for f in far)])
+    with np.errstate(all="ignore"):        # far radii overflow on the way to 0.0
+        v = prof.values(z)
+        alone = np.array([prof.values(z[k:k + 1])[0] for k in range(len(z))])
+    assert np.array_equal(v.view(np.uint64), alone.view(np.uint64)), prof.name
+    assert np.all(v[1:].view(np.uint64) == 0), prof.name
+
+
 def test_rho_integrates_to_one(warm):
     fam = standard_family(1, normalize=False)
     rho = fam["rho"]

@@ -11,8 +11,9 @@ never count as uses:
   parameters that ``cli.cmd_verify`` fills from the parsed flags count as
   set;
 * every annotated field of a class in ``src/fracmeas`` is read as an
-  attribute somewhere in ``src/`` or ``perfbench/``: a result field that
-  nothing reads is bookkeeping no command uses.
+  attribute somewhere in ``src/`` or ``perfbench/``, or by an
+  ``asdict(self)`` call in its own class, which reads every field: a result
+  field that nothing reads is bookkeeping no command uses.
 
 References, calls and attribute reads are matched to definitions by the
 bare name alone, so two definitions of one name share their uses: the checks
@@ -97,10 +98,30 @@ def unreached_names() -> list:
     return sorted(out)
 
 
+def _is_asdict_self(node: ast.AST) -> bool:
+    """``asdict(self)`` or ``dataclasses.asdict(self)``."""
+    if not isinstance(node, ast.Call) or len(node.args) != 1 or node.keywords:
+        return False
+    func, arg = node.func, node.args[0]
+    name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+    return name == "asdict" and isinstance(arg, ast.Name) and arg.id == "self"
+
+
 def _attributes_read(tree: ast.AST) -> set:
-    """Every attribute name a module reads (``x.name`` in a load)."""
-    return {node.attr for node in ast.walk(tree)
+    """Every attribute name a module reads (``x.name`` in a load), and every
+    field of a class that calls ``asdict(self)``."""
+    read = {node.attr for node in ast.walk(tree)
             if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef) and any(map(_is_asdict_self, ast.walk(node))):
+            read.update(_class_fields(node))
+    return read
+
+
+def _class_fields(cls: ast.ClassDef) -> list:
+    """The bare names of a class's annotated fields."""
+    return [item.target.id for item in cls.body
+            if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)]
 
 
 def _fields(module: ast.Module):
@@ -108,9 +129,8 @@ def _fields(module: ast.Module):
     class of the module, nested classes included."""
     for node in ast.walk(module):
         if isinstance(node, ast.ClassDef):
-            for item in node.body:
-                if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
-                    yield f"{node.name}.{item.target.id}", item.target.id
+            for name in _class_fields(node):
+                yield f"{node.name}.{name}", name
 
 
 def unread_fields() -> list:
@@ -236,6 +256,7 @@ class A:
 
 def unused(y, *, z=1):
     return A().m(y)
+
 """
 
 
@@ -249,3 +270,27 @@ def test_the_checks_see_a_stale_name_and_parameter():
     # a store is no read
     assert [q for q, _ in _fields(tree)] == ["A.read", "A.unread"]
     assert {"read", "unread"} & _attributes_read(tree) == {"read"}
+
+
+_ASDICT_SAMPLE = """
+class B:
+    whole: int
+
+    def to_dict(self):
+        return asdict(self)
+
+
+class C:
+    other: int
+
+    def to_dict(self, x):
+        return dataclasses.asdict(x)
+"""
+
+
+def test_asdict_self_reads_every_field():
+    # asdict(self) reads every field of its own class; asdict of another
+    # object reads none
+    tree = ast.parse(_ASDICT_SAMPLE)
+    assert [q for q, _ in _fields(tree)] == ["B.whole", "C.other"]
+    assert {"whole", "other"} & _attributes_read(tree) == {"whole"}
