@@ -1,18 +1,24 @@
 """Hot numeric kernels: Gaussian heat sums and radial-profile convolutions.
 
 Both, and ``potential.riesz_kernel``, are numpy sums over (point, mass)
-pairs, run by one driver, ``_pair_sums``, in fixed row blocks of the
-pairwise squared distances (``pairwise_sq_dists``): BLAS row results depend
-on the block, so fixed blocks keep every bit.  A caller that needs only some
-points (``rows``) gets only those evaluated: their terms are written at their
-own positions in a zero-filled buffer of the full block, and the block's
-matrix-vector product runs as in the dense sum, so each wanted row is the
-dense one bit for bit.  That buffer is a private anonymous memory map without
-huge pages (``_zero_rows``), so it costs memory only for the rows written.
-A Gaussian term whose exponent lies below -746 is written as 0.0 and never
-evaluated (``_gauss_terms``): exp returns exactly 0.0 there anyway.  The
-radial convolution takes its profile (``maximal.Profile``, each formula
-written once) and evaluates it only inside its support: it is 0.0 past it.
+pairs, run by one driver, ``_pair_sums``, in row blocks of the pairwise
+squared distances (``pairwise_sq_dists``) whose size one rule sets
+(``_block_rows``): the most rows, a multiple of 8 and at least 8, whose
+terms fit in ``BLOCK_TERMS``, so a block's arrays stay in cache.  Each
+block's sum is one dense matrix-vector product.  BLAS may give a row other
+last bits at another place in a block (its kernels take rows in aligned
+groups), so a row's bits depend on its place in its block; blocks whose
+row counts are multiples of 8 put every row at the same place in its group
+as one product over all rows does, and with numpy's OpenBLAS the sums are
+that product's bit for bit (the tier-1 tests and the pinned verify outputs
+check this).  A caller that needs only some points (``rows``) gets only those evaluated:
+their terms are written at their own positions in a zero-filled buffer of
+one block, and the block's product runs as in the dense sum, so each wanted
+row is the dense one bit for bit.  A Gaussian term whose exponent lies
+below -746 is written as 0.0 and never evaluated (``_gauss_terms``): exp
+returns exactly 0.0 there anyway.  The radial convolution takes a family's
+profiles (``maximal.Profile``, each formula written once) and evaluates
+each only inside its support: it is 0.0 past it.
 """
 
 from __future__ import annotations
@@ -28,15 +34,21 @@ HAVE_NUMBA = False
 EXP_FLOOR = -746.0
 # the radial window's relative reach past a support radius: r / s rounds by less
 SUPPORT_MARGIN = 2.0 ** -40
+# most terms of a pair block (256 KB of float64 per array), unless 8 rows hold more
+BLOCK_TERMS = 2 ** 15
+
+
+def _block_rows(m: int) -> int:
+    """Rows of a pair block over ``m`` masses: the most, a multiple of 8,
+    with ``rows * m <= BLOCK_TERMS``, or 8 where 8 rows hold more."""
+    return max(8, BLOCK_TERMS // m // 8 * 8)
 
 
 def pairwise_sq_dists(x, y, rows: int):
     """Yield ``(start, stop, d2)`` with ``d2[i, j] = |x[start + i] - y[j]|^2``.
 
     ``x`` (n, d) is taken ``rows`` rows at a time; the values do not depend
-    on ``rows`` (``_sq_dists``).  ``_pair_sums`` sums each block densely:
-    BLAS row results depend on the block, so callers keep their row counts
-    fixed.
+    on ``rows`` (``_sq_dists``).
     """
     for s in range(0, len(x), rows):
         e = min(len(x), s + rows)
@@ -91,20 +103,20 @@ def _pair_sums(x, y, w, scale, block_terms, rows=None):
     (n, d) points ``x``, (m, d) masses ``y`` and (m,) weights ``w``.
 
     The generator ``block_terms(d2)`` yields the terms of each column in
-    turn from the squared distances ``d2`` of a block's rows.  Blocks are
-    fixed at ``4_000_000 // m`` rows of ``x``, because BLAS row results
-    depend on the block.  ``rows``, strictly increasing indices into ``x``,
+    turn from the squared distances ``d2`` of a block's rows, or None for a
+    column whose terms are all 0.0: its sums stay +0.0, as the product of
+    zeros with finite weights gives.  Blocks have ``_block_rows(m)`` rows
+    of ``x``, a multiple of 8; each is summed by one dense product with
+    ``w``, where a row's bits depend on its place in the block (see the
+    module docstring).  ``rows``, strictly increasing indices into ``x``,
     asks for those points only: ``out`` then has one row per index, and
-    blocks without a wanted row are skipped.  In the others only the wanted
-    rows get distances and terms; the terms are written at the rows' own
-    positions in a zero-filled buffer of the full block, whose product with
-    ``w`` is the dense one, so every wanted row equals the dense row bit for
-    bit (a product over the wanted rows alone moves the last bits of many
-    of them).  One buffer serves every block of a call: its wanted rows are
-    set back to 0.0 after each block (``_zero_rows``: only the pages of the
-    rows written take memory).  Terms and their inputs stay bound until the
-    next column's are made: dropping them slowed the radial kernel (an
-    allocator effect).
+    blocks without a wanted row are skipped.  In the others only the
+    wanted rows get distances and terms; the terms are written at the rows'
+    own positions in a zero-filled buffer of one block, whose product with
+    ``w`` is the dense one, so every wanted row equals the dense row bit
+    for bit (a product over the wanted rows alone moves the last bits of
+    many of them).  The buffer's wanted rows are set back to 0.0 after
+    each block.
     """
     x = np.ascontiguousarray(np.atleast_2d(np.asarray(x, dtype=np.float64)))
     y = np.ascontiguousarray(np.atleast_2d(np.asarray(y, dtype=np.float64)))
@@ -120,9 +132,9 @@ def _pair_sums(x, y, w, scale, block_terms, rows=None):
         raise ValueError("time or scale too small: a kernel factor overflows")
     out = np.zeros((n if rows is None else len(rows), len(factors)))
     if n and m:
-        step = max(1, 4_000_000 // m)
-        if rows is not None and len(rows):
-            buf = _zero_rows(min(n, step), m)
+        step = _block_rows(m)
+        if rows is not None:
+            buf = np.zeros((min(n, step), m))
         for s in range(0, n, step):
             e = min(n, s + step)
             if rows is None:
@@ -136,6 +148,8 @@ def _pair_sums(x, y, w, scale, block_terms, rows=None):
                 block = buf[:e - s]
             d2 = _sq_dists(x[pick], y)
             for j, terms in enumerate(block_terms(d2)):
+                if terms is None:
+                    continue
                 if rows is None:
                     out[a:b, j] = terms @ w
                 else:
@@ -145,25 +159,6 @@ def _pair_sums(x, y, w, scale, block_terms, rows=None):
                 block[local] = 0.0
     out *= factors
     return out
-
-
-def _zero_rows(n, m):
-    """A zero (n, m) float64 array on a private anonymous memory map.
-
-    numpy asks the kernel for huge pages on arrays of 4 MB and more, so each
-    scattered row written into it makes a whole 2 MB page resident (32 MB
-    for a thm14 block whose 512 wanted rows lie among 7812).  Here huge
-    pages are declined where ``mmap`` can say so: a written row makes its
-    4 KB pages resident, and reads of untouched pages map the shared zero
-    page.  The values are the zeros of ``np.zeros``.  ``mmap`` is imported
-    here, so importing the package does not load it.
-    """
-    import mmap
-
-    buf = mmap.mmap(-1, n * m * 8, flags=mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS)
-    if hasattr(mmap, "MADV_NOHUGEPAGE"):
-        buf.madvise(mmap.MADV_NOHUGEPAGE)
-    return np.frombuffer(buf, dtype=np.float64).reshape(n, m)
 
 
 def heat_values(x, y, w, t):
@@ -184,29 +179,26 @@ def heat_values(x, y, w, t):
         raise ValueError("heat time too small: 1/4t overflows")
 
     def gauss_columns(d2):
-        terms = np.empty_like(d2)
-        # the terms are made a cache-sized piece at a time
-        arg = np.empty_like(d2[:max(1, 32_768 // d2.shape[1])])
-        keep = np.empty(arg.shape, dtype=bool)
+        arg, terms = np.empty_like(d2), np.empty_like(d2)
+        keep = np.empty(d2.shape, dtype=bool)
         for nt in neg_inv4t:
-            for c in range(0, len(d2), len(arg)):
-                k = min(len(arg), len(d2) - c)
-                np.multiply(d2[c:c + k], nt, out=arg[:k])
-                _gauss_terms(arg[:k], terms[c:c + k], keep[:k])
-            yield terms
+            yield _gauss_terms(np.multiply(d2, nt, out=arg), terms, keep)
 
     return _pair_sums(x, y, w, lambda d: (4.0 * np.pi * t) ** (-d / 2.0), gauss_columns)
 
 
-def radial_conv_values(x, y, w, s, profile):
-    """Profile convolutions ``out[i,j] = s_j^{-d} sum_m w_m phi(|x_i-y_m|/s_j)``.
+def radial_conv_values(x, y, w, s, profiles):
+    """Profile convolutions ``out[i, p*len(s)+j] = s_j^{-d} sum_m w_m
+    phi_p(|x_i-y_m|/s_j)``, one column per (profile, scale), profile-major.
 
-    ``profile.values`` is ``phi`` on an array of scaled distances ``z``,
-    elementwise, and exactly 0.0 at ``z >= profile.support_radius``; scales
-    ``s`` are positive with finite ``s^{-d}``.  Per scale it runs on the
-    block's sorted distinct distances below ``support_radius * (1 +
+    Each profile's ``values`` is ``phi_p`` on an array of scaled distances
+    ``z``, elementwise, and exactly 0.0 at ``z >= support_radius``; scales
+    ``s`` are positive with finite ``s^{-d}``.  A block's distances are
+    sorted once for every profile (``np.unique``).  Per (profile, scale) the
+    profile runs on the distinct distances below ``support_radius * (1 +
     SUPPORT_MARGIN) * s_j`` only: any other scales to the radius or past it
     however r / s_j rounds, so writing its 0.0 keeps every bit of the terms.
+    A column with no distance in reach is all 0.0 and left to the driver.
     """
     s = np.ascontiguousarray(np.asarray(s, dtype=np.float64))
     if np.any(s <= 0):
@@ -214,10 +206,17 @@ def radial_conv_values(x, y, w, s, profile):
 
     def profile_columns(d2):
         r, inv = np.unique(np.sqrt(d2), return_inverse=True)
-        reach = np.searchsorted(r, profile.support_radius * (1.0 + SUPPORT_MARGIN) * s)
-        for sj, k in zip(s, reach.tolist()):
-            v = np.zeros_like(r)
-            v[:k] = profile.values(r[:k] / sj)
-            yield v[inv].reshape(d2.shape)
+        inv = inv.reshape(d2.shape)
+        terms = np.empty_like(d2)
+        for prof in profiles:
+            reach = np.searchsorted(r, prof.support_radius * (1.0 + SUPPORT_MARGIN) * s)
+            for sj, k in zip(s, reach.tolist()):
+                if not k:
+                    yield None
+                    continue
+                v = np.zeros_like(r)
+                v[:k] = prof.values(r[:k] / sj)
+                yield np.take(v, inv, out=terms)
 
-    return _pair_sums(x, y, w, lambda d: s ** (-d), profile_columns)
+    return _pair_sums(x, y, w, lambda d: np.tile(s ** (-d), len(profiles)),
+                      profile_columns)

@@ -5,8 +5,8 @@ The extension at time t is the Gaussian convolution
 mass; exp underflow is the only tail cutoff.  Terms with an exponent below
 -746, where exp gives 0.0, are written as 0.0 and never evaluated
 (``_kernels._gauss_terms``, also in the golden-section refinement).  The sums
-stay dense in fixed row blocks, because BLAS row results depend on the
-block, so the values are those of the plain sum bit for bit.
+stay dense in row blocks of a multiple of 8 rows (``_kernels._block_rows``),
+where BLAS gives each row the bits of the plain sum.
 """
 
 from __future__ import annotations
@@ -99,7 +99,7 @@ def _golden_refine(mu, pts, gamma, t_lo, t_hi):
     w = mu.weights
     d = mu.d
     d2 = np.empty((len(pts), len(y)))
-    for s, e, block in _kernels.pairwise_sq_dists(pts, y, max(1, 4_000_000 // len(y))):
+    for s, e, block in _kernels.pairwise_sq_dists(pts, y, _kernels._block_rows(len(y))):
         d2[s:e] = block
     arg, terms = np.empty_like(d2), np.empty_like(d2)
     keep = np.empty(d2.shape, dtype=bool)

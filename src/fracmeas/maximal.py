@@ -229,9 +229,10 @@ def grand_maximal(mu: GridMeasure, family: TestFamily, gamma: float, points,
     best_s = np.full(len(pts), svals[0])
     y = mu.points()
     w = mu.weights
-    for prof in family.profiles:
-        conv = _kernels.radial_conv_values(pts, y, w, svals, prof)
-        weighted = svals[None, :] ** gamma * np.abs(conv)
+    k = len(svals)
+    conv = _kernels.radial_conv_values(pts, y, w, svals, family.profiles)
+    for p, prof in enumerate(family.profiles):
+        weighted = svals[None, :] ** gamma * np.abs(conv[:, p * k:(p + 1) * k])
         j = np.argmax(weighted, axis=1)
         vals = weighted[np.arange(len(pts)), j]
         better = vals > best

@@ -1,5 +1,6 @@
 import functools
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -21,7 +22,7 @@ def test_conv_rejects_bad_scales():
     with pytest.raises(ValueError):
         _kernels.radial_conv_values(np.zeros((1, 1)), np.zeros((1, 1)),
                                     np.ones(1), np.array([-1.0]),
-                                    standard_family(1)["gauss"])
+                                    standard_family(1).profiles)
 
 
 @pytest.mark.parametrize("d, t", [(1, 1e-316), (2, 1e-316), (3, 1e-300)])
@@ -43,7 +44,7 @@ def test_conv_rejects_overflowing_scales(d, s):
         with pytest.raises(ValueError, match="too small"):
             _kernels.radial_conv_values(np.zeros((2, d)), np.ones((1, d)),
                                         np.ones(1), np.array([1.0, s]),
-                                        standard_family(d)["gauss"])
+                                        standard_family(d).profiles)
 
 
 @pytest.mark.parametrize("d", [1, 2])
@@ -56,8 +57,12 @@ def test_conv_matches_pair_sum(d, warm, rng):
                    rng.uniform(-3.0, 3.0, (5, d))])
     w = rng.uniform(-1.0, 2.0, 9)
     s = np.array([0.05, 0.3, 0.7, 1.9, 4.0])
-    for prof in standard_family(d).profiles:
-        got = _kernels.radial_conv_values(x, y, w, s, prof)
+    profiles = standard_family(d).profiles
+    conv = _kernels.radial_conv_values(x, y, w, s, profiles)
+    assert conv.shape == (len(x), len(profiles) * len(s))
+    for p, prof in enumerate(profiles):
+        # one column per (profile, scale), profile-major
+        got = conv[:, p * len(s):(p + 1) * len(s)]
         ref = np.zeros_like(got)
         bound = np.zeros_like(got)
         for i in range(len(x)):
@@ -71,8 +76,8 @@ def test_conv_matches_pair_sum(d, warm, rng):
 
 
 def _block_loop_conv(x, y, w, s, phi):
-    """radial_conv_values with its own row-block loop, as it was written
-    before the shared pair driver: the reference."""
+    """radial_conv_values of one profile with its own row-block loop, as it
+    was written before the shared pair driver: the reference."""
     x = np.ascontiguousarray(np.atleast_2d(np.asarray(x, dtype=np.float64)))
     y = np.ascontiguousarray(np.atleast_2d(np.asarray(y, dtype=np.float64)))
     w = np.ascontiguousarray(np.asarray(w, dtype=np.float64))
@@ -81,7 +86,7 @@ def _block_loop_conv(x, y, w, s, phi):
     if y.shape[0] == 0 or x.shape[0] == 0:
         return out
     sd = s ** (-x.shape[1])
-    for lo, hi, d2 in _kernels.pairwise_sq_dists(x, y, max(1, 4_000_000 // y.shape[0])):
+    for lo, hi, d2 in _kernels.pairwise_sq_dists(x, y, _kernels._block_rows(y.shape[0])):
         r = np.sqrt(d2)
         for j in range(s.shape[0]):
             z = r / s[j]
@@ -129,29 +134,33 @@ def lattice_conv_cases(draw):
 @given(case=conv_cases() | lattice_conv_cases())
 def test_conv_matches_block_loop(case, warm):
     # the pair driver sums in the blocks the kernel's own loop used, and each
-    # distinct distance's profile value is the pair-by-pair one: same bits
+    # distinct distance's profile value is the pair-by-pair one: same bits,
+    # for every profile of one call, and +0.0 where no distance is in reach
     x, y, w, s = case
-    for prof in standard_family(x.shape[1]).profiles:
-        got = _kernels.radial_conv_values(x, y, w, s, prof)
+    profiles = standard_family(x.shape[1]).profiles
+    conv = _kernels.radial_conv_values(x, y, w, s, profiles)
+    for p, prof in enumerate(profiles):
+        got = conv[:, p * len(s):(p + 1) * len(s)]
         ref = _block_loop_conv(x, y, w, s, prof.values)
         assert np.array_equal(got.view(np.uint64), ref.view(np.uint64)), prof.name
 
 
 def test_kernels_match_block_loops_across_blocks(warm, rng):
-    # 200_001 masses give blocks of 19 rows: 45 points take three blocks,
-    # the last one shorter
+    # 2001 masses give blocks of 16 rows: 45 points take three blocks, the
+    # last one shorter
     x = rng.uniform(-1.0, 1.0, (45, 1))
-    y = rng.uniform(-1.0, 1.0, (200_001, 1))
+    y = rng.uniform(-1.0, 1.0, (2001, 1))
     w = rng.uniform(-1.0, 1.0, len(y))
+    assert _kernels._block_rows(len(y)) == 16
     s = np.array([0.01, 0.4])
     prof = standard_family(1).profiles[0]
-    got = _kernels.radial_conv_values(x, y, w, s, prof)
+    got = _kernels.radial_conv_values(x, y, w, s, (prof,))
     ref = _block_loop_conv(x, y, w, s, prof.values)
     assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))
     t = s ** 2
     got = _kernels.heat_values(x, y, w, t)
     ref = np.zeros_like(got)
-    for lo, hi, d2 in _kernels.pairwise_sq_dists(x, y, 4_000_000 // len(y)):
+    for lo, hi, d2 in _kernels.pairwise_sq_dists(x, y, _kernels._block_rows(len(y))):
         for j in range(len(t)):
             ref[lo:hi, j] = np.exp(d2 * -(1.0 / (4.0 * t[j]))) @ w
     ref *= (4.0 * np.pi * t) ** -0.5
@@ -159,19 +168,21 @@ def test_kernels_match_block_loops_across_blocks(warm, rng):
 
 
 def test_conv_matches_block_loop_on_lattice_across_blocks(warm, rng):
-    # lattice masses repeat distances within each 19-row block and across
-    # the two blocks, and 8 points sit on masses; a bump and a table profile
-    # (the test above has the Gaussian), same bits
-    y = rng.integers(-64, 64, (200_001, 1)) / 64.0
+    # 3001 lattice masses give blocks of 8 rows: 21 points take three, the
+    # last one shorter; distances repeat within each block and across them,
+    # and 8 points sit on masses; a bump and a table profile (the test above
+    # has the Gaussian), same bits
+    y = rng.integers(-64, 64, (3001, 1)) / 64.0
     x = np.vstack([y[:8], rng.integers(-64, 64, (13, 1)) / 64.0])
     w = rng.uniform(-1.0, 1.0, len(y))
+    assert _kernels._block_rows(len(y)) == 8
     s = np.array([1.0 / 64.0, 0.4])
-    for prof in standard_family(1).profiles:
-        if prof.name not in ("psi", "xi_band"):
-            continue
-        got = _kernels.radial_conv_values(x, y, w, s, prof)
-        ref = _block_loop_conv(x, y, w, s, prof.values)
-        assert np.array_equal(got.view(np.uint64), ref.view(np.uint64)), prof.name
+    family = standard_family(1)
+    got = _kernels.radial_conv_values(x, y, w, s, (family["psi"], family["xi_band"]))
+    for p, name in enumerate(("psi", "xi_band")):
+        ref = _block_loop_conv(x, y, w, s, family[name].values)
+        assert np.array_equal(got[:, 2 * p:2 * p + 2].view(np.uint64),
+                              ref.view(np.uint64)), name
 
 
 @pytest.mark.parametrize("d", [1, 2])
@@ -179,8 +190,9 @@ def test_conv_evaluates_profiles_inside_their_support_only(d, monkeypatch, warm,
     # lattice distances reach 256 steps of the smallest scale, far past every
     # support radius, and land on the support edges of gauss, rho and the
     # tables (12, 1, 96 and 32 times the scales 1/64 and 1/32 are lattice
-    # distances): each scale's one call of the profile sees no scaled
-    # distance past its reach, and the sums keep their bits
+    # distances): the 30 points fill one block and 10 sit on masses, so each
+    # scale has a distance in reach and makes one call of the profile, which
+    # sees no scaled distance past its reach, and the sums keep their bits
     y = rng.integers(-128, 128, (300, d)) / 64.0
     x = np.vstack([y[:10], rng.integers(-128, 128, (20, d)) / 64.0])
     w = rng.uniform(-1.0, 2.0, len(y))
@@ -195,7 +207,7 @@ def test_conv_evaluates_profiles_inside_their_support_only(d, monkeypatch, warm,
     monkeypatch.setattr(maximal.Profile, "values", spy)
     for prof in standard_family(d).profiles:
         seen.clear()
-        got = _kernels.radial_conv_values(x, y, w, s, prof)
+        got = _kernels.radial_conv_values(x, y, w, s, (prof,))
         assert len(seen) == len(s), prof.name
         assert max(seen) < 1.0 + 2.0 * _kernels.SUPPORT_MARGIN, prof.name
         ref = _block_loop_conv(x, y, w, s, functools.partial(values, prof))
@@ -210,7 +222,7 @@ def test_conv_keeps_a_distance_that_rounds_into_the_support():
     assert r >= 12.0 * s and r / s < 12.0
     prof = standard_family(1)["gauss"]
     case = np.zeros((1, 1)), np.array([[r]]), np.ones(1), np.array([s])
-    got = _kernels.radial_conv_values(*case, prof)
+    got = _kernels.radial_conv_values(*case, (prof,))
     assert got[0, 0] != 0.0
     assert np.array_equal(got, _block_loop_conv(*case, prof.values))
 
@@ -220,6 +232,45 @@ def test_empty_measure_returns_zeros():
                                np.zeros(0), np.array([0.5, 1.0]))
     assert out.shape == (3, 2)
     assert np.all(out == 0.0)
+
+
+def test_heat_traces_cache_sized_blocks(rng):
+    # 20,000 points over 512 masses: blocks of 64 rows hold 256 KB per
+    # array, where blocks of 7812 rows held 32 MB (92 MB traced); the
+    # output is 0.15 MB
+    x = rng.uniform(-1.0, 1.0, (20_000, 1))
+    y = rng.uniform(-1.0, 1.0, (512, 1))
+    w = rng.uniform(0.0, 1.0, 512)
+    tracemalloc.start()
+    try:
+        _kernels.heat_values(x, y, w, np.array([0.01]))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4e6
+
+
+def test_pair_rows_match_dense_rows_past_the_block_budget(rng):
+    # 5000 masses: one 8-row block already holds more than BLOCK_TERMS
+    # terms, and 45 points end on a short block of 5; the wanted rows skip
+    # blocks and leave some half empty.  Each equals its dense row, and the
+    # dense rows equal one product over all 45 rows
+    x = rng.uniform(-1.0, 1.0, (45, 2))
+    y = rng.uniform(-1.0, 1.0, (5000, 2))
+    w = rng.uniform(-1.0, 1.0, len(y))
+    assert 8 * len(y) > _kernels.BLOCK_TERMS and _kernels._block_rows(len(y)) == 8
+
+    def columns(d2):
+        yield np.exp(-d2)
+        yield np.sqrt(d2)
+
+    dense = _kernels._pair_sums(x, y, w, lambda d: np.ones(2), columns)
+    d2 = _kernels._sq_dists(x, y)
+    ref = np.stack([np.exp(-d2) @ w, np.sqrt(d2) @ w], axis=1)
+    assert np.array_equal(dense.view(np.uint64), ref.view(np.uint64))
+    for rows in ([0, 3, 7, 8, 21, 40, 44], [41], np.arange(45)):
+        got = _kernels._pair_sums(x, y, w, lambda d: np.ones(2), columns, rows)
+        assert np.array_equal(got.view(np.uint64), dense[rows].view(np.uint64))
 
 
 @st.composite

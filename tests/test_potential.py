@@ -435,8 +435,8 @@ def test_riesz_kernel_matches_dense(mu, data):
 @given(d=st.sampled_from([1, 2]), alpha=st.floats(0.05, 0.95),
        seed=st.integers(0, 2 ** 32 - 1), one=st.integers(0, 4999))
 def test_riesz_kernel_rows_match_full_rows(d, alpha, seed, one):
-    # 2048 masses make blocks of 1953 rows, so 5000 points take three, the
-    # last one shorter; a product over the wanted rows alone moves bits
+    # 2048 masses make blocks of 16 rows, so 5000 points take 313, the last
+    # one of 8; a product over the wanted rows alone moves bits
     rng = np.random.default_rng(seed)
     flat = rng.choice(40_000, 2048, replace=False)
     idx = np.stack(np.unravel_index(flat, (40_000,) if d == 1 else (200, 200)), axis=1)
@@ -509,10 +509,10 @@ _RIESZ_FIELD_RSS = textwrap.dedent("""
 
 
 def test_riesz_field_pays_only_for_the_rows_it_writes():
-    # thm14's field evaluates 512 nodes scattered among blocks of 7812 rows
-    # of 512 masses; on a huge-page buffer each written row made a 2 MB page
-    # resident (22-29 MB of peak on a host whose huge pages are on madvise),
-    # on 4 KB pages it costs a few MB
+    # thm14's field evaluates 512 nodes scattered among 62,983 over 512
+    # masses; its zero-filled buffer is one 64-row block (256 KB).  A buffer
+    # of 7812 rows on huge pages made a 2 MB page resident per written row
+    # (22-29 MB of peak on a host whose huge pages are on madvise)
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(potential.__file__)))
     proc = subprocess.run([sys.executable, "-c", _RIESZ_FIELD_RSS], env=env,
                           capture_output=True, text=True, timeout=600)
