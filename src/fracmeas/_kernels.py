@@ -1,24 +1,25 @@
 """Hot numeric kernels: Gaussian heat sums and radial-profile convolutions.
 
-Both, and ``potential.riesz_kernel``, are numpy sums over (point, mass)
-pairs, run by one driver, ``_pair_sums``, in row blocks of the pairwise
-squared distances (``pairwise_sq_dists``) whose size one rule sets
-(``_block_rows``): the most rows, a multiple of 8 and at least 8, whose
-terms fit in ``BLOCK_TERMS``, so a block's arrays stay in cache.  Each
-block's sum is one dense matrix-vector product.  BLAS may give a row other
-last bits at another place in a block (its kernels take rows in aligned
-groups), so a row's bits depend on its place in its block; blocks whose
-row counts are multiples of 8 put every row at the same place in its group
-as one product over all rows does, and with numpy's OpenBLAS the sums are
-that product's bit for bit (the tier-1 tests and the pinned verify outputs
-check this).  A caller that needs only some points (``rows``) gets only those evaluated:
-their terms are written at their own positions in a zero-filled buffer of
-one block, and the block's product runs as in the dense sum, so each wanted
-row is the dense one bit for bit.  A Gaussian term whose exponent lies
-below -746 is written as 0.0 and never evaluated (``_gauss_terms``): exp
-returns exactly 0.0 there anyway.  The radial convolution takes a family's
-profiles (``maximal.Profile``, each formula written once) and evaluates
-each only inside its support: it is 0.0 past it.
+Every sum over masses in the package is a numpy sum over (point, mass)
+pairs run by one driver, ``_pair_sums``, to which these two kernels,
+``potential.riesz_kernel``, the incomplete-gamma tails of
+``potential.riesz_heat`` and the heat sup's golden-section refinement
+supply only their terms.  It takes the pairwise squared distances in row
+blocks whose size one rule sets (``_block_rows``, which
+``pairwise_sq_dists`` takes too): the most rows, a multiple of 8 and at
+least 8, whose terms fit in ``BLOCK_TERMS``, so a block's arrays stay in
+cache.  Each block's sum is one dense matrix-vector product.  BLAS may
+give a row other last bits at another place in a block (its kernels take
+rows in aligned groups), so a row's bits depend on its place in its block;
+blocks whose row counts are multiples of 8 put every row at the same place
+in its group as one product over all rows does, and with numpy's OpenBLAS
+the sums are that product's bit for bit (the tier-1 tests and the pinned
+verify outputs check this).  A caller that needs only some points
+(``rows``) gets only those evaluated, each the dense row bit for bit.  A
+Gaussian term whose exponent lies below -746 is written as 0.0 and never
+evaluated (``_gauss_terms``): exp returns exactly 0.0 there anyway.  The
+radial convolution takes a family's profiles (``maximal.Profile``, each
+formula written once) and evaluates each only inside its support.
 """
 
 from __future__ import annotations
@@ -44,12 +45,10 @@ def _block_rows(m: int) -> int:
     return max(8, BLOCK_TERMS // m // 8 * 8)
 
 
-def pairwise_sq_dists(x, y, rows: int):
-    """Yield ``(start, stop, d2)`` with ``d2[i, j] = |x[start + i] - y[j]|^2``.
-
-    ``x`` (n, d) is taken ``rows`` rows at a time; the values do not depend
-    on ``rows`` (``_sq_dists``).
-    """
+def pairwise_sq_dists(x, y):
+    """Yield ``(start, stop, d2)``, ``d2[i, j] = |x[start + i] - y[j]|^2``,
+    over blocks of ``_block_rows(len(y))`` rows of ``x`` (``_sq_dists``)."""
+    rows = _block_rows(len(y))
     for s in range(0, len(x), rows):
         e = min(len(x), s + rows)
         yield s, e, _sq_dists(x[s:e], y)
@@ -98,25 +97,32 @@ def _gauss_terms(arg, out, keep):
     return np.exp(arg, out=out, where=keep)
 
 
+def _gauss_columns(d2, neg_inv4t):
+    """Yield a block's Gaussian terms ``exp(d2 * nt)`` for each -1/4t ``nt``
+    of ``neg_inv4t`` in turn (a scalar, or one per row), in one scratch set."""
+    arg, terms = np.empty_like(d2), np.empty_like(d2)
+    keep = np.empty(d2.shape, dtype=bool)
+    for nt in neg_inv4t:
+        yield _gauss_terms(np.multiply(d2, nt, out=arg), terms, keep)
+
+
 def _pair_sums(x, y, w, scale, block_terms, rows=None):
     """Pair sums ``out[i, j] = scale(d)[j] sum_m w_m T_j(x_i, y_m)`` for
     (n, d) points ``x``, (m, d) masses ``y`` and (m,) weights ``w``.
 
-    The generator ``block_terms(d2)`` yields the terms of each column in
-    turn from the squared distances ``d2`` of a block's rows, or None for a
-    column whose terms are all 0.0: its sums stay +0.0, as the product of
-    zeros with finite weights gives.  Blocks have ``_block_rows(m)`` rows
-    of ``x``, a multiple of 8; each is summed by one dense product with
-    ``w``, where a row's bits depend on its place in the block (see the
-    module docstring).  ``rows``, strictly increasing indices into ``x``,
-    asks for those points only: ``out`` then has one row per index, and
-    blocks without a wanted row are skipped.  In the others only the
-    wanted rows get distances and terms; the terms are written at the rows'
-    own positions in a zero-filled buffer of one block, whose product with
-    ``w`` is the dense one, so every wanted row equals the dense row bit
-    for bit (a product over the wanted rows alone moves the last bits of
-    many of them).  The buffer's wanted rows are set back to 0.0 after
-    each block.
+    The generator ``block_terms(d2, rows)`` yields the terms of each column
+    in turn from the squared distances ``d2`` of a block's rows of ``x``
+    (``rows``, a slice or the wanted indices), or None for a column whose
+    terms are all 0.0: its sums stay +0.0, as the product of zeros with
+    finite weights gives.  Blocks have ``_block_rows(m)`` rows of ``x``,
+    each summed by one dense product with ``w`` (see the module docstring).
+    ``rows``, strictly increasing indices into ``x``, asks for those points
+    only: ``out`` then has one row per index, and blocks without a wanted
+    row are skipped.  In the others only the wanted rows get distances and
+    terms, written at their own positions in a zero-filled buffer of one
+    block, whose product with ``w`` is the dense one, so every wanted row
+    equals the dense row bit for bit (a product over the wanted rows alone
+    moves the last bits of many of them).
     """
     x = np.ascontiguousarray(np.atleast_2d(np.asarray(x, dtype=np.float64)))
     y = np.ascontiguousarray(np.atleast_2d(np.asarray(y, dtype=np.float64)))
@@ -147,7 +153,7 @@ def _pair_sums(x, y, w, scale, block_terms, rows=None):
                 local = pick - s
                 block = buf[:e - s]
             d2 = _sq_dists(x[pick], y)
-            for j, terms in enumerate(block_terms(d2)):
+            for j, terms in enumerate(block_terms(d2, pick)):
                 if terms is None:
                     continue
                 if rows is None:
@@ -177,14 +183,8 @@ def heat_values(x, y, w, t):
         neg_inv4t = -(1.0 / (4.0 * t))
     if not np.all(np.isfinite(neg_inv4t)):
         raise ValueError("heat time too small: 1/4t overflows")
-
-    def gauss_columns(d2):
-        arg, terms = np.empty_like(d2), np.empty_like(d2)
-        keep = np.empty(d2.shape, dtype=bool)
-        for nt in neg_inv4t:
-            yield _gauss_terms(np.multiply(d2, nt, out=arg), terms, keep)
-
-    return _pair_sums(x, y, w, lambda d: (4.0 * np.pi * t) ** (-d / 2.0), gauss_columns)
+    return _pair_sums(x, y, w, lambda d: (4.0 * np.pi * t) ** (-d / 2.0),
+                      lambda d2, _: _gauss_columns(d2, neg_inv4t))
 
 
 def radial_conv_values(x, y, w, s, profiles):
@@ -204,7 +204,7 @@ def radial_conv_values(x, y, w, s, profiles):
     if np.any(s <= 0):
         raise ValueError("dilation scales must be positive")
 
-    def profile_columns(d2):
+    def profile_columns(d2, _):
         r, inv = np.unique(np.sqrt(d2), return_inverse=True)
         inv = inv.reshape(d2.shape)
         terms = np.empty_like(d2)

@@ -2,11 +2,10 @@
 
 The extension at time t is the Gaussian convolution
 ``(4 pi t)^{-d/2} sum_m w_m exp(-|x - y_m|^2 / 4t)``, summed over every
-mass; exp underflow is the only tail cutoff.  Terms with an exponent below
--746, where exp gives 0.0, are written as 0.0 and never evaluated
-(``_kernels._gauss_terms``, also in the golden-section refinement).  The sums
-stay dense in row blocks of a multiple of 8 rows (``_kernels._block_rows``),
-where BLAS gives each row the bits of the plain sum.
+mass; exp underflow is the only tail cutoff.  The grid sums and the
+golden-section refinement of the sup in t both run in the pair driver
+(``_kernels._pair_sums``) on one Gaussian term generator, which writes a
+term whose exponent lies below -746 as 0.0 and never evaluates it.
 """
 
 from __future__ import annotations
@@ -92,39 +91,32 @@ class SupField:
 
 def _golden_refine(mu, pts, gamma, t_lo, t_hi):
     """Vectorized golden-section maximization of t^{g/2}|E(x,t)| per point,
-    14 steps."""
+    14 steps, each summing both probe times of every point in one pass of
+    the pair driver (``_kernels._pair_sums``, a column per probe)."""
     a = np.log(t_lo)
     b = np.log(t_hi)
     y = mu.points()
-    w = mu.weights
-    d = mu.d
-    d2 = np.empty((len(pts), len(y)))
-    for s, e, block in _kernels.pairwise_sq_dists(pts, y, _kernels._block_rows(len(y))):
-        d2[s:e] = block
-    arg, terms = np.empty_like(d2), np.empty_like(d2)
-    keep = np.empty(d2.shape, dtype=bool)
 
-    def g(logt):
-        t = np.exp(logt)
-        pref = (4.0 * np.pi * t) ** (-d / 2.0)
-        np.divide(d2, -4.0 * t[:, None], out=arg)
-        conv = np.einsum("ij,j->i", _kernels._gauss_terms(arg, terms, keep), w)
-        return t ** (gamma / 2.0) * np.abs(conv * pref)
+    def g(*logt):
+        t = np.exp(np.stack(logt))              # a row of times per probe
+        neg_inv4t = -(1.0 / (4.0 * t))[:, :, None]
+        conv = _kernels._pair_sums(
+            pts, y, mu.weights, lambda _: np.ones(len(t)),
+            lambda d2, rows: _kernels._gauss_columns(d2, neg_inv4t[:, rows]))
+        return t ** (gamma / 2.0) * np.abs(conv.T * (4.0 * np.pi * t) ** (-mu.d / 2.0))
 
     c = b - GOLDEN * (b - a)
     e = a + GOLDEN * (b - a)
-    fc = g(c)
-    fe = g(e)
+    fc, fe = g(c, e)
     for _ in range(14):
         left = fc >= fe            # keep [a, e], drop (e, b]
         b = np.where(left, e, b)
         a = np.where(left, a, c)
         c = b - GOLDEN * (b - a)
         e = a + GOLDEN * (b - a)
-        fc = g(c)
-        fe = g(e)
+        fc, fe = g(c, e)
     tm = np.exp(0.5 * (a + b))
-    return tm, g(np.log(tm))
+    return tm, g(np.log(tm))[0]
 
 
 def heat_sup_field(mu: GridMeasure, gamma: float, points, tgrid: TGrid,

@@ -543,7 +543,7 @@ def _probe_centers(mu: GridMeasure) -> np.ndarray:
     if len(pts) <= 1:
         return pts
     mids = np.empty_like(pts)
-    for s, e, d2 in pairwise_sq_dists(pts, pts, max(1, 2_000_000 // len(pts))):
+    for s, e, d2 in pairwise_sq_dists(pts, pts):
         d2[np.arange(e - s), np.arange(s, e)] = np.inf
         nearest = np.argmin(d2, axis=1)
         mids[s:e] = 0.5 * (pts[s:e] + pts[nearest])
@@ -566,13 +566,12 @@ def frostman_constant(mu: GridMeasure, beta: float, r_min: float) -> float:
     pts = mu.points()
     absw = np.abs(mu.weights)
     best = 0.0
-    for s, e, d2 in pairwise_sq_dists(_probe_centers(mu), pts, max(1, 2_000_000 // len(pts))):
+    for s, e, d2 in pairwise_sq_dists(_probe_centers(mu), pts):
         dist = np.sqrt(d2, out=d2)
         order = np.argsort(dist, axis=1)
         dsort = np.take_along_axis(dist, order, axis=1)
         csum = absw[order]
         np.cumsum(csum, axis=1, out=csum)
-        del d2, dist, order              # hold few full blocks at a time
         ratios = np.power(np.maximum(dsort, r_min), beta)
         np.divide(csum, ratios, out=ratios)
         # each row's maximum, NaN for a row that holds one: such a row never

@@ -1,10 +1,11 @@
 """Riesz potentials, Lorentz rearrangement norms, the split heat-integral
 functional behind the strong-type inequality, and trace integrals.
 
-Gamma comes from ``_gamma.gamma``, bit for bit scipy's, so the Riesz
-constant costs no ``scipy.special`` import: that loads on first use inside
-``riesz_heat``, for its incomplete gammas, and no ``fracmeas verify`` target
-pays its start-up cost.
+The Riesz kernel and the heat route's incomplete-gamma tails are sums over
+masses in the pair driver (``_kernels._pair_sums``).  Gamma comes from
+``_gamma.gamma``, bit for bit scipy's, so the Riesz constant costs no
+``scipy.special`` import: that loads on first use inside ``riesz_heat``, for
+its incomplete gammas, and no ``fracmeas verify`` target pays its start-up cost.
 
 The heat-integral functional's quadrature grids, one per time node, come
 from one vectorized pass over groups of nodes (``_adaptive_heat_grids``):
@@ -61,7 +62,7 @@ def riesz_kernel(cfg: RieszConfig, mu: GridMeasure, points, rows=None) -> np.nda
     """
     hot = []
 
-    def power_terms(d2):
+    def power_terms(d2, _):
         kern = np.sqrt(d2, out=d2)
         kern **= cfg.alpha - cfg.d
         yield kern
@@ -125,12 +126,13 @@ def riesz_heat(cfg: RieszConfig, mu: GridMeasure, points) -> RieszHeatResult:
     if mu.n_masses == 0:
         return RieszHeatResult(values=np.zeros(len(pts)), quad_error_est=0.0)
     y = mu.points()
-    dists = np.empty((len(pts), len(y)))
-    for s, e, d2 in _kernels.pairwise_sq_dists(pts, y, 4096):
-        dists[s:e] = np.sqrt(d2)
-    positive = dists[dists > 0]
-    r_lo = float(np.min(positive)) if len(positive) else mu.h
-    r_hi = float(np.max(dists)) + mu.support_diameter() + mu.h
+    # sqrt is monotone: the extreme distances are the roots of these squares
+    lo2, hi2 = math.inf, 0.0
+    for _, _, d2 in _kernels.pairwise_sq_dists(pts, y):
+        lo2 = float(np.min(d2, initial=lo2, where=d2 > 0))
+        hi2 = float(np.max(d2, initial=hi2))
+    r_lo = math.sqrt(lo2) if lo2 < math.inf else mu.h
+    r_hi = math.sqrt(hi2) + mu.support_diameter() + mu.h
     tgrid = TGrid.build((r_lo / 8.0) ** 2, (8.0 * r_hi) ** 2, 32)
     a, d = cfg.alpha, cfg.d
     ga2 = gamma(a / 2.0)
@@ -149,13 +151,22 @@ def riesz_heat(cfg: RieszConfig, mu: GridMeasure, points) -> RieszHeatResult:
     half = quad(half_sel)
     # exact tails: integral over (0, t_min] resp. [t_max, inf) of the kernel
     shape_par = (d - a) / 2.0
-    with np.errstate(divide="ignore", invalid="ignore"):
+    hot = np.zeros(len(pts), dtype=bool)
+
+    def tail_terms(d2, rows):
+        dists = np.sqrt(d2)
         kern = dists ** (a - d)
         lowtail_frac = gammaincc(shape_par, dists ** 2 / (4.0 * tgrid.t_min))
         hightail_frac = gammainc(shape_par, dists ** 2 / (4.0 * tgrid.t_max))
         tails = np.where(dists > 0, kern * (lowtail_frac + hightail_frac), np.inf)
-    hot = np.any(np.isinf(tails) & (np.abs(mu.weights)[None, :] > 0), axis=1)
-    tailsum = np.where(np.isinf(tails), 0.0, tails) @ mu.weights / cfg.gamma_alpha
+        inf = np.isinf(tails)
+        hot[rows] = np.any(inf & (np.abs(mu.weights) > 0), axis=1)
+        tails[inf] = 0.0
+        yield tails
+
+    with np.errstate(divide="ignore", invalid="ignore"):
+        tailsum = _kernels._pair_sums(pts, y, mu.weights, lambda _: np.ones(1),
+                                      tail_terms)[:, 0] / cfg.gamma_alpha
     values = main + tailsum
     values[hot] = np.inf
     finite = np.isfinite(values) & (np.abs(values) > 0)

@@ -1,11 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from fracmeas import _kernels
+from fracmeas import _kernels, atoms
 from fracmeas.heat import TGrid, heat_extension, heat_field, heat_sup_field, \
     mass_conservation_residual
 from fracmeas.measures import cantor_measure, dirac, new_grid_measure
@@ -166,3 +167,36 @@ def test_sup_refine_matches_dense_exp(monkeypatch):
     ref = heat_sup_field(mu, 0.6, pts, tg, refine=True)
     assert np.array_equal(got.values.view(np.uint64), ref.values.view(np.uint64))
     assert np.array_equal(got.t_at.view(np.uint64), ref.t_at.view(np.uint64))
+
+
+def test_refined_values_are_heat_sums_at_their_times():
+    # 600 points over 128 masses span three pair blocks of 256 rows, each
+    # block's rows with their own probe times: every value is
+    # t^{g/2}|e^{t Delta} mu(x)| at its reported time, summed alone
+    mu = cantor_measure(7)
+    pts = np.linspace(-1.0, 2.0, 600)[:, None]
+    tg = TGrid.for_measure(mu, nodes_per_decade=4, reach=2.0)
+    sup = heat_sup_field(mu, 0.6, pts, tg, refine=True)
+    assert np.sum(~np.isin(sup.t_at, tg.nodes)) > 500     # mostly refined
+    direct = [t ** 0.3 * abs(heat_extension(mu, t, p[None])[0])
+              for p, t in zip(pts, sup.t_at)]
+    np.testing.assert_allclose(sup.values, direct, rtol=1e-12, atol=0.0)
+
+
+def test_sup_refinement_sums_in_pair_blocks():
+    # the depth-8 Cantor atom's certificate sup: 1211 points x 512 masses
+    # over 221 times.  The refinement sums through the pair driver, so the
+    # grid field sets the traced peak (6.5 MB); a points x masses array
+    # and its scratch took it to 20.3 MB
+    cand, _ = atoms.make_frostman_atom(depth=8)
+    mu = cand.measure
+    pts = atoms.certification_points(cand)
+    tg = TGrid.for_measure(mu, nodes_per_decade=16, reach=atoms._FAR_REACH * cand.side)
+    assert (len(pts), mu.n_masses, len(tg.nodes)) == (1211, 512, 221)
+    tracemalloc.start()
+    try:
+        heat_sup_field(mu, cand.d - cand.beta, pts, tg, refine=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10e6

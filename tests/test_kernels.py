@@ -86,7 +86,7 @@ def _block_loop_conv(x, y, w, s, phi):
     if y.shape[0] == 0 or x.shape[0] == 0:
         return out
     sd = s ** (-x.shape[1])
-    for lo, hi, d2 in _kernels.pairwise_sq_dists(x, y, _kernels._block_rows(y.shape[0])):
+    for lo, hi, d2 in _kernels.pairwise_sq_dists(x, y):
         r = np.sqrt(d2)
         for j in range(s.shape[0]):
             z = r / s[j]
@@ -160,7 +160,7 @@ def test_kernels_match_block_loops_across_blocks(warm, rng):
     t = s ** 2
     got = _kernels.heat_values(x, y, w, t)
     ref = np.zeros_like(got)
-    for lo, hi, d2 in _kernels.pairwise_sq_dists(x, y, _kernels._block_rows(len(y))):
+    for lo, hi, d2 in _kernels.pairwise_sq_dists(x, y):
         for j in range(len(t)):
             ref[lo:hi, j] = np.exp(d2 * -(1.0 / (4.0 * t[j]))) @ w
     ref *= (4.0 * np.pi * t) ** -0.5
@@ -260,7 +260,9 @@ def test_pair_rows_match_dense_rows_past_the_block_budget(rng):
     w = rng.uniform(-1.0, 1.0, len(y))
     assert 8 * len(y) > _kernels.BLOCK_TERMS and _kernels._block_rows(len(y)) == 8
 
-    def columns(d2):
+    def columns(d2, rows):
+        # the driver hands each block its own rows of x
+        assert np.array_equal(_kernels._sq_dists(x[rows], y), d2)
         yield np.exp(-d2)
         yield np.sqrt(d2)
 
@@ -282,14 +284,21 @@ def point_sets(draw):
     return x, y
 
 
+def _row_slices(x, y, rows):
+    """``_sq_dists`` of ``x`` taken ``rows`` rows at a time, stacked."""
+    return np.vstack([_kernels._sq_dists(x[s:s + rows], y) for s in range(0, len(x), rows)])
+
+
 @settings(max_examples=200)
 @given(pts=point_sets(), rows=st.integers(1, 64))
 def test_pairwise_blocks_match_one_block(pts, rows):
     # byte-identical verify CSVs rely on row blocking never moving a bit
     x, y = pts
-    [(_, _, whole)] = _kernels.pairwise_sq_dists(x, y, len(x))
-    blocks = list(_kernels.pairwise_sq_dists(x, y, rows))
-    assert [s for s, _, _ in blocks] == list(range(0, len(x), rows))
+    whole = _kernels._sq_dists(x, y)
+    assert np.array_equal(_row_slices(x, y, rows), whole)
+    blocks = list(_kernels.pairwise_sq_dists(x, y))
+    step = _kernels._block_rows(len(y))
+    assert [s for s, _, _ in blocks] == list(range(0, len(x), step))
     assert all(e - s == len(b) for s, e, b in blocks)
     assert np.array_equal(np.vstack([b for _, _, b in blocks]), whole)
 
@@ -304,7 +313,9 @@ def test_pairwise_matches_einsum(d, n, m, rows, data):
     y = data.draw(hnp.arrays(np.float64, (m, d), elements=coords))
     diff = x[:, None, :] - y[None, :, :]
     ref = np.einsum("ijk,ijk->ij", diff, diff)
-    got = np.vstack([b for _, _, b in _kernels.pairwise_sq_dists(x, y, rows)])
+    got = _row_slices(x, y, rows)
+    assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))
+    got = np.vstack([b for _, _, b in _kernels.pairwise_sq_dists(x, y)])
     assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))
 
 

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -88,6 +89,33 @@ def test_heat_route_homogeneity():
     cfg = RieszConfig(alpha=0.5, d=1)
     res = riesz_heat(cfg, dirac(1), [[1.0], [2.0]])
     assert res.values[1] / res.values[0] == pytest.approx(2 ** (0.5 - 1), rel=1e-4)
+
+
+def test_heat_route_is_infinite_exactly_at_masses():
+    # 2048 masses give pair blocks of 16 rows: the points on masses sit in
+    # several blocks, and only their rows are +inf
+    mu = make_frostman_atom(depth=10)[0].measure
+    on = [3, 40, 41, 1000, 2047]
+    pts = np.vstack([np.linspace(-1.0, 2.0, 60)[:, None], mu.points()[on]])
+    res = riesz_heat(RieszConfig(alpha=0.5, d=1), mu, pts)
+    assert np.array_equal(np.flatnonzero(np.isinf(res.values)), 60 + np.arange(len(on)))
+    assert np.all(np.isfinite(res.values[:60]))
+
+
+def test_heat_route_sums_in_pair_blocks():
+    # 200 points x the depth-10 atom's 2048 masses: the distances and the
+    # incomplete-gamma tails are taken in pair blocks, so the traced peak
+    # is 3.2 MB, where the points x masses matrices of distances and tails
+    # took 27.6 MB (scipy.special is imported at the top of this module)
+    mu = make_frostman_atom(depth=10)[0].measure
+    pts = np.linspace(-1.0, 2.0, 200)[:, None]
+    tracemalloc.start()
+    try:
+        riesz_heat(RieszConfig(alpha=0.5, d=1), mu, pts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10e6
 
 
 def test_heat_route_zero_measure():

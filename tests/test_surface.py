@@ -15,6 +15,11 @@ never count as uses:
   ``asdict(self)`` call in its own class, which reads every field: a result
   field that nothing reads is bookkeeping no command uses.
 
+* outside ``_kernels``, no module names the pair driver's block rule
+  (``_block_rows``, ``BLOCK_TERMS``) or its distance kernel
+  (``_sq_dists``), or calls ``einsum`` or ``subtract.outer``: every sum over
+  masses runs in ``_kernels._pair_sums``, in its blocks.
+
 References, calls and attribute reads are matched to definitions by the
 bare name alone, so two definitions of one name share their uses: the checks
 can miss an unused name, parameter or field, never flag a used one.  They
@@ -218,6 +223,39 @@ def unset_parameters() -> list:
     return sorted(out)
 
 
+# the pair driver's own: its block rule and its distance kernel
+KERNEL_NAMES = {"_block_rows", "BLOCK_TERMS", "_sq_dists"}
+# the dense pair sums it replaces, as the tails of called names
+DENSE_SUMS = ("einsum", "subtract.outer")
+
+
+def _dotted(node: ast.AST) -> str:
+    """``a.b.c`` of a chain of names and attributes, "" for anything else."""
+    if isinstance(node, ast.Name):
+        return node.id
+    if isinstance(node, ast.Attribute):
+        return f"{_dotted(node.value)}.{node.attr}"
+    return ""
+
+
+def _pair_code(tree: ast.AST) -> list:
+    """The pair-driver names a module uses and the dense pair sums it calls
+    (``einsum``, ``subtract.outer``)."""
+    found = _referenced_names(tree) & KERNEL_NAMES
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            called = "." + _dotted(node.func)
+            found.update(s for s in DENSE_SUMS if called.endswith("." + s))
+    return sorted(found)
+
+
+def pair_code_outside_kernels() -> list:
+    """``module: name`` for each pair-driver name or dense pair sum in a
+    package module other than ``_kernels``."""
+    return [f"{mod}: {name}" for mod, tree in _package_modules().items()
+            if mod != "_kernels" for name in _pair_code(tree)]
+
+
 def test_every_public_name_is_reached():
     unreached = unreached_names()
     stale = sorted(set(ALLOWED_UNREACHED) - set(unreached))
@@ -294,3 +332,27 @@ def test_asdict_self_reads_every_field():
     tree = ast.parse(_ASDICT_SAMPLE)
     assert [q for q, _ in _fields(tree)] == ["B.whole", "C.other"]
     assert {"whole", "other"} & _attributes_read(tree) == {"whole"}
+
+
+def test_every_sum_over_masses_runs_in_the_pair_driver():
+    found = pair_code_outside_kernels()
+    assert not found, ("pair sums or block rules outside _kernels (sum through "
+                       f"_kernels._pair_sums or iterate pairwise_sq_dists): {found}")
+
+
+_PAIR_SAMPLE = """
+from ._kernels import _block_rows
+import numpy as np
+
+
+def f(x, y, w):
+    "np.einsum in a docstring is no call"
+    rows = _kernels.BLOCK_TERMS // len(y)
+    d = np.subtract.outer(x[:rows], y)
+    return np.einsum("ij,j->i", d * d, w), np.add.outer(x, y)
+"""
+
+
+def test_the_pair_rule_sees_names_and_dense_sums():
+    assert _pair_code(ast.parse(_PAIR_SAMPLE)) == [
+        "BLOCK_TERMS", "_block_rows", "einsum", "subtract.outer"]
