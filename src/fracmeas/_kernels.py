@@ -8,18 +8,25 @@ supply only their terms.  It takes the pairwise squared distances in row
 blocks whose size one rule sets (``_block_rows``, which
 ``pairwise_sq_dists`` takes too): the most rows, a multiple of 8 and at
 least 8, whose terms fit in ``BLOCK_TERMS``, so a block's arrays stay in
-cache.  Each block's sum is one dense matrix-vector product.  BLAS may
-give a row other last bits at another place in a block (its kernels take
-rows in aligned groups), so a row's bits depend on its place in its block;
-blocks whose row counts are multiples of 8 put every row at the same place
-in its group as one product over all rows does, and with numpy's OpenBLAS
-the sums are that product's bit for bit (the tier-1 tests and the pinned
-verify outputs check this).  A caller that needs only some points
-(``rows``) gets only those evaluated, each the dense row bit for bit.  A
-Gaussian term whose exponent lies below -746 is written as 0.0 and never
-evaluated (``_gauss_terms``): exp returns exactly 0.0 there anyway.  The
-radial convolution takes a family's profiles (``maximal.Profile``, each
-formula written once) and evaluates each only inside its support.
+cache.  Each column of a block is summed by one dense matrix-vector
+product over its terms, of all the block's rows or of a row window: rows
+``start .. start + len`` with ``start`` a multiple of 8 and the length a
+multiple of 8 or running to the block's end, every term of the other rows
+0.0.  BLAS may give a row other last bits at another place in its group
+of 8 rows (its kernels take rows in aligned groups), so a row's bits
+depend on that place; blocks whose row counts are multiples of 8, and
+windows on the same 8-row grid, put every row at the same place in its
+group as one product over all rows does, and with numpy's OpenBLAS the
+sums are that product's bit for bit (the tier-1 tests and the pinned
+verify outputs check this).  A row outside its window is +0.0, as the
+dense product of its 0.0 terms gives.  A caller that needs only some
+points (``rows``) gets only those evaluated, each the dense row bit for
+bit.  A Gaussian term whose exponent lies below -746 is written as 0.0
+and never evaluated (``_gauss_terms``): exp returns exactly 0.0 there
+anyway.  The radial convolution takes a family's profiles
+(``maximal.Profile``, each formula written once), evaluates each only
+inside its support, and gathers and sums each (profile, scale) column
+over the window of rows that some mass reaches.
 """
 
 from __future__ import annotations
@@ -99,30 +106,37 @@ def _gauss_terms(arg, out, keep):
 
 def _gauss_columns(d2, neg_inv4t):
     """Yield a block's Gaussian terms ``exp(d2 * nt)`` for each -1/4t ``nt``
-    of ``neg_inv4t`` in turn (a scalar, or one per row), in one scratch set."""
+    of ``neg_inv4t`` in turn (a scalar, or one per row), in one scratch set,
+    each as the window of all the block's rows."""
     arg, terms = np.empty_like(d2), np.empty_like(d2)
     keep = np.empty(d2.shape, dtype=bool)
     for nt in neg_inv4t:
-        yield _gauss_terms(np.multiply(d2, nt, out=arg), terms, keep)
+        yield 0, _gauss_terms(np.multiply(d2, nt, out=arg), terms, keep)
 
 
 def _pair_sums(x, y, w, scale, block_terms, rows=None):
     """Pair sums ``out[i, j] = scale(d)[j] sum_m w_m T_j(x_i, y_m)`` for
     (n, d) points ``x``, (m, d) masses ``y`` and (m,) weights ``w``.
 
-    The generator ``block_terms(d2, rows)`` yields the terms of each column
-    in turn from the squared distances ``d2`` of a block's rows of ``x``
-    (``rows``, a slice or the wanted indices), or None for a column whose
-    terms are all 0.0: its sums stay +0.0, as the product of zeros with
-    finite weights gives.  Blocks have ``_block_rows(m)`` rows of ``x``,
-    each summed by one dense product with ``w`` (see the module docstring).
+    The generator ``block_terms(d2, rows)`` yields, for each column in turn,
+    the terms of a block from its squared distances ``d2`` (its rows of
+    ``x``: ``rows``, a slice or the wanted indices) as ``(start, terms)``:
+    the terms of block rows ``start .. start + len(terms)``, a row window.
+    Every term of the block's other rows must be 0.0: their sums stay +0.0,
+    as the product of zeros with finite weights gives.  ``start`` is a
+    multiple of 8, and the window holds a multiple of 8 rows or runs to the
+    block's end, so each row keeps its place in its group of 8 and its sum
+    keeps the bits of the whole block's product (see the module docstring);
+    a misaligned window raises ``ValueError``.  A column whose terms are all
+    0.0 may be None.  Blocks have ``_block_rows(m)`` rows of ``x``.
     ``rows``, strictly increasing indices into ``x``, asks for those points
     only: ``out`` then has one row per index, and blocks without a wanted
     row are skipped.  In the others only the wanted rows get distances and
     terms, written at their own positions in a zero-filled buffer of one
     block, whose product with ``w`` is the dense one, so every wanted row
     equals the dense row bit for bit (a product over the wanted rows alone
-    moves the last bits of many of them).
+    moves the last bits of many of them).  On that path a window must cover
+    every wanted row.
     """
     x = np.ascontiguousarray(np.atleast_2d(np.asarray(x, dtype=np.float64)))
     y = np.ascontiguousarray(np.atleast_2d(np.asarray(y, dtype=np.float64)))
@@ -153,12 +167,19 @@ def _pair_sums(x, y, w, scale, block_terms, rows=None):
                 local = pick - s
                 block = buf[:e - s]
             d2 = _sq_dists(x[pick], y)
-            for j, terms in enumerate(block_terms(d2, pick)):
-                if terms is None:
+            for j, window in enumerate(block_terms(d2, pick)):
+                if window is None:
                     continue
+                start, terms = window
+                stop = start + len(terms)
                 if rows is None:
-                    out[a:b, j] = terms @ w
+                    if start < 0 or start % 8 or stop > b - a or stop % 8 and stop != b - a:
+                        raise ValueError(f"row window {start}..{stop} of a {b - a}-row "
+                                         "block is off the 8-row grid")
+                    out[a + start:a + stop, j] = terms @ w
                 else:
+                    if start or stop != b - a:
+                        raise ValueError("the rows path takes no row windows")
                     block[local] = terms
                     out[a:b, j] = (block @ w)[local]
             if rows is not None:
@@ -199,6 +220,9 @@ def radial_conv_values(x, y, w, s, profiles):
     SUPPORT_MARGIN) * s_j`` only: any other scales to the radius or past it
     however r / s_j rounds, so writing its 0.0 keeps every bit of the terms.
     A column with no distance in reach is all 0.0 and left to the driver.
+    A row whose nearest distance is out of a column's reach has only 0.0
+    terms, so a column gathers the terms of the 8-row hull of the rows in
+    reach only and hands the driver that row window.
     """
     s = np.ascontiguousarray(np.asarray(s, dtype=np.float64))
     if np.any(s <= 0):
@@ -207,16 +231,29 @@ def radial_conv_values(x, y, w, s, profiles):
     def profile_columns(d2, _):
         r, inv = np.unique(np.sqrt(d2), return_inverse=True)
         inv = inv.reshape(d2.shape)
+        # each row's nearest distance, as an index into r
+        near = inv.min(axis=1)
         terms = np.empty_like(d2)
+        v = np.zeros_like(r)
+        filled = 0
         for prof in profiles:
             reach = np.searchsorted(r, prof.support_radius * (1.0 + SUPPORT_MARGIN) * s)
             for sj, k in zip(s, reach.tolist()):
                 if not k:
                     yield None
                     continue
-                v = np.zeros_like(r)
                 v[:k] = prof.values(r[:k] / sj)
-                yield np.take(v, inv, out=terms)
+                # a shorter reach than the last column's (scales come in any
+                # order, and each profile starts anew): zero the stale tail
+                v[k:filled] = 0.0
+                filled = k
+                # the 8-row hull of the rows with a distance in reach
+                hit = np.flatnonzero(near < k)
+                lo, hi = hit[0] // 8 * 8, min(len(d2), hit[-1] // 8 * 8 + 8)
+                # inv holds np.unique's indices, always in range: "clip"
+                # changes no value and skips the per-index bounds check
+                np.take(v, inv[lo:hi], out=terms[lo:hi], mode="clip")
+                yield lo, terms[lo:hi]
 
     return _pair_sums(x, y, w, lambda d: np.tile(s ** (-d), len(profiles)),
                       profile_columns)

@@ -91,27 +91,49 @@ class Profile:
 
         The table spacings are powers of two, so ``r / table_dr`` and its
         fractional part are exact: the value is bit for bit the piecewise
-        linear interpolant through the table nodes.
+        linear interpolant through the table nodes.  Each formula runs on
+        the whole array, with no boolean indexing, and keeps the bits of its
+        pointwise form; every radius that is not below the support (NaN
+        too) gives 0.0.  The Gaussian and the bump read such a radius as one
+        inside (exp is slow where it underflows) and zero its value after.
+        A 0-d input gives a 0-d result.
         """
-        r = np.abs(np.asarray(r, dtype=np.float64))
+        r = np.asarray(r, dtype=np.float64)
+        shape = r.shape
+        r = np.abs(r.reshape(-1))
         if self.kind == "gauss":
-            # exp only inside the support: far radii hit its slow underflow path
-            out = np.zeros_like(r)
-            inside = r < self.support_radius
-            out[inside] = self.amp * np.exp(-0.25 * r[inside] ** 2)
-            return out
+            outside = ~(r < self.support_radius)
+            z = np.minimum(r, self.support_radius)
+            np.square(z, out=z)
+            z *= -0.25
+            np.exp(z, out=z)
+            z *= self.amp
+            np.copyto(z, 0.0, where=outside)
+            return z.reshape(shape)
         if self.kind == "bump":
-            z2 = (r * self.arg_scale) ** 2
-            out = np.zeros_like(r)
-            inside = z2 < 1.0
-            out[inside] = self.amp * np.exp(-1.0 / (1.0 - z2[inside]))
-            return out
+            z2 = r * self.arg_scale
+            np.square(z2, out=z2)
+            outside = ~(z2 < 1.0)
+            np.copyto(z2, 0.0, where=outside)
+            np.subtract(1.0, z2, out=z2)
+            np.divide(-1.0, z2, out=z2)
+            np.exp(z2, out=z2)
+            z2 *= self.amp
+            np.copyto(z2, 0.0, where=outside)
+            return z2.reshape(shape)
         idx = r / self.table_dr
-        # clamp before the integer cast, so no radius can overflow int64
-        k = np.minimum(idx, len(self.table) - 2).astype(np.int64)
-        frac = idx - k
-        v = self.table[k] + frac * (self.table[k + 1] - self.table[k])
-        return np.where(r < self.support_radius, v, 0.0)
+        # clamp before the integer cast, so no radius can overflow int64;
+        # fmin clamps a NaN too (its value is zeroed below)
+        k = np.fmin(idx, len(self.table) - 2).astype(np.int64)
+        idx -= k
+        v = np.take(self.table, k, mode="clip")
+        k += 1
+        step = np.take(self.table, k, mode="clip")
+        step -= v
+        step *= idx
+        v += step
+        np.copyto(v, 0.0, where=~(r < self.support_radius))
+        return v.reshape(shape)
 
     def kernel_values(self, r):
         """High-accuracy values for building convolution kernels.
@@ -209,6 +231,11 @@ class MaximalField:
     convention: str = "dilation s = sqrt(heat t); sup over profiles and s"
 
 
+def _check_gamma(gamma):
+    if not 0 <= gamma < math.inf:
+        raise ValueError(f"gamma must be nonnegative and finite, got {gamma}")
+
+
 def grand_maximal(mu: GridMeasure, family: TestFamily, gamma: float, points,
                   tgrid: TGrid, s_min: float | None = None) -> MaximalField:
     """sup over profiles and scales of s^gamma |mu * Phi_s(x)|.
@@ -216,14 +243,18 @@ def grand_maximal(mu: GridMeasure, family: TestFamily, gamma: float, points,
     ``s_min`` keeps the scales s > s_min (the anti-local variant), or the
     scale just above it when no node of ``tgrid`` is above it.
     """
-    if not (0 <= gamma):
-        raise ValueError("gamma must be nonnegative")
+    _check_gamma(gamma)
     pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
     svals = np.sqrt(tgrid.nodes)
     if s_min is not None:
         svals = svals[svals > s_min]
         if len(svals) == 0:
             svals = np.array([s_min * (1.0 + 1e-9)])
+    with np.errstate(over="ignore"):
+        weights = svals ** gamma
+    if not np.all(np.isfinite(weights)):
+        raise ValueError(f"gamma {gamma}: s**gamma overflows at the scale s = "
+                         f"{svals[np.argmin(np.isfinite(weights))]}")
     best = np.zeros(len(pts))
     best_p = np.full(len(pts), "", dtype=object)
     best_s = np.full(len(pts), svals[0])
@@ -232,7 +263,7 @@ def grand_maximal(mu: GridMeasure, family: TestFamily, gamma: float, points,
     k = len(svals)
     conv = _kernels.radial_conv_values(pts, y, w, svals, family.profiles)
     for p, prof in enumerate(family.profiles):
-        weighted = svals[None, :] ** gamma * np.abs(conv[:, p * k:(p + 1) * k])
+        weighted = weights[None, :] * np.abs(conv[:, p * k:(p + 1) * k])
         j = np.argmax(weighted, axis=1)
         vals = weighted[np.arange(len(pts)), j]
         better = vals > best
@@ -251,8 +282,7 @@ def dyadic_maximal(mu: GridMeasure, lattice: DyadicLattice, gamma: float,
     Levels run k_min..k_max; ``min_side`` drops levels with l(Q) < min_side
     (the truncated variant).  Attainment stores the optimal cube side.
     """
-    if not (0 <= gamma):
-        raise ValueError("gamma must be nonnegative")
+    _check_gamma(gamma)
     if k_min > k_max:
         raise ValueError("k_min must not exceed k_max")
     pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
@@ -264,11 +294,18 @@ def dyadic_maximal(mu: GridMeasure, lattice: DyadicLattice, gamma: float,
         side = lattice.side(k)
         if min_side is not None and side < min_side * (1 - 1e-12):
             continue
+        try:
+            norm = side ** (d - gamma)
+        except OverflowError:
+            norm = math.inf
+        if not 0.0 < norm < math.inf:
+            raise ValueError(f"gamma {gamma}: l(Q)^(d - gamma) at level {k} is "
+                             f"{norm}, not a positive finite float")
         uniq, sums = _cube_sums(lattice.index_of(mass_pts, k), mu.weights)
         # a sample point in an empty cube matches -1: the appended zero mass
         pos = _match_rows(uniq, lattice.index_of(pts, k))
         masses = np.append(sums, 0.0)[pos]
-        vals = np.abs(masses) / side ** (d - gamma)
+        vals = np.abs(masses) / norm
         better = vals > out
         out = np.where(better, vals, out)
         att_side = np.where(better, side, att_side)

@@ -442,7 +442,18 @@ class DyadicLattice:
             raise ValueError("base sidelength must be positive")
 
     def side(self, level: int) -> float:
-        return self.l0 * 2.0 ** (-level)
+        """Side of the level-k cubes (``level`` an int or an int array).
+
+        Raises ``ValueError`` at a level whose side overflows a float.
+        """
+        try:
+            side = self.l0 * 2.0 ** (-level)
+        except OverflowError:
+            side = math.inf
+        # a float for an int level (the one the hot loops pass), else an array
+        if side == math.inf if isinstance(side, float) else np.any(side == math.inf):
+            raise ValueError(f"the cube side at level {level} overflows")
+        return side
 
     def index_of(self, pts, level: int) -> np.ndarray:
         """Integer lattice index of the level-k cube containing each point.

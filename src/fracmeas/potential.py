@@ -65,7 +65,7 @@ def riesz_kernel(cfg: RieszConfig, mu: GridMeasure, points, rows=None) -> np.nda
     def power_terms(d2, _):
         kern = np.sqrt(d2, out=d2)
         kern **= cfg.alpha - cfg.d
-        yield kern
+        yield 0, kern
         # an infinite term only spoils its own row, which is set afterwards
         hot.append(np.isinf(kern).any(axis=1))
 
@@ -162,7 +162,7 @@ def riesz_heat(cfg: RieszConfig, mu: GridMeasure, points) -> RieszHeatResult:
         inf = np.isinf(tails)
         hot[rows] = np.any(inf & (np.abs(mu.weights) > 0), axis=1)
         tails[inf] = 0.0
-        yield tails
+        yield 0, tails
 
     with np.errstate(divide="ignore", invalid="ignore"):
         tailsum = _kernels._pair_sums(pts, y, mu.weights, lambda _: np.ones(1),

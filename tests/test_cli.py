@@ -178,6 +178,17 @@ def test_out_of_range_input_exit_2(tmp_path, capsys, argv):
     ("maximal dyadic --gamma -1", "gamma must be nonnegative"),
     ("maximal truncated --gamma nan --truncation 0.25", "gamma must be nonnegative"),
     ("maximal truncated --gamma -1 --truncation 0.25", "gamma must be nonnegative"),
+    # an infinite or overflowing gamma ran to exit 0 with inf values (the
+    # grand variants) or a junk sup (the dyadic ones), and a level whose
+    # cube side overflows died in an OverflowError traceback
+    ("maximal grand --gamma inf", "got inf"),
+    ("maximal grand --gamma 1e308", "gamma 1e+308: s**gamma overflows"),
+    ("maximal antilocal --gamma inf --rho 0.5", "got inf"),
+    ("maximal dyadic --gamma inf", "got inf"),
+    ("maximal dyadic --gamma 1e308", "gamma 1e+308: l(Q)^(d - gamma)"),
+    ("maximal dyadic --gamma 0.3 --k-min -2000 --k-max 3", "level -2000 overflows"),
+    ("maximal truncated --gamma 0.3 --k-min -2000 --truncation 0.25",
+     "level -2000 overflows"),
 ])
 def test_out_of_range_input_names_its_check(tmp_path, capsys, argv, named):
     # each used to exit 0 on a two-node time grid, die in a numpy or float

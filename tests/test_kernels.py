@@ -263,8 +263,8 @@ def test_pair_rows_match_dense_rows_past_the_block_budget(rng):
     def columns(d2, rows):
         # the driver hands each block its own rows of x
         assert np.array_equal(_kernels._sq_dists(x[rows], y), d2)
-        yield np.exp(-d2)
-        yield np.sqrt(d2)
+        yield 0, np.exp(-d2)
+        yield 0, np.sqrt(d2)
 
     dense = _kernels._pair_sums(x, y, w, lambda d: np.ones(2), columns)
     d2 = _kernels._sq_dists(x, y)
@@ -358,3 +358,109 @@ def test_heat_matches_dense_exp(case):
         got = _kernels.heat_values(x, y, w, t)
         ref = _dense_heat(x, y, w, t)
     assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))
+
+
+def _record_windows(monkeypatch):
+    """Wrap the pair driver so that every column of every block that a term
+    generator hands it is recorded as ``(block rows, start, window rows)``,
+    ``start`` None for a column left at 0.0."""
+    pair_sums = _kernels._pair_sums
+    seen = []
+
+    def spy(x, y, w, scale, block_terms, rows=None):
+        def recorded(d2, pick):
+            for window in block_terms(d2, pick):
+                seen.append((len(d2), None, 0) if window is None
+                            else (len(d2), window[0], len(window[1])))
+                yield window
+
+        return pair_sums(x, y, w, scale, recorded, rows)
+
+    monkeypatch.setattr(_kernels, "_pair_sums", spy)
+    return seen
+
+
+def test_conv_windows_skip_rows_out_of_reach(monkeypatch, warm, rng):
+    # 2001 masses on [0.5, 1.5] give blocks of 16 rows; 45 points on [-3, 3]
+    # fill two and end on a short one of 13.  At the small scales only the
+    # points near the masses have a distance in reach (rows 25-33): the
+    # middle block's windows start at its row 8 and the last block's end at
+    # its row 8.  Every window is on the 8-row grid and the sums keep the
+    # block loop's bits
+    x = np.linspace(-3.0, 3.0, 45)[:, None]
+    y = rng.uniform(0.5, 1.5, (2001, 1))
+    w = rng.uniform(-1.0, 1.0, len(y))
+    assert _kernels._block_rows(len(y)) == 16
+    s = np.array([1e-3, 4e-3, 0.05])
+    profiles = standard_family(1).profiles
+    seen = _record_windows(monkeypatch)
+    conv = _kernels.radial_conv_values(x, y, w, s, profiles)
+    windows = [(n, start, rows) for n, start, rows in seen if start is not None]
+    assert any(start > 0 for _, start, _ in windows)
+    assert any(start + rows < n for n, start, rows in windows)
+    assert all(start % 8 == 0 and (rows % 8 == 0 or start + rows == n)
+               for n, start, rows in windows)
+    for p, prof in enumerate(profiles):
+        got = conv[:, p * len(s):(p + 1) * len(s)]
+        ref = _block_loop_conv(x, y, w, s, prof.values)
+        assert np.array_equal(got.view(np.uint64), ref.view(np.uint64)), prof.name
+
+
+def test_pair_windows_keep_the_dense_bits(rng):
+    # 800 masses give blocks of 40 rows, and 45 points a short last block of
+    # 5.  Each aligned window's sums are the dense product's bits, and the
+    # rows outside it stay +0.0; a window off the 8-row grid, one that stops
+    # off it before the block's end, and any window on the rows path raise
+    x = rng.uniform(-1.0, 1.0, (45, 2))
+    y = rng.uniform(-1.0, 1.0, (800, 2))
+    w = rng.uniform(-1.0, 1.0, len(y))
+    assert _kernels._block_rows(len(y)) == 40
+    spans = [(0, None), (8, None), (8, 24), (16, 8), (32, 8), (0, 8)]
+
+    def columns(d2, _):
+        terms = np.exp(-d2)
+        for start, rows in spans:
+            stop = len(d2) if rows is None else min(len(d2), start + rows)
+            yield (start, terms[start:stop]) if start < len(d2) else None
+
+    got = _kernels._pair_sums(x, y, w, lambda d: np.ones(len(spans)), columns)
+    dense = np.exp(-_kernels._sq_dists(x, y)) @ w
+    for j, (start, rows) in enumerate(spans):
+        keep = np.zeros(len(x), dtype=bool)
+        for s in (0, 40):
+            keep[s + start:s + 40 if rows is None else s + start + rows] = True
+        ref = np.where(keep, dense, 0.0)
+        assert np.array_equal(got[:, j].view(np.uint64), ref.view(np.uint64)), (start, rows)
+
+    for window in ((4, slice(4, 40)), (0, slice(0, 12)), (8, slice(8, 12))):
+        with pytest.raises(ValueError, match="8-row grid"):
+            _kernels._pair_sums(x, y, w, lambda d: np.ones(1),
+                                lambda d2, _: iter([(window[0], np.exp(-d2)[window[1]])]))
+    with pytest.raises(ValueError, match="rows path"):
+        _kernels._pair_sums(x, y, w, lambda d: np.ones(1),
+                            lambda d2, _: iter([(8, np.exp(-d2)[8:])]), [0, 9, 10])
+
+
+def test_thm19_conv_gathers_a_share_of_the_rows(monkeypatch, warm):
+    # a work count, not a time: on verify thm19 at depth 6 the radial
+    # windows gather at most 60% of the row-columns of both grand maximal
+    # fields (50.2% when the windows went in); a dense gather takes all
+    from fracmeas import verify
+
+    seen = _record_windows(monkeypatch)
+    radial = _kernels.radial_conv_values
+    fields = []
+
+    def counted(x, y, w, s, profiles):
+        start = len(seen)
+        out = radial(x, y, w, s, profiles)
+        fields.append((out.size, seen[start:]))
+        return out
+
+    monkeypatch.setattr(_kernels, "radial_conv_values", counted)
+    verify.VERIFIERS["thm19"](depth=6)
+    assert len(fields) == 2
+    dense = sum(size for size, _ in fields)
+    gathered = sum(rows for _, windows in fields for _, _, rows in windows)
+    assert sum(n for _, windows in fields for n, _, _ in windows) == dense
+    assert gathered <= 0.6 * dense, gathered / dense

@@ -120,6 +120,58 @@ def test_gauss_profile_matches_dense_formula(d, normalize, r):
     assert np.array_equal(prof.values(r).view(np.uint64), dense.view(np.uint64))
 
 
+def _boolean_index_values(prof, r):
+    """``Profile.values`` as written with boolean indexing: the reference.
+    Its table formula cannot take a NaN radius (the int cast gives an index
+    off the table), so a NaN is read as 0.0 there and given np.where's 0.0."""
+    r = np.abs(np.asarray(r, dtype=np.float64))
+    if prof.kind == "gauss":
+        out = np.zeros_like(r)
+        inside = r < prof.support_radius
+        out[inside] = prof.amp * np.exp(-0.25 * r[inside] ** 2)
+        return out
+    if prof.kind == "bump":
+        z2 = (r * prof.arg_scale) ** 2
+        out = np.zeros_like(r)
+        inside = z2 < 1.0
+        out[inside] = prof.amp * np.exp(-1.0 / (1.0 - z2[inside]))
+        return out
+    idx = np.where(np.isnan(r), 0.0, r) / prof.table_dr
+    k = np.minimum(idx, len(prof.table) - 2).astype(np.int64)
+    frac = idx - k
+    v = prof.table[k] + frac * (prof.table[k + 1] - prof.table[k])
+    return np.where(r < prof.support_radius, v, 0.0)
+
+
+@st.composite
+def profile_radii(draw):
+    """A profile of either family and radii for it, as a float, a 0-d array
+    or an array: anywhere up to twice its support radius or 1e4 (past every
+    table's end), negative, NaN, zero of either sign, the radius itself and
+    the float below it."""
+    d = draw(st.sampled_from([1, 2]))
+    prof = standard_family(d, normalize=draw(st.booleans())).profiles[draw(st.integers(0, 4))]
+    edge = prof.support_radius
+    elements = st.one_of(st.floats(-2.0 * edge, 2.0 * edge), st.floats(-1e4, 1e4),
+                         st.sampled_from([edge, np.nextafter(edge, 0.0), -edge,
+                                          math.nan, 0.0, -0.0]))
+    shape = draw(hnp.array_shapes(min_dims=0, max_dims=2, min_side=0, max_side=40))
+    if shape == () and draw(st.booleans()):
+        return prof, draw(elements)
+    return prof, draw(hnp.arrays(np.float64, shape, elements=elements))
+
+
+@settings(max_examples=500)
+@given(case=profile_radii())
+def test_profile_values_keep_the_boolean_index_bits(case):
+    # the whole-array formulas give every bit of the boolean-indexed ones,
+    # the sign of each zero too, and a 0-d result for a 0-d input
+    prof, r = case
+    got, ref = prof.values(r), _boolean_index_values(prof, r)
+    assert isinstance(got, np.ndarray) and got.shape == np.shape(r), prof.name
+    assert np.array_equal(got.view(np.uint64), ref.view(np.uint64)), prof.name
+
+
 @settings(max_examples=300)
 @given(d=st.sampled_from([1, 2]), i=st.integers(0, 4),
        far=st.lists(st.floats(1.0, allow_nan=False), max_size=8))
