@@ -6,27 +6,19 @@ pairs run by one driver, ``_pair_sums``, to which these two kernels,
 ``potential.riesz_heat`` and the heat sup's golden-section refinement
 supply only their terms.  It takes the pairwise squared distances in row
 blocks whose size one rule sets (``_block_rows``, which
-``pairwise_sq_dists`` takes too): the most rows, a multiple of 8 and at
-least 8, whose terms fit in ``BLOCK_TERMS``, so a block's arrays stay in
-cache.  Each column of a block is summed by one dense matrix-vector
-product over its terms, of all the block's rows or of a row window: rows
-``start .. start + len`` with ``start`` a multiple of 8 and the length a
-multiple of 8 or running to the block's end, every term of the other rows
-0.0.  BLAS may give a row other last bits at another place in its group
-of 8 rows (its kernels take rows in aligned groups), so a row's bits
-depend on that place; blocks whose row counts are multiples of 8, and
-windows on the same 8-row grid, put every row at the same place in its
-group as one product over all rows does, and with numpy's OpenBLAS the
-sums are that product's bit for bit (the tier-1 tests and the pinned
-verify outputs check this).  A row outside its window is +0.0, as the
-dense product of its 0.0 terms gives.  A caller that needs only some
-points (``rows``) gets only those evaluated, each the dense row bit for
-bit.  A Gaussian term whose exponent lies below -746 is written as 0.0
-and never evaluated (``_gauss_terms``): exp returns exactly 0.0 there
-anyway.  The radial convolution takes a family's profiles
-(``maximal.Profile``, each formula written once), evaluates each only
-inside its support, and gathers and sums each (profile, scale) column
-over the window of rows that some mass reaches.
+``pairwise_sq_dists`` takes too): the most rows whose terms fit in
+``BLOCK_TERMS``, so a block's arrays stay in cache.  Each column of a block
+is summed row by row in numpy's own loop (``np.einsum("ij,j->i")``, never
+BLAS), over all the block's rows or over a window of them, every term of
+the other rows 0.0.  The sums are row-local: a row's sum depends on its own
+terms only, not on the block, the window or the other points it is summed
+with, and not on the BLAS kernel numpy loads; a row outside its window is
++0.0, as a sum of its 0.0 terms gives.  A Gaussian term whose exponent lies
+below -746 is written as 0.0 and never evaluated (``_gauss_terms``): exp
+returns exactly 0.0 there anyway.  The radial convolution takes a family's
+profiles (``maximal.Profile``, each formula written once), evaluates each
+only inside its support, and gathers and sums each (profile, scale) column
+over the rows from the first to the last that some mass reaches.
 """
 
 from __future__ import annotations
@@ -42,14 +34,17 @@ HAVE_NUMBA = False
 EXP_FLOOR = -746.0
 # the radial window's relative reach past a support radius: r / s rounds by less
 SUPPORT_MARGIN = 2.0 ** -40
-# most terms of a pair block (256 KB of float64 per array), unless 8 rows hold more
+# most terms of a pair block (256 KB of float64 per array), unless one row holds more
 BLOCK_TERMS = 2 ** 15
+# einsum sums a lone row in runs of its iterator buffer (np.getbufsize()), a row
+# among others in one run: summing runs of this many masses gives both the same bits
+EINSUM_RUN = 8192
 
 
 def _block_rows(m: int) -> int:
-    """Rows of a pair block over ``m`` masses: the most, a multiple of 8,
-    with ``rows * m <= BLOCK_TERMS``, or 8 where 8 rows hold more."""
-    return max(8, BLOCK_TERMS // m // 8 * 8)
+    """Rows of a pair block over ``m`` masses: the most with ``rows * m <=
+    BLOCK_TERMS``, or one where one row holds more."""
+    return max(1, BLOCK_TERMS // m)
 
 
 def pairwise_sq_dists(x, y):
@@ -114,76 +109,40 @@ def _gauss_columns(d2, neg_inv4t):
         yield 0, _gauss_terms(np.multiply(d2, nt, out=arg), terms, keep)
 
 
-def _pair_sums(x, y, w, scale, block_terms, rows=None):
+def _pair_sums(x, y, w, scale, block_terms):
     """Pair sums ``out[i, j] = scale(d)[j] sum_m w_m T_j(x_i, y_m)`` for
     (n, d) points ``x``, (m, d) masses ``y`` and (m,) weights ``w``.
 
     The generator ``block_terms(d2, rows)`` yields, for each column in turn,
     the terms of a block from its squared distances ``d2`` (its rows of
-    ``x``: ``rows``, a slice or the wanted indices) as ``(start, terms)``:
-    the terms of block rows ``start .. start + len(terms)``, a row window.
-    Every term of the block's other rows must be 0.0: their sums stay +0.0,
-    as the product of zeros with finite weights gives.  ``start`` is a
-    multiple of 8, and the window holds a multiple of 8 rows or runs to the
-    block's end, so each row keeps its place in its group of 8 and its sum
-    keeps the bits of the whole block's product (see the module docstring);
-    a misaligned window raises ``ValueError``.  A column whose terms are all
-    0.0 may be None.  Blocks have ``_block_rows(m)`` rows of ``x``.
-    ``rows``, strictly increasing indices into ``x``, asks for those points
-    only: ``out`` then has one row per index, and blocks without a wanted
-    row are skipped.  In the others only the wanted rows get distances and
-    terms, written at their own positions in a zero-filled buffer of one
-    block, whose product with ``w`` is the dense one, so every wanted row
-    equals the dense row bit for bit (a product over the wanted rows alone
-    moves the last bits of many of them).  On that path a window must cover
-    every wanted row.
+    ``x``: the slice ``rows``) as ``(start, terms)``: the terms of block rows
+    ``start .. start + len(terms)``, any row window.  Every term of the
+    block's other rows must be 0.0: their sums stay +0.0.  A column whose
+    terms are all 0.0 may be None.  Blocks have ``_block_rows(m)`` rows of
+    ``x``.  Each row is summed on its own (see the module docstring), so a
+    row's sum has the same bits in any block, window or subset of the points.
     """
     x = np.ascontiguousarray(np.atleast_2d(np.asarray(x, dtype=np.float64)))
     y = np.ascontiguousarray(np.atleast_2d(np.asarray(y, dtype=np.float64)))
     w = np.ascontiguousarray(np.asarray(w, dtype=np.float64))
     n, m = x.shape[0], y.shape[0]
-    if rows is not None:
-        rows = np.asarray(rows, dtype=np.int64).reshape(-1)
-        if len(rows) and (rows[0] < 0 or rows[-1] >= n or np.any(np.diff(rows) <= 0)):
-            raise ValueError("rows must be strictly increasing indices of the points")
     with np.errstate(over="ignore", divide="ignore"):
         factors = scale(x.shape[1])
     if not np.all(np.isfinite(factors)):
         raise ValueError("time or scale too small: a kernel factor overflows")
-    out = np.zeros((n if rows is None else len(rows), len(factors)))
+    out = np.zeros((n, len(factors)))
     if n and m:
         step = _block_rows(m)
-        if rows is not None:
-            buf = np.zeros((min(n, step), m))
         for s in range(0, n, step):
-            e = min(n, s + step)
-            if rows is None:
-                a, b, pick = s, e, slice(s, e)
-            else:
-                a, b = np.searchsorted(rows, [s, e])
-                if a == b:
-                    continue
-                pick = rows[a:b]
-                local = pick - s
-                block = buf[:e - s]
-            d2 = _sq_dists(x[pick], y)
-            for j, window in enumerate(block_terms(d2, pick)):
+            rows = slice(s, min(n, s + step))
+            for j, window in enumerate(block_terms(_sq_dists(x[rows], y), rows)):
                 if window is None:
                     continue
                 start, terms = window
-                stop = start + len(terms)
-                if rows is None:
-                    if start < 0 or start % 8 or stop > b - a or stop % 8 and stop != b - a:
-                        raise ValueError(f"row window {start}..{stop} of a {b - a}-row "
-                                         "block is off the 8-row grid")
-                    out[a + start:a + stop, j] = terms @ w
-                else:
-                    if start or stop != b - a:
-                        raise ValueError("the rows path takes no row windows")
-                    block[local] = terms
-                    out[a:b, j] = (block @ w)[local]
-            if rows is not None:
-                block[local] = 0.0
+                sums = out[s + start:s + start + len(terms), j]
+                for c in range(0, m, EINSUM_RUN):
+                    sums += np.einsum("ij,j->i", terms[:, c:c + EINSUM_RUN],
+                                      w[c:c + EINSUM_RUN])
     out *= factors
     return out
 
@@ -221,8 +180,9 @@ def radial_conv_values(x, y, w, s, profiles):
     however r / s_j rounds, so writing its 0.0 keeps every bit of the terms.
     A column with no distance in reach is all 0.0 and left to the driver.
     A row whose nearest distance is out of a column's reach has only 0.0
-    terms, so a column gathers the terms of the 8-row hull of the rows in
-    reach only and hands the driver that row window.
+    terms, so a column gathers the terms of the rows from the first to the
+    last in reach only, found from the running minima of the rows' nearest
+    distances, and hands the driver that row window.
     """
     s = np.ascontiguousarray(np.asarray(s, dtype=np.float64))
     if np.any(s <= 0):
@@ -231,8 +191,11 @@ def radial_conv_values(x, y, w, s, profiles):
     def profile_columns(d2, _):
         r, inv = np.unique(np.sqrt(d2), return_inverse=True)
         inv = inv.reshape(d2.shape)
-        # each row's nearest distance, as an index into r
+        # each row's nearest distance, as an index into r, and its running
+        # minima from the first row down (negated: ascending) and from the last up
         near = inv.min(axis=1)
+        from_first = -np.minimum.accumulate(near)
+        from_last = np.minimum.accumulate(near[::-1])[::-1]
         terms = np.empty_like(d2)
         v = np.zeros_like(r)
         filled = 0
@@ -247,9 +210,10 @@ def radial_conv_values(x, y, w, s, profiles):
                 # order, and each profile starts anew): zero the stale tail
                 v[k:filled] = 0.0
                 filled = k
-                # the 8-row hull of the rows with a distance in reach
-                hit = np.flatnonzero(near < k)
-                lo, hi = hit[0] // 8 * 8, min(len(d2), hit[-1] // 8 * 8 + 8)
+                # the first and the last row with a distance in reach (r[0] is
+                # some row's nearest, so there is one)
+                lo = np.searchsorted(from_first, -k, "right")
+                hi = np.searchsorted(from_last, k, "left")
                 # inv holds np.unique's indices, always in range: "clip"
                 # changes no value and skips the per-index bounds check
                 np.take(v, inv[lo:hi], out=terms[lo:hi], mode="clip")

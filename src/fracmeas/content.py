@@ -405,7 +405,7 @@ def _witnesses(F: BallFamily, lattice: DyadicLattice, levels, indices) -> np.nda
                            np.full(len(pending), len(ix)), corners_of, b0)
             continue
         strides = np.array([math.prod(spans[a + 1:]) for a in range(d)], dtype=np.int64)
-        keys = (ix - mn) @ strides
+        keys = np.sum((ix - mn) * strides, axis=1)
         c, r = F.centers[pending], F.radii[pending, None]
         lo = np.maximum(lattice.index_of(c - r, level) - 1, mn)
         hi = np.minimum(lattice.index_of(c + r, level) + 1, mx)
@@ -419,7 +419,7 @@ def _witnesses(F: BallFamily, lattice: DyadicLattice, levels, indices) -> np.nda
             p, off = _runs(take)
             p = live[p]
             head = _row_heads(lo[p, :-1], head_spans[p], done[p] + off)
-            row = (head - mn[:-1]) @ strides[:-1]
+            row = np.sum((head - mn[:-1]) * strides[:-1], axis=1)
             left = np.searchsorted(keys, row + (lo[p, -1] - mn[-1]), "left")
             right = np.searchsorted(keys, row + (hi[p, -1] - mn[-1]), "right")
             _first_meeting(F, witness, pending[p], left, right, corners_of, b0)

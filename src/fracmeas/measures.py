@@ -43,9 +43,9 @@ def _cube_ball_dist(corners, side, center):
 
 
 def _row_norms(x: np.ndarray) -> np.ndarray:
-    """Euclidean norm of each row, bit for bit ``np.linalg.norm`` of the row
-    (``einsum`` and ``np.sum`` round differently)."""
-    return np.sqrt((x[:, None, :] @ x[:, :, None])[:, 0, 0])
+    """Euclidean norm of each row, its squares added by ``np.sum`` (numpy's
+    own loop, never BLAS, so the bits hold on every host)."""
+    return np.sqrt(np.sum(x * x, axis=-1))
 
 
 def _row_heads(lo, spans, q):
@@ -288,7 +288,7 @@ class GridMeasure:
 
     def support_diameter(self) -> float:
         lo, hi = self.bbox()
-        return float(np.linalg.norm(hi - lo))
+        return float(_row_norms(hi - lo))
 
     def scaled(self, factor: float, name: str | None = None) -> "GridMeasure":
         """Measure with all weights multiplied by ``factor``."""

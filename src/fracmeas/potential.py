@@ -51,14 +51,12 @@ class RieszConfig:
         return math.pi ** (d / 2.0) * 2.0 ** a * gamma(a / 2.0) / gamma((d - a) / 2.0)
 
 
-def riesz_kernel(cfg: RieszConfig, mu: GridMeasure, points, rows=None) -> np.ndarray:
+def riesz_kernel(cfg: RieszConfig, mu: GridMeasure, points) -> np.ndarray:
     """Direct kernel sum ``(1/gamma(alpha)) sum w_m |x - y_m|^{alpha-d}``.
 
-    Evaluation at a point mass location records the +inf sentinel.  With
-    ``rows`` (strictly increasing indices into ``points``) only those points
-    are evaluated and returned, each bit for bit its value in the full
-    evaluation: the pair driver keeps the fixed row blocks of all the points
-    (``_kernels._pair_sums``).
+    Evaluation at a point mass location records the +inf sentinel.  Each
+    point's value has the same bits whatever other points it is evaluated
+    with: the pair driver sums row by row (``_kernels._pair_sums``).
     """
     hot = []
 
@@ -71,7 +69,7 @@ def riesz_kernel(cfg: RieszConfig, mu: GridMeasure, points, rows=None) -> np.nda
 
     with np.errstate(divide="ignore", invalid="ignore"):
         out = _kernels._pair_sums(points, mu.points(), mu.weights,
-                                  lambda d: np.ones(1), power_terms, rows)[:, 0]
+                                  lambda d: np.ones(1), power_terms)[:, 0]
     if hot:
         out[np.concatenate(hot)] = np.inf
     return out / cfg.gamma_alpha
@@ -91,7 +89,7 @@ def riesz_field(cfg: RieszConfig, mu: GridMeasure, origin, spacing: float,
                        spacing=float(spacing), values=np.full(shape, np.nan))
     rows = np.unique(fld.stencil(at)[0])
     # a view: writes land in the field
-    fld.values.reshape(-1)[rows] = riesz_kernel(cfg, mu, fld.points(), rows)
+    fld.values.reshape(-1)[rows] = riesz_kernel(cfg, mu, fld.points()[rows])
     return fld
 
 

@@ -96,7 +96,8 @@ def quadrature_table(symbol_name: str, d: int):
         chunk = 256
         for s in range(0, len(radii), chunk):
             e = min(len(radii), s + chunk)
-            table[s:e] = 2.0 * np.pi * (j0(2.0 * np.pi * np.outer(radii[s:e], nodes)) @ fq)
+            table[s:e] = 2.0 * np.pi * np.einsum(
+                "ij,j->i", j0(2.0 * np.pi * np.outer(radii[s:e], nodes)), fq)
         return radii, table
     raise ValueError("radial tables implemented for d in {1, 2}")
 
@@ -110,7 +111,7 @@ def bump_hat(profile, rho):
     w = simpson_weights(n) * (profile.support_radius / (n - 1))
     fr = profile.values(r) * w
     if profile.d == 1:
-        return 2.0 * (np.cos(2.0 * np.pi * np.outer(rho, r)) @ fr)
+        return 2.0 * np.einsum("ij,j->i", np.cos(2.0 * np.pi * np.outer(rho, r)), fr)
     from scipy.special import j0
 
-    return 2.0 * np.pi * (j0(2.0 * np.pi * np.outer(rho, r)) @ (fr * r))
+    return 2.0 * np.pi * np.einsum("ij,j->i", j0(2.0 * np.pi * np.outer(rho, r)), fr * r)

@@ -636,6 +636,9 @@ def test_dim_estimate_command(tmp_path, warm):
     assert rep["results"]["diagnostics"]["vacuous_betas"] == []
 
 
+VERIFY_DIGESTS = Path(__file__).resolve().parent / "data" / "verify_digests.json"
+
+
 @pytest.mark.parametrize("argv, names", [
     (["thm13", "--depth", "6"], ["verify_thm13_besov.csv"]),
     (["thm14"], ["verify_thm14_trace.csv"]),
@@ -645,15 +648,48 @@ def test_dim_estimate_command(tmp_path, warm):
     (["thm19", "--depth", "6"], ["verify_thm19_atomsum.csv"]),
 ], ids=["thm13", "thm14", "thm15", "cor16", "thm18", "thm19"])
 def test_verify_matches_digests(tmp_path, argv, names):
-    # the benchmark's recorded CSV digests, all seven: thm13-cor16 run the
-    # heat and Riesz kernels, thm18 greedy mass capture, thm19 the radial
-    # profile kernel
-    digests = Path(__file__).resolve().parents[1] / "perfbench" / "digests.json"
-    want = json.loads(digests.read_text())
+    # the seven verify CSV digests: thm13-cor16 run the heat and Riesz
+    # kernels, thm18 greedy mass capture, thm19 the radial profile kernel.
+    # Every sum over masses runs in numpy's own loops, so the bytes hold under
+    # every BLAS kernel.  A change that moves a verify CSV re-records
+    # tests/data/verify_digests.json from its own program and names in
+    # CHANGES.md each moved digest with its old value, its new value and why;
+    # perfbench/digests.json stays the benchmark's reference
+    want = json.loads(VERIFY_DIGESTS.read_text())
     assert run(["--out", str(tmp_path), "verify", *argv]) == 0
     for name in names:
         got = hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
         assert got == want[name], name
+
+
+# cover.csv of `content cover --beta 1.5` on the 40 balls of
+# test_pinned_bytes_hold_under_another_blas_kernel
+_COVER_DIGEST = "724f78104c232355d845e5e61d320032e79c05b12bd6e97e769476b27fbb5607"
+
+
+def test_pinned_bytes_hold_under_another_blas_kernel(tmp_path):
+    # OPENBLAS_CORETYPE=Prescott, set for the subprocesses alone, makes
+    # numpy's OpenBLAS run its oldest kernel, whose products round otherwise
+    # than the newer ones.  Every sum runs in numpy's own loops, so thm19
+    # keeps its pinned digest, and a content cover whose witness scans take
+    # the keyed path its bytes
+    import fracmeas
+    rng = np.random.default_rng(7)
+    balls = tmp_path / "balls.csv"
+    family = np.column_stack([rng.uniform(0, 1, (40, 2)), rng.uniform(0.002, 0.05, 40)])
+    np.savetxt(balls, family, delimiter=",", header="x0,x1,r", comments="")
+    env = dict(os.environ, OPENBLAS_CORETYPE="Prescott",
+               PYTHONPATH=os.path.dirname(os.path.dirname(fracmeas.__file__)))
+    cli_main = "import sys; from fracmeas.cli import main; sys.exit(main(sys.argv[1:]))"
+    for argv in (["verify", "thm19", "--depth", "6"],
+                 ["content", "cover", "--balls", str(balls), "--beta", "1.5"]):
+        proc = subprocess.run([sys.executable, "-c", cli_main, "--out", str(tmp_path), *argv],
+                              env=env, capture_output=True, text=True, timeout=600)
+        assert proc.returncode == 0, proc.stderr
+    want = json.loads(VERIFY_DIGESTS.read_text())["verify_thm19_atomsum.csv"]
+    digest = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+              for name in ("verify_thm19_atomsum.csv", "cover.csv")}
+    assert digest == {"verify_thm19_atomsum.csv": want, "cover.csv": _COVER_DIGEST}
 
 
 _COLD_START = textwrap.dedent("""

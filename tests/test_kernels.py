@@ -12,6 +12,12 @@ from fracmeas import _kernels, maximal
 from fracmeas.maximal import standard_family
 
 
+def _sums(terms, w):
+    """Row sums of ``terms * w`` in the pair driver's own loop: the
+    references' sum, which no BLAS kernel changes."""
+    return np.einsum("ij,j->i", terms, w)
+
+
 def test_heat_rejects_bad_times():
     with pytest.raises(ValueError):
         _kernels.heat_values(np.zeros((1, 1)), np.zeros((1, 1)), np.ones(1),
@@ -91,7 +97,7 @@ def _block_loop_conv(x, y, w, s, phi):
         for j in range(s.shape[0]):
             z = r / s[j]
             vals = phi(z)
-            out[lo:hi, j] = (vals @ w) * sd[j]
+            out[lo:hi, j] = _sums(vals, w) * sd[j]
     return out
 
 
@@ -162,20 +168,20 @@ def test_kernels_match_block_loops_across_blocks(warm, rng):
     ref = np.zeros_like(got)
     for lo, hi, d2 in _kernels.pairwise_sq_dists(x, y):
         for j in range(len(t)):
-            ref[lo:hi, j] = np.exp(d2 * -(1.0 / (4.0 * t[j]))) @ w
+            ref[lo:hi, j] = _sums(np.exp(d2 * -(1.0 / (4.0 * t[j]))), w)
     ref *= (4.0 * np.pi * t) ** -0.5
     assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))
 
 
 def test_conv_matches_block_loop_on_lattice_across_blocks(warm, rng):
-    # 3001 lattice masses give blocks of 8 rows: 21 points take three, the
-    # last one shorter; distances repeat within each block and across them,
+    # 3001 lattice masses give blocks of 10 rows: 21 points take three, the
+    # last one of a single row; distances repeat within each block and across them,
     # and 8 points sit on masses; a bump and a table profile (the test above
     # has the Gaussian), same bits
     y = rng.integers(-64, 64, (3001, 1)) / 64.0
     x = np.vstack([y[:8], rng.integers(-64, 64, (13, 1)) / 64.0])
     w = rng.uniform(-1.0, 1.0, len(y))
-    assert _kernels._block_rows(len(y)) == 8
+    assert _kernels._block_rows(len(y)) == 10
     s = np.array([1.0 / 64.0, 0.4])
     family = standard_family(1)
     got = _kernels.radial_conv_values(x, y, w, s, (family["psi"], family["xi_band"]))
@@ -251,28 +257,56 @@ def test_heat_traces_cache_sized_blocks(rng):
 
 
 def test_pair_rows_match_dense_rows_past_the_block_budget(rng):
-    # 5000 masses: one 8-row block already holds more than BLOCK_TERMS
-    # terms, and 45 points end on a short block of 5; the wanted rows skip
-    # blocks and leave some half empty.  Each equals its dense row, and the
-    # dense rows equal one product over all 45 rows
+    # 5000 masses give blocks of 6 rows, and 45 points end on a short block
+    # of 3.  The rows equal one sum over all 45 rows, and a subset of the
+    # points gets those rows bit for bit, whatever blocks it falls into
     x = rng.uniform(-1.0, 1.0, (45, 2))
     y = rng.uniform(-1.0, 1.0, (5000, 2))
     w = rng.uniform(-1.0, 1.0, len(y))
-    assert 8 * len(y) > _kernels.BLOCK_TERMS and _kernels._block_rows(len(y)) == 8
+    assert _kernels._block_rows(len(y)) == 6
 
-    def columns(d2, rows):
-        # the driver hands each block its own rows of x
-        assert np.array_equal(_kernels._sq_dists(x[rows], y), d2)
-        yield 0, np.exp(-d2)
-        yield 0, np.sqrt(d2)
+    def columns(pts):
+        def block(d2, rows):
+            # the driver hands each block its own rows of the points
+            assert np.array_equal(_kernels._sq_dists(pts[rows], y), d2)
+            yield 0, np.exp(-d2)
+            yield 0, np.sqrt(d2)
+        return block
 
-    dense = _kernels._pair_sums(x, y, w, lambda d: np.ones(2), columns)
+    dense = _kernels._pair_sums(x, y, w, lambda d: np.ones(2), columns(x))
     d2 = _kernels._sq_dists(x, y)
-    ref = np.stack([np.exp(-d2) @ w, np.sqrt(d2) @ w], axis=1)
+    ref = np.stack([_sums(np.exp(-d2), w), _sums(np.sqrt(d2), w)], axis=1)
     assert np.array_equal(dense.view(np.uint64), ref.view(np.uint64))
     for rows in ([0, 3, 7, 8, 21, 40, 44], [41], np.arange(45)):
-        got = _kernels._pair_sums(x, y, w, lambda d: np.ones(2), columns, rows)
+        got = _kernels._pair_sums(x[rows], y, w, lambda d: np.ones(2), columns(x[rows]))
         assert np.array_equal(got.view(np.uint64), dense[rows].view(np.uint64))
+
+
+def test_lone_rows_keep_their_bits_past_the_einsum_run(rng):
+    # einsum sums a lone row of more than 8192 terms in runs of 8192 (its
+    # iterator buffer) and a row among others in one run, which round
+    # differently (the first assert).  9000 masses give blocks of 3 rows, and
+    # 7 points end on a lone row: the whole blocks, each point alone and the
+    # one-row windows all get the bits of sums in runs of EINSUM_RUN masses
+    x = rng.uniform(-1.0, 1.0, (7, 1))
+    y = rng.uniform(-1.0, 1.0, (9000, 1))
+    w = rng.uniform(-1.0, 1.0, len(y))
+    run = _kernels.EINSUM_RUN
+    assert _kernels._block_rows(len(y)) == 3 and run < len(y)
+    terms = np.exp(-_kernels._sq_dists(x, y))
+    ref = _sums(terms[:, :run], w[:run]) + _sums(terms[:, run:], w[run:])
+    assert not np.array_equal(_sums(terms[6:], w), _sums(terms, w)[6:])
+    dense = _kernels._pair_sums(x, y, w, lambda d: np.ones(1),
+                                lambda d2, _: iter([(0, np.exp(-d2))]))[:, 0]
+    got = _kernels._pair_sums(x, y, w, lambda d: np.ones(1),
+                              lambda d2, _: iter([(1, np.exp(-d2)[1:2])]))[:, 0]
+    lone = [_kernels._pair_sums(x[i:i + 1], y, w, lambda d: np.ones(1),
+                                lambda d2, _: iter([(0, np.exp(-d2))]))[0, 0]
+            for i in range(len(x))]
+    assert np.array_equal(dense.view(np.uint64), ref.view(np.uint64))
+    assert np.array_equal(np.array(lone).view(np.uint64), ref.view(np.uint64))
+    assert np.array_equal(got[1::3].view(np.uint64), ref[1::3].view(np.uint64))
+    assert np.all(np.delete(got, [1, 4]) == 0.0)
 
 
 @st.composite
@@ -326,7 +360,7 @@ def _dense_heat(x, y, w, t):
     inv4t = 1.0 / (4.0 * t)
     out = np.zeros((len(x), len(t)))
     for j in range(len(t)):
-        out[:, j] = np.exp(-d2 * inv4t[j]) @ w
+        out[:, j] = _sums(np.exp(-d2 * inv4t[j]), w)
     return out * ((4.0 * np.pi * t) ** (-x.shape[1] / 2.0))[None, :]
 
 
@@ -367,14 +401,14 @@ def _record_windows(monkeypatch):
     pair_sums = _kernels._pair_sums
     seen = []
 
-    def spy(x, y, w, scale, block_terms, rows=None):
-        def recorded(d2, pick):
-            for window in block_terms(d2, pick):
+    def spy(x, y, w, scale, block_terms):
+        def recorded(d2, rows):
+            for window in block_terms(d2, rows):
                 seen.append((len(d2), None, 0) if window is None
                             else (len(d2), window[0], len(window[1])))
                 yield window
 
-        return pair_sums(x, y, w, scale, recorded, rows)
+        return pair_sums(x, y, w, scale, recorded)
 
     monkeypatch.setattr(_kernels, "_pair_sums", spy)
     return seen
@@ -383,10 +417,9 @@ def _record_windows(monkeypatch):
 def test_conv_windows_skip_rows_out_of_reach(monkeypatch, warm, rng):
     # 2001 masses on [0.5, 1.5] give blocks of 16 rows; 45 points on [-3, 3]
     # fill two and end on a short one of 13.  At the small scales only the
-    # points near the masses have a distance in reach (rows 25-33): the
-    # middle block's windows start at its row 8 and the last block's end at
-    # its row 8.  Every window is on the 8-row grid and the sums keep the
-    # block loop's bits
+    # points near the masses have a distance in reach (rows 25-33): each
+    # column's window runs from the first row of its block in reach to the
+    # last, off any row grid, and the sums keep the block loop's bits
     x = np.linspace(-3.0, 3.0, 45)[:, None]
     y = rng.uniform(0.5, 1.5, (2001, 1))
     w = rng.uniform(-1.0, 1.0, len(y))
@@ -395,11 +428,20 @@ def test_conv_windows_skip_rows_out_of_reach(monkeypatch, warm, rng):
     profiles = standard_family(1).profiles
     seen = _record_windows(monkeypatch)
     conv = _kernels.radial_conv_values(x, y, w, s, profiles)
+    want = []
+    for _, _, d2 in _kernels.pairwise_sq_dists(x, y):
+        near = np.sqrt(d2).min(axis=1)
+        for prof in profiles:
+            reach = prof.support_radius * (1.0 + _kernels.SUPPORT_MARGIN)
+            for sj in s:
+                hit = np.flatnonzero(near < reach * sj)
+                want.append((len(d2), hit[0], hit[-1] + 1 - hit[0]) if len(hit)
+                            else (len(d2), None, 0))
+    assert seen == want
     windows = [(n, start, rows) for n, start, rows in seen if start is not None]
     assert any(start > 0 for _, start, _ in windows)
     assert any(start + rows < n for n, start, rows in windows)
-    assert all(start % 8 == 0 and (rows % 8 == 0 or start + rows == n)
-               for n, start, rows in windows)
+    assert any(start % 8 for _, start, _ in windows)
     for p, prof in enumerate(profiles):
         got = conv[:, p * len(s):(p + 1) * len(s)]
         ref = _block_loop_conv(x, y, w, s, prof.values)
@@ -408,14 +450,13 @@ def test_conv_windows_skip_rows_out_of_reach(monkeypatch, warm, rng):
 
 def test_pair_windows_keep_the_dense_bits(rng):
     # 800 masses give blocks of 40 rows, and 45 points a short last block of
-    # 5.  Each aligned window's sums are the dense product's bits, and the
-    # rows outside it stay +0.0; a window off the 8-row grid, one that stops
-    # off it before the block's end, and any window on the rows path raise
+    # 5.  A window on any rows of a block gets the dense sums' bits there,
+    # and the rows outside it stay +0.0
     x = rng.uniform(-1.0, 1.0, (45, 2))
     y = rng.uniform(-1.0, 1.0, (800, 2))
     w = rng.uniform(-1.0, 1.0, len(y))
     assert _kernels._block_rows(len(y)) == 40
-    spans = [(0, None), (8, None), (8, 24), (16, 8), (32, 8), (0, 8)]
+    spans = [(0, None), (8, None), (3, 24), (17, 1), (32, 8), (0, 5), (39, 1)]
 
     def columns(d2, _):
         terms = np.exp(-d2)
@@ -424,21 +465,13 @@ def test_pair_windows_keep_the_dense_bits(rng):
             yield (start, terms[start:stop]) if start < len(d2) else None
 
     got = _kernels._pair_sums(x, y, w, lambda d: np.ones(len(spans)), columns)
-    dense = np.exp(-_kernels._sq_dists(x, y)) @ w
+    dense = _sums(np.exp(-_kernels._sq_dists(x, y)), w)
     for j, (start, rows) in enumerate(spans):
         keep = np.zeros(len(x), dtype=bool)
         for s in (0, 40):
             keep[s + start:s + 40 if rows is None else s + start + rows] = True
         ref = np.where(keep, dense, 0.0)
         assert np.array_equal(got[:, j].view(np.uint64), ref.view(np.uint64)), (start, rows)
-
-    for window in ((4, slice(4, 40)), (0, slice(0, 12)), (8, slice(8, 12))):
-        with pytest.raises(ValueError, match="8-row grid"):
-            _kernels._pair_sums(x, y, w, lambda d: np.ones(1),
-                                lambda d2, _: iter([(window[0], np.exp(-d2)[window[1]])]))
-    with pytest.raises(ValueError, match="rows path"):
-        _kernels._pair_sums(x, y, w, lambda d: np.ones(1),
-                            lambda d2, _: iter([(8, np.exp(-d2)[8:])]), [0, 9, 10])
 
 
 def test_thm19_conv_gathers_a_share_of_the_rows(monkeypatch, warm):

@@ -66,8 +66,8 @@ def riesz_exponent_minus_01(mp):
     """The Riesz kernel |x|^{alpha - d - 0.1} in place of |x|^{alpha - d}."""
     riesz_kernel = potential.riesz_kernel
 
-    def mutant(cfg, mu, points, rows=None):
-        return riesz_kernel(dataclasses.replace(cfg, alpha=cfg.alpha - 0.1), mu, points, rows)
+    def mutant(cfg, mu, points):
+        return riesz_kernel(dataclasses.replace(cfg, alpha=cfg.alpha - 0.1), mu, points)
 
     mp.setattr(potential, "riesz_kernel", mutant)
 

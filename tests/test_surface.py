@@ -18,7 +18,11 @@ never count as uses:
 * outside ``_kernels``, no module names the pair driver's block rule
   (``_block_rows``, ``BLOCK_TERMS``) or its distance kernel
   (``_sq_dists``), or calls ``einsum`` or ``subtract.outer``: every sum over
-  masses runs in ``_kernels._pair_sums``, in its blocks.
+  masses runs in ``_kernels._pair_sums``, in its blocks;
+* no module uses ``@``, ``matmul``, ``dot`` or ``linalg.norm``: on floats
+  they run the BLAS kernel that the host's CPU picks, and each kernel rounds
+  in its own way.  The rule cannot tell floats from integers, so integer
+  products are written as elementwise sums too.
 
 References, calls and attribute reads are matched to definitions by the
 bare name alone, so two definitions of one name share their uses: the checks
@@ -256,6 +260,24 @@ def pair_code_outside_kernels() -> list:
             if mod != "_kernels" for name in _pair_code(tree)]
 
 
+# the BLAS products and norms, as the tails of used names
+BLAS_NAMES = ("matmul", "dot", "linalg.norm")
+
+
+def _blas_code(tree: ast.AST) -> list:
+    """Each ``@`` (also ``@=``) of a module and each name or attribute it
+    uses that ends in a BLAS product or norm, in the order ``ast.walk``
+    meets them, sorted."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+            found.append("@")
+        elif isinstance(node, (ast.Name, ast.Attribute)):
+            used = "." + _dotted(node)
+            found.extend(s for s in BLAS_NAMES if used.endswith("." + s))
+    return sorted(found)
+
+
 def test_every_public_name_is_reached():
     unreached = unreached_names()
     stale = sorted(set(ALLOWED_UNREACHED) - set(unreached))
@@ -356,3 +378,30 @@ def f(x, y, w):
 def test_the_pair_rule_sees_names_and_dense_sums():
     assert _pair_code(ast.parse(_PAIR_SAMPLE)) == [
         "BLOCK_TERMS", "_block_rows", "einsum", "subtract.outer"]
+
+
+def test_no_module_runs_a_blas_product():
+    found = [f"{mod}: {name}" for mod, tree in _package_modules().items()
+             for name in _blas_code(tree)]
+    assert not found, ("BLAS products or norms in the package (sum with numpy's "
+                       f"own loops: np.sum, or _kernels._pair_sums): {found}")
+
+
+_BLAS_SAMPLE = """
+import numpy as np
+from numpy import dot
+
+
+def f(a, b, v, n):
+    "a @ b and np.linalg.norm(v) in a docstring are no uses"
+    a @= b
+    product = np.matmul
+    return a @ b, product(a, b), dot(a, b), a.dot(b), np.linalg.norm(v), n.dots
+"""
+
+
+def test_the_blas_rule_sees_every_form():
+    # @ and @=, numpy's matmul named without a call, dot as a bare name and
+    # as a method, and the norm; the import itself and other names are not
+    assert _blas_code(ast.parse(_BLAS_SAMPLE)) == [
+        "@", "@", "dot", "dot", "linalg.norm", "matmul"]
