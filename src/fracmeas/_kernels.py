@@ -14,14 +14,20 @@ the other rows 0.0.  The sums are row-local: a row's sum depends on its own
 terms only, not on the block, the window or the other points it is summed
 with, and not on the BLAS kernel numpy loads; a row outside its window is
 +0.0, as a sum of its 0.0 terms gives.  A Gaussian term whose exponent lies
-below -746 is written as 0.0 and never evaluated (``_gauss_terms``): exp
-returns exactly 0.0 there anyway.  The radial convolution takes a family's
-profiles (``maximal.Profile``, each formula written once), evaluates each
-only inside its support, and gathers and sums each (profile, scale) column
-over the rows from the first to the last that some mass reaches.
+below ``EXP_FLOOR`` = log(DBL_MIN), about -708.40, is written as 0.0 and
+never evaluated (``_gauss_terms``): exp is subnormal or 0.0 there, and slow,
+so a heat value moves by at most (4 pi t)^{-d/2} sum_m |w_m| DBL_MIN.  A
+block with no exponent below the floor takes plain exp, no mask.  The radial
+convolution takes a family's profiles (``maximal.Profile``, each formula
+written once), evaluates each only inside its support, and gathers and sums
+each (profile, scale) column over the rows from the first to the last that
+some mass reaches.
 """
 
 from __future__ import annotations
+
+import math
+import sys
 
 import numpy as np
 
@@ -30,8 +36,9 @@ import numpy as np
 BACKEND = "numpy"
 HAVE_NUMBA = False
 
-# exp(a) is exactly 0.0 for every double a below about -745.13
-EXP_FLOOR = -746.0
+# log(DBL_MIN), about -708.40: exp(a) >= DBL_MIN for every double a at or above
+# it, and below it exp is subnormal (and costs numpy several times more) or 0.0
+EXP_FLOOR = math.log(sys.float_info.min)
 # the radial window's relative reach past a support radius: r / s rounds by less
 SUPPORT_MARGIN = 2.0 ** -40
 # most terms of a pair block (256 KB of float64 per array), unless one row holds more
@@ -85,15 +92,20 @@ def _axis_sq(x, y, a):
 def _gauss_terms(arg, out, keep):
     """Write the Gaussian terms ``exp(arg)`` into ``out`` and return it.
 
-    exp is evaluated only where ``arg >= -746``; every term with an exponent
-    below that is written as 0.0, which is what exp returns there (it
-    underflows to 0.0 below about -745.13), so ``out`` equals ``np.exp(arg)``
-    bit for bit.  Far pairs of a heat sum land there, and exp costs several
-    times more on them than on the terms that count.  ``keep`` is a bool
-    scratch array of the same shape.  Private, so that a tracer wrapping the
-    public kernels counts this work in ``heat_values``.
+    exp is evaluated only where ``arg >= EXP_FLOOR``; every term with an
+    exponent below it is written as 0.0, where exp would give a subnormal
+    term (below DBL_MIN) or 0.0.  Far pairs of a heat sum land there, and
+    exp costs several times more on them than on the terms that count.  So
+    every nonzero term is at least DBL_MIN, and each term is ``np.exp(arg)``
+    or differs from it by less than DBL_MIN.  Where no exponent lies below
+    the floor (a NaN is not below it) the block takes plain exp, with no
+    mask: the same bits.  ``keep`` is a bool scratch array of the same
+    shape.  Private, so that a tracer wrapping the public kernels counts
+    this work in ``heat_values``.
     """
     np.less(arg, EXP_FLOOR, out=keep)
+    if not keep.any():
+        return np.exp(arg, out=out)
     np.logical_not(keep, out=keep)
     out.fill(0.0)
     return np.exp(arg, out=out, where=keep)
@@ -153,8 +165,10 @@ def heat_values(x, y, w, t):
     ``x``: (n, d) evaluation points; ``y``: (m, d) mass locations; ``w``: (m,)
     weights; ``t``: (nt,) positive times with finite ``1/4t`` and
     ``(4 pi t)^{-d/2}``.  A term whose exponent ``-|x_i - y_m|^2 / 4t_j``
-    lies below -746 is written as 0.0 and never evaluated (``_gauss_terms``);
-    exp underflow is the only tail cutoff.
+    lies below ``EXP_FLOOR`` (about -708.40) is written as 0.0 and never
+    evaluated (``_gauss_terms``), so each value lies within
+    ``(4 pi t_j)^{-d/2} sum_m |w_m| DBL_MIN`` of the sum over every term;
+    that floor is the only tail cutoff.
     """
     t = np.ascontiguousarray(np.asarray(t, dtype=np.float64))
     if np.any(t <= 0):

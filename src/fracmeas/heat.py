@@ -2,10 +2,12 @@
 
 The extension at time t is the Gaussian convolution
 ``(4 pi t)^{-d/2} sum_m w_m exp(-|x - y_m|^2 / 4t)``, summed over every
-mass; exp underflow is the only tail cutoff.  The grid sums and the
-golden-section refinement of the sup in t both run in the pair driver
-(``_kernels._pair_sums``) on one Gaussian term generator, which writes a
-term whose exponent lies below -746 as 0.0 and never evaluates it.
+mass.  The grid sums and the golden-section refinement of the sup in t both
+run in the pair driver (``_kernels._pair_sums``) on one Gaussian term
+generator, which writes a term whose exponent lies below
+``_kernels.EXP_FLOOR`` = log(DBL_MIN), about -708.40, as 0.0 and never
+evaluates it; that floor is the only tail cutoff, and it moves a value by at
+most ``(4 pi t)^{-d/2} sum_m |w_m| DBL_MIN``.
 """
 
 from __future__ import annotations

@@ -1,5 +1,6 @@
 import functools
 import math
+import sys
 import tracemalloc
 import warnings
 
@@ -8,8 +9,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from fracmeas import _kernels, maximal
+from fracmeas import _kernels, maximal, verify
 from fracmeas.maximal import standard_family
+
+DBL_MIN = sys.float_info.min
 
 
 def _sums(terms, w):
@@ -353,14 +356,17 @@ def test_pairwise_matches_einsum(d, n, m, rows, data):
     assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))
 
 
-def _dense_heat(x, y, w, t):
-    """The heat sum with exp evaluated on every pair: the reference."""
+def _dense_heat(x, y, w, t, floor=_kernels.EXP_FLOOR):
+    """The heat sum with exp evaluated on every pair, each term whose
+    exponent lies below ``floor`` then 0.0 (the kernel's documented rule;
+    -inf: plain exp): the reference."""
     diff = x[:, None, :] - y[None, :, :]
     d2 = np.einsum("ijk,ijk->ij", diff, diff)
     inv4t = 1.0 / (4.0 * t)
     out = np.zeros((len(x), len(t)))
     for j in range(len(t)):
-        out[:, j] = _sums(np.exp(-d2 * inv4t[j]), w)
+        arg = -d2 * inv4t[j]
+        out[:, j] = _sums(np.where(arg < floor, 0.0, np.exp(arg)), w)
     return out * ((4.0 * np.pi * t) ** (-x.shape[1] / 2.0))[None, :]
 
 
@@ -371,11 +377,13 @@ def heat_cases(draw):
     x = draw(hnp.arrays(np.float64, (draw(st.integers(1, 30)), d), elements=coords))
     y = draw(hnp.arrays(np.float64, (draw(st.integers(1, 20)), d), elements=coords))
     w = draw(hnp.arrays(np.float64, len(y), elements=st.floats(-2.0, 2.0)))
-    # times that put one point's nearest exponent in the bulk, in the
-    # subnormal band above -745.13, or just below it, where exp gives 0.0
+    # times that put one point's nearest exponent in the bulk, about the exp
+    # floor log(DBL_MIN) ~ -708.40, in the subnormal band below it, or just
+    # below -745.13, where exp gives 0.0
     near = np.min(np.sum((x[draw(st.integers(0, len(x) - 1))] - y) ** 2, axis=1))
+    floor = _kernels.EXP_FLOOR
     expo = st.one_of(st.floats(-745.2, -745.0), st.floats(-760.0, -700.0),
-                     st.floats(-50.0, -1e-3))
+                     st.floats(floor - 0.01, floor + 0.01), st.floats(-50.0, -1e-3))
     t = [near / (4.0 * -draw(expo)) for _ in range(draw(st.integers(1, 4)))]
     # heat_values rejects times whose 1/4t or (4 pi t)^{-d/2} overflows
     # (below about 1.4e-309 for d <= 2)
@@ -386,12 +394,79 @@ def heat_cases(draw):
 @settings(max_examples=300)
 @given(case=heat_cases())
 def test_heat_matches_dense_exp(case):
-    # terms below the exp floor are written, not evaluated: same bits
+    # terms below the exp floor are written as 0.0, not evaluated: the bits
+    # of the dense sum under the same rule
     x, y, w, t = case
     with np.errstate(all="ignore"):
         got = _kernels.heat_values(x, y, w, t)
         ref = _dense_heat(x, y, w, t)
     assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))
+
+
+@settings(max_examples=300)
+@given(case=heat_cases())
+def test_heat_lies_within_the_floor_bound_of_plain_exp(case):
+    # every term the floor drops is below DBL_MIN, so a value moves by at most
+    # (4 pi t)^{-d/2} sum_m |w_m| DBL_MIN from the sum of plain exp over every pair
+    x, y, w, t = case
+    with np.errstate(all="ignore"):
+        got = _kernels.heat_values(x, y, w, t)
+        ref = _dense_heat(x, y, w, t, floor=-np.inf)
+        bound = (4.0 * np.pi * t) ** (-x.shape[1] / 2.0) * np.sum(np.abs(w)) * DBL_MIN
+    assert np.all(np.abs(got - ref) <= bound[None, :])
+
+
+def test_exp_floor_is_the_normal_range():
+    # exp is at least DBL_MIN at the floor and subnormal just below it, and
+    # _gauss_terms writes 0.0 from there on down
+    floor = _kernels.EXP_FLOOR
+    below = np.nextafter(floor, -np.inf)
+    assert np.exp(floor) >= DBL_MIN > np.exp(below) > 0.0
+    arg = np.array([[floor, below, -746.0, -np.inf]])
+    got = _kernels._gauss_terms(arg, np.empty_like(arg), np.empty(arg.shape, dtype=bool))
+    assert got[0, 0] == np.exp(floor)
+    assert np.array_equal(got[0, 1:].view(np.uint64), np.zeros(3).view(np.uint64))
+
+
+def test_fully_kept_block_takes_plain_exp_with_the_masked_bits(monkeypatch, rng):
+    # a block with no exponent below the floor takes exp with no mask; the
+    # same exponents in a block with one below the floor take the masked
+    # path, with the same bits, and a NaN exponent gives NaN on both
+    kept = rng.uniform(_kernels.EXP_FLOOR, 0.0, (6, 40))
+    kept[0, :3] = _kernels.EXP_FLOOR, np.nan, 0.0
+    mixed = np.vstack([kept, np.full((1, 40), -800.0)])
+    exp, masked = np.exp, []
+
+    def spy(*args, **kwargs):
+        masked.append("where" in kwargs)
+        return exp(*args, **kwargs)
+
+    monkeypatch.setattr(np, "exp", spy)
+    terms = [_kernels._gauss_terms(a, np.empty_like(a), np.empty(a.shape, dtype=bool))
+             for a in (kept, mixed)]
+    assert masked == [False, True]
+    assert np.isnan(terms[0][0, 1]) and np.isnan(terms[1][0, 1])
+    assert np.array_equal(terms[0].view(np.uint64), terms[1][:-1].view(np.uint64))
+    assert np.all(terms[1][-1] == 0.0)
+
+
+def test_no_subnormal_term_is_computed(monkeypatch):
+    # over verify thm15 at depth 5, every Gaussian term is 0.0 or at least
+    # DBL_MIN, though the run has exponents in the subnormal band, where exp
+    # is slow: a change that evaluates them again fails here
+    gauss_terms = _kernels._gauss_terms
+    band, low = [], []
+
+    def spy(arg, out, keep):
+        terms = gauss_terms(arg, out, keep)
+        band.append(np.count_nonzero((arg >= -746.0) & (arg < _kernels.EXP_FLOOR)))
+        low.append(np.count_nonzero((terms != 0.0) & (terms < DBL_MIN)))
+        return terms
+
+    monkeypatch.setattr(_kernels, "_gauss_terms", spy)
+    assert verify.verify_thm15(depth=5).ok
+    assert sum(band) > 0
+    assert sum(low) == 0
 
 
 def _record_windows(monkeypatch):

@@ -14,8 +14,8 @@ from hypothesis import assume, example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy.spatial import cKDTree
 
-from fracmeas import _kernels, measures, potential
-from fracmeas.atoms import AtomCandidate, make_frostman_atom
+from fracmeas import _kernels, measures, potential, verify
+from fracmeas.atoms import AtomCandidate, make_frostman_atom, make_loop_atom
 from fracmeas.heat import TGrid
 from fracmeas.measures import (Cube, SampledField, cantor_measure, dirac,
                                lattice_points, new_grid_measure)
@@ -116,6 +116,41 @@ def test_heat_route_sums_in_pair_blocks():
     finally:
         tracemalloc.stop()
     assert peak < 10e6
+
+
+@settings(max_examples=200)
+@given(data=st.data())
+def test_weighted_columns_match_the_gathered_sum(data):
+    # the quadrature's column-by-column sum has the bits of the product and
+    # sum over the column-major gather, signed zeros and infinities too, and
+    # its NaNs where that sum has them (a NaN's sign bit is not compared)
+    n, nt = data.draw(st.integers(1, 20)), data.draw(st.integers(1, 40))
+    values = st.one_of(st.floats(-1e3, 1e3), st.sampled_from([0.0, -0.0, np.inf, np.nan]))
+    field = data.draw(hnp.arrays(np.float64, (n, nt), elements=values))
+    cols = np.unique(data.draw(hnp.arrays(np.int64, data.draw(st.integers(1, nt)),
+                                          elements=st.integers(0, nt - 1))))
+    w = data.draw(hnp.arrays(np.float64, len(cols), elements=st.floats(-1e3, 1e3)))
+    with np.errstate(all="ignore"):
+        got = potential._weighted_columns(field, cols, w)
+        ref = (field[:, cols] * w[None, :]).sum(axis=1)
+    nan = np.isnan(ref)
+    assert np.array_equal(np.isnan(got), nan)
+    assert np.array_equal(got[~nan].view(np.uint64), ref[~nan].view(np.uint64))
+
+
+def test_heat_route_holds_one_field():
+    # 8000 points x 159 times: the quadrature adds the weighted columns of
+    # the 10.2 MB heat field into one vector (traced peak 12.7 MB), where the
+    # gather and its product held two more copies of the field (30.8 MB)
+    mu = cantor_measure(5)
+    pts = np.linspace(1.5, 4.0, 8000)[:, None]
+    tracemalloc.start()
+    try:
+        riesz_heat(RieszConfig(alpha=0.5, d=1), mu, pts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16e6
 
 
 def test_heat_route_zero_measure():
@@ -424,6 +459,59 @@ def test_besov_functional_matches_per_node_reference(d, data):
     res = heat_besov_functional(cand, alpha)
     got = (res.total, res.below_split, res.above_split)
     assert [v.hex() for v in got] == [v.hex() for v in _besov_reference(cand, alpha)]
+
+
+def _loop_atom():
+    return make_loop_atom(verify.square_loop(16), 0, h=1.0 / 32.0)[0]
+
+
+@pytest.mark.parametrize("atom, cells", [
+    (lambda: make_frostman_atom(depth=6)[0], 3000),
+    (_loop_atom, 20000),
+], ids=["cantor-1d", "loop-2d"])
+def test_besov_node_batches_keep_each_nodes_bits(atom, cells, monkeypatch):
+    # the functional sums the grids of consecutive nodes in one pair pass;
+    # each node's values equal a heat_values call on that node alone, bit for
+    # bit.  A small budget of cells and of points splits the grid search into
+    # groups of nodes and the sums into batches: some batch ends inside a
+    # group, and some spans the end of one
+    cand = atom()
+    mu = cand.measure
+    monkeypatch.setattr(potential, "_GRID_CELLS", cells)
+    monkeypatch.setattr(potential, "_BATCH_POINTS", cells)
+    groups, batches, seen = [], [], []
+    row_runs, node_batches = potential._row_runs, potential._node_batches
+
+    def runs_spy(*args, tag, **kwargs):
+        groups.append(int(tag[-1]) + 1)
+        return row_runs(*args, tag=tag, **kwargs)
+
+    def batches_spy(grids, rows):
+        for batch in node_batches(grids, rows):
+            assert sum(len(pts) for pts, _ in batch) <= rows or len(batch) == 1
+            batches.append(len(batch))
+            yield batch
+
+    def norm_spy(values, p, cell_volume):
+        seen.append((values.copy(), cell_volume))
+        return lorentz_norm(values, p, cell_volume)
+
+    monkeypatch.setattr(potential, "_row_runs", runs_spy)
+    monkeypatch.setattr(potential, "_node_batches", batches_spy)
+    monkeypatch.setattr(potential, "lorentz_norm", norm_spy)
+    heat_besov_functional(cand, 0.5)
+    group_ends = set(np.cumsum(groups).tolist())
+    batch_ends = np.cumsum(batches).tolist()
+    assert any(e not in group_ends for e in batch_ends)
+    assert any(any(s < g < e for g in group_ends)
+               for s, e in zip([0] + batch_ends, batch_ends))
+    tgrid = TGrid.for_measure(mu, nodes_per_decade=16)
+    grids = list(potential._adaptive_heat_grids(mu, tgrid.nodes))
+    assert len(seen) == len(grids) == len(tgrid.nodes) == batch_ends[-1]
+    for t, (pts, spacing), (values, cell_volume) in zip(tgrid.nodes, grids, seen):
+        ref = _kernels.heat_values(pts, mu.points(), mu.weights, np.array([t]))[:, 0]
+        assert np.array_equal(values.view(np.uint64), ref.view(np.uint64))
+        assert cell_volume == spacing ** mu.d
 
 
 def _dense_riesz(cfg, mu, pts):
