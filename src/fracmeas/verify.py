@@ -141,36 +141,82 @@ def _scaled_pair(cand: atoms.AtomCandidate, nu: measures.GridMeasure,
 # strong-type inequality (heat-integral functional)
 # ---------------------------------------------------------------------------
 
+def _refinement(values) -> dict:
+    """The refinement record of values at consecutive construction depths,
+    at least three: the increments Δ_k = v_k - v_{k-1}, their ratios
+    r_k = Δ_k / Δ_{k-1}, and the geometric (Richardson-type) limit
+    ``v_n + Δ_n r_n / (1 - r_n)``.  ``limit_err`` is the distance from that
+    limit to the same extrapolation one depth earlier (NaN with one ratio).
+    A zero increment gives a NaN or infinite ratio, and a ratio of 1 an
+    infinite limit; neither warns."""
+    v = np.asarray(values, dtype=np.float64)
+    inc = np.diff(v)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratios = inc[1:] / inc[:-1]
+        limits = v[2:] + inc[1:] * ratios / (1.0 - ratios)
+        err = abs(limits[-1] - limits[-2]) if len(limits) > 1 else math.nan
+    return {"values": v.tolist(), "increments": inc.tolist(), "ratios": ratios.tolist(),
+            "limit": float(limits[-1]), "limit_err": float(err)}
+
+
 def verify_thm13(alpha: float = 0.5, n_scales: int = 5, depth: int = 8) -> VerifyOutcome:
-    """Heat-integral functional: dilation invariance across scales 2^0..2^-(n-1)
-    and finiteness with bounded spread across atom kinds."""
+    """Heat-integral functional of the Cantor atom as a depth sequence, with
+    dilation invariance and bounded spread across atom kinds.
+
+    The Cantor atom runs once at each construction depth
+    ``max(1, depth - 3)..depth``, and the increments of its totals must
+    shrink geometrically (``depth_ratio_max``: every |Δ_{k+1} / Δ_k| below
+    1), with the limit and its error bar from ``_refinement``.  The
+    shallowest atom's dilates by 2^-1..2^-(n_scales-1) must match it
+    (``dilation_max_rel_dev``), and the deepest atom's total is the Cantor
+    kind's value against the loop and L∞ atoms (``kind_min``,
+    ``kind_ratio``).  Every functional's tail estimate must be finite
+    (``tail_estimate_max``).  All the cases go through one ``_map_cases``
+    call, the longest first.
+    """
     _check_scales(n_scales)
-    cand, _ = atoms.make_frostman_atom(depth=depth)
-    dilates = [cand] + [_dilated_atom(cand, 2.0 ** (-j)) for j in range(1, n_scales)]
+    # three depths give the two increments of one ratio
+    if depth < 3:
+        raise ValueError(f"--depth {depth}: the depth sequence needs --depth >= 3")
+    depths = list(range(max(1, depth - 3), depth + 1))
+    cantor = [atoms.make_frostman_atom(depth=k)[0] for k in depths]
+    dilates = [_dilated_atom(cantor[0], 2.0 ** (-j)) for j in range(1, n_scales)]
     linf = atoms.make_linf_atom(1, 6)
     loop, _ = atoms.make_loop_atom(square_loop(16), 0, h=1.0 / 32.0)
-    # the loop atom goes first: it is the longest case
-    loop_res, *cantor_res, linf_res = _map_cases(
-        lambda c: potential.heat_besov_functional(c, alpha), [loop, *dilates, linf])
-    base = cantor_res[0]
-    rows = [[f"cantor@2^-{j}" if j else "cantor", j, res.total, res.below_split,
-             res.above_split] for j, res in enumerate(cantor_res)]
-    # np.max, not max: a NaN deviation is the largest and fails its check
-    worst_dev = np.max([abs(res.total - base.total) / base.total for res in cantor_res[1:]])
-    kind_vals = {"cantor": base.total, "linf": linf_res.total, "loop": loop_res.total}
-    rows += [[k, 0, v, math.nan, math.nan] for k, v in kind_vals.items() if k != "cantor"]
+    # longest first: the deepest Cantor atom, the loop atom, the shallower depths
+    done = _map_cases(lambda c: potential.heat_besov_functional(c, alpha),
+                      [cantor[-1], loop, *cantor[-2::-1], *dilates, linf])
+    deep_res, loop_res, *rest, linf_res = done
+    n = len(depths) - 1
+    seq_res, dil_res = rest[:n][::-1] + [deep_res], rest[n:]
+    base = seq_res[0]
+
+    def row(atom, k, j, res):
+        return [atom, k, j, res.total, res.below_split, res.above_split, res.tail_estimate]
+
+    rows = ([row("cantor", k, 0, res) for k, res in zip(depths, seq_res)]
+            + [row(f"cantor@2^-{j}", depths[0], j, res) for j, res in enumerate(dil_res, 1)]
+            + [row("linf", "", 0, linf_res), row("loop", "", 0, loop_res)])
+    # np.max, not max: a NaN deviation, ratio or tail is the largest and fails its check
+    worst_dev = np.max([abs(res.total - base.total) / base.total for res in dil_res])
+    ref = _refinement([res.total for res in seq_res])
+    kind_vals = {"cantor": deep_res.total, "linf": linf_res.total, "loop": loop_res.total}
     # a NaN or a value <= 0 fails kind_min; an infinite one, kind_ratio
     return VerifyOutcome(
         name="thm13",
         checks=(Check("kind_min", np.min(list(kind_vals.values())), ">", 0.0),
                 Check("dilation_max_rel_dev", worst_dev, "<=", _DILATION_TOL),
                 Check("kind_ratio", max(kind_vals.values()) / min(kind_vals.values()),
-                      "<=", _KIND_RATIO_CAP)),
+                      "<=", _KIND_RATIO_CAP),
+                Check("depth_ratio_max", np.max(np.abs(ref["ratios"])), "<", 1.0),
+                Check("tail_estimate_max", np.max([res.tail_estimate for res in done]), "<",
+                      math.inf)),
         results={"alpha": alpha, "kind_values": kind_vals,
+                 "depth_sequence": {"depths": depths, **ref},
                  "functional": "heat-integral of Lorentz norms "
                                "(upper-bound surface, split at l(Q)^2)"},
-        tables={"besov": (["atom", "scale_j", "total", "below_split", "above_split"],
-                          rows)})
+        tables={"besov": (["atom", "depth", "scale_j", "total", "below_split",
+                           "above_split", "tail_estimate"], rows)})
 
 
 # ---------------------------------------------------------------------------

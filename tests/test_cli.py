@@ -123,6 +123,8 @@ def test_unread_flag_or_command_exit_2(tmp_path, argv):
     "content choquet --field {field} --beta 5",
     "verify thm13 --scales 1", "verify thm14 --scales 1", "verify thm15 --scales 1",
     "verify thm13 --scales 0", "verify thm14 --scales 0",
+    # three depths give the depth sequence its first ratio
+    "verify thm13 --depth 1", "verify thm13 --depth 2",
     "atom check --measure {measure} --beta 0.5 --cube-side -1",
     "atom check --measure {measure} --beta 0.5 --cube-side 0",
     "potential besov --measure {measure} --alpha 0.5 --beta 0.5 --cube-side 0",
@@ -1074,6 +1076,45 @@ def test_thm13_nan_dilate_total_exit_1(tmp_path, monkeypatch, capsys):
     assert run(["--out", str(tmp_path), "verify", "thm13", "--depth", "5",
                 "--scales", "3"]) == 1
     _assert_failed(capsys, tmp_path / "verify_thm13.json", ["dilation_max_rel_dev"])
+
+
+def test_thm13_infinite_tail_exit_1(tmp_path, monkeypatch, capsys):
+    # a divergent-looking integrand of one case (the 2-d loop atom) fails
+    # thm13 as it fails `potential besov`, whatever its total
+    def infinite_loop_tail(cand, alpha):
+        res = functional(cand, alpha)
+        return replace(res, tail_estimate=math.inf) if cand.measure.d == 2 else res
+
+    functional = potential.heat_besov_functional
+    monkeypatch.setattr(potential, "heat_besov_functional", infinite_loop_tail)
+    assert run(["--out", str(tmp_path), "verify", "thm13", "--depth", "4"]) == 1
+    _assert_failed(capsys, tmp_path / "verify_thm13.json", ["tail_estimate_max"])
+
+
+def test_thm13_growing_depth_increments_exit_1(tmp_path, monkeypatch, capsys):
+    # a Cantor total that gains 1e-4 n^2 at n masses (2^(depth+1)) grows
+    # faster with each depth; its dilates keep their base's n, so only the
+    # depth sequence sees it
+    def growing(cand, alpha):
+        res = functional(cand, alpha)
+        if not cand.measure.name.startswith("cantor"):
+            return res
+        return replace(res, total=res.total + 1e-4 * cand.measure.n_masses ** 2)
+
+    functional = potential.heat_besov_functional
+    monkeypatch.setattr(potential, "heat_besov_functional", growing)
+    assert run(["--out", str(tmp_path), "verify", "thm13", "--depth", "5"]) == 1
+    _assert_failed(capsys, tmp_path / "verify_thm13.json", ["depth_ratio_max"])
+
+
+def test_thm13_depth_sequence_converges(tmp_path):
+    # the Cantor totals at depths 3-6 rise by geometrically shrinking
+    # increments, and the report carries the extrapolated limit's error bar
+    assert run(["--out", str(tmp_path), "verify", "thm13", "--depth", "6"]) == 0
+    seq = json.loads((tmp_path / "verify_thm13.json").read_text())["results"]["depth_sequence"]
+    assert seq["depths"] == [3, 4, 5, 6]
+    assert len(seq["ratios"]) == 2 and all(0 < r < 1 for r in seq["ratios"])
+    assert 0 < seq["limit_err"] < 0.01 and seq["limit"] > seq["values"][-1]
 
 
 def test_thm19_nan_bound_constant_exit_1(tmp_path, monkeypatch, capsys):

@@ -328,16 +328,31 @@ def test_riesz_field_interpolates(warm):
 
 
 @st.composite
-def grid_measures(draw):
+def grid_measures(draw, max_masses=12, reach=40):
     d = draw(st.sampled_from([1, 2]))
     h = draw(st.sampled_from([1.0 / 729.0, 1.0 / 32.0, 0.3, 1.0, 7.0]))
     origin = draw(hnp.arrays(np.float64, d, elements=st.floats(-20.0, 20.0)))
-    n = draw(st.integers(1, 12))
-    idx = draw(hnp.arrays(np.int64, (n, d), elements=st.integers(-40, 40)))
+    n = draw(st.integers(1, max_masses))
+    idx = draw(hnp.arrays(np.int64, (n, d), elements=st.integers(-reach, reach)))
     w = draw(hnp.arrays(np.float64, n, elements=st.floats(-2.0, 2.0)))
     mu = new_grid_measure(d, h, origin, idx, w)
     assume(mu.n_masses > 0)
     return mu
+
+
+@given(mu=grid_measures(max_masses=8, reach=8),
+       s=st.one_of(st.integers(1, 10).map(lambda j: 2.0 ** -j), st.sampled_from([0.3, 3.0])))
+def test_besov_total_is_dilation_invariant(mu, s):
+    # the docstring's law: every grid parameter scales with the measure, so
+    # at p = d / (d - alpha) a mass-preserving dilation of the candidate (its
+    # cube with it) reproduces the total to rounding.  Few masses in a small
+    # index box keep the examples' grids small
+    lo, hi = mu.bbox()
+    cand = AtomCandidate(measure=mu, cube=Cube(corner=lo, side=float(np.max(hi - lo)) or mu.h),
+                         beta=0.5)
+    base = heat_besov_functional(cand, mu.d / 2.0)
+    res = heat_besov_functional(verify._dilated_atom(cand, s), mu.d / 2.0)
+    assert abs(res.total - base.total) <= 1e-8 * base.total
 
 
 def _kdtree_grid(mu, t):

@@ -1,3 +1,4 @@
+import math
 import os
 import threading
 import time
@@ -51,3 +52,21 @@ def test_pooled_verify_equals_serial(monkeypatch, two_cores, fn, kwargs):
     assert repr(pooled.checks) == repr(serial.checks)
     assert repr(pooled.results) == repr(serial.results)
     assert repr(pooled.tables) == repr(serial.tables)
+
+
+def test_refinement_extrapolates_a_geometric_sequence():
+    # v_k = 2 - 2^-k: every ratio 1/2, and each extrapolation lands on 2
+    ref = verify._refinement([2.0 - 0.5 ** k for k in range(5)])
+    assert ref["increments"] == [0.5, 0.25, 0.125, 0.0625]
+    assert ref["ratios"] == [0.5, 0.5, 0.5]
+    assert ref["limit"] == 2.0 and ref["limit_err"] == 0.0
+    # one ratio leaves no earlier extrapolation; a flat sequence has no
+    # ratio, and says so with NaN, not a warning
+    assert math.isnan(verify._refinement([0.0, 1.0, 1.5])["limit_err"])
+    assert all(math.isnan(r) for r in verify._refinement([1.0, 1.0, 1.0])["ratios"])
+
+
+def test_thm13_needs_three_depths():
+    # refused before any atom is built, naming the flag
+    with pytest.raises(ValueError, match="--depth 2"):
+        verify.verify_thm13(depth=2)
