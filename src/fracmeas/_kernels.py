@@ -2,7 +2,7 @@
 
 Every sum over masses in the package is a numpy sum over (point, mass)
 pairs run by one driver, ``_pair_sums``, to which these two kernels,
-``potential.riesz_kernel``, the incomplete-gamma tails of
+``potential.riesz_kernel`` and ``riesz_cells``, the incomplete-gamma tails of
 ``potential.riesz_heat`` and the heat sup's golden-section refinement
 supply only their terms.  It takes the pairwise squared distances in row
 blocks whose size one rule sets (``_block_rows``, which

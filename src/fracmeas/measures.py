@@ -202,41 +202,6 @@ class SampledField:
     def grid_sum(self) -> float:
         return float(np.sum(self.values)) * self.cell_volume
 
-    def stencil(self, pts):
-        """Nodes and weights of multilinear interpolation at ``pts``, which
-        must lie inside the grid hull.
-
-        Returns ``(nodes, weights)``, two (2^d, n) arrays: corner c of point
-        i is node ``nodes[c, i]`` (a C-order flat index) with weight
-        ``weights[c, i]``.  Every corner is named, zero weights included.
-        """
-        pts = np.atleast_2d(np.asarray(pts, dtype=np.float64))
-        rel = (pts - self.origin[None, :]) / self.spacing
-        shape = np.array(self.values.shape)
-        if np.any(rel < -1e-9) or np.any(rel > shape[None, :] - 1 + 1e-9):
-            raise ValueError("interpolation points fall outside the field grid")
-        rel = np.clip(rel, 0.0, shape[None, :] - 1 - 1e-12)
-        base = np.floor(rel).astype(np.int64)
-        base = np.minimum(base, shape[None, :] - 2)
-        frac = rel - base
-        nodes, weights = [], []
-        for corner in range(2 ** self.d):
-            bits = np.array([(corner >> a) & 1 for a in range(self.d)])
-            weights.append(np.prod(np.where(bits[None, :] == 1, frac, 1.0 - frac), axis=1))
-            # "wrap": a one-node axis reads node -1 as numpy indexing does
-            nodes.append(np.ravel_multi_index(tuple((base + bits[None, :]).T),
-                                              self.values.shape, mode="wrap"))
-        return np.array(nodes), np.array(weights)
-
-    def interpolate(self, pts) -> np.ndarray:
-        """Multilinear interpolation; points must lie inside the grid hull."""
-        nodes, weights = self.stencil(pts)
-        flat = self.values.reshape(-1)
-        out = np.zeros(nodes.shape[1])
-        for idx, weight in zip(nodes, weights):
-            out += weight * flat[idx]
-        return out
-
 
 # ---------------------------------------------------------------------------
 # grid measures
@@ -600,7 +565,9 @@ def cantor_measure(depth: int) -> GridMeasure:
     """Level-``depth`` middle-thirds Cantor measure on [0, 1/2].
 
     Mass splits equally among the 2^depth triadic intervals, one point mass
-    at each interval center; total mass is exactly 1.
+    at each interval center; total mass is exactly 1.  Halved, the intervals
+    are the disjoint cells ``[y - h, y + h]`` of the masses y, h = 3^-depth / 4
+    the spacing, which stays their half-width under translates and dilates.
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")

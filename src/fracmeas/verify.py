@@ -237,7 +237,9 @@ def _trace_outcome(name: str, rows, results: dict) -> VerifyOutcome:
 
 def verify_thm14(alpha: float = 0.5, n_scales: int = 5, depth: int = 8) -> VerifyOutcome:
     """Riesz-potential trace against a Frostman measure, uniform over jointly
-    rescaled (atom, measure) pairs with the certified growth constant fixed."""
+    rescaled (atom, measure) pairs with the certified growth constant fixed.
+    Each atom mass is spread over its construction cell ``[y - h, y + h]``
+    (``measures.cantor_measure``), in closed form (``potential.riesz_cells``)."""
     _check_scales(n_scales)
     d = 1
     if not (d - atoms.LOG2_OVER_LOG3 < alpha < d):
@@ -246,26 +248,13 @@ def verify_thm14(alpha: float = 0.5, n_scales: int = 5, depth: int = 8) -> Verif
     nu = measures.cantor_measure(depth)
     cfg = potential.RieszConfig(alpha=alpha, d=d)
     rows = []
-    riesz_nodes = {"evaluated": [], "total": []}
     for j in range(n_scales):
         s = 2.0 ** (-j)
         a_s, nu_s = _scaled_pair(cand, nu, d - alpha, s)
         c_nu = measures.frostman_constant(nu_s, d - alpha, 2 * nu_s.h)
-        nu_pts = nu_s.points()
-        h_f = nu_s.h / 2.0
-        lo = min(a_s.measure.bbox()[0][0], nu_s.bbox()[0][0]) - 0.1 * s
-        hi = max(a_s.measure.bbox()[1][0], nu_s.bbox()[1][0]) + 0.1 * s
-        n = int((hi - lo) / h_f) + 2
-        # grid offset by an irrational-ish fraction: no evaluation at masses;
-        # only the nodes the trace interpolates from are evaluated
-        fld = potential.riesz_field(cfg, a_s.measure, [lo + 0.2371 * h_f], h_f, [n],
-                                    at=nu_pts)
-        tr = potential.trace_integral(fld.interpolate(nu_pts), nu_s)
-        riesz_nodes["evaluated"].append(len(np.unique(fld.stencil(nu_pts)[0])))
-        riesz_nodes["total"].append(n)
-        rows.append([j, s, tr, c_nu])
-    return _trace_outcome("thm14", rows, {"alpha": alpha, "growth_exponent": d - alpha,
-                                          "riesz_nodes": riesz_nodes})
+        pot = potential.riesz_cells(cfg, a_s.measure, nu_s.points(), a_s.measure.h)
+        rows.append([j, s, potential.trace_integral(pot, nu_s), c_nu])
+    return _trace_outcome("thm14", rows, {"alpha": alpha, "growth_exponent": d - alpha})
 
 
 def verify_thm15(n_scales: int = 5, depth: int = 8) -> VerifyOutcome:

@@ -747,15 +747,6 @@ def test_cold_start_loads_no_projector_modules(tmp_path):
                    "after_lp": ["scipy.fft", "scipy.interpolate"]}
 
 
-def test_verify_thm14_reports_riesz_nodes(tmp_path):
-    # the trace interpolates at nu's 256 support points, from two nodes each
-    assert run(["--out", str(tmp_path), "verify", "thm14"]) == 0
-    rep = json.loads((tmp_path / "verify_thm14.json").read_text())
-    assert rep["results"]["riesz_nodes"] == {"evaluated": [512] * 5,
-                                             "total": [62983] * 5}
-    assert "riesz_nodes" not in rep["config"]
-
-
 def test_config_file_defaults(tmp_path, warm):
     out = str(tmp_path)
     cfg = os.path.join(out, "cfg.json")

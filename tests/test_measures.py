@@ -1,3 +1,4 @@
+import itertools
 import math
 import tracemalloc
 
@@ -141,6 +142,22 @@ def test_cantor_mass_exact():
     zero = cantor_measure(8).scaled(0.0)
     assert zero.n_masses == 0
     assert frostman_constant(zero, BETA0, 1.0) == 0.0
+
+
+@pytest.mark.parametrize("depth", [1, 2, 5, 8])
+def test_cantor_cells_are_the_halved_triadic_intervals(depth):
+    # mass y stands for its cell [y - h, y + h]: in units of h the cells are
+    # [idx - 1, idx + 1], and the level-depth triadic intervals [k, k + 1] /
+    # 3^depth, k with ternary digits 0 and 2 only, halved are [2k, 2k + 2]
+    mu = cantor_measure(depth)
+    assert mu.h == 3.0 ** -depth / 4.0
+    assert mu.origin.tolist() == [0.0]
+    idx = mu.indices[:, 0]
+    assert np.all(np.diff(idx) > 2)                 # sorted, disjoint cells
+    assert np.all(mu.weights == 2.0 ** -depth)
+    ks = [sum(dig * 3 ** i for i, dig in enumerate(digits))
+          for digits in itertools.product((0, 2), repeat=depth)]
+    assert (idx - 1).tolist() == sorted(2 * k for k in ks)
 
 
 def test_cantor_depth_guard():
@@ -368,7 +385,9 @@ def test_vector_measure_shared_grid():
 
 
 def _dict_variation(vm):
-    """The variation measure through a dict of index tuples: the reference."""
+    """The variation measure through a dict of index tuples: the reference.
+    Each norm adds its squares in component order, as numpy's own loop adds
+    fewer than 8 (the BLAS norm rounds otherwise in some rows)."""
     idx = {}
     for ci, comp in enumerate(vm.components):
         for row, w in zip(map(tuple, comp.indices), comp.weights):
@@ -376,7 +395,7 @@ def _dict_variation(vm):
             vec[ci] += w
     rows = sorted(idx)
     return (np.array(rows, dtype=np.int64).reshape(-1, vm.d),
-            np.array([np.linalg.norm(idx[r]) for r in rows]))
+            np.array([math.sqrt(sum(v * v for v in idx[r].tolist())) for r in rows]))
 
 
 @settings(max_examples=100)
@@ -396,31 +415,6 @@ def test_variation_measure_matches_dict_sum(d, k, data):
     got = vm.variation_measure()
     assert np.array_equal(got.indices, ref.indices)
     assert np.array_equal(got.weights.view(np.uint64), ref.weights.view(np.uint64))
-
-
-@settings(max_examples=200)
-@given(d=st.integers(1, 2), data=st.data())
-def test_stencil_names_every_node_interpolation_reads(d, data):
-    # a field that holds NaN off the stencil interpolates to the same bits:
-    # the nodes riesz_field evaluates for a trace are the nodes it reads
-    shape = tuple(data.draw(st.integers(2, 8)) for _ in range(d))
-    origin = data.draw(hnp.arrays(np.float64, d, elements=st.floats(-10.0, 10.0)))
-    spacing = data.draw(st.sampled_from([1.0 / 729.0, 0.3, 1.0, 7.0]))
-    values = data.draw(hnp.arrays(np.float64, shape, elements=st.floats(-1e3, 1e3)))
-    # nodes, edges and points between nodes, in grid units
-    rel = data.draw(hnp.arrays(np.float64, (data.draw(st.integers(1, 20)), d),
-                               elements=st.one_of(st.integers(0, 7).map(float),
-                                                  st.floats(0.0, 7.0))))
-    pts = origin + np.minimum(rel, np.array(shape) - 1) * spacing
-    fld = measures.SampledField(origin=origin, spacing=spacing, values=values)
-    nodes, weights = fld.stencil(pts)
-    assert nodes.shape == weights.shape == (2 ** d, len(pts))
-    sparse = np.full(shape, np.nan)
-    sparse.flat[nodes.ravel()] = values.flat[nodes.ravel()]
-    got = measures.SampledField(origin=origin, spacing=spacing,
-                                values=sparse).interpolate(pts)
-    ref = fld.interpolate(pts)
-    assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))
 
 
 _BIG = 2 ** 62

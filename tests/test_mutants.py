@@ -63,13 +63,14 @@ def capture_cost_08(mp):
 
 
 def riesz_exponent_minus_01(mp):
-    """The Riesz kernel |x|^{alpha - d - 0.1} in place of |x|^{alpha - d}."""
-    riesz_kernel = potential.riesz_kernel
+    """The spread-cell Riesz potential, thm14's, of order alpha - 0.1 in
+    place of alpha."""
+    riesz_cells = potential.riesz_cells
 
-    def mutant(cfg, mu, points):
-        return riesz_kernel(dataclasses.replace(cfg, alpha=cfg.alpha - 0.1), mu, points)
+    def mutant(cfg, mu, points, half):
+        return riesz_cells(dataclasses.replace(cfg, alpha=cfg.alpha - 0.1), mu, points, half)
 
-    mp.setattr(potential, "riesz_kernel", mutant)
+    mp.setattr(potential, "riesz_cells", mutant)
 
 
 def failing_checks(target, **kwargs):

@@ -1,10 +1,7 @@
-import dataclasses
 import math
-import os
-import subprocess
-import sys
-import textwrap
 import tracemalloc
+import warnings
+from decimal import Decimal, localcontext
 from unittest import mock
 
 import numpy as np
@@ -17,10 +14,10 @@ from scipy.spatial import cKDTree
 from fracmeas import _kernels, measures, potential, verify
 from fracmeas.atoms import AtomCandidate, make_frostman_atom, make_loop_atom
 from fracmeas.heat import TGrid
-from fracmeas.measures import (Cube, SampledField, cantor_measure, dirac,
+from fracmeas.measures import (Cube, cantor_measure, dirac,
                                lattice_points, new_grid_measure)
 from fracmeas.potential import (RieszConfig, heat_besov_functional,
-                                lorentz_norm, riesz_field, riesz_heat,
+                                lorentz_norm, riesz_cells, riesz_heat,
                                 riesz_kernel, trace_integral)
 from scipy.special import gamma as _gamma
 
@@ -264,12 +261,8 @@ def test_besov_alpha_guard():
 
 def test_trace_constant_field():
     nu = cantor_measure(5)
-    fld = SampledField(origin=np.array([-1.0]), spacing=0.01,
-                       values=np.ones(300))
-    assert trace_integral(fld.interpolate(nu.points()), nu) == pytest.approx(nu.total_mass())
-    fld0 = SampledField(origin=np.array([-1.0]), spacing=0.01,
-                        values=np.zeros(300))
-    assert trace_integral(fld0.interpolate(nu.points()), nu) == 0.0
+    assert trace_integral(np.ones(nu.n_masses), nu) == pytest.approx(nu.total_mass())
+    assert trace_integral(np.zeros(nu.n_masses), nu) == 0.0
 
 
 def test_trace_needs_one_value_per_mass():
@@ -280,19 +273,8 @@ def test_trace_needs_one_value_per_mass():
 
 def test_trace_rejects_signed_measure():
     bad = new_grid_measure(1, 0.5, [0.0], [[0], [1]], [1.0, -1.0])
-    fld = SampledField(origin=np.array([-1.0]), spacing=0.1, values=np.ones(30))
     with pytest.raises(ValueError):
-        trace_integral(fld.interpolate(bad.points()), bad)
-
-
-def test_trace_interpolation_bilinear():
-    vals = np.arange(16.0).reshape(4, 4)
-    fld = SampledField(origin=np.zeros(2), spacing=1.0, values=vals)
-    nu = new_grid_measure(2, 0.5, [0.0, 0.0], [[1, 1], [3, 3]], [1.0, 1.0])
-    got = trace_integral(fld.interpolate(nu.points()), nu)
-    expect = abs(vals[0, 0] + vals[0, 1] + vals[1, 0] + vals[1, 1]) / 4 \
-        + abs(vals[1, 1] + vals[1, 2] + vals[2, 1] + vals[2, 2]) / 4
-    assert got == pytest.approx(expect)
+        trace_integral(np.ones(bad.n_masses), bad)
 
 
 def test_trace_riesz_of_atom_bounded_across_scales(warm):
@@ -317,19 +299,9 @@ def test_riesz_far_field_decay(warm):
     assert fit.residual <= 0.1
 
 
-def test_riesz_field_interpolates(warm):
-    cand, _ = make_frostman_atom(depth=4)
-    cfg = RieszConfig(alpha=0.5, d=1)
-    nu = cantor_measure(4)
-    fld = riesz_field(cfg, cand.measure, [-0.5 + 0.2371 * 0.01], 0.01, [200],
-                      at=nu.points())
-    tr = trace_integral(fld.interpolate(nu.points()), nu)
-    assert math.isfinite(tr) and tr > 0
-
-
 @st.composite
-def grid_measures(draw, max_masses=12, reach=40):
-    d = draw(st.sampled_from([1, 2]))
+def grid_measures(draw, max_masses=12, reach=40, dims=(1, 2)):
+    d = draw(st.sampled_from(dims))
     h = draw(st.sampled_from([1.0 / 729.0, 1.0 / 32.0, 0.3, 1.0, 7.0]))
     origin = draw(hnp.arrays(np.float64, d, elements=st.floats(-20.0, 20.0)))
     n = draw(st.integers(1, max_masses))
@@ -588,58 +560,88 @@ def test_riesz_kernel_rows_match_full_rows(d, alpha, seed, one):
         assert np.array_equal(got.view(np.uint64), full[sel].view(np.uint64))
 
 
-def test_riesz_field_at_evaluates_the_read_nodes(warm):
-    # the nodes read by the trace hold the full grid evaluation's bits, the
-    # rest NaN
-    cand, _ = make_frostman_atom(depth=4)
+def _dense_riesz_cells(cfg, mu, pts, half):
+    """The spread-cell Riesz sum, each pair's term by the same closed form,
+    in one einsum: the reference."""
+    diff = pts[:, None, :] - mu.points()[None, :, :]
+    u = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
+    a = cfg.alpha
+    far = u > 2.0 * half
+    r = np.where(far, half / np.where(far, u, 1.0), 0.0)
+    terms = np.where(far, u ** a * (np.expm1(a * np.log1p(r)) - np.expm1(a * np.log1p(-r))),
+                     (u + half) ** a - np.copysign(np.abs(u - half) ** a, u - half))
+    return np.einsum("ij,j->i", terms, mu.weights) / (2.0 * half * a * cfg.gamma_alpha)
+
+
+@settings(max_examples=150)
+@given(mu=grid_measures(dims=(1,)), data=st.data())
+def test_riesz_cells_matches_dense(mu, data):
+    cfg = RieszConfig(alpha=data.draw(st.floats(0.05, 0.95)), d=1)
+    half = data.draw(st.sampled_from([mu.h, mu.h / 2.0, 0.3, 1e-3]))
+    free = data.draw(hnp.arrays(np.float64, (data.draw(st.integers(0, 10)), 1),
+                                elements=st.floats(-30.0, 30.0)))
+    # on a mass, at its cell's edge and at two half-widths, where the forms meet
+    near = mu.points()[data.draw(st.lists(st.integers(0, mu.n_masses - 1), max_size=3))]
+    pts = np.vstack([free, near, near + half, near - 2.0 * half])
+    assume(len(pts) > 0)
+    got = riesz_cells(cfg, mu, pts, half)
+    ref = _dense_riesz_cells(cfg, mu, pts, half)
+    assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))
+
+
+@pytest.mark.parametrize("alpha", [0.05, 0.5, 0.95])
+def test_riesz_cells_match_a_50_digit_reference(alpha):
+    # one unit mass at 0: the value at u is (F(u + h) - F(u - h)) / (2 h
+    # gamma(alpha)), here in 50-digit decimal arithmetic, at u from 0 to 2,
+    # at the cell edge and around two half-widths, where the forms meet
+    h = 3.0 ** -8 / 4.0
+    cfg = RieszConfig(alpha=alpha, d=1)
+    u = np.concatenate([np.linspace(0.0, 2.0, 1001), np.geomspace(h / 8.0, 2.0, 400),
+                        h * np.array([1 - 1e-12, 1, 1 + 1e-12, 2 - 1e-12, 2, 2 + 1e-12])])
+    got = riesz_cells(cfg, dirac(1), u[:, None], h)
+    with localcontext() as ctx:
+        ctx.prec = 50
+        a, hd = Decimal(alpha), Decimal(h)
+        ref = []
+        for x in map(Decimal, u.tolist()):
+            edge = abs(x - hd) ** a
+            jump = (x + hd) ** a - (edge if x > hd else -edge)
+            ref.append(float(jump / (2 * hd * a * Decimal(cfg.gamma_alpha))))
+    assert np.max(np.abs(got - ref) / ref) <= 1e-14
+
+
+def test_riesz_cells_at_the_cell_and_its_edge_warn_nowhere():
+    # u = 0 and u = half: the inside form, with no division by u and no
+    # power of a negative number, so no RuntimeWarning
+    h, a = 0.25, 0.5
+    cfg = RieszConfig(alpha=a, d=1)
+    with warnings.catch_warnings(), np.errstate(all="warn"):
+        warnings.simplefilter("error")
+        got = riesz_cells(cfg, dirac(1), [[0.0], [h], [-h]], h)
+    norm = 2.0 * h * a * cfg.gamma_alpha
+    assert got.tolist() == [2.0 * h ** a / norm, (2.0 * h) ** a / norm, (2.0 * h) ** a / norm]
+
+
+def test_riesz_cells_guards():
+    mu = dirac(1)
     cfg = RieszConfig(alpha=0.5, d=1)
-    nu = cantor_measure(4)
-    part = riesz_field(cfg, cand.measure, [-0.5 + 0.2371 * 0.01], 0.01, [200],
-                       at=nu.points())
-    full = dataclasses.replace(part, values=riesz_kernel(cfg, cand.measure, part.points()))
-    read = np.unique(part.stencil(nu.points())[0])
-    assert np.array_equal(np.flatnonzero(~np.isnan(part.values)), read)
-    assert len(read) < part.values.size
-    assert np.array_equal(part.values.flat[read].view(np.uint64),
-                          full.values.flat[read].view(np.uint64))
-    assert (trace_integral(part.interpolate(nu.points()), nu)
-            == trace_integral(full.interpolate(nu.points()), nu))
+    for half in (0.0, -1.0, math.nan):
+        with pytest.raises(ValueError, match="half-width"):
+            riesz_cells(cfg, mu, [[1.0]], half)
+    with pytest.raises(ValueError, match="one-dimensional"):
+        riesz_cells(RieszConfig(alpha=0.5, d=2), dirac(2), [[1.0, 0.0]], 0.1)
 
 
-# the child reads its peak RSS from VmHWM: Linux keeps ru_maxrss across
-# exec, so in a process started by pytest it starts at pytest's own peak
-_RIESZ_FIELD_RSS = textwrap.dedent("""
-    from fracmeas import atoms, measures, potential, verify
-
-    def peak_mb():
-        with open("/proc/self/status") as fh:
-            line = next(ln for ln in fh if ln.startswith("VmHWM:"))
-        return int(line.split()[1]) / 1024.0
-
-    cand, _ = atoms.make_frostman_atom(depth=8)
-    nu = measures.cantor_measure(8)
-    cfg = potential.RieszConfig(alpha=0.5, d=1)
-    before = peak_mb()
-    for j in range(2):                # thm14's first two scales
-        s = 2.0 ** -j
-        a_s, nu_s = verify._scaled_pair(cand, nu, 0.5, s)
-        h_f = nu_s.h / 2.0
-        lo = min(a_s.measure.bbox()[0][0], nu_s.bbox()[0][0]) - 0.1 * s
-        hi = max(a_s.measure.bbox()[1][0], nu_s.bbox()[1][0]) + 0.1 * s
-        n = int((hi - lo) / h_f) + 2
-        potential.riesz_field(cfg, a_s.measure, [lo + 0.2371 * h_f], h_f, [n],
-                              at=nu_s.points())
-    print(peak_mb() - before)
-""")
-
-
-def test_riesz_field_pays_only_for_the_rows_it_writes():
-    # thm14's field evaluates 512 nodes scattered among 62,983 over 512
-    # masses; its zero-filled buffer is one 64-row block (256 KB).  A buffer
-    # of 7812 rows on huge pages made a 2 MB page resident per written row
-    # (22-29 MB of peak on a host whose huge pages are on madvise)
-    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(potential.__file__)))
-    proc = subprocess.run([sys.executable, "-c", _RIESZ_FIELD_RSS], env=env,
-                          capture_output=True, text=True, timeout=600)
-    assert proc.returncode == 0, proc.stderr
-    assert float(proc.stdout.splitlines()[-1]) < 10.0
+def test_thm14_trace_is_the_closed_form_per_pair_sum():
+    # at each scale the trace is trace_integral of the dense per-pair sum,
+    # bit for bit, from the atom, nu and the atom's spacing alone
+    out = verify.verify_thm14()
+    cand, _ = make_frostman_atom(depth=8)
+    nu = cantor_measure(8)
+    cfg = RieszConfig(alpha=0.5, d=1)
+    for j, (trace, row) in enumerate(zip(out.results["traces"], out.tables["trace"][1])):
+        a_s, nu_s = verify._scaled_pair(cand, nu, 0.5, 2.0 ** -j)
+        ref = trace_integral(_dense_riesz_cells(cfg, a_s.measure, nu_s.points(),
+                                                a_s.measure.h), nu_s)
+        assert trace == row[2]
+        assert np.float64(trace).view(np.uint64) == np.float64(ref).view(np.uint64)

@@ -3,9 +3,10 @@ import os
 import threading
 import time
 
+import numpy as np
 import pytest
 
-from fracmeas import verify
+from fracmeas import atoms, measures, verify
 
 
 def _serial(fn, cases):
@@ -70,3 +71,22 @@ def test_thm13_needs_three_depths():
     # refused before any atom is built, naming the flag
     with pytest.raises(ValueError, match="--depth 2"):
         verify.verify_thm13(depth=2)
+
+
+@pytest.mark.parametrize("depth", [5, 8])
+def test_scaled_atom_keeps_the_cells_as_its_spacing(depth):
+    # thm14 spreads each atom mass over [y - h, y + h] with h the atom's
+    # spacing: at every scale the positive masses sit on nu's, each on its
+    # dilated Cantor cell, and the negative ones on that cell moved by s/2
+    cand, _ = atoms.make_frostman_atom(depth=depth)
+    nu = measures.cantor_measure(depth)
+    shift = 2 * 3 ** depth                   # 1/2 in units of nu.h
+    for j in range(5):
+        s = 2.0 ** -j
+        a_s, nu_s = verify._scaled_pair(cand, nu, 0.5, s)
+        mu = a_s.measure
+        assert mu.h == nu_s.h == nu.h * s
+        assert np.array_equal(mu.origin, nu_s.origin)
+        pos = mu.weights > 0
+        assert np.array_equal(mu.indices[pos], nu_s.indices)
+        assert np.array_equal(mu.indices[~pos], nu_s.indices + shift)
