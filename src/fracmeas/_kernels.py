@@ -2,26 +2,22 @@
 
 Every sum over masses in the package is a numpy sum over (point, mass)
 pairs run by one driver, ``_pair_sums``, to which these two kernels,
-``potential.riesz_kernel`` and ``riesz_cells``, the incomplete-gamma tails of
-``potential.riesz_heat`` and the heat sup's golden-section refinement
-supply only their terms.  It takes the pairwise squared distances in row
-blocks whose size one rule sets (``_block_rows``, which
-``pairwise_sq_dists`` takes too): the most rows whose terms fit in
-``BLOCK_TERMS``, so a block's arrays stay in cache.  Each column of a block
-is summed row by row in numpy's own loop (``np.einsum("ij,j->i")``, never
-BLAS), over all the block's rows or over a window of them, every term of
-the other rows 0.0.  The sums are row-local: a row's sum depends on its own
-terms only, not on the block, the window or the other points it is summed
-with, and not on the BLAS kernel numpy loads; a row outside its window is
-+0.0, as a sum of its 0.0 terms gives.  A Gaussian term whose exponent lies
-below ``EXP_FLOOR`` = log(DBL_MIN), about -708.40, is written as 0.0 and
-never evaluated (``_gauss_terms``): exp is subnormal or 0.0 there, and slow,
-so a heat value moves by at most (4 pi t)^{-d/2} sum_m |w_m| DBL_MIN.  A
-block with no exponent below the floor takes plain exp, no mask.  The radial
-convolution takes a family's profiles (``maximal.Profile``, each formula
-written once), evaluates each only inside its support, and gathers and sums
-each (profile, scale) column over the rows from the first to the last that
-some mass reaches.
+``potential.riesz_kernel`` and ``riesz_cells`` and the incomplete-gamma tails
+of ``potential.riesz_heat`` supply only their terms.  Every heat sum is a
+``heat_values`` call, with times per column or per (row, column); its
+docstring states its one tail cutoff.  The driver takes the pairwise squared
+distances in the row blocks of ``pairwise_sq_dists``, whose size one rule
+sets (``_block_rows``): the most rows whose terms fit in ``BLOCK_TERMS``, so
+a block's arrays stay in cache.  Each column of a block is summed row by row
+in numpy's own loop (``np.einsum("ij,j->i")``, never BLAS), over all the
+block's rows or over a window of them, every term of the other rows 0.0.
+The sums are row-local: a row's sum depends on its own terms only, not on
+the block, the window or the other points it is summed with, and not on the
+BLAS kernel numpy loads; a row outside its window is +0.0, as a sum of its
+0.0 terms gives.  The radial convolution takes a family's profiles
+(``maximal.Profile``, each formula written once), evaluates each only inside
+its support, and gathers and sums each (profile, scale) column over the rows
+from the first to the last that some mass reaches.
 """
 
 from __future__ import annotations
@@ -111,28 +107,20 @@ def _gauss_terms(arg, out, keep):
     return np.exp(arg, out=out, where=keep)
 
 
-def _gauss_columns(d2, neg_inv4t):
-    """Yield a block's Gaussian terms ``exp(d2 * nt)`` for each -1/4t ``nt``
-    of ``neg_inv4t`` in turn (a scalar, or one per row), in one scratch set,
-    each as the window of all the block's rows."""
-    arg, terms = np.empty_like(d2), np.empty_like(d2)
-    keep = np.empty(d2.shape, dtype=bool)
-    for nt in neg_inv4t:
-        yield 0, _gauss_terms(np.multiply(d2, nt, out=arg), terms, keep)
-
-
 def _pair_sums(x, y, w, scale, block_terms):
-    """Pair sums ``out[i, j] = scale(d)[j] sum_m w_m T_j(x_i, y_m)`` for
-    (n, d) points ``x``, (m, d) masses ``y`` and (m,) weights ``w``.
+    """Pair sums ``out[i, j] = f[i, j] sum_m w_m T_j(x_i, y_m)`` for (n, d)
+    points ``x``, (m, d) masses ``y`` and (m,) weights ``w``, with factors
+    ``f = scale(d)``: one per column, or one per (point, column).
 
     The generator ``block_terms(d2, rows)`` yields, for each column in turn,
     the terms of a block from its squared distances ``d2`` (its rows of
     ``x``: the slice ``rows``) as ``(start, terms)``: the terms of block rows
     ``start .. start + len(terms)``, any row window.  Every term of the
     block's other rows must be 0.0: their sums stay +0.0.  A column whose
-    terms are all 0.0 may be None.  Blocks have ``_block_rows(m)`` rows of
-    ``x``.  Each row is summed on its own (see the module docstring), so a
-    row's sum has the same bits in any block, window or subset of the points.
+    terms are all 0.0 may be None.  The blocks are those of
+    ``pairwise_sq_dists``.  Each row is summed on its own (see the module
+    docstring), so a row's sum has the same bits in any block, window or
+    subset of the points.
     """
     x = np.ascontiguousarray(np.atleast_2d(np.asarray(x, dtype=np.float64)))
     y = np.ascontiguousarray(np.atleast_2d(np.asarray(y, dtype=np.float64)))
@@ -142,12 +130,10 @@ def _pair_sums(x, y, w, scale, block_terms):
         factors = scale(x.shape[1])
     if not np.all(np.isfinite(factors)):
         raise ValueError("time or scale too small: a kernel factor overflows")
-    out = np.zeros((n, len(factors)))
+    out = np.zeros((n, factors.shape[-1]))
     if n and m:
-        step = _block_rows(m)
-        for s in range(0, n, step):
-            rows = slice(s, min(n, s + step))
-            for j, window in enumerate(block_terms(_sq_dists(x[rows], y), rows)):
+        for s, e, d2 in pairwise_sq_dists(x, y):
+            for j, window in enumerate(block_terms(d2, slice(s, e))):
                 if window is None:
                     continue
                 start, terms = window
@@ -160,25 +146,37 @@ def _pair_sums(x, y, w, scale, block_terms):
 
 
 def heat_values(x, y, w, t):
-    """Gaussian heat sums ``out[i,j] = (4 pi t_j)^{-d/2} sum_m w_m G(x_i - y_m; t_j)``.
+    """Gaussian heat sums ``out[i, j] = (4 pi t)^{-d/2} sum_m w_m
+    exp(-|x_i - y_m|^2 / 4t)`` at the time ``t = t[j]``, or ``t = t[i, j]``.
 
     ``x``: (n, d) evaluation points; ``y``: (m, d) mass locations; ``w``: (m,)
-    weights; ``t``: (nt,) positive times with finite ``1/4t`` and
-    ``(4 pi t)^{-d/2}``.  A term whose exponent ``-|x_i - y_m|^2 / 4t_j``
-    lies below ``EXP_FLOOR`` (about -708.40) is written as 0.0 and never
-    evaluated (``_gauss_terms``), so each value lies within
-    ``(4 pi t_j)^{-d/2} sum_m |w_m| DBL_MIN`` of the sum over every term;
-    that floor is the only tail cutoff.
+    weights; ``t``: positive times with finite ``1/4t`` and ``(4 pi t)^{-d/2}``,
+    either (nt,), one set for every point, or (n, nt), a row of times per
+    point.  Each row is summed on its own, so row i of the (n, nt) form has
+    the bits of ``heat_values(x[i:i+1], y, w, t[i])``.  A term whose exponent
+    lies below ``EXP_FLOOR`` = log(DBL_MIN), about -708.40, is written as 0.0
+    and never evaluated (``_gauss_terms``): exp is subnormal or 0.0 there, and
+    slow.  So each value lies within ``(4 pi t)^{-d/2} sum_m |w_m| DBL_MIN`` of
+    the sum over every term; that floor is the only tail cutoff.
     """
     t = np.ascontiguousarray(np.asarray(t, dtype=np.float64))
+    if t.ndim == 2 and len(t) != len(x):
+        raise ValueError("per-point heat times need one row per point")
     if np.any(t <= 0):
         raise ValueError("heat times must be positive")
     with np.errstate(over="ignore", divide="ignore"):
         neg_inv4t = -(1.0 / (4.0 * t))
     if not np.all(np.isfinite(neg_inv4t)):
         raise ValueError("heat time too small: 1/4t overflows")
-    return _pair_sums(x, y, w, lambda d: (4.0 * np.pi * t) ** (-d / 2.0),
-                      lambda d2, _: _gauss_columns(d2, neg_inv4t))
+
+    def gauss_columns(d2, rows):
+        # a column's -1/4t: one for the block, or one per row of it
+        arg, terms = np.empty_like(d2), np.empty_like(d2)
+        keep = np.empty(d2.shape, dtype=bool)
+        for nt in neg_inv4t if t.ndim == 1 else neg_inv4t[rows].T[:, :, None]:
+            yield 0, _gauss_terms(np.multiply(d2, nt, out=arg), terms, keep)
+
+    return _pair_sums(x, y, w, lambda d: (4.0 * np.pi * t) ** (-d / 2.0), gauss_columns)
 
 
 def radial_conv_values(x, y, w, s, profiles):

@@ -2,12 +2,8 @@
 
 The extension at time t is the Gaussian convolution
 ``(4 pi t)^{-d/2} sum_m w_m exp(-|x - y_m|^2 / 4t)``, summed over every
-mass.  The grid sums and the golden-section refinement of the sup in t both
-run in the pair driver (``_kernels._pair_sums``) on one Gaussian term
-generator, which writes a term whose exponent lies below
-``_kernels.EXP_FLOOR`` = log(DBL_MIN), about -708.40, as 0.0 and never
-evaluates it; that floor is the only tail cutoff, and it moves a value by at
-most ``(4 pi t)^{-d/2} sum_m |w_m| DBL_MIN``.
+mass.  The grid sums and the golden-section refinement of the sup in t are
+both ``_kernels.heat_values`` calls, whose docstring states the tail cutoff.
 """
 
 from __future__ import annotations
@@ -63,24 +59,9 @@ class TGrid:
         return cls.build((mu.h / 4.0) ** 2, t_max, nodes_per_decade)
 
 
-@dataclass(frozen=True)
-class HeatField:
-    """Heat extension values on sample points across a TGrid."""
-
-    points: np.ndarray          # (n, d)
-    tgrid: TGrid
-    values: np.ndarray          # (n, n_t)
-
-
 def heat_extension(mu: GridMeasure, t: float, points) -> np.ndarray:
     """e^{t Delta} mu at the given points, for a positive time t."""
     return _kernels.heat_values(points, mu.points(), mu.weights, np.array([t]))[:, 0]
-
-
-def heat_field(mu: GridMeasure, tgrid: TGrid, points) -> HeatField:
-    pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
-    vals = _kernels.heat_values(pts, mu.points(), mu.weights, tgrid.nodes)
-    return HeatField(points=pts, tgrid=tgrid, values=vals)
 
 
 @dataclass(frozen=True)
@@ -93,19 +74,15 @@ class SupField:
 
 def _golden_refine(mu, pts, gamma, t_lo, t_hi):
     """Vectorized golden-section maximization of t^{g/2}|E(x,t)| per point,
-    14 steps, each summing both probe times of every point in one pass of
-    the pair driver (``_kernels._pair_sums``, a column per probe)."""
+    14 steps, each summing both probe times of every point in one
+    ``heat_values`` call (a row of times per point, a column per probe)."""
     a = np.log(t_lo)
     b = np.log(t_hi)
     y = mu.points()
 
     def g(*logt):
-        t = np.exp(np.stack(logt))              # a row of times per probe
-        neg_inv4t = -(1.0 / (4.0 * t))[:, :, None]
-        conv = _kernels._pair_sums(
-            pts, y, mu.weights, lambda _: np.ones(len(t)),
-            lambda d2, rows: _kernels._gauss_columns(d2, neg_inv4t[:, rows]))
-        return t ** (gamma / 2.0) * np.abs(conv.T * (4.0 * np.pi * t) ** (-mu.d / 2.0))
+        t = np.exp(np.stack(logt, axis=1))
+        return (t ** (gamma / 2.0) * np.abs(_kernels.heat_values(pts, y, mu.weights, t))).T
 
     c = b - GOLDEN * (b - a)
     e = a + GOLDEN * (b - a)

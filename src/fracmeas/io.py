@@ -167,12 +167,12 @@ def load_measure(csv_path: str) -> GridMeasure:
 # field exports
 # ---------------------------------------------------------------------------
 
-def save_heat_field(field, path):
-    """CSV ``x...,t,value`` over all (point, time) pairs."""
-    d = field.points.shape[1]
-    header = [f"x{a}" for a in range(d)] + ["t", "value"]
-    rows = (list(p) + [t, field.values[i, j]] for i, p in enumerate(field.points)
-            for j, t in enumerate(field.tgrid.nodes))
+def save_heat_field(points, times, values, path):
+    """CSV ``x...,t,value`` over all (point, time) pairs, ``values[i, j]`` at
+    ``points[i]`` and ``times[j]``."""
+    header = [f"x{a}" for a in range(points.shape[1])] + ["t", "value"]
+    rows = (list(p) + [t, values[i, j]] for i, p in enumerate(points)
+            for j, t in enumerate(times))
     write_csv(path, header, rows)
 
 

@@ -367,6 +367,8 @@ class Cube:
     def __post_init__(self):
         if not (math.isfinite(self.side) and self.side > 0):
             raise ValueError("cube side must be positive and finite")
+        if not np.all(np.isfinite(self.corner)):
+            raise ValueError("cube corner must be finite")
 
     @property
     def center(self) -> np.ndarray:

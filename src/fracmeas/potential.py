@@ -16,11 +16,8 @@ families (``content.rasterize_balls``), finds its points row by row and
 merges them per (node, row).  Each grid holds the points a search of the
 node's whole lattice keeps, in the same order.  The grids of consecutive
 nodes stream into batches of at most ``_BATCH_POINTS`` points, each summed in
-one pass of the pair driver with a -1/4t per row, and every node's values
-keep the bits of a ``heat_values`` call on that node alone.  As in every heat
-sum, a Gaussian term whose exponent lies below ``_kernels.EXP_FLOOR`` =
-log(DBL_MIN), about -708.40, is 0.0: a value moves by at most
-``(4 pi t)^{-d/2} sum_m |w_m| DBL_MIN`` for it.  The heat route to the Riesz
+one ``_kernels.heat_values`` call with a time per row (see there for the
+tail cutoff and the bits each row keeps).  The heat route to the Riesz
 potential adds its quadrature's weighted field columns into one vector,
 holding no copy of the points x times field.
 
@@ -324,13 +321,10 @@ def heat_besov_functional(cand, alpha: float) -> BesovResult:
     (``_adaptive_heat_grids``, which finds the grids of many nodes in one
     pass) and its Lorentz norm taken on those values.  The grids of
     consecutive nodes, at most ``_BATCH_POINTS`` points a batch (or one grid),
-    are summed in one pass of the pair driver, each row with its own node's
-    -1/4t (``_kernels._gauss_columns``), and each node's rows times its own
-    ``(4 pi t)^{-d/2}``: every value has the bits of a
-    ``_kernels.heat_values`` call on that node alone.  Exactly invariant
-    under mass-preserving dilation of the candidate when p = d/(d-alpha)
-    (every grid parameter scales with the measure, so the computed sums
-    reproduce to rounding).  Both halves of the split at t = l(Q)^2 are
+    are summed in one ``_kernels.heat_values`` call, each row at its own
+    node's time.  Exactly invariant under mass-preserving dilation of the
+    candidate when p = d/(d-alpha) (every grid parameter scales with the
+    measure, so the computed sums reproduce to rounding).  Both halves of the split at t = l(Q)^2 are
     reported; a divergent-looking integrand has an infinite ``tail_estimate``
     and a non-finite one an infinite or NaN ``total``.
     """
@@ -345,17 +339,13 @@ def heat_besov_functional(cand, alpha: float) -> BesovResult:
     done = 0
     for batch in _node_batches(_adaptive_heat_grids(mu, tgrid.nodes), _BATCH_POINTS):
         t = tgrid.nodes[done:done + len(batch)]
-        at = np.cumsum([0] + [len(pts) for pts, _ in batch])
-        # each grid point's row carries its node's -1/4t, as heat_values has it
-        neg_inv4t = np.repeat(-(1.0 / (4.0 * t)), np.diff(at))[None, :, None]
-        sums = _kernels._pair_sums(
-            np.concatenate([pts for pts, _ in batch]), y, mu.weights,
-            lambda _: np.ones(1),
-            lambda d2, rows: _kernels._gauss_columns(d2, neg_inv4t[:, rows]))[:, 0]
+        sizes = [len(pts) for pts, _ in batch]
+        vals = _kernels.heat_values(np.concatenate([pts for pts, _ in batch]), y,
+                                    mu.weights, np.repeat(t, sizes)[:, None])[:, 0]
+        at = np.cumsum([0] + sizes)
         for k, (_, spacing) in enumerate(batch):
-            vals = sums[at[k]:at[k + 1]] * (4.0 * np.pi * t[k:k + 1]) ** (-d / 2.0)
-            g[done + k] = (t[k] ** (alpha / 2.0 - 1.0)
-                           * lorentz_norm(vals, p, cell_volume=spacing ** d))
+            g[done + k] = (t[k] ** (alpha / 2.0 - 1.0) * lorentz_norm(
+                vals[at[k]:at[k + 1]], p, cell_volume=spacing ** d))
         done += len(batch)
     wts = _log_trapezoid_weights(tgrid.nodes)
     split = cand.side ** 2

@@ -130,6 +130,10 @@ def test_unread_flag_or_command_exit_2(tmp_path, argv):
     "potential besov --measure {measure} --alpha 0.5 --beta 0.5 --cube-side 0",
     # its square is finite, but the far-field time window's overflows
     "atom check --measure {measure} --beta 0.5 --cube-side 1e153",
+    # a NaN corner exited 1 on its support and heat bound, an infinite one
+    # ran to exit 0 with Infinity in its config
+    "atom check --measure {measure} --beta 0.5 --cube-corner nan",
+    "potential besov --measure {measure} --alpha 0.5 --beta 0.5 --cube-corner inf",
 ])
 def test_out_of_range_input_exit_2(tmp_path, capsys, argv):
     # each used to raise a traceback, run to exit 0 on a meaningless grid,
@@ -276,7 +280,7 @@ def test_heat_csv_is_written_row_by_row(tmp_path):
     path = tmp_path / "heat_field.csv"
     tracemalloc.start()
     try:
-        io.save_heat_field(heat.HeatField(points=pts, tgrid=tg, values=vals), str(path))
+        io.save_heat_field(pts, tg.nodes, vals, str(path))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -7,7 +7,7 @@ from hypothesis import assume, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from fracmeas import _kernels, atoms
-from fracmeas.heat import TGrid, heat_extension, heat_field, heat_sup_field, \
+from fracmeas.heat import TGrid, heat_extension, heat_sup_field, \
     mass_conservation_residual
 from fracmeas.measures import cantor_measure, dirac, new_grid_measure
 
@@ -115,16 +115,6 @@ def test_dilation_law():
     lhs = heat_extension(dil, t, x)
     rhs = heat_extension(mu, t / scale ** 2, x / scale) / scale
     assert np.allclose(lhs, rhs, rtol=1e-12, atol=1e-14)
-
-
-def test_heat_field_matches_pointwise():
-    mu = cantor_measure(3)
-    tg = TGrid.for_measure(mu, nodes_per_decade=4)
-    pts = np.linspace(0, 0.5, 9)[:, None]
-    fld = heat_field(mu, tg, pts)
-    j = len(tg.nodes) // 2
-    direct = heat_extension(mu, float(tg.nodes[j]), pts)
-    assert np.allclose(fld.values[:, j], direct, rtol=1e-12)
 
 
 def test_sup_field_dirac_gamma_d():

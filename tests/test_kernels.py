@@ -22,9 +22,14 @@ def _sums(terms, w):
 
 
 def test_heat_rejects_bad_times():
-    with pytest.raises(ValueError):
-        _kernels.heat_values(np.zeros((1, 1)), np.zeros((1, 1)), np.ones(1),
-                             np.array([0.0]))
+    # a zero time, and a zero or a negative one in a row of per-point times
+    for t in ([0.0], [[1.0, 1.0], [1.0, 0.0]], [[1.0, 1.0], [-1.0, 1.0]]):
+        with pytest.raises(ValueError, match="positive"):
+            _kernels.heat_values(np.zeros((2, 1)), np.zeros((1, 1)), np.ones(1),
+                                 np.array(t))
+    with pytest.raises(ValueError, match="one row per point"):
+        _kernels.heat_values(np.zeros((2, 1)), np.zeros((1, 1)), np.ones(1),
+                             np.ones((1, 2)))
 
 
 def test_conv_rejects_bad_scales():
@@ -34,15 +39,20 @@ def test_conv_rejects_bad_scales():
                                     standard_family(1).profiles)
 
 
-@pytest.mark.parametrize("d, t", [(1, 1e-316), (2, 1e-316), (3, 1e-300)])
+@pytest.mark.parametrize("d, t", [
+    (1, 1e-316), (2, 1e-316), (3, 1e-300),
+    pytest.param(1, [[1.0, 1.0], [1.0, 1e-316]], id="1-per-row-1e-316"),
+    pytest.param(3, [[1e-300, 1.0], [1.0, 1.0]], id="3-per-row-1e-300"),
+])
 def test_heat_rejects_overflowing_times(d, t):
-    # 1/4t overflows at t = 1e-316, and (4 pi t)^{-3/2} already at 1e-300;
-    # the error comes with no numpy warning before it
+    # 1/4t overflows at t = 1e-316, and (4 pi t)^{-3/2} already at 1e-300,
+    # also in a row of per-point times; the error comes with no numpy warning
+    # before it
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match="too small"):
             _kernels.heat_values(np.zeros((2, d)), np.ones((1, d)), np.ones(1),
-                                 np.array([1.0, t]))
+                                 np.array([1.0, t] if np.ndim(t) == 0 else t))
 
 
 @pytest.mark.parametrize("d, s", [(1, 1e-310), (2, 1e-160)])
@@ -370,6 +380,13 @@ def _dense_heat(x, y, w, t, floor=_kernels.EXP_FLOOR):
     return out * ((4.0 * np.pi * t) ** (-x.shape[1] / 2.0))[None, :]
 
 
+# exponents in the bulk, about the exp floor log(DBL_MIN) ~ -708.40, in the
+# subnormal band below it, or just below -745.13, where exp gives 0.0
+EXPONENTS = st.one_of(st.floats(-745.2, -745.0), st.floats(-760.0, -700.0),
+                      st.floats(_kernels.EXP_FLOOR - 0.01, _kernels.EXP_FLOOR + 0.01),
+                      st.floats(-50.0, -1e-3))
+
+
 @st.composite
 def heat_cases(draw):
     d = draw(st.sampled_from([1, 2]))
@@ -378,13 +395,9 @@ def heat_cases(draw):
     y = draw(hnp.arrays(np.float64, (draw(st.integers(1, 20)), d), elements=coords))
     w = draw(hnp.arrays(np.float64, len(y), elements=st.floats(-2.0, 2.0)))
     # times that put one point's nearest exponent in the bulk, about the exp
-    # floor log(DBL_MIN) ~ -708.40, in the subnormal band below it, or just
-    # below -745.13, where exp gives 0.0
+    # floor, in the subnormal band below it, or past exp's 0.0
     near = np.min(np.sum((x[draw(st.integers(0, len(x) - 1))] - y) ** 2, axis=1))
-    floor = _kernels.EXP_FLOOR
-    expo = st.one_of(st.floats(-745.2, -745.0), st.floats(-760.0, -700.0),
-                     st.floats(floor - 0.01, floor + 0.01), st.floats(-50.0, -1e-3))
-    t = [near / (4.0 * -draw(expo)) for _ in range(draw(st.integers(1, 4)))]
+    t = [near / (4.0 * -draw(EXPONENTS)) for _ in range(draw(st.integers(1, 4)))]
     # heat_values rejects times whose 1/4t or (4 pi t)^{-d/2} overflows
     # (below about 1.4e-309 for d <= 2)
     t = [v for v in t if v > 1e-308] + draw(st.lists(st.floats(1e-6, 1.0), max_size=2))
@@ -414,6 +427,35 @@ def test_heat_lies_within_the_floor_bound_of_plain_exp(case):
         ref = _dense_heat(x, y, w, t, floor=-np.inf)
         bound = (4.0 * np.pi * t) ** (-x.shape[1] / 2.0) * np.sum(np.abs(w)) * DBL_MIN
     assert np.all(np.abs(got - ref) <= bound[None, :])
+
+
+@st.composite
+def row_heat_cases(draw):
+    """``heat_cases`` points and masses, the masses tiled 1 or 300 times (up
+    to 6000 masses, blocks of 5 rows), and a row of times per point: each puts
+    its row's nearest exponent where ``heat_cases`` puts one, or is drawn
+    from (1e-6, 1) where that time is 0 or would overflow."""
+    x, y, w, _ = draw(heat_cases())
+    reps = draw(st.sampled_from([1, 300]))
+    y, w = np.tile(y, (reps, 1)), np.tile(w, reps)
+    near = np.min(_kernels._sq_dists(x, y), axis=1)
+    expo = draw(hnp.arrays(np.float64, (len(x), draw(st.integers(1, 3))),
+                           elements=EXPONENTS))
+    t = near[:, None] / (4.0 * -expo)
+    return x, y, w, np.where(t > 1e-308, t, draw(st.floats(1e-6, 1.0)))
+
+
+@settings(max_examples=200)
+@given(case=row_heat_cases())
+def test_heat_rows_of_times_match_lone_rows(case):
+    # with a row of times per point, each row has the bits of a heat_values
+    # call on that point alone at its own times, in whatever block it falls
+    x, y, w, t = case
+    with np.errstate(all="ignore"):
+        got = _kernels.heat_values(x, y, w, t)
+        lone = np.vstack([_kernels.heat_values(x[i:i + 1], y, w, t[i])
+                          for i in range(len(x))])
+    assert np.array_equal(got.view(np.uint64), lone.view(np.uint64))
 
 
 def test_exp_floor_is_the_normal_range():

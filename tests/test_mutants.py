@@ -9,8 +9,10 @@ trace verdicts compare a trace with its own dilates or ratios, never with an
 absolute scale); a change that catches one makes its test fail, and the
 mutant then moves to the ratchet.
 
-The heat mutants patch ``_kernels._gauss_terms``, the Gaussian terms of
-every heat sum: the grid sums and the golden-section refinement of the sup.
+The heat mutants patch ``_kernels.heat_values`` or its Gaussian terms
+(``_kernels._gauss_terms``).  Every heat sum is a ``heat_values`` call: the
+grid sums, the golden-section refinement of the sup and thm13's heat-integral
+functional, so each heat mutant reaches all three.
 """
 
 from __future__ import annotations
@@ -80,9 +82,12 @@ def failing_checks(target, **kwargs):
 @pytest.mark.parametrize("mutant, target, kwargs, names", [
     (heat_prefactor_squared, "thm15", {"depth": 6}, ["spread"]),
     (heat_prefactor_squared, "cor16", {}, ["dispersion"]),
+    (heat_prefactor_squared, "thm13", {"depth": 5, "n_scales": 3},
+     ["dilation_max_rel_dev", "kind_ratio", "depth_ratio_max"]),
     (gauss_times(8.0), "thm19", {"depth": 6}, ["certificate.heat_bound"]),
     (lorentz_p_plus_half, "thm13", {"depth": 5, "n_scales": 3}, ["dilation_max_rel_dev"]),
-], ids=["heat_t^-d-thm15", "heat_t^-d-cor16", "gauss_x8-thm19", "lorentz_p-thm13"])
+], ids=["heat_t^-d-thm15", "heat_t^-d-cor16", "heat_t^-d-thm13", "gauss_x8-thm19",
+        "lorentz_p-thm13"])
 def test_the_verdict_catches_the_mutant(mutant, target, kwargs, names, monkeypatch):
     mutant(monkeypatch)
     assert failing_checks(target, **kwargs) == names
@@ -108,9 +113,11 @@ def test_the_verdict_catches_a_cheap_capture(target, names, monkeypatch):
     (gauss_times(0.5), "thm15", {"depth": 6}),
     (gauss_times(0.5), "cor16", {}),
     (gauss_times(0.5), "thm19", {"depth": 6}),
+    (gauss_times(8.0), "thm13", {"depth": 5, "n_scales": 3}),
+    (gauss_times(0.5), "thm13", {"depth": 5, "n_scales": 3}),
     (riesz_exponent_minus_01, "thm14", {"depth": 6}),
 ], ids=["gauss_x8-thm15", "gauss_x8-cor16", "gauss_x0.5-thm15", "gauss_x0.5-cor16",
-        "gauss_x0.5-thm19", "riesz_exponent-thm14"])
+        "gauss_x0.5-thm19", "gauss_x8-thm13", "gauss_x0.5-thm13", "riesz_exponent-thm14"])
 def test_the_verdict_misses_the_mutant(mutant, target, kwargs, monkeypatch):
     mutant(monkeypatch)
     assert failing_checks(target, **kwargs)

@@ -18,7 +18,9 @@ never count as uses:
 * outside ``_kernels``, no module names the pair driver's block rule
   (``_block_rows``, ``BLOCK_TERMS``) or its distance kernel
   (``_sq_dists``), or calls ``einsum`` or ``subtract.outer``: every sum over
-  masses runs in ``_kernels._pair_sums``, in its blocks;
+  masses runs in ``_kernels._pair_sums``, in its blocks.  Nor does it name
+  the Gaussian terms (``_gauss_terms``, ``_gauss_columns``) or their floor
+  (``EXP_FLOOR``): every heat sum is a ``_kernels.heat_values`` call;
 * no module uses ``@``, ``matmul``, ``dot`` or ``linalg.norm``: on floats
   they run the BLAS kernel that the host's CPU picks, and each kernel rounds
   in its own way.  The rule cannot tell floats from integers, so integer
@@ -227,8 +229,10 @@ def unset_parameters() -> list:
     return sorted(out)
 
 
-# the pair driver's own: its block rule and its distance kernel
-KERNEL_NAMES = {"_block_rows", "BLOCK_TERMS", "_sq_dists"}
+# the pair driver's own: its block rule and its distance kernel, and the
+# Gaussian terms and floor of heat_values
+KERNEL_NAMES = {"_block_rows", "BLOCK_TERMS", "_sq_dists",
+                "_gauss_terms", "_gauss_columns", "EXP_FLOOR"}
 # the dense pair sums it replaces, as the tails of called names
 DENSE_SUMS = ("einsum", "subtract.outer")
 
@@ -363,21 +367,23 @@ def test_every_sum_over_masses_runs_in_the_pair_driver():
 
 
 _PAIR_SAMPLE = """
-from ._kernels import _block_rows
+from ._kernels import _block_rows, EXP_FLOOR
 import numpy as np
 
 
 def f(x, y, w):
-    "np.einsum in a docstring is no call"
+    "np.einsum and _kernels._gauss_columns in a docstring are no uses"
     rows = _kernels.BLOCK_TERMS // len(y)
     d = np.subtract.outer(x[:rows], y)
-    return np.einsum("ij,j->i", d * d, w), np.add.outer(x, y)
+    g = _kernels._gauss_terms(-d * d, np.empty_like(d), d > EXP_FLOOR)
+    return np.einsum("ij,j->i", g, w), np.add.outer(x, y)
 """
 
 
 def test_the_pair_rule_sees_names_and_dense_sums():
     assert _pair_code(ast.parse(_PAIR_SAMPLE)) == [
-        "BLOCK_TERMS", "_block_rows", "einsum", "subtract.outer"]
+        "BLOCK_TERMS", "EXP_FLOOR", "_block_rows", "_gauss_terms", "einsum",
+        "subtract.outer"]
 
 
 def test_no_module_runs_a_blas_product():
