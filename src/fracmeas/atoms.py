@@ -231,19 +231,19 @@ def check_beta_atom(cand: AtomCandidate, tgrid: TGrid | None = None) -> AtomCert
 # generators
 # ---------------------------------------------------------------------------
 
-def make_frostman_atom(beta: float = LOG2_OVER_LOG3, depth: int = 8):
-    """Difference of a Cantor Frostman measure on [0, 1/2] and its translate.
+def make_frostman_atom(depth: int = 8):
+    """Difference of a Cantor Frostman measure on [0, 1/2] and its translate,
+    a beta-atom for beta = log 2 / log 3.
 
     The mass c2 is chosen so that the measured Frostman constant of each
     piece meets the annuli series bound with the safety margin ``_SAFETY`` (and
     c2 <= 1/2 keeps the total variation at most one).  Returns the candidate
     on Q = [0, 1] and a build-info dict (c1, c2, series value).
     """
-    if abs(beta - LOG2_OVER_LOG3) > 1e-9:
-        raise ValueError("the Cantor builder realizes beta = log2/log3 only")
     if depth < 1:
         raise ValueError("depth must be >= 1")
     mu_unit, c_unit = cantor_frostman(depth)
+    beta = LOG2_OVER_LOG3
     series_unit = frostman_series_value(1.0, beta, 1)
     c1_star = _SAFETY / series_unit
     c2 = min(0.5, c1_star / c_unit)

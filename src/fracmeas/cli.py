@@ -30,7 +30,8 @@ from .io import Check
 from .verify import VERIFIERS
 
 # verifier parameter -> the flag that sets it
-_VERIFY_FLAGS = {"alpha": "--alpha", "n_scales": "--scales", "depth": "--depth"}
+_VERIFY_FLAGS = {"alpha": "--alpha", "n_scales": "--scales", "depth": "--depth",
+                 "dirac_seed": "--seed"}
 # `potential riesz`: the largest relative move of the heat route's quadrature
 # at half its node density that passes
 _QUAD_TOL = 1e-4
@@ -71,14 +72,11 @@ def _verdict(args, name: str, results: dict, checks, constants: dict) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_atom_gen(args) -> int:
-    for flag, value, kind in (("--beta", args.beta, "cantor"),
-                              ("--component", args.component, "loop")):
-        if value is not None and args.kind != kind:
-            _fail(f"{flag} applies only to --kind {kind}")
+    if args.component is not None and args.kind != "loop":
+        _fail("--component applies only to --kind loop")
     out = _outdir(args)
     if args.kind == "cantor":
-        cand, info = atoms.make_frostman_atom(beta=args.beta or measures.LOG2_OVER_LOG3,
-                                              depth=args.depth)
+        cand, info = atoms.make_frostman_atom(depth=args.depth)
     elif args.kind == "linf":
         cand = atoms.make_linf_atom(1, args.depth)
         info = {"resolution": args.depth}
@@ -301,8 +299,6 @@ def cmd_verify(args) -> int:
     fn = VERIFIERS[args.verifier]
     params = inspect.signature(fn).parameters
     kwargs = {p: getattr(args, p) for p in _VERIFY_FLAGS if p in params}
-    if "dirac_seed" in params:
-        kwargs["dirac_seed"] = args.seed
     outcome = fn(**kwargs)
     name = f"verify_{outcome.name}"
     for tname, (header, rows) in outcome.tables.items():
@@ -328,14 +324,12 @@ def build_parser() -> argparse.ArgumentParser:
         description="desk-scale experiments on fractal measures")
     ap.add_argument("--config", help="JSON config file; flags override its keys")
     ap.add_argument("--out", help="output directory (or FRACMEAS_OUT)")
-    ap.add_argument("--seed", type=int, default=7, help="seed for random instances")
     sub = ap.add_subparsers(dest="command", required=True)
 
     atom = sub.add_parser("atom", help="atom generation and certification")
     atomsub = atom.add_subparsers(dest="action", required=True)
     g = atomsub.add_parser("gen")
     g.add_argument("--kind", choices=["cantor", "linf", "loop"], required=True)
-    g.add_argument("--beta", type=float, default=None)
     g.add_argument("--depth", type=int, default=8)
     g.add_argument("--component", type=int, default=None)
     g.set_defaults(func=cmd_atom_gen)

@@ -3,23 +3,23 @@ regularization, and Choquet integration.
 
 A set of dyadic cubes is a pair of int64 arrays, ``levels`` (m,) and
 ``indices`` (m, d); the level-j ancestor of a level-k cube is
-``indices >> (k - j)``.  Reduction, cover extraction and cover edits are
-row operations on these arrays (sort, unique, row matching) with no
-per-cube Python objects.
+``indices >> (k - j)``.  Distinct-cube builds, cover extraction and cover
+edits are row operations on these arrays (sort, unique, searchsorted) with
+no per-cube Python objects.
 
-The dyadic content of a finite cube union is computed exactly by a bottom-up
-sweep on the cube tree: ``cost(Q) = min(l(Q)^beta, sum of child costs)``.
-The tree is a list of levels, each holding its nodes and every node's
-position among its parents one level up (one ``_unique_rows`` per level),
-grown on demand while the sweep climbs.  The sweep ascends past the coarsest
-input level until no coarser cube could pay (a single cube at the next level
-would already cost more than the current total), which makes the result the
-true infimum over all dyadic covers, not just covers by sub-cubes of the
-inputs.  The same pass, with only some bottom cubes active, gives the content
-of each level set of a sampled field from one tree, so the nested level sets
-of a Choquet integral are never re-sorted.  The optimal cover is read off
-top-down along the parent links: a node is in it when it chose itself and its
-parent chose its children.
+The dyadic content is computed for the distinct cells of one level, the
+only sets the package measures (ball rasters, Choquet level sets), exactly
+by a bottom-up sweep on their ancestor tree: ``cost(Q) = min(l(Q)^beta, sum
+of child costs)``.  The tree is a list of levels, each holding its nodes and
+every node's position among its parents one level up (one ``_unique_rows``
+per level), grown on demand while the sweep climbs.  The sweep ascends until
+no coarser cube could pay (a single cube at the next level would already
+cost more than the current total), which makes the result the true infimum
+over all dyadic covers.  The same pass, with only some cells active, gives
+the content of each level set of a sampled field from one tree, so the
+nested level sets of a Choquet integral are never re-sorted.  The optimal
+cover is read off top-down along the parent links: a node is in it when it
+chose itself and its parent chose its children.
 
 Ball geometry works by rows: a row is a line of cells along the last axis,
 all other indices fixed, and a ball meets a row in an interval of cells.  A
@@ -38,7 +38,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from ._gamma import gamma
-from .measures import (DyadicLattice, _cube_ball_dist, _match_rows, _row_heads, _row_norms,
+from .measures import (DyadicLattice, _cube_ball_dist, _row_heads, _row_norms,
                        _row_runs, _run_cells, _unique_rows, unit_lattice)
 
 
@@ -58,11 +58,8 @@ def ball_volume_constant(beta: float) -> float:
 
 @dataclass(frozen=True)
 class CubeUnion:
-    """Finite, reduced set of dyadic cubes of one lattice.
-
-    ``levels`` (m,) and ``indices`` (m, d) identify the cubes; no cube is
-    contained in another after construction.
-    """
+    """Finite set of distinct dyadic cubes of one lattice, ``levels`` (m,)
+    and ``indices`` (m, d)."""
 
     lattice: DyadicLattice
     levels: np.ndarray
@@ -70,20 +67,11 @@ class CubeUnion:
 
     @classmethod
     def build(cls, lattice: DyadicLattice, levels, indices) -> "CubeUnion":
-        """Reduce the input cubes: sort them stably by level, then drop every
-        repeat of an earlier cube and every cube inside a coarser input cube.
-        """
+        """The distinct input cubes, in input order (a repeat is dropped)."""
         levels = np.asarray(levels, dtype=np.int64).reshape(-1)
         indices = np.asarray(indices, dtype=np.int64).reshape(len(levels), lattice.d)
-        order = np.argsort(levels, kind="stable")
-        levels, indices = levels[order], indices[order]
         _, first, _ = _unique_rows(np.column_stack([levels, indices]))
-        keep = np.zeros(len(levels), dtype=bool)
-        keep[first] = True
-        for lv in np.unique(levels)[:-1]:
-            finer = levels > lv
-            anc = indices[finer] >> (levels[finer] - lv)[:, None]
-            keep[finer] &= _match_rows(indices[levels == lv], anc) < 0
+        keep = np.sort(first)
         return cls(lattice=lattice, levels=levels[keep], indices=indices[keep])
 
     @property
@@ -96,95 +84,97 @@ class CubeUnion:
 # ---------------------------------------------------------------------------
 
 class _AncestorTree:
-    """Ancestor links of a reduced cube union, one level at a time.
+    """Ancestor links of the distinct ``cells`` of one ``level``, one level
+    at a time.
 
-    ``nodes[i]`` holds the cubes of level ``k_bottom - i``: the distinct
-    parents of ``nodes[i - 1]`` in lexicographic order, then the input cubes
-    of that level (a reduced union's inputs have no input below them).
-    ``n_inner[i]`` counts the parents, and ``up[i]`` is the position of each
-    node of ``nodes[i]`` in ``nodes[i + 1]``.  ``grow`` adds the next coarser
-    level.
+    ``nodes[0]`` holds the cells, and ``nodes[i]`` the distinct parents of
+    ``nodes[i - 1]``, of level ``k_bottom - i``, in lexicographic order.
+    ``up[i]`` is the position of each node of ``nodes[i]`` in
+    ``nodes[i + 1]``.  ``grow`` adds the next coarser level.
     """
 
-    def __init__(self, E: CubeUnion):
-        self.E = E
-        self.k_bottom = int(E.levels.max())
-        self.k_top = int(E.levels.min())
-        self.nodes = [E.indices[E.levels == self.k_bottom]]
-        self.n_inner = [0]
+    def __init__(self, lattice: DyadicLattice, level: int, cells):
+        self.lattice = lattice
+        self.k_bottom = int(level)
+        self.nodes = [cells]
         self.up = []
 
     def grow(self):
         uniq, _, inv = _unique_rows(self.nodes[-1] >> 1)
-        k = self.k_bottom - len(self.nodes)
         self.up.append(inv)
-        self.n_inner.append(len(uniq))
-        self.nodes.append(np.vstack([uniq, self.E.indices[self.E.levels == k]]))
+        self.nodes.append(uniq)
 
 
 def _content_sweep(tree: _AncestorTree, beta: float, active=None):
-    """Bottom-up cost sweep of the union of the tree's coarser input cubes
-    and its bottom cubes where ``active`` holds (all of them when None).
+    """Bottom-up cost sweep of the tree's cells where ``active`` holds (all
+    of them when None).
 
     Returns the total and, finest level first, the chose-itself flags of
-    every level swept.  A node is live when it has a live child (input cubes
-    above the bottom always are); the costs of other nodes are never read.
-    Parent sums add live child costs in node order (``bincount`` adds in
-    input order, as ``np.add.at`` does), and totals sum the live costs in
-    node order, so each result matches a sweep of the live cubes alone, bit
-    for bit.
+    every level swept.  A node is live when it has a live child; the costs
+    of other nodes are never read.  Parent sums add live child costs in node
+    order (``bincount`` adds in input order, as ``np.add.at`` does), and
+    totals sum the live costs in node order, so each result matches a sweep
+    of the live cells alone, bit for bit.
     """
-    lat = tree.E.lattice
+    lat = tree.lattice
     k = tree.k_bottom
-    side = lat.l0 * 2.0 ** (-k)
-    costs = np.full(len(tree.nodes[0]), side ** beta)
+    costs = np.full(len(tree.nodes[0]), lat.side(k) ** beta)
     live = active
     choices = [np.ones(len(costs), dtype=bool)]
     i = 0
     while True:
         live_costs = costs if live is None else costs[live]
         total = float(np.sum(live_costs))
-        parent_side = lat.l0 * 2.0 ** (-(k - 1))
-        if k <= tree.k_top and (len(live_costs) <= 1 or parent_side ** beta >= total):
+        own = lat.side(k - 1) ** beta
+        if len(live_costs) <= 1 or own >= total:
             return total, choices
         if i + 1 == len(tree.nodes):
             tree.grow()
-        up, n_inner = tree.up[i], tree.n_inner[i + 1]
-        sums = np.full(len(tree.nodes[i + 1]), np.inf)
+        up, n = tree.up[i], len(tree.nodes[i + 1])
         if live is None:
-            sums[:n_inner] = np.bincount(up, weights=costs, minlength=n_inner)
+            sums = np.bincount(up, weights=costs, minlength=n)
         else:
             live_up = up[live]
-            sums[:n_inner] = np.bincount(live_up, weights=live_costs, minlength=n_inner)
-            live = np.ones(len(sums), dtype=bool)
-            live[:n_inner] = np.bincount(live_up, minlength=n_inner) > 0
+            sums = np.bincount(live_up, weights=live_costs, minlength=n)
+            live = np.bincount(live_up, minlength=n) > 0
         k -= 1
         i += 1
-        own = parent_side ** beta
         choice_self = own <= sums
         costs = np.where(choice_self, own, sums)
         choices.append(choice_self)
 
 
+def _tree_of(E: CubeUnion) -> _AncestorTree:
+    """The ancestor tree of a nonempty union of one level's cubes; a
+    ``ValueError`` for cubes of several levels."""
+    k_lo, k_hi = int(E.levels.min()), int(E.levels.max())
+    if k_lo != k_hi:
+        raise ValueError(f"cubes at levels {k_lo} to {k_hi}: the dyadic content "
+                         "takes the cells of one level")
+    return _AncestorTree(E.lattice, k_lo, E.indices)
+
+
 def dyadic_content(E: CubeUnion, beta: float) -> float:
-    """Exact infimum of sum l(Q)^beta over dyadic covers of E."""
+    """Exact infimum of sum l(Q)^beta over dyadic covers of E, whose cubes
+    must all have one level."""
     if not (0 < beta <= E.lattice.d):
         raise ValueError("beta must lie in (0, d]")
     if E.n_cubes == 0:
         return 0.0
-    total, _ = _content_sweep(_AncestorTree(E), beta)
+    total, _ = _content_sweep(_tree_of(E), beta)
     return total
 
 
 def dyadic_content_cover(E: CubeUnion, beta: float):
-    """Exact content together with an optimal cover (as a CubeUnion)."""
+    """Exact content together with an optimal cover (as a CubeUnion) of E,
+    whose cubes must all have one level."""
     if not (0 < beta <= E.lattice.d):
         raise ValueError("beta must lie in (0, d]")
     lat = E.lattice
     if E.n_cubes == 0:
         return 0.0, CubeUnion(lattice=lat, levels=np.zeros(0, dtype=np.int64),
                               indices=np.zeros((0, lat.d), dtype=np.int64))
-    tree = _AncestorTree(E)
+    tree = _tree_of(E)
     total, choices = _content_sweep(tree, beta)
     levels, indices = [], []
     expanded = None
@@ -221,9 +211,7 @@ def _level_set_contents(cells, values, lattice: DyadicLattice, level: int,
     leaves, _, inv = _unique_rows(cells[base])
     peak = np.full(len(leaves), -np.inf)
     np.maximum.at(peak, inv, values[base])
-    tree = _AncestorTree(CubeUnion(lattice=lattice,
-                                   levels=np.full(len(leaves), level, dtype=np.int64),
-                                   indices=leaves))
+    tree = _AncestorTree(lattice, level, leaves)
     count, content = 0, 0.0
     for j, t in enumerate(cuts):
         active = peak > t if strict else peak >= t
@@ -294,7 +282,7 @@ def rasterize_balls(F: BallFamily, lattice: DyadicLattice, level: int) -> CubeUn
         raise ValueError(f"radii {np.min(F.radii):.3g} to {np.max(F.radii):.3g} need "
                          f"{boxes:.3g} cells at raster level {level}, over {_RASTER_CELLS}")
     idx = _run_cells(*_row_runs(F.centers, F.radii, lattice.corner, side, side, lo, hi))
-    # distinct cells of one level are already a reduced union
+    # the cells are distinct, as a CubeUnion's cubes must be
     return CubeUnion(lattice=lattice, levels=np.full(len(idx), level, dtype=np.int64),
                      indices=idx)
 
@@ -329,7 +317,7 @@ class ContentCover:
         return len(self.levels)
 
     def cube_sides(self) -> np.ndarray:
-        return self.lattice.l0 * 2.0 ** (-self.levels.astype(np.float64))
+        return self.lattice.side(self.levels)
 
     def cube_corners(self) -> np.ndarray:
         return self.lattice.corner[None, :] + self.indices * self.cube_sides()[:, None]
@@ -474,7 +462,7 @@ def regularized_cover(F: BallFamily, beta: float,
     budget = _SWAPS_PER_BALL * F.n_balls
     while True:
         lv, ix = rows[:, 0], rows[:, 1:]
-        sides = lat.l0 * 2.0 ** (-lv.astype(np.float64))
+        sides = lat.side(lv)
         witness = _witnesses(F, lat, lv, ix)
         violated = np.nonzero(sides[witness] < c * F.radii)[0]
         if len(violated) == 0:

@@ -223,8 +223,10 @@ class GridMeasure:
     name: str = ""
 
     def __post_init__(self):
-        if self.h <= 0:
-            raise ValueError("grid spacing must be positive")
+        if not (math.isfinite(self.h) and self.h > 0):
+            raise ValueError(f"grid spacing {self.h} must be positive and finite")
+        if not np.all(np.isfinite(self.origin)):
+            raise ValueError(f"grid origin {self.origin.tolist()} must be finite")
         if not np.all(np.isfinite(self.weights)):
             raise ValueError("weights must be finite")
         if self.indices.shape != (len(self.weights), self.d):
@@ -284,13 +286,9 @@ class GridMeasure:
 
 def new_grid_measure(d, h, origin, indices, weights, name="") -> GridMeasure:
     """Build a GridMeasure, dropping zero weights and merging duplicates."""
-    if h <= 0:
-        raise ValueError("grid spacing must be positive")
     origin = np.asarray(origin, dtype=np.float64).reshape(d)
     indices = np.asarray(indices, dtype=np.int64).reshape(-1, d)
     weights = np.asarray(weights, dtype=np.float64).reshape(-1)
-    if not np.all(np.isfinite(weights)):
-        raise ValueError("weights must be finite")
     if len(indices) != len(weights):
         raise ValueError("indices and weights must have equal length")
     indices, weights = _cube_sums(indices, weights)

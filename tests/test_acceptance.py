@@ -170,13 +170,20 @@ def _covers_raster(cov, raster):
 
 def _mixed_start(raster, rng):
     """A mixed-level cover of the raster: about a quarter of its cells moved
-    up to their ancestor one or two levels coarser, then reduced (coarser
-    moves leave the swap loop little to do)."""
+    up to their ancestor one or two levels coarser (coarser moves leave the
+    swap loop little to do), then reduced: the distinct cubes in (level,
+    index) order, less each one inside a coarser one."""
     level = int(raster.levels[0])
     up = rng.integers(1, 3, raster.n_cubes) * (rng.random(raster.n_cubes) < 0.25)
     up = np.minimum(up, level)
-    return content.CubeUnion.build(raster.lattice, raster.levels - up,
-                                   raster.indices >> up[:, None])
+    rows, _, _ = measures._unique_rows(np.column_stack([raster.levels - up,
+                                                         raster.indices >> up[:, None]]))
+    inside = np.zeros(len(rows), dtype=bool)
+    for j in (1, 2):
+        ancestors = np.column_stack([rows[:, 0] - j, rows[:, 1:] >> j])
+        inside |= measures._match_rows(rows, ancestors) >= 0
+    rows = rows[~inside]
+    return content.CubeUnion(lattice=raster.lattice, levels=rows[:, 0], indices=rows[:, 1:])
 
 
 def test_c08_covering_lemma():
@@ -285,7 +292,7 @@ def test_c12_verify_determinism(tmp_path, warm):
         "thm14": ["--scales", "2", "--depth", "6"],
         "thm15": ["--scales", "2", "--depth", "6"],
         "cor16": [],
-        "thm18": ["--depth", "6"],
+        "thm18": ["--depth", "6", "--seed", "7"],
         "thm19": ["--depth", "5"],
     }
     identical = True
@@ -293,7 +300,7 @@ def test_c12_verify_determinism(tmp_path, warm):
         dirs = []
         for run in (0, 1):
             out = str(tmp_path / f"{target}_{run}")
-            rc = cli_main(["--out", out, "--seed", "7", "verify", target] + extra)
+            rc = cli_main(["--out", out, "verify", target] + extra)
             assert rc in (0, 1)
             dirs.append(out)
         for name in sorted(os.listdir(dirs[0])):

@@ -75,9 +75,7 @@ def test_cantor_atom_certifies(cantor_atom):
     assert cert.support_overflow == 0.0
 
 
-def test_bad_beta_rejected():
-    with pytest.raises(ValueError):
-        make_frostman_atom(beta=0.5, depth=4)
+def test_bad_depth_rejected():
     with pytest.raises(ValueError):
         make_frostman_atom(depth=0)
 

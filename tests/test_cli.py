@@ -85,7 +85,6 @@ def test_atom_check_half_window_exit_2(tmp_path, capsys, given, missing):
 
 
 @pytest.mark.parametrize("argv", [
-    "atom gen --kind linf --beta 0.3", "atom gen --kind loop --beta 0.3",
     "atom gen --kind cantor --component 0", "atom gen --kind linf --component 5",
     "atom check --measure {measure} --beta 0.5 --npd 4",
 ])
@@ -107,6 +106,9 @@ def test_atom_flag_its_mode_does_not_read_exit_2(tmp_path, capsys, argv):
     ["verify", "thm18", "--scales", "2"], ["verify", "--depth", "3", "thm13"],
     ["maximal", "grand", "--measure", "m.csv", "--gamma", "0.5", "--k-min", "2"],
     ["maximal", "dyadic", "--measure", "m.csv", "--gamma", "0.5", "--npd", "4"],
+    # only thm18 reads a seed; every command used to take one and record it
+    ["--seed", "3", "content", "cover", "--balls", "b.csv", "--beta", "0.5"],
+    ["verify", "thm19", "--seed", "3"], ["atom", "gen", "--kind", "cantor", "--beta", "0.5"],
 ], ids=" ".join)
 def test_unread_flag_or_command_exit_2(tmp_path, argv):
     assert run(["--out", str(tmp_path), *argv]) == 2
@@ -349,7 +351,7 @@ _TINY = {
     "verify thm14": (["--alpha", "0.6", "--scales", "2", "--depth", "4"], "verify_thm14"),
     "verify thm15": (["--scales", "2", "--depth", "4"], "verify_thm15"),
     "verify cor16": ([], "verify_cor16"),
-    "verify thm18": (["--depth", "4"], "verify_thm18"),
+    "verify thm18": (["--depth", "4", "--seed", "3"], "verify_thm18"),
     "verify thm19": (["--depth", "4"], "verify_thm19"),
 }
 
@@ -407,7 +409,7 @@ def test_report_config_holds_every_parsed_flag(tmp_path, command):
     io.write_csv(inputs["balls"], ["x0", "x1", "r"], [[0.3, 0.4, 0.1], [0.6, 0.5, 0.2]])
     (tmp_path / "f.csv").write_text("level,i0,value\n3,0,1.0\n3,5,0.5\n")
     tail, name = _TINY[command]
-    argv = ["--out", str(tmp_path / "out"), "--seed", "3", *command.split(),
+    argv = ["--out", str(tmp_path / "out"), *command.split(),
             *(a.format(**inputs) for a in tail)]
     assert run(argv) in (0, 1)
     config = json.loads((tmp_path / "out" / f"{name}.json").read_text())["config"]
@@ -463,6 +465,25 @@ def test_measure_sidecar_missing_key_exit_2(tmp_path, capsys, key):
         json.dump(side, fh)
     assert run(["--out", str(tmp_path), "heat", "--measure", csv]) == 2
     assert f"sidecar lacks {key}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key, command", [
+    # a NaN origin ran `maximal lp` to exit 0 with NaN coordinates, and a NaN
+    # spacing exited 2 blaming the time window
+    ("origin", "maximal lp --k 0"), ("spacing", "heat"),
+    ("spacing", "potential riesz --alpha 0.5"),
+])
+def test_measure_sidecar_not_finite_exit_2(tmp_path, capsys, key, command):
+    csv = str(tmp_path / "mu.csv")
+    io.save_measure(cantor_measure(3), csv)
+    with open(csv + ".json") as fh:
+        side = json.load(fh)
+    side[key] = [math.nan] if key == "origin" else math.nan
+    with open(csv + ".json", "w") as fh:
+        json.dump(side, fh)
+    assert run(["--out", str(tmp_path / "out"), *command.split(), "--measure", csv]) == 2
+    assert f"grid {key} " in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("t_lo, t_hi", [("1e-320", "1"), ("1e-3", "1e400")])
@@ -787,15 +808,14 @@ def test_config_flag_overrides_file(tmp_path, warm):
 
 
 def test_config_file_sets_global_flags(tmp_path, warm):
-    # a top-level key such as seed goes before the command, where its flag is
-    out = str(tmp_path)
-    cfg = os.path.join(out, "cfg.json")
+    # a top-level key such as out goes before the command, where its flag is
+    out = str(tmp_path / "out")
+    cfg = os.path.join(str(tmp_path), "cfg.json")
     with open(cfg, "w") as fh:
-        json.dump({"depth": 4, "seed": 3}, fh)
-    assert run(["--out", out, "--config", cfg, "atom", "gen", "--kind", "cantor"]) == 0
+        json.dump({"depth": 4, "out": out}, fh)
+    assert run(["--config", cfg, "atom", "gen", "--kind", "cantor"]) == 0
     with open(os.path.join(out, "atom_gen_cantor.json")) as fh:
-        rep = json.load(fh)
-    assert (rep["config"]["depth"], rep["config"]["seed"]) == (4, 3)
+        assert json.load(fh)["config"]["depth"] == 4
 
 
 def test_config_flag_with_equals_overrides_file(tmp_path, warm):
@@ -855,15 +875,15 @@ def test_prefix_of_a_flag_exits_2(tmp_path):
 
 
 def test_config_null_means_flag_not_given(tmp_path, warm):
-    # a report's config holds null for a flag not given (beta for --kind
-    # cantor); it used to reach argparse as the word None and exit 2
+    # a report's config holds null for a flag not given (component for
+    # --kind cantor); it used to reach argparse as the word None and exit 2
     out = tmp_path / "from_config"
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"beta": None, "depth": 4}))
+    cfg.write_text(json.dumps({"component": None, "depth": 4}))
     assert run(["--out", str(out), "--config", str(cfg), "atom", "gen",
                 "--kind", "cantor"]) == 0
     config = json.loads((out / "atom_gen_cantor.json").read_text())["config"]
-    assert (config["beta"], config["depth"]) == (None, 4)
+    assert (config["component"], config["depth"]) == (None, 4)
     flags = tmp_path / "from_flags"
     assert run(["--out", str(flags), "atom", "gen", "--kind", "cantor", "--depth", "4"]) == 0
     assert (out / "atom_cantor.csv").read_bytes() == (flags / "atom_cantor.csv").read_bytes()
@@ -1000,10 +1020,12 @@ def test_report_serializes_numpy_bool(tmp_path):
 
 
 # report digests of a saved family, from the implementation that rasterized
-# and swept the family twice per run; the config names the file relatively
+# and swept the family twice per run; the config names the file relatively.
+# Re-recorded when `--seed` left the config of every command but thm18: the
+# results and every other config key kept their bytes
 _CONTENT_VALUE_DIGESTS = {
-    "0.5": "78cc84218fac24becfa2d74d26f5c624466122817f7cd4831889bc760f961820",
-    "2": "4499a89263bdebbc5049c7eeed6bff0e36fd884905112393ae6c49b8ab3d0f14",
+    "0.5": "9c64a320d3980dd517329fbda6c065d0df49a4fc0a0dfe2bee478f61a186cd00",
+    "2": "9e4c52708a9c32cd595f7344a2ae02e1c42c85400784422dfe189cf7f2e4d277",
 }
 
 

@@ -64,15 +64,12 @@ def content_oracle(E: CubeUnion, beta: float) -> float:
     return sum(cost(top, r) for r in roots)
 
 
-def random_union(rng, d=2, max_cells=24) -> CubeUnion:
-    lat = unit_lattice(d)
+def random_cells(rng, lat, level, max_cells) -> CubeUnion:
+    """1 to ``max_cells - 1`` random cells of one level around the unit cube
+    (repeats kept once)."""
     n = int(rng.integers(1, max_cells))
-    levels = rng.integers(2, 6, n)
-    idx = np.stack([rng.integers(0, 2 ** lv) for lv in levels
-                    for _ in range(1)]).reshape(-1, 1)
-    idx = np.hstack([idx] + [np.array([[int(rng.integers(0, 2 ** lv))]
-                                       for lv in levels]) for _ in range(d - 1)])
-    return CubeUnion.build(lat, levels, idx)
+    ix = rng.integers(-2, 2 ** level + 2, (n, lat.d))
+    return CubeUnion.build(lat, np.full(n, level), ix)
 
 
 def test_single_cube_exact():
@@ -91,24 +88,27 @@ def test_two_far_cubes_add():
     assert dyadic_content(E, 0.5) == pytest.approx(2 * (2.0 ** -4) ** 0.5)
 
 
-def test_reduction_drops_nested():
+def test_build_keeps_distinct_cubes_in_input_order():
+    # nested cubes of several levels stay; only the repeat goes
     lat = unit_lattice(1)
-    E = CubeUnion.build(lat, [2, 5], [[1], [12]])   # [12]@5 inside [1]@2
-    assert E.n_cubes == 1
-    assert E.levels[0] == 2
+    E = CubeUnion.build(lat, [5, 2, 5], [[12], [1], [12]])   # [12]@5 inside [1]@2
+    assert E.levels.tolist() == [5, 2]
+    assert E.indices.tolist() == [[12], [1]]
+
+
+def test_content_rejects_cubes_of_two_levels():
+    lat = unit_lattice(1)
+    E = CubeUnion.build(lat, [2, 5], [[1], [40]])
+    for fn in (dyadic_content, dyadic_content_cover):
+        with pytest.raises(ValueError, match="levels 2 to 5"):
+            fn(E, 0.5)
 
 
 def test_content_monotone_and_subadditive(rng):
     lat = unit_lattice(2)
     for _ in range(15):
-        n = int(rng.integers(1, 12))
-        lv = rng.integers(1, 5, n)
-        ix = np.stack([rng.integers(0, 2 ** l, 2) for l in lv])
-        E = CubeUnion.build(lat, lv, ix)
-        m = int(rng.integers(1, 12))
-        lv2 = rng.integers(1, 5, m)
-        ix2 = np.stack([rng.integers(0, 2 ** l, 2) for l in lv2])
-        F = CubeUnion.build(lat, lv2, ix2)
+        lv = int(rng.integers(1, 5))
+        E, F = random_cells(rng, lat, lv, 12), random_cells(rng, lat, lv, 12)
         union = CubeUnion.build(lat, np.concatenate([E.levels, F.levels]),
                                 np.vstack([E.indices, F.indices]))
         cE, cF, cU = (dyadic_content(x, 0.7) for x in (E, F, union))
@@ -119,10 +119,7 @@ def test_content_monotone_and_subadditive(rng):
 def test_content_vs_oracle(rng):
     lat = unit_lattice(1)
     for _ in range(12):
-        n = int(rng.integers(1, 10))
-        lv = rng.integers(1, 5, n)
-        ix = np.stack([rng.integers(-4, 2 ** l + 4, 1) for l in lv])
-        E = CubeUnion.build(lat, lv, ix)
+        E = random_cells(rng, lat, int(rng.integers(1, 5)), 10)
         for beta in (0.4, 0.9):
             assert dyadic_content(E, beta) == pytest.approx(
                 content_oracle(E, beta), rel=1e-12)
@@ -144,10 +141,7 @@ def test_cantor_snap_content_band():
 def test_cover_extraction_consistent(rng):
     lat = unit_lattice(2)
     for _ in range(6):
-        n = int(rng.integers(2, 20))
-        lv = rng.integers(2, 6, n)
-        ix = np.stack([rng.integers(0, 2 ** l, 2) for l in lv])
-        E = CubeUnion.build(lat, lv, ix)
+        E = random_cells(rng, lat, int(rng.integers(2, 6)), 20)
         val, cov = dyadic_content_cover(E, 0.5)
         assert float(np.sum(lat.side(cov.levels) ** 0.5)) == pytest.approx(val, rel=1e-12)
         # extracted cover must cover every input cube: some cover cube is the

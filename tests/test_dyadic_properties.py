@@ -1,5 +1,5 @@
-"""Properties of the array-encoded dyadic tree: cube-union reduction, exact
-dyadic content, the Choquet sweeps over level sets, ball rasters and cover
+"""Properties of the array-encoded dyadic tree: exact dyadic content of one
+level's cells, the Choquet sweeps over level sets, ball rasters and cover
 witnesses, greedy mass capture and the dimension estimate built on it, in
 d = 1 and 2 (rasters also in d = 3) with cubes on both sides of the lattice
 corner (negative indices)."""
@@ -29,40 +29,24 @@ def _contains(lq, iq, lp, ip):
 
 
 @st.composite
-def cube_lists(draw, d):
-    levels, indices = [], []
-    for _ in range(draw(st.integers(0, 12))):
-        lv = draw(st.integers(-2, 5))
-        span = 2 ** max(lv, 0)
-        levels.append(lv)
-        indices.append([draw(st.integers(-span, span - 1)) for _ in range(d)])
-    return (np.array(levels, dtype=np.int64),
-            np.array(indices, dtype=np.int64).reshape(-1, d))
+def cube_lists(draw, d, lv):
+    """0 to 12 cells of level ``lv`` around the unit cube, as (levels,
+    indices)."""
+    span = 2 ** max(lv, 0)
+    n = draw(st.integers(0, 12))
+    indices = [[draw(st.integers(-span, span - 1)) for _ in range(d)] for _ in range(n)]
+    return np.full(n, lv, dtype=np.int64), np.array(indices, dtype=np.int64).reshape(-1, d)
 
 
 @st.composite
 def two_cube_lists(draw):
     d = draw(st.sampled_from([1, 2]))
-    return d, draw(cube_lists(d)), draw(cube_lists(d))
+    lv = draw(st.integers(-2, 5))
+    return d, draw(cube_lists(d, lv)), draw(cube_lists(d, lv))
 
 
 def _content(d, cubes, beta):
     return dyadic_content(CubeUnion.build(_lattice(d), *cubes), beta)
-
-
-@given(two_cube_lists())
-def test_build_is_pairwise_reduction(case):
-    d, (levels, indices), _ = case
-    order = np.argsort(levels, kind="stable")
-    lv, ix = levels[order], indices[order]
-    # keep a cube unless a coarser input cube contains it or it repeats an
-    # earlier one
-    keep = [p for p in range(len(lv))
-            if not any(q != p and _contains(lv[q], ix[q], lv[p], ix[p])
-                       and (lv[q] < lv[p] or q < p) for q in range(len(lv)))]
-    E = CubeUnion.build(_lattice(d), levels, indices)
-    assert np.array_equal(E.levels, lv[keep])
-    assert np.array_equal(E.indices, ix[keep].reshape(-1, d))
 
 
 @given(two_cube_lists(), st.floats(0.05, 1.0))
@@ -89,8 +73,8 @@ def test_content_level_shift_scaling(case, frac, j):
 @given(two_cube_lists(), st.floats(0.05, 1.0), st.lists(st.integers(-3, 3),
                                                       min_size=2, max_size=2))
 def test_content_whole_cube_shift(case, frac, shift):
-    # shifting every cube by one whole level-K cube (K the coarsest input
-    # level, or 0) maps the tree at levels >= K onto itself, so the best
+    # shifting every cube by one whole level-K cube (K the cells' level or
+    # 0, whichever is coarser) maps the tree at levels >= K onto itself, so the best
     # cover by cubes of level >= K keeps its cost.  A coarser cube costs at
     # least cap = l(level K - 1)^beta and may pair the shifted cubes
     # differently (H{[0,1), [1,2)} = 2^beta, H{[1,2), [2,3)} = min(2, 4^beta)
@@ -168,6 +152,25 @@ def test_maximal_level_sums_match_sweep_per_level(field, frac, k_max):
             acc += 2.0 ** -k * _level_content(d, level, cells, mask, beta)
         want.append(acc)
     assert got.tolist() == want
+
+
+@given(sampled_fields(), st.one_of(st.just(1.0), st.floats(0.05, 1.0)), st.booleans())
+def test_content_holds_when_cells_split(field, frac, strict):
+    # the 2^d children of a cell cost 2^(d - beta) >= 1 times the cell, so
+    # the sweep from the children takes every cell itself one level up and
+    # climbs on as from the cells: the same bits, for beta < d and beta = d,
+    # for the whole support and for every level set
+    d, level, cells, values = field
+    beta = frac * d
+    lat = _lattice(d)
+    kids = (2 * cells[:, None, :] + lattice_points([np.arange(2)] * d)).reshape(-1, d)
+    kid_values = np.repeat(values, 2 ** d)
+    assert (dyadic_content(CubeUnion.build(lat, np.full(len(kids), level + 1), kids), beta)
+            == _level_content(d, level, cells, values >= 0, beta))
+    cuts = np.unique(values)
+    got = content._level_set_contents(kids, kid_values, lat, level + 1, beta, cuts, strict)
+    want = content._level_set_contents(cells, values, lat, level, beta, cuts, strict)
+    assert got.tolist() == want.tolist()
 
 
 @given(sampled_fields(), st.floats(0.05, 1.0),

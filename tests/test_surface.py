@@ -206,7 +206,7 @@ def _introspected() -> set:
     out = set()
     for fn in verify.VERIFIERS.values():
         for p in inspect.signature(fn).parameters:
-            if p in cli._VERIFY_FLAGS or p == "dirac_seed":
+            if p in cli._VERIFY_FLAGS:
                 out.add(f"verify.{fn.__name__}.{p}")
     return out
 
