@@ -85,6 +85,7 @@ def test_atom_check_half_window_exit_2(tmp_path, capsys, given, missing):
 
 
 @pytest.mark.parametrize("argv", [
+    "atom gen --kind linf --beta 0.3", "atom gen --kind loop --beta 0.3",
     "atom gen --kind cantor --component 0", "atom gen --kind linf --component 5",
     "atom check --measure {measure} --beta 0.5 --npd 4",
 ])
