@@ -8,18 +8,24 @@ edits are row operations on these arrays (sort, unique, searchsorted) with
 no per-cube Python objects.
 
 The dyadic content is computed for the distinct cells of one level, the
-only sets the package measures (ball rasters, Choquet level sets), exactly
-by a bottom-up sweep on their ancestor tree: ``cost(Q) = min(l(Q)^beta, sum
-of child costs)``.  The tree is a list of levels, each holding its nodes and
-every node's position among its parents one level up (one ``_unique_rows``
-per level), grown on demand while the sweep climbs.  The sweep ascends until
-no coarser cube could pay (a single cube at the next level would already
-cost more than the current total), which makes the result the true infimum
-over all dyadic covers.  The same pass, with only some cells active, gives
-the content of each level set of a sampled field from one tree, so the
-nested level sets of a Choquet integral are never re-sorted.  The optimal
-cover is read off top-down along the parent links: a node is in it when it
-chose itself and its parent chose its children.
+only sets the package measures (ball rasters, the supports of sampled
+fields), exactly by a bottom-up sweep on their ancestor tree: ``cost(Q) =
+min(l(Q)^beta, sum of child costs)``.  The tree is a list of levels, each
+holding its nodes and every node's position among its parents one level up
+(one ``_unique_rows`` per level), grown on demand while the sweep climbs.
+The sweep ascends until no coarser cube could pay (a single cube at the next
+level would already cost more than the current total), which makes the
+result the true infimum over all dyadic covers.  The optimal cover is read
+off top-down along the parent links: a node is in it when it chose itself
+and its parent chose its children.
+
+For a field sampled on cells, every node's cost is a decreasing step
+function of the threshold t, ``cost_Q(t) = min(l(Q)^beta, sum of child
+costs at t)``, the content of the level set ``{f > t}`` below Q.  One climb
+of the same tree carries these step functions as jumps (value, drop), so it
+gives the content of every level set at once, and the Choquet integral is
+the finite sum of value times drop (D. R. Adams, "Choquet integrals in
+potential theory", Publ. Mat. 42, 1998).
 
 Ball geometry works by rows: a row is a line of cells along the last axis,
 all other indices fixed, and a ball meets a row in an interval of cells.  A
@@ -105,38 +111,25 @@ class _AncestorTree:
         self.nodes.append(uniq)
 
 
-def _content_sweep(tree: _AncestorTree, beta: float, active=None):
-    """Bottom-up cost sweep of the tree's cells where ``active`` holds (all
-    of them when None).
+def _content_sweep(tree: _AncestorTree, beta: float):
+    """Bottom-up cost sweep of the tree's cells.
 
     Returns the total and, finest level first, the chose-itself flags of
-    every level swept.  A node is live when it has a live child; the costs
-    of other nodes are never read.  Parent sums add live child costs in node
-    order (``bincount`` adds in input order, as ``np.add.at`` does), and
-    totals sum the live costs in node order, so each result matches a sweep
-    of the live cells alone, bit for bit.
+    every level swept.
     """
     lat = tree.lattice
     k = tree.k_bottom
     costs = np.full(len(tree.nodes[0]), lat.side(k) ** beta)
-    live = active
     choices = [np.ones(len(costs), dtype=bool)]
     i = 0
     while True:
-        live_costs = costs if live is None else costs[live]
-        total = float(np.sum(live_costs))
+        total = float(np.sum(costs))
         own = lat.side(k - 1) ** beta
-        if len(live_costs) <= 1 or own >= total:
+        if len(costs) <= 1 or own >= total:
             return total, choices
         if i + 1 == len(tree.nodes):
             tree.grow()
-        up, n = tree.up[i], len(tree.nodes[i + 1])
-        if live is None:
-            sums = np.bincount(up, weights=costs, minlength=n)
-        else:
-            live_up = up[live]
-            sums = np.bincount(live_up, weights=live_costs, minlength=n)
-            live = np.bincount(live_up, minlength=n) > 0
+        sums = np.bincount(tree.up[i], weights=costs, minlength=len(tree.nodes[i + 1]))
         k -= 1
         i += 1
         choice_self = own <= sums
@@ -191,36 +184,55 @@ def dyadic_content_cover(E: CubeUnion, beta: float):
                            indices=np.vstack(indices))
 
 
-def _level_set_contents(cells, values, lattice: DyadicLattice, level: int,
-                       beta: float, cuts, strict: bool = True) -> np.ndarray:
-    """Dyadic content of each level set ``{f > t}`` (``{f >= t}`` unless
-    ``strict``) for t in ``cuts``, which must make the sets nested.
+def _layer_cake(cells, values, lattice: DyadicLattice, level: int,
+                beta: float):
+    """t -> H_beta({f > t}) of f >= 0 sampled on level-``level`` cells, as
+    jumps: the content is ``sum(drop[tau > t])``.
 
-    ``cells`` are level-``level`` lattice indices carrying the samples
-    ``values`` of f; a repeated cell is in a level set when any of its
-    samples is.  One ancestor tree over the cells of the largest set serves
-    every set, each swept by a masked pass; a set with as many cells as the
-    previous one is that set, and its content is reused.
+    A repeated cell carries its largest sample.  Each node's cost is the
+    step function ``cost_Q(t) = min(l(Q)^beta, sum of child costs)``; a
+    distinct support cell is the one jump (its peak, l(cell)^beta).  Per
+    level every jump moves to its parent; sorted by (parent, -tau), each
+    jump's running sum ``above`` over its parent's larger jumps gives the
+    capped step function, ``drop = min(drop, own - above)`` where ``above <
+    own``.  The climb stops where the sweep of the whole support stops:
+    H(t) <= H(0+), so no coarser cube caps any t.
     """
-    cuts = np.asarray(cuts, dtype=np.float64)
-    out = np.zeros(len(cuts))
-    t_min = float(np.min(cuts, initial=np.inf))
-    base = values > t_min if strict else values >= t_min
-    if not np.any(base):
-        return out
-    leaves, _, inv = _unique_rows(cells[base])
-    peak = np.full(len(leaves), -np.inf)
-    np.maximum.at(peak, inv, values[base])
+    if not (0 < beta <= lattice.d):
+        raise ValueError("beta must lie in (0, d]")
+    values = np.asarray(values, dtype=np.float64).reshape(-1)
+    cells = np.asarray(cells, dtype=np.int64).reshape(len(values), lattice.d)
+    bad = values[~np.isfinite(values)]
+    if len(bad):
+        raise ValueError(f"a sample is {bad[0]}: Choquet integration needs finite samples")
+    if np.any(values < 0):
+        raise ValueError("Choquet integration needs nonnegative samples")
+    support = values > 0
+    leaves, _, inv = _unique_rows(cells[support])
+    tau = np.zeros(len(leaves))
+    np.maximum.at(tau, inv, values[support])
     tree = _AncestorTree(lattice, level, leaves)
-    count, content = 0, 0.0
-    for j, t in enumerate(cuts):
-        active = peak > t if strict else peak >= t
-        n = int(np.count_nonzero(active))
-        if n != count:
-            count = n
-            content = _content_sweep(tree, beta, active)[0] if n else 0.0
-        out[j] = content
-    return out
+    node = np.arange(len(leaves))
+    drop = np.full(len(leaves), lattice.side(level) ** beta)
+    k, i = int(level), 0
+    while True:
+        own = lattice.side(k - 1) ** beta
+        if len(tree.nodes[i]) <= 1 or own >= np.sum(drop):
+            return tau, drop
+        if i + 1 == len(tree.nodes):
+            tree.grow()
+        parent = tree.up[i][node]
+        order = np.lexsort((-tau, parent))
+        parent, tau, drop = parent[order], tau[order], drop[order]
+        # running sums restart at each parent's first jump
+        head = np.flatnonzero(np.diff(parent, prepend=-1))
+        above = np.cumsum(drop) - drop
+        above -= np.repeat(above[head], np.diff(head, append=len(parent)))
+        keep = above < own
+        node, tau = parent[keep], tau[keep]
+        drop = np.minimum(drop[keep], own - above[keep])
+        k -= 1
+        i += 1
 
 
 # ---------------------------------------------------------------------------
@@ -542,42 +554,14 @@ def spherical_content_upper(F: BallFamily, beta: float,
 # ---------------------------------------------------------------------------
 
 def choquet_integral(cells, values, lattice: DyadicLattice, level: int,
-                     beta: float, thresholds=None, n_thresholds: int = 64) -> float:
-    """Layer-cake integral of f >= 0 against the dyadic content.
+                     beta: float) -> float:
+    """Choquet integral of f >= 0 against the dyadic content, exactly.
 
-    ``cells`` are level-``level`` lattice indices carrying the samples of f;
-    the sum ``sum_j (t_{j+1}-t_j) * content({f > t_j})`` with left endpoints
-    converges to the integral from above as thresholds refine.  Thresholds
-    default to 0 followed by ``n_thresholds`` geometric levels between the
-    smallest positive sample and the max; given ones must be nonnegative,
-    those above the max are dropped, and 0 and the max are always added.
-    All level sets are swept over one ancestor tree of the support's cells
-    (``_level_set_contents``); one with as many cells as the previous one is
-    that set, and its content is reused.
+    ``cells`` are level-``level`` lattice indices carrying the finite
+    samples of f, so f is a step function and its layer cake ``int_0^inf
+    H_beta({f > t}) dt`` is the finite sum ``sum(tau * drop)`` over the
+    jumps of ``_layer_cake``.  A negative or non-finite sample is a
+    ``ValueError``.
     """
-    if not (0 < beta <= lattice.d):
-        raise ValueError("beta must lie in (0, d]")
-    values = np.asarray(values, dtype=np.float64).reshape(-1)
-    cells = np.asarray(cells, dtype=np.int64).reshape(len(values), lattice.d)
-    if np.any(values < 0):
-        raise ValueError("Choquet integration needs nonnegative samples")
-    pos = values[values > 0]
-    if len(pos) == 0:
-        return 0.0
-    vmax = float(np.max(pos))
-    if thresholds is None:
-        vmin = float(np.min(pos))
-        if vmin >= vmax:
-            thresholds = np.array([0.0, vmax])
-        else:
-            thresholds = np.concatenate([[0.0],
-                                         np.geomspace(vmin, vmax, n_thresholds)])
-    thresholds = np.asarray(thresholds, dtype=np.float64)
-    if np.any(thresholds < 0):
-        raise ValueError("Choquet thresholds must be nonnegative")
-    thresholds = np.unique(np.concatenate([[0.0], thresholds[thresholds <= vmax], [vmax]]))
-    contents = _level_set_contents(cells, values, lattice, level, beta, thresholds[:-1])
-    total = 0.0
-    for step, content in zip(np.diff(thresholds), contents):
-        total += step * content
-    return total
+    tau, drop = _layer_cake(cells, values, lattice, level, beta)
+    return float(np.sum(tau * drop))

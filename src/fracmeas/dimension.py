@@ -33,7 +33,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .atoms import AtomicDecomposition
-from .content import _level_set_contents, choquet_integral
+from .content import _layer_cake, choquet_integral
 from .heat import TGrid
 from .maximal import dyadic_maximal, grand_maximal, standard_family
 from .measures import (DyadicLattice, GridMeasure, _cube_sums, _match_rows,
@@ -247,15 +247,13 @@ def maximal_level_sums(cells, values, lattice: DyadicLattice, level: int,
                        beta: float, k_max: int = 60) -> np.ndarray:
     """Partial sums of sum_k 2^-k H_beta({M >= 2^-k}) from a sampled field.
 
-    The level sets grow with k and are all swept over one ancestor tree
-    (``content._level_set_contents``); one with as many cells as the
-    previous one is that set, and its content is reused.
+    Every level set's content is read off the field's one layer-cake sweep
+    (``content._layer_cake``): H_beta({M >= c}) is the sum of the jumps at
+    or above c.
     """
-    values = np.asarray(values, dtype=np.float64)
-    cells = np.asarray(cells, dtype=np.int64)
+    tau, drop = _layer_cake(cells, values, lattice, level, beta)
     cuts = 2.0 ** -np.arange(k_max + 1)
-    return np.cumsum(cuts * _level_set_contents(cells, values, lattice, level, beta, cuts,
-                                                strict=False))
+    return np.cumsum(cuts * np.sum(np.where(tau >= cuts[:, None], drop, 0.0), axis=1))
 
 
 def atom_sum_dimension_check(dec: AtomicDecomposition, sample_level: int = 6,

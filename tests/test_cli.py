@@ -124,6 +124,10 @@ def test_unread_flag_or_command_exit_2(tmp_path, argv):
     "content choquet --field {field} --beta -1",
     "content choquet --field {field} --beta 0",
     "content choquet --field {field} --beta 5",
+    # a NaN sample's cell was dropped from every level set, and an infinite
+    # sample wrote "value": Infinity, both to exit 0
+    "content choquet --field {nan_field} --beta 0.5",
+    "content choquet --field {inf_field} --beta 0.5",
     "verify thm13 --scales 1", "verify thm14 --scales 1", "verify thm15 --scales 1",
     "verify thm13 --scales 0", "verify thm14 --scales 0",
     # three depths give the depth sequence its first ratio
@@ -145,7 +149,10 @@ def test_out_of_range_input_exit_2(tmp_path, capsys, argv):
     io.save_measure(cantor_measure(3), csv)
     field = tmp_path / "f.csv"
     field.write_text("level,i0,value\n3,0,1.0\n3,5,0.5\n")
-    argv = argv.format(measure=csv, field=field).split()
+    for bad in ("nan", "inf"):
+        (tmp_path / f"{bad}.csv").write_text(f"level,i0,value\n3,0,1.0\n3,2,{bad}\n3,5,0.5\n")
+    argv = argv.format(measure=csv, field=field, nan_field=tmp_path / "nan.csv",
+                       inf_field=tmp_path / "inf.csv").split()
     assert run(["--out", str(tmp_path / "out"), *argv]) == 2
     assert re.fullmatch(r"fracmeas: [^\n]+\n", capsys.readouterr().err)
 

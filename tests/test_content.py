@@ -358,9 +358,9 @@ def test_choquet_homogeneity():
     rng = np.random.default_rng(5)
     cells = np.arange(0, 32)[:, None]
     f = rng.uniform(0.1, 3.0, 32)
-    a = choquet_integral(cells, f, lat, 5, 0.5, n_thresholds=256)
-    b = choquet_integral(cells, 7.0 * f, lat, 5, 0.5, n_thresholds=256)
-    assert b == pytest.approx(7.0 * a, rel=1e-3)
+    a = choquet_integral(cells, f, lat, 5, 0.5)
+    b = choquet_integral(cells, 7.0 * f, lat, 5, 0.5)
+    assert b == pytest.approx(7.0 * a, rel=1e-12)
 
 
 def test_choquet_two_layer_exact():
@@ -372,7 +372,7 @@ def test_choquet_two_layer_exact():
     beta = 0.5
     both = dyadic_content(CubeUnion.build(lat, [4, 4], cells), beta)
     one = dyadic_content(CubeUnion.build(lat, [4], cells[:1]), beta)
-    got = choquet_integral(cells, f, lat, 4, beta, thresholds=[0.0, 1.0, 2.0])
+    got = choquet_integral(cells, f, lat, 4, beta)
     assert got == pytest.approx(both + one, rel=1e-14)
 
 
@@ -401,24 +401,17 @@ def test_choquet_rejects_negative():
         choquet_integral(np.array([[0]]), np.array([-1.0]), lat, 2, 0.5)
 
 
-def test_choquet_thresholds_above_max_are_zero_and_max():
-    # every given threshold lies above max f: the layer cake is [0, max f]
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_choquet_rejects_non_finite(bad):
     lat = unit_lattice(1)
-    cells = np.array([[0], [5], [11]])
-    f = np.array([1.0, 2.0, 0.5])
-    support = dyadic_content(CubeUnion.build(lat, [4, 4, 4], cells), 0.5)
-    got = choquet_integral(cells, f, lat, 4, 0.5, thresholds=[3.0, 7.0])
-    assert got == choquet_integral(cells, f, lat, 4, 0.5, thresholds=[0.0, 2.0])
-    assert got == 2.0 * support
+    with pytest.raises(ValueError, match="finite"):
+        choquet_integral(np.array([[0], [1]]), np.array([1.0, bad]), lat, 2, 0.5)
 
 
-def test_choquet_rejects_negative_thresholds():
-    # a negative threshold would count the cells where f = 0: here [-1, 0.5]
-    # gave 1.375 for the exact 0.25
+def test_choquet_of_one_cell_is_its_value_times_its_content():
+    # the zero cells lie in no level set of t >= 0
     lat = unit_lattice(1)
     cells = np.arange(16)[:, None]
     f = np.zeros(16)
     f[3] = 1.0
-    assert choquet_integral(cells, f, lat, 4, 0.5, thresholds=[0.0, 0.5]) == 0.25
-    with pytest.raises(ValueError):
-        choquet_integral(cells, f, lat, 4, 0.5, thresholds=[-1.0, 0.5])
+    assert choquet_integral(cells, f, lat, 4, 0.5) == 0.25

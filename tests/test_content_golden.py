@@ -58,14 +58,24 @@ def ball_family(seed):
 
 
 def field(seed):
-    """A 64x64 field with about a third of its cells zero and the rest on 24
-    geometric values, so level sets repeat and cells share values."""
+    """A 64x64 field: the sixteenth of the cells where a seeded sum of two
+    Gaussian bumps is largest carry 24 geometric values from 0.001 to 3 in
+    the order of the bump sum, so cells share values, and the rest are zero.
+    The level sets cluster, so their contents fall below the unit cube's."""
     rng = np.random.default_rng(1000 + seed)
     n = 2 ** FIELD_LEVEL
     ii, jj = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
     cells = np.stack([ii.ravel(), jj.ravel()], axis=1)
-    values = np.geomspace(0.01, 3.0, 24)[rng.integers(0, 24, n * n)]
-    values[rng.uniform(0, 1, n * n) < 0.35] = 0.0
+    x, y = ((cells + 0.5) / n).T
+    bumps = np.zeros(n * n)
+    for _ in range(2):
+        cx, cy = rng.uniform(0.0, 1.0, 2)
+        s = rng.uniform(0.05, 0.2)
+        bumps += rng.uniform(0.5, 2.0) * np.exp(-((x - cx) ** 2 + (y - cy) ** 2) / (2 * s * s))
+    k = n * n // 16
+    values = np.zeros(n * n)
+    values[np.argsort(bumps, kind="stable")[-k:]] = \
+        np.geomspace(0.001, 3.0, 24)[np.arange(k) * 24 // k]
     return cells, values
 
 
@@ -85,11 +95,9 @@ def content_digests() -> dict:
                                             balls.witness_ratio, balls.total)
     for seed in FIELD_SEEDS:
         cells, values = field(seed)
-        default = content.choquet_integral(cells, values, lat, FIELD_LEVEL, CHOQUET_BETA)
-        given = content.choquet_integral(cells, values, lat, FIELD_LEVEL, CHOQUET_BETA,
-                                         thresholds=np.linspace(0.0, 2.0, 33))
+        value = content.choquet_integral(cells, values, lat, FIELD_LEVEL, CHOQUET_BETA)
         sums = maximal_level_sums(cells, values, lat, FIELD_LEVEL, CHOQUET_BETA, k_max=12)
-        out[f"choquet_integral/{seed}"] = _digest(default, given)
+        out[f"choquet_integral/{seed}"] = _digest(value)
         out[f"maximal_level_sums/{seed}"] = _digest(sums)
     return out
 
@@ -114,6 +122,18 @@ def test_golden_families_exercise_the_swap_loop():
         swaps += content.regularized_cover(F, COVER_BETA,
                                            initial_cover=raster).constants["swaps"]
     assert swaps > 0
+
+
+def test_golden_fields_give_distinct_integrals_below_their_max():
+    # a field whose every level set costs the unit cube integrates to max f
+    # whatever the sweep does, and would pin nothing of it
+    lat = unit_lattice(2)
+    integrals = []
+    for seed in FIELD_SEEDS:
+        cells, f = field(seed)
+        integrals.append(content.choquet_integral(cells, f, lat, FIELD_LEVEL, CHOQUET_BETA))
+        assert integrals[-1] < np.max(f)
+    assert len(set(integrals)) == len(FIELD_SEEDS)
 
 
 if __name__ == "__main__":
